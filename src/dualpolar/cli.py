@@ -255,6 +255,9 @@ def cmd_verify(args) -> int:
         g = load_graph(args.graph)
     except (OSError, ValueError, KeyError) as exc:
         raise InputError(f"cannot load graph: {exc}") from exc
+    if not 0 <= args.base_vertex < g.n_vertices:
+        raise InputError(f"--base-vertex {args.base_vertex} is not a vertex; "
+                         f"the graph has vertices 0..{g.n_vertices - 1}")
     meta = {"graph": args.graph, "family": g.spec.family, "D": g.spec.D,
             "b": g.spec.b, "suite": args.suite,
             "base_vertex": args.base_vertex}

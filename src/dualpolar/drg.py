@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import ExactScalar
+from .intlinalg import int_matmul
 from .linexact import ExactMatrix, spectral_projectors
 from .polar import FormSpec, PolarGraph
 
@@ -57,7 +58,7 @@ def verify_distance_regular(g) -> IntersectionData:
     p = np.zeros((D + 1, D + 1, D + 1), dtype=np.int64)
     for i in range(D + 1):
         for j in range(i, D + 1):
-            prod = mats[i].astype(np.int64) @ mats[j].astype(np.int64)
+            prod = int_matmul(mats[i], mats[j])
             for h in range(D + 1):
                 support = mats[h].astype(bool)
                 if h == 0:

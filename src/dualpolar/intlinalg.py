@@ -45,8 +45,61 @@ def _max_abs(a: np.ndarray) -> int:
     if a.size == 0:
         return 0
     if a.dtype == object:
-        return max(abs(int(v)) for v in a.flat)
-    return int(np.abs(a).max())
+        return int(np.abs(a).max())
+    # max and min, not np.abs: abs(-2^63) wraps in int64 and bool has no sign
+    return max(int(a.max()), -int(a.min()))
+
+
+# Every integer of absolute value at most 2^24 is a float32 and every one up
+# to 2^53 a float64; int64 is used up to 2^62, which leaves a bit to spare.
+_F32_EXACT = 2 ** 24
+_F64_EXACT = 2 ** 53
+
+
+def _matmul_dtype(bound: int):
+    """Cheapest arithmetic that holds every integer of absolute value at
+    most `bound` exactly."""
+    if bound < _F32_EXACT:
+        return np.float32
+    if bound < _F64_EXACT:
+        return np.float64
+    if bound < _INT64_SAFE:
+        return np.int64
+    return object
+
+
+def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact product of two 2-d integer (or bool) arrays of any dtype.
+
+    The result is int64 when B = k * max|a| * max|b|, with k = a.shape[1],
+    is below 2^62, and an object array of Python ints otherwise.  The
+    arithmetic is chosen from B alone: float32 BLAS below 2^24, float64 BLAS
+    below 2^53, int64 below 2^62, Python ints above.
+
+    Why a float product is exact: every partial sum that any summation order
+    forms for entry (i, l) adds some of the k terms a_ij * b_jl, each an
+    integer of absolute value at most max|a| * max|b|, so the partial sum is
+    an integer of absolute value at most B.  Below 2^24 (2^53) every such
+    integer is a float32 (float64), and so are the operands, as max|a| and
+    max|b| are at most B.  Each multiply, add or fused multiply-add then
+    yields an exactly representable integer and rounds nothing, whatever
+    order or blocking the BLAS uses.  This holds for the classical
+    inner-product algorithm that BLAS libraries implement; a Strassen-type
+    algorithm forms sums that are not partial sums and is not covered.
+
+    Operands are widened before they meet, so a uint8 or bool product does
+    not wrap, and each float copy lives only as long as its product.
+    """
+    m, n = a.shape[0], b.shape[1]
+    ma, mb = _max_abs(a), _max_abs(b)
+    if ma == 0 or mb == 0:
+        # a zero operand may face entries no float can hold (0 * inf is nan)
+        return np.zeros((m, n), dtype=np.int64)
+    dtype = _matmul_dtype(a.shape[1] * ma * mb)
+    if dtype is object:
+        return np.dot(_to_object(a), _to_object(b))
+    prod = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    return prod.astype(np.int64, copy=False)
 
 
 def _gcd_rows(a: np.ndarray) -> np.ndarray:
@@ -363,21 +416,11 @@ def _verify_rref_candidate(mat, rows, pivots) -> bool:
     big = 1
     for d in dens:
         big = big * int(d) // math.gcd(big, int(d))
-    coords = mat[:, list(pivots)]
-    scaled_rows = (big // dens)[:, None] * rows
-    # integer matmul with an overflow guard; fall back to object dtype
-    m1 = _max_abs(coords)
-    m2 = _max_abs(scaled_rows if scaled_rows.dtype != object
-                  else _maybe_downcast(scaled_rows))
-    if (mat.dtype != object and k * m1 * m2 < _INT64_SAFE
-            and _max_abs(mat) * big < _INT64_SAFE):
-        sr = _maybe_downcast(scaled_rows)
-        if sr.dtype != object:
-            lhs = mat * np.int64(big)
-            rhs = coords.astype(np.int64) @ sr
-            return bool((lhs == rhs).all())
-    lhs = mat.astype(object) * big
-    rhs = np.dot(coords.astype(object), scaled_rows.astype(object))
+    rhs = int_matmul(mat[:, list(pivots)], (big // dens)[:, None] * rows)
+    if _max_abs(mat) * big < _INT64_SAFE:
+        lhs = mat.astype(np.int64, copy=False) * big
+    else:
+        lhs = _to_object(mat) * big
     return bool((lhs == rhs).all())
 
 

@@ -2,9 +2,16 @@
 
 An ExactMatrix with radicand r is stored as a pair of integer numpy arrays
 (n0, n1) and a common positive denominator: entry (i, j) equals
-(n0[i,j] + n1[i,j]*sqrt(r)) / den.  The rational part uses int64 with an
-automatic upgrade to Python-int object arrays before any operation could
-overflow, so all arithmetic is exact; there is no floating point.
+(n0[i,j] + n1[i,j]*sqrt(r)) / den.  The parts use int64 with an automatic
+upgrade to Python-int object arrays before any operation could overflow, so
+all arithmetic is exact.
+
+Floating point is used in one place, the integer products of
+intlinalg.int_matmul, and only where a bound proves it exact: for a product
+with inner dimension k, every partial sum of an entry is an integer of
+absolute value at most B = k * max|a| * max|b|, so float32 BLAS is exact for
+B < 2^24 and float64 BLAS for B < 2^53.  Larger products run in int64 (below
+2^62) or Python ints.
 
 Row reduction, kernels and inverses over Q are delegated to the vectorized
 integer engine in intlinalg; matrices with a live irrational part go through
@@ -45,11 +52,7 @@ def _gcd_all(*arrays_and_ints) -> int:
 
 
 def _max_abs(a) -> int:
-    if a is None or a.size == 0:
-        return 0
-    if a.dtype == object:
-        return max(abs(int(v)) for v in a.flat)
-    return int(np.abs(a).max())
+    return 0 if a is None else intlinalg._max_abs(a)
 
 
 def _as_obj(a):
@@ -65,15 +68,10 @@ def _downcast(a):
 
 
 def _mm(a, b):
-    """Exact integer matmul with overflow guard (None means zero)."""
+    """Exact integer matmul (None means zero); see intlinalg.int_matmul."""
     if a is None or b is None:
         return None
-    k = a.shape[1]
-    if a.dtype != object and b.dtype != object:
-        bound = k * _max_abs(a) * _max_abs(b)
-        if bound < _INT64_SAFE:
-            return a @ b
-    return np.dot(_as_obj(a), _as_obj(b))
+    return intlinalg.int_matmul(a, b)
 
 
 def _lin(*terms):

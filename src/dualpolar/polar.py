@@ -29,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .gf import FieldSpec, field_of_order
+from .intlinalg import int_matmul
 
 FAMILIES = ("C", "B", "D", "2D", "2A_even", "2A_odd")
 
@@ -358,16 +359,15 @@ def _bfs_distances(adj: np.ndarray) -> np.ndarray:
     n = adj.shape[0]
     dist = np.full((n, n), -1, dtype=np.int16)
     reached = np.eye(n, dtype=bool)
-    frontier = np.eye(n, dtype=np.int32)
+    frontier = reached.copy()
     np.fill_diagonal(dist, 0)
     step = 0
-    a = adj.astype(np.int32)
     while frontier.any():
         step += 1
-        newly = ((frontier @ a) > 0) & ~reached
+        newly = (int_matmul(frontier, adj) > 0) & ~reached
         dist[newly] = step
         reached |= newly
-        frontier = newly.astype(np.int32)
+        frontier = newly
     return dist
 
 

@@ -28,6 +28,7 @@ from .drg import (
     td_scalars,
 )
 from .exact import ExactScalar, q_pow
+from .intlinalg import int_matmul
 from .linexact import (
     ExactMatrix,
     Subspace,
@@ -320,42 +321,48 @@ def central_elements(ctx: TerwilligerContext) -> CentralElements:
     # alpha_s * (E*_s A E*_s) summed over s
     omega = omega + masked.row_scale(
         [alpha.get(int(ctx.dist_x[y]), 0) for y in range(n)])
-    # G from the two-step same-distance counts
+    # G from the two-step same-distance counts; on distance class i the
+    # counts and A carry the coefficients below (down vanishes on class 0,
+    # up on class D, and A on class 0 = {x})
     zeta, xi = ctx.bm.zeta, ctx.bm.xi
     spec = ctx.g.spec
     b = spec.b
     _, gamma, _, rho, _ = td_scalars(spec)
-    adj = ctx.g.adjacency.astype(np.int64)
-    cnt = {}
-    for j in range(D + 1):
-        dj = np.diag((ctx.dist_x == j).astype(np.int64))
-        cnt[j] = adj @ dj @ adj
-    G = ExactMatrix.zeros(n, n)
-    for i in range(D + 1):
-        mask_ii = (
-            (ctx.dist_x[:, None] == i) & (ctx.dist_x[None, :] == i)
-        ).astype(np.int64)
-        term = ExactMatrix.zeros(n, n)
-        if i >= 1:
-            low = ExactMatrix.from_int(cnt[i - 1] * mask_ii)
-            term = term + low.scale(xi * (1 - b * b) * Fraction(1, b ** i))
-        if i <= D - 1:
-            high = ExactMatrix.from_int(cnt[i + 1] * mask_ii)
-            term = term + high.scale(
-                xi * (1 - Fraction(1, b * b)) * Fraction(1, b ** i)
-            )
-        if i >= 1:
-            mid = ctx.A.masked(mask_ii)
-            term = term + mid.scale(
-                xi * (Fraction(1, b) - 1) * (b_pow(b, spec.e) - 1)
-                * Fraction(1, b ** i)
-            )
-        G = G + term
-    G = G - ctx.Astar.scale(rho)
+    up, down = _two_step_counts(ctx)
+    G = _by_distance(ctx, down, lambda i: xi * (1 - b * b) * Fraction(1, b ** i)) \
+        + _by_distance(ctx, up, lambda i: xi * (1 - Fraction(1, b * b))
+                       * Fraction(1, b ** i)) \
+        + _by_distance(ctx, ctx.g.adjacency * same,
+                       lambda i: xi * (Fraction(1, b) - 1)
+                       * (b_pow(b, spec.e) - 1) * Fraction(1, b ** i)) \
+        - ctx.Astar.scale(rho)
     Gstar = ExactMatrix.identity(n).scale(-gamma * zeta ** 2) - omega.scale(zeta)
     cents = CentralElements(C0, C1, C2, omega, G, Gstar, RL, LR)
     _verify_central(ctx, cents)
     return cents
+
+
+def _two_step_counts(ctx: TerwilligerContext) -> tuple[np.ndarray, np.ndarray]:
+    """(up, down): for y, z at one distance s from x, up[y, z] counts their
+    common neighbours at distance s + 1 and down[y, z] those at s - 1; both
+    vanish on pairs at different distances."""
+    n, adj, blocks = ctx.n, ctx.g.adjacency, ctx.blocks
+    up = np.zeros((n, n), dtype=np.int64)
+    down = np.zeros((n, n), dtype=np.int64)
+    for s in range(ctx.D):
+        near, far = blocks[s], blocks[s + 1]
+        up[np.ix_(near, near)] = int_matmul(adj[np.ix_(near, far)],
+                                            adj[np.ix_(far, near)])
+        down[np.ix_(far, far)] = int_matmul(adj[np.ix_(far, near)],
+                                            adj[np.ix_(near, far)])
+    return up, down
+
+
+def _by_distance(ctx: TerwilligerContext, counts: np.ndarray,
+                 coeff) -> ExactMatrix:
+    """The integer matrix `counts` with row y scaled by coeff(d(x, y))."""
+    return ExactMatrix(counts.astype(np.int64, copy=False)).row_scale(
+        [coeff(int(s)) for s in ctx.dist_x])
 
 
 def commutes_with_distance_diagonal(ctx: TerwilligerContext,
@@ -426,71 +433,41 @@ def verify_g_entry_table(ctx: TerwilligerContext, G: ExactMatrix) -> bool:
     and the local quad geometry."""
     spec = ctx.g.spec
     b = spec.b
-    zeta, xi = ctx.bm.zeta, ctx.bm.xi
+    xi = ctx.bm.xi
     _, _, _, rho, _ = td_scalars(spec)
     cvals, _, bvals = closed_form_intersection(spec)
     theta_star = ctx.bm.theta_star
-    n = ctx.n
-    adj = ctx.g.adjacency.astype(np.int64)
     dist = ctx.g.dist
-    dist_x = ctx.dist_x
-    cnt = {}
-    for j in range(ctx.D + 2):
-        dj = np.diag((dist_x == j).astype(np.int64))
-        cnt[j] = adj @ dj @ adj
-    for y in range(n):
-        for z in range(n):
-            s = int(dist_x[y])
-            if s != int(dist_x[z]):
-                want = ExactScalar(0)
-            elif y == z:
-                want = ExactScalar(
-                    xi * Fraction(1, b ** (s + 1)) * (1 - b * b)
-                    * (b * cvals[s] - Fraction(bvals[s], b)) - rho * theta_star[s]
-                )
-            elif dist[y, z] == 1:
-                want = ExactScalar(
-                    xi * Fraction(1, b ** (s + 1)) * (1 - b)
-                    * (b * b + b + b_pow(b, spec.e) - 1)
-                )
-            elif dist[y, z] == 2:
-                up = int(cnt[s + 1][y, z]) if s + 1 <= ctx.D else 0
-                if up == 0:
-                    down = int(cnt[s - 1][y, z]) if s >= 1 else 0
-                    want = ExactScalar(
-                        xi * Fraction(1, b ** s) * (1 - b * b) * down
-                    )
-                else:
-                    want = ExactScalar(
-                        -xi * Fraction(1, b ** (s + 1)) * (b + 1) * (b - 1) ** 2
-                    )
-            else:
-                want = ExactScalar(0)
-            if G.entry(y, z) != want:
-                return False
-    return True
+    same = ctx.dist_x[:, None] == ctx.dist_x[None, :]
+    two = same & (dist == 2)
+    up, down = _two_step_counts(ctx)
+    # pairs at one distance s from x: the diagonal, adjacent pairs, pairs at
+    # distance 2 with a common neighbour at s + 1, and pairs at distance 2
+    # without one, weighted by their common neighbours at s - 1; 0 elsewhere
+    want = ExactMatrix.diag([
+        xi * Fraction(1, b ** (s + 1)) * (1 - b * b)
+        * (b * cvals[s] - Fraction(bvals[s], b)) - rho * theta_star[s]
+        for s in map(int, ctx.dist_x)])
+    want = want + _by_distance(
+        ctx, same & (dist == 1), lambda s: xi * Fraction(1, b ** (s + 1))
+        * (1 - b) * (b * b + b + b_pow(b, spec.e) - 1))
+    want = want + _by_distance(
+        ctx, two & (up > 0),
+        lambda s: -xi * Fraction(1, b ** (s + 1)) * (b + 1) * (b - 1) ** 2)
+    want = want + _by_distance(
+        ctx, np.where(two & (up == 0), down, 0),
+        lambda s: xi * Fraction(1, b ** s) * (1 - b * b))
+    return G == want
 
 
 def verify_omega_entry_table(ctx: TerwilligerContext, omega: ExactMatrix) -> bool:
     """Same-distance entry table for a central element of the
     sum(alpha E* A E*) + sum(beta E*) shape."""
     alpha, beta = _omega_coeffs(ctx)
-    n = ctx.n
-    dist = ctx.g.dist
-    for y in range(n):
-        for z in range(n):
-            s = int(ctx.dist_x[y])
-            if s != int(ctx.dist_x[z]):
-                want = ExactScalar(0)
-            elif y == z:
-                want = ExactScalar(beta[s])
-            elif dist[y, z] == 1:
-                want = ExactScalar(alpha.get(s, 0))
-            else:
-                want = ExactScalar(0)
-            if omega.entry(y, z) != want:
-                return False
-    return True
+    same = ctx.dist_x[:, None] == ctx.dist_x[None, :]
+    want = ExactMatrix.diag([beta[int(s)] for s in ctx.dist_x]) + _by_distance(
+        ctx, same & (ctx.g.dist == 1), lambda s: alpha.get(s, 0))
+    return omega == want
 
 
 def central_characterization_matrix(ctx: TerwilligerContext, alpha1, beta0,
@@ -582,7 +559,7 @@ def decompose(ctx: TerwilligerContext, cents: CentralElements | None = None,
     its RREF basis, and the whole decomposition is certified: joint-kernel
     membership, A/A*-invariance, pairwise orthogonality, and the dimension
     count that pins the joint kernels exactly.  Orthogonal projectors are
-    attached when with_projectors is true (the default below a thousand
+    attached when with_projectors is true (the default up to 300
     vertices); exact inversion of very large Gram matrices is avoided
     otherwise, and sum(E) = I then follows from orthogonality plus the
     dimension count.  With full=False only the feasible triples with
@@ -595,7 +572,7 @@ def decompose(ctx: TerwilligerContext, cents: CentralElements | None = None,
         with_projectors = full and ctx.n <= 300
     n, D, b = ctx.n, ctx.D, ctx.b
     spec = ctx.g.spec
-    adj = ctx.g.adjacency.astype(np.int64)
+    adj = ctx.g.adjacency
     q2 = Fraction(b)
     c2_const = chi2(ctx, 0, 0, 0)  # q^(2e+2D-2)/(q^4-1), the K^2 coefficient
     if not c2_const.is_rational:
@@ -619,13 +596,13 @@ def decompose(ctx: TerwilligerContext, cents: CentralElements | None = None,
         U = [np.eye(kr, dtype=np.int64)]
         for j in range(D - r):
             step = adj[np.ix_(ctx.blocks[r + j + 1], ctx.blocks[r + j])]
-            U.append(step @ U[-1] if U[-1].dtype != object else step.astype(object) @ U[-1])
+            U.append(int_matmul(step, U[-1]))
         # On ker L the element C2 acts through LR alone, which restricts to
         # the integer matrix U1^t U1 on the block; its eigenvalue separates
         # the module diameter d.
         if r < D:
             u1 = adj[np.ix_(ctx.blocks[r + 1], block)]
-            lr_local = ExactMatrix.from_int(u1.T @ u1)
+            lr_local = ExactMatrix(int_matmul(u1.T, u1))
         else:
             lr_local = ExactMatrix.zeros(kr, kr)
         image_lr = low @ lr_local  # symmetric, so no transpose needed

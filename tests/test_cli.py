@@ -1,0 +1,61 @@
+"""The command line end to end on D_3(2): build, verify, and bad input."""
+
+import json
+
+import pytest
+
+from dualpolar.cli import main
+
+LFRK_IDS = [
+    "lfrk:K L = q^2 L K",
+    "lfrk:K F = F K",
+    "lfrk:K R = q^-2 R K",
+    "lfrk:L F - q^2 F L = (q^2e - 1) L",
+    "lfrk:F R - q^2 R F = (q^2e - 1) R",
+    "lfrk:q^4/(q^2+1) R L^2 - L R L + q^-2/(q^2+1) L^2 R = -q^(2e+2D-2) L",
+    "lfrk:q^4/(q^2+1) R^2 L - R L R + q^-2/(q^2+1) L R^2 = -q^(2e+2D-2) R",
+]
+
+# every check `verify --suite all` reports on a graph of at most 300
+# vertices, with the homogeneous components (r, t, d) of D_3(2)
+D32_IDS = [
+    "drg:counts", "drg:intersection", "drg:multiplicities",
+    "drg:dual-eigenvalues", "drg:krein", "drg:td-scalars",
+    *LFRK_IDS, "lfrk:recovery", "lfrk:commuting", "lfrk:tridiagonal",
+    "central:construction", "central:omega-entries", "central:g-entries",
+    "central:characterization", "modules:dimension",
+    "modules:center-commute", "modules:center-identities",
+    "modules:leonard:(0, 0, 3)", "modules:leonard:(1, 1, 1)",
+    "modules:leonard:(2, 1, 1)", "uq:variant1", "uq:cross-variant",
+]
+
+
+@pytest.fixture(scope="module")
+def d32_file(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("cli") / "d32.json")
+    assert main(["build", "--family", "D", "--D", "3", "--b", "2",
+                 "--out", path]) == 0
+    return path
+
+
+def test_build_then_verify_all(d32_file, capsys):
+    capsys.readouterr()
+    assert main(["verify", "--graph", d32_file, "--suite", "all"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["summary"]["fail"] == 0
+    assert report["summary"]["skipped"] == 0
+    assert sorted(c["id"] for c in report["checks"]) == sorted(D32_IDS)
+    assert all(c["status"] == "pass" for c in report["checks"])
+
+
+@pytest.mark.parametrize("vertex", ["999", "30", "-1"])
+def test_base_vertex_out_of_range(d32_file, capsys, vertex):
+    assert main(["verify", "--graph", d32_file, "--suite", "drg",
+                 "--base-vertex", vertex]) == 2
+    err = capsys.readouterr().err
+    assert "--base-vertex" in err and "0..29" in err
+
+
+def test_missing_graph_is_input_error(tmp_path, capsys):
+    assert main(["verify", "--graph", str(tmp_path / "absent.json")]) == 2
+    assert "cannot load graph" in capsys.readouterr().err

@@ -3,9 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dualpolar.drg import b_pow, closed_form_intersection, td_scalars
 from dualpolar.exact import ExactScalar
 from dualpolar.linexact import ExactMatrix, kernel
 from dualpolar.terwilliger import (
+    _omega_coeffs,
     aw_module_scalars,
     build_context,
     casimir_value,
@@ -123,9 +125,102 @@ def test_central_commute(ctx_c32, cents_c32):
         assert commutes(m, ctx_c32.Astar)
 
 
+def _g_table_by_entry(ctx, G):
+    """Reference: the G entry table checked pair by pair."""
+    spec = ctx.g.spec
+    b = spec.b
+    xi = ctx.bm.xi
+    rho = td_scalars(spec)[3]
+    cvals, _, bvals = closed_form_intersection(spec)
+    adj = ctx.g.adjacency.astype(np.int64)
+    dist, dist_x = ctx.g.dist, ctx.dist_x
+    cnt = {j: adj @ np.diag((dist_x == j).astype(np.int64)) @ adj
+           for j in range(ctx.D + 2)}
+    for y in range(ctx.n):
+        for z in range(ctx.n):
+            s = int(dist_x[y])
+            if s != int(dist_x[z]):
+                want = 0
+            elif y == z:
+                want = xi * Fraction(1, b ** (s + 1)) * (1 - b * b) \
+                    * (b * cvals[s] - Fraction(bvals[s], b)) \
+                    - rho * ctx.bm.theta_star[s]
+            elif dist[y, z] == 1:
+                want = xi * Fraction(1, b ** (s + 1)) * (1 - b) \
+                    * (b * b + b + b_pow(b, spec.e) - 1)
+            elif dist[y, z] == 2:
+                up = int(cnt[s + 1][y, z]) if s + 1 <= ctx.D else 0
+                down = int(cnt[s - 1][y, z]) if s >= 1 else 0
+                if up == 0:
+                    want = xi * Fraction(1, b ** s) * (1 - b * b) * down
+                else:
+                    want = -xi * Fraction(1, b ** (s + 1)) * (b + 1) \
+                        * (b - 1) ** 2
+            else:
+                want = 0
+            if G.entry(y, z) != ExactScalar(want):
+                return False
+    return True
+
+
+def _omega_table_by_entry(ctx, omega):
+    """Reference: the Omega entry table checked pair by pair."""
+    alpha, beta = _omega_coeffs(ctx)
+    for y in range(ctx.n):
+        for z in range(ctx.n):
+            s = int(ctx.dist_x[y])
+            if s != int(ctx.dist_x[z]):
+                want = 0
+            elif y == z:
+                want = beta[s]
+            elif ctx.g.dist[y, z] == 1:
+                want = alpha.get(s, 0)
+            else:
+                want = 0
+            if omega.entry(y, z) != ExactScalar(want):
+                return False
+    return True
+
+
+def _bumped(m, y, z):
+    """Copy of m with entry (y, z) raised by 1/den."""
+    n0 = m.n0.copy()
+    n0[y, z] += 1
+    return ExactMatrix(n0, m.n1, m.den, m.rad)
+
+
+def _pair_kinds(ctx):
+    """One vertex pair of each kind the entry tables tell apart."""
+    dx, dist = ctx.dist_x, ctx.g.dist
+    same = dx[:, None] == dx[None, :]
+    kinds = [same & (dist == 0), same & (dist == 1), same & (dist == 2),
+             ~same]
+    # D_3(2) has no adjacent pair at one distance from x
+    return [tuple(int(v) for v in np.argwhere(k)[0]) for k in kinds if k.any()]
+
+
+def _check_entry_tables(ctx, cents):
+    """Both implementations accept G and Omega and reject a copy of either
+    with one entry changed, at a pair of each kind."""
+    assert verify_omega_entry_table(ctx, cents.Omega)
+    assert verify_g_entry_table(ctx, cents.G)
+    assert _omega_table_by_entry(ctx, cents.Omega)
+    assert _g_table_by_entry(ctx, cents.G)
+    for y, z in _pair_kinds(ctx):
+        omega = _bumped(cents.Omega, y, z)
+        assert not verify_omega_entry_table(ctx, omega)
+        assert not _omega_table_by_entry(ctx, omega)
+        G = _bumped(cents.G, y, z)
+        assert not verify_g_entry_table(ctx, G)
+        assert not _g_table_by_entry(ctx, G)
+
+
 def test_entry_tables(ctx_c32, cents_c32):
-    assert verify_omega_entry_table(ctx_c32, cents_c32.Omega)
-    assert verify_g_entry_table(ctx_c32, cents_c32.G)
+    _check_entry_tables(ctx_c32, cents_c32)
+
+
+def test_entry_tables_d32(ctx_d32, cents_d32):
+    _check_entry_tables(ctx_d32, cents_d32)
 
 
 def test_central_characterization(ctx_c32):
