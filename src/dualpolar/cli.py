@@ -18,7 +18,6 @@ import sys
 import time
 
 from . import __version__
-from .exact import ExactScalar
 from .polar import (
     BudgetExceededError,
     FormSpec,
@@ -178,25 +177,21 @@ def _suite_central(report, ctx, cents):
                "part vanishes)", ok)
 
 
-def _suite_modules(report, ctx, cents, g, sample_vertices):
+def _suite_modules(report, ctx, cents, comps, center, g, sample_vertices):
     from .leonard import leonard_from_tmodule
     from .terwilliger import (
         build_context,
         decompose,
         extract_module,
-        upsilon_psi_lambda,
         verify_center_commutation,
         verify_center_identities,
     )
 
-    comps = decompose(ctx, cents)
     report.add("modules:dimension", "homogeneous component dimensions sum "
                "to |X| with integer multiplicities", True,
                witness={"triples": sorted(
                    [list(c.triple) + [c.mult] for c in comps])})
-    small = ctx.n <= 300
-    if small:
-        center = upsilon_psi_lambda(ctx, comps)
+    if center is not None:
         report.add("modules:center-commute", "the displacement and diameter "
                    "weights commute with A and A*",
                    verify_center_commutation(ctx, center))
@@ -218,8 +213,6 @@ def _suite_modules(report, ctx, cents, g, sample_vertices):
                    "graphs)", True, skipped=True)
     if sample_vertices:
         base = sorted((c.triple, c.mult) for c in comps)
-        from .drg import spectral_data  # noqa: F401
-
         for x in sample_vertices:
             ctx2 = build_context(g, ctx.bm, x)
             li = decompose(ctx2, full=False)
@@ -229,12 +222,9 @@ def _suite_modules(report, ctx, cents, g, sample_vertices):
                        same)
 
 
-def _suite_uq(report, ctx, cents, variant):
-    from .terwilliger import decompose, upsilon_psi_lambda
+def _suite_uq(report, ctx, center, variant):
     from .uqsl2 import uq_on_standard_module, verify_cross_variant_standard
 
-    comps = decompose(ctx, cents)
-    center = upsilon_psi_lambda(ctx, comps)
     sm = uq_on_standard_module(ctx, center, variant)
     report.add(f"uq:variant{variant}", "equitable relations, A and A* "
                "recoveries, Chevalley images, and Casimir = diameter weight "
@@ -249,7 +239,12 @@ def _suite_uq(report, ctx, cents, variant):
 
 def cmd_verify(args) -> int:
     from .drg import spectral_data, verify_distance_regular
-    from .terwilliger import build_context, central_elements
+    from .terwilliger import (
+        build_context,
+        central_elements,
+        decompose,
+        upsilon_psi_lambda,
+    )
 
     try:
         g = load_graph(args.graph)
@@ -267,9 +262,16 @@ def cmd_verify(args) -> int:
     data = verify_distance_regular(g)
     bm = spectral_data(g)
     ctx = build_context(g, bm, args.base_vertex)
-    cents = None
+    cents = comps = center = None
+    # the module and U_q(sl2) suites share one decomposition and, on graphs
+    # of at most 300 vertices, one set of displacement and diameter weights
+    small = g.n_vertices <= 300
     if {"central", "modules", "uq"} & set(suites):
         cents = central_elements(ctx)
+    if "modules" in suites or ("uq" in suites and small):
+        comps = decompose(ctx, cents)
+        if small:
+            center = upsilon_psi_lambda(ctx, comps)
     if "drg" in suites:
         _suite_drg(report, g, bm, data)
     if "lfrk" in suites:
@@ -282,10 +284,10 @@ def cmd_verify(args) -> int:
             step = max(1, g.n_vertices // args.all_vertices_sample)
             sample = [i for i in range(0, g.n_vertices, step)
                       if i != args.base_vertex][:args.all_vertices_sample]
-        _suite_modules(report, ctx, cents, g, sample)
+        _suite_modules(report, ctx, cents, comps, center, g, sample)
     if "uq" in suites:
-        if g.n_vertices <= 300:
-            _suite_uq(report, ctx, cents, args.variant)
+        if small:
+            _suite_uq(report, ctx, center, args.variant)
         else:
             report.add("uq", "standard-module structures (restricted to "
                        "smaller graphs)", True, skipped=True)

@@ -3,9 +3,15 @@
 Elements are encoded as integers in [0, p^m): the code of a polynomial
 c_0 + c_1 x + ... + c_{m-1} x^{m-1} is sum(c_i * p^i).  The modulus is the
 lexicographically smallest monic irreducible of degree m over GF(p), which
-makes every field deterministic.  For orders up to 256 full multiplication
-and inversion tables are precomputed, since polar-space enumeration performs
-a very large number of form evaluations.
+makes every field deterministic.
+
+For orders up to 4096 the addition and multiplication tables (order x order)
+and the negation, inversion and conjugation tables are precomputed with
+numpy; multiplication by a is GF(p)-linear on the digits.  Their main reader is
+`polar`, which indexes them with whole arrays of codes to evaluate a form on
+every point of a polar space, or to span many subspaces, in a few numpy
+operations; the scalar methods below read them too.  Larger fields are
+refused: their tables would take more than 2 x 32 MB.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ import itertools
 
 import numpy as np
 
-_TABLE_LIMIT = 256
+from .intlinalg import int_matmul
+
+_TABLE_LIMIT = 4096
 
 
 def is_prime(p: int) -> bool:
@@ -26,25 +34,6 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
-
-
-def _poly_mulmod(a, b, modulus, p):
-    """Multiply coefficient tuples mod (modulus, p)."""
-    res = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                res[i + j] = (res[i + j] + x * y) % p
-    # reduce by the monic modulus
-    m = len(modulus) - 1
-    for i in range(len(res) - 1, m - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(m):
-                res[i - m + j] = (res[i - m + j] - c * modulus[j]) % p
-    res = res[:m] + [0] * max(0, m - len(res))
-    return tuple(res[:m])
 
 
 def _poly_divides(d, f, p):
@@ -91,7 +80,7 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 
 
 class FieldSpec:
-    """GF(p^m) with precomputed operation tables for small orders."""
+    """GF(p^m), p^m <= _TABLE_LIMIT, with precomputed operation tables."""
 
     def __init__(self, p: int, m: int):
         if not is_prime(p):
@@ -101,80 +90,54 @@ class FieldSpec:
         self.p = p
         self.m = m
         self.order = p ** m
+        if self.order > _TABLE_LIMIT:
+            raise ValueError(f"GF({self.order}) is above the field order "
+                             f"{_TABLE_LIMIT} that the tables support")
         self.modulus = smallest_irreducible(p, m)
-        if self.order <= _TABLE_LIMIT:
-            self._build_tables()
-        else:
-            self.mul_table = None
-
-    # element <-> coefficient vector
-
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.m):
-            x, r = divmod(x, self.p)
-            out.append(r)
-        return tuple(out)
-
-    def encode(self, coeffs) -> int:
-        x = 0
-        for c in reversed(list(coeffs)):
-            x = x * self.p + (c % self.p)
-        return x
+        self._build_tables()
 
     def _build_tables(self):
-        n, p = self.order, self.p
-        add = np.zeros((n, n), dtype=np.int16)
-        mul = np.zeros((n, n), dtype=np.int16)
-        cs = [self.coeffs(i) for i in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                s = self.encode((x + y) % p for x, y in zip(cs[a], cs[b]))
-                add[a, b] = add[b, a] = s
-                m = self.encode(_poly_mulmod(cs[a], cs[b], self.modulus, p))
-                mul[a, b] = mul[b, a] = m
-        self.add_table = add
-        self.mul_table = mul
-        neg = np.zeros(n, dtype=np.int16)
-        inv = np.zeros(n, dtype=np.int16)
-        for a in range(n):
-            neg[a] = self.encode((-x) % p for x in cs[a])
-            for b in range(1, n):
-                if mul[a, b] == 1:
-                    inv[a] = b
-        self.neg_table = neg
-        self.inv_table = inv
+        q, p, m = self.order, self.p, self.m
+        weights = p ** np.arange(m)
+        digits = np.arange(q)[:, None] // weights % p
+        # times[a, k] = the digits of a x^k: multiplying by x shifts the
+        # digits up and folds the top one back through the monic modulus
+        times = [digits]
+        for _ in range(1, m):
+            up = np.pad(times[-1][:, :-1], ((0, 0), (1, 0)))
+            times.append((up - times[-1][:, -1:] * self.modulus[:m]) % p)
+        times = np.stack(times, axis=1)
+        # row by row, so that no temporary is larger than a row
+        self.add_table = np.array([((d + digits) % p * weights).sum(1)
+                                   for d in digits], dtype=np.int16)
+        self.mul_table = np.array([(int_matmul(digits, t) % p * weights).sum(1)
+                                   for t in times], dtype=np.int16)
+        self.neg_table = ((-digits) % p * weights).sum(1)
+        self.inv_table = (self.mul_table == 1).argmax(1)
+        self.conj_table = None
+        if m % 2 == 0:  # x -> x^sqrt(q), by sqrt(q) - 1 multiplications
+            self.conj_table = np.arange(q)
+            for _ in range(p ** (m // 2) - 1):
+                self.conj_table = self.mul_table[self.conj_table, np.arange(q)]
 
     # field operations on codes
 
     def add(self, a: int, b: int) -> int:
-        if self.mul_table is not None:
-            return int(self.add_table[a, b])
-        return self.encode(
-            (x + y) % self.p for x, y in zip(self.coeffs(a), self.coeffs(b))
-        )
+        return int(self.add_table[a, b])
 
     def neg(self, a: int) -> int:
-        if self.mul_table is not None:
-            return int(self.neg_table[a])
-        return self.encode((-x) % self.p for x in self.coeffs(a))
+        return int(self.neg_table[a])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.mul_table is not None:
-            return int(self.mul_table[a, b])
-        return self.encode(
-            _poly_mulmod(self.coeffs(a), self.coeffs(b), self.modulus, self.p)
-        )
+        return int(self.mul_table[a, b])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        if self.mul_table is not None:
-            return int(self.inv_table[a])
-        return self.pow(a, self.order - 2)
+        return int(self.inv_table[a])
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:
@@ -193,7 +156,7 @@ class FieldSpec:
         """Conjugation x -> x^(p^(m/2)); requires even extension degree."""
         if self.m % 2:
             raise ValueError("frobenius conjugation needs even degree")
-        return self.pow(x, self.p ** (self.m // 2))
+        return int(self.conj_table[x])
 
     def elements(self):
         return range(self.order)
@@ -225,7 +188,3 @@ def field_of_order(n: int) -> FieldSpec:
                 break
             return build_field(p, m)
     raise ValueError(f"{n} is not a prime power")
-
-
-def frobenius(spec: FieldSpec, x: int) -> int:
-    return spec.frobenius(x)

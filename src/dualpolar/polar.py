@@ -17,13 +17,28 @@ The vertex set of the dual polar graph consists of the maximal totally
 isotropic (for quadratic forms: totally singular) subspaces, which all have
 dimension D; vertices are adjacent when they meet in dimension D - 1, and
 the graph distance of y, z equals D - dim(y intersect z), which is verified
-exhaustively at build time against breadth-first search.
+exhaustively at build time, and again at load time, against breadth-first
+search.
+
+Both steps work on the point table: the singular points of GF(b)^n, one
+monic vector each, as a numpy array.  The field's tables evaluate the form
+on all of them at once, from its Gram matrix (and, for the quadratic
+families, the coefficients of Q), giving the singular points and a P x P
+perpendicularity matrix.  Enumeration extends totally isotropic flags one
+point at a time: the points that extend a k-space S are the AND of the perp
+rows of S, minus S, and span(S, p) is read off a per-point line table.  The
+maximal subspaces are sorted by their RREF rows, which are read off their
+points.  The codim matrix
+comes from the vertex x point incidence I: (I I^T)_yz = |y intersect z| is
+(b^d - 1)/(b - 1) with d = dim(y intersect z).  That product runs on float32
+BLAS and is exact, because every entry and every partial sum is a count of
+at most P points, and P < 2^24 (see `intlinalg.int_matmul`).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -62,10 +77,8 @@ class FormSpec:
         self.e: Fraction = _E_VALUES[family]
         self.hermitean = family.startswith("2A")
         self.quadratic = family in ("B", "D", "2D")
-        if self.hermitean:
-            if self.field.m % 2:
-                raise ValueError("Hermitean families need b to be a perfect square")
-            self.q0 = self.field.p ** (self.field.m // 2)
+        if self.hermitean and self.field.m % 2:
+            raise ValueError("Hermitean families need b to be a perfect square")
         self.n = {
             "C": 2 * D,
             "B": 2 * D + 1,
@@ -76,6 +89,7 @@ class FormSpec:
         }[family]
         if family == "2D":
             self._anis = self._anisotropic_binary_quadratic()
+        self.gram, self.quad = self._form_matrices()
 
     def _anisotropic_binary_quadratic(self):
         """Lex-smallest (a, c) with t^2 + a t + c irreducible over GF(b)."""
@@ -91,57 +105,47 @@ class FormSpec:
 
     # -- form evaluation ------------------------------------------------
 
-    def quad_value(self, u) -> int:
-        """Q(u) for the quadratic families."""
-        f, D = self.field, self.D
-        if len(u) != self.n:
-            raise ValueError("vector has wrong length")
-        acc = 0
+    def _form_matrices(self):
+        """(G, W) over GF(b): B(u, v) = sum_ij u_i G_ij sigma(v_j), with
+        sigma the conjugation for the Hermitean families and the identity
+        otherwise; for the quadratic families Q(u) = sum_{i<=j} u_i W_ij u_j
+        and B is its polar form, G = W + W^T (W is None for the others)."""
+        f, D, n = self.field, self.D, self.n
+        if self.family == "2A_even":
+            return np.eye(n, dtype=np.int16), None
+        w = np.zeros((n, n), dtype=np.int16)
+        off = int(self.family == "B")
+        w[off + np.arange(D), off + D + np.arange(D)] = 1
         if self.family == "B":
-            acc = f.mul(u[0], u[0])
-            off = 1
-        else:
-            off = 0
-        for i in range(D):
-            acc = f.add(acc, f.mul(u[off + i], u[off + D + i]))
+            w[0, 0] = 1
         if self.family == "2D":
             a, c = self._anis
-            s, t = u[2 * D], u[2 * D + 1]
-            acc = f.add(acc, f.mul(s, s))
-            acc = f.add(acc, f.mul(a, f.mul(s, t)))
-            acc = f.add(acc, f.mul(c, f.mul(t, t)))
+            w[2 * D:, 2 * D:] = [[1, a], [0, c]]
+        if self.family == "C":
+            return f.add_table[w, f.neg_table[w.T]], None
+        return f.add_table[w, w.T], (w if self.quadratic else None)
+
+    def _evaluate(self, mat, u, v) -> int:
+        """sum_ij u_i mat_ij v_j over GF(b)."""
+        if len(u) != self.n or len(v) != self.n:
+            raise ValueError("vector has wrong length")
+        f, acc = self.field, 0
+        for i, j in zip(*np.nonzero(mat)):
+            acc = f.add(acc, f.mul(f.mul(u[i], int(mat[i, j])), v[j]))
         return acc
+
+    def quad_value(self, u) -> int:
+        """Q(u) for the quadratic families."""
+        return self._evaluate(self.quad, u, u)
 
     def bilinear(self, u, v) -> int:
         """The (sesqui)linear pairing of the family.
 
         For quadratic families this is the polar form Q(u+v) - Q(u) - Q(v).
         """
-        f, D = self.field, self.D
-        if len(u) != self.n or len(v) != self.n:
-            raise ValueError("vector has wrong length")
-        if self.family == "C":
-            acc = 0
-            for i in range(D):
-                acc = f.add(acc, f.mul(u[i], v[D + i]))
-                acc = f.sub(acc, f.mul(u[D + i], v[i]))
-            return acc
-        if self.quadratic:
-            w = tuple(f.add(x, y) for x, y in zip(u, v))
-            return f.sub(
-                f.sub(self.quad_value(w), self.quad_value(u)), self.quad_value(v)
-            )
-        conj = f.frobenius
-        acc = 0
-        if self.family == "2A_even":
-            acc = 0
-            for i in range(self.n):
-                acc = f.add(acc, f.mul(u[i], conj(v[i])))
-            return acc
-        for i in range(D):
-            acc = f.add(acc, f.mul(u[i], conj(v[D + i])))
-            acc = f.add(acc, f.mul(u[D + i], conj(v[i])))
-        return acc
+        if self.hermitean:
+            v = [self.field.frobenius(x) for x in v]
+        return self._evaluate(self.gram, u, v)
 
     def form_value(self, u, v=None) -> int:
         """Evaluate the form: Q(u) for quadratic families when v is omitted,
@@ -180,65 +184,85 @@ class FormSpec:
         return f"FormSpec({self.family}, D={self.D}, b={self.b})"
 
 
+def _vertex_count(spec: FormSpec) -> int:
+    """prod_{i<D} (b^(i+e) + 1), the number of maximal isotropic subspaces."""
+    b_e = math.isqrt(spec.b ** int(2 * spec.e))
+    return math.prod(spec.b ** i * b_e + 1 for i in range(spec.D))
+
+
 # ---------------------------------------------------------------------------
-# GF(b) row reduction on coefficient tuples
+# The point table
 
 
-def gf_rref(field: FieldSpec, rows) -> tuple[tuple[int, ...], ...]:
-    rows = [list(r) for r in rows if any(r)]
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [
-                    field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])
-                ]
-        r += 1
-        if r == len(rows):
-            break
-    rows = rows[:r]
-    rows = [r_ for r_ in rows if any(r_)]
-    return tuple(tuple(r_) for r_ in rows)
+def _monic_vectors(b: int, k: int) -> np.ndarray:
+    """The monic (first nonzero coordinate 1) vectors of GF(b)^k, one row
+    each: leading position ascending, then the tail in lexicographic order."""
+    blocks = []
+    for lead in range(k):
+        t = k - lead - 1
+        block = np.zeros((b ** t, k), dtype=np.int16)
+        block[:, lead] = 1
+        block[:, lead + 1:] = (np.arange(b ** t)[:, None]
+                               // b ** np.arange(t - 1, -1, -1) % b)
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
-def gf_nullspace(field: FieldSpec, rows, ncols: int) -> list[tuple[int, ...]]:
-    """Basis of {v : M v = 0} for the matrix with the given rows."""
-    red = gf_rref(field, rows) if rows else ()
-    pivots = []
-    for r_ in red:
-        pivots.append(next(j for j, x in enumerate(r_) if x))
-    pivset = set(pivots)
-    basis = []
-    for f_col in range(ncols):
-        if f_col in pivset:
-            continue
-        v = [0] * ncols
-        v[f_col] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(red[i][f_col])
-        basis.append(tuple(v))
-    return basis
+def _pairing(field: FieldSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_j u[..., j] v[..., j] over GF(b), broadcasting the other axes."""
+    acc = field.mul_table[u[..., 0], v[..., 0]]
+    for j in range(1, u.shape[-1]):
+        acc = field.add_table[acc, field.mul_table[u[..., j], v[..., j]]]
+    return acc
 
 
-def _span_vectors(field: FieldSpec, rows):
-    """All vectors in the row span (including zero)."""
-    out = [tuple([0] * len(rows[0]))] if rows else [()]
-    for row in rows:
-        new = []
-        for c in range(1, field.order):
-            scaled = tuple(field.mul(c, x) for x in row)
-            for v in out:
-                new.append(tuple(field.add(a, b) for a, b in zip(v, scaled)))
-        out.extend(new)
-    return out
+class _PointTable:
+    """The singular points of the polar space, one monic row each in `vecs`:
+    u W sigma(u)^T = 0, with the matrices of `FormSpec._form_matrices` (W is
+    the Gram matrix G for the non-quadratic families)."""
+
+    def __init__(self, spec: FormSpec):
+        field, b, n = spec.field, spec.b, spec.n
+        self.spec = spec
+        w = spec.quad if spec.quadratic else spec.gram
+        allv = _monic_vectors(b, n)
+        uw = _pairing(field, allv[:, None], w.T[None])
+        self.vecs = allv[_pairing(field, uw, self.sigma(allv)) == 0]
+        # the base-b code of a monic vector -> its point, -1 for no point
+        self.weights = b ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        self.index = np.full(b ** n, -1, dtype=np.int32)
+        self.index[(self.vecs * self.weights).sum(-1)] = np.arange(len(self.vecs))
+        self.lines = [None] * len(self.vecs)
+
+    def sigma(self, x: np.ndarray) -> np.ndarray:
+        return self.spec.field.conj_table[x] if self.spec.hermitean else x
+
+    def lookup(self, v: np.ndarray) -> np.ndarray:
+        """The point of each vector v[..., :]; -1 for zero or non-singular."""
+        field = self.spec.field
+        lead = np.take_along_axis(v, (v != 0).argmax(-1)[..., None], -1)
+        monic = field.mul_table[field.inv_table[lead], v]
+        return self.index[(monic * self.weights).sum(-1)]
+
+    def perp(self) -> np.ndarray:
+        """P x P bool B(p, p') = 0, in row blocks of about 2^18 entries."""
+        field, npts = self.spec.field, len(self.vecs)
+        u = _pairing(field, self.vecs[:, None], self.spec.gram.T[None])
+        v = self.sigma(self.vecs)
+        out = np.empty((npts, npts), dtype=bool)
+        step = max(1, 2 ** 18 // npts)
+        for lo in range(0, npts, step):
+            out[lo:lo + step] = _pairing(field, u[lo:lo + step, None], v[None]) == 0
+        return out
+
+    def line(self, p: int) -> np.ndarray:
+        """P x (b-1), cached: row s holds the points of s + lam p, lam != 0,
+        which for s perpendicular to p are the rest of the line sp."""
+        if self.lines[p] is None:
+            field = self.spec.field
+            steps = field.mul_table[np.arange(1, self.spec.b)[:, None], self.vecs[p]]
+            self.lines[p] = self.lookup(field.add_table[self.vecs[:, None], steps])
+        return self.lines[p]
 
 
 # ---------------------------------------------------------------------------
@@ -247,78 +271,42 @@ def _span_vectors(field: FieldSpec, rows):
 
 def enumerate_maximal_isotropic(spec: FormSpec, budget: int = 100_000):
     """All maximal (dimension D) totally isotropic subspaces, in canonical
-    RREF order, by depth-first extension of totally isotropic flags."""
-    field = spec.field
-    n = spec.n
-    level: set = set()
-    # canonical 1-spaces: representative has first nonzero coordinate 1
-    for supp in range(n):
-        tails = itertools.product(range(field.order), repeat=n - supp - 1)
-        for tail in tails:
-            v = (0,) * supp + (1,) + tail
-            if spec.singular_vector(v):
-                level.add((v,))
-            if len(level) > budget:
+    RREF order, by extending totally isotropic flags on the point table.
+
+    A k-space S is its sorted point indices.  Its extensions are span(S, p)
+    for p in the AND of the perp rows of S, minus S; a p inside an earlier
+    extension of S is skipped, so each pair S < T is met once.
+    """
+    if _vertex_count(spec) > budget:
+        raise BudgetExceededError("enumeration budget exceeded")
+    table = _PointTable(spec)
+    if len(table.vecs) > budget:
+        raise BudgetExceededError("enumeration budget exceeded")
+    level = [np.array([p]) for p in range(len(table.vecs))]
+    perp = table.perp() if spec.D > 1 else None
+    for _ in range(1, spec.D):
+        nxt: dict = {}
+        for pts in level:
+            free = np.logical_and.reduce(perp[pts])
+            free[pts] = False
+            for p in np.flatnonzero(free):
+                if not free[p]:
+                    continue
+                ext = np.concatenate((pts, [p], table.line(p)[pts].ravel()))
+                free[ext] = False
+                ext.sort()
+                nxt.setdefault(ext.tobytes(), ext)
+            if len(nxt) > budget:
                 raise BudgetExceededError("enumeration budget exceeded")
-    for k in range(1, spec.D):
-        nxt: set = set()
-        for key in level:
-            rows = [list(r) for r in key]
-            # linear conditions cutting out the perp of the current space
-            conds = []
-            for u in rows:
-                if spec.family == "C":
-                    c = [0] * n
-                    for i in range(spec.D):
-                        c[spec.D + i] = u[i]
-                        c[i] = field.neg(u[spec.D + i])
-                    conds.append(c)
-                elif spec.quadratic:
-                    unit = [0] * n
-                    c = []
-                    for j in range(n):
-                        unit[j] = 1
-                        c.append(spec.bilinear(u, unit))
-                        unit[j] = 0
-                    conds.append(c)
-                else:
-                    # H(u, v) = 0  <=>  sum_j conj(coef_j) v_j = 0
-                    unit = [0] * n
-                    c = []
-                    for j in range(n):
-                        unit[j] = 1
-                        c.append(field.frobenius(spec.bilinear(u, unit)))
-                        unit[j] = 0
-                    conds.append(c)
-            null = gf_nullspace(field, conds, n)
-            # The perp contains the subspace itself; reduce the nullspace
-            # modulo it.  Both singularity and the resulting extension only
-            # depend on the candidate line modulo the subspace, so each
-            # line of the complement is tried once (monic representative).
-            reduced = []
-            for v in null:
-                v = list(v)
-                for row in rows:
-                    pc = next(j for j, x in enumerate(row) if x)
-                    if v[pc]:
-                        f = v[pc]
-                        v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, row)]
-                reduced.append(tuple(v))
-            comp = gf_rref(field, reduced)
-            for v in _span_vectors(field, list(comp)):
-                if not any(v):
-                    continue
-                lead = next(x for x in v if x)
-                if lead != 1:
-                    continue
-                if not spec.singular_vector(v):
-                    continue
-                ext = gf_rref(field, key + (v,))
-                nxt.add(ext)
-                if len(nxt) > budget:
-                    raise BudgetExceededError("enumeration budget exceeded")
-        level = nxt
-    out = sorted(level)
+        level = list(nxt.values())
+    # the RREF rows of a subspace are its points with one nonzero pivot
+    # coordinate, the pivots being the leading positions of its points
+    vecs = table.vecs[np.array(level)]
+    pivots = np.zeros((len(level), spec.n), dtype=bool)
+    np.put_along_axis(pivots, (vecs != 0).argmax(-1), True, -1)
+    rref = vecs[((vecs != 0) & pivots[:, None]).sum(-1) == 1]
+    out = sorted(tuple(map(tuple, v)) for v in
+                 rref.reshape(len(level), spec.D, spec.n).tolist())
     for key in out:
         if not spec.totally_isotropic(key):
             raise AssertionError("enumerated subspace is not totally isotropic")
@@ -372,46 +360,79 @@ def _bfs_distances(adj: np.ndarray) -> np.ndarray:
 
 
 def _codim_matrix(spec: FormSpec, verts) -> np.ndarray:
-    """D - dim(y intersect z) for all vertex pairs, by counting common
-    vectors of the two spans."""
-    field = spec.field
-    spans = [frozenset(_span_vectors(field, list(v))) for v in verts]
-    m = len(verts)
-    size_of_dim = {field.order ** d: d for d in range(spec.D + 1)}
-    codim = np.zeros((m, m), dtype=np.int16)
-    for i in range(m):
-        si = spans[i]
-        for j in range(i + 1, m):
-            d = size_of_dim[len(si & spans[j])]
-            codim[i, j] = codim[j, i] = spec.D - d
+    """D - dim(y intersect z) for all vertex pairs, from one exact product:
+    with I the vertex x point incidence, (I I^T)_yz = |y intersect z| is
+    (b^d - 1)/(b - 1), d = dim(y intersect z)."""
+    table = _PointTable(spec)
+    field, b, D = spec.field, spec.b, spec.D
+    rows = np.array(verts, dtype=np.int16).reshape(len(verts), D, spec.n)
+    coef = _monic_vectors(b, D)
+    pts = table.lookup(_pairing(field, coef[None, :, None],
+                                rows.swapaxes(1, 2)[:, None]))
+    bad = np.flatnonzero((pts < 0).any(1))
+    if len(bad):
+        raise ValueError(f"vertex {bad[0]} is not a totally isotropic {D}-space")
+    inc = np.zeros((len(verts), len(table.vecs)), dtype=np.uint8)
+    inc[np.arange(len(verts))[:, None], pts] = 1
+    # every entry counts points, at most P < 2^24: the float32 tier is exact
+    meet = int_matmul(inc, inc.T)
+    codim_of = np.full(len(coef) + 1, -1, dtype=np.int16)
+    for d in range(D + 1):
+        codim_of[(b ** d - 1) // (b - 1)] = D - d
+    codim = codim_of[meet]
+    if (codim < 0).any():
+        raise ValueError("two vertices meet in a point set that is no subspace")
+    twins = np.argwhere(np.triu(codim == 0, 1))
+    if len(twins):
+        raise ValueError(f"vertices {twins[0, 0]} and {twins[0, 1]} are the "
+                         "same subspace")
     return codim
 
 
-def build_polar_graph(spec: FormSpec, budget: int = 100_000) -> PolarGraph:
-    verts = enumerate_maximal_isotropic(spec, budget)
+def _certified_graph(spec: FormSpec, verts, adj=None) -> PolarGraph:
+    """The graph on verts with its distances certified against the codim
+    matrix; a given adjacency must equal codim == 1."""
     codim = _codim_matrix(spec, verts)
-    adj = (codim == 1).astype(np.uint8)
+    if adj is None:
+        adj = (codim == 1).astype(np.uint8)
+    elif not np.array_equal(adj, (codim == 1).astype(np.uint8)):
+        raise ValueError("adjacency disagrees with the vertices")
     dist = _bfs_distances(adj)
     if (dist < 0).any():
-        raise AssertionError("graph is not connected")
+        raise ValueError("graph is not connected")
     if not np.array_equal(dist, codim):
-        raise AssertionError("graph distance disagrees with D - dim(y^z)")
+        raise ValueError("graph distance disagrees with D - dim(y^z)")
     return PolarGraph(spec, verts, adj, dist)
+
+
+def build_polar_graph(spec: FormSpec, budget: int = 100_000) -> PolarGraph:
+    return _certified_graph(spec, enumerate_maximal_isotropic(spec, budget))
 
 
 # ---------------------------------------------------------------------------
 # JSON interchange
 
 
+def _hex_width(spec: FormSpec) -> int:
+    """Hex digits per coordinate: 1 up to GF(16), 2 up to GF(256), ..."""
+    return len(f"{spec.b - 1:x}")
+
+
 def _vertex_hex(spec: FormSpec, vert) -> str:
-    if spec.field.order > 16:
-        raise ValueError("hex vertex encoding supports field order <= 16")
-    return "".join("%x" % c for row in vert for c in row)
+    w = _hex_width(spec)
+    return "".join(f"{c:0{w}x}" for row in vert for c in row)
 
 
 def _vertex_unhex(spec: FormSpec, s: str):
-    cells = [int(ch, 16) for ch in s]
-    n = spec.n
+    """D rows of n coordinates from a fixed-width hex string, each
+    coordinate checked to lie in GF(b)."""
+    w, n = _hex_width(spec), spec.n
+    if len(s) != spec.D * n * w:
+        raise ValueError(f"vertex {s!r} has {len(s)} hex digits, expected "
+                         f"{spec.D * n * w}")
+    cells = [int(s[i:i + w], 16) for i in range(0, len(s), w)]
+    if not all(0 <= c < spec.b for c in cells):
+        raise ValueError(f"vertex {s!r} has a coordinate outside GF({spec.b})")
     return tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(spec.D))
 
 
@@ -434,7 +455,11 @@ def graph_from_json(data: dict) -> PolarGraph:
     if Fraction(data["e"]) != spec.e:
         raise ValueError("e value in file disagrees with the family table")
     verts = [_vertex_unhex(spec, s) for s in data["vertices"]]
-    m = len(verts)
+    m, count = len(verts), _vertex_count(spec)
+    if m != count:
+        raise ValueError(f"file has {m} vertices, the dual polar graph {count}")
+    if len(data["adjacency"]) != m:
+        raise ValueError("adjacency in file needs one row per vertex")
     adj = np.zeros((m, m), dtype=np.uint8)
     for i, hexrow in enumerate(data["adjacency"]):
         bits = np.unpackbits(np.frombuffer(bytes.fromhex(hexrow), dtype=np.uint8))
@@ -444,15 +469,7 @@ def graph_from_json(data: dict) -> PolarGraph:
     for v in verts:
         if not spec.totally_isotropic(v):
             raise ValueError("vertex in file is not totally isotropic")
-    codim = _codim_matrix(spec, verts)
-    if not np.array_equal(adj, (codim == 1).astype(np.uint8)):
-        raise ValueError("adjacency in file disagrees with the vertices")
-    dist = _bfs_distances(adj)
-    if (dist < 0).any():
-        raise ValueError("graph in file is not connected")
-    if not np.array_equal(dist, codim):
-        raise ValueError("graph distance disagrees with D - dim(y^z)")
-    return PolarGraph(spec, verts, adj, dist)
+    return _certified_graph(spec, verts, adj)
 
 
 def save_graph(g: PolarGraph, path: str):

@@ -59,3 +59,48 @@ def test_base_vertex_out_of_range(d32_file, capsys, vertex):
 def test_missing_graph_is_input_error(tmp_path, capsys):
     assert main(["verify", "--graph", str(tmp_path / "absent.json")]) == 2
     assert "cannot load graph" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def c23_data(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("cli") / "c23.json")
+    assert main(["build", "--family", "C", "--D", "2", "--b", "3",
+                 "--out", path]) == 0
+    with open(path) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("defect", ["coordinate", "truncated", "duplicate",
+                                    "missing"])
+def test_malformed_graph_is_input_error(c23_data, tmp_path, capsys, defect):
+    data = json.loads(json.dumps(c23_data))
+    verts = data["vertices"]
+    if defect == "coordinate":
+        verts[0] = "f" + verts[0][1:]  # 15 is not in GF(3)
+    elif defect == "truncated":
+        verts[0] = verts[0][:-1]
+    elif defect == "duplicate":
+        verts[1] = verts[0]
+    else:  # still connected, with distance = codim, but not all of C_2(3)
+        verts.pop()
+        data["adjacency"].pop()
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--graph", str(path), "--suite", "drg"]) == 2
+    assert "cannot load graph" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite,ids", [
+    ("all", D32_IDS), ("uq", ["uq:variant1", "uq:cross-variant"])])
+def test_verify_decomposes_once(d32_file, capsys, monkeypatch, suite, ids):
+    from dualpolar import terwilliger
+
+    calls = []
+    real = terwilliger.decompose
+    monkeypatch.setattr(terwilliger, "decompose",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    capsys.readouterr()
+    assert main(["verify", "--graph", d32_file, "--suite", suite]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert sorted(c["id"] for c in report["checks"]) == sorted(ids)
+    assert len(calls) == 1

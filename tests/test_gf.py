@@ -33,7 +33,8 @@ def test_field_of_order():
 
 
 def test_multiplicative_group_exhaustive():
-    for order, (p, m) in [(4, (2, 2)), (8, (2, 3)), (9, (3, 2)), (16, (2, 4))]:
+    for order, (p, m) in [(4, (2, 2)), (8, (2, 3)), (9, (3, 2)), (16, (2, 4)),
+                          (289, (17, 2)), (512, (2, 9))]:
         f = build_field(p, m)
         for x in range(1, order):
             assert f.pow(x, order - 1) == 1
@@ -55,6 +56,22 @@ def test_field_axioms_gf9():
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 2), (2, 9), (3, 6), (17, 2)])
+def test_x_is_a_root_of_the_modulus(p, m):
+    # the class of x (code p) is a root of the modulus, as in GF(p)[x]/(f)
+    f = build_field(p, m)
+    value, power = 0, 1
+    for c in f.modulus:
+        value = f.add(value, f.mul(c, power))
+        power = f.mul(power, p)
+    assert value == 0
+
+
+def test_order_above_table_limit_rejected():
+    with pytest.raises(ValueError, match="above the field order"):
+        field_of_order(4099)
+
+
 def test_frobenius_gf4():
     f = build_field(2, 2)
     omega = 2  # the class of x
@@ -65,7 +82,7 @@ def test_frobenius_gf4():
 
 
 def test_frobenius_involution():
-    for p, m in [(2, 2), (2, 4), (3, 2)]:
+    for p, m in [(2, 2), (2, 4), (3, 2), (17, 2)]:
         f = build_field(p, m)
         for x in f.elements():
             assert f.frobenius(f.frobenius(x)) == x

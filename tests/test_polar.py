@@ -8,12 +8,38 @@ from dualpolar.gf import build_field
 from dualpolar.polar import (
     BudgetExceededError,
     FormSpec,
+    _codim_matrix,
     build_polar_graph,
     enumerate_maximal_isotropic,
-    gf_rref,
     graph_from_json,
     graph_to_json,
 )
+
+
+def gf_rref(field, rows):
+    """Reduced row echelon form over GF(b), one scalar operation at a time."""
+    rows = [list(r) for r in rows if any(r)]
+    ncols = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [
+                    field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])
+                ]
+        r += 1
+        if r == len(rows):
+            break
+    rows = rows[:r]
+    rows = [r_ for r_ in rows if any(r_)]
+    return tuple(tuple(r_) for r_ in rows)
 
 
 def all_subspaces_oracle(spec):
@@ -42,6 +68,34 @@ def all_subspaces_oracle(spec):
 
     extend_iso((), 0)
     return sorted(found)
+
+
+def span_vectors(field, rows):
+    """All vectors in the row span (including zero)."""
+    out = [tuple([0] * len(rows[0]))]
+    for row in rows:
+        new = []
+        for c in range(1, field.order):
+            scaled = tuple(field.mul(c, x) for x in row)
+            for v in out:
+                new.append(tuple(field.add(a, b) for a, b in zip(v, scaled)))
+        out.extend(new)
+    return out
+
+
+def codim_oracle(spec, verts):
+    """Independent reference for D - dim(y intersect z): count the common
+    vectors of the two spans, pair by pair."""
+    field = spec.field
+    spans = [frozenset(span_vectors(field, list(v))) for v in verts]
+    m = len(verts)
+    size_of_dim = {field.order ** d: d for d in range(spec.D + 1)}
+    codim = np.zeros((m, m), dtype=np.int16)
+    for i in range(m):
+        for j in range(i + 1, m):
+            d = size_of_dim[len(spans[i] & spans[j])]
+            codim[i, j] = codim[j, i] = spec.D - d
+    return codim
 
 
 def test_symplectic_form_values():
@@ -102,6 +156,24 @@ def test_2a_even_d1_against_oracle():
     assert subs == all_subspaces_oracle(spec)
 
 
+@pytest.mark.parametrize("family,D,b", [
+    ("2D", 2, 2),      # the Q coefficients of the anisotropic part
+    ("2A_odd", 2, 4),  # Hermitean: conjugation in the Gram pairing
+    ("B", 2, 3),       # odd characteristic: Q(e_i) and the polar form apart
+])
+def test_enumeration_against_oracle(family, D, b):
+    spec = FormSpec(family, D, b)
+    assert enumerate_maximal_isotropic(spec) == all_subspaces_oracle(spec)
+
+
+@pytest.mark.parametrize("family,D,b", [("C", 2, 3), ("2D", 2, 2),
+                                        ("2A_odd", 2, 4)])
+def test_codim_against_oracle(family, D, b):
+    g = build_polar_graph(FormSpec(family, D, b))
+    assert np.array_equal(_codim_matrix(g.spec, g.vertices),
+                          codim_oracle(g.spec, g.vertices))
+
+
 def test_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_maximal_isotropic(FormSpec("C", 3, 2), budget=10)
@@ -132,9 +204,7 @@ def test_distance_equals_codim_formula_exhaustive():
     # build_polar_graph verifies BFS distance == D - dim(y^z) internally;
     # make the check visible here for one instance
     g = build_polar_graph(FormSpec("C", 2, 3))
-    from dualpolar.polar import _codim_matrix
-
-    assert np.array_equal(g.dist, _codim_matrix(g.spec, g.vertices))
+    assert np.array_equal(g.dist, codim_oracle(g.spec, g.vertices))
 
 
 def test_near_polygon_counts_c32():
@@ -206,3 +276,17 @@ def test_json_roundtrip_hermitean():
     g2 = graph_from_json(graph_to_json(g))
     assert g2.vertices == g.vertices
     assert Fraction(graph_to_json(g)["e"]) == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("family,D,b,width", [("2A_odd", 1, 25, 2),
+                                              ("C", 1, 257, 3)])
+def test_json_roundtrip_wide_fields(family, D, b, width):
+    # above GF(16) a coordinate takes more than one hex digit; GF(257) is
+    # also above the 256-entry tables the field once stopped at
+    g = build_polar_graph(FormSpec(family, D, b))
+    data = graph_to_json(g)
+    assert all(len(s) == D * g.spec.n * width for s in data["vertices"])
+    g2 = graph_from_json(data)
+    assert g2.vertices == g.vertices
+    assert np.array_equal(g2.adjacency, g.adjacency)
+    assert np.array_equal(g2.dist, g.dist)
