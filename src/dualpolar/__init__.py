@@ -2,19 +2,22 @@
 Leonard systems of dual q-Krawtchouk type, and U_q(sl2) module structures.
 
 Everything is computed over Q or Q(sqrt(b)) with certified exact linear
-algebra; there is no floating point anywhere in the computational core.
+algebra.  Floating point appears in one place, the integer products of
+`intlinalg.int_matmul`, and only where a bound proves the result exact: with
+inner dimension k, every partial sum of an entry is an integer of absolute
+value at most B = k * max|a| * max|b|, so float32 BLAS is used for B < 2^24
+and float64 BLAS for B < 2^53; larger products run in int64 or Python ints.
 """
 
 __version__ = "0.1.0"
 
-from .exact import ExactScalar, QPower, parse_scalar, q_pow
+from .exact import ExactScalar, parse_scalar, q_pow
 from .gf import FieldSpec, build_field
 from .linexact import (
     ExactMatrix,
     Subspace,
     kernel,
     orthogonal_projector,
-    spectral_projector,
     spectral_projectors,
 )
 from .polar import FormSpec, PolarGraph, build_polar_graph, load_graph, save_graph
@@ -48,10 +51,10 @@ from .uqsl2 import (
 )
 
 __all__ = [
-    "ExactScalar", "QPower", "parse_scalar", "q_pow",
+    "ExactScalar", "parse_scalar", "q_pow",
     "FieldSpec", "build_field",
     "ExactMatrix", "Subspace", "kernel", "orthogonal_projector",
-    "spectral_projector", "spectral_projectors",
+    "spectral_projectors",
     "FormSpec", "PolarGraph", "build_polar_graph", "load_graph", "save_graph",
     "spectral_data", "td_scalars", "verify_distance_regular",
     "TerwilligerContext", "build_context", "central_elements", "decompose",

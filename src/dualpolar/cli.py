@@ -50,12 +50,16 @@ class Report:
         self.checks.append(item)
 
     def run(self, check_id: str, statement: str, fn):
-        """Run fn; exceptions become failures with the message as witness."""
+        """Run fn, which returns ok or (ok, witness); None counts as a pass.
+        An exception is a failure with its message as witness."""
         try:
-            ok = fn()
-            self.add(check_id, statement, bool(ok) if ok is not None else True)
+            out = fn()
         except Exception as exc:  # noqa: BLE001 - report, do not crash
-            self.add(check_id, statement, False, witness=str(exc))
+            self.add(check_id, statement, False,
+                     witness=str(exc) or type(exc).__name__)
+            return
+        ok, witness = out if isinstance(out, tuple) else (out, None)
+        self.add(check_id, statement, ok is None or bool(ok), witness)
 
     def finish(self) -> dict:
         summary = {
@@ -102,108 +106,123 @@ def cmd_build(args) -> int:
 # verify
 
 
-def _suite_drg(report, g, bm, data):
+class _Stages:
+    """The shared stages of one verify call.  Each is built at most once, on
+    first use; one that raised raises the same error again for every check
+    that depends on it, so that check fails with the message as witness."""
+
+    def __init__(self, **builders):
+        self._builders = builders
+        self._done: dict = {}
+
+    def __getitem__(self, name):
+        if name not in self._done:
+            try:
+                self._done[name] = (self._builders[name](), None)
+            except Exception as exc:  # noqa: BLE001 - raised to each check
+                self._done[name] = (None, exc)
+        value, exc = self._done[name]
+        if exc is not None:
+            raise exc
+        return value
+
+
+def _suite_drg(report, stage, spec, n):
     from . import drg
 
-    spec = g.spec
     report.run("drg:counts", "neighbor counts are independent of the vertex "
-               "pair at each distance", lambda: data is not None)
-    c, a, b = drg.closed_form_intersection(spec)
-    report.add("drg:intersection",
+               "pair at each distance", lambda: stage["drg"] is not None)
+    c, a, b = map(tuple, drg.closed_form_intersection(spec))
+    report.run("drg:intersection",
                "c_i = (b^i-1)/(b-1), b_i = b^(i+e)(b^(D-i)-1)/(b-1)",
-               tuple(c) == data.c and tuple(b) == data.b and tuple(a) == data.a)
-    report.add("drg:multiplicities", "rank E_i = m_i and sum m_i = |X|",
-               sum(bm.m) == g.n_vertices)
-    report.add("drg:dual-eigenvalues", "theta*_i = zeta + xi b^-i with "
-               "theta*_0 = m_1", bm.theta_star[0] == bm.m[1])
-    try:
-        drg.check_q_polynomial_pattern(bm.krein)
-        report.add("drg:krein", "Krein parameters vanish per the "
-                   "Q-polynomial pattern", True)
-    except AssertionError as exc:
-        report.add("drg:krein", "Krein parameters vanish per the "
-                   "Q-polynomial pattern", False, witness=str(exc))
+               lambda: (c, a, b) == (stage["drg"].c, stage["drg"].a,
+                                     stage["drg"].b))
+    report.run("drg:multiplicities", "rank E_i = m_i and sum m_i = |X|",
+               lambda: sum(stage["bm"].m) == n)
+    report.run("drg:dual-eigenvalues", "theta*_i = zeta + xi b^-i with "
+               "theta*_0 = m_1",
+               lambda: stage["bm"].theta_star[0] == stage["bm"].m[1])
+    report.run("drg:krein", "Krein parameters vanish per the Q-polynomial "
+               "pattern", lambda: drg.check_q_polynomial_pattern(
+                   stage["bm"].krein))
     report.run("drg:td-scalars", "beta = b + 1/b and the four companion "
                "scalars satisfy their recurrences",
                lambda: drg.td_scalars(spec) is not None)
 
 
-def _suite_lfrk(report, ctx):
-    from .terwilliger import (
-        verify_lfrk,
-        verify_lfrk_recovery,
-        verify_lrf_commutations,
-        verify_tridiagonal_relations,
-    )
+def _suite_lfrk(report, stage):
+    from . import terwilliger as tw
 
-    for item in verify_lfrk(ctx):
-        report.add(item["id"], item["statement"], item["status"] == "pass",
-                   witness=item.get("witness"))
-    report.add("lfrk:recovery", "L, F, R are recovered from K A K^-1 "
-               "conjugations", verify_lfrk_recovery(ctx))
-    report.add("lfrk:commuting", "LR, RL, F, K mutually commute",
-               verify_lrf_commutations(ctx))
-    report.add("lfrk:tridiagonal", "both tridiagonal bracket relations hold",
-               verify_tridiagonal_relations(ctx))
+    for statement in tw.LFRK_STATEMENTS:
+        def one(statement=statement):
+            item = stage["lfrk"][statement]
+            return item["status"] == "pass", item.get("witness")
+        report.run(f"lfrk:{statement}", statement, one)
+    report.run("lfrk:recovery", "L, F, R are recovered from K A K^-1 "
+               "conjugations", lambda: tw.verify_lfrk_recovery(stage["ctx"]))
+    report.run("lfrk:commuting", "LR, RL, F, K mutually commute",
+               lambda: tw.verify_lrf_commutations(stage["ctx"]))
+    report.run("lfrk:tridiagonal", "both tridiagonal bracket relations hold",
+               lambda: tw.verify_tridiagonal_relations(stage["ctx"]))
 
 
-def _suite_central(report, ctx, cents):
-    from .terwilliger import (
-        central_characterization_matrix,
-        commutes,
-        verify_g_entry_table,
-        verify_omega_entry_table,
-    )
+def _suite_central(report, stage):
+    from . import terwilliger as tw
 
-    report.add("central:construction", "C0, C1, C2, Omega, G, G* are "
-               "symmetric and commute with A and A*", True)
-    report.add("central:omega-entries", "Omega matches its same-distance "
-               "entry table", verify_omega_entry_table(ctx, cents.Omega))
-    report.add("central:g-entries", "G matches its two-distance entry table",
-               verify_g_entry_table(ctx, cents.G))
-    m1 = central_characterization_matrix(ctx, 1, 0)
-    m2 = central_characterization_matrix(ctx, 3, 2)
-    mp = central_characterization_matrix(ctx, 1, 0, perturb=True)
-    ok = commutes(m1, ctx.A) and commutes(m2, ctx.A)
-    if ctx.F.is_zero():
-        # with no same-distance edges the alpha part is annihilated, so a
-        # perturbed alpha cannot break commutation
-        ok = ok and commutes(mp, ctx.A)
-    else:
-        ok = ok and not commutes(mp, ctx.A)
-    report.add("central:characterization",
+    report.run("central:construction", "C0, C1, C2, Omega, G, G* are "
+               "symmetric and commute with A and A*",
+               lambda: stage["cents"] is not None)
+    report.run("central:omega-entries", "Omega matches its same-distance "
+               "entry table", lambda: tw.verify_omega_entry_table(
+                   stage["ctx"], stage["cents"].Omega))
+    report.run("central:g-entries", "G matches its two-distance entry table",
+               lambda: tw.verify_g_entry_table(stage["ctx"],
+                                               stage["cents"].G))
+
+    def characterization():
+        ctx = stage["ctx"]
+        m1 = tw.central_characterization_matrix(ctx, 1, 0)
+        m2 = tw.central_characterization_matrix(ctx, 3, 2)
+        mp = tw.central_characterization_matrix(ctx, 1, 0, perturb=True)
+        ok = tw.commutes(m1, ctx.A) and tw.commutes(m2, ctx.A)
+        if ctx.F.is_zero():
+            # with no same-distance edges the alpha part is annihilated, so a
+            # perturbed alpha cannot break commutation
+            return ok and tw.commutes(mp, ctx.A)
+        return ok and not tw.commutes(mp, ctx.A)
+
+    report.run("central:characterization",
                "alpha_i = b^(1-i) alpha_1 with matching beta_i commutes "
                "with A; a perturbed alpha does not (unless the flattening "
-               "part vanishes)", ok)
+               "part vanishes)", characterization)
 
 
-def _suite_modules(report, ctx, cents, comps, center, g, sample_vertices):
+def _suite_modules(report, stage, small, g, sample_vertices):
     from .leonard import leonard_from_tmodule
-    from .terwilliger import (
-        build_context,
-        decompose,
-        extract_module,
-        verify_center_commutation,
-        verify_center_identities,
-    )
+    from . import terwilliger as tw
 
-    report.add("modules:dimension", "homogeneous component dimensions sum "
-               "to |X| with integer multiplicities", True,
-               witness={"triples": sorted(
-                   [list(c.triple) + [c.mult] for c in comps])})
-    if center is not None:
-        report.add("modules:center-commute", "the displacement and diameter "
+    report.run("modules:dimension", "homogeneous component dimensions sum "
+               "to |X| with integer multiplicities",
+               lambda: (True, {"triples": sorted(
+                   [list(c.triple) + [c.mult] for c in stage["comps"]])}))
+    if small:
+        report.run("modules:center-commute", "the displacement and diameter "
                    "weights commute with A and A*",
-                   verify_center_commutation(ctx, center))
+                   lambda: tw.verify_center_commutation(stage["ctx"],
+                                                        stage["center"]))
         report.run("modules:center-identities", "C0, C1, C2, Omega, G, G* "
                    "against the displacement weights, exactly",
-                   lambda: verify_center_identities(ctx, cents, center, comps)
-                   is None)
+                   lambda: tw.verify_center_identities(
+                       stage["ctx"], stage["cents"], stage["center"],
+                       stage["comps"]))
+        try:
+            comps = stage["comps"]
+        except Exception:  # noqa: BLE001 - reported by modules:dimension
+            comps = []
         for c in sorted(comps, key=lambda c: c.triple):
             def one(c=c):
-                rec = extract_module(ctx, c)
-                leonard_from_tmodule(ctx, rec)
-                return True
+                leonard_from_tmodule(stage["ctx"],
+                                     tw.extract_module(stage["ctx"], c))
             report.run(f"modules:leonard:{c.triple}",
                        f"module {c.triple} carries a dual q-Krawtchouk "
                        "Leonard system with the closed-form parameters", one)
@@ -211,40 +230,31 @@ def _suite_modules(report, ctx, cents, comps, center, g, sample_vertices):
         report.add("modules:center-identities", "central identities "
                    "(projector construction is restricted to smaller "
                    "graphs)", True, skipped=True)
-    if sample_vertices:
-        base = sorted((c.triple, c.mult) for c in comps)
-        for x in sample_vertices:
-            ctx2 = build_context(g, ctx.bm, x)
-            li = decompose(ctx2, full=False)
-            same = sorted((c.triple, c.mult) for c in li) == base
-            report.add(f"modules:base-vertex:{x}",
-                       "feasible triple multiset agrees with the base run",
-                       same)
+    for x in sample_vertices:
+        def same(x=x):
+            base = sorted((c.triple, c.mult) for c in stage["comps"])
+            ctx2 = tw.build_context(g, stage["bm"], x)
+            li = tw.decompose(ctx2, full=False)
+            return sorted((c.triple, c.mult) for c in li) == base
+        report.run(f"modules:base-vertex:{x}",
+                   "feasible triple multiset agrees with the base run", same)
 
 
-def _suite_uq(report, ctx, center, variant):
-    from .uqsl2 import uq_on_standard_module, verify_cross_variant_standard
+def _suite_uq(report, stage, variant):
+    from .uqsl2 import verify_cross_variant_standard
 
-    sm = uq_on_standard_module(ctx, center, variant)
-    report.add(f"uq:variant{variant}", "equitable relations, A and A* "
+    report.run(f"uq:variant{variant}", "equitable relations, A and A* "
                "recoveries, Chevalley images, and Casimir = diameter weight "
-               "all hold exactly", True)
-    other = uq_on_standard_module(ctx, center, 3 - variant)
-    report.add("uq:cross-variant", "k_2 = k_1, e_2 = -q^-2e U^2 P^-2 e_1, "
+               "all hold exactly", lambda: stage[f"uq{variant}"] is not None)
+    report.run("uq:cross-variant", "k_2 = k_1, e_2 = -q^-2e U^2 P^-2 e_1, "
                "f_2 = -q^2e U^-2 P^2 f_1",
-               verify_cross_variant_standard(ctx, center,
-                                             sm if variant == 1 else other,
-                                             other if variant == 1 else sm))
+               lambda: verify_cross_variant_standard(
+                   stage["ctx"], stage["center"], stage["uq1"],
+                   stage["uq2"]))
 
 
 def cmd_verify(args) -> int:
-    from .drg import spectral_data, verify_distance_regular
-    from .terwilliger import (
-        build_context,
-        central_elements,
-        decompose,
-        upsilon_psi_lambda,
-    )
+    from . import drg, terwilliger as tw, uqsl2
 
     try:
         g = load_graph(args.graph)
@@ -253,41 +263,47 @@ def cmd_verify(args) -> int:
     if not 0 <= args.base_vertex < g.n_vertices:
         raise InputError(f"--base-vertex {args.base_vertex} is not a vertex; "
                          f"the graph has vertices 0..{g.n_vertices - 1}")
+    if args.all_vertices_sample < 0:
+        raise InputError(f"--all-vertices-sample {args.all_vertices_sample} "
+                         "is negative")
     meta = {"graph": args.graph, "family": g.spec.family, "D": g.spec.D,
             "b": g.spec.b, "suite": args.suite,
             "base_vertex": args.base_vertex}
     report = Report("verify", meta)
     suites = ("drg", "lfrk", "central", "modules", "uq") \
         if args.suite == "all" else (args.suite,)
-    data = verify_distance_regular(g)
-    bm = spectral_data(g)
-    ctx = build_context(g, bm, args.base_vertex)
-    cents = comps = center = None
-    # the module and U_q(sl2) suites share one decomposition and, on graphs
-    # of at most 300 vertices, one set of displacement and diameter weights
-    small = g.n_vertices <= 300
-    if {"central", "modules", "uq"} & set(suites):
-        cents = central_elements(ctx)
-    if "modules" in suites or ("uq" in suites and small):
-        comps = decompose(ctx, cents)
-        if small:
-            center = upsilon_psi_lambda(ctx, comps)
+    # functions are looked up on their modules when a stage is built
+    stage = _Stages(
+        drg=lambda: drg.verify_distance_regular(g),
+        bm=lambda: drg.spectral_data(g),
+        ctx=lambda: tw.build_context(g, stage["bm"], args.base_vertex),
+        lfrk=lambda: {item["statement"]: item
+                      for item in tw.verify_lfrk(stage["ctx"])},
+        cents=lambda: tw.central_elements(stage["ctx"]),
+        comps=lambda: tw.decompose(stage["ctx"], stage["cents"]),
+        center=lambda: tw.upsilon_psi_lambda(stage["ctx"], stage["comps"]),
+        uq1=lambda: uqsl2.uq_on_standard_module(stage["ctx"],
+                                                stage["center"], 1),
+        uq2=lambda: uqsl2.uq_on_standard_module(stage["ctx"],
+                                                stage["center"], 2),
+    )
+    small = g.n_vertices <= tw.PROJECTOR_MAX_VERTICES
     if "drg" in suites:
-        _suite_drg(report, g, bm, data)
+        _suite_drg(report, stage, g.spec, g.n_vertices)
     if "lfrk" in suites:
-        _suite_lfrk(report, ctx)
+        _suite_lfrk(report, stage)
     if "central" in suites:
-        _suite_central(report, ctx, cents)
+        _suite_central(report, stage)
     if "modules" in suites:
         sample = []
         if args.all_vertices_sample:
             step = max(1, g.n_vertices // args.all_vertices_sample)
             sample = [i for i in range(0, g.n_vertices, step)
                       if i != args.base_vertex][:args.all_vertices_sample]
-        _suite_modules(report, ctx, cents, comps, center, g, sample)
+        _suite_modules(report, stage, small, g, sample)
     if "uq" in suites:
         if small:
-            _suite_uq(report, ctx, center, args.variant)
+            _suite_uq(report, stage, args.variant)
         else:
             report.add("uq", "standard-module structures (restricted to "
                        "smaller graphs)", True, skipped=True)
@@ -298,19 +314,28 @@ def cmd_verify(args) -> int:
 # leonard
 
 
+LEONARD_ACTIONS = ("validate", "realize", "d4", "scalars", "uq")
+
+
 def cmd_leonard(args) -> int:
     from . import leonard as ln
 
+    actions = args.actions.split(",")
+    unknown = [a for a in actions if a not in LEONARD_ACTIONS]
+    if unknown:
+        raise InputError(f"unknown --actions entry {unknown[0]!r}; choose "
+                         f"from {','.join(LEONARD_ACTIONS)}")
     try:
         with open(args.params) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise TypeError("expected a JSON object")
         pa = ln.pa_from_json(data)
-    except (OSError, ValueError, KeyError) as exc:
+        verdict = ln.validate(pa)  # mixed radicands raise here
+    except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
         raise InputError(f"cannot load parameter array: {exc}") from exc
-    actions = args.actions.split(",")
     meta = {"params": args.params, "d": pa.d, "actions": actions}
     report = Report("leonard", meta)
-    verdict = ln.validate(pa)
     if "validate" in actions:
         witness = None
         if verdict.valid and verdict.beta_plus_one is not None:
@@ -350,31 +375,20 @@ def cmd_leonard(args) -> int:
         report.run("leonard:scalars", "tridiagonal and Askey-Wilson "
                    "relations hold with the recurrence scalars",
                    scalars_check)
-    if "uq" in actions:
+    if "uq" in actions and "q" not in data:
+        report.add("leonard:uq", "module structures need dual q-Krawtchouk "
+                   "parameters in the input", True, skipped=True)
+    elif "uq" in actions:
         def uq_check():
-            # the module structures need dual q-Krawtchouk parameters
-            if not isinstance(data, dict) or "q" not in data:
-                return None
-            p = ln.dqk_params_from_json(data)
             from .uqsl2 import uq_on_leonard, verify_cross_variant_leonard
 
+            p = ln.dqk_params_from_json(data)
             real = ln.realize(pa, "normalized-split")
             a1 = uq_on_leonard(real, p, 1, 1)
             a2 = uq_on_leonard(real, p, 1, 2)
             return verify_cross_variant_leonard(a1, a2, p)
-        try:
-            got = uq_check()
-            if got is None:
-                report.add("leonard:uq", "module structures need dual "
-                           "q-Krawtchouk parameters in the input", True,
-                           skipped=True)
-            else:
-                report.add("leonard:uq", "both module structures exist and "
-                           "are related by the variant translation", got)
-        except Exception as exc:  # noqa: BLE001
-            report.add("leonard:uq", "both module structures exist and are "
-                       "related by the variant translation", False,
-                       witness=str(exc))
+        report.run("leonard:uq", "both module structures exist and are "
+                   "related by the variant translation", uq_check)
     return _emit(report)
 
 
@@ -405,7 +419,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     l = sub.add_parser("leonard", help="abstract Leonard-system checks")
     l.add_argument("--params", required=True)
-    l.add_argument("--actions", default="validate,realize,d4,scalars,uq")
+    l.add_argument("--actions", default=",".join(LEONARD_ACTIONS))
     l.set_defaults(fn=cmd_leonard)
     return ap
 

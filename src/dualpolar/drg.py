@@ -284,14 +284,3 @@ def td_scalars(spec: FormSpec):
                             + ths[i] ** 2 - gamma_star * (ths[i - 1] + ths[i]))
     return beta, gamma, gamma_star, rho, rho_star
 
-
-def extended_eigenvalues(spec: FormSpec):
-    """theta_{-1}, theta_{D+1} and duals via the gamma recurrences."""
-    beta, gamma, gamma_star, _, _ = td_scalars(spec)
-    th = closed_form_eigenvalues(spec)
-    ths = closed_form_dual_eigenvalues(spec)
-    th_m1 = gamma + beta * th[0] - th[1]
-    th_p1 = gamma + beta * th[-1] - th[-2]
-    ths_m1 = gamma_star + beta * ths[0] - ths[1]
-    ths_p1 = gamma_star + beta * ths[-1] - ths[-2]
-    return th_m1, th_p1, ths_m1, ths_p1

@@ -5,7 +5,9 @@ is the prime power attached to a form family (the deformation parameter is
 q = sqrt(b)).  A scalar is stored as a + c*sqrt(rad) with a, c rational and
 rad a nonnegative integer.  Perfect-square radicands collapse eagerly to the
 rational form, so fields built over b = 4, 9, ... run in pure rational
-arithmetic.  No floating point is used anywhere.
+arithmetic.  Scalars never touch floating point; the one place the package
+does is `intlinalg.int_matmul`, and only where a bound proves the product
+exact.
 """
 
 from __future__ import annotations
@@ -218,29 +220,6 @@ def q_pow(q: ExactScalar, n: int) -> ExactScalar:
             return ExactScalar(Fraction(b) ** half)
         return ExactScalar(0, Fraction(b) ** half, b)
     return q ** n
-
-
-class QPower:
-    """A formal power q**n, evaluated exactly on demand."""
-
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base: ExactScalar, exponent: int):
-        if base.is_zero:
-            raise ZeroDivisionError("base must be nonzero")
-        self.base = base
-        self.exponent = int(exponent)
-
-    def value(self) -> ExactScalar:
-        return q_pow(self.base, self.exponent)
-
-    def __eq__(self, other):
-        if not isinstance(other, QPower):
-            return NotImplemented
-        return self.value() == other.value()
-
-    def __repr__(self):
-        return f"QPower({self.base!r}, {self.exponent})"
 
 
 ZERO = ExactScalar(0)

@@ -20,20 +20,9 @@ import itertools
 
 import numpy as np
 
-from .intlinalg import int_matmul
+from .intlinalg import int_matmul, is_prime
 
 _TABLE_LIMIT = 4096
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _poly_divides(d, f, p):

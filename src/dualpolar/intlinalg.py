@@ -9,7 +9,7 @@ by its pivot yields the unique leading-1 RREF of the row space.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 import numpy as np
 
@@ -26,23 +26,23 @@ def as_int_array(rows, dtype=np.int64) -> np.ndarray:
         return a
 
 
-def _to_object(a: np.ndarray) -> np.ndarray:
-    if a.dtype == object:
-        return a
-    return a.astype(object)
+def _to_object(a):
+    """a as a Python-int object array (None stays None)."""
+    return a if a is None or a.dtype == object else a.astype(object)
 
 
-def _maybe_downcast(a: np.ndarray) -> np.ndarray:
-    if a.dtype != object or a.size == 0:
+def _downcast(a):
+    """a as int64 when every entry fits below 2^62 (None stays None)."""
+    if a is None or a.dtype != object:
         return a
-    m = max(abs(int(v)) for v in a.flat)
-    if m < _INT64_SAFE:
+    if a.size == 0 or _max_abs(a) < _INT64_SAFE:
         return a.astype(np.int64)
     return a
 
 
-def _max_abs(a: np.ndarray) -> int:
-    if a.size == 0:
+def _max_abs(a) -> int:
+    """max |entry| of an integer array; 0 for None or an empty array."""
+    if a is None or a.size == 0:
         return 0
     if a.dtype == object:
         return int(np.abs(a).max())
@@ -107,8 +107,6 @@ def _gcd_rows(a: np.ndarray) -> np.ndarray:
     if a.dtype != object:
         g = np.gcd.reduce(np.abs(a), axis=1)
         return np.where(g == 0, 1, g)
-    import math
-
     out = np.empty(a.shape[0], dtype=object)
     for i in range(a.shape[0]):
         g = 0
@@ -172,7 +170,7 @@ def _int_rref_exact(mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         for i in range(r):
             if a[i, pivots[i]] < 0:
                 a[i] = -a[i]
-    a = _maybe_downcast(a)
+    a = _downcast(a)
     return a, tuple(pivots)
 
 
@@ -180,32 +178,26 @@ def int_rank(mat: np.ndarray) -> int:
     return len(int_rref(mat)[1])
 
 
-def int_kernel(mat: np.ndarray) -> np.ndarray:
-    """Primitive-row canonical basis of the right null space over Q.
-
-    The result rows, divided by their leading entries, form the RREF basis
-    of {v : mat @ v = 0}.
+def int_kernel(mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Canonical basis of the right null space over Q, in int_rref's form:
+    (primitive rows, pivots).  The rows divided by their leading entries
+    form the RREF basis of {v : mat @ v = 0}.
     """
     red, pivots = int_rref(mat)
     ncols = mat.shape[1]
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    if not free:
-        return np.zeros((0, ncols), dtype=np.int64)
-    import math
-
-    rows = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -Fraction(int(red[i, f]), int(red[i, pivots[i]]))
-        den = 1
-        for x in v:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        rows.append([int(x * den) for x in v])
-    basis = as_int_array(rows)
-    red2, _ = int_rref(basis)
-    return red2
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    if free.size == 0:
+        return np.zeros((0, ncols), dtype=np.int64), ()
+    # with L a common multiple of the pivot entries p_i, free column f gives
+    # the integer vector L e_f - sum_i (L / p_i) red[i, f] e_(pivots[i])
+    piv = [int(red[i, c]) for i, c in enumerate(pivots)]
+    big = math.lcm(*piv)
+    dtype = np.int64 if big * _max_abs(red) < _INT64_SAFE else object
+    basis = np.zeros((free.size, ncols), dtype=dtype)
+    basis[np.arange(free.size), free] = big
+    scale = np.array([big // p for p in piv], dtype=dtype)
+    basis[:, list(pivots)] = -(red[:, free].astype(dtype) * scale[:, None]).T
+    return int_rref(basis)
 
 
 def int_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,25 +224,6 @@ def int_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return num, den
 
 
-def int_solve_upper_rank(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Solve mat @ x = rhs exactly over Q; None when inconsistent.
-
-    Returns a Fraction object array (one solution; free variables set to 0).
-    """
-    nrows, ncols = mat.shape
-    aug = np.concatenate([mat, rhs.reshape(nrows, -1)], axis=1)
-    red, pivots = int_rref(aug)
-    k = rhs.reshape(nrows, -1).shape[1]
-    sol = np.empty((ncols, k), dtype=object)
-    sol[:] = Fraction(0)
-    for i, pc in enumerate(pivots):
-        if pc >= ncols:
-            return None
-        for j in range(k):
-            sol[pc, j] = Fraction(int(red[i, ncols + j]), int(red[i, pc]))
-    return sol
-
-
 # ---------------------------------------------------------------------------
 # Modular row reduction with exact certification
 #
@@ -269,7 +242,7 @@ def int_solve_upper_rank(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
 # elimination is used, so the result is always exact.
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     d = 2
@@ -284,7 +257,7 @@ def _prime_list(count: int = 40) -> list[int]:
     out = []
     p = 2 ** 30 - 35  # largest prime below 2^30
     while len(out) < count:
-        if _is_prime(p):
+        if is_prime(p):
             out.append(p)
         p -= 2
     return out
@@ -332,8 +305,6 @@ def _crt_combine(res1: np.ndarray, mod1: int, res2: np.ndarray,
 
 def _rat_reconstruct(x: int, modulus: int, bound: int):
     """p/q with x = p/q mod modulus and |p|, q <= bound, or None."""
-    import math
-
     r0, r1 = modulus, x % modulus
     s0, s1 = 0, 1
     while r1 > bound:
@@ -356,8 +327,6 @@ def _rat_reconstruct(x: int, modulus: int, bound: int):
 
 def _int_rref_modular(mat: np.ndarray):
     """Certified modular RREF; None when reconstruction keeps failing."""
-    import math
-
     nrows, ncols = mat.shape
     acc = None  # (pivots, residues (object array), modulus, prime count)
     for p in _PRIMES[:_MODULAR_CANDIDATE_TRIES]:
@@ -380,10 +349,8 @@ def _int_rref_modular(mat: np.ndarray):
         k = len(pivots)
         free = [c for c in range(ncols) if c not in set(pivots)]
         rows = np.zeros((k, ncols), dtype=object)
-        dens = []
         ok = True
         for i in range(k):
-            den_lcm = 1
             entries = {}
             for c in free:
                 pq = _rat_reconstruct(int(residues[i, c]), modulus, bound)
@@ -391,31 +358,26 @@ def _int_rref_modular(mat: np.ndarray):
                     ok = False
                     break
                 entries[c] = pq
-                den_lcm = den_lcm * pq[1] // math.gcd(den_lcm, pq[1])
             if not ok:
                 break
+            den_lcm = math.lcm(*(den for _, den in entries.values()))
             rows[i, pivots[i]] = den_lcm
             for c, (num, den) in entries.items():
                 rows[i, c] = num * (den_lcm // den)
-            dens.append(den_lcm)
         if not ok:
             continue
         if _verify_rref_candidate(mat, rows, pivots):
-            return _maybe_downcast(rows), pivots
+            return _downcast(rows), pivots
     return None
 
 
 def _verify_rref_candidate(mat, rows, pivots) -> bool:
     """Exact check that mat's row space lies in the candidate row space."""
-    import math
-
     k = len(pivots)
     if k == 0:
         return not np.any(mat)
     dens = np.array([rows[i, pivots[i]] for i in range(k)], dtype=object)
-    big = 1
-    for d in dens:
-        big = big * int(d) // math.gcd(big, int(d))
+    big = math.lcm(*map(int, dens))
     rhs = int_matmul(mat[:, list(pivots)], (big // dens)[:, None] * rows)
     if _max_abs(mat) * big < _INT64_SAFE:
         lhs = mat.astype(np.int64, copy=False) * big

@@ -12,12 +12,10 @@ irreducible modules of a dual polar graph via the split decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact import ExactScalar, q_pow
 from .linexact import (
     ExactMatrix,
-    Subspace,
     intersect,
     row_space,
     spectral_projectors,
@@ -479,16 +477,26 @@ def dqk_td_aw_closed_forms(p: DqkParams) -> TdAwScalars:
                        omega, eta, eta_star, p.d >= 3)
 
 
+def tridiagonal_residuals(A: ExactMatrix, As: ExactMatrix, beta, gamma,
+                          gamma_star, rho, rho_star):
+    """The inner brackets of the two tridiagonal relations,
+        A^2 A* - beta A A* A + A* A^2 - gamma (A A* + A* A) - rho A*,
+        A*^2 A - beta A* A A* + A A*^2 - gamma* (A* A + A A*) - rho* A;
+    the relations say they commute with A and with A* respectively."""
+    lhs1 = (A @ A @ As) - (A @ As @ A).scale(beta) + (As @ A @ A) \
+        - ((A @ As) + (As @ A)).scale(gamma) - As.scale(rho)
+    lhs2 = (As @ As @ A) - (As @ A @ As).scale(beta) + (A @ As @ As) \
+        - ((As @ A) + (A @ As)).scale(gamma_star) - A.scale(rho_star)
+    return lhs1, lhs2
+
+
 def verify_td_aw_matrix(real: LeonardRealization, s: TdAwScalars) -> bool:
     """Both tridiagonal bracket relations and both Askey-Wilson relations as
     exact matrix identities."""
     A, As = real.A, real.Astar
-    n = A.shape[0]
-    ident = ExactMatrix.identity(n)
-    lhs1 = (A @ A @ As) - (A @ As @ A).scale(s.beta) + (As @ A @ A) \
-        - ((A @ As) + (As @ A)).scale(s.gamma) - As.scale(s.rho)
-    lhs2 = (As @ As @ A) - (As @ A @ As).scale(s.beta) + (A @ As @ As) \
-        - ((As @ A) + (A @ As)).scale(s.gamma_star) - A.scale(s.rho_star)
+    ident = ExactMatrix.identity(A.shape[0])
+    lhs1, lhs2 = tridiagonal_residuals(A, As, s.beta, s.gamma, s.gamma_star,
+                                       s.rho, s.rho_star)
     if not (lhs1 @ A - A @ lhs1).is_zero():
         return False
     if not (lhs2 @ As - As @ lhs2).is_zero():

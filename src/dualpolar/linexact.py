@@ -27,8 +27,7 @@ import numpy as np
 
 from . import intlinalg
 from .exact import ExactScalar, MixedRadicandError
-
-_INT64_SAFE = 2 ** 62
+from .intlinalg import _INT64_SAFE, _downcast, _max_abs, _to_object
 
 
 def _gcd_all(*arrays_and_ints) -> int:
@@ -49,22 +48,6 @@ def _gcd_all(*arrays_and_ints) -> int:
         if g == 1:
             return 1
     return g
-
-
-def _max_abs(a) -> int:
-    return 0 if a is None else intlinalg._max_abs(a)
-
-
-def _as_obj(a):
-    return None if a is None else (a if a.dtype == object else a.astype(object))
-
-
-def _downcast(a):
-    if a is None or a.dtype != object:
-        return a
-    if a.size == 0 or _max_abs(a) < _INT64_SAFE:
-        return a.astype(np.int64)
-    return a
 
 
 def _mm(a, b):
@@ -89,7 +72,7 @@ def _lin(*terms):
         return out
     out = None
     for c, a in live:
-        t = c * _as_obj(a)
+        t = c * _to_object(a)
         out = t if out is None else out + t
     return out
 
@@ -115,8 +98,8 @@ class ExactMatrix:
             if g >= _INT64_SAFE:
                 # g may not fit in int64 (int64 parts sharing it are zero):
                 # divide as Python ints; _downcast restores int64 below.
-                n0 = _as_obj(n0)
-                n1 = _as_obj(n1)
+                n0 = _to_object(n0)
+                n1 = _to_object(n1)
             if g > 1:
                 n0 = n0 // g
                 n1 = None if n1 is None else n1 // g
@@ -153,11 +136,8 @@ class ExactMatrix:
             rad = r
         elif r and r != rad:
             raise MixedRadicandError("mixed radicands in matrix")
-        den = 1
-        for row in scal:
-            for x in row:
-                den = den * x.a.denominator // math.gcd(den, x.a.denominator)
-                den = den * x.c.denominator // math.gcd(den, x.c.denominator)
+        den = math.lcm(*(d for row in scal for x in row
+                         for d in (x.a.denominator, x.c.denominator)))
         n0 = [[int(x.a * den) for x in row] for row in scal]
         n1 = [[int(x.c * den) for x in row] for row in scal]
         a0 = intlinalg.as_int_array(n0)
@@ -177,14 +157,13 @@ class ExactMatrix:
         vals = [v if isinstance(v, ExactScalar) else ExactScalar(v) for v in values]
         n = len(vals)
         rad = 0
-        den = 1
         for v in vals:
             if v.c != 0:
                 if rad and v.rad != rad:
                     raise MixedRadicandError("mixed radicands in matrix")
                 rad = v.rad
-            den = den * v.a.denominator // math.gcd(den, v.a.denominator)
-            den = den * v.c.denominator // math.gcd(den, v.c.denominator)
+        den = math.lcm(*(d for v in vals
+                         for d in (v.a.denominator, v.c.denominator)))
         n0 = np.zeros((n, n), dtype=object)
         n1 = np.zeros((n, n), dtype=object)
         for i, v in enumerate(vals):
@@ -302,7 +281,7 @@ class ExactMatrix:
             if a.dtype != object and b.dtype != object:
                 if _max_abs(a) * _max_abs(b) < _INT64_SAFE:
                     return a * b
-            return _as_obj(a) * _as_obj(b)
+            return _to_object(a) * _to_object(b)
 
         n0 = _lin((1, prod(self.n0, other.n0)), (rad, prod(self.n1, other.n1)))
         n1 = _lin((1, prod(self.n0, other.n1)), (1, prod(self.n1, other.n0)))
@@ -317,31 +296,20 @@ class ExactMatrix:
         n1 = None if self.n1 is None else self.n1 * m
         return ExactMatrix(n0, n1, self.den, self.rad)
 
-    def _axis_scale(self, values, axis: int) -> "ExactMatrix":
+    def row_scale(self, values) -> "ExactMatrix":
+        """diag(values) @ self for rational values (rows scaled)."""
         vals = [Fraction(v) for v in values]
-        den = 1
-        for v in vals:
-            den = den * v.denominator // math.gcd(den, v.denominator)
-        nums = np.array([int(v * den) for v in vals], dtype=object)
-        nums = intlinalg.as_int_array(nums.reshape(-1, 1) if axis == 0
-                                      else nums.reshape(1, -1))
-        bound = _max_abs(nums) * max(_max_abs(self.n0), _max_abs(self.n1) or 0)
+        den = math.lcm(*(v.denominator for v in vals))
+        nums = intlinalg.as_int_array([[int(v * den)] for v in vals])
+        bound = _max_abs(nums) * max(_max_abs(self.n0), _max_abs(self.n1))
         if bound >= _INT64_SAFE or self.n0.dtype == object:
-            nums = _as_obj(nums)
-            n0 = _as_obj(self.n0) * nums
-            n1 = None if self.n1 is None else _as_obj(self.n1) * nums
+            nums = _to_object(nums)
+            n0 = _to_object(self.n0) * nums
+            n1 = None if self.n1 is None else _to_object(self.n1) * nums
         else:
             n0 = self.n0 * nums
             n1 = None if self.n1 is None else self.n1 * nums
         return ExactMatrix(n0, n1, self.den * den, self.rad)
-
-    def row_scale(self, values) -> "ExactMatrix":
-        """diag(values) @ self for rational values (rows scaled)."""
-        return self._axis_scale(values, 0)
-
-    def col_scale(self, values) -> "ExactMatrix":
-        """self @ diag(values) for rational values (columns scaled)."""
-        return self._axis_scale(values, 1)
 
     @property
     def T(self) -> "ExactMatrix":
@@ -375,9 +343,7 @@ class ExactMatrix:
         rad = 0
         for m in mats:
             rad = m._join_rad(rad)
-        den = 1
-        for m in mats:
-            den = den * m.den // math.gcd(den, m.den)
+        den = math.lcm(*(m.den for m in mats))
         parts0, parts1 = [], []
         for m in mats:
             s = den // m.den
@@ -428,12 +394,6 @@ class Subspace:
         coords = m.submatrix(range(m.shape[0]), list(self.pivots))
         return (m - coords @ self.basis).is_zero()
 
-    def coords_of_rows(self, m: ExactMatrix) -> ExactMatrix:
-        coords = m.submatrix(range(m.shape[0]), list(self.pivots))
-        if not (m - coords @ self.basis).is_zero():
-            raise ValueError("rows are not in the subspace")
-        return coords
-
     def key(self):
         return (self.ambient, self.pivots, self.basis.key())
 
@@ -445,17 +405,15 @@ class Subspace:
 # Row reduction
 
 
-def _rref_rational(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    red, pivots = intlinalg.int_rref(m.n0)
+def _leading_one(red: np.ndarray, pivots, ncols: int) -> ExactMatrix:
+    """The leading-1 RREF whose rows are the primitive integer rows `red`
+    (as int_rref returns them) divided by their pivot entries."""
     if len(pivots) == 0:
-        return ExactMatrix.zeros(0, m.shape[1]), ()
-    piv = np.array([int(red[i, p]) for i, p in enumerate(pivots)], dtype=object)
-    den = 1
-    for p in piv:
-        den = den * int(p) // math.gcd(den, int(p))
-    scale = np.array([den // int(p) for p in piv], dtype=object)
-    rows = _as_obj(red) * scale[:, None]
-    return ExactMatrix(rows, None, den), pivots
+        return ExactMatrix.zeros(0, ncols)
+    piv = [int(red[i, p]) for i, p in enumerate(pivots)]
+    den = math.lcm(*piv)
+    scale = np.array([den // p for p in piv], dtype=object)
+    return ExactMatrix(_to_object(red) * scale[:, None], None, den)
 
 
 def _generic_rref(rows: list[list[ExactScalar]]):
@@ -484,7 +442,8 @@ def _generic_rref(rows: list[list[ExactScalar]]):
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Leading-1 reduced row echelon form of the row space of m."""
     if m.is_rational:
-        return _rref_rational(m)
+        red, pivots = intlinalg.int_rref(m.n0)
+        return _leading_one(red, pivots, m.shape[1]), pivots
     red, pivots = _generic_rref([list(r) for r in m.rows()])
     if not red:
         return ExactMatrix.zeros(0, m.shape[1]), ()
@@ -500,12 +459,8 @@ def kernel(m: ExactMatrix) -> Subspace:
     """Exact right null space {v : m v = 0} with RREF basis rows."""
     ncols = m.shape[1]
     if m.is_rational:
-        basis = intlinalg.int_kernel(m.n0)
-        if basis.shape[0] == 0:
-            return Subspace(ncols, ExactMatrix.zeros(0, ncols), ())
-        s = ExactMatrix(basis, None)
-        b, pivots = _rref_rational(s)
-        return Subspace(ncols, b, pivots)
+        basis, pivots = intlinalg.int_kernel(m.n0)
+        return Subspace(ncols, _leading_one(basis, pivots, ncols), pivots)
     red, pivots = _generic_rref([list(r) for r in m.rows()])
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
@@ -546,11 +501,9 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
         raise ValueError("matrix must be square")
     if m.is_rational:
         num, den = intlinalg.int_inverse(m.n0)
-        dlcm = 1
-        for d in den:
-            dlcm = dlcm * int(d) // math.gcd(dlcm, int(d))
+        dlcm = math.lcm(*map(int, den))
         scale = np.array([dlcm // int(d) for d in den], dtype=object)
-        rows = _as_obj(num) * scale[:, None] * m.den
+        rows = _to_object(num) * scale[:, None] * m.den
         return ExactMatrix(rows, None, dlcm)
     red, pivots = _generic_rref(
         [list(r) + [ExactScalar(1 if i == j else 0) for j in range(n)]
@@ -601,10 +554,6 @@ def spectral_projectors(a: ExactMatrix, eigs) -> list[ExactMatrix]:
         if a @ p != p.scale(ei):
             raise ValueError(f"projector fails A E = {ei} E")
     return projs
-
-
-def spectral_projector(a: ExactMatrix, eigs, i: int) -> ExactMatrix:
-    return spectral_projectors(a, eigs)[i]
 
 
 def orthogonal_projector(s: Subspace) -> ExactMatrix:

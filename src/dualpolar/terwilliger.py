@@ -29,15 +29,25 @@ from .drg import (
 )
 from .exact import ExactScalar, q_pow
 from .intlinalg import int_matmul
+from .leonard import tridiagonal_residuals
 from .linexact import (
     ExactMatrix,
     Subspace,
     inverse,
     kernel,
+    orthogonal_projector,
     rref,
     row_space,
 )
 from .polar import PolarGraph
+from .uqsl2 import casimir_scalar
+
+# Graphs of at most this many vertices get component projectors and what is
+# built from them: the displacement and diameter weights, the center
+# identities, the module Leonard systems and the U_q(sl2) structures.  Larger
+# graphs skip them, avoiding n x n exact projectors and the exact inversion
+# of large Gram matrices.
+PROJECTOR_MAX_VERTICES = 300
 
 
 @dataclass
@@ -137,35 +147,39 @@ def commutes(a: ExactMatrix, b: ExactMatrix) -> bool:
 # The L, F, R, K relations
 
 
+LFRK_STATEMENTS = (
+    "K L = q^2 L K",
+    "K F = F K",
+    "K R = q^-2 R K",
+    "L F - q^2 F L = (q^2e - 1) L",
+    "F R - q^2 R F = (q^2e - 1) R",
+    "q^4/(q^2+1) R L^2 - L R L + q^-2/(q^2+1) L^2 R = -q^(2e+2D-2) L",
+    "q^4/(q^2+1) R^2 L - R L R + q^-2/(q^2+1) L R^2 = -q^(2e+2D-2) R",
+)
+
+
 def lfrk_relations(ctx: TerwilligerContext) -> list[tuple[str, ExactMatrix]]:
-    """The seven generator relations, as (statement, lhs - rhs) pairs."""
+    """The seven generator relations, as (statement, lhs - rhs) pairs in the
+    order of LFRK_STATEMENTS."""
     L, F, R, K = ctx.L, ctx.F, ctx.R, ctx.K
     q2 = ExactScalar(ctx.b)
     q2e = ctx.qexp(ctx.two_e())
     qpow = ctx.qexp(ctx.two_e() + 2 * ctx.D - 2)
     one = ExactScalar(1)
-    rels = [
-        ("K L = q^2 L K", (K @ L) - (L @ K).scale(q2)),
-        ("K F = F K", (K @ F) - (F @ K)),
-        ("K R = q^-2 R K", (K @ R) - (R @ K).scale(q2.inverse())),
-        ("L F - q^2 F L = (q^2e - 1) L",
-         (L @ F) - (F @ L).scale(q2) - L.scale(q2e - one)),
-        ("F R - q^2 R F = (q^2e - 1) R",
-         (F @ R) - (R @ F).scale(q2) - R.scale(q2e - one)),
-    ]
     c_hi = q2 * q2 / (q2 + 1)
     c_lo = q2.inverse() / (q2 + 1)
-    rl2 = (R @ L @ L).scale(c_hi) - (L @ R @ L) + (L @ L @ R).scale(c_lo)
-    rels.append((
-        "q^4/(q^2+1) R L^2 - L R L + q^-2/(q^2+1) L^2 R = -q^(2e+2D-2) L",
-        rl2 + L.scale(qpow),
-    ))
-    r2l = (R @ R @ L).scale(c_hi) - (R @ L @ R) + (L @ R @ R).scale(c_lo)
-    rels.append((
-        "q^4/(q^2+1) R^2 L - R L R + q^-2/(q^2+1) L R^2 = -q^(2e+2D-2) R",
-        r2l + R.scale(qpow),
-    ))
-    return rels
+    resids = [
+        (K @ L) - (L @ K).scale(q2),
+        (K @ F) - (F @ K),
+        (K @ R) - (R @ K).scale(q2.inverse()),
+        (L @ F) - (F @ L).scale(q2) - L.scale(q2e - one),
+        (F @ R) - (R @ F).scale(q2) - R.scale(q2e - one),
+        (R @ L @ L).scale(c_hi) - (L @ R @ L) + (L @ L @ R).scale(c_lo)
+        + L.scale(qpow),
+        (R @ R @ L).scale(c_hi) - (R @ L @ R) + (L @ R @ R).scale(c_lo)
+        + R.scale(qpow),
+    ]
+    return list(zip(LFRK_STATEMENTS, resids))
 
 
 def verify_lfrk(ctx: TerwilligerContext) -> list[dict]:
@@ -210,15 +224,9 @@ def verify_lrf_commutations(ctx: TerwilligerContext) -> bool:
 
 def verify_tridiagonal_relations(ctx: TerwilligerContext) -> bool:
     """Both bracket relations with the five tridiagonal scalars."""
-    beta, gamma, gamma_star, rho, rho_star = td_scalars(ctx.g.spec)
-    A, As = ctx.A, ctx.Astar
-    inner1 = (A @ A @ As) - (A @ As @ A).scale(beta) + (As @ A @ A) \
-        - ((A @ As) + (As @ A)).scale(gamma) - As.scale(rho)
-    if not commutes(A, inner1):
-        return False
-    inner2 = (As @ As @ A) - (As @ A @ As).scale(beta) + (A @ As @ As) \
-        - ((As @ A) + (A @ As)).scale(gamma_star) - A.scale(rho_star)
-    return commutes(As, inner2)
+    inner1, inner2 = tridiagonal_residuals(ctx.A, ctx.Astar,
+                                           *td_scalars(ctx.g.spec))
+    return commutes(ctx.A, inner1) and commutes(ctx.Astar, inner2)
 
 
 # ---------------------------------------------------------------------------
@@ -518,14 +526,16 @@ class HomogeneousComponent:
         return self.mult * (self.d + 1)
 
 
-def _embed_rows(local: ExactMatrix, block: np.ndarray, n: int) -> ExactMatrix:
-    n0 = np.zeros((local.shape[0], n), dtype=local.n0.dtype)
-    n0[:, block] = local.n0
-    n1 = None
-    if local.n1 is not None:
-        n1 = np.zeros((local.shape[0], n), dtype=local.n1.dtype)
-        n1[:, block] = local.n1
-    return ExactMatrix(n0, n1, local.den, local.rad)
+def _embed(local: ExactMatrix, shape, index) -> ExactMatrix:
+    """The matrix of the given shape holding `local` at `index`, 0 elsewhere."""
+    def place(part):
+        if part is None:
+            return None
+        out = np.zeros(shape, dtype=part.dtype)
+        out[index] = part
+        return out
+
+    return ExactMatrix(place(local.n0), place(local.n1), local.den, local.rad)
 
 
 def _split_by_operator(vectors: ExactMatrix, op_image: ExactMatrix, eigvals):
@@ -551,25 +561,23 @@ def _split_by_operator(vectors: ExactMatrix, op_image: ExactMatrix, eigvals):
 
 
 def decompose(ctx: TerwilligerContext, cents: CentralElements | None = None,
-              full: bool = True,
-              with_projectors: bool | None = None) -> list[HomogeneousComponent]:
+              full: bool = True) -> list[HomogeneousComponent]:
     """Homogeneous components of the standard module.
 
     With full=True (requires the central elements) every component carries
     its RREF basis, and the whole decomposition is certified: joint-kernel
     membership, A/A*-invariance, pairwise orthogonality, and the dimension
-    count that pins the joint kernels exactly.  Orthogonal projectors are
-    attached when with_projectors is true (the default up to 300
-    vertices); exact inversion of very large Gram matrices is avoided
-    otherwise, and sum(E) = I then follows from orthogonality plus the
+    count that pins the joint kernels exactly.  On graphs of at most
+    PROJECTOR_MAX_VERTICES vertices each component also carries its
+    orthogonal projector, and the projectors are certified to sum to I;
+    above it the exact inversion of large Gram matrices is avoided, the
+    projector is None, and sum(E) = I follows from orthogonality plus the
     dimension count.  With full=False only the feasible triples with
     multiplicities are computed (used for base-vertex sampling); dimensions
     still must sum to |X|.
     """
     if full and cents is None:
         raise ValueError("full decomposition requires the central elements")
-    if with_projectors is None:
-        with_projectors = full and ctx.n <= 300
     n, D, b = ctx.n, ctx.D, ctx.b
     spec = ctx.g.spec
     adj = ctx.g.adjacency
@@ -632,9 +640,7 @@ def decompose(ctx: TerwilligerContext, cents: CentralElements | None = None,
                 raise AssertionError("chi0 does not separate dual endpoints")
             pieces = _split_by_operator(vectors, image, cand)
             for t, rows in pieces.items():
-                comps.append(
-                    _build_component(ctx, r, t, d, rows, U, full,
-                                     with_projectors))
+                comps.append(_build_component(ctx, r, t, d, rows, U, full))
     if full:
         _certify_decomposition(ctx, cents, comps)
     else:
@@ -645,13 +651,14 @@ def decompose(ctx: TerwilligerContext, cents: CentralElements | None = None,
 
 
 def _build_component(ctx: TerwilligerContext, r: int, t: int, d: int,
-                     low_rows: ExactMatrix, U, full: bool = True,
-                     with_projectors: bool = True) -> HomogeneousComponent:
+                     low_rows: ExactMatrix, U,
+                     full: bool = True) -> HomogeneousComponent:
     n = ctx.n
     mult = low_rows.shape[0]
     rungs = []
     embedded = []
-    proj = ExactMatrix.zeros(n, n) if (full and with_projectors) else None
+    with_projector = full and n <= PROJECTOR_MAX_VERTICES
+    proj = ExactMatrix.zeros(n, n) if with_projector else None
     for j in range(d + 1):
         rung = low_rows @ ExactMatrix.from_int(U[j]).T
         base, pivots = rref(rung)
@@ -660,13 +667,11 @@ def _build_component(ctx: TerwilligerContext, r: int, t: int, d: int,
         rungs.append(base)
         if not full:
             continue
-        emb = _embed_rows(base, ctx.blocks[r + j], n)
-        embedded.append(emb)
-        if with_projectors:
-            gram = base @ base.T
-            ginv = inverse(gram)
-            local_proj = base.T @ ginv @ base
-            proj = proj + _embed_block(local_proj, ctx.blocks[r + j], n)
+        block = ctx.blocks[r + j]
+        embedded.append(_embed(base, (mult, n), (slice(None), block)))
+        if with_projector:
+            local = orthogonal_projector(Subspace(len(block), base, pivots))
+            proj = proj + _embed(local, (n, n), np.ix_(block, block))
     if not full:
         return HomogeneousComponent(r, t, d, mult, rungs, None, None)
     stacked = ExactMatrix.stack_rows(embedded)
@@ -674,16 +679,6 @@ def _build_component(ctx: TerwilligerContext, r: int, t: int, d: int,
     if basis.dim != mult * (d + 1):
         raise AssertionError("component dimension mismatch")
     return HomogeneousComponent(r, t, d, mult, rungs, basis, proj)
-
-
-def _embed_block(local: ExactMatrix, block: np.ndarray, n: int) -> ExactMatrix:
-    n0 = np.zeros((n, n), dtype=local.n0.dtype)
-    n0[np.ix_(block, block)] = local.n0
-    n1 = None
-    if local.n1 is not None:
-        n1 = np.zeros((n, n), dtype=local.n1.dtype)
-        n1[np.ix_(block, block)] = local.n1
-    return ExactMatrix(n0, n1, local.den, local.rad)
 
 
 def _certify_decomposition(ctx: TerwilligerContext, cents: CentralElements,
@@ -760,13 +755,6 @@ class CenterData:
     Lam: ExactMatrix
 
 
-def casimir_value(ctx: TerwilligerContext, d: int, eps: int = 1) -> ExactScalar:
-    """eps (q^(d+1) + q^(-d-1)) / (q - q^-1)^2."""
-    q = ctx.q
-    dd = (q - q.inverse()) ** 2
-    return (ctx.qexp(d + 1) + ctx.qexp(-d - 1)) * ExactScalar(eps) / dd
-
-
 def upsilon_psi_lambda(ctx: TerwilligerContext,
                        comps: list[HomogeneousComponent]) -> CenterData:
     n = ctx.n
@@ -800,7 +788,7 @@ def upsilon_psi_lambda(ctx: TerwilligerContext,
     ups_inv = weighted(sigma, lambda mu: ctx.qexp(-mu))
     psi_m = weighted(psi, lambda nu: ctx.qexp(nu))
     psi_inv = weighted(psi, lambda nu: ctx.qexp(-nu))
-    lam = weighted(rho, lambda d: casimir_value(ctx, d))
+    lam = weighted(rho, lambda d: casimir_scalar(ctx.q, d, 1))
     if ups @ ups_inv != ident or psi_m @ psi_inv != ident:
         raise AssertionError("displacement weights are not invertible")
     return CenterData(sigma, psi, rho, ups, ups_inv, psi_m, psi_inv, lam)
@@ -838,7 +826,7 @@ def verify_center_identities(ctx: TerwilligerContext, cents: CentralElements,
     ups_psi_lam = assemble_on_components(
         ctx, comps,
         lambda c: ctx.qexp(-(c.r + c.t + c.d - ctx.D) - (c.r - c.t))
-        * casimir_value(ctx, c.d))
+        * casimir_scalar(ctx.q, c.d, 1))
     pref = ctx.qexp(ctx.two_e() + ctx.D - 3) * (q2 - 1) / (q2 + 1)
     if cents.C1 != ups_psi_lam.scale(pref):
         raise AssertionError("C1 displacement expression fails")
@@ -962,7 +950,8 @@ def extract_module(ctx: TerwilligerContext, comp: HomogeneousComponent,
     r, t, d = comp.triple
     n = ctx.n
     if seed is None:
-        lowest = _embed_rows(comp.rungs[0], ctx.blocks[r], n)
+        lowest = _embed(comp.rungs[0], (comp.mult, n),
+                        (slice(None), ctx.blocks[r]))
         base, _ = rref(lowest)
         seed = base.take_rows([0])
     if seed.shape != (1, n):

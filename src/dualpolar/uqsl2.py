@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import ExactScalar, q_pow
-from .leonard import DqkParams, LeonardRealization, dqk_ddown_params
+from .leonard import DqkParams, LeonardRealization
 from .linexact import ExactMatrix, inverse
 
 
@@ -31,6 +31,8 @@ def bracket(q: ExactScalar, n: int) -> ExactScalar:
 
 
 def casimir_scalar(q: ExactScalar, d: int, eps: int) -> ExactScalar:
+    """eps (q^(d+1) + q^(-d-1)) / (q - q^-1)^2, the Casimir value on
+    L(d, eps)."""
     return ExactScalar(eps) * (q_pow(q, d + 1) + q_pow(q, -d - 1)) \
         / (q - q.inverse()) ** 2
 

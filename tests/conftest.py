@@ -15,16 +15,6 @@ def graph_d32():
 
 
 @pytest.fixture(scope="session")
-def graph_2d42():
-    return build_polar_graph(FormSpec("2D", 3, 2))
-
-
-@pytest.fixture(scope="session")
-def graph_2a52():
-    return build_polar_graph(FormSpec("2A_odd", 3, 4))
-
-
-@pytest.fixture(scope="session")
 def bm_c32(graph_c32):
     return spectral_data(graph_c32)
 

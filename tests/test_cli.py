@@ -1,10 +1,12 @@
 """The command line end to end on D_3(2): build, verify, and bad input."""
 
+import importlib
 import json
 
 import pytest
 
 from dualpolar.cli import main
+from dualpolar.drg import NotDistanceRegularError
 
 LFRK_IDS = [
     "lfrk:K L = q^2 L K",
@@ -104,3 +106,97 @@ def test_verify_decomposes_once(d32_file, capsys, monkeypatch, suite, ids):
     report = json.loads(capsys.readouterr().out)
     assert sorted(c["id"] for c in report["checks"]) == sorted(ids)
     assert len(calls) == 1
+
+
+def _raiser(exc, calls):
+    def broken(*args, **kwargs):
+        calls.append(args)
+        raise exc
+    return broken
+
+
+STAGE_FAILURES = {
+    # stage function -> (error it raises, ids of the checks that need it)
+    "drg.verify_distance_regular": (
+        NotDistanceRegularError(1, 1, 1, 3, 4, 2, 5),
+        ["drg:counts", "drg:intersection"]),
+    "terwilliger.central_elements": (
+        AssertionError("G* vs C0 expression fails"),
+        ["central:construction", "central:omega-entries",
+         "central:g-entries", "modules:dimension", "modules:center-commute",
+         "modules:center-identities", "uq:variant1", "uq:cross-variant"]),
+    "terwilliger.decompose": (
+        AssertionError("components are not pairwise orthogonal"),
+        ["modules:dimension", "modules:center-commute",
+         "modules:center-identities", "uq:variant1", "uq:cross-variant"]),
+    "uqsl2.uq_on_standard_module": (
+        AssertionError("Chevalley images in K, L, R fail"),
+        ["uq:variant1", "uq:cross-variant"]),
+}
+
+
+@pytest.mark.parametrize("target", sorted(STAGE_FAILURES))
+def test_failing_stage_fails_its_checks(d32_file, capsys, monkeypatch,
+                                        target):
+    mod, name = target.split(".")
+    exc, dependent = STAGE_FAILURES[target]
+    calls = []
+    monkeypatch.setattr(importlib.import_module(f"dualpolar.{mod}"), name,
+                        _raiser(exc, calls))
+    capsys.readouterr()
+    assert main(["verify", "--graph", d32_file, "--suite", "all"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    checks = {c["id"]: c for c in report["checks"]}
+    for cid in dependent:
+        assert checks[cid]["status"] == "fail", cid
+        assert str(exc) in checks[cid]["witness"], cid
+    failed = sorted(c for c in checks if checks[c]["status"] == "fail")
+    assert failed == sorted(dependent)
+    assert report["summary"]["fail"] == len(dependent)
+    assert report["summary"]["skipped"] == 0
+    # the checks of every unaffected suite are all present, and pass
+    for cid in D32_IDS:
+        if cid.split(":")[0] not in {d.split(":")[0] for d in dependent}:
+            assert checks[cid]["status"] == "pass", cid
+    assert len(calls) == 1  # a failed stage is not rebuilt for each check
+
+
+LEONARD_ARRAY = {"q": "2", "d": 3, "h": "1", "h_star": "-2", "kappa": "1",
+                 "kappa_star": "2", "upsilon": "5"}
+
+
+@pytest.mark.parametrize("content", [
+    "[1, 2, 3]",
+    '{"theta": 5, "theta_star": 5, "phi": 5, "phi2": 5}',
+    '{"theta": ["0 + 1*sqrt(2)", "0 + 1*sqrt(3)"], "theta_star": ["0", "1"],'
+    ' "phi": ["1"], "phi2": ["1"]}',
+    json.dumps({**LEONARD_ARRAY, "q": "0"}),
+], ids=["list", "scalar-theta", "mixed-radicands", "q-zero"])
+def test_malformed_parameter_array_is_input_error(tmp_path, capsys, content):
+    path = tmp_path / "array.json"
+    path.write_text(content)
+    assert main(["leonard", "--params", str(path)]) == 2
+    assert "cannot load parameter array" in capsys.readouterr().err
+
+
+def test_unknown_leonard_action_is_input_error(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps(LEONARD_ARRAY))
+    assert main(["leonard", "--params", str(path),
+                 "--actions", "validate,realize"]) == 0
+    capsys.readouterr()
+    assert main(["leonard", "--params", str(path),
+                 "--actions", "validat"]) == 2
+    assert "'validat'" in capsys.readouterr().err
+
+
+def test_negative_vertex_sample_is_input_error(d32_file, capsys, monkeypatch):
+    from dualpolar import terwilliger
+
+    calls = []
+    monkeypatch.setattr(terwilliger, "decompose", _raiser(AssertionError(),
+                                                          calls))
+    assert main(["verify", "--graph", d32_file, "--suite", "modules",
+                 "--all-vertices-sample", "-1"]) == 2
+    assert "--all-vertices-sample" in capsys.readouterr().err
+    assert calls == []

@@ -5,7 +5,6 @@ import pytest
 from dualpolar.exact import (
     ExactScalar,
     MixedRadicandError,
-    QPower,
     parse_scalar,
     q_pow,
 )
@@ -83,12 +82,6 @@ def test_q_pow_additivity():
         for m in range(-30, 31, 7):
             for n in range(-30, 31, 11):
                 assert q_pow(q, m) * q_pow(q, n) == q_pow(q, m + n)
-
-
-def test_qpower_class():
-    q = ExactScalar.sqrt(2)
-    assert QPower(q, 6).value() == ExactScalar(8)
-    assert QPower(q, 3) == QPower(q, 3)
 
 
 def test_render_parse_roundtrip():

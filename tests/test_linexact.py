@@ -14,7 +14,6 @@ from dualpolar.linexact import (
     orthogonal_projector,
     row_space,
     rref,
-    spectral_projector,
     spectral_projectors,
 )
 
@@ -64,11 +63,13 @@ def test_int_kernel_annihilates():
         m = intlinalg.as_int_array(
             [[rng.randrange(-5, 6) for _ in range(nc)] for _ in range(nr)]
         )
-        k = intlinalg.int_kernel(m)
+        k, pivots = intlinalg.int_kernel(m)
         rank = intlinalg.int_rank(m)
         assert k.shape[0] == nc - rank
         if k.shape[0]:
             assert not np.any(m.astype(object) @ k.astype(object).T)
+            red, piv = intlinalg.int_rref(k)  # already canonical
+            assert piv == pivots and (red == k).all()
 
 
 def test_kernel_zero_matrix_full_space():
@@ -141,7 +142,7 @@ def test_inverse_roundtrip():
 
 def test_spectral_projector_diag():
     a = ExactMatrix.diag([2, 5])
-    e0 = spectral_projector(a, [2, 5], 0)
+    e0 = spectral_projectors(a, [2, 5])[0]
     assert e0 == ExactMatrix.diag([1, 0])
 
 
@@ -160,9 +161,9 @@ def test_spectral_projector_family_identities():
 def test_spectral_projector_errors():
     a = ExactMatrix.diag([2, 5])
     with pytest.raises(ValueError):
-        spectral_projector(a, [2, 2], 0)
+        spectral_projectors(a, [2, 2])
     with pytest.raises(ValueError):
-        spectral_projector(a, [2, 4], 0)
+        spectral_projectors(a, [2, 4])
 
 
 def test_orthogonal_projector_trivial():

@@ -10,7 +10,6 @@ from dualpolar.terwilliger import (
     _omega_coeffs,
     aw_module_scalars,
     build_context,
-    casimir_value,
     central_characterization_matrix,
     central_elements,
     chi0,
@@ -29,6 +28,7 @@ from dualpolar.terwilliger import (
     verify_omega_entry_table,
     verify_tridiagonal_relations,
 )
+from dualpolar.uqsl2 import casimir_scalar
 
 
 @pytest.fixture(scope="module")
@@ -308,7 +308,7 @@ def test_center_identities(ctx_c32, cents_c32, comps_c32):
     bt = primary.basis.basis.T
     assert (center.Upsilon @ bt) == bt
     # Lambda acts on the primary component as (q^4 + q^-4)/(q - q^-1)^2
-    assert casimir_value(ctx_c32, 3) == ExactScalar(Fraction(17, 2))
+    assert casimir_scalar(ctx_c32.q, 3, 1) == ExactScalar(Fraction(17, 2))
     assert (center.Lam @ bt) == bt.scale(ExactScalar(Fraction(17, 2)))
 
 
