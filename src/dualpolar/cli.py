@@ -107,9 +107,10 @@ def cmd_build(args) -> int:
 
 
 class _Stages:
-    """The shared stages of one verify call.  Each is built at most once, on
-    first use; one that raised raises the same error again for every check
-    that depends on it, so that check fails with the message as witness."""
+    """The shared stages of one verify or leonard call.  Each is built at
+    most once, on first use; one that raised raises the same error again
+    for every check that depends on it, so that check fails with the
+    message as witness."""
 
     def __init__(self, **builders):
         self._builders = builders
@@ -315,6 +316,7 @@ def cmd_verify(args) -> int:
 
 
 LEONARD_ACTIONS = ("validate", "realize", "d4", "scalars", "uq")
+LEONARD_BASES = ("split", "normalized-split", "standard")
 
 
 def cmd_leonard(args) -> int:
@@ -336,6 +338,9 @@ def cmd_leonard(args) -> int:
         raise InputError(f"cannot load parameter array: {exc}") from exc
     meta = {"params": args.params, "d": pa.d, "actions": actions}
     report = Report("leonard", meta)
+    # each basis is realized (and certified) once, for every check using it
+    real = _Stages(**{basis: lambda basis=basis: ln.realize(pa, basis)
+                      for basis in LEONARD_BASES})
     if "validate" in actions:
         witness = None
         if verdict.valid and verdict.beta_plus_one is not None:
@@ -348,12 +353,12 @@ def cmd_leonard(args) -> int:
     if not verdict.valid:
         return _emit(report)
     if "realize" in actions:
-        for basis in ("split", "normalized-split", "standard"):
+        for basis in LEONARD_BASES:
             report.run(f"leonard:realize:{basis}",
                        f"{basis} realization satisfies the Leonard axioms "
                        "and extracts back to the same array",
                        lambda basis=basis: ln.extract_from_realization(
-                           ln.realize(pa, basis)) == pa)
+                           real[basis]) == pa)
     if "d4" in actions:
         orbit = {}
         for g1 in ("*", "down", "ddown"):
@@ -370,8 +375,7 @@ def cmd_leonard(args) -> int:
             s = ln.td_aw_scalars(pa) if pa.d >= 3 else None
             if s is None:
                 return True
-            real = ln.realize(pa, "split")
-            return ln.verify_td_aw_matrix(real, s)
+            return ln.verify_td_aw_matrix(real["split"], s)
         report.run("leonard:scalars", "tridiagonal and Askey-Wilson "
                    "relations hold with the recurrence scalars",
                    scalars_check)
@@ -383,9 +387,8 @@ def cmd_leonard(args) -> int:
             from .uqsl2 import uq_on_leonard, verify_cross_variant_leonard
 
             p = ln.dqk_params_from_json(data)
-            real = ln.realize(pa, "normalized-split")
-            a1 = uq_on_leonard(real, p, 1, 1)
-            a2 = uq_on_leonard(real, p, 1, 2)
+            a1 = uq_on_leonard(real["normalized-split"], p, 1, 1)
+            a2 = uq_on_leonard(real["normalized-split"], p, 1, 2)
             return verify_cross_variant_leonard(a1, a2, p)
         report.run("leonard:uq", "both module structures exist and are "
                    "related by the variant translation", uq_check)

@@ -111,7 +111,8 @@ def closed_form_intersection(spec: FormSpec) -> tuple[list[int], list[int], list
     for i in range(D + 1):
         bi = b_pow(b, i + e) * (b ** (D - i) - 1) / (b - 1)
         ai = (b_pow(b, e) - 1) * (b ** i - 1) / (b - 1)
-        assert bi.denominator == 1 and ai.denominator == 1
+        if bi.denominator != 1 or ai.denominator != 1:
+            raise AssertionError(f"b_{i} or a_{i} is not an integer")
         bb.append(int(bi))
         aa.append(int(ai))
     return c, aa, bb
@@ -137,7 +138,8 @@ def closed_form_multiplicities(spec: FormSpec) -> list[int]:
         m *= (1 + b_pow(b, D + e - 2 * i)) / (1 + b_pow(b, D + e - i))
         for j in range(1, i + 1):
             m *= (1 + b_pow(b, D + e - j)) / (1 + b_pow(b, j - e))
-        assert m.denominator == 1
+        if m.denominator != 1:
+            raise AssertionError(f"m_{i} = {m} is not an integer")
         out.append(int(m))
     return out
 
@@ -270,17 +272,26 @@ def td_scalars(spec: FormSpec):
     rho_star = b * (b_pow(b, D + e - 2) + 1) ** 2
     th = closed_form_eigenvalues(spec)
     ths = closed_form_dual_eigenvalues(spec)
+
+    def holds(ok, what, i):
+        if not ok:
+            raise AssertionError(f"{what} fails its recurrence at i = {i}")
+
     for i in range(2, D - 1 + 1):
         if i + 1 <= D and i - 2 >= 0:
-            assert (th[i - 2] - th[i + 1]) / (th[i - 1] - th[i]) == beta + 1
-            assert (ths[i - 2] - ths[i + 1]) / (ths[i - 1] - ths[i]) == beta + 1
+            holds((th[i - 2] - th[i + 1]) / (th[i - 1] - th[i]) == beta + 1,
+                  "beta", i)
+            holds((ths[i - 2] - ths[i + 1]) / (ths[i - 1] - ths[i])
+                  == beta + 1, "beta (dual)", i)
     for i in range(1, D):
-        assert gamma == th[i - 1] - beta * th[i] + th[i + 1]
-        assert gamma_star == ths[i - 1] - beta * ths[i] + ths[i + 1]
+        holds(gamma == th[i - 1] - beta * th[i] + th[i + 1], "gamma", i)
+        holds(gamma_star == ths[i - 1] - beta * ths[i] + ths[i + 1],
+              "gamma*", i)
     for i in range(1, D + 1):
-        assert rho == (th[i - 1] ** 2 - beta * th[i - 1] * th[i] + th[i] ** 2
-                       - gamma * (th[i - 1] + th[i]))
-        assert rho_star == (ths[i - 1] ** 2 - beta * ths[i - 1] * ths[i]
-                            + ths[i] ** 2 - gamma_star * (ths[i - 1] + ths[i]))
+        holds(rho == (th[i - 1] ** 2 - beta * th[i - 1] * th[i] + th[i] ** 2
+                      - gamma * (th[i - 1] + th[i])), "rho", i)
+        holds(rho_star == (ths[i - 1] ** 2 - beta * ths[i - 1] * ths[i]
+                           + ths[i] ** 2 - gamma_star * (ths[i - 1] + ths[i])),
+              "rho*", i)
     return beta, gamma, gamma_star, rho, rho_star
 

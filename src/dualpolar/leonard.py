@@ -7,19 +7,30 @@ split / normalized-split / standard bases, and converted to intersection
 data and tridiagonal / Askey-Wilson scalars.  The dual q-Krawtchouk family
 is generated from its closed forms, and parameter arrays are extracted from
 irreducible modules of a dual polar graph via the split decomposition.
+
+Every primitive idempotent of a Leonard system is rank one,
+E_i = v_i w_i / (w_i v_i) with v_i, w_i the right and left theta_i
+eigenvectors, and every matrix realized here is tridiagonal (split and
+normalized-split are bidiagonal, standard is tridiagonal plus a diagonal
+matrix, a module's A* on its dual standard basis is tridiagonal).  So no
+idempotent is ever formed: `eigenbasis` solves for V and W by the
+three-term recurrence and certifies them with three exact identities,
+`certify_leonard_system` reads both Leonard axioms off the zero patterns of
+the two (d+1) x (d+1) matrices W A* V and W* A V*, and
+`first_split_sequence` finds phi_i along one vector recurrence (Terwilliger,
+*Two linear transformations each tridiagonal with respect to an eigenbasis
+of the other*, Linear Algebra Appl. 330 (2001); *Leonard pairs from 24
+points of view*, Rocky Mountain J. Math. 32 (2002)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exact import ExactScalar, q_pow
-from .linexact import (
-    ExactMatrix,
-    intersect,
-    row_space,
-    spectral_projectors,
-)
+from .linexact import ExactMatrix
 
 
 def _sc(x) -> ExactScalar:
@@ -75,10 +86,9 @@ def validate(pa: ParameterArray) -> Verdict:
             return Verdict(False, None, ("PA2", i))
     if d >= 1:
         span = th[0] - th[d]
+        acc = ExactScalar(0)  # sum_(h < i) (theta_h - theta_(d-h)) / span
         for i in range(1, d + 1):
-            acc = ExactScalar(0)
-            for h in range(i):
-                acc = acc + (th[h] - th[d - h]) / span
+            acc = acc + (th[i - 1] - th[d - i + 1]) / span
             want3 = phi2[0] * acc + (ths[i] - ths[0]) * (th[i - 1] - th[d])
             if phi[i - 1] != want3:
                 return Verdict(False, None, ("PA3", i))
@@ -194,30 +204,122 @@ def d4_transform(pa: ParameterArray, g: str) -> ParameterArray:
 # Matrix realizations
 
 
+@dataclass(frozen=True)
+class Eigenbasis:
+    """Right eigenvectors (the columns of V) and left eigenvectors (the rows
+    of W) of one matrix, for its eigenvalues in order, with W V diagonal and
+    invertible.  The primitive idempotents are E_i = v_i w_i / (w_i v_i)."""
+    V: ExactMatrix
+    W: ExactMatrix
+
+
 @dataclass
 class LeonardRealization:
     pa: ParameterArray
     basis: str
     A: ExactMatrix
     Astar: ExactMatrix
-    E: list[ExactMatrix]
-    Estar: list[ExactMatrix]
+    eig: Eigenbasis
+    eig_star: Eigenbasis
 
 
-def _check_leonard_axioms(A, Astar, E, Estar, d):
-    for i in range(d + 1):
-        for j in range(d + 1):
-            gap = abs(i - j)
-            p1 = E[i] @ Astar @ E[j]
-            if gap > 1 and not p1.is_zero():
-                raise AssertionError(f"E_{i} A* E_{j} should vanish")
-            if gap == 1 and p1.is_zero():
-                raise AssertionError(f"E_{i} A* E_{j} should not vanish")
-            p2 = Estar[i] @ A @ Estar[j]
-            if gap > 1 and not p2.is_zero():
-                raise AssertionError(f"E*_{i} A E*_{j} should vanish")
-            if gap == 1 and p2.is_zero():
-                raise AssertionError(f"E*_{i} A E*_{j} should not vanish")
+def _nonzero(m: ExactMatrix) -> np.ndarray:
+    """Boolean mask of the nonzero entries of m."""
+    nz = m.n0 != 0
+    return nz if m.n1 is None else nz | (m.n1 != 0)
+
+
+def _tridiagonal_eigenvectors(m: ExactMatrix, eigs) -> ExactMatrix:
+    """The matrix V whose column j solves (m - eigs[j]) v = 0 in every row
+    the three-term recurrence uses; `eigenbasis` checks the row left over.
+
+    With every superdiagonal entry of m nonzero, row 0 of V is all ones and
+    row i of m gives row i+1 of V, for all eigenvalues at once.  With every
+    subdiagonal entry nonzero the same runs on m in reversed index order.
+    A diagonal m has unit vectors."""
+    n = m.shape[0]
+    nz = _nonzero(m)
+    if all(nz[i, i + 1] for i in range(n - 1)):
+        lam = ExactMatrix.from_rows([list(eigs)])
+        rows = [ExactMatrix.from_int(np.ones((1, n), dtype=np.int64))]
+        for i in range(n - 1):
+            # m[i,i-1] v[i-1] + (m[i,i] - theta) v[i] + m[i,i+1] v[i+1] = 0
+            acc = rows[i].scale(m.entry(i, i)) - rows[i].entrywise(lam)
+            if i:
+                acc = acc + rows[i - 1].scale(m.entry(i, i - 1))
+            rows.append(acc.scale(-m.entry(i, i + 1).inverse()))
+        return ExactMatrix.stack_rows(rows)
+    if all(nz[i + 1, i] for i in range(n - 1)):
+        rev = list(range(n - 1, -1, -1))
+        return _tridiagonal_eigenvectors(m.submatrix(rev, rev),
+                                         eigs).take_rows(rev)
+    if np.any(nz & ~np.eye(n, dtype=bool)):
+        raise AssertionError("matrix is neither diagonal nor tridiagonal "
+                             "with a nowhere-zero off-diagonal")
+    perm = np.zeros((n, n), dtype=np.int64)
+    for j, th in enumerate(eigs):
+        hit = [i for i in range(n) if m.entry(i, i) == th]
+        if not hit:
+            raise AssertionError(f"{th.render()} is not on the diagonal")
+        perm[hit[0], j] = 1
+    return ExactMatrix.from_int(perm)
+
+
+def eigenbasis(m: ExactMatrix, eigs, name: str) -> Eigenbasis:
+    """Right and left eigenvectors of a tridiagonal m for the distinct
+    eigenvalues eigs, certified by m V = V diag(eigs), W m = diag(eigs) W
+    and W V diagonal with nonzero diagonal.
+
+    Then V is invertible, m = V diag(eigs) V^-1 is diagonalizable with
+    exactly the simple eigenvalues eigs, and E_i = v_i w_i / (w_i v_i)
+    satisfy sum E_i = V (W V)^-1 W = I and E_i E_j = delta_ij E_i: they are
+    the primitive idempotents of m, in the order of eigs."""
+    n = len(eigs)
+    if m.shape != (n, n):
+        raise AssertionError(f"{name} is not {n} x {n}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if eigs[i] == eigs[j]:
+                raise AssertionError(f"eigenvalues {i} and {j} of {name} "
+                                     "coincide")
+    V = _tridiagonal_eigenvectors(m, eigs)
+    W = _tridiagonal_eigenvectors(m.T, eigs).T
+    D = ExactMatrix.diag(eigs)
+    if m @ V != V @ D or W @ m != D @ W:
+        raise AssertionError(f"eigenvalue list disagrees with {name}")
+    if not (_nonzero(W @ V) == np.eye(n, dtype=bool)).all():
+        raise AssertionError(f"left and right eigenvectors of {name} are "
+                             "not dual bases")
+    return Eigenbasis(V, W)
+
+
+def _check_axiom_pattern(m: ExactMatrix, name: str):
+    """m[i, j] = 0 for |i - j| > 1 and m[i, j] != 0 for |i - j| = 1."""
+    n = m.shape[0]
+    gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    nz = _nonzero(m)
+    bad = np.argwhere(((gap > 1) & nz) | ((gap == 1) & ~nz))
+    if bad.size:
+        i, j = map(int, bad[0])
+        should = "vanish" if gap[i, j] > 1 else "not vanish"
+        raise AssertionError(f"{name.format(i=i, j=j)} should {should}")
+
+
+def certify_leonard_system(A: ExactMatrix, Astar: ExactMatrix, theta,
+                           theta_star) -> tuple[Eigenbasis, Eigenbasis]:
+    """Certify that (A; A*; {E_i}; {E*_i}) is a Leonard system, with E_i and
+    E*_i the primitive idempotents of A and A* for theta and theta* in order,
+    and return both eigenbases.
+
+    Since E_i A* E_j = v_i (w_i A* v_j) w_j / (w_i v_i)(w_j v_j) with v_i and
+    w_j nonzero, E_i A* E_j = 0 exactly when (W A* V)_ij = 0, so the axiom
+    "E_i A* E_j is zero for |i - j| > 1 and nonzero for |i - j| = 1" is the
+    zero pattern of the one matrix W A* V; likewise for W* A V*."""
+    eig = eigenbasis(A, theta, "A")
+    eig_star = eigenbasis(Astar, theta_star, "A*")
+    _check_axiom_pattern(eig.W @ Astar @ eig.V, "E_{i} A* E_{j}")
+    _check_axiom_pattern(eig_star.W @ A @ eig_star.V, "E*_{i} A E*_{j}")
+    return eig, eig_star
 
 
 def realize(pa: ParameterArray, basis: str = "split") -> LeonardRealization:
@@ -261,9 +363,7 @@ def realize(pa: ParameterArray, basis: str = "split") -> LeonardRealization:
         raise ValueError(f"unknown basis {basis!r}")
     A = ExactMatrix.from_rows(a)
     Astar = ExactMatrix.from_rows(astar)
-    E = spectral_projectors(A, th)
-    Estar = spectral_projectors(Astar, ths)
-    _check_leonard_axioms(A, Astar, E, Estar, d)
+    eig, eig_star = certify_leonard_system(A, Astar, th, ths)
     if basis == "normalized-split":
         for i in range(d + 1):
             row_sum = ExactScalar(0)
@@ -271,7 +371,7 @@ def realize(pa: ParameterArray, basis: str = "split") -> LeonardRealization:
                 row_sum = row_sum + Astar.entry(i, j)
             if row_sum != ths[d]:
                 raise AssertionError("A* row sums differ from theta*_d")
-    return LeonardRealization(pa, basis, A, Astar, E, Estar)
+    return LeonardRealization(pa, basis, A, Astar, eig, eig_star)
 
 
 # ---------------------------------------------------------------------------
@@ -513,55 +613,66 @@ def verify_td_aw_matrix(real: LeonardRealization, s: TdAwScalars) -> bool:
 
 
 def first_split_sequence(A: ExactMatrix, Astar: ExactMatrix,
-                         E: list[ExactMatrix], Estar: list[ExactMatrix],
-                         theta, theta_star) -> list[ExactScalar]:
+                         u0: ExactMatrix, theta,
+                         theta_star) -> list[ExactScalar]:
     """phi_i as the eigenvalue of (A - theta_(i-1))(A* - theta*_i) on the
-    i-th summand of the split decomposition."""
-    d = len(E) - 1
-    n = A.shape[0]
+    i-th summand U_i = (E*_0 V + ... + E*_i V) cap (E_i V + ... + E_d V) of
+    the split decomposition, for a system `certify_leonard_system` certified
+    and u0 = v*_0, the theta*_0 eigenvector of A*.
+
+    Set u_0 = u0 and u_i = (A - theta_(i-1)) u_(i-1).  Checked here: each
+    u_i is nonzero, (A* - theta*_i) u_i = phi_i u_(i-1), and
+    (A - theta_d) u_d = 0.  Why u_i spans U_i:
+      * A is tridiagonal with nonzero subdiagonal in the eigenbasis V* of A*
+        (V*^-1 A V* = (W* V*)^-1 W* A V* has the pattern of W* A V*), so
+        u_i lies in E*_0 V + ... + E*_i V with a nonzero E*_i-coordinate.
+        Hence u_0, ..., u_i span E*_0 V + ... + E*_i V, u_0 is a cyclic
+        vector of A, and E_h u_0 != 0 for every h.
+      * prod_(h=i..d) (A - theta_h) u_i = (A - theta_d) u_d = 0 and A is
+        diagonalizable, so u_i lies in E_i V + ... + E_d V.  Hence u_i is in
+        U_i.
+      * dim U_i = 1: an x = p(A) u_0 (deg p <= i) in E_(i+1) V + ... + E_d V
+        has p(theta_h) E_h u_0 = 0, so p(theta_h) = 0, for h = 0..i, and
+        then p = 0.  So U_i meets E_(i+1) V + ... + E_d V only in 0, which
+        has codimension 1 in E_i V + ... + E_d V.
+    Then (A - theta_(i-1))(A* - theta*_i) u_i = phi_i (A - theta_(i-1))
+    u_(i-1) = phi_i u_i.  With theta reversed the same recurrence gives
+    phi2."""
+    d = A.shape[0] - 1
     phis = []
-    lower = Estar[0]
+    u = u0
     for i in range(1, d + 1):
-        lower = lower + Estar[i]
-        upper = E[i]
-        for h in range(i + 1, d + 1):
-            upper = upper + E[h]
-        # the idempotents need not be symmetric, so take column spaces
-        ui = intersect(row_space(lower.T), row_space(upper.T))
-        if ui.dim != 1:
-            raise AssertionError("split summand is not one-dimensional")
-        u = ui.basis.T  # column
-        ident = ExactMatrix.identity(n)
-        w = (A - ident.scale(theta[i - 1])) @ (
-            (Astar - ident.scale(theta_star[i])) @ u)
-        # w must be phi_i * u
-        pos = next(j for j in range(n) if not u.entry(j, 0).is_zero)
+        nxt = A @ u - u.scale(theta[i - 1])
+        if nxt.is_zero():
+            raise AssertionError(f"split vector u_{i} vanishes")
+        w = Astar @ nxt - nxt.scale(theta_star[i])
+        # w must be phi_i * u_(i-1)
+        pos = int(np.flatnonzero(_nonzero(u))[0])
         phi = w.entry(pos, 0) / u.entry(pos, 0)
         if w != u.scale(phi):
             raise AssertionError("split action is not scalar")
         phis.append(phi)
+        u = nxt
+    if not (A @ u - u.scale(theta[d])).is_zero():
+        raise AssertionError("the last split vector is not in E_d V")
     return phis
 
 
 def extract_parameter_array(A: ExactMatrix, Astar: ExactMatrix,
-                            E: list[ExactMatrix], Estar: list[ExactMatrix],
-                            theta, theta_star) -> ParameterArray:
-    """Parameter array of a concrete Leonard system with ordered idempotent
-    lists and matching eigenvalue sequences."""
-    d = len(E) - 1
-    for i in range(d + 1):
-        if A @ E[i] != E[i].scale(theta[i]):
-            raise AssertionError("eigenvalue list disagrees with A")
-        if Astar @ Estar[i] != Estar[i].scale(theta_star[i]):
-            raise AssertionError("dual eigenvalue list disagrees with A*")
-    phi = first_split_sequence(A, Astar, E, Estar, theta, theta_star)
-    phi2 = first_split_sequence(A, Astar, list(reversed(E)), Estar,
-                                list(reversed(theta)), theta_star)
+                            eig_star: Eigenbasis, theta,
+                            theta_star) -> ParameterArray:
+    """Parameter array of a certified Leonard system (A; A*) with eigenvalue
+    sequences theta, theta* and the eigenbasis of A*."""
+    n = A.shape[0]
+    u0 = eig_star.V.submatrix(range(n), [0])
+    phi = first_split_sequence(A, Astar, u0, theta, theta_star)
+    phi2 = first_split_sequence(A, Astar, u0, list(reversed(theta)),
+                                theta_star)
     return ParameterArray(theta, theta_star, phi, phi2)
 
 
 def extract_from_realization(real: LeonardRealization) -> ParameterArray:
-    return extract_parameter_array(real.A, real.Astar, real.E, real.Estar,
+    return extract_parameter_array(real.A, real.Astar, real.eig_star,
                                    real.pa.theta, real.pa.theta_star)
 
 
@@ -585,11 +696,8 @@ def leonard_from_tmodule(ctx, rec) -> tuple[ParameterArray, DqkParams]:
     theta_star = [ExactScalar(ctx.bm.theta_star[r + i]) for i in range(d + 1)]
     A = ExactMatrix.diag(theta)
     Astar = rec.astar_dual_rep
-    E = [ExactMatrix.diag([1 if j == i else 0 for j in range(d + 1)])
-         for i in range(d + 1)]
-    Estar = spectral_projectors(Astar, theta_star) if d >= 0 else []
-    _check_leonard_axioms(A, Astar, E, Estar, d)
-    pa = extract_parameter_array(A, Astar, E, Estar, theta, theta_star)
+    _, eig_star = certify_leonard_system(A, Astar, theta, theta_star)
+    pa = extract_parameter_array(A, Astar, eig_star, theta, theta_star)
     v = validate(pa)
     if not v.valid:
         raise AssertionError(f"module parameter array is invalid: {v.failure}")

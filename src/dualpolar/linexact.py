@@ -31,6 +31,8 @@ from .intlinalg import _INT64_SAFE, _downcast, _max_abs, _to_object
 
 
 def _gcd_all(*arrays_and_ints) -> int:
+    """gcd of the ints and of every entry of the arrays (None is skipped);
+    returns as soon as it reaches 1."""
     g = 0
     for x in arrays_and_ints:
         if x is None:
@@ -38,13 +40,7 @@ def _gcd_all(*arrays_and_ints) -> int:
         if isinstance(x, (int, np.integer)):
             g = math.gcd(g, abs(int(x)))
         elif x.size:
-            if x.dtype == object:
-                for v in x.flat:
-                    g = math.gcd(g, abs(int(v)))
-                    if g == 1:
-                        return 1
-            else:
-                g = math.gcd(g, int(np.gcd.reduce(np.abs(x), axis=None)))
+            g = math.gcd(g, int(np.gcd.reduce(np.abs(x), axis=None)))
         if g == 1:
             return 1
     return g
@@ -94,7 +90,7 @@ class ExactMatrix:
         if n1 is None:
             rad = 0
         if _normalize:
-            g = _gcd_all(n0, n1, den)
+            g = _gcd_all(den, n0, n1)  # den = 1 settles g = 1 at once
             if g >= _INT64_SAFE:
                 # g may not fit in int64 (int64 parts sharing it are zero):
                 # divide as Python ints; _downcast restores int64 below.
@@ -477,21 +473,6 @@ def kernel(m: ExactMatrix) -> Subspace:
         rows.append(v)
     red2, piv2 = _generic_rref(rows)
     return Subspace(ncols, ExactMatrix.from_rows(red2, rad=m.rad), piv2)
-
-
-def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """Intersection of two subspaces of the same ambient space."""
-    if s1.ambient != s2.ambient:
-        raise ValueError("ambient dimensions differ")
-    if s1.dim == 0 or s2.dim == 0:
-        return Subspace(s1.ambient, ExactMatrix.zeros(0, s1.ambient), ())
-    stacked = ExactMatrix.stack_rows([s1.basis, -s2.basis])
-    k = kernel(stacked.T)
-    if k.dim == 0:
-        return Subspace(s1.ambient, ExactMatrix.zeros(0, s1.ambient), ())
-    coeffs = k.basis.submatrix(range(k.dim), range(s1.dim))
-    vecs = coeffs @ s1.basis
-    return row_space(vecs)
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:

@@ -246,11 +246,12 @@ def uq_on_leonard(real: LeonardRealization, p: DqkParams, eps: int = 1,
         raise AssertionError("A recovery fails")
     if real.Astar != ident.scale(p.h_star) + Z.scale(es * ks):
         raise AssertionError("A* recovery fails")
-    # module type certificate: Z spectrum and Casimir scalar
-    zwant = ExactMatrix.zeros(n, n)
-    for i, proj in enumerate(real.Estar):
-        zwant = zwant + proj.scale(es * q_pow(q, p.d - 2 * i))
-    if Z != zwant:
+    # module type certificate: Z spectrum and Casimir scalar.  The columns
+    # of V* are an eigenbasis of A*, so Z V* = V* diag(eps q^(d-2i)) says
+    # Z = sum_i eps q^(d-2i) E*_i.
+    Vs = real.eig_star.V
+    weights = ExactMatrix.diag([es * q_pow(q, p.d - 2 * i) for i in range(n)])
+    if Z @ Vs != Vs @ weights:
         raise AssertionError("Z spectrum is not {eps q^(d-2i)}")
     delta = act.casimir()
     if delta != ident.scale(casimir_scalar(q, p.d, eps)):

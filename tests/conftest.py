@@ -2,6 +2,12 @@ import pytest
 
 from dualpolar.drg import spectral_data
 from dualpolar.polar import FormSpec, build_polar_graph
+from dualpolar.terwilliger import (
+    build_context,
+    central_elements,
+    decompose,
+    upsilon_psi_lambda,
+)
 
 
 @pytest.fixture(scope="session")
@@ -22,3 +28,23 @@ def bm_c32(graph_c32):
 @pytest.fixture(scope="session")
 def bm_d32(graph_d32):
     return spectral_data(graph_d32)
+
+
+@pytest.fixture(scope="session")
+def ctx_c32(graph_c32, bm_c32):
+    return build_context(graph_c32, bm_c32, 0)
+
+
+@pytest.fixture(scope="session")
+def cents_c32(ctx_c32):
+    return central_elements(ctx_c32)
+
+
+@pytest.fixture(scope="session")
+def comps_c32(ctx_c32, cents_c32):
+    return decompose(ctx_c32, cents_c32)
+
+
+@pytest.fixture(scope="session")
+def center_c32(ctx_c32, comps_c32):
+    return upsilon_psi_lambda(ctx_c32, comps_c32)

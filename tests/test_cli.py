@@ -2,9 +2,14 @@
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import dualpolar
 from dualpolar.cli import main
 from dualpolar.drg import NotDistanceRegularError
 
@@ -200,3 +205,113 @@ def test_negative_vertex_sample_is_input_error(d32_file, capsys, monkeypatch):
                  "--all-vertices-sample", "-1"]) == 2
     assert "--all-vertices-sample" in capsys.readouterr().err
     assert calls == []
+
+
+def _flip(hexrow: str, j: int) -> str:
+    """The packed adjacency row with bit j flipped."""
+    bits = np.unpackbits(np.frombuffer(bytes.fromhex(hexrow), dtype=np.uint8))
+    bits[j] ^= 1
+    return np.packbits(bits).tobytes().hex()
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["one-bit", "pair"])
+def test_tampered_adjacency_is_input_error(c23_data, tmp_path, capsys, pair):
+    """One flipped bit breaks symmetry; a flipped symmetric pair between two
+    non-adjacent vertices keeps it, and only the distance = codim
+    certificate can refuse the file."""
+    data = json.loads(json.dumps(c23_data))
+    rows = data["adjacency"]
+    n = len(rows)
+    adj = np.array([np.unpackbits(np.frombuffer(bytes.fromhex(r),
+                                                dtype=np.uint8))[:n]
+                    for r in rows])
+    i, j = 0, int(np.flatnonzero(adj[0] == 0)[1])  # [0] is vertex 0 itself
+    assert i != j and adj[i, j] == 0 == adj[j, i]
+    rows[i] = _flip(rows[i], j)
+    if pair:
+        rows[j] = _flip(rows[j], i)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--graph", str(path), "--suite", "drg"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot load graph" in err
+    assert ("adjacency disagrees with the vertices" if pair
+            else "not symmetric") in err
+
+
+# Run the CLI in a fresh `python -O` interpreter, where `assert` statements
+# are stripped, with gamma in drg.td_scalars shifted by one when asked.
+_OPTIMIZED_DRG = """
+import importlib.util, sys
+import dualpolar
+spec = importlib.util.find_spec("dualpolar.drg")
+src = open(spec.origin).read()
+line = "gamma = (b_pow(b, e) - 1) * (b - 1) / b"
+if src.count(line) != 1:  # no assert: this runs under -O
+    sys.exit("the gamma line of drg.td_scalars was not found")
+if sys.argv[1] == "perturb":
+    src = src.replace(line, line + " + 1")
+mod = importlib.util.module_from_spec(spec)
+exec(compile(src, spec.origin, "exec"), mod.__dict__)
+sys.modules["dualpolar.drg"] = dualpolar.drg = mod
+from dualpolar.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("mode,status", [("perturb", "fail"),
+                                         ("keep", "pass")])
+def test_td_scalars_fail_under_python_O(d32_file, mode, status):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(dualpolar.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_DRG, mode, "verify",
+         "--graph", d32_file, "--suite", "drg"],
+        capture_output=True, text=True, env=env, timeout=300)
+    report = json.loads(out.stdout)
+    checks = {c["id"]: c for c in report["checks"]}
+    assert checks["drg:td-scalars"]["status"] == status
+    if status == "fail":
+        assert "gamma" in checks["drg:td-scalars"]["witness"]
+    others = [c for c in checks.values() if c["id"] != "drg:td-scalars"]
+    assert all(c["status"] == "pass" for c in others)
+    assert out.returncode == (1 if status == "fail" else 0)
+
+
+def test_leonard_realizes_each_basis_once(tmp_path, capsys, monkeypatch):
+    from dualpolar import leonard
+
+    calls = []
+    real = leonard.realize
+    monkeypatch.setattr(leonard, "realize",
+                        lambda pa, basis: calls.append(basis)
+                        or real(pa, basis))
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps(LEONARD_ARRAY))
+    assert main(["leonard", "--params", str(path)]) == 0
+    assert sorted(calls) == ["normalized-split", "split", "standard"]
+    calls.clear()
+    assert main(["leonard", "--params", str(path),
+                 "--actions", "scalars,uq"]) == 0
+    assert sorted(calls) == ["normalized-split", "split"]
+
+
+LEONARD_DATA = os.path.join(os.path.dirname(__file__), "data", "leonard")
+
+
+# The reference array q = 2, d = 3 and the three arrays the leonard benchmark
+# draws with seed 1.  Each *.report.json was written by the dense-projector
+# implementation that preceded the rank-one path (commit d40e4b9), with its
+# `timing` entry removed.
+@pytest.mark.parametrize("name", ["ref-2-3", "dqk-sqrt3-8", "dqk-sqrt3-12",
+                                  "dqk-2-16"])
+def test_leonard_report_matches_golden(capsys, monkeypatch, name):
+    monkeypatch.chdir(LEONARD_DATA)
+    capsys.readouterr()
+    assert main(["leonard", "--params", f"{name}.json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["timing"]
+    with open(os.path.join(LEONARD_DATA, f"{name}.report.json")) as fh:
+        assert json.dumps(report, indent=2) + "\n" == fh.read()

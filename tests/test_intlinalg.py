@@ -1,9 +1,16 @@
-"""Differential tests of the exact integer product against Python ints."""
+"""Differential tests of the exact integer product against Python ints and
+of the modular RREF against the fraction-free one."""
 
 import numpy as np
 import pytest
 
-from dualpolar.intlinalg import _matmul_dtype, int_matmul
+from dualpolar.intlinalg import (
+    _int_rref_exact,
+    _int_rref_modular,
+    _matmul_dtype,
+    _max_abs,
+    int_matmul,
+)
 
 
 def _reference(a, b):
@@ -102,3 +109,43 @@ def test_int64_minimum_counts_in_the_bound():
     got = int_matmul(a, b)
     assert got.dtype == object
     assert list(got[0]) == [-(2 ** 63), 2 ** 63]
+
+
+def _low_rank(rng, nrows, ncols, rank, bits):
+    """An nrows x ncols integer matrix of rank `rank` (with high
+    probability): a product of random factors with entries below 2^bits,
+    as Python ints, so its entries exceed 2^(2 bits - 2) or so."""
+    left = rng.integers(-2 ** bits, 2 ** bits, size=(nrows, rank),
+                        endpoint=True).astype(object)
+    right = rng.integers(-2 ** bits, 2 ** bits, size=(rank, ncols),
+                         endpoint=True).astype(object)
+    if rank == 0:
+        return np.zeros((nrows, ncols), dtype=object)
+    return np.dot(left, right)
+
+
+@pytest.mark.parametrize("bits", [21, 40])
+@pytest.mark.parametrize("seed", range(20))
+def test_modular_rref_matches_exact(seed, bits):
+    """The certified modular RREF returns the canonical rows and pivots of
+    the fraction-free elimination, or None; never a different answer."""
+    rng = np.random.default_rng([seed, bits])
+    nrows, ncols = int(rng.integers(2, 9)), int(rng.integers(2, 11))
+    rank = int(rng.integers(0, min(nrows, ncols) + 1))
+    mat = _low_rank(rng, nrows, ncols, rank, bits)
+    if rank:
+        assert _max_abs(mat) > 2 ** 40
+    inputs = [mat]
+    if _max_abs(mat) < 2 ** 62:
+        inputs.append(mat.astype(np.int64))
+    for m in inputs:
+        rows, pivots = _int_rref_exact(m)
+        assert len(pivots) <= rank
+        got = _int_rref_modular(m)
+        if bits == 21:  # entries near 2^42: 40 primes always suffice
+            assert got is not None
+        if got is not None:
+            assert got[1] == pivots
+            assert got[0].shape == rows.shape
+            assert (got[0].astype(object) == rows.astype(object)).all()
+

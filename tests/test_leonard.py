@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,14 @@ from dualpolar.exact import ExactScalar, q_pow
 from dualpolar.leonard import (
     DqkParams,
     ParameterArray,
+    certify_leonard_system,
     d4_transform,
     dqk_array,
     dqk_ddown_params,
     dqk_intersection_closed_forms,
     dqk_td_aw_closed_forms,
     extract_from_realization,
+    extract_parameter_array,
     intersection_data,
     pa_from_json,
     pa_to_json,
@@ -20,6 +23,7 @@ from dualpolar.leonard import (
     validate,
     verify_td_aw_matrix,
 )
+from dualpolar.linexact import ExactMatrix, kernel, spectral_projectors
 from dualpolar.uqsl2 import uq_on_leonard, verify_cross_variant_leonard
 
 
@@ -228,15 +232,12 @@ def test_json_round_trip(ref, ref_pa):
     assert pa_from_json(dqk_form) == ref_pa
 
 
-def test_graph_module_leonard_bridge(graph_c32, bm_c32):
+def test_graph_module_leonard_bridge(ctx_c32, comps_c32):
     from dualpolar.leonard import leonard_from_tmodule
-    from dualpolar.terwilliger import (
-        build_context, central_elements, decompose, extract_module)
+    from dualpolar.terwilliger import extract_module
 
-    ctx = build_context(graph_c32, bm_c32, 0)
-    cents = central_elements(ctx)
-    comps = decompose(ctx, cents)
-    primary = [c for c in comps if c.triple == (0, 0, 3)][0]
+    ctx = ctx_c32
+    primary = [c for c in comps_c32 if c.triple == (0, 0, 3)][0]
     rec = extract_module(ctx, primary)
     pa, params = leonard_from_tmodule(ctx, rec)
     assert params.h == ExactScalar(-1)
@@ -254,3 +255,110 @@ def test_graph_module_leonard_bridge(graph_c32, bm_c32):
     c, a, b, *_ = intersection_data(pa)
     assert [x.as_fraction() for x in c] == [0, 1, 3, 7]
     assert [x.as_fraction() for x in b] == [14, 12, 8, 0]
+
+
+# ---------------------------------------------------------------------------
+# The dense projector path as an oracle for the rank-one path
+
+
+def _dense_split_sequence(A, Astar, E, Estar, theta, theta_star):
+    """phi_i from the split summand U_i = (E*_0 + ... + E*_i) V cap
+    (E_i + ... + E_d) V, the joint kernel of I minus the two projector
+    sums, and the action of (A - theta_(i-1))(A* - theta*_i) on it."""
+    d = len(E) - 1
+    n = A.shape[0]
+    ident = ExactMatrix.identity(n)
+    phis = []
+    for i in range(1, d + 1):
+        lower, upper = Estar[0], E[d]
+        for h in range(1, i + 1):
+            lower = lower + Estar[h]
+        for h in range(i, d):
+            upper = upper + E[h]
+        ui = kernel(ExactMatrix.stack_rows([ident - lower, ident - upper]))
+        assert ui.dim == 1
+        u = ui.basis.T
+        w = (A - ident.scale(theta[i - 1])) @ (
+            (Astar - ident.scale(theta_star[i])) @ u)
+        pos = next(j for j in range(n) if not u.entry(j, 0).is_zero)
+        phi = w.entry(pos, 0) / u.entry(pos, 0)
+        assert w == u.scale(phi)
+        phis.append(phi)
+    return phis
+
+
+def _rank_one(eig):
+    """E_i = v_i w_i / (w_i v_i) from an Eigenbasis."""
+    n = eig.V.shape[0]
+    gram = eig.W @ eig.V
+    return [(eig.V.submatrix(range(n), [i]) @ eig.W.take_rows([i]))
+            .scale(gram.entry(i, i).inverse()) for i in range(n)]
+
+
+@pytest.mark.parametrize("basis", ["split", "normalized-split", "standard"])
+@pytest.mark.parametrize("d", [1, 2, 4, 6])
+@pytest.mark.parametrize("qname", ["2", "sqrt2"])
+def test_rank_one_path_against_dense_oracle(qname, d, basis):
+    q = ExactScalar(2) if qname == "2" else ExactScalar.sqrt(2)
+    p = DqkParams(q, d, 1, -2, 1, 2, 5)
+    pa = dqk_array(p)
+    real = realize(pa, basis)
+    E = spectral_projectors(real.A, pa.theta)
+    Estar = spectral_projectors(real.Astar, pa.theta_star)
+    assert _rank_one(real.eig) == E
+    assert _rank_one(real.eig_star) == Estar
+    pattern = real.eig.W @ real.Astar @ real.eig.V
+    pattern_star = real.eig_star.W @ real.A @ real.eig_star.V
+    for i in range(d + 1):
+        for j in range(d + 1):
+            assert (E[i] @ real.Astar @ E[j]).is_zero() \
+                == pattern.entry(i, j).is_zero
+            assert (Estar[i] @ real.A @ Estar[j]).is_zero() \
+                == pattern_star.entry(i, j).is_zero
+    assert _dense_split_sequence(real.A, real.Astar, E, Estar, pa.theta,
+                                 pa.theta_star) == list(pa.phi)
+    assert _dense_split_sequence(real.A, real.Astar, E[::-1], Estar,
+                                 pa.theta[::-1], pa.theta_star) \
+        == list(pa.phi2)
+    assert extract_from_realization(real) == pa
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_perturbed_split_pair_fails_axioms(ref_pa, i):
+    """The split-basis pair of an array with phi_i shifted by one is no
+    Leonard pair: the certificate names an E_a A* E_b with |a - b| > 1 that
+    does not vanish, and the dense triple product agrees."""
+    d = ref_pa.d
+    phi = list(ref_pa.phi)
+    phi[i - 1] = phi[i - 1] + 1
+    assert not validate(ParameterArray(ref_pa.theta, ref_pa.theta_star, phi,
+                                       ref_pa.phi2)).valid
+    A = ExactMatrix.from_rows([[ref_pa.theta[r] if r == c else
+                                (1 if r == c + 1 else 0)
+                                for c in range(d + 1)] for r in range(d + 1)])
+    Astar = ExactMatrix.from_rows([[ref_pa.theta_star[r] if r == c else
+                                    (phi[r] if c == r + 1 else 0)
+                                    for c in range(d + 1)]
+                                   for r in range(d + 1)])
+    with pytest.raises(AssertionError, match="should vanish") as err:
+        certify_leonard_system(A, Astar, ref_pa.theta, ref_pa.theta_star)
+    a, b = map(int, re.match(r"E_(\d+) A\* E_(\d+)",
+                             str(err.value)).groups())
+    assert abs(a - b) > 1
+    E = spectral_projectors(A, ref_pa.theta)
+    assert not (E[a] @ Astar @ E[b]).is_zero()
+
+
+def test_certificate_edge_cases():
+    """d = 0 is a Leonard system with empty split sequences; a matrix with
+    an entry outside the band has no three-term eigenvector recurrence."""
+    A = ExactMatrix.from_rows([[3]])
+    eig, eig_star = certify_leonard_system(A, ExactMatrix.from_rows([[5]]),
+                                           [3], [5])
+    assert extract_parameter_array(A, ExactMatrix.from_rows([[5]]), eig_star,
+                                   [3], [5]) == ParameterArray([3], [5], [],
+                                                               [])
+    full = ExactMatrix.from_rows([[1, 0, 2], [0, 2, 0], [0, 0, 3]])
+    with pytest.raises(AssertionError, match="neither diagonal"):
+        certify_leonard_system(full, ExactMatrix.diag([1, 2, 3]), [1, 2, 3],
+                               [1, 2, 3])

@@ -9,7 +9,6 @@ from dualpolar import intlinalg
 from dualpolar.linexact import (
     ExactMatrix,
     inverse,
-    intersect,
     kernel,
     orthogonal_projector,
     row_space,
@@ -183,14 +182,6 @@ def test_orthogonal_projector_properties():
     assert s.contains_rows(p.T)
 
 
-def test_intersect():
-    s1 = row_space(ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
-    s2 = row_space(ExactMatrix.from_rows([[0, 1, 0], [0, 0, 1]]))
-    s = intersect(s1, s2)
-    assert s.dim == 1
-    assert s.basis.entry(0, 1) == ExactScalar(1)
-
-
 def test_subspace_membership():
     s = row_space(ExactMatrix.from_rows([[1, 0, 2], [0, 1, 3]]))
     assert s.contains_rows(ExactMatrix.from_rows([[2, 1, 7]]))
@@ -221,3 +212,30 @@ def test_add_zero_part_with_coefficient_above_int64():
     for i in range(2):
         for j in range(2):
             assert s.entry(i, j) == x.entry(i, j) + y.entry(i, j)
+
+
+def test_gcd_all_int64_object_and_mixed():
+    from dualpolar.linexact import _gcd_all
+
+    big = 2 ** 64 * 3  # above 2^63: Python ints only
+    i64 = np.array([[6, -12], [0, 18]], dtype=np.int64)
+    obj = np.array([[big, -2 * big], [0, 3 * big]], dtype=object)
+    assert _gcd_all(i64) == 6
+    assert _gcd_all(obj) == big
+    assert _gcd_all(None, obj, None) == big
+    assert _gcd_all(obj, i64) == 6
+    assert _gcd_all(big * 5, obj) == big
+    assert _gcd_all(obj, np.array([[2 ** 70 + 1]], dtype=object)) == 1
+    assert _gcd_all(np.zeros((2, 2), dtype=np.int64), None) == 0
+    assert _gcd_all(np.zeros((0, 3), dtype=object), 10, obj) == 2
+    # den = 1 first settles the gcd before any array is read
+    assert _gcd_all(1, np.array([["not", "read"]], dtype=object)) == 1
+
+
+def test_normalization_divides_common_factor_above_2_63():
+    big = 2 ** 64 * 3
+    m = ExactMatrix(np.array([[big, 2 * big]], dtype=object),
+                    np.array([[0, big]], dtype=object), big * 7, 2)
+    assert m.den == 7 and m.n0.dtype == np.int64
+    assert m.n0.tolist() == [[1, 2]] and m.n1.tolist() == [[0, 1]]
+    assert m.entry(0, 1) == ExactScalar(Fraction(2, 7), Fraction(1, 7), 2)

@@ -18,7 +18,6 @@ from dualpolar.terwilliger import (
     commutes,
     decompose,
     extract_module,
-    upsilon_psi_lambda,
     verify_center_commutation,
     verify_center_identities,
     verify_g_entry_table,
@@ -32,28 +31,13 @@ from dualpolar.uqsl2 import casimir_scalar
 
 
 @pytest.fixture(scope="module")
-def ctx_c32(graph_c32, bm_c32):
-    return build_context(graph_c32, bm_c32, 0)
-
-
-@pytest.fixture(scope="module")
 def ctx_d32(graph_d32, bm_d32):
     return build_context(graph_d32, bm_d32, 0)
 
 
 @pytest.fixture(scope="module")
-def cents_c32(ctx_c32):
-    return central_elements(ctx_c32)
-
-
-@pytest.fixture(scope="module")
 def cents_d32(ctx_d32):
     return central_elements(ctx_d32)
-
-
-@pytest.fixture(scope="module")
-def comps_c32(ctx_c32, cents_c32):
-    return decompose(ctx_c32, cents_c32)
 
 
 @pytest.fixture(scope="module")
@@ -299,8 +283,8 @@ def test_primary_module_is_span_of_distance_vectors(ctx_c32, comps_c32):
     assert primary.dim == 4
 
 
-def test_center_identities(ctx_c32, cents_c32, comps_c32):
-    center = upsilon_psi_lambda(ctx_c32, comps_c32)
+def test_center_identities(ctx_c32, cents_c32, comps_c32, center_c32):
+    center = center_c32
     assert verify_center_commutation(ctx_c32, center)
     verify_center_identities(ctx_c32, cents_c32, center, comps_c32)
     # Upsilon acts as the identity on the primary component (mu = 0)

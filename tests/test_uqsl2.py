@@ -1,5 +1,7 @@
-"""U_q(sl2) modules L(d, eps) and the two structures on a dual q-Krawtchouk
-Leonard system."""
+"""U_q(sl2) modules L(d, eps), the two structures on a dual q-Krawtchouk
+Leonard system, and the two on the standard module of C_3(2)."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -9,8 +11,11 @@ from dualpolar.linexact import ExactMatrix, spectral_projectors
 from dualpolar.uqsl2 import (
     build_Ld,
     casimir_scalar,
+    dpg_uq_params,
     uq_on_leonard,
+    uq_on_standard_module,
     verify_cross_variant_leonard,
+    verify_cross_variant_standard,
     verify_split_basis_is_y_eigenbasis,
 )
 
@@ -79,3 +84,54 @@ def test_cross_variant_leonard_odd_d_sqrt2(d, eps):
     a2 = uq_on_leonard(real, p, eps, 2)
     assert verify_cross_variant_leonard(a1, a2, p)
     assert not verify_cross_variant_leonard(a2, a1, p)
+
+
+# ---------------------------------------------------------------------------
+# The two structures on the standard module of C_3(2)
+
+
+@pytest.fixture(scope="module")
+def sm_c32(ctx_c32, center_c32):
+    return {v: uq_on_standard_module(ctx_c32, center_c32, v) for v in (1, 2)}
+
+
+def test_dpg_uq_params_c32(ctx_c32):
+    # h = (1 - q^2e)/(q^2 - 1), h* = zeta, kappa = q^(2e+D)/(q^2 - 1),
+    # kappa* = xi q^-D, upsilon = -q^D/(q^2 - 1) at q = sqrt2, e = 1, D = 3
+    p = dpg_uq_params(ctx_c32)
+    assert p == {"h": ExactScalar(-1), "h_star": ExactScalar(-10),
+                 "kappa": ExactScalar(0, 4, 2),
+                 "kappa_star": ExactScalar(0, Fraction(45, 4), 2),
+                 "upsilon": ExactScalar(0, -2, 2)}
+
+
+@pytest.mark.parametrize("variant", [1, 2])
+def test_uq_on_standard_module_c32(ctx_c32, center_c32, sm_c32, variant):
+    """The relations, the recoveries (x and y swapped in variant 2)
+        A = h + kappa U^-1 P x + upsilon U P^-1 y,
+        A* = h* + kappa* U^-1 P^-1 z,
+    and the Casimir acting as the diameter weight, recomputed here."""
+    sm = sm_c32[variant]
+    act, p = sm.act, sm.params
+    assert sm.variant == variant and act.dim == ctx_c32.n
+    for name, resid in act.equitable_residuals() + act.chevalley_residuals():
+        assert resid.is_zero(), name
+    c = center_c32
+    ident = ExactMatrix.identity(ctx_c32.n)
+    first = (c.Upsilon_inv @ c.Psi).scale(p["kappa"])
+    second = (c.Upsilon @ c.Psi_inv).scale(p["upsilon"])
+    x, y = (act.X, act.Y) if variant == 1 else (act.Y, act.X)
+    assert ident.scale(p["h"]) + first @ x + second @ y == ctx_c32.A
+    assert ident.scale(p["h"]) + first @ y + second @ x != ctx_c32.A
+    assert ident.scale(p["h_star"]) + (c.Upsilon_inv @ c.Psi_inv @ act.Z) \
+        .scale(p["kappa_star"]) == ctx_c32.Astar
+    assert act.casimir() == c.Lam
+
+
+def test_cross_variant_standard_c32(ctx_c32, center_c32, sm_c32):
+    sm1, sm2 = sm_c32[1], sm_c32[2]
+    assert sm1.act.k == sm2.act.k
+    assert sm1.act.e != sm2.act.e and sm1.act.f != sm2.act.f
+    assert verify_cross_variant_standard(ctx_c32, center_c32, sm1, sm2)
+    assert not verify_cross_variant_standard(ctx_c32, center_c32, sm2, sm1)
+    assert not verify_cross_variant_standard(ctx_c32, center_c32, sm1, sm1)
