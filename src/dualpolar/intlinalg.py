@@ -5,6 +5,13 @@ Python-int object arrays when entries threaten to overflow).  Rows are kept
 primitive (gcd 1, positive pivot) after every update, which both bounds
 coefficient growth and makes the reduced form canonical: dividing each row
 by its pivot yields the unique leading-1 RREF of the row space.
+
+int_rref reduces large matrices modulo word-sized primes, recovers the
+rational entries by rational reconstruction run on the whole free-column
+block at once, and certifies the candidate exactly; the fraction-free
+elimination is the fallback.  int_kernel reads the canonical null-space
+basis off a single int_rref of the column-reversed matrix.  int_matmul is
+the one exact integer product, on float BLAS where a bound proves it exact.
 """
 
 from __future__ import annotations
@@ -182,22 +189,31 @@ def int_kernel(mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """Canonical basis of the right null space over Q, in int_rref's form:
     (primitive rows, pivots).  The rows divided by their leading entries
     form the RREF basis of {v : mat @ v = 0}.
+
+    One RREF suffices, taken of the column-reversed matrix.  There a free
+    column meets only pivots to its left, so in the original order its
+    kernel vector L e_f - sum_i (L / p_i) red[i, f] e_(pivot i) (L a common
+    multiple of the pivot entries p_i) is zero left of f and on every other
+    free column.  These vectors are therefore already the RREF basis with
+    pivots at the free columns; each is made primitive with a positive lead.
     """
-    red, pivots = int_rref(mat)
     ncols = mat.shape[1]
-    free = np.setdiff1d(np.arange(ncols), pivots)
+    red, rpivots = int_rref(mat[:, ::-1])
+    # free columns of the reversed matrix, in decreasing order, so that the
+    # original columns ncols - 1 - free increase
+    free = np.setdiff1d(np.arange(ncols), rpivots)[::-1]
     if free.size == 0:
         return np.zeros((0, ncols), dtype=np.int64), ()
-    # with L a common multiple of the pivot entries p_i, free column f gives
-    # the integer vector L e_f - sum_i (L / p_i) red[i, f] e_(pivots[i])
-    piv = [int(red[i, c]) for i, c in enumerate(pivots)]
+    piv = [int(red[i, c]) for i, c in enumerate(rpivots)]
     big = math.lcm(*piv)
     dtype = np.int64 if big * _max_abs(red) < _INT64_SAFE else object
     basis = np.zeros((free.size, ncols), dtype=dtype)
     basis[np.arange(free.size), free] = big
     scale = np.array([big // p for p in piv], dtype=dtype)
-    basis[:, list(pivots)] = -(red[:, free].astype(dtype) * scale[:, None]).T
-    return int_rref(basis)
+    basis[:, list(rpivots)] = -(red[:, free].astype(dtype) * scale[:, None]).T
+    basis = basis[:, ::-1]
+    basis = _downcast(basis // _gcd_rows(basis)[:, None])
+    return basis, tuple(int(c) for c in ncols - 1 - free)
 
 
 def int_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,14 +258,36 @@ def int_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # elimination is used, so the result is always exact.
 
 
+# The first twelve primes: as Miller-Rabin bases they decide primality of
+# every n below 318665857834031151167461 (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test for n below _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ValueError("is_prime is deterministic only below "
+                         f"{_MR_LIMIT}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -283,13 +321,14 @@ def _mod_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         q = r + int(nz[0])
         if q != r:
             a[[r, q]] = a[[q, r]]
+        # row r is zero left of column c, so only columns c.. change
         inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
+        a[r, c:] = (a[r, c:] * inv) % p
         col = a[:, c].copy()
         col[r] = 0
-        mask = col != 0
-        if mask.any():
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
+        rows = np.flatnonzero(col)
+        if rows.size:
+            a[rows, c:] = (a[rows, c:] - np.outer(col[rows], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a[:r], tuple(pivots)
@@ -303,26 +342,37 @@ def _crt_combine(res1: np.ndarray, mod1: int, res2: np.ndarray,
     return res1 + t * mod1
 
 
-def _rat_reconstruct(x: int, modulus: int, bound: int):
-    """p/q with x = p/q mod modulus and |p|, q <= bound, or None."""
-    r0, r1 = modulus, x % modulus
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound:
+def _rat_reconstruct_block(x: np.ndarray, modulus: int, bound: int):
+    """(num, den) arrays with num = den * x mod modulus, |num| <= bound,
+    0 < den <= bound and gcd(num, den) = 1 entrywise, or None if some entry
+    has no such fraction.
+
+    Wang's rational reconstruction: the extended Euclidean algorithm on
+    (modulus, x) stopped at the first remainder <= bound, run on every entry
+    at once.  Each step updates only the entries still above the bound.  The
+    arithmetic is int64 while the modulus is below 2^31 (then |den * x| <
+    2^47) and Python ints above.
+    """
+    dtype = np.int64 if modulus < 2 ** 31 else object
+    shape = x.shape
+    x = (x.astype(dtype) % modulus).ravel()
+    r0, r1 = np.full_like(x, modulus), x.copy()
+    s0, s1 = np.zeros_like(x), np.ones_like(x)
+    live = np.flatnonzero(r1 > bound)
+    while live.size:
+        q = r0[live] // r1[live]
+        r0[live], r1[live] = r1[live], r0[live] - q * r1[live]
+        s0[live], s1[live] = s1[live], s0[live] - q * s1[live]
+        live = live[r1[live] > bound]
+    if np.any(s1 == 0) or np.any(abs(s1) > bound):
         return None
-    num, den = (r1, s1) if s1 > 0 else (-r1, -s1)
-    if math.gcd(abs(num) if num else den, den) != 1:
-        g = math.gcd(abs(num), den)
-        if g == 0:
-            return None
-        num //= g
-        den //= g
-    if (num - den * x) % modulus:
+    neg = s1 < 0
+    num, den = np.where(neg, -r1, r1), np.where(neg, -s1, s1)
+    g = np.gcd(num, den)
+    num, den = num // g, den // g
+    if np.any((num - den * x) % modulus):
         return None
-    return num, den
+    return num.reshape(shape), den.reshape(shape)
 
 
 def _int_rref_modular(mat: np.ndarray):
@@ -345,27 +395,19 @@ def _int_rref_modular(mat: np.ndarray):
         pivots, residues, modulus, nprimes = acc
         if nprimes > 4 and nprimes % 4:
             continue  # reconstruction attempts on a sparse schedule
-        bound = math.isqrt(modulus // 2)
         k = len(pivots)
-        free = [c for c in range(ncols) if c not in set(pivots)]
-        rows = np.zeros((k, ncols), dtype=object)
-        ok = True
-        for i in range(k):
-            entries = {}
-            for c in free:
-                pq = _rat_reconstruct(int(residues[i, c]), modulus, bound)
-                if pq is None:
-                    ok = False
-                    break
-                entries[c] = pq
-            if not ok:
-                break
-            den_lcm = math.lcm(*(den for _, den in entries.values()))
-            rows[i, pivots[i]] = den_lcm
-            for c, (num, den) in entries.items():
-                rows[i, c] = num * (den_lcm // den)
-        if not ok:
+        free = np.setdiff1d(np.arange(ncols), pivots)
+        got = _rat_reconstruct_block(residues[:, free], modulus,
+                                     math.isqrt(modulus // 2))
+        if got is None:
             continue
+        num, den = got
+        # row i of the RREF is num[i] / den[i] on the free columns and 1 at
+        # its pivot; clear the denominators with one lcm per row
+        lcm = np.array([math.lcm(*row) for row in den.tolist()], dtype=object)
+        rows = np.zeros((k, ncols), dtype=object)
+        rows[np.arange(k), list(pivots)] = lcm
+        rows[:, free] = num * (lcm[:, None] // den)
         if _verify_rref_candidate(mat, rows, pivots):
             return _downcast(rows), pivots
     return None

@@ -26,6 +26,7 @@ points of view*, Rocky Mountain J. Math. 32 (2002)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,12 @@ class ParameterArray:
         return (self.theta == other.theta
                 and self.theta_star == other.theta_star
                 and self.phi == other.phi and self.phi2 == other.phi2)
+
+    @cached_property
+    def intersection_numbers(self) -> tuple:
+        """intersection_data(self) as tuples, computed once per array: the
+        standard realization and td_aw_scalars both read it."""
+        return tuple(map(tuple, intersection_data(self)))
 
 
 @dataclass
@@ -349,7 +356,7 @@ def realize(pa: ParameterArray, basis: str = "split") -> LeonardRealization:
                   else (ths[d] - ths[i] if j == i + 1 else zero)
                   for j in range(d + 1)] for i in range(d + 1)]
     elif basis == "standard":
-        cc, aa, bb, *_ = intersection_data(pa)
+        cc, aa, bb, *_ = pa.intersection_numbers
         a = [[zero] * (d + 1) for _ in range(d + 1)]
         for i in range(d + 1):
             a[i][i] = aa[i]
@@ -529,7 +536,7 @@ def td_aw_scalars(pa: ParameterArray,
         + [gamma + beta * th[d] - th[d - 1]]
     thsx = [gamma_star + beta * ths[0] - ths[1]] + list(ths) \
         + [gamma_star + beta * ths[d] - ths[d - 1]]
-    c, a, b, cs, astar, bs = intersection_data(pa)
+    _, a, _, _, astar, _ = pa.intersection_numbers
 
     def t(i):
         return thx[i + 1]

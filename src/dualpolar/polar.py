@@ -257,11 +257,14 @@ class _PointTable:
 
     def line(self, p: int) -> np.ndarray:
         """P x (b-1), cached: row s holds the points of s + lam p, lam != 0,
-        which for s perpendicular to p are the rest of the line sp."""
+        which for s perpendicular to p are the rest of the line sp.  The
+        cache is int16 when every point index and -1 fit, else int32."""
         if self.lines[p] is None:
             field = self.spec.field
             steps = field.mul_table[np.arange(1, self.spec.b)[:, None], self.vecs[p]]
-            self.lines[p] = self.lookup(field.add_table[self.vecs[:, None], steps])
+            dtype = np.int16 if len(self.vecs) < 2 ** 15 else np.int32
+            self.lines[p] = self.lookup(
+                field.add_table[self.vecs[:, None], steps]).astype(dtype)
         return self.lines[p]
 
 

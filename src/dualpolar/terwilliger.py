@@ -37,7 +37,6 @@ from .linexact import (
     kernel,
     orthogonal_projector,
     rref,
-    row_space,
 )
 from .polar import PolarGraph
 from .uqsl2 import casimir_scalar
@@ -653,10 +652,19 @@ def decompose(ctx: TerwilligerContext, cents: CentralElements | None = None,
 def _build_component(ctx: TerwilligerContext, r: int, t: int, d: int,
                      low_rows: ExactMatrix, U,
                      full: bool = True) -> HomogeneousComponent:
+    """The component raised from the lowest-rung rows `low_rows`.
+
+    Rung j lives on block r+j, and the blocks are disjoint with sorted
+    vertex indices.  So the rung RREFs, embedded and ordered by global pivot
+    column, are the canonical RREF of the component: each row is zero on
+    every other row's pivot, within a rung by its RREF and across rungs by
+    disjoint support.  Its dimension is mult * (d + 1) by the rank check.
+    """
     n = ctx.n
     mult = low_rows.shape[0]
     rungs = []
     embedded = []
+    global_pivots = []
     with_projector = full and n <= PROJECTOR_MAX_VERTICES
     proj = ExactMatrix.zeros(n, n) if with_projector else None
     for j in range(d + 1):
@@ -669,15 +677,15 @@ def _build_component(ctx: TerwilligerContext, r: int, t: int, d: int,
             continue
         block = ctx.blocks[r + j]
         embedded.append(_embed(base, (mult, n), (slice(None), block)))
+        global_pivots.extend(block[list(pivots)])
         if with_projector:
             local = orthogonal_projector(Subspace(len(block), base, pivots))
             proj = proj + _embed(local, (n, n), np.ix_(block, block))
     if not full:
         return HomogeneousComponent(r, t, d, mult, rungs, None, None)
-    stacked = ExactMatrix.stack_rows(embedded)
-    basis = row_space(stacked)
-    if basis.dim != mult * (d + 1):
-        raise AssertionError("component dimension mismatch")
+    order = np.argsort(global_pivots)
+    basis = Subspace(n, ExactMatrix.stack_rows(embedded).take_rows(order),
+                     tuple(int(global_pivots[i]) for i in order))
     return HomogeneousComponent(r, t, d, mult, rungs, basis, proj)
 
 

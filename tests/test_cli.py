@@ -315,3 +315,33 @@ def test_leonard_report_matches_golden(capsys, monkeypatch, name):
     del report["timing"]
     with open(os.path.join(LEONARD_DATA, f"{name}.report.json")) as fh:
         assert json.dumps(report, indent=2) + "\n" == fh.read()
+
+
+def test_leonard_scalars_skipped_below_d3(tmp_path, capsys):
+    """For d <= 2 the recurrences do not fix beta, so no scalars are
+    checked and the report says so instead of passing."""
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps({"q": "2", "d": 2, "h": "0", "h_star": "0",
+                                "kappa": "1", "kappa_star": "1",
+                                "upsilon": "3"}))
+    capsys.readouterr()
+    assert main(["leonard", "--params", str(path)]) == 0
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    scalars = checks.pop("leonard:scalars")
+    assert scalars["status"] == "skipped"
+    assert "d >= 3" in scalars["statement"]
+    assert all(c["status"] == "pass" for c in checks.values())
+
+
+def test_leonard_computes_intersection_data_once(tmp_path, capsys,
+                                                 monkeypatch):
+    from dualpolar import leonard
+
+    calls = []
+    real = leonard.intersection_data
+    monkeypatch.setattr(leonard, "intersection_data",
+                        lambda pa: calls.append(pa) or real(pa))
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps(LEONARD_ARRAY))
+    assert main(["leonard", "--params", str(path)]) == 0
+    assert len(calls) == 1

@@ -1,15 +1,27 @@
-"""Differential tests of the exact integer product against Python ints and
-of the modular RREF against the fraction-free one."""
+"""Differential tests of the exact integer product against Python ints, of
+the modular RREF against the fraction-free one, and of the vectorized
+kernels against the scalar and two-pass versions they replaced."""
+
+import math
+import random
 
 import numpy as np
 import pytest
 
 from dualpolar.intlinalg import (
+    _PRIMES,
+    _gcd_rows,
     _int_rref_exact,
     _int_rref_modular,
     _matmul_dtype,
     _max_abs,
+    _mod_rref,
+    _prime_list,
+    _rat_reconstruct_block,
+    int_kernel,
     int_matmul,
+    int_rref,
+    is_prime,
 )
 
 
@@ -149,3 +161,190 @@ def test_modular_rref_matches_exact(seed, bits):
             assert got[0].shape == rows.shape
             assert (got[0].astype(object) == rows.astype(object)).all()
 
+
+# ---------------------------------------------------------------------------
+# Reference implementations the vectorized kernels replaced
+
+
+def _two_rref_kernel(mat):
+    """The null space basis from int_rref(mat), reduced once more."""
+    red, pivots = int_rref(mat)
+    ncols = mat.shape[1]
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    if free.size == 0:
+        return np.zeros((0, ncols), dtype=np.int64), ()
+    piv = [int(red[i, c]) for i, c in enumerate(pivots)]
+    big = math.lcm(*piv)
+    basis = np.zeros((free.size, ncols), dtype=object)
+    basis[np.arange(free.size), free] = big
+    scale = np.array([big // p for p in piv], dtype=object)
+    basis[:, list(pivots)] = -(red[:, free].astype(object) * scale[:, None]).T
+    return int_rref(basis)
+
+
+def _scalar_rat_reconstruct(x, modulus, bound):
+    """p/q with x = p/q mod modulus and |p|, q <= bound, or None."""
+    r0, r1 = modulus, x % modulus
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 == 0 or abs(s1) > bound:
+        return None
+    num, den = (r1, s1) if s1 > 0 else (-r1, -s1)
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    if (num - den * x) % modulus:
+        return None
+    return num, den
+
+
+def _full_row_mod_rref(mat, p):
+    """Gauss-Jordan over GF(p) updating whole rows."""
+    a = (mat % p).astype(np.int64)
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        q = r + int(nz[0])
+        if q != r:
+            a[[r, q]] = a[[q, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        mask = col != 0
+        if mask.any():
+            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a[:r], tuple(pivots)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _kernel_case(rng, seed):
+    """Seeded matrices of every rank from 0 to full, some with zero rows or
+    zero columns, some past int64, and some large enough for the modular
+    RREF (at least 5000 entries), with small entries and rank at most 24 so
+    that a few primes reconstruct them."""
+    nrows, ncols = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+    rank = int(rng.integers(0, min(nrows, ncols) + 1))
+    bits = (3, 21, 40)[seed % 3]
+    if seed % 5 == 4:
+        nrows, ncols = int(rng.integers(71, 90)), int(rng.integers(71, 90))
+        rank, bits = int(rng.integers(0, 25)), 3
+    mat = _low_rank(rng, nrows, ncols, rank, bits)
+    if seed % 4 == 1:
+        mat[:, rng.integers(0, ncols)] = 0
+    if seed % 4 == 2:
+        mat[rng.integers(0, nrows)] = 0
+    return mat
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_kernel_matches_two_rref_kernel(seed):
+    rng = np.random.default_rng(seed)
+    mat = _kernel_case(rng, seed)
+    inputs = [mat]
+    if _max_abs(mat) < 2 ** 62:
+        inputs.append(mat.astype(np.int64))
+    for m in inputs:
+        want, want_piv = _two_rref_kernel(m)
+        got, got_piv = int_kernel(m)
+        assert got_piv == want_piv
+        assert got.shape == want.shape
+        assert (got.astype(object) == want.astype(object)).all()
+        if got.size:
+            assert not int_matmul(m, got.T).any()
+            assert (_gcd_rows(got) == 1).all()
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0), (4, 4), (2, 5)])
+def test_kernel_of_empty_and_zero_matrices(shape):
+    for mat in (np.zeros(shape, dtype=np.int64),
+                np.zeros(shape, dtype=object)):
+        got, pivots = int_kernel(mat)
+        assert pivots == tuple(range(shape[1]))
+        assert (got == np.eye(shape[1], dtype=np.int64)).all()
+
+
+@pytest.mark.parametrize("nprimes", [0, 1, 2, 3, 5])
+def test_block_reconstruction_matches_scalar(nprimes):
+    """Entries that reconstruct, entries that fail, and moduli of one prime
+    (int64 arithmetic) and of several (Python ints).  The composite modulus
+    720720 (nprimes = 0) also meets entries whose candidate is rejected by
+    the final congruence check."""
+    rng = np.random.default_rng(nprimes)
+    modulus = math.prod(_PRIMES[:nprimes]) if nprimes else 720720
+    bound = math.isqrt(modulus // 2)
+    # fractions with numerators and denominators around the bound, so some
+    # reconstruct and some do not, and arbitrary residues
+    small = int(min(bound, 2 ** 60))
+    nums = [int(v) for v in rng.integers(-small, small, size=60)]
+    dens = [int(v) for v in rng.integers(1, small, size=60)]
+    xs = [n * pow(d, -1, modulus) % modulus for n, d in zip(nums, dens)
+          if math.gcd(d, modulus) == 1]
+    draw = random.Random(nprimes)
+    xs += [draw.randrange(modulus) for _ in range(20)]
+    xs += [0, 1, modulus - 1] + list(range(2, 300))
+    want = [_scalar_rat_reconstruct(x, modulus, bound) for x in xs]
+    assert any(w is None for w in want) and any(w is not None for w in want)
+    # entry by entry, and in 3 x 3 blocks, which fail exactly when one of
+    # their entries does
+    for x, w in zip(xs, want):
+        got = _rat_reconstruct_block(np.array([[x]], dtype=object), modulus,
+                                     bound)
+        assert (got and (int(got[0][0, 0]), int(got[1][0, 0]))) == w
+    for lo in range(0, len(xs) - 8, 9):
+        block = np.array(xs[lo:lo + 9], dtype=object).reshape(3, 3)
+        got = _rat_reconstruct_block(block, modulus, bound)
+        expect = want[lo:lo + 9]
+        if None in expect:
+            assert got is None
+        else:
+            assert got[0].shape == got[1].shape == (3, 3)
+            assert list(zip(got[0].ravel().tolist(),
+                            got[1].ravel().tolist())) == expect
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_mod_rref_matches_full_row_update(seed):
+    rng = np.random.default_rng(seed)
+    nrows, ncols = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+    rank = int(rng.integers(0, min(nrows, ncols) + 1))
+    mat = _low_rank(rng, nrows, ncols, rank, 21)
+    for p in (_PRIMES[0], _PRIMES[-1], 7):
+        got, got_piv = _mod_rref(mat, p)
+        want, want_piv = _full_row_mod_rref(mat, p)
+        assert got_piv == want_piv
+        assert (got == want).all()
+
+
+def test_is_prime_matches_trial_division():
+    sieve = [_trial_division(n) for n in range(10 ** 5)]
+    assert [is_prime(n) for n in range(10 ** 5)] == sieve
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to the bases
+    # 2, 3, 5, 7; 3825123056546413051 to every prime base up to 23
+    for n in (3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    for n in (2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59):
+        assert is_prime(n)
+    with pytest.raises(ValueError):
+        is_prime(318665857834031151167461)
+
+
+def test_prime_list_is_unchanged():
+    assert _PRIMES == _prime_list()
+    assert len(_PRIMES) == 40 and _PRIMES[0] == 2 ** 30 - 35
+    assert all(_trial_division(p) for p in _PRIMES)
+    # no prime is skipped between the first and the last
+    assert [p for p in range(_PRIMES[0], _PRIMES[-1] - 1, -2)
+            if _trial_division(p)] == _PRIMES

@@ -8,6 +8,7 @@ from dualpolar.gf import build_field
 from dualpolar.polar import (
     BudgetExceededError,
     FormSpec,
+    _PointTable,
     _codim_matrix,
     build_polar_graph,
     enumerate_maximal_isotropic,
@@ -290,3 +291,19 @@ def test_json_roundtrip_wide_fields(family, D, b, width):
     assert g2.vertices == g.vertices
     assert np.array_equal(g2.adjacency, g.adjacency)
     assert np.array_equal(g2.dist, g.dist)
+
+
+@pytest.mark.parametrize("family,D,b", [("C", 2, 7), ("2A_odd", 2, 4)])
+def test_line_cache_is_int16_and_matches_int32(family, D, b):
+    """The int16 line cache holds exactly the point indices (and -1) of the
+    int32 lookup it is built from."""
+    table = _PointTable(FormSpec(family, D, b))
+    field = table.spec.field
+    assert len(table.vecs) < 2 ** 15
+    for p in range(len(table.vecs)):
+        steps = field.mul_table[np.arange(1, b)[:, None], table.vecs[p]]
+        want = table.lookup(field.add_table[table.vecs[:, None], steps])
+        assert want.dtype == np.int32
+        got = table.line(p)
+        assert got.dtype == np.int16
+        assert np.array_equal(got.astype(np.int32), want)

@@ -5,8 +5,11 @@ import pytest
 
 from dualpolar.drg import b_pow, closed_form_intersection, td_scalars
 from dualpolar.exact import ExactScalar
-from dualpolar.linexact import ExactMatrix, kernel
+from dualpolar.drg import spectral_data
+from dualpolar.linexact import ExactMatrix, kernel, row_space
+from dualpolar.polar import FormSpec, build_polar_graph
 from dualpolar.terwilliger import (
+    _embed,
     _omega_coeffs,
     aw_module_scalars,
     build_context,
@@ -349,3 +352,24 @@ def test_base_vertex_independence_small(graph_c32, bm_c32, comps_c32):
         ctx2 = build_context(graph_c32, bm_c32, x)
         li = decompose(ctx2, full=False)
         assert sorted((c.triple, c.mult) for c in li) == base
+
+
+@pytest.mark.parametrize("family,D,b,bases", [("D", 3, 2, (0, 17)),
+                                              ("C", 3, 2, (0, 101)),
+                                              ("D", 4, 2, (0, 47))])
+def test_merged_component_basis_is_the_row_space_of_its_rungs(family, D, b,
+                                                               bases):
+    """decompose orders the embedded rung RREFs by global pivot instead of
+    reducing their stack; the result is the canonical RREF of the stack."""
+    g = build_polar_graph(FormSpec(family, D, b))
+    bm = spectral_data(g)
+    for x in bases:
+        ctx = build_context(g, bm, x)
+        comps = decompose(ctx, central_elements(ctx))
+        for c in comps:
+            embedded = [_embed(rung, (rung.shape[0], ctx.n),
+                               (slice(None), ctx.blocks[c.r + j]))
+                        for j, rung in enumerate(c.rungs)]
+            want = row_space(ExactMatrix.stack_rows(embedded))
+            assert c.basis.pivots == want.pivots
+            assert c.basis.key() == want.key()
