@@ -213,9 +213,8 @@ def _suite_modules(report, stage, small, g, sample_vertices):
                                                         stage["center"]))
         report.run("modules:center-identities", "C0, C1, C2, Omega, G, G* "
                    "against the displacement weights, exactly",
-                   lambda: tw.verify_center_identities(
-                       stage["ctx"], stage["cents"], stage["center"],
-                       stage["comps"]))
+                   lambda: tw.verify_center_identities(stage["ctx"],
+                                                       stage["center"]))
         try:
             comps = stage["comps"]
         except Exception:  # noqa: BLE001 - reported by modules:dimension

@@ -535,16 +535,3 @@ def spectral_projectors(a: ExactMatrix, eigs) -> list[ExactMatrix]:
         if a @ p != p.scale(ei):
             raise ValueError(f"projector fails A E = {ei} E")
     return projs
-
-
-def orthogonal_projector(s: Subspace) -> ExactMatrix:
-    """Orthogonal projector onto s for the standard symmetric bilinear form."""
-    if s.dim == 0:
-        return ExactMatrix.zeros(s.ambient, s.ambient)
-    b = s.basis
-    gram = b @ b.T
-    try:
-        ginv = inverse(gram)
-    except ZeroDivisionError:
-        raise ZeroDivisionError("degenerate basis: singular Gram matrix")
-    return b.T @ ginv @ b

@@ -12,6 +12,16 @@ defining joint-kernel description: every component is verified to lie in the
 joint kernel of (C_i - chi_i I), and the dimension count sum dim = |X| pins
 the kernels exactly (joint eigenspaces of commuting operators for distinct
 eigenvalue triples are independent, so no kernel can be larger).
+
+Each component W(r, t, d) is also certified on its raising ladder (rung j
+is the lowest rung raised j times): F acts on rung j as a_j(W), L maps it to
+b_(j-1)(W) c_j(W) times rung j - 1, and L kills rung 0, R rung d.  So L, F,
+R, K and A* act on W as the (d+1) x (d+1) matrices of `ladder_action`, once
+per copy, and the central elements as scalars (T is semisimple; Terwilliger,
+The subconstituent algebra of an association scheme I, 1992).  V is the
+direct sum of the W, so an identity among these holds on V exactly when it
+holds on every small matrix: Upsilon, Psi and Lambda are per-component
+scalars, and the center identities are scalar identities.
 """
 
 from __future__ import annotations
@@ -30,22 +40,15 @@ from .drg import (
 from .exact import ExactScalar, q_pow
 from .intlinalg import int_matmul
 from .leonard import tridiagonal_residuals
-from .linexact import (
-    ExactMatrix,
-    Subspace,
-    inverse,
-    kernel,
-    orthogonal_projector,
-    rref,
-)
+from .linexact import ExactMatrix, Subspace, inverse, kernel, rref
 from .polar import PolarGraph
 from .uqsl2 import casimir_scalar
 
-# Graphs of at most this many vertices get component projectors and what is
-# built from them: the displacement and diameter weights, the center
-# identities, the module Leonard systems and the U_q(sl2) structures.  Larger
-# graphs skip them, avoiding n x n exact projectors and the exact inversion
-# of large Gram matrices.
+# `verify` runs the center checks, the module Leonard systems (through the
+# dense n x n `extract_module`) and the U_q(sl2) structures only on graphs of
+# at most this many vertices.  The cap stays until the next change to the
+# benchmark: lifting it changes which checks the verify-dense workload
+# (C_2(7), n = 400) runs.
 PROJECTOR_MAX_VERTICES = 300
 
 
@@ -79,7 +82,7 @@ class TerwilligerContext:
         return self.g.spec.b
 
     def qexp(self, n) -> ExactScalar:
-        """Exact q**n with q = sqrt(b); n may be a Fraction with even 2n."""
+        """Exact q**n with q = sqrt(b), for an integer n."""
         n = Fraction(n)
         if n.denominator == 1:
             return q_pow(self.q, n.numerator)
@@ -420,19 +423,23 @@ def _verify_central(ctx: TerwilligerContext, c: CentralElements):
     # G* = -gamma zeta^2 I - zeta Omega holds by construction; re-check
     if c.Gstar != ident.scale(-gamma * zeta ** 2) - c.Omega.scale(zeta):
         raise AssertionError("G* relation to Omega fails")
-    # Omega relates to C0:  Omega = -xi q^-2 (q^2-1)^2 C0 - 2 gamma zeta I
-    if c.Omega != c.C0.scale(-xi * (q2 - 1) * (q2 - 1) / q2) \
-            + ident.scale(-2 * gamma * zeta):
-        raise AssertionError("Omega vs C0 expression fails")
-    rhs = c.C0.scale(xi * (q2.inverse() - 1) * (q2e - 1)) \
-        + c.C1.scale(xi * (q2.inverse() - 1) * (q2 + 1) * (q2 + 1)) \
-        + ident.scale(-rho * zeta)
-    if c.G != rhs:
-        raise AssertionError("G vs C0, C1 expression fails")
-    rhs = c.C0.scale(zeta * xi * (q2 - 1) * (q2 - 1) / q2) \
-        + ident.scale(gamma * zeta ** 2)
-    if c.Gstar != rhs:
-        raise AssertionError("G* vs C0 expression fails")
+    for name, m, (a0, a1, a2) in zip(("Omega", "G", "G*"),
+                                     (c.Omega, c.G, c.Gstar),
+                                     _central_by_c0_c1(ctx)):
+        if m != c.C0.scale(a0) + c.C1.scale(a1) + ident.scale(a2):
+            raise AssertionError(f"{name} vs C0, C1 expression fails")
+
+
+def _central_by_c0_c1(ctx: TerwilligerContext):
+    """Omega, G and G* as a0 C0 + a1 C1 + a2 I: their (a0, a1, a2)."""
+    q2 = ExactScalar(ctx.b)
+    q2e = ctx.qexp(ctx.two_e())
+    zeta, xi = ctx.bm.zeta, ctx.bm.xi
+    _, gamma, _, rho, _ = td_scalars(ctx.g.spec)
+    return ((-xi * (q2 - 1) * (q2 - 1) / q2, 0, -2 * gamma * zeta),
+            (xi * (q2.inverse() - 1) * (q2e - 1),
+             xi * (q2.inverse() - 1) * (q2 + 1) * (q2 + 1), -rho * zeta),
+            (zeta * xi * (q2 - 1) * (q2 - 1) / q2, 0, gamma * zeta ** 2))
 
 
 def verify_g_entry_table(ctx: TerwilligerContext, G: ExactMatrix) -> bool:
@@ -481,7 +488,7 @@ def central_characterization_matrix(ctx: TerwilligerContext, alpha1, beta0,
                                     perturb: bool = False) -> ExactMatrix:
     """C = sum alpha_i E*_i A E*_i + sum beta_i E*_i with
     alpha_i = b^(1-i) alpha_1 and beta_i = beta_0 - a_1 b^(1-i)
-    (b^i - 1)/(b-1) alpha_1."""
+    (b^i - 1)/(b-1) alpha_1.  With perturb, alpha_min(2, D) is raised by 1."""
     b = ctx.b
     _, avals, _ = closed_form_intersection(ctx.g.spec)
     a1 = avals[1]
@@ -494,7 +501,10 @@ def central_characterization_matrix(ctx: TerwilligerContext, alpha1, beta0,
         for i in range(ctx.D + 1)
     }
     if perturb:
-        alphas[2] = alphas[2] + 1
+        # the raised alpha breaks alpha_2 = alpha_1 / b, or for D = 1 the
+        # beta_1 computed from the old alpha_1
+        i = min(2, ctx.D)
+        alphas[i] = alphas[i] + 1
     same = (ctx.dist_x[:, None] == ctx.dist_x[None, :]).astype(np.int64)
     c = ctx.A.masked(same).row_scale(
         [alphas.get(int(ctx.dist_x[y]), 0) for y in range(ctx.n)])
@@ -512,9 +522,8 @@ class HomogeneousComponent:
     t: int
     d: int
     mult: int
-    rungs: list[ExactMatrix]  # local row bases, rung i in block r+i coordinates
-    basis: Subspace           # full-coordinate RREF basis of the component
-    projector: ExactMatrix    # orthogonal projector onto the component
+    rungs: list[ExactMatrix]  # rung j: rung 0 raised j times, on block r+j
+    basis: Subspace | None    # full-coordinate RREF basis (full=True only)
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -523,6 +532,43 @@ class HomogeneousComponent:
     @property
     def dim(self) -> int:
         return self.mult * (self.d + 1)
+
+
+@dataclass
+class LadderAction:
+    """L, F, R, K, K^-1 and A* on one copy v_j = R^j v_0 (0 <= j <= d) of
+    the raising ladder of W(r, t, d), as (d+1) x (d+1) matrices M with
+    op(v_j) = sum_i M_ij v_i."""
+
+    L: ExactMatrix
+    F: ExactMatrix
+    R: ExactMatrix
+    K: ExactMatrix
+    Kinv: ExactMatrix
+    Astar: ExactMatrix
+
+    @property
+    def A(self) -> ExactMatrix:
+        return self.L + self.F + self.R
+
+
+def ladder_action(ctx: TerwilligerContext, r: int, t: int,
+                  d: int) -> LadderAction:
+    """R v_j = v_(j+1), F v_j = a_j(W) v_j, L v_j = b_(j-1)(W) c_j(W) v_(j-1)
+    with `module_intersection`'s closed forms (decompose certifies these
+    three on every rung), and K, A* the scalars of subconstituent r + j on
+    rung j."""
+    c, a, bb = module_intersection(ctx, r, t, d)
+    size = d + 1
+    lower = [[0] * size for _ in range(size)]
+    for j in range(1, size):
+        lower[j - 1][j] = bb[j - 1] * c[j]
+    powers = [ctx.b ** (r + j) for j in range(size)]
+    return LadderAction(
+        ExactMatrix.from_rows(lower), ExactMatrix.diag(a),
+        ExactMatrix.from_int(np.eye(size, k=-1, dtype=np.int64)),
+        ExactMatrix.diag([Fraction(1, p) for p in powers]),
+        ExactMatrix.diag(powers), ExactMatrix.diag(ctx.bm.theta_star[r:r + size]))
 
 
 def _embed(local: ExactMatrix, shape, index) -> ExactMatrix:
@@ -564,16 +610,16 @@ def decompose(ctx: TerwilligerContext, cents: CentralElements | None = None,
     """Homogeneous components of the standard module.
 
     With full=True (requires the central elements) every component carries
-    its RREF basis, and the whole decomposition is certified: joint-kernel
-    membership, A/A*-invariance, pairwise orthogonality, and the dimension
-    count that pins the joint kernels exactly.  On graphs of at most
-    PROJECTOR_MAX_VERTICES vertices each component also carries its
-    orthogonal projector, and the projectors are certified to sum to I;
-    above it the exact inversion of large Gram matrices is avoided, the
-    projector is None, and sum(E) = I follows from orthogonality plus the
-    dimension count.  With full=False only the feasible triples with
-    multiplicities are computed (used for base-vertex sampling); dimensions
-    still must sum to |X|.
+    its RREF basis, and the whole decomposition is certified:
+    - L, F, R act on the raising ladder of each component as
+      `ladder_action` says (so each component is A- and A*-invariant),
+    - each component lies in the joint kernel of (C_i - chi_i I),
+    - the components are pairwise orthogonal,
+    - their dimensions sum to |X|, which pins the joint kernels exactly and
+      makes V their direct sum.
+    With full=False only the feasible triples with multiplicities are
+    computed (used for base-vertex sampling); dimensions still must sum to
+    |X|.
     """
     if full and cents is None:
         raise ValueError("full decomposition requires the central elements")
@@ -654,39 +700,62 @@ def _build_component(ctx: TerwilligerContext, r: int, t: int, d: int,
                      full: bool = True) -> HomogeneousComponent:
     """The component raised from the lowest-rung rows `low_rows`.
 
-    Rung j lives on block r+j, and the blocks are disjoint with sorted
-    vertex indices.  So the rung RREFs, embedded and ordered by global pivot
-    column, are the canonical RREF of the component: each row is zero on
-    every other row's pivot, within a rung by its RREF and across rungs by
-    disjoint support.  Its dimension is mult * (d + 1) by the rank check.
+    Rung j, `low_rows @ U[j].T`, lives on block r+j, and the blocks are
+    disjoint with sorted vertex indices.  So the rung RREFs, embedded and
+    ordered by global pivot column, are the canonical RREF of the component:
+    each row is zero on every other row's pivot, within a rung by its RREF
+    and across rungs by disjoint support.  Its dimension is mult * (d + 1)
+    by the rank check.
     """
     n = ctx.n
     mult = low_rows.shape[0]
     rungs = []
     embedded = []
     global_pivots = []
-    with_projector = full and n <= PROJECTOR_MAX_VERTICES
-    proj = ExactMatrix.zeros(n, n) if with_projector else None
     for j in range(d + 1):
         rung = low_rows @ ExactMatrix.from_int(U[j]).T
         base, pivots = rref(rung)
         if base.shape[0] != mult:
             raise AssertionError("raising ladder drops rank before the top")
-        rungs.append(base)
-        if not full:
-            continue
-        block = ctx.blocks[r + j]
-        embedded.append(_embed(base, (mult, n), (slice(None), block)))
-        global_pivots.extend(block[list(pivots)])
-        if with_projector:
-            local = orthogonal_projector(Subspace(len(block), base, pivots))
-            proj = proj + _embed(local, (n, n), np.ix_(block, block))
-    if not full:
-        return HomogeneousComponent(r, t, d, mult, rungs, None, None)
-    order = np.argsort(global_pivots)
-    basis = Subspace(n, ExactMatrix.stack_rows(embedded).take_rows(order),
-                     tuple(int(global_pivots[i]) for i in order))
-    return HomogeneousComponent(r, t, d, mult, rungs, basis, proj)
+        rungs.append(rung)
+        if full:
+            block = ctx.blocks[r + j]
+            embedded.append(_embed(base, (mult, n), (slice(None), block)))
+            global_pivots.extend(block[list(pivots)])
+    basis = None
+    if full:
+        order = np.argsort(global_pivots)
+        basis = Subspace(n, ExactMatrix.stack_rows(embedded).take_rows(order),
+                         tuple(int(global_pivots[i]) for i in order))
+    return HomogeneousComponent(r, t, d, mult, rungs, basis)
+
+
+def _certify_ladder(ctx: TerwilligerContext, comp: HomogeneousComponent):
+    """L, F, R act on the rungs of comp as `ladder_action` says.
+
+    One block-local adjacency product per rung gives the rows of L, F and R
+    applied to the rung; A is symmetric, so row y of `rung @ adj[block, :]`
+    is the image of rung row y.
+    """
+    r, t, d = comp.triple
+    act = ladder_action(ctx, r, t, d)
+    blocks = ctx.blocks
+    for j, rung in enumerate(comp.rungs):
+        s = r + j
+        near = [i for i in (s - 1, s, s + 1) if 0 <= i <= ctx.D]
+        image = rung @ ExactMatrix.from_int(ctx.g.adjacency[np.ix_(
+            blocks[s], np.concatenate([blocks[i] for i in near]))])
+        # the image on blocks s-1, s, s+1: L, F and R of the rung
+        want = {s - 1: comp.rungs[j - 1].scale(act.L.entry(j - 1, j))
+                if j else None,
+                s: rung.scale(act.F.entry(j, j)),
+                s + 1: comp.rungs[j + 1] if j < d else None}
+        parts = [ExactMatrix.zeros(comp.mult, len(blocks[i]))
+                 if want[i] is None else want[i] for i in near]
+        if image != ExactMatrix.stack_rows([p.T for p in parts]).T:
+            raise AssertionError(
+                f"L, F, R do not act on the raising ladder of component "
+                f"{comp.triple} by its intersection numbers")
 
 
 def _certify_decomposition(ctx: TerwilligerContext, cents: CentralElements,
@@ -705,6 +774,7 @@ def _certify_decomposition(ctx: TerwilligerContext, cents: CentralElements,
             raise AssertionError(f"triple {c.triple} violates feasibility bounds")
         if c.dim % (d + 1):
             raise AssertionError("multiplicity is not an integer")
+        _certify_ladder(ctx, c)
         bt = c.basis.basis.T
         for ci, chif in ((cents.C0, chi0), (cents.C1, chi1), (cents.C2, chi2)):
             val = chif(ctx, r, t, d)
@@ -712,21 +782,7 @@ def _certify_decomposition(ctx: TerwilligerContext, cents: CentralElements,
                 raise AssertionError(
                     f"component {c.triple} is not in the joint kernel"
                 )
-        # A- and A*-invariance
-        if not c.basis.contains_rows((ctx.A @ bt).T):
-            raise AssertionError(f"component {c.triple} is not A-invariant")
-        if not c.basis.contains_rows((ctx.Astar @ bt).T):
-            raise AssertionError(f"component {c.triple} is not A*-invariant")
-        p = c.projector
-        if p is not None:
-            if p @ p != p or p.T != p:
-                raise AssertionError("component projector is not an "
-                                     "orthogonal idempotent")
-            if not c.basis.contains_rows(p):
-                raise AssertionError("projector image is not the component")
-            if (p @ bt) != bt:
-                raise AssertionError("projector does not fix the component")
-    # pairwise orthogonality and completeness
+    # pairwise orthogonality; with the dimension count, V is the direct sum
     stacked = ExactMatrix.stack_rows([c.basis.basis for c in comps])
     gram = stacked @ stacked.T
     offsets = np.cumsum([0] + [c.dim for c in comps])
@@ -738,13 +794,6 @@ def _certify_decomposition(ctx: TerwilligerContext, cents: CentralElements,
             blockv = ga[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]]
             if np.any(blockv):
                 raise AssertionError("components are not pairwise orthogonal")
-    if all(c.projector is not None for c in comps):
-        psum = comps[0].projector
-        for c in comps[1:]:
-            psum = psum + c.projector
-        if psum != ExactMatrix.identity(n):
-            raise AssertionError("component projectors do not sum to the "
-                                 "identity")
 
 
 # ---------------------------------------------------------------------------
@@ -753,126 +802,82 @@ def _certify_decomposition(ctx: TerwilligerContext, cents: CentralElements,
 
 @dataclass
 class CenterData:
-    sigma: dict[int, ExactMatrix]  # projectors by first-kind displacement
-    psi: dict[int, ExactMatrix]   # projectors by second-kind displacement
-    rho: dict[int, ExactMatrix]   # projectors by module diameter
-    Upsilon: ExactMatrix
-    Upsilon_inv: ExactMatrix
-    Psi: ExactMatrix
-    Psi_inv: ExactMatrix
-    Lam: ExactMatrix
+    """The displacement weights Upsilon, Psi and the diameter weight Lambda,
+    by the scalar each acts as on the homogeneous component (r, t, d)."""
+
+    Upsilon: dict[tuple[int, int, int], ExactScalar]  # q^(r+t+d-D)
+    Psi: dict[tuple[int, int, int], ExactScalar]      # q^(r-t)
+    Lam: dict[tuple[int, int, int], ExactScalar]      # Casimir on L(d, 1)
 
 
 def upsilon_psi_lambda(ctx: TerwilligerContext,
                        comps: list[HomogeneousComponent]) -> CenterData:
-    n = ctx.n
-    zero = ExactMatrix.zeros(n, n)
-
-    def bucket(keyfn):
-        out = {}
-        for c in comps:
-            k = keyfn(c)
-            out[k] = out.get(k, zero) + c.projector
-        return out
-
-    sigma = bucket(lambda c: c.r + c.t + c.d - ctx.D)
-    psi = bucket(lambda c: c.r - c.t)
-    rho = bucket(lambda c: c.d)
-    ident = ExactMatrix.identity(n)
-    for fam in (sigma, psi, rho):
-        tot = zero
-        for m in fam.values():
-            tot = tot + m
-        if tot != ident:
-            raise AssertionError("displacement projectors do not sum to I")
-
-    def weighted(fam, weight):
-        out = zero
-        for k, m in fam.items():
-            out = out + m.scale(weight(k))
-        return out
-
-    ups = weighted(sigma, lambda mu: ctx.qexp(mu))
-    ups_inv = weighted(sigma, lambda mu: ctx.qexp(-mu))
-    psi_m = weighted(psi, lambda nu: ctx.qexp(nu))
-    psi_inv = weighted(psi, lambda nu: ctx.qexp(-nu))
-    lam = weighted(rho, lambda d: casimir_scalar(ctx.q, d, 1))
-    if ups @ ups_inv != ident or psi_m @ psi_inv != ident:
-        raise AssertionError("displacement weights are not invertible")
-    return CenterData(sigma, psi, rho, ups, ups_inv, psi_m, psi_inv, lam)
+    """Upsilon, Psi and Lambda on the components of a full decomposition,
+    which certifies V as their direct sum."""
+    return CenterData(
+        {c.triple: ctx.qexp(c.r + c.t + c.d - ctx.D) for c in comps},
+        {c.triple: ctx.qexp(c.r - c.t) for c in comps},
+        {c.triple: casimir_scalar(ctx.q, c.d, 1) for c in comps})
 
 
-def assemble_on_components(ctx: TerwilligerContext,
-                           comps: list[HomogeneousComponent],
-                           coeff) -> ExactMatrix:
-    """sum over components of coeff(component) * projector."""
-    out = ExactMatrix.zeros(ctx.n, ctx.n)
-    for c in comps:
-        out = out + c.projector.scale(coeff(c))
-    return out
-
-
-def verify_center_identities(ctx: TerwilligerContext, cents: CentralElements,
-                             center: CenterData,
-                             comps: list[HomogeneousComponent]) -> None:
+def verify_center_identities(ctx: TerwilligerContext,
+                             center: CenterData) -> None:
     """The expressions of C0, C1, C2 through the displacement elements, and
-    of Omega, G, G* through either family, all as exact matrix identities."""
-    n = ctx.n
+    of Omega, G, G* through either family, as one scalar identity per
+    component: C_i acts on W(r, t, d) as chi_i (decompose's joint-kernel
+    certificate), and Omega, G, G* as their C0, C1 expressions
+    (`_verify_central`)."""
     q2 = ExactScalar(ctx.b)
     q4 = q2 * q2
     q2e = ctx.qexp(ctx.two_e())
+    one = ExactScalar(1)
     zeta, xi = ctx.bm.zeta, ctx.bm.xi
     _, gamma, _, rho_s, _ = td_scalars(ctx.g.spec)
-    ident = ExactMatrix.identity(n)
-    ups2_inv = assemble_on_components(
-        ctx, comps, lambda c: ctx.qexp(-2 * (c.r + c.t + c.d - ctx.D)))
-    psi2_inv = assemble_on_components(
-        ctx, comps, lambda c: ctx.qexp(-2 * (c.r - c.t)))
-    core = ups2_inv.scale(q2e) - psi2_inv
-    if cents.C0 != core.scale((q2 - 1).inverse()):
-        raise AssertionError("C0 displacement expression fails")
-    ups_psi_lam = assemble_on_components(
-        ctx, comps,
-        lambda c: ctx.qexp(-(c.r + c.t + c.d - ctx.D) - (c.r - c.t))
-        * casimir_scalar(ctx.q, c.d, 1))
-    pref = ctx.qexp(ctx.two_e() + ctx.D - 3) * (q2 - 1) / (q2 + 1)
-    if cents.C1 != ups_psi_lam.scale(pref):
-        raise AssertionError("C1 displacement expression fails")
-    ups2psi2_inv = assemble_on_components(
-        ctx, comps,
-        lambda c: ctx.qexp(-2 * (c.r + c.t + c.d - ctx.D) - 2 * (c.r - c.t)))
-    if cents.C2 != ups2psi2_inv.scale(ctx.qexp(ctx.two_e() - 2) / (q4 - 1)):
-        raise AssertionError("C2 displacement expression fails")
-    # Omega, G, G* through the displacement elements
-    if cents.Omega != core.scale(ExactScalar(xi) * (q2.inverse() - 1)) \
-            + ident.scale(-2 * gamma * zeta):
-        raise AssertionError("Omega displacement expression fails")
-    gexpr = core.scale(ExactScalar(xi) * q2.inverse() * (ExactScalar(1) - q2e)) \
-        - ups_psi_lam.scale(ExactScalar(xi) * ctx.qexp(ctx.D + ctx.two_e() - 5)
-                            * (q2 - 1) * (q2 - 1) * (q2 + 1)) \
-        + ident.scale(-rho_s * zeta)
-    if cents.G != gexpr:
-        raise AssertionError("G displacement expression fails")
-    if cents.Gstar != core.scale(ExactScalar(zeta * xi) * (1 - q2.inverse())) \
-            + ident.scale(gamma * zeta ** 2):
-        raise AssertionError("G* displacement expression fails")
-    # per-component action of Omega, G, G* equals the closed module scalars
-    for c in comps:
-        om, eta, eta_star = aw_module_scalars(ctx, *c.triple)
-        bt = c.basis.basis.T
-        for mat, val in ((cents.Omega, om), (cents.G, eta),
-                         (cents.Gstar, eta_star)):
-            if not ((mat @ bt) - bt.scale(ExactScalar(val))).is_zero():
-                raise AssertionError(
-                    f"central action on {c.triple} disagrees with the "
-                    "closed module scalar")
+    by_c0_c1 = _central_by_c0_c1(ctx)
+    for triple in sorted(center.Upsilon):
+        ups, psi = center.Upsilon[triple], center.Psi[triple]
+        c0, c1, c2 = (chif(ctx, *triple) for chif in (chi0, chi1, chi2))
+        core = q2e / (ups * ups) - one / (psi * psi)
+        if c0 != core / (q2 - 1):
+            raise AssertionError("C0 displacement expression fails")
+        ups_psi_lam = center.Lam[triple] / (ups * psi)
+        pref = ctx.qexp(ctx.two_e() + ctx.D - 3) * (q2 - 1) / (q2 + 1)
+        if c1 != pref * ups_psi_lam:
+            raise AssertionError("C1 displacement expression fails")
+        if c2 != ctx.qexp(ctx.two_e() - 2) / (q4 - 1) \
+                / (ups * ups * psi * psi):
+            raise AssertionError("C2 displacement expression fails")
+        om, eta, eta_star = (a0 * c0 + a1 * c1 + a2
+                             for a0, a1, a2 in by_c0_c1)
+        # Omega, G, G* through the displacement elements
+        if om != core * ExactScalar(xi) * (q2.inverse() - 1) - 2 * gamma * zeta:
+            raise AssertionError("Omega displacement expression fails")
+        if eta != core * ExactScalar(xi) * q2.inverse() * (one - q2e) \
+                - ups_psi_lam * ExactScalar(xi) \
+                * ctx.qexp(ctx.D + ctx.two_e() - 5) \
+                * (q2 - 1) * (q2 - 1) * (q2 + 1) - rho_s * zeta:
+            raise AssertionError("G displacement expression fails")
+        if eta_star != core * ExactScalar(zeta * xi) * (1 - q2.inverse()) \
+                + gamma * zeta ** 2:
+            raise AssertionError("G* displacement expression fails")
+        # the action of Omega, G, G* equals the closed module scalars
+        if (om, eta, eta_star) != aw_module_scalars(ctx, *triple):
+            raise AssertionError(
+                f"central action on {triple} disagrees with the closed "
+                "module scalar")
 
 
 def verify_center_commutation(ctx: TerwilligerContext,
                               center: CenterData) -> bool:
-    for m in (center.Upsilon, center.Psi, center.Lam):
-        if not commutes(m, ctx.A) or not commutes(m, ctx.Astar):
-            return False
+    """Upsilon, Psi and Lambda commute with A and A*: each is a scalar on a
+    component, where A and A* act by the certified ladder matrices."""
+    for triple in sorted(center.Upsilon):
+        act = ladder_action(ctx, *triple)
+        ident = ExactMatrix.identity(triple[2] + 1)
+        for weight in (center.Upsilon, center.Psi, center.Lam):
+            w = ident.scale(weight[triple])
+            if not commutes(w, act.A) or not commutes(w, act.Astar):
+                return False
     return True
 
 

@@ -11,9 +11,15 @@ z-eigenbasis; the Casimir element ef + (q^-1 k + q k^-1)/(q - q^-1)^2 acts
 on it as eps (q^(d+1) + q^(-d-1))/(q - q^-1)^2.
 
 Two module structures are attached to a dual q-Krawtchouk Leonard system by
-rational expressions in A - h and A* - h*, and to the standard module of a
-dual polar graph through the distance-weight matrices and the displacement
-central elements.
+rational expressions in A - h and A* - h*, and two to the standard module of
+a dual polar graph through K, L, R and the displacement weights Upsilon,
+Psi.  The standard-module structures are built and checked one homogeneous
+component W(r, t, d) at a time: there K, L, R act on each copy of the
+raising ladder by the (d+1) x (d+1) matrices of
+`terwilliger.ladder_action`, which `decompose` certifies, and Upsilon, Psi
+and the diameter weight Lambda act as scalars.  V is the direct sum of the
+components, so a relation holds on V exactly when it holds on every such
+small matrix.
 """
 
 from __future__ import annotations
@@ -305,8 +311,8 @@ def verify_split_basis_is_y_eigenbasis(real: LeonardRealization,
 @dataclass
 class StandardModuleAction:
     variant: int
-    act: UqAction
-    params: dict  # h, h_star, kappa, kappa_star, upsilon
+    actions: dict  # (r, t, d) -> UqAction on one copy of the ladder of W
+    params: dict   # h, h_star, kappa, kappa_star, upsilon
 
 
 def dpg_uq_params(ctx) -> dict:
@@ -323,83 +329,86 @@ def dpg_uq_params(ctx) -> dict:
 
 def uq_on_standard_module(ctx, center, variant: int = 1) -> StandardModuleAction:
     """x, y, z on the standard module, through K, L, R and the displacement
-    central elements; all defining relations and recoveries are verified."""
+    central elements; all defining relations and recoveries are verified.
+
+    They are checked on each homogeneous component W(r, t, d), where K, L, R
+    act by the (d+1) x (d+1) ladder matrices and Upsilon, Psi, Lambda by
+    scalars; V is the direct sum of the components."""
+    from .terwilliger import ladder_action
+
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     q = ctx.q
     q2 = ExactScalar(ctx.b)
-    n = ctx.n
     D = ctx.D
     e2 = ctx.two_e()
-    ups, upsi = center.Upsilon, center.Upsilon_inv
-    psi, psii = center.Psi, center.Psi_inv
-    base = (upsi @ psii @ ctx.Kinv).scale(ctx.qexp(-D))
-    if variant == 1:
-        x = base + (ups @ psii @ ctx.R).scale(ctx.qexp(-e2 - D) * (q2 - 1))
-        y = base - (upsi @ psi @ ctx.L).scale(ctx.qexp(-D) * (q2 - 1))
-    else:
-        x = base - (upsi @ psi @ ctx.R).scale(ctx.qexp(-D) * (q2 - 1))
-        y = base + (ups @ psii @ ctx.L).scale(ctx.qexp(-e2 - D) * (q2 - 1))
-    z = (ups @ psi @ ctx.K).scale(ctx.qexp(D))
-    zinv = (upsi @ psii @ ctx.Kinv).scale(ctx.qexp(-D))
-    act = UqAction(q, x, y, z, zinv)
-    act.verify()
     params = dpg_uq_params(ctx)
-    ident = ExactMatrix.identity(n)
-    first = (upsi @ psi).scale(params["kappa"])
-    second = (ups @ psii).scale(params["upsilon"])
-    if variant == 1:
-        recov = ident.scale(params["h"]) + first @ x + second @ y
-    else:
-        recov = ident.scale(params["h"]) + first @ y + second @ x
-    if recov != ctx.A:
-        raise AssertionError("A recovery on the standard module fails")
-    recov_star = ident.scale(params["h_star"]) \
-        + ((upsi @ psii) @ z).scale(params["kappa_star"])
-    if recov_star != ctx.Astar:
-        raise AssertionError("A* recovery on the standard module fails")
-    # Chevalley images in terms of K, L, R
-    if variant == 1:
-        e_want = (psi @ psi @ ctx.K @ ctx.L)
-        f_want = (ups @ psii @ ctx.R).scale(ctx.qexp(1 - e2 - D))
-    else:
-        e_want = (ups @ ups @ ctx.K @ ctx.L).scale(-ctx.qexp(-e2))
-        f_want = (upsi @ psi @ ctx.R).scale(-ctx.qexp(1 - D))
-    k_want = (ups @ psi @ ctx.K).scale(ctx.qexp(D))
-    if act.e != e_want or act.f != f_want or act.k != k_want:
-        raise AssertionError("Chevalley images in K, L, R fail")
-    # Casimir acts as the diameter weight
-    delta = act.casimir()
-    if delta != center.Lam:
-        raise AssertionError("Casimir does not equal the diameter weight")
-    # homogeneous components: Delta rho_d = cas(d, 1) rho_d, and no
-    # eps = -1 scalar occurs among the eigenvalues, so V_(d,-1) = 0 and
-    # V_(d,1) = rho_d V
-    scalars = {}
-    for d, proj in center.rho.items():
-        val = casimir_scalar(q, d, 1)
-        scalars[d] = val
-        if delta @ proj != proj.scale(val):
-            raise AssertionError("Casimir eigenvalue on diameter component "
-                                 "is wrong")
+    actions = {}
+    for triple in sorted(center.Upsilon):
+        lad = ladder_action(ctx, *triple)
+        ident = ExactMatrix.identity(triple[2] + 1)
+        ups = ident.scale(center.Upsilon[triple])
+        upsi = ident.scale(center.Upsilon[triple].inverse())
+        psi = ident.scale(center.Psi[triple])
+        psii = ident.scale(center.Psi[triple].inverse())
+        base = (upsi @ psii @ lad.Kinv).scale(ctx.qexp(-D))
+        if variant == 1:
+            x = base + (ups @ psii @ lad.R).scale(ctx.qexp(-e2 - D) * (q2 - 1))
+            y = base - (upsi @ psi @ lad.L).scale(ctx.qexp(-D) * (q2 - 1))
+        else:
+            x = base - (upsi @ psi @ lad.R).scale(ctx.qexp(-D) * (q2 - 1))
+            y = base + (ups @ psii @ lad.L).scale(ctx.qexp(-e2 - D) * (q2 - 1))
+        z = (ups @ psi @ lad.K).scale(ctx.qexp(D))
+        zinv = (upsi @ psii @ lad.Kinv).scale(ctx.qexp(-D))
+        act = UqAction(q, x, y, z, zinv)
+        act.verify()
+        first = (upsi @ psi).scale(params["kappa"])
+        second = (ups @ psii).scale(params["upsilon"])
+        if variant == 1:
+            recov = ident.scale(params["h"]) + first @ x + second @ y
+        else:
+            recov = ident.scale(params["h"]) + first @ y + second @ x
+        if recov != lad.A:
+            raise AssertionError("A recovery on the standard module fails")
+        recov_star = ident.scale(params["h_star"]) \
+            + ((upsi @ psii) @ z).scale(params["kappa_star"])
+        if recov_star != lad.Astar:
+            raise AssertionError("A* recovery on the standard module fails")
+        # Chevalley images in terms of K, L, R
+        if variant == 1:
+            e_want = (psi @ psi @ lad.K @ lad.L)
+            f_want = (ups @ psii @ lad.R).scale(ctx.qexp(1 - e2 - D))
+        else:
+            e_want = (ups @ ups @ lad.K @ lad.L).scale(-ctx.qexp(-e2))
+            f_want = (upsi @ psi @ lad.R).scale(-ctx.qexp(1 - D))
+        k_want = (ups @ psi @ lad.K).scale(ctx.qexp(D))
+        if act.e != e_want or act.f != f_want or act.k != k_want:
+            raise AssertionError("Chevalley images in K, L, R fail")
+        # Casimir acts as the diameter weight
+        if act.casimir() != ident.scale(center.Lam[triple]):
+            raise AssertionError("Casimir does not equal the diameter weight")
+        actions[triple] = act
+    # the Casimir is cas(d, 1) on rho_d V, and no eps = -1 scalar occurs
+    # among its eigenvalues, so V_(d,-1) = 0 and V_(d,1) = rho_d V
     for d in range(D + 1):
         neg = casimir_scalar(q, d, -1)
-        if any(neg == v for v in scalars.values()):
+        if any(neg == v for v in center.Lam.values()):
             raise AssertionError("an eps = -1 Casimir value collides")
-    return StandardModuleAction(variant, act, params)
+    return StandardModuleAction(variant, actions, params)
 
 
 def verify_cross_variant_standard(ctx, center, sm1: StandardModuleAction,
                                   sm2: StandardModuleAction) -> bool:
-    """k_2 = k_1, e_2 = -q^-2e Ups^2 Psi^-2 e_1, f_2 = -q^2e Ups^-2 Psi^2 f_1."""
+    """k_2 = k_1, e_2 = -q^-2e Ups^2 Psi^-2 e_1, f_2 = -q^2e Ups^-2 Psi^2 f_1,
+    on each homogeneous component."""
     e2 = ctx.two_e()
-    a1, a2 = sm1.act, sm2.act
-    if a1.k != a2.k:
-        return False
-    ups2 = center.Upsilon @ center.Upsilon
-    upsi2 = center.Upsilon_inv @ center.Upsilon_inv
-    psi2 = center.Psi @ center.Psi
-    psii2 = center.Psi_inv @ center.Psi_inv
-    ok_e = a2.e == (ups2 @ psii2 @ a1.e).scale(-ctx.qexp(-e2))
-    ok_f = a2.f == (upsi2 @ psi2 @ a1.f).scale(-ctx.qexp(e2))
-    return ok_e and ok_f
+    for triple, a1 in sm1.actions.items():
+        a2 = sm2.actions[triple]
+        ratio = center.Upsilon[triple] / center.Psi[triple]
+        if a1.k != a2.k:
+            return False
+        if a2.e != a1.e.scale(-ctx.qexp(-e2) * ratio * ratio):
+            return False
+        if a2.f != a1.f.scale(-ctx.qexp(e2) / (ratio * ratio)):
+            return False
+    return True

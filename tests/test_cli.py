@@ -134,6 +134,10 @@ STAGE_FAILURES = {
         AssertionError("components are not pairwise orthogonal"),
         ["modules:dimension", "modules:center-commute",
          "modules:center-identities", "uq:variant1", "uq:cross-variant"]),
+    "terwilliger.upsilon_psi_lambda": (
+        AssertionError("displacement weights are not defined"),
+        ["modules:center-commute", "modules:center-identities",
+         "uq:variant1", "uq:cross-variant"]),
     "uqsl2.uq_on_standard_module": (
         AssertionError("Chevalley images in K, L, R fail"),
         ["uq:variant1", "uq:cross-variant"]),
@@ -164,6 +168,45 @@ def test_failing_stage_fails_its_checks(d32_file, capsys, monkeypatch,
         if cid.split(":")[0] not in {d.split(":")[0] for d in dependent}:
             assert checks[cid]["status"] == "pass", cid
     assert len(calls) == 1  # a failed stage is not rebuilt for each check
+
+
+@pytest.mark.parametrize("family,b", [("C", 2), ("C", 3), ("D", 2),
+                                      ("2A_odd", 4), ("2A_even", 4)])
+def test_central_suite_on_diameter_one(tmp_path, capsys, family, b):
+    """D = 1 has no alpha_2 to perturb; alpha_1 is raised instead, which
+    breaks commutation unless F = 0 (D_1(2))."""
+    path = str(tmp_path / "g.json")
+    assert main(["build", "--family", family, "--D", "1", "--b", str(b),
+                 "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--graph", path, "--suite", "central"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["summary"] == {"pass": 4, "fail": 0, "skipped": 0}
+
+
+VERIFY_DATA = os.path.join(os.path.dirname(__file__), "data", "verify")
+
+
+# `verify --suite all` on D_3(2), and the verify-modules benchmark call on
+# D_4(2).  Each *.report.json was written by the implementation with n x n
+# component projectors (commit 173fa5e), with its `timing` entry removed.
+@pytest.mark.parametrize("name,family,D,options", [
+    ("d32-all", "D", 3, []),
+    ("d42-modules", "D", 4, ["--base-vertex", "47",
+                             "--all-vertices-sample", "3"])])
+def test_verify_report_matches_golden(tmp_path, capsys, monkeypatch, name,
+                                      family, D, options):
+    monkeypatch.chdir(tmp_path)
+    graph = f"{family.lower()}{D}2.json"
+    assert main(["build", "--family", family, "--D", str(D), "--b", "2",
+                 "--out", graph]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--graph", graph, "--suite", "all",
+                 *options]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["timing"]
+    with open(os.path.join(VERIFY_DATA, f"{name}.report.json")) as fh:
+        assert json.dumps(report, indent=2) + "\n" == fh.read()
 
 
 LEONARD_ARRAY = {"q": "2", "d": 3, "h": "1", "h_star": "-2", "kappa": "1",

@@ -10,7 +10,6 @@ from dualpolar.linexact import (
     ExactMatrix,
     inverse,
     kernel,
-    orthogonal_projector,
     row_space,
     rref,
     spectral_projectors,
@@ -163,23 +162,6 @@ def test_spectral_projector_errors():
         spectral_projectors(a, [2, 2])
     with pytest.raises(ValueError):
         spectral_projectors(a, [2, 4])
-
-
-def test_orthogonal_projector_trivial():
-    s = row_space(ExactMatrix.from_rows([[1, 0]]))
-    assert orthogonal_projector(s) == ExactMatrix.diag([1, 0])
-    s2 = row_space(ExactMatrix.from_rows([[1, 1]]))
-    want = ExactMatrix.from_rows([[Fraction(1, 2)] * 2] * 2)
-    assert orthogonal_projector(s2) == want
-
-
-def test_orthogonal_projector_properties():
-    b = ExactMatrix.from_rows([[1, 2, 0, 1], [0, 1, 1, -1]])
-    s = row_space(b)
-    p = orthogonal_projector(s)
-    assert p @ p == p
-    assert p.T == p
-    assert s.contains_rows(p.T)
 
 
 def test_subspace_membership():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -289,14 +290,18 @@ def test_primary_module_is_span_of_distance_vectors(ctx_c32, comps_c32):
 def test_center_identities(ctx_c32, cents_c32, comps_c32, center_c32):
     center = center_c32
     assert verify_center_commutation(ctx_c32, center)
-    verify_center_identities(ctx_c32, cents_c32, center, comps_c32)
+    verify_center_identities(ctx_c32, center)
+    assert sorted(center.Upsilon) == sorted(c.triple for c in comps_c32)
     # Upsilon acts as the identity on the primary component (mu = 0)
-    primary = [c for c in comps_c32 if c.triple == (0, 0, 3)][0]
-    bt = primary.basis.basis.T
-    assert (center.Upsilon @ bt) == bt
+    assert center.Upsilon[(0, 0, 3)] == ExactScalar(1)
     # Lambda acts on the primary component as (q^4 + q^-4)/(q - q^-1)^2
     assert casimir_scalar(ctx_c32.q, 3, 1) == ExactScalar(Fraction(17, 2))
-    assert (center.Lam @ bt) == bt.scale(ExactScalar(Fraction(17, 2)))
+    assert center.Lam[(0, 0, 3)] == ExactScalar(Fraction(17, 2))
+    # a displacement weight off by a factor q breaks the C0 expression
+    bad = replace(center, Upsilon={**center.Upsilon,
+                                   (1, 1, 1): ctx_c32.q})
+    with pytest.raises(AssertionError, match="C0 displacement"):
+        verify_center_identities(ctx_c32, bad)
 
 
 def test_c2_on_primary_via_displacements(ctx_c32, cents_c32, comps_c32):

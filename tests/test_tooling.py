@@ -1,5 +1,6 @@
-"""The benchmark tracer wraps `dualpolar` functions by name from outside the
-package; every name it lists must exist, or a traced run breaks."""
+"""Names looked up from outside the package must exist: the benchmark
+tracer wraps `dualpolar` functions by name, and `dualpolar.__all__` lists
+the public exports."""
 
 import importlib
 import importlib.util
@@ -31,3 +32,10 @@ def test_counted_methods_resolve(tracer):
         for meth in methods:
             # the tracer replaces the method in the class's own namespace
             assert meth in cls.__dict__, f"{mod}.{cls_name}.{meth}"
+
+
+def test_package_exports_resolve():
+    import dualpolar
+
+    for name in dualpolar.__all__:
+        assert hasattr(dualpolar, name), name

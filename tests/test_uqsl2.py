@@ -8,6 +8,7 @@ import pytest
 from dualpolar.exact import ExactScalar, q_pow
 from dualpolar.leonard import DqkParams, dqk_array, realize
 from dualpolar.linexact import ExactMatrix, spectral_projectors
+from dualpolar.terwilliger import ladder_action
 from dualpolar.uqsl2 import (
     build_Ld,
     casimir_scalar,
@@ -106,32 +107,44 @@ def test_dpg_uq_params_c32(ctx_c32):
 
 
 @pytest.mark.parametrize("variant", [1, 2])
-def test_uq_on_standard_module_c32(ctx_c32, center_c32, sm_c32, variant):
-    """The relations, the recoveries (x and y swapped in variant 2)
+def test_uq_on_standard_module_c32(ctx_c32, comps_c32, center_c32, sm_c32,
+                                   variant):
+    """On every component, the relations, the recoveries (x and y swapped
+    in variant 2)
         A = h + kappa U^-1 P x + upsilon U P^-1 y,
         A* = h* + kappa* U^-1 P^-1 z,
-    and the Casimir acting as the diameter weight, recomputed here."""
+    and the Casimir acting as the diameter weight, recomputed here on the
+    ladder matrices."""
     sm = sm_c32[variant]
-    act, p = sm.act, sm.params
-    assert sm.variant == variant and act.dim == ctx_c32.n
-    for name, resid in act.equitable_residuals() + act.chevalley_residuals():
-        assert resid.is_zero(), name
+    p = sm.params
+    assert sm.variant == variant
+    assert sorted(sm.actions) == sorted(c.triple for c in comps_c32)
     c = center_c32
-    ident = ExactMatrix.identity(ctx_c32.n)
-    first = (c.Upsilon_inv @ c.Psi).scale(p["kappa"])
-    second = (c.Upsilon @ c.Psi_inv).scale(p["upsilon"])
-    x, y = (act.X, act.Y) if variant == 1 else (act.Y, act.X)
-    assert ident.scale(p["h"]) + first @ x + second @ y == ctx_c32.A
-    assert ident.scale(p["h"]) + first @ y + second @ x != ctx_c32.A
-    assert ident.scale(p["h_star"]) + (c.Upsilon_inv @ c.Psi_inv @ act.Z) \
-        .scale(p["kappa_star"]) == ctx_c32.Astar
-    assert act.casimir() == c.Lam
+    for triple, act in sm.actions.items():
+        d = triple[2]
+        assert act.dim == d + 1
+        for name, resid in act.equitable_residuals() \
+                + act.chevalley_residuals():
+            assert resid.is_zero(), name
+        lad = ladder_action(ctx_c32, *triple)
+        ident = ExactMatrix.identity(d + 1)
+        ups, psi = c.Upsilon[triple], c.Psi[triple]
+        first = ident.scale(p["kappa"] * psi / ups)
+        second = ident.scale(p["upsilon"] * ups / psi)
+        x, y = (act.X, act.Y) if variant == 1 else (act.Y, act.X)
+        assert ident.scale(p["h"]) + first @ x + second @ y == lad.A
+        if d:
+            assert ident.scale(p["h"]) + first @ y + second @ x != lad.A
+        assert ident.scale(p["h_star"]) + act.Z.scale(
+            p["kappa_star"] / (ups * psi)) == lad.Astar
+        assert act.casimir() == ident.scale(c.Lam[triple])
 
 
 def test_cross_variant_standard_c32(ctx_c32, center_c32, sm_c32):
     sm1, sm2 = sm_c32[1], sm_c32[2]
-    assert sm1.act.k == sm2.act.k
-    assert sm1.act.e != sm2.act.e and sm1.act.f != sm2.act.f
+    a1, a2 = sm1.actions[(0, 0, 3)], sm2.actions[(0, 0, 3)]
+    assert a1.k == a2.k
+    assert a1.e != a2.e and a1.f != a2.f
     assert verify_cross_variant_standard(ctx_c32, center_c32, sm1, sm2)
     assert not verify_cross_variant_standard(ctx_c32, center_c32, sm2, sm1)
     assert not verify_cross_variant_standard(ctx_c32, center_c32, sm1, sm1)
