@@ -2,7 +2,7 @@
 
     dualpolar build   --family C --D 3 --b 2 --out graph.json
     dualpolar verify  --graph graph.json --suite all [--base-vertex N]
-                      [--variant 1|2] [--all-vertices-sample N]
+                      [--all-vertices-sample N]
     dualpolar leonard --params array.json --actions validate,realize,d4,scalars,uq
 
 Reports are JSON on stdout: {"version", "input", "checks": [...],
@@ -32,8 +32,7 @@ class InputError(Exception):
 
 
 class Report:
-    def __init__(self, kind: str, meta: dict):
-        self.kind = kind
+    def __init__(self, meta: dict):
         self.meta = meta
         self.checks: list[dict] = []
         self.t0 = time.time()
@@ -198,7 +197,7 @@ def _suite_central(report, stage):
                "part vanishes)", characterization)
 
 
-def _suite_modules(report, stage, small, g, sample_vertices):
+def _suite_modules(report, stage, g, sample_vertices):
     from .leonard import leonard_from_tmodule
     from . import terwilliger as tw
 
@@ -206,30 +205,25 @@ def _suite_modules(report, stage, small, g, sample_vertices):
                "to |X| with integer multiplicities",
                lambda: (True, {"triples": sorted(
                    [list(c.triple) + [c.mult] for c in stage["comps"]])}))
-    if small:
-        report.run("modules:center-commute", "the displacement and diameter "
-                   "weights commute with A and A*",
-                   lambda: tw.verify_center_commutation(stage["ctx"],
-                                                        stage["center"]))
-        report.run("modules:center-identities", "C0, C1, C2, Omega, G, G* "
-                   "against the displacement weights, exactly",
-                   lambda: tw.verify_center_identities(stage["ctx"],
-                                                       stage["center"]))
-        try:
-            comps = stage["comps"]
-        except Exception:  # noqa: BLE001 - reported by modules:dimension
-            comps = []
-        for c in sorted(comps, key=lambda c: c.triple):
-            def one(c=c):
-                leonard_from_tmodule(stage["ctx"],
-                                     tw.extract_module(stage["ctx"], c))
-            report.run(f"modules:leonard:{c.triple}",
-                       f"module {c.triple} carries a dual q-Krawtchouk "
-                       "Leonard system with the closed-form parameters", one)
-    else:
-        report.add("modules:center-identities", "central identities "
-                   "(projector construction is restricted to smaller "
-                   "graphs)", True, skipped=True)
+    report.run("modules:center-commute", "the displacement and diameter "
+               "weights commute with A and A*",
+               lambda: tw.verify_center_commutation(stage["ctx"],
+                                                    stage["center"]))
+    report.run("modules:center-identities", "C0, C1, C2, Omega, G, G* "
+               "against the displacement weights, exactly",
+               lambda: tw.verify_center_identities(stage["ctx"],
+                                                   stage["center"]))
+    try:
+        comps = stage["comps"]
+    except Exception:  # noqa: BLE001 - reported by modules:dimension
+        comps = []
+    for c in sorted(comps, key=lambda c: c.triple):
+        def one(c=c):
+            leonard_from_tmodule(stage["ctx"],
+                                 tw.extract_module(stage["ctx"], c))
+        report.run(f"modules:leonard:{c.triple}",
+                   f"module {c.triple} carries a dual q-Krawtchouk "
+                   "Leonard system with the closed-form parameters", one)
     for x in sample_vertices:
         def same(x=x):
             base = sorted((c.triple, c.mult) for c in stage["comps"])
@@ -240,12 +234,14 @@ def _suite_modules(report, stage, small, g, sample_vertices):
                    "feasible triple multiset agrees with the base run", same)
 
 
-def _suite_uq(report, stage, variant):
+def _suite_uq(report, stage):
     from .uqsl2 import verify_cross_variant_standard
 
-    report.run(f"uq:variant{variant}", "equitable relations, A and A* "
-               "recoveries, Chevalley images, and Casimir = diameter weight "
-               "all hold exactly", lambda: stage[f"uq{variant}"] is not None)
+    for variant in (1, 2):
+        report.run(f"uq:variant{variant}", "equitable relations, A and A* "
+                   "recoveries, Chevalley images, and Casimir = diameter "
+                   "weight all hold exactly",
+                   lambda variant=variant: stage[f"uq{variant}"] is not None)
     report.run("uq:cross-variant", "k_2 = k_1, e_2 = -q^-2e U^2 P^-2 e_1, "
                "f_2 = -q^2e U^-2 P^2 f_1",
                lambda: verify_cross_variant_standard(
@@ -269,7 +265,7 @@ def cmd_verify(args) -> int:
     meta = {"graph": args.graph, "family": g.spec.family, "D": g.spec.D,
             "b": g.spec.b, "suite": args.suite,
             "base_vertex": args.base_vertex}
-    report = Report("verify", meta)
+    report = Report(meta)
     suites = ("drg", "lfrk", "central", "modules", "uq") \
         if args.suite == "all" else (args.suite,)
     # functions are looked up on their modules when a stage is built
@@ -287,7 +283,6 @@ def cmd_verify(args) -> int:
         uq2=lambda: uqsl2.uq_on_standard_module(stage["ctx"],
                                                 stage["center"], 2),
     )
-    small = g.n_vertices <= tw.PROJECTOR_MAX_VERTICES
     if "drg" in suites:
         _suite_drg(report, stage, g.spec, g.n_vertices)
     if "lfrk" in suites:
@@ -300,13 +295,9 @@ def cmd_verify(args) -> int:
             step = max(1, g.n_vertices // args.all_vertices_sample)
             sample = [i for i in range(0, g.n_vertices, step)
                       if i != args.base_vertex][:args.all_vertices_sample]
-        _suite_modules(report, stage, small, g, sample)
+        _suite_modules(report, stage, g, sample)
     if "uq" in suites:
-        if small:
-            _suite_uq(report, stage, args.variant)
-        else:
-            report.add("uq", "standard-module structures (restricted to "
-                       "smaller graphs)", True, skipped=True)
+        _suite_uq(report, stage)
     return _emit(report)
 
 
@@ -336,7 +327,7 @@ def cmd_leonard(args) -> int:
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
         raise InputError(f"cannot load parameter array: {exc}") from exc
     meta = {"params": args.params, "d": pa.d, "actions": actions}
-    report = Report("leonard", meta)
+    report = Report(meta)
     # each basis is realized (and certified) once, for every check using it
     real = _Stages(**{basis: lambda basis=basis: ln.realize(pa, basis)
                       for basis in LEONARD_BASES})
@@ -415,7 +406,6 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", default="all",
                    choices=["drg", "lfrk", "central", "modules", "uq", "all"])
     v.add_argument("--base-vertex", type=int, default=0)
-    v.add_argument("--variant", type=int, default=1, choices=[1, 2])
     v.add_argument("--all-vertices-sample", type=int, default=0)
     v.set_defaults(fn=cmd_verify)
 

@@ -21,7 +21,10 @@ per copy, and the central elements as scalars (T is semisimple; Terwilliger,
 The subconstituent algebra of an association scheme I, 1992).  V is the
 direct sum of the W, so an identity among these holds on V exactly when it
 holds on every small matrix: Upsilon, Psi and Lambda are per-component
-scalars, and the center identities are scalar identities.
+scalars, and the center identities are scalar identities.  The Leonard
+system of each module is read off the same ladder: E_(t+i) acts on W as a
+primitive idempotent of the (d+1) x (d+1) ladder A, and E*_(r+i) as the
+projection on rung i, so `extract_module` touches no n-wide vector.
 """
 
 from __future__ import annotations
@@ -39,17 +42,10 @@ from .drg import (
 )
 from .exact import ExactScalar, q_pow
 from .intlinalg import int_matmul
-from .leonard import tridiagonal_residuals
-from .linexact import ExactMatrix, Subspace, inverse, kernel, rref
+from .leonard import _check_axiom_pattern, eigenbasis, tridiagonal_residuals
+from .linexact import ExactMatrix, Subspace, kernel, rref
 from .polar import PolarGraph
 from .uqsl2 import casimir_scalar
-
-# `verify` runs the center checks, the module Leonard systems (through the
-# dense n x n `extract_module`) and the U_q(sl2) structures only on graphs of
-# at most this many vertices.  The cap stays until the next change to the
-# benchmark: lifting it changes which checks the verify-dense workload
-# (C_2(7), n = 400) runs.
-PROJECTOR_MAX_VERTICES = 300
 
 
 @dataclass
@@ -890,9 +886,6 @@ class TModuleRecord:
     r: int
     t: int
     d: int
-    seed: ExactMatrix
-    dual_basis: ExactMatrix       # rows E_{t+i} seed
-    standard_basis: ExactMatrix   # rows E*_{r+i} u
     astar_dual_rep: ExactMatrix   # A* on the dual standard basis
     a_std_rep: ExactMatrix        # A on the standard basis
     c: list[Fraction]
@@ -939,97 +932,56 @@ def module_dual_intersection(ctx: TerwilligerContext, r: int, t: int, d: int):
     return cs, as_, bs
 
 
-def _representation(basis: ExactMatrix, image: ExactMatrix) -> ExactMatrix:
-    """M with op(v_j) = sum_i M_ij v_i, from rows v_i and rows op(v_i)."""
-    gram = basis @ basis.T
-    # (basis op(basis)^t)_{ij} = v_i . op(v_j) = (gram M)_{ij}
-    return inverse(gram) @ (basis @ image.T)
+def _check_module_matrix(m: ExactMatrix, row_sum, closed_forms, families,
+                         where: str):
+    """m is irreducible tridiagonal with every row sum row_sum, and m[i, i-1],
+    m[i, i], m[i, i+1] are the closed forms of the named families."""
+    _check_axiom_pattern(m, f"entry ({{i}}, {{j}}) of {where}")
+    size = m.shape[0]
+    if m @ ExactMatrix.column([1] * size) \
+            != ExactMatrix.column([row_sum] * size):
+        raise AssertionError(f"row sums of {where} differ from "
+                             f"{ExactScalar(row_sum).render()}")
+    for i in range(size):
+        for j, forms, name in zip((i - 1, i, i + 1), closed_forms, families):
+            if 0 <= j < size and m.entry(i, j) != ExactScalar(forms[i]):
+                raise AssertionError(f"{name}_{i}(W) disagrees with the "
+                                     f"closed form, in {where}")
 
 
-def _is_irreducible_tridiagonal(m: ExactMatrix) -> bool:
-    k = m.shape[0]
-    for i in range(k):
-        for j in range(k):
-            v = m.entry(i, j)
-            if abs(i - j) > 1 and not v.is_zero:
-                return False
-            if abs(i - j) == 1 and v.is_zero:
-                return False
-    return True
+def extract_module(ctx: TerwilligerContext,
+                   comp: HomogeneousComponent) -> TModuleRecord:
+    """A* on the dual standard basis E_(t+i) v_0 and A on the standard basis
+    E*_(r+i) E_t v_0 of one copy of W(r, t, d), read off its raising ladder
+    v_j = R^j v_0.
 
-
-def extract_module(ctx: TerwilligerContext, comp: HomogeneousComponent,
-                   seed: ExactMatrix | None = None) -> TModuleRecord:
+    `decompose` certifies that A acts on every copy as the ladder matrix of
+    `ladder_action` and A* as diag theta*_(r+j); so E_(t+i) acts on W as the
+    primitive idempotent v_i w_i / (w_i v_i) of that small A, and E*_(r+i)
+    as the projection on rung i.  In ladder coordinates v_0 is e_0, and the
+    dual standard basis is the columns of V diag(w_i e_0 / w_i v_i), which
+    A turns into diag theta_(t+i) by `eigenbasis`' certificate; the
+    standard basis is diag(u) with u = E_t e_0, on which A* is diagonal."""
     r, t, d = comp.triple
-    n = ctx.n
-    if seed is None:
-        lowest = _embed(comp.rungs[0], (comp.mult, n),
-                        (slice(None), ctx.blocks[r]))
-        base, _ = rref(lowest)
-        seed = base.take_rows([0])
-    if seed.shape != (1, n):
-        raise ValueError("seed must be a row vector in the standard module")
-    if not (ctx.Estar[r] @ seed.T - seed.T).is_zero():
-        raise ValueError("seed is not supported at distance r from the base")
-    dual_rows = [(ctx.bm.E[t + i] @ seed.T).T for i in range(d + 1)]
-    for i, row in enumerate(dual_rows):
-        if row.is_zero():
-            raise ValueError(f"seed has zero projection on eigenspace {t + i}")
-    dual = ExactMatrix.stack_rows(dual_rows)
-    astar_rep = _representation(dual, (ctx.Astar @ dual.T).T)
-    a_rep_dual = _representation(dual, (ctx.A @ dual.T).T)
-    theta = ctx.bm.theta
-    if a_rep_dual != ExactMatrix.diag([theta[t + i] for i in range(d + 1)]):
-        raise AssertionError("A is not diagonal on the dual standard basis")
-    if d >= 1 and not _is_irreducible_tridiagonal(astar_rep):
-        raise AssertionError("A* is not irreducible tridiagonal on the dual "
-                             "standard basis")
-    theta_star_r = ExactScalar(ctx.bm.theta_star[r])
-    for i in range(d + 1):
-        row_sum = ExactScalar(0)
-        for j in range(d + 1):
-            row_sum = row_sum + astar_rep.entry(i, j)
-        if row_sum != theta_star_r:
-            raise AssertionError("A* row sums differ from theta*_r")
-    cstar_cf, astar_cf, bstar_cf = module_dual_intersection(ctx, r, t, d)
-    for i in range(d + 1):
-        if astar_rep.entry(i, i) != ExactScalar(astar_cf[i]):
-            raise AssertionError("a*_i(W) disagrees with the closed form")
-        if i >= 1 and astar_rep.entry(i, i - 1) != ExactScalar(cstar_cf[i]):
-            raise AssertionError("c*_i(W) disagrees with the closed form")
-        if i < d and astar_rep.entry(i, i + 1) != ExactScalar(bstar_cf[i]):
-            raise AssertionError("b*_i(W) disagrees with the closed form")
-    # standard basis from u in E_t W
-    u = (ctx.bm.E[t] @ seed.T).T
-    std_rows = [(ctx.Estar[r + i] @ u.T).T for i in range(d + 1)]
-    for row in std_rows:
-        if row.is_zero():
-            raise ValueError("standard basis vector vanishes")
-    std = ExactMatrix.stack_rows(std_rows)
-    a_rep = _representation(std, (ctx.A @ std.T).T)
-    astar_rep_std = _representation(std, (ctx.Astar @ std.T).T)
-    if astar_rep_std != ExactMatrix.diag(
-            [ctx.bm.theta_star[r + i] for i in range(d + 1)]):
-        raise AssertionError("A* is not diagonal on the standard basis")
-    if d >= 1 and not _is_irreducible_tridiagonal(a_rep):
-        raise AssertionError("A is not irreducible tridiagonal on the "
-                             "standard basis")
-    theta_t = ExactScalar(theta[t])
-    for i in range(d + 1):
-        row_sum = ExactScalar(0)
-        for j in range(d + 1):
-            row_sum = row_sum + a_rep.entry(i, j)
-        if row_sum != theta_t:
-            raise AssertionError("A row sums differ from theta_t")
-    c_cf, a_cf, b_cf = module_intersection(ctx, r, t, d)
-    for i in range(d + 1):
-        if a_rep.entry(i, i) != ExactScalar(a_cf[i]):
-            raise AssertionError("a_i(W) disagrees with the closed form")
-        if i >= 1 and a_rep.entry(i, i - 1) != ExactScalar(c_cf[i]):
-            raise AssertionError("c_i(W) disagrees with the closed form")
-        if i < d and a_rep.entry(i, i + 1) != ExactScalar(b_cf[i]):
-            raise AssertionError("b_i(W) disagrees with the closed form")
-    return TModuleRecord(
-        r, t, d, seed, dual, std, astar_rep, a_rep,
-        c_cf, a_cf, b_cf, cstar_cf, astar_cf, bstar_cf,
-    )
+    act = ladder_action(ctx, r, t, d)
+    eig = eigenbasis(act.A, [ExactScalar(ctx.bm.theta[t + i])
+                             for i in range(d + 1)], f"A on {comp.triple}")
+    w0 = [eig.W.entry(i, 0) for i in range(d + 1)]
+    wv = eig.W @ eig.V  # diagonal, so diag(1 / w_i e_0) W inverts `dual`
+    dual = eig.V @ ExactMatrix.diag([w / wv.entry(i, i)
+                                     for i, w in enumerate(w0)])
+    u = [dual.entry(i, 0) for i in range(d + 1)]
+    if any(x.is_zero for x in w0 + u):
+        raise AssertionError(f"a basis vector of {comp.triple} vanishes")
+    astar_rep = ExactMatrix.diag([x.inverse() for x in w0]) \
+        @ eig.W @ act.Astar @ dual
+    a_rep = ExactMatrix.diag([x.inverse() for x in u]) @ act.A \
+        @ ExactMatrix.diag(u)
+    dual_forms = module_dual_intersection(ctx, r, t, d)
+    _check_module_matrix(astar_rep, ctx.bm.theta_star[r], dual_forms,
+                         ("c*", "a*", "b*"),
+                         f"A* on the dual standard basis of {comp.triple}")
+    forms = module_intersection(ctx, r, t, d)
+    _check_module_matrix(a_rep, ctx.bm.theta[t], forms, ("c", "a", "b"),
+                         f"A on the standard basis of {comp.triple}")
+    return TModuleRecord(r, t, d, astar_rep, a_rep, *forms, *dual_forms)

@@ -23,18 +23,25 @@ LFRK_IDS = [
     "lfrk:q^4/(q^2+1) R^2 L - R L R + q^-2/(q^2+1) L R^2 = -q^(2e+2D-2) R",
 ]
 
-# every check `verify --suite all` reports on a graph of at most 300
-# vertices, with the homogeneous components (r, t, d) of D_3(2)
-D32_IDS = [
+UQ_IDS = ["uq:variant1", "uq:variant2", "uq:cross-variant"]
+
+# every check `verify --suite all` reports on any graph, apart from one
+# modules:leonard check per homogeneous component (r, t, d)
+ALL_IDS = [
     "drg:counts", "drg:intersection", "drg:multiplicities",
     "drg:dual-eigenvalues", "drg:krein", "drg:td-scalars",
     *LFRK_IDS, "lfrk:recovery", "lfrk:commuting", "lfrk:tridiagonal",
     "central:construction", "central:omega-entries", "central:g-entries",
     "central:characterization", "modules:dimension",
-    "modules:center-commute", "modules:center-identities",
-    "modules:leonard:(0, 0, 3)", "modules:leonard:(1, 1, 1)",
-    "modules:leonard:(2, 1, 1)", "uq:variant1", "uq:cross-variant",
+    "modules:center-commute", "modules:center-identities", *UQ_IDS,
 ]
+
+
+def module_ids(*triples):
+    return [f"modules:leonard:{t}" for t in triples]
+
+
+D32_IDS = ALL_IDS + module_ids((0, 0, 3), (1, 1, 1), (2, 1, 1))
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +105,7 @@ def test_malformed_graph_is_input_error(c23_data, tmp_path, capsys, defect):
 
 
 @pytest.mark.parametrize("suite,ids", [
-    ("all", D32_IDS), ("uq", ["uq:variant1", "uq:cross-variant"])])
+    ("all", D32_IDS), ("uq", UQ_IDS)])
 def test_verify_decomposes_once(d32_file, capsys, monkeypatch, suite, ids):
     from dualpolar import terwilliger
 
@@ -129,18 +136,17 @@ STAGE_FAILURES = {
         AssertionError("G* vs C0 expression fails"),
         ["central:construction", "central:omega-entries",
          "central:g-entries", "modules:dimension", "modules:center-commute",
-         "modules:center-identities", "uq:variant1", "uq:cross-variant"]),
+         "modules:center-identities", *UQ_IDS]),
     "terwilliger.decompose": (
         AssertionError("components are not pairwise orthogonal"),
         ["modules:dimension", "modules:center-commute",
-         "modules:center-identities", "uq:variant1", "uq:cross-variant"]),
+         "modules:center-identities", *UQ_IDS]),
     "terwilliger.upsilon_psi_lambda": (
         AssertionError("displacement weights are not defined"),
-        ["modules:center-commute", "modules:center-identities",
-         "uq:variant1", "uq:cross-variant"]),
+        ["modules:center-commute", "modules:center-identities", *UQ_IDS]),
     "uqsl2.uq_on_standard_module": (
         AssertionError("Chevalley images in K, L, R fail"),
-        ["uq:variant1", "uq:cross-variant"]),
+        ["uq:variant1", "uq:variant2", "uq:cross-variant"]),
 }
 
 
@@ -167,7 +173,12 @@ def test_failing_stage_fails_its_checks(d32_file, capsys, monkeypatch,
     for cid in D32_IDS:
         if cid.split(":")[0] not in {d.split(":")[0] for d in dependent}:
             assert checks[cid]["status"] == "pass", cid
-    assert len(calls) == 1  # a failed stage is not rebuilt for each check
+    # a failed stage is not rebuilt for each check; the two U_q(sl2)
+    # variants are two stages
+    if target == "uqsl2.uq_on_standard_module":
+        assert [args[-1] for args in calls] == [1, 2]
+    else:
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("family,b", [("C", 2), ("C", 3), ("D", 2),
@@ -184,12 +195,31 @@ def test_central_suite_on_diameter_one(tmp_path, capsys, family, b):
     assert report["summary"] == {"pass": 4, "fail": 0, "skipped": 0}
 
 
+def test_verify_all_above_300_vertices(tmp_path, capsys):
+    """C_2(7) has 400 vertices: every check runs, on the same path as on
+    small graphs, and none is skipped."""
+    path = str(tmp_path / "c27.json")
+    assert main(["build", "--family", "C", "--D", "2", "--b", "7",
+                 "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--graph", path, "--suite", "all",
+                 "--base-vertex", "17"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["summary"] == {"pass": len(report["checks"]), "fail": 0,
+                                 "skipped": 0}
+    assert sorted(c["id"] for c in report["checks"]) == sorted(
+        ALL_IDS + module_ids((0, 0, 2), (1, 1, 0), (1, 1, 1), (2, 1, 0),
+                             (2, 2, 0)))
+
+
 VERIFY_DATA = os.path.join(os.path.dirname(__file__), "data", "verify")
 
 
 # `verify --suite all` on D_3(2), and the verify-modules benchmark call on
 # D_4(2).  Each *.report.json was written by the implementation with n x n
-# component projectors (commit 173fa5e), with its `timing` entry removed.
+# component projectors (commit 173fa5e), with its `timing` entry removed;
+# since the report lists both U_q(sl2) variants, each also holds the
+# uq:variant2 check and one more pass in its summary.
 @pytest.mark.parametrize("name,family,D,options", [
     ("d32-all", "D", 3, []),
     ("d42-modules", "D", 4, ["--base-vertex", "47",

@@ -5,8 +5,12 @@ displacement weights, the center checks and both U_q(sl2) structures run on
 (d+1) x (d+1) ladder matrices.  The oracle here builds what that replaced:
 one orthogonal projector per component, Upsilon, Psi, Lambda as n x n sums
 of projectors, and x, y, z from the n x n K, L, R.  Applied to every copy of
-every ladder, each dense operator must act as the ladder matrix does."""
+every ladder, each dense operator must act as the ladder matrix does.
 
+`extract_module` reads each module's Leonard system off the ladder too; its
+oracle is the dense extraction from E_i, E*_i, A and A* on n-wide vectors."""
+
+import functools
 import re
 from dataclasses import replace
 
@@ -14,7 +18,9 @@ import numpy as np
 import pytest
 
 from dualpolar.drg import spectral_data
-from dualpolar.linexact import ExactMatrix, inverse
+from dualpolar.exact import ExactScalar
+from dualpolar.leonard import leonard_from_tmodule
+from dualpolar.linexact import ExactMatrix, inverse, rref
 from dualpolar.polar import FormSpec, PolarGraph, build_polar_graph
 from dualpolar import terwilliger
 from dualpolar.terwilliger import (
@@ -22,6 +28,7 @@ from dualpolar.terwilliger import (
     build_context,
     central_elements,
     decompose,
+    extract_module,
     ladder_action,
     upsilon_psi_lambda,
 )
@@ -88,14 +95,59 @@ def ladder_copies(ctx, comp):
         yield ExactMatrix.stack_rows(cols).T
 
 
-@pytest.mark.parametrize("family,D,b,bases", [("D", 3, 2, (0, 17)),
-                                              ("C", 3, 2, (0, 101))])
-def test_ladder_matrices_match_dense_operators(family, D, b, bases):
+def _representation(basis: ExactMatrix, image: ExactMatrix) -> ExactMatrix:
+    """M with op(v_j) = sum_i M_ij v_i, from rows v_i and rows op(v_i)."""
+    gram = basis @ basis.T
+    # (basis op(basis)^t)_{ij} = v_i . op(v_j) = (gram M)_{ij}
+    return inverse(gram) @ (basis @ image.T)
+
+
+def dense_extract(ctx, comp):
+    """(A* on the dual standard basis, A on the standard basis) of the
+    module generated by the first RREF row of comp's lowest rung: rows
+    E_(t+i) seed and E*_(r+i) E_t seed, each matrix through the Gram
+    inverse of its basis.  A must be diagonal on the first basis and A* on
+    the second."""
+    r, t, d = comp.triple
+    lowest = _embed(comp.rungs[0], (comp.mult, ctx.n),
+                    (slice(None), ctx.blocks[r]))
+    seed = rref(lowest)[0].take_rows([0]).T
+    assert ctx.Estar[r] @ seed == seed
+    dual = ExactMatrix.stack_rows([(ctx.bm.E[t + i] @ seed).T
+                                   for i in range(d + 1)])
+    u = ctx.bm.E[t] @ seed
+    std = ExactMatrix.stack_rows([(ctx.Estar[r + i] @ u).T
+                                  for i in range(d + 1)])
+    assert _representation(dual, (ctx.A @ dual.T).T) == ExactMatrix.diag(
+        ctx.bm.theta[t:t + d + 1])
+    assert _representation(std, (ctx.Astar @ std.T).T) == ExactMatrix.diag(
+        ctx.bm.theta_star[r:r + d + 1])
+    return (_representation(dual, (ctx.Astar @ dual.T).T),
+            _representation(std, (ctx.A @ std.T).T))
+
+
+def tridiagonal_families(m: ExactMatrix):
+    """(m[i, i-1], m[i, i], m[i, i+1]) for every i, as three lists, with 0
+    outside the matrix."""
+    size = m.shape[0]
+    return tuple([m.entry(i, i + k) if 0 <= i + k < size else ExactScalar(0)
+                  for i in range(size)] for k in (-1, 0, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def decomposed(family, D, b, x):
     g = build_polar_graph(FormSpec(family, D, b))
-    bm = spectral_data(g)
+    ctx = build_context(g, spectral_data(g), x)
+    return ctx, decompose(ctx, central_elements(ctx))
+
+
+ORACLE_CASES = [("D", 3, 2, (0, 17)), ("C", 3, 2, (0, 101))]
+
+
+@pytest.mark.parametrize("family,D,b,bases", ORACLE_CASES)
+def test_ladder_matrices_match_dense_operators(family, D, b, bases):
     for x in bases:
-        ctx = build_context(g, bm, x)
-        comps = decompose(ctx, central_elements(ctx))
+        ctx, comps = decomposed(family, D, b, x)
         center = upsilon_psi_lambda(ctx, comps)
         dense = dense_center(ctx, comps)
         sms = {v: uq_on_standard_module(ctx, center, v) for v in (1, 2)}
@@ -165,3 +217,65 @@ def test_flipped_adjacency_bit_in_a_block_is_refused(ctx_d32_base0):
     tampered = replace(ctx, g=PolarGraph(g.spec, g.vertices, adj, g.dist))
     with pytest.raises(AssertionError, match=re.escape("(0, 0, 3)")):
         decompose(tampered, central_elements(ctx))
+
+
+@pytest.mark.parametrize("family,D,b,bases", ORACLE_CASES)
+def test_ladder_module_matches_dense_extraction(family, D, b, bases):
+    for x in bases:
+        ctx, comps = decomposed(family, D, b, x)
+        for c in comps:
+            rec = extract_module(ctx, c)
+            astar_rep, a_rep = dense_extract(ctx, c)
+            assert rec.astar_dual_rep == astar_rep, c.triple
+            assert rec.a_std_rep == a_rep, c.triple
+            for families, dense in (((rec.cstar, rec.astar, rec.bstar),
+                                     astar_rep),
+                                    ((rec.c, rec.a, rec.b), a_rep)):
+                assert tuple([ExactScalar(v) for v in f] for f in families) \
+                    == tridiagonal_families(dense), c.triple
+
+
+@pytest.mark.parametrize("triple,i", [((0, 0, 3), 1), ((2, 1, 1), 0)])
+def test_perturbed_dual_intersection_is_refused(monkeypatch, triple, i):
+    ctx, comps = decomposed("D", 3, 2, 0)
+    comp = next(c for c in comps if c.triple == triple)
+    extract_module(ctx, comp)  # passes unperturbed
+    real = terwilliger.module_dual_intersection
+
+    def patched(ctx, r, t, d):
+        cs, as_, bs = (list(v) for v in real(ctx, r, t, d))
+        as_[i] += 1
+        return cs, as_, bs
+    monkeypatch.setattr(terwilliger, "module_dual_intersection", patched)
+    with pytest.raises(AssertionError,
+                       match=re.escape(f"a*_{i}(W) disagrees with the "
+                                       "closed form, in A* on the dual "
+                                       f"standard basis of {triple}")):
+        extract_module(ctx, comp)
+
+
+class Untouchable:
+    """Stands in for the n x n matrices of a context; any use raises."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("an n x n matrix was read")
+
+    __getattr__ = __getitem__ = __iter__ = __len__ = _refuse
+    __matmul__ = __rmatmul__ = __add__ = __sub__ = __mul__ = _refuse
+    __eq__ = __bool__ = _refuse
+
+
+def test_module_extraction_reads_no_n_by_n_matrix():
+    ctx, comps = decomposed("C", 3, 2, 101)
+    blind = replace(ctx, bm=replace(ctx.bm, E=Untouchable()),
+                    **{name: Untouchable() for name in
+                       ("Estar", "A", "Astar", "K", "Kinv", "L", "F", "R")})
+    for c in comps:
+        want = extract_module(ctx, c)
+        rec = extract_module(blind, c)
+        assert (rec.astar_dual_rep, rec.a_std_rep) \
+            == (want.astar_dual_rep, want.a_std_rep)
+        assert replace(rec, astar_dual_rep=None, a_std_rep=None) \
+            == replace(want, astar_dual_rep=None, a_std_rep=None)
+        assert leonard_from_tmodule(blind, rec) \
+            == leonard_from_tmodule(ctx, want)

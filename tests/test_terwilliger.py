@@ -344,11 +344,11 @@ def test_extract_module_diameter_zero(ctx_c32, comps_c32):
 
 def test_all_modules_extract(ctx_d32, comps_d32):
     # extract_module verifies tridiagonal shape, row sums and all six
-    # closed-form entry families internally
+    # closed-form entry families internally, on (d+1) x (d+1) matrices
     for c in sorted(comps_d32, key=lambda c: c.triple):
         rec = extract_module(ctx_d32, c)
-        assert rec.dual_basis.shape == (c.d + 1, ctx_d32.n)
-        assert rec.standard_basis.shape == (c.d + 1, ctx_d32.n)
+        assert rec.astar_dual_rep.shape == (c.d + 1, c.d + 1)
+        assert rec.a_std_rep.shape == (c.d + 1, c.d + 1)
 
 
 def test_base_vertex_independence_small(graph_c32, bm_c32, comps_c32):
