@@ -227,8 +227,8 @@ def _suite_modules(report, stage, g, sample_vertices):
     for x in sample_vertices:
         def same(x=x):
             base = sorted((c.triple, c.mult) for c in stage["comps"])
-            ctx2 = tw.build_context(g, stage["bm"], x)
-            li = tw.decompose(ctx2, full=False)
+            part = tw.distance_partition(g, stage["bm"], x)
+            li = tw.decompose(part, full=False)
             return sorted((c.triple, c.mult) for c in li) == base
         report.run(f"modules:base-vertex:{x}",
                    "feasible triple multiset agrees with the base run", same)

@@ -1,17 +1,19 @@
 """Vectorized exact integer Gaussian elimination.
 
 Row reduction over Q is done on integer matrices (numpy int64, upgraded to
-Python-int object arrays when entries threaten to overflow).  Rows are kept
-primitive (gcd 1, positive pivot) after every update, which both bounds
-coefficient growth and makes the reduced form canonical: dividing each row
-by its pivot yields the unique leading-1 RREF of the row space.
+Python-int object arrays when entries threaten to overflow).  The result is
+canonical: its rows are primitive (gcd 1) with a positive pivot, and
+dividing each row by its pivot yields the unique leading-1 RREF of the row
+space.
 
-int_rref reduces large matrices modulo word-sized primes, recovers the
+int_rref reduces every matrix modulo word-sized primes, recovers the
 rational entries by rational reconstruction run on the whole free-column
-block at once, and certifies the candidate exactly; the fraction-free
-elimination is the fallback.  int_kernel reads the canonical null-space
-basis off a single int_rref of the column-reversed matrix.  int_matmul is
-the one exact integer product, on float BLAS where a bound proves it exact.
+block at once, and certifies the candidate exactly.  Only when that keeps
+failing does it fall back to Bareiss' fraction-free elimination, which
+keeps every entry a minor of the input and makes the rows primitive once,
+at the end.  int_kernel reads the canonical null-space basis off a single
+int_rref of the column-reversed matrix.  int_matmul is the one exact
+integer product, on float BLAS where a bound proves it exact.
 """
 
 from __future__ import annotations
@@ -23,14 +25,18 @@ import numpy as np
 _INT64_SAFE = 2 ** 62
 
 
-def as_int_array(rows, dtype=np.int64) -> np.ndarray:
-    a = np.array(rows, dtype=object)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    try:
-        return a.astype(dtype)
-    except OverflowError:
-        return a
+def as_int_array(rows) -> np.ndarray:
+    """rows (nested sequences or an array of integers) as a 2-d int64 array,
+    or as Python ints where some entry does not fit in int64."""
+    if isinstance(rows, np.ndarray) and np.can_cast(rows.dtype, np.int64):
+        a = rows.astype(np.int64)  # a copy; every entry fits
+    else:
+        a = np.array(rows, dtype=object)
+        try:
+            a = a.astype(np.int64)
+        except OverflowError:
+            pass
+    return a.reshape(1, -1) if a.ndim == 1 else a
 
 
 def _to_object(a):
@@ -181,6 +187,13 @@ def _int_rref_exact(mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return a, tuple(pivots)
 
 
+def _free_columns(ncols: int, pivots) -> np.ndarray:
+    """The columns of range(ncols) that are not pivots, increasing."""
+    free = np.ones(ncols, dtype=bool)
+    free[list(pivots)] = False
+    return np.flatnonzero(free)
+
+
 def int_rank(mat: np.ndarray) -> int:
     return len(int_rref(mat)[1])
 
@@ -201,7 +214,7 @@ def int_kernel(mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     red, rpivots = int_rref(mat[:, ::-1])
     # free columns of the reversed matrix, in decreasing order, so that the
     # original columns ncols - 1 - free increase
-    free = np.setdiff1d(np.arange(ncols), rpivots)[::-1]
+    free = _free_columns(ncols, rpivots)[::-1]
     if free.size == 0:
         return np.zeros((0, ncols), dtype=np.int64), ()
     piv = [int(red[i, c]) for i, c in enumerate(rpivots)]
@@ -243,9 +256,9 @@ def int_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Modular row reduction with exact certification
 #
-# For large matrices the canonical RREF is computed modulo word-sized primes,
-# lifted by CRT, and the free-column entries recovered by rational
-# reconstruction.  The candidate is then certified exactly:
+# The canonical RREF is computed modulo word-sized primes, lifted by CRT, and
+# the free-column entries recovered by rational reconstruction.  The
+# candidate is then certified exactly:
 #
 #   * the mod-p elimination exhibits a pivot minor that is nonzero mod p,
 #     hence nonzero over Z, so rank(M) >= #pivots;
@@ -303,7 +316,6 @@ def _prime_list(count: int = 40) -> list[int]:
 
 _PRIMES = _prime_list()
 _MODULAR_CANDIDATE_TRIES = 40
-_MODULAR_MIN_SIZE = 5000
 
 
 def _mod_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -396,7 +408,7 @@ def _int_rref_modular(mat: np.ndarray):
         if nprimes > 4 and nprimes % 4:
             continue  # reconstruction attempts on a sparse schedule
         k = len(pivots)
-        free = np.setdiff1d(np.arange(ncols), pivots)
+        free = _free_columns(ncols, pivots)
         got = _rat_reconstruct_block(residues[:, free], modulus,
                                      math.isqrt(modulus // 2))
         if got is None:
@@ -429,11 +441,11 @@ def _verify_rref_candidate(mat, rows, pivots) -> bool:
 
 
 def int_rref(mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Canonical integer-row RREF; modular fast path, exact fallback."""
+    """Canonical integer-row RREF: the certified modular path, with the
+    fraction-free elimination as the fallback."""
     if mat.ndim != 2:
         raise ValueError("expected a 2-d array")
-    if mat.size >= _MODULAR_MIN_SIZE and mat.shape[0] > 1:
-        got = _int_rref_modular(mat)
-        if got is not None:
-            return got
+    got = _int_rref_modular(mat)
+    if got is not None:
+        return got
     return _int_rref_exact(mat)

@@ -16,6 +16,7 @@ B < 2^24 and float64 BLAS for B < 2^53.  Larger products run in int64 (below
 Row reduction, kernels and inverses over Q are delegated to the vectorized
 integer engine in intlinalg; matrices with a live irrational part go through
 a generic elimination over ExactScalar (only ever needed at small sizes).
+A triangular matrix is inverted by back substitution over either field.
 """
 
 from __future__ import annotations
@@ -151,7 +152,6 @@ class ExactMatrix:
     @classmethod
     def diag(cls, values) -> "ExactMatrix":
         vals = [v if isinstance(v, ExactScalar) else ExactScalar(v) for v in values]
-        n = len(vals)
         rad = 0
         for v in vals:
             if v.c != 0:
@@ -160,12 +160,14 @@ class ExactMatrix:
                 rad = v.rad
         den = math.lcm(*(d for v in vals
                          for d in (v.a.denominator, v.c.denominator)))
-        n0 = np.zeros((n, n), dtype=object)
-        n1 = np.zeros((n, n), dtype=object)
-        for i, v in enumerate(vals):
-            n0[i, i] = int(v.a * den)
-            n1[i, i] = int(v.c * den)
-        return cls(intlinalg.as_int_array(n0), intlinalg.as_int_array(n1), den, rad)
+
+        def numerators(parts) -> np.ndarray:
+            # one vector over the common denominator, placed on the diagonal
+            return np.diag(intlinalg.as_int_array(
+                [[x.numerator * (den // x.denominator) for x in parts]])[0])
+
+        return cls(numerators([v.a for v in vals]),
+                   numerators([v.c for v in vals]), den, rad)
 
     @classmethod
     def column(cls, values) -> "ExactMatrix":
@@ -475,11 +477,42 @@ def kernel(m: ExactMatrix) -> Subspace:
     return Subspace(ncols, ExactMatrix.from_rows(red2, rad=m.rad), piv2)
 
 
+def _is_upper_triangular(m: ExactMatrix) -> bool:
+    return not any(part is not None and np.tril(part, -1).any()
+                   for part in (m.n0, m.n1))
+
+
+def _upper_triangular_inverse(m: ExactMatrix) -> ExactMatrix:
+    """Back substitution: row i of the inverse is
+    (e_i - sum_(j > i) m_ij row_j) / m_ii, from the last row up."""
+    n = m.shape[0]
+    ident = ExactMatrix.identity(n)
+    rows = [None] * n
+    for i in reversed(range(n)):
+        piv = m.entry(i, i)
+        if piv.is_zero:
+            raise ZeroDivisionError("matrix is singular")
+        row = ident.take_rows([i])
+        for j in range(i + 1, n):
+            c = m.entry(i, j)
+            if not c.is_zero:
+                row = row - rows[j].scale(c)
+        rows[i] = row.scale(piv.inverse())
+    return ExactMatrix.stack_rows(rows)
+
+
 def inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse of a square nonsingular matrix."""
+    """Exact inverse of a square nonsingular matrix.  A triangular matrix
+    (the bidiagonal A* - h* of a split basis, say) is inverted by back
+    substitution, in O(n^2) row operations when it is bidiagonal; any other
+    by row reduction of [m | I]."""
     n = m.shape[0]
     if m.shape[1] != n:
         raise ValueError("matrix must be square")
+    if _is_upper_triangular(m):
+        return _upper_triangular_inverse(m)
+    if _is_upper_triangular(m.T):
+        return _upper_triangular_inverse(m.T).T
     if m.is_rational:
         num, den = intlinalg.int_inverse(m.n0)
         dlcm = math.lcm(*map(int, den))

@@ -6,12 +6,21 @@ and the diagonal q-exponential K, plus the central elements built from them.
 
 The homogeneous decomposition is computed by a lowering-ladder construction:
 the joint lowest-rung spaces ker(L) ^ E*_r V are split by diameter (length of
-the raising ladder) and by the action of the central element C0, and each
-component is rebuilt by raising.  The construction is certified against the
-defining joint-kernel description: every component is verified to lie in the
-joint kernel of (C_i - chi_i I), and the dimension count sum dim = |X| pins
-the kernels exactly (joint eigenspaces of commuting operators for distinct
-eigenvalue triples are independent, so no kernel can be larger).
+the raising ladder, read off the action of C2 through LR) and by dual
+endpoint (the action of C0 through F), and each component is rebuilt by
+raising.  Both central elements act there as scalars, so the split is made
+by Lagrange projectors: polynomials in the small matrices of LR and F in the
+coordinates of an RREF basis of the lowest rungs.  That costs one exact
+kernel per subconstituent and one RREF per component, however many
+candidate eigenvalues there are.  Counting the components only
+(`decompose(full=False)`, at sampled base vertices) reads the
+`distance_partition` and the adjacency, and no n x n matrix.
+
+The construction is certified against the defining joint-kernel
+description: every component is verified to lie in the joint kernel of
+(C_i - chi_i I), and the dimension count sum dim = |X| pins the kernels
+exactly (joint eigenspaces of commuting operators for distinct eigenvalue
+triples are independent, so no kernel can be larger).
 
 Each component W(r, t, d) is also certified on its raising ladder (rung j
 is the lowest rung raised j times): F acts on rung j as a_j(W), L maps it to
@@ -49,21 +58,16 @@ from .uqsl2 import casimir_scalar
 
 
 @dataclass
-class TerwilligerContext:
+class DistancePartition:
+    """The subconstituents of the graph at a base vertex x: all that
+    `decompose` reads when it only counts the homogeneous components."""
+
     g: PolarGraph
     bm: BoseMesnerData
     x: int
     q: ExactScalar
     dist_x: np.ndarray
     blocks: list[np.ndarray]  # vertex indices at distance i from x
-    Estar: list[ExactMatrix]
-    A: ExactMatrix
-    Astar: ExactMatrix
-    K: ExactMatrix
-    Kinv: ExactMatrix
-    L: ExactMatrix
-    F: ExactMatrix
-    R: ExactMatrix
 
     @property
     def n(self) -> int:
@@ -88,38 +92,69 @@ class TerwilligerContext:
         return int(2 * self.g.spec.e)
 
 
-def build_context(g: PolarGraph, bm: BoseMesnerData, x: int = 0) -> TerwilligerContext:
-    n = g.n_vertices
-    D = g.spec.D
+@dataclass
+class TerwilligerContext(DistancePartition):
+    """The partition with the n x n dual idempotents, A, A*, K, K^-1 and the
+    decomposition A = L + F + R."""
+
+    Estar: list[ExactMatrix]
+    A: ExactMatrix
+    Astar: ExactMatrix
+    K: ExactMatrix
+    Kinv: ExactMatrix
+    L: ExactMatrix
+    F: ExactMatrix
+    R: ExactMatrix
+
+
+def distance_partition(g: PolarGraph, bm: BoseMesnerData,
+                       x: int = 0) -> DistancePartition:
+    """The distance partition at x, with the checks of the dual adjacency
+    matrix that need no n x n matrix:
+    - adjacent vertices differ by at most 1 in distance from x, so
+      A = L + F + R over the partition,
+    - theta*_i = zeta + xi b^-i, so A* = zeta I + xi K,
+    - |X| E_1[x, y] = theta*_(d(x, y)) for every y: the diagonal of A* is
+      |X| times row x of E_1."""
+    n, D, b = g.n_vertices, g.spec.D, g.spec.b
     dist_x = g.dist[x].astype(np.int64)
     blocks = [np.nonzero(dist_x == i)[0] for i in range(D + 1)]
+    for i in range(D - 1):
+        # no edge from class i to a class two or more steps further out
+        if g.adjacency[np.ix_(blocks[i], np.concatenate(blocks[i + 2:]))].any():
+            raise AssertionError(
+                "A does not split as L + F + R over the partition")
+    if any(bm.theta_star[i] != bm.zeta + bm.xi * Fraction(1, b ** i)
+           for i in range(D + 1)):
+        raise AssertionError("theta*_i != zeta + xi b^-i")
+    theta_star = ExactMatrix.from_rows([bm.theta_star])
+    if bm.E[1].take_rows([x]).scale(n) != theta_star.submatrix([0], dist_x):
+        raise AssertionError("dual adjacency disagrees with |X| E_1 row x")
+    return DistancePartition(g, bm, x, ExactScalar.sqrt(b), dist_x, blocks)
+
+
+def build_context(g: PolarGraph, bm: BoseMesnerData, x: int = 0) -> TerwilligerContext:
+    part = distance_partition(g, bm, x)
+    n, D, dist_x = part.n, part.D, part.dist_x
     estar = [
         ExactMatrix.from_int(np.diag((dist_x == i).astype(np.int64)))
         for i in range(D + 1)
     ]
     adj = g.adjacency.astype(np.int64)
     A = ExactMatrix.from_int(adj)
-    q = ExactScalar.sqrt(g.spec.b)
     # K = sum q^(-2i) E*_i  (rational since q^2 = b)
-    kd = [Fraction(1, g.spec.b ** int(dist_x[y])) for y in range(n)]
-    K = ExactMatrix.diag(kd)
-    Kinv = ExactMatrix.diag([Fraction(1) / v for v in kd])
-    Astar = ExactMatrix.diag([bm.zeta + bm.xi * v for v in kd])
-    # consistency with the spectral data: A* diag equals |X| * row x of E_1
-    row = bm.E[1].take_rows([x])
-    for y in range(n):
-        if row.entry(0, y) * n != Astar.entry(y, y):
-            raise AssertionError("dual adjacency disagrees with |X| E_1 row x")
+    kd = [Fraction(1, g.spec.b ** i) for i in range(D + 1)]
+    K = ExactMatrix.diag([kd[i] for i in dist_x])
+    Kinv = ExactMatrix.diag([1 / kd[i] for i in dist_x])
+    Astar = ExactMatrix.diag([bm.zeta + bm.xi * kd[i] for i in dist_x])
     up = (dist_x[:, None] - dist_x[None, :] == 1).astype(np.int64) * adj
     flat = (dist_x[:, None] == dist_x[None, :]).astype(np.int64) * adj
     down = (dist_x[:, None] - dist_x[None, :] == -1).astype(np.int64) * adj
     L = ExactMatrix.from_int(down)   # (y,z)-entry 1 iff y~z, d(x,y) = d(x,z)-1
     F = ExactMatrix.from_int(flat)
     R = ExactMatrix.from_int(up)
-    if (down + flat + up != adj).any():
-        raise AssertionError("A does not split as L + F + R over the partition")
-    ctx = TerwilligerContext(g, bm, x, q, dist_x, blocks, estar, A, Astar,
-                             K, Kinv, L, F, R)
+    ctx = TerwilligerContext(**vars(part), Estar=estar, A=A, Astar=Astar,
+                             K=K, Kinv=Kinv, L=L, F=F, R=R)
     if ctx.L.T != ctx.R or ctx.F.T != ctx.F:
         raise AssertionError("transpose relations L^t = R, F^t = F fail")
     # A* lies in span{I, K}: A* = zeta I + xi K
@@ -579,31 +614,40 @@ def _embed(local: ExactMatrix, shape, index) -> ExactMatrix:
     return ExactMatrix(place(local.n0), place(local.n1), local.den, local.rad)
 
 
-def _split_by_operator(vectors: ExactMatrix, op_image: ExactMatrix, eigvals):
-    """Split the row space of `vectors` into eigenspaces of an operator,
-    given op_image with rows op(v_i); eigvals maps key -> expected value.
-    Returns {key: row basis}; raises if the pieces do not fill the space."""
-    out = {}
-    total = 0
-    for key, val in eigvals.items():
-        cond = op_image - vectors.scale(val)
-        coeff = kernel(cond.T)
-        if coeff.dim == 0:
-            continue
-        rows = coeff.basis @ vectors
-        out[key] = rows
-        total += coeff.dim
-    if total != vectors.shape[0]:
-        raise AssertionError(
-            "operator spectrum on the subspace is not covered by the "
-            "candidate eigenvalues"
-        )
-    return out
+def _restrict(low: ExactMatrix, pivots, image: ExactMatrix,
+              what: str) -> ExactMatrix:
+    """The matrix M with image = M @ low, where `low` holds leading-1 RREF
+    rows with the given pivots and row i of `image` is the image of row i
+    of `low` under an operator: the operator in the coordinates of `low`.
+    A row of the row space equals its pivot entries times `low`, so M is
+    `image` at the pivot columns; M @ low = image certifies that the
+    operator preserves the row space."""
+    m = image.submatrix(range(image.shape[0]), list(pivots))
+    if m @ low != image:
+        raise AssertionError(f"{what} does not preserve the lowest rungs")
+    return m
 
 
-def decompose(ctx: TerwilligerContext, cents: CentralElements | None = None,
+def _product(factors, size: int) -> ExactMatrix:
+    """The product of the size x size factors; the identity if none."""
+    out = None
+    for f in factors:
+        out = f if out is None else out @ f
+    return ExactMatrix.identity(size) if out is None else out
+
+
+def decompose(part: DistancePartition, cents: CentralElements | None = None,
               full: bool = True) -> list[HomogeneousComponent]:
     """Homogeneous components of the standard module.
+
+    On each subconstituent r the lowest rungs ker L ^ E*_r V are split by
+    Lagrange projectors in the coordinates of their RREF basis: C2 acts
+    there through LR as a scalar that separates the diameters d, and C0
+    through F as one that separates the dual endpoints t.  With M_LR and
+    M_F the matrices of LR and F in those coordinates, the certificates are
+    prod_d (M_LR - mu_d) = 0, M_LR M_F = M_F M_LR and, for each d, P_d
+    prod_t (M_F - nu_t) = 0 with P_d = prod_(d' != d) (M_LR - mu_d').  Then
+    the lowest rung of W(r, t, d) is the row space of P_d P_t: one RREF.
 
     With full=True (requires the central elements) every component carries
     its RREF basis, and the whole decomposition is certified:
@@ -613,77 +657,99 @@ def decompose(ctx: TerwilligerContext, cents: CentralElements | None = None,
     - the components are pairwise orthogonal,
     - their dimensions sum to |X|, which pins the joint kernels exactly and
       makes V their direct sum.
-    With full=False only the feasible triples with multiplicities are
-    computed (used for base-vertex sampling); dimensions still must sum to
-    |X|.
+    With full=False `part` may be the bare `distance_partition`, as no
+    n x n matrix is read: only the feasible triples with multiplicities are
+    computed (used for base-vertex sampling), and dimensions still must sum
+    to |X|.
     """
     if full and cents is None:
         raise ValueError("full decomposition requires the central elements")
-    n, D, b = ctx.n, ctx.D, ctx.b
-    spec = ctx.g.spec
-    adj = ctx.g.adjacency
+    n, D, b = part.n, part.D, part.b
+    adj = part.g.adjacency
     q2 = Fraction(b)
-    c2_const = chi2(ctx, 0, 0, 0)  # q^(2e+2D-2)/(q^4-1), the K^2 coefficient
+    c2_const = chi2(part, 0, 0, 0)  # q^(2e+2D-2)/(q^4-1), the K^2 coefficient
     if not c2_const.is_rational:
         raise AssertionError("central scalar must be rational")
     c2_const = c2_const.as_fraction()
+    cst = (b_pow(b, part.g.spec.e) - 1) / (b - 1)
     comps: list[HomogeneousComponent] = []
     for r in range(D + 1):
-        block = ctx.blocks[r]
+        block = part.blocks[r]
         kr = len(block)
         if kr == 0:
             continue
         if r == 0:
-            low = ExactMatrix.identity(kr)
+            low, pivots = ExactMatrix.identity(kr), range(kr)
         else:
-            below = ctx.blocks[r - 1]
-            lmat = ExactMatrix.from_int(adj[np.ix_(below, block)])
-            low = kernel(lmat).basis
-        if low.shape[0] == 0:
+            below = part.blocks[r - 1]
+            ker = kernel(ExactMatrix.from_int(adj[np.ix_(below, block)]))
+            low, pivots = ker.basis, ker.pivots
+        size = low.shape[0]
+        if size == 0:
             continue
         # raising chains: U[j] maps block r coordinates to block r+j
         U = [np.eye(kr, dtype=np.int64)]
         for j in range(D - r):
-            step = adj[np.ix_(ctx.blocks[r + j + 1], ctx.blocks[r + j])]
+            step = adj[np.ix_(part.blocks[r + j + 1], part.blocks[r + j])]
             U.append(int_matmul(step, U[-1]))
         # On ker L the element C2 acts through LR alone, which restricts to
         # the integer matrix U1^t U1 on the block; its eigenvalue separates
-        # the module diameter d.
+        # the module diameter d.  C0 acts through F, whose eigenvalue
+        # separates the dual endpoint t:
+        #   C0 v = chi0 v  <=>  F|block_r v = (b^r chi0 - cst) v.
+        # Both are symmetric, so row y of low @ M is the image of row y.
         if r < D:
-            u1 = adj[np.ix_(ctx.blocks[r + 1], block)]
+            u1 = adj[np.ix_(part.blocks[r + 1], block)]
             lr_local = ExactMatrix(int_matmul(u1.T, u1))
         else:
             lr_local = ExactMatrix.zeros(kr, kr)
-        image_lr = low @ lr_local  # symmetric, so no transpose needed
-        d_cand = {}
+        m_lr = _restrict(low, pivots, low @ lr_local, "LR")
+        m_f = _restrict(low, pivots, low @ ExactMatrix.from_int(
+            adj[np.ix_(block, block)]), "F")
+        ident = ExactMatrix.identity(size)
+        mu = {}
         for d in range(D - r + 1):
-            val = chi2(ctx, r, 0, d)
+            val = chi2(part, r, 0, d)
             if not val.is_rational:
                 raise AssertionError("chi2 must be rational")
-            mu = q2 * (q2 + 1) * (c2_const - val.as_fraction() * b ** (2 * r))
-            d_cand[d] = ExactScalar(mu)
-        if len(set(v.sort_key() for v in d_cand.values())) != len(d_cand):
+            mu[d] = q2 * (q2 + 1) * (c2_const - val.as_fraction() * b ** (2 * r))
+        if len(set(mu.values())) != len(mu):
             raise AssertionError("chi2 does not separate diameters")
-        by_d = _split_by_operator(low, image_lr, d_cand)
-        cst = (b_pow(b, spec.e) - 1) / (b - 1)
-        frr = ExactMatrix.from_int(adj[np.ix_(block, block)])
-        for d, vectors in sorted(by_d.items()):
-            # split by dual endpoint via the flattening action:
-            # C0 v = chi0 v  <=>  F|block_r v = (b^r chi0 - cst) v
-            image = vectors @ frr.T
-            cand = {}
+        lr_shift = {d: m_lr - ident.scale(v) for d, v in mu.items()}
+        if not _product(lr_shift.values(), size).is_zero():
+            raise AssertionError(
+                f"LR on the lowest rungs of block {r} has an eigenvalue "
+                "outside the chi2 candidates")
+        if m_lr @ m_f != m_f @ m_lr:
+            raise AssertionError(
+                f"LR and F do not commute on the lowest rungs of block {r}")
+        for d in mu:
+            p_d = _product((m for e, m in lr_shift.items() if e != d), size)
+            if p_d.is_zero():
+                continue
+            nu = {}
             for t in range(max(0, D - r - d), D - d + 1):
-                val = chi0(ctx, r, t, d)
+                val = chi0(part, r, t, d)
                 if not val.is_rational:
                     raise AssertionError("chi0 must be rational")
-                cand[t] = ExactScalar(b ** r * val.as_fraction() - cst)
-            if len(set(v.sort_key() for v in cand.values())) != len(cand):
+                nu[t] = b ** r * val.as_fraction() - cst
+            if len(set(nu.values())) != len(nu):
                 raise AssertionError("chi0 does not separate dual endpoints")
-            pieces = _split_by_operator(vectors, image, cand)
-            for t, rows in pieces.items():
-                comps.append(_build_component(ctx, r, t, d, rows, U, full))
+            f_shift = {t: m_f - ident.scale(v) for t, v in nu.items()}
+            if not (p_d @ _product(f_shift.values(), size)).is_zero():
+                raise AssertionError(
+                    f"F on the diameter-{d} lowest rungs of block {r} has an "
+                    "eigenvalue outside the chi0 candidates")
+            for t in nu:
+                piece = p_d @ _product(
+                    (m for u, m in f_shift.items() if u != t), size)
+                if piece.is_zero():
+                    continue
+                coords, _ = rref(piece)
+                comps.append(_build_component(part, r, t, d, coords @ low, U,
+                                              full))
     if full:
-        _certify_decomposition(ctx, cents, comps)
+        _certify_decomposition(part, cents, comps)
     else:
         total = sum(c.dim for c in comps)
         if total != n:

@@ -243,8 +243,9 @@ def uq_on_leonard(real: LeonardRealization, p: DqkParams, eps: int = 1,
     else:
         X = (mix(u) + Bsi.scale(ks * (u * qi - k * q) / (u * s))).scale(es)
         Y = (mix2(k) + Bsi.scale(ks * (k * qi - u * q) / (k * s))).scale(es)
+    # Z = (eps / kappa*) B*, so Z^-1 = (kappa* eps) B*^-1
     Z = Bs.scale(es * ks.inverse())
-    act = UqAction(q, X, Y, Z)
+    act = UqAction(q, X, Y, Z, Bsi.scale(ks * es))
     act.verify()
     # recoveries of A and A*
     first, second = (k, u) if variant == 1 else (u, k)

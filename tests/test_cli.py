@@ -181,6 +181,48 @@ def test_failing_stage_fails_its_checks(d32_file, capsys, monkeypatch,
         assert len(calls) == 1
 
 
+def test_shifted_chi0_fails_modules_dimension(d32_file, capsys,
+                                              monkeypatch):
+    """A chi0 that moves one dual-endpoint candidate makes decompose refuse
+    the lowest rungs: modules:dimension fails with the message as witness,
+    and verify exits 1 without a traceback."""
+    from dualpolar import terwilliger
+
+    real = terwilliger.chi0
+
+    def shifted(ctx, r, t, d):
+        val = real(ctx, r, t, d)
+        return val + 1 if (r, t, d) == (0, 0, 3) else val
+
+    monkeypatch.setattr(terwilliger, "chi0", shifted)
+    capsys.readouterr()
+    assert main(["verify", "--graph", d32_file, "--suite", "modules"]) == 1
+    out, err = capsys.readouterr()
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert checks["modules:dimension"]["status"] == "fail"
+    assert "chi0 candidates" in checks["modules:dimension"]["witness"]
+    assert err == ""
+
+
+def test_sampled_vertices_build_no_context(d32_file, capsys, monkeypatch):
+    """Each sampled vertex is decomposed on its distance partition; only
+    the base vertex gets the n x n context."""
+    from dualpolar import terwilliger
+
+    calls = []
+    real = terwilliger.build_context
+    monkeypatch.setattr(terwilliger, "build_context",
+                        lambda g, bm, x: calls.append(x) or real(g, bm, x))
+    capsys.readouterr()
+    assert main(["verify", "--graph", d32_file, "--suite", "modules",
+                 "--base-vertex", "4", "--all-vertices-sample", "5"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    sampled = [c for c in checks if c["id"].startswith("modules:base-vertex")]
+    assert len(sampled) == 5
+    assert all(c["status"] == "pass" for c in sampled)
+    assert calls == [4]
+
+
 @pytest.mark.parametrize("family,b", [("C", 2), ("C", 3), ("D", 2),
                                       ("2A_odd", 4), ("2A_even", 4)])
 def test_central_suite_on_diameter_one(tmp_path, capsys, family, b):
@@ -388,6 +430,23 @@ def test_leonard_report_matches_golden(capsys, monkeypatch, name):
     del report["timing"]
     with open(os.path.join(LEONARD_DATA, f"{name}.report.json")) as fh:
         assert json.dumps(report, indent=2) + "\n" == fh.read()
+
+
+@pytest.mark.parametrize("name", ["dqk-sqrt3-8", "dqk-sqrt3-12",
+                                  "dqk-2-16"])
+def test_leonard_reduces_no_integer_matrix(capsys, monkeypatch, name):
+    """The only inverses leonard takes are of B* = A* - h* in the
+    normalized split basis, which is upper bidiagonal: back substitution,
+    with no integer row reduction."""
+    from dualpolar import intlinalg
+
+    calls = []
+    monkeypatch.setattr(intlinalg, "int_rref", _raiser(
+        AssertionError("int_rref called"), calls))
+    monkeypatch.chdir(LEONARD_DATA)
+    capsys.readouterr()
+    assert main(["leonard", "--params", f"{name}.json"]) == 0
+    assert calls == []
 
 
 def test_leonard_scalars_skipped_below_d3(tmp_path, capsys):

@@ -162,6 +162,43 @@ def test_modular_rref_matches_exact(seed, bits):
             assert (got[0].astype(object) == rows.astype(object)).all()
 
 
+EDGE_CASES = {
+    "one-row": [[0, 3, -6, 9]],
+    "one-column": [[0], [4], [-2]],
+    "all-zero": [[0, 0, 0], [0, 0, 0]],
+    "rank-deficient": [[1, 2, 3], [2, 4, 6], [1, 1, 1], [0, 1, 2]],
+    "repeated-row": [[2, -1, 0, 5], [2, -1, 0, 5]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_int_rref_edge_cases_match_exact(name):
+    mat = np.array(EDGE_CASES[name], dtype=np.int64)
+    rows, pivots = _int_rref_exact(mat)
+    assert _int_rref_modular(mat) is not None  # the certified path ran
+    got_rows, got_pivots = int_rref(mat)
+    assert got_pivots == pivots
+    assert got_rows.shape == rows.shape
+    assert (got_rows == rows).all()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_int_rref_small_low_bit_matches_exact(seed):
+    """int_rref takes the modular path at every size, so also the small
+    matrices with few-bit entries that the fraction-free elimination used
+    to reduce on its own; the answer is the same."""
+    rng = np.random.default_rng([seed, 3])
+    nrows, ncols = int(rng.integers(1, 9)), int(rng.integers(1, 11))
+    rank = int(rng.integers(0, min(nrows, ncols) + 1))
+    mat = _low_rank(rng, nrows, ncols, rank, 3).astype(np.int64)
+    rows, pivots = _int_rref_exact(mat)
+    assert len(pivots) <= rank
+    got_rows, got_pivots = int_rref(mat)
+    assert got_pivots == pivots
+    assert got_rows.shape == rows.shape
+    assert (got_rows.astype(object) == rows.astype(object)).all()
+
+
 # ---------------------------------------------------------------------------
 # Reference implementations the vectorized kernels replaced
 

@@ -138,6 +138,77 @@ def test_inverse_roundtrip():
     assert inverse(m2) @ m2 == ExactMatrix.identity(2)
 
 
+@pytest.mark.parametrize("values", [
+    [Fraction(1, 4), 2, Fraction(-3, 8), 0],
+    [ExactScalar.sqrt(3), Fraction(1, 3), 1 + ExactScalar.sqrt(3), 0],
+    [2 ** 70, Fraction(1, 2 ** 70), -1],
+    [],
+])
+def test_diag_matches_the_dense_matrix(values):
+    """diag builds its numerators as one vector: the same normalized
+    matrix as the dense rows with the values on the diagonal."""
+    n = len(values)
+    want = ExactMatrix.from_rows(
+        [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]) \
+        if n else ExactMatrix.zeros(0, 0)
+    got = ExactMatrix.diag(values)
+    assert (got.den, got.rad) == (want.den, want.rad)
+    assert got.n0.dtype == want.n0.dtype
+    assert (got.n0 == want.n0).all()
+    assert (got.n1 is None) == (want.n1 is None)
+    assert got.n1 is None or (got.n1 == want.n1).all()
+
+
+def _int_inverse_oracle(m: ExactMatrix) -> ExactMatrix:
+    """m^-1 from int_inverse's row reduction of [m.n0 | I]."""
+    num, den = intlinalg.int_inverse(m.n0)
+    return ExactMatrix.from_rows(
+        [[Fraction(int(v) * m.den, int(den[i])) for v in num[i]]
+         for i in range(num.shape[0])])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_triangular_inverse_matches_int_inverse(seed, monkeypatch):
+    """Upper and lower triangular, bidiagonal or not, with 33-bit entries
+    like those of B* = A* - h* in a split basis: back substitution gives
+    int_inverse's answer and reduces no matrix."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 18))
+    a = rng.integers(-2 ** 33, 2 ** 33, size=(n, n), endpoint=True)
+    a = np.triu(a) if seed % 2 else np.tril(a)
+    if seed % 3 == 0:  # bidiagonal
+        a = np.triu(np.tril(a, 1), -1)
+    np.fill_diagonal(a, np.where(np.diag(a) == 0, 1, np.diag(a)))
+    m = ExactMatrix.from_int(a, den=int(rng.integers(1, 50)))
+    want = _int_inverse_oracle(m)
+    calls = []
+    real = intlinalg.int_rref
+    monkeypatch.setattr(intlinalg, "int_rref",
+                        lambda mat: calls.append(mat) or real(mat))
+    got = inverse(m)
+    assert calls == []
+    assert got == want
+    assert got @ m == ExactMatrix.identity(n)
+
+
+def test_triangular_inverse_over_q_sqrt():
+    r2 = ExactScalar.sqrt(2)
+    m = ExactMatrix.from_rows([[1 + r2, r2, 0], [0, 3, 2 - r2], [0, 0, r2]])
+    assert m @ inverse(m) == ExactMatrix.identity(3)
+    assert inverse(m.T) == inverse(m).T
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], [0, 0]],                  # upper, zero at the bottom
+    [[0, 0], [3, 1]],                  # lower, zero at the top
+    [[2, 1, 7], [0, 0, 1], [0, 0, 5]],  # upper, zero in the middle
+    [[ExactScalar.sqrt(3), 1], [0, 0]],  # over Q(sqrt 3)
+])
+def test_triangular_inverse_zero_diagonal_raises(rows):
+    with pytest.raises(ZeroDivisionError):
+        inverse(ExactMatrix.from_rows(rows))
+
+
 def test_spectral_projector_diag():
     a = ExactMatrix.diag([2, 5])
     e0 = spectral_projectors(a, [2, 5])[0]

@@ -8,8 +8,10 @@ from dualpolar.drg import b_pow, closed_form_intersection, td_scalars
 from dualpolar.exact import ExactScalar
 from dualpolar.drg import spectral_data
 from dualpolar.linexact import ExactMatrix, kernel, row_space
-from dualpolar.polar import FormSpec, build_polar_graph
+from dualpolar import intlinalg, terwilliger
+from dualpolar.polar import FormSpec, PolarGraph, build_polar_graph
 from dualpolar.terwilliger import (
+    TerwilligerContext,
     _embed,
     _omega_coeffs,
     aw_module_scalars,
@@ -21,6 +23,7 @@ from dualpolar.terwilliger import (
     chi2,
     commutes,
     decompose,
+    distance_partition,
     extract_module,
     verify_center_commutation,
     verify_center_identities,
@@ -351,12 +354,81 @@ def test_all_modules_extract(ctx_d32, comps_d32):
         assert rec.a_std_rep.shape == (c.d + 1, c.d + 1)
 
 
-def test_base_vertex_independence_small(graph_c32, bm_c32, comps_c32):
+def test_base_vertex_independence_small(graph_d32, bm_d32, comps_d32):
+    """The triple multiset is the same at every vertex of D_3(2), found on
+    the distance partition alone, with no n x n matrix."""
+    base = sorted((c.triple, c.mult) for c in comps_d32)
+    for x in range(graph_d32.n_vertices):
+        part = distance_partition(graph_d32, bm_d32, x)
+        assert not isinstance(part, TerwilligerContext)
+        li = decompose(part, full=False)
+        assert sorted((c.triple, c.mult) for c in li) == base
+
+
+def test_base_vertex_independence_c32(graph_c32, bm_c32, comps_c32):
+    """C_3(2) has edges inside the subconstituents (F != 0, unlike D_3(2)),
+    so there the sampled path also splits by dual endpoint."""
     base = sorted((c.triple, c.mult) for c in comps_c32)
     for x in (17, 100):
-        ctx2 = build_context(graph_c32, bm_c32, x)
-        li = decompose(ctx2, full=False)
+        li = decompose(distance_partition(graph_c32, bm_c32, x), full=False)
         assert sorted((c.triple, c.mult) for c in li) == base
+
+
+def test_distance_partition_refuses_a_perturbed_e1_row(graph_d32, bm_d32):
+    x, y = 5, 11
+    e1 = _bumped(bm_d32.E[1], x, y)
+    bad = replace(bm_d32, E=[bm_d32.E[0], e1, *bm_d32.E[2:]])
+    with pytest.raises(AssertionError, match="E_1 row x"):
+        distance_partition(graph_d32, bad, x)
+    # only row x of E_1 is read at x
+    distance_partition(graph_d32, bad, y)
+
+
+def test_distance_partition_refuses_an_edge_across_two_classes(graph_d32,
+                                                              bm_d32):
+    g = graph_d32
+    y = int(np.nonzero(g.adjacency[0])[0][0])
+    dist = g.dist.copy()
+    dist[0, y] = dist[y, 0] = 2  # a neighbour of 0 put two classes away
+    tampered = PolarGraph(g.spec, g.vertices, g.adjacency, dist)
+    with pytest.raises(AssertionError, match="L \\+ F \\+ R"):
+        distance_partition(tampered, bm_d32, 0)
+
+
+@pytest.fixture(scope="module")
+def graph_d42():
+    return build_polar_graph(FormSpec("D", 4, 2))
+
+
+def test_decompose_elimination_count_d42(graph_d42, monkeypatch):
+    """One exact kernel per subconstituent r >= 1, and per component one
+    RREF of its lowest rung plus one per rung: D + sum (d + 2) calls of
+    int_rref, none for a candidate eigenvalue that does not occur."""
+    ctx = build_context(graph_d42, spectral_data(graph_d42), 47)
+    cents = central_elements(ctx)
+    calls = []
+    real = intlinalg.int_rref
+    monkeypatch.setattr(intlinalg, "int_rref",
+                        lambda mat: calls.append(mat.shape) or real(mat))
+    comps = decompose(ctx, cents)
+    assert len(calls) <= ctx.D + sum(c.d + 2 for c in comps)
+    assert sorted((c.triple, c.mult) for c in comps) == [
+        ((0, 0, 4), 1), ((1, 1, 2), 14), ((2, 1, 2), 35), ((2, 2, 0), 20),
+        ((3, 2, 0), 70), ((4, 2, 0), 28)]
+
+
+def test_decompose_refuses_a_shifted_chi0(ctx_d32, cents_d32, monkeypatch):
+    """chi0 of the trivial module (0, 0, 3) moved by 1: F on the lowest
+    rung at x has no eigenvalue among the candidates."""
+    real = terwilliger.chi0
+
+    def shifted(ctx, r, t, d):
+        val = real(ctx, r, t, d)
+        return val + 1 if (r, t, d) == (0, 0, 3) else val
+
+    monkeypatch.setattr(terwilliger, "chi0", shifted)
+    with pytest.raises(AssertionError, match="chi0 candidates"):
+        decompose(ctx_d32, cents_d32)
 
 
 @pytest.mark.parametrize("family,D,b,bases", [("D", 3, 2, (0, 17)),
