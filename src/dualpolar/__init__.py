@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .exact import ExactScalar, parse_scalar, q_pow
 from .gf import FieldSpec, build_field
-from .linexact import ExactMatrix, Subspace, kernel, spectral_projectors
+from .linexact import ExactMatrix, kernel, spectral_projectors
 from .polar import FormSpec, PolarGraph, build_polar_graph, load_graph, save_graph
 from .drg import spectral_data, td_scalars, verify_distance_regular
 from .terwilliger import (
@@ -47,7 +47,7 @@ from .uqsl2 import (
 __all__ = [
     "ExactScalar", "parse_scalar", "q_pow",
     "FieldSpec", "build_field",
-    "ExactMatrix", "Subspace", "kernel", "spectral_projectors",
+    "ExactMatrix", "kernel", "spectral_projectors",
     "FormSpec", "PolarGraph", "build_polar_graph", "load_graph", "save_graph",
     "spectral_data", "td_scalars", "verify_distance_regular",
     "TerwilligerContext", "build_context", "central_elements", "decompose",

@@ -178,23 +178,11 @@ def _suite_central(report, stage):
     report.run("central:g-entries", "G matches its two-distance entry table",
                lambda: tw.verify_g_entry_table(stage["ctx"],
                                                stage["cents"].G))
-
-    def characterization():
-        ctx = stage["ctx"]
-        m1 = tw.central_characterization_matrix(ctx, 1, 0)
-        m2 = tw.central_characterization_matrix(ctx, 3, 2)
-        mp = tw.central_characterization_matrix(ctx, 1, 0, perturb=True)
-        ok = tw.commutes(m1, ctx.A) and tw.commutes(m2, ctx.A)
-        if ctx.F.is_zero():
-            # with no same-distance edges the alpha part is annihilated, so a
-            # perturbed alpha cannot break commutation
-            return ok and tw.commutes(mp, ctx.A)
-        return ok and not tw.commutes(mp, ctx.A)
-
     report.run("central:characterization",
                "alpha_i = b^(1-i) alpha_1 with matching beta_i commutes "
                "with A; a perturbed alpha does not (unless the flattening "
-               "part vanishes)", characterization)
+               "part vanishes)",
+               lambda: tw.verify_central_characterization(stage["ctx"]))
 
 
 def _suite_modules(report, stage, g, sample_vertices):

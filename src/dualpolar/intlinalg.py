@@ -195,6 +195,8 @@ def _free_columns(ncols: int, pivots) -> np.ndarray:
 
 
 def int_rank(mat: np.ndarray) -> int:
+    """Rank over Q, from one int_rref.  Nothing in the package calls it; it
+    stays because perfbench/tracer.py wraps it by name."""
     return len(int_rref(mat)[1])
 
 

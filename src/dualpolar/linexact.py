@@ -173,6 +173,25 @@ class ExactMatrix:
     def column(cls, values) -> "ExactMatrix":
         return cls.from_rows([[v] for v in values])
 
+    @classmethod
+    def combination(cls, terms) -> "ExactMatrix":
+        """sum s M over pairs of a scalar s (ExactScalar, Fraction or int)
+        and an integer array M, all M of one shape: the scalars are put over
+        one denominator first, so each part is one integer combination."""
+        terms = [(s if isinstance(s, ExactScalar) else ExactScalar(s), m)
+                 for s, m in terms]
+        rads = {s.rad for s, _ in terms if s.c != 0}
+        if len(rads) > 1:
+            raise MixedRadicandError("mixed radicands in matrix")
+        rad = rads.pop() if rads else 0
+        den = math.lcm(*(d for s, _ in terms
+                         for d in (s.a.denominator, s.c.denominator)))
+        n0 = _lin(*((int(s.a * den), m) for s, m in terms))
+        n1 = _lin(*((int(s.c * den), m) for s, m in terms))
+        if n0 is None:
+            n0 = np.zeros(terms[0][1].shape, dtype=np.int64)
+        return cls(n0, n1, den, rad)
+
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -195,15 +214,6 @@ class ExactMatrix:
         nr, nc = self.shape
         for i in range(nr):
             yield [self.entry(i, j) for j in range(nc)]
-
-    def to_fractions(self) -> np.ndarray:
-        if self.n1 is not None:
-            raise ValueError("matrix has an irrational part")
-        out = np.empty(self.shape, dtype=object)
-        for i in range(self.shape[0]):
-            for j in range(self.shape[1]):
-                out[i, j] = Fraction(int(self.n0[i, j]), self.den)
-        return out
 
     # -- radicand bookkeeping ---------------------------------------------
 
@@ -287,28 +297,6 @@ class ExactMatrix:
             n0 = np.zeros(self.shape, dtype=np.int64)
         return ExactMatrix(n0, n1, self.den * other.den, rad)
 
-    def masked(self, mask: np.ndarray) -> "ExactMatrix":
-        """Entrywise product with a 0/1 integer mask."""
-        m = mask.astype(self.n0.dtype if self.n0.dtype != object else np.int64)
-        n0 = self.n0 * m
-        n1 = None if self.n1 is None else self.n1 * m
-        return ExactMatrix(n0, n1, self.den, self.rad)
-
-    def row_scale(self, values) -> "ExactMatrix":
-        """diag(values) @ self for rational values (rows scaled)."""
-        vals = [Fraction(v) for v in values]
-        den = math.lcm(*(v.denominator for v in vals))
-        nums = intlinalg.as_int_array([[int(v * den)] for v in vals])
-        bound = _max_abs(nums) * max(_max_abs(self.n0), _max_abs(self.n1))
-        if bound >= _INT64_SAFE or self.n0.dtype == object:
-            nums = _to_object(nums)
-            n0 = _to_object(self.n0) * nums
-            n1 = None if self.n1 is None else _to_object(self.n1) * nums
-        else:
-            n0 = self.n0 * nums
-            n1 = None if self.n1 is None else self.n1 * nums
-        return ExactMatrix(n0, n1, self.den * den, self.rad)
-
     @property
     def T(self) -> "ExactMatrix":
         return ExactMatrix(self.n0.T.copy(),
@@ -355,48 +343,22 @@ class ExactMatrix:
         return cls(n0, n1, den, rad)
 
     def __eq__(self, other):
+        """Every matrix is kept in lowest terms (den > 0 coprime to the
+        entries, n1 None when zero), so equal matrices have equal parts."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self - other).is_zero()
+        if self.n1 is not None and other.n1 is not None:
+            self._join_rad(other.rad)  # mixed radicands raise
+        return self.shape == other.shape and self.den == other.den \
+            and np.array_equal(self.n0, other.n0) \
+            and (self.n1 is None) == (other.n1 is None) \
+            and (self.n1 is None or np.array_equal(self.n1, other.n1))
 
     def __hash__(self):
         raise TypeError("ExactMatrix is unhashable")
 
-    def key(self):
-        """Hashable canonical form (normalized entries)."""
-        t0 = tuple(int(v) for v in self.n0.flat)
-        t1 = None if self.n1 is None else tuple(int(v) for v in self.n1.flat)
-        return (self.shape, self.den, self.rad, t0, t1)
-
     def __repr__(self):
         return f"ExactMatrix(shape={self.shape}, den={self.den}, rad={self.rad})"
-
-
-class Subspace:
-    """A subspace of Q(sqrt(b))^n given by a pivot-normalized RREF basis."""
-
-    __slots__ = ("ambient", "basis", "pivots")
-
-    def __init__(self, ambient: int, basis: ExactMatrix, pivots: tuple[int, ...]):
-        self.ambient = ambient
-        self.basis = basis
-        self.pivots = tuple(pivots)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0] if self.basis.shape[1] else 0
-
-    def contains_rows(self, m: ExactMatrix) -> bool:
-        if self.dim == 0:
-            return m.is_zero()
-        coords = m.submatrix(range(m.shape[0]), list(self.pivots))
-        return (m - coords @ self.basis).is_zero()
-
-    def key(self):
-        return (self.ambient, self.pivots, self.basis.key())
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
 # ---------------------------------------------------------------------------
@@ -448,22 +410,18 @@ def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     return ExactMatrix.from_rows(red, rad=m.rad), pivots
 
 
-def row_space(m: ExactMatrix) -> Subspace:
-    basis, pivots = rref(m)
-    return Subspace(m.shape[1], basis, pivots)
-
-
-def kernel(m: ExactMatrix) -> Subspace:
-    """Exact right null space {v : m v = 0} with RREF basis rows."""
+def kernel(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
+    """Exact right null space {v : m v = 0}: its leading-1 RREF basis rows
+    and their pivots, as `rref` returns a row space."""
     ncols = m.shape[1]
     if m.is_rational:
         basis, pivots = intlinalg.int_kernel(m.n0)
-        return Subspace(ncols, _leading_one(basis, pivots, ncols), pivots)
+        return _leading_one(basis, pivots, ncols), pivots
     red, pivots = _generic_rref([list(r) for r in m.rows()])
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
     if not free:
-        return Subspace(ncols, ExactMatrix.zeros(0, ncols), ())
+        return ExactMatrix.zeros(0, ncols), ()
     from .exact import ZERO, ONE
 
     rows = []
@@ -474,7 +432,7 @@ def kernel(m: ExactMatrix) -> Subspace:
             v[pc] = -red[i][f]
         rows.append(v)
     red2, piv2 = _generic_rref(rows)
-    return Subspace(ncols, ExactMatrix.from_rows(red2, rad=m.rad), piv2)
+    return ExactMatrix.from_rows(red2, rad=m.rad), piv2
 
 
 def _is_upper_triangular(m: ExactMatrix) -> bool:

@@ -1,8 +1,15 @@
 """Subconstituent algebra of a dual polar graph at a base vertex.
 
-Everything here is exact.  The context holds the dual idempotents, the dual
-adjacency matrix, the lowering/flattening/raising decomposition A = L + F + R
-and the diagonal q-exponential K, plus the central elements built from them.
+Everything here is exact.  T is graded by the distance partition B_0, ...,
+B_D at the base vertex x: E*_i A E*_j = 0 for |i - j| > 1 (Terwilliger, The
+subconstituent algebra of an association scheme I, 1992).  K, K^-1, A* and
+E*_i act on B_i as scalars, and L, F, R on B_i are the adjacency blocks
+A[B_(i-1), B_i], A[B_i, B_i], A[B_(i+1), B_i].  So the context is the
+partition with these blocks, an element X of T is held by its blocks
+E*_i X E*_j, and each identity is checked per block pair as sum_c s_c M_c
+with exact scalars s_c and integer products M_c of adjacency blocks
+(`graded`).  Every block a construction produces is stored, so [X, A*] = 0,
+on block (i, j) the identity (theta*_i - theta*_j) X_ij = 0, stays a check.
 
 The homogeneous decomposition is computed by a lowering-ladder construction:
 the joint lowest-rung spaces ker(L) ^ E*_r V are split by diameter (length of
@@ -14,20 +21,19 @@ coordinates of an RREF basis of the lowest rungs.  That costs one exact
 kernel per subconstituent and one RREF per component, however many
 candidate eigenvalues there are.  Counting the components only
 (`decompose(full=False)`, at sampled base vertices) reads the
-`distance_partition` and the adjacency, and no n x n matrix.
+`distance_partition` and its adjacency blocks.
 
 The construction is certified against the defining joint-kernel
-description: every component is verified to lie in the joint kernel of
-(C_i - chi_i I), and the dimension count sum dim = |X| pins the kernels
-exactly (joint eigenspaces of commuting operators for distinct eigenvalue
-triples are independent, so no kernel can be larger).
+description, rung by rung: C_k acts on rung j of W(r, t, d), on block r + j,
+as chi_k; rungs sharing a block are orthogonal; and sum dim = |X| pins the
+kernels exactly (joint eigenspaces of commuting operators for distinct
+eigenvalue triples are independent, so no kernel can be larger).
 
 Each component W(r, t, d) is also certified on its raising ladder (rung j
 is the lowest rung raised j times): F acts on rung j as a_j(W), L maps it to
 b_(j-1)(W) c_j(W) times rung j - 1, and L kills rung 0, R rung d.  So L, F,
 R, K and A* act on W as the (d+1) x (d+1) matrices of `ladder_action`, once
-per copy, and the central elements as scalars (T is semisimple; Terwilliger,
-The subconstituent algebra of an association scheme I, 1992).  V is the
+per copy, and the central elements as scalars (T is semisimple).  V is the
 direct sum of the W, so an identity among these holds on V exactly when it
 holds on every small matrix: Upsilon, Psi and Lambda are per-component
 scalars, and the center identities are scalar identities.  The Leonard
@@ -38,8 +44,9 @@ projection on rung i, so `extract_module` touches no n-wide vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -50,24 +57,32 @@ from .drg import (
     td_scalars,
 )
 from .exact import ExactScalar, q_pow
+from . import intlinalg
 from .intlinalg import int_matmul
-from .leonard import _check_axiom_pattern, eigenbasis, tridiagonal_residuals
-from .linexact import ExactMatrix, Subspace, kernel, rref
+from .leonard import _check_axiom_pattern, eigenbasis
+from .linexact import ExactMatrix, kernel, rref
 from .polar import PolarGraph
 from .uqsl2 import casimir_scalar
+
+# An element X of T by its blocks {(i, j): E*_i X E*_j}; absent blocks are 0.
+Graded = dict[tuple[int, int], ExactMatrix]
+
+_MOVES = {"L": -1, "F": 0, "R": 1}
 
 
 @dataclass
 class DistancePartition:
-    """The subconstituents of the graph at a base vertex x: all that
-    `decompose` reads when it only counts the homogeneous components."""
+    """The subconstituents of the graph at a base vertex x, and the
+    adjacency blocks between them: all that T is evaluated on."""
 
     g: PolarGraph
     bm: BoseMesnerData
     x: int
     q: ExactScalar
     dist_x: np.ndarray
-    blocks: list[np.ndarray]  # vertex indices at distance i from x
+    blocks: list[np.ndarray]  # vertex indices at distance i from x, sorted
+    _adj: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     @property
     def n(self) -> int:
@@ -91,31 +106,31 @@ class DistancePartition:
     def two_e(self) -> int:
         return int(2 * self.g.spec.e)
 
+    def adj(self, i: int, j: int) -> np.ndarray | None:
+        """A[B_i, B_j] as int64: the block of L (j = i + 1), F (j = i) or
+        R (j = i - 1) on column block j; None where E*_i A E*_j = 0."""
+        if abs(i - j) > 1 or not (0 <= i <= self.D and 0 <= j <= self.D):
+            return None
+        if (i, j) not in self._adj:
+            self._adj[i, j] = self.g.adjacency[np.ix_(
+                self.blocks[i], self.blocks[j])].astype(np.int64)
+        return self._adj[i, j]
 
-@dataclass
+
 class TerwilligerContext(DistancePartition):
-    """The partition with the n x n dual idempotents, A, A*, K, K^-1 and the
-    decomposition A = L + F + R."""
-
-    Estar: list[ExactMatrix]
-    A: ExactMatrix
-    Astar: ExactMatrix
-    K: ExactMatrix
-    Kinv: ExactMatrix
-    L: ExactMatrix
-    F: ExactMatrix
-    R: ExactMatrix
+    """The partition with every adjacency block read and certified:
+    L^t = R and F^t = F, block by block."""
 
 
 def distance_partition(g: PolarGraph, bm: BoseMesnerData,
                        x: int = 0) -> DistancePartition:
     """The distance partition at x, with the checks of the dual adjacency
-    matrix that need no n x n matrix:
+    matrix:
     - adjacent vertices differ by at most 1 in distance from x, so
       A = L + F + R over the partition,
-    - theta*_i = zeta + xi b^-i, so A* = zeta I + xi K,
+    - theta*_i = zeta + xi b^-i, so A* = zeta I + xi K = sum theta*_i E*_i,
     - |X| E_1[x, y] = theta*_(d(x, y)) for every y: the diagonal of A* is
-      |X| times row x of E_1."""
+      |X| times row x of E_1, read on one block at a time."""
     n, D, b = g.n_vertices, g.spec.D, g.spec.b
     dist_x = g.dist[x].astype(np.int64)
     blocks = [np.nonzero(dist_x == i)[0] for i in range(D + 1)]
@@ -127,53 +142,151 @@ def distance_partition(g: PolarGraph, bm: BoseMesnerData,
     if any(bm.theta_star[i] != bm.zeta + bm.xi * Fraction(1, b ** i)
            for i in range(D + 1)):
         raise AssertionError("theta*_i != zeta + xi b^-i")
-    theta_star = ExactMatrix.from_rows([bm.theta_star])
-    if bm.E[1].take_rows([x]).scale(n) != theta_star.submatrix([0], dist_x):
-        raise AssertionError("dual adjacency disagrees with |X| E_1 row x")
+    for i, block in enumerate(blocks):
+        ones = ExactMatrix.from_int(np.ones((1, len(block)), dtype=np.int64))
+        if bm.E[1].submatrix([x], block).scale(n) \
+                != ones.scale(bm.theta_star[i]):
+            raise AssertionError("dual adjacency disagrees with |X| E_1 row x")
     return DistancePartition(g, bm, x, ExactScalar.sqrt(b), dist_x, blocks)
 
 
 def build_context(g: PolarGraph, bm: BoseMesnerData, x: int = 0) -> TerwilligerContext:
     part = distance_partition(g, bm, x)
-    n, D, dist_x = part.n, part.D, part.dist_x
-    estar = [
-        ExactMatrix.from_int(np.diag((dist_x == i).astype(np.int64)))
-        for i in range(D + 1)
-    ]
-    adj = g.adjacency.astype(np.int64)
-    A = ExactMatrix.from_int(adj)
-    # K = sum q^(-2i) E*_i  (rational since q^2 = b)
-    kd = [Fraction(1, g.spec.b ** i) for i in range(D + 1)]
-    K = ExactMatrix.diag([kd[i] for i in dist_x])
-    Kinv = ExactMatrix.diag([1 / kd[i] for i in dist_x])
-    Astar = ExactMatrix.diag([bm.zeta + bm.xi * kd[i] for i in dist_x])
-    up = (dist_x[:, None] - dist_x[None, :] == 1).astype(np.int64) * adj
-    flat = (dist_x[:, None] == dist_x[None, :]).astype(np.int64) * adj
-    down = (dist_x[:, None] - dist_x[None, :] == -1).astype(np.int64) * adj
-    L = ExactMatrix.from_int(down)   # (y,z)-entry 1 iff y~z, d(x,y) = d(x,z)-1
-    F = ExactMatrix.from_int(flat)
-    R = ExactMatrix.from_int(up)
-    ctx = TerwilligerContext(**vars(part), Estar=estar, A=A, Astar=Astar,
-                             K=K, Kinv=Kinv, L=L, F=F, R=R)
-    if ctx.L.T != ctx.R or ctx.F.T != ctx.F:
-        raise AssertionError("transpose relations L^t = R, F^t = F fail")
-    # A* lies in span{I, K}: A* = zeta I + xi K
-    if Astar != ExactMatrix.identity(n).scale(bm.zeta) + K.scale(bm.xi):
-        raise AssertionError("A* != zeta I + xi K")
-    if Astar != sum_scaled(estar, bm.theta_star):
-        raise AssertionError("A* != sum theta*_i E*_i")
+    ctx = TerwilligerContext(g, bm, x, part.q, part.dist_x, part.blocks)
+    for i in range(ctx.D + 1):
+        for j in (i, i + 1):
+            if j <= ctx.D and not np.array_equal(ctx.adj(j, i),
+                                                 ctx.adj(i, j).T):
+                raise AssertionError(
+                    "transpose relations L^t = R, F^t = F fail")
     return ctx
 
 
-def sum_scaled(mats, coeffs) -> ExactMatrix:
-    out = mats[0].scale(coeffs[0])
-    for m, c in zip(mats[1:], coeffs[1:]):
-        out = out + m.scale(c)
+# ---------------------------------------------------------------------------
+# Graded elements
+
+
+def _expand(word: str) -> list[str]:
+    """The words in L, F, R, K, k, S that `word` becomes with A = L + F + R."""
+    out = [""]
+    for letter in word:
+        out = [w + x for w in out
+               for x in ("LFR" if letter == "A" else letter)]
     return out
+
+
+def _chain(part: DistancePartition, path: str, j: int, memo: dict):
+    """The integer product of the adjacency blocks of the word `path` in L,
+    F, R on column block j (the identity for the empty word); words with a
+    common right factor share its product."""
+    if (path, j) not in memo:
+        if not path:
+            memo[path, j] = np.eye(len(part.blocks[j]), dtype=np.int64)
+        else:
+            rest = path[1:]
+            c = j + sum(_MOVES[x] for x in rest)
+            step = part.adj(c + _MOVES[path[0]], c)
+            memo[path, j] = step if not rest else int_matmul(
+                step, _chain(part, rest, j, memo))
+    return memo[path, j]
+
+
+def graded(part: DistancePartition, terms) -> Graded:
+    """sum coeff * word over the (coeff, word) terms, block by block.
+
+    A word is a product of the letters L, F, R, K, k (K^-1), S (A*) and A
+    (L + F + R).  On column block j its letters act right to left: L, F and
+    R move to the next block through their adjacency block, K, k and S
+    multiply by their scalar on the current block, and a word that leaves
+    0..D vanishes.  Block (i, j) is sum_w s_w M_w over the words w in L, F,
+    R ending in block i: an exact scalar times the integer product of the
+    adjacency blocks.  Every block a term reaches is stored."""
+    words = [(coeff, w) for coeff, word in terms for w in _expand(word)]
+    scalars = {"K": [Fraction(1, part.b ** i) for i in range(part.D + 1)],
+               "k": [Fraction(part.b ** i) for i in range(part.D + 1)],
+               "S": part.bm.theta_star}
+    sums: dict = {}
+    for j in range(part.D + 1):
+        for coeff, word in words:
+            i, s, path = j, Fraction(1), ""
+            for letter in reversed(word):
+                if letter in _MOVES:
+                    i += _MOVES[letter]
+                    if not 0 <= i <= part.D:
+                        break
+                    path = letter + path
+                else:
+                    s *= scalars[letter][i]
+            else:
+                block = sums.setdefault((i, j), {})
+                block[path] = block.get(path, 0) + coeff * s
+    memo: dict = {}
+    return {(i, j): ExactMatrix.combination(
+        [(s, _chain(part, path, j, memo)) for path, s in block.items()])
+        for (i, j), block in sums.items()}
+
+
+def combine(*pairs) -> Graded:
+    """sum s X over (scalar s, graded X) pairs."""
+    out: Graded = {}
+    for s, x in pairs:
+        for ij, m in x.items():
+            out[ij] = out[ij] + m.scale(s) if ij in out else m.scale(s)
+    return out
+
+
+def is_zero(x: Graded) -> bool:
+    return all(m.is_zero() for m in x.values())
+
+
+def equal(x: Graded, y: Graded) -> bool:
+    return all(x[ij] == y[ij] if ij in x and ij in y
+               else x.get(ij, y.get(ij)).is_zero()
+               for ij in x.keys() | y.keys())
+
+
+def first_nonzero(part: DistancePartition, x: Graded):
+    """(y, z, value) of the first nonzero entry of x in row-major order of
+    the n x n matrix, or None.  The blocks hold sorted vertex indices, so
+    the first local nonzero of each block is its first global one."""
+    hits = []
+    for (i, j), m in x.items():
+        live = m.n0 != 0 if m.n1 is None else (m.n0 != 0) | (m.n1 != 0)
+        if live.any():
+            a, c = np.argwhere(live)[0]
+            hits.append((int(part.blocks[i][a]), int(part.blocks[j][c]),
+                         m.entry(a, c)))
+    return min(hits, key=lambda hit: hit[:2], default=None)
+
+
+def commutes_with_adjacency(part: DistancePartition, x: Graded) -> bool:
+    """X A = A X.  A stored block X_ik = (n0 + n1 sqrt(rad)) / den meets the
+    adjacency blocks A_kj and A_hi; on each block pair the residual sum of
+    XA - AX is one exact combination of these integer products."""
+    terms: dict = {}
+    for (i, k), m in x.items():
+        parts = [(Fraction(1, m.den), m.n0)] + ([] if m.n1 is None else [
+            (ExactScalar(0, Fraction(1, m.den), m.rad), m.n1)])
+        for s, arr in parts:
+            for j in (k - 1, k, k + 1):
+                if part.adj(k, j) is not None:
+                    terms.setdefault((i, j), []).append(
+                        (s, int_matmul(arr, part.adj(k, j))))
+            for h in (i - 1, i, i + 1):
+                if part.adj(h, i) is not None:
+                    terms.setdefault((h, k), []).append(
+                        (-s, int_matmul(part.adj(h, i), arr)))
+    return all(ExactMatrix.combination(t).is_zero() for t in terms.values())
 
 
 def commutes(a: ExactMatrix, b: ExactMatrix) -> bool:
     return (a @ b - b @ a).is_zero()
+
+
+def _bracket(letter: str, terms) -> list:
+    """The terms of [letter, sum terms]."""
+    return [(c, letter + w) for c, w in terms] + [(-c, w + letter)
+                                                  for c, w in terms]
 
 
 # ---------------------------------------------------------------------------
@@ -191,75 +304,72 @@ LFRK_STATEMENTS = (
 )
 
 
-def lfrk_relations(ctx: TerwilligerContext) -> list[tuple[str, ExactMatrix]]:
+def lfrk_relations(ctx: TerwilligerContext) -> list[tuple[str, Graded]]:
     """The seven generator relations, as (statement, lhs - rhs) pairs in the
     order of LFRK_STATEMENTS."""
-    L, F, R, K = ctx.L, ctx.F, ctx.R, ctx.K
     q2 = ExactScalar(ctx.b)
     q2e = ctx.qexp(ctx.two_e())
     qpow = ctx.qexp(ctx.two_e() + 2 * ctx.D - 2)
-    one = ExactScalar(1)
     c_hi = q2 * q2 / (q2 + 1)
     c_lo = q2.inverse() / (q2 + 1)
     resids = [
-        (K @ L) - (L @ K).scale(q2),
-        (K @ F) - (F @ K),
-        (K @ R) - (R @ K).scale(q2.inverse()),
-        (L @ F) - (F @ L).scale(q2) - L.scale(q2e - one),
-        (F @ R) - (R @ F).scale(q2) - R.scale(q2e - one),
-        (R @ L @ L).scale(c_hi) - (L @ R @ L) + (L @ L @ R).scale(c_lo)
-        + L.scale(qpow),
-        (R @ R @ L).scale(c_hi) - (R @ L @ R) + (L @ R @ R).scale(c_lo)
-        + R.scale(qpow),
+        [(1, "KL"), (-q2, "LK")],
+        [(1, "KF"), (-1, "FK")],
+        [(1, "KR"), (-q2.inverse(), "RK")],
+        [(1, "LF"), (-q2, "FL"), (1 - q2e, "L")],
+        [(1, "FR"), (-q2, "RF"), (1 - q2e, "R")],
+        [(c_hi, "RLL"), (-1, "LRL"), (c_lo, "LLR"), (qpow, "L")],
+        [(c_hi, "RRL"), (-1, "RLR"), (c_lo, "LRR"), (qpow, "R")],
     ]
-    return list(zip(LFRK_STATEMENTS, resids))
+    return [(statement, graded(ctx, terms))
+            for statement, terms in zip(LFRK_STATEMENTS, resids)]
 
 
 def verify_lfrk(ctx: TerwilligerContext) -> list[dict]:
     report = []
     for statement, resid in lfrk_relations(ctx):
-        ok = resid.is_zero()
+        witness = first_nonzero(ctx, resid)
         item = {"id": f"lfrk:{statement}", "statement": statement,
-                "status": "pass" if ok else "fail"}
-        if not ok:
-            nz = np.nonzero(resid.n0) if resid.n1 is None else np.nonzero(
-                resid.n0 + resid.n1)
-            y, z = int(nz[0][0]), int(nz[1][0])
-            item["witness"] = {"entry": [y, z], "value": resid.entry(y, z).render()}
+                "status": "pass" if witness is None else "fail"}
+        if witness is not None:
+            y, z, value = witness
+            item["witness"] = {"entry": [y, z], "value": value.render()}
         report.append(item)
     return report
 
 
 def verify_lfrk_recovery(ctx: TerwilligerContext) -> bool:
-    """L, F, R are recovered from A and K by conjugation identities."""
+    """L, F, R are recovered from A and K by conjugation identities:
+    K^-1 A K and K A K^-1 scale block (i, j) of A by b^(j-i) and b^(i-j)."""
     q = ctx.q
-    A, K, Kinv = ctx.A, ctx.K, ctx.Kinv
     qi = q.inverse()
     dd = (q - qi) * (q - qi)
     s = (q + qi)
-    t1 = (Kinv @ A @ K)
-    t2 = (K @ A @ Kinv)
-    lrec = (t1.scale(qi) + t2.scale(q) - A.scale(s)).scale((dd * s).inverse())
-    frec = (A.scale(q * q + qi * qi) - t1 - t2).scale(dd.inverse())
-    rrec = (t1.scale(q) + t2.scale(qi) - A.scale(s)).scale((dd * s).inverse())
-    return lrec == ctx.L and frec == ctx.F and rrec == ctx.R
+    lrec = [(qi / (dd * s), "kAK"), (q / (dd * s), "KAk"), (-1 / dd, "A")]
+    frec = [((q * q + qi * qi) / dd, "A"), (-1 / dd, "kAK"), (-1 / dd, "KAk")]
+    rrec = [(q / (dd * s), "kAK"), (qi / (dd * s), "KAk"), (-1 / dd, "A")]
+    return all(is_zero(graded(ctx, terms + [(-1, op)]))
+               for terms, op in ((lrec, "L"), (frec, "F"), (rrec, "R")))
 
 
 def verify_lrf_commutations(ctx: TerwilligerContext) -> bool:
     """LR, RL, F, K mutually commute."""
-    mats = [ctx.L @ ctx.R, ctx.R @ ctx.L, ctx.F, ctx.K]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if not commutes(mats[i], mats[j]):
-                return False
-    return True
+    words = ["LR", "RL", "F", "K"]
+    return all(is_zero(graded(ctx, [(1, u + v), (-1, v + u)]))
+               for i, u in enumerate(words) for v in words[i + 1:])
 
 
 def verify_tridiagonal_relations(ctx: TerwilligerContext) -> bool:
-    """Both bracket relations with the five tridiagonal scalars."""
-    inner1, inner2 = tridiagonal_residuals(ctx.A, ctx.Astar,
-                                           *td_scalars(ctx.g.spec))
-    return commutes(ctx.A, inner1) and commutes(ctx.Astar, inner2)
+    """Both bracket relations with the five tridiagonal scalars: A commutes
+    with A^2 A* - beta A A* A + A* A^2 - gamma (A A* + A* A) - rho A*, and A*
+    with A*^2 A - beta A* A A* + A A*^2 - gamma* (A* A + A A*) - rho* A."""
+    beta, gamma, gamma_s, rho, rho_s = td_scalars(ctx.g.spec)
+    inner1 = [(1, "AAS"), (-beta, "ASA"), (1, "SAA"), (-gamma, "AS"),
+              (-gamma, "SA"), (-rho, "S")]
+    inner2 = [(1, "SSA"), (-beta, "SAS"), (1, "ASS"), (-gamma_s, "SA"),
+              (-gamma_s, "AS"), (-rho_s, "A")]
+    return is_zero(graded(ctx, _bracket("A", inner1))) \
+        and is_zero(graded(ctx, _bracket("S", inner2)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +378,12 @@ def verify_tridiagonal_relations(ctx: TerwilligerContext) -> bool:
 
 @dataclass
 class CentralElements:
-    C0: ExactMatrix
-    C1: ExactMatrix
-    C2: ExactMatrix
-    Omega: ExactMatrix
-    G: ExactMatrix
-    Gstar: ExactMatrix
-    RL: ExactMatrix
-    LR: ExactMatrix
+    C0: Graded
+    C1: Graded
+    C2: Graded
+    Omega: Graded
+    G: Graded
+    Gstar: Graded
 
 
 def chi0(ctx: TerwilligerContext, r: int, t: int, d: int) -> ExactScalar:
@@ -335,129 +443,106 @@ def _omega_coeffs(ctx: TerwilligerContext):
     return alpha, beta
 
 
+def _diagonal_blocks(ctx: TerwilligerContext, terms_of) -> Graded:
+    """The block-diagonal element with block (s, s) sum terms_of(s, I)."""
+    return {(s, s): ExactMatrix.combination(
+        terms_of(s, np.eye(len(block), dtype=np.int64)))
+        for s, block in enumerate(ctx.blocks)}
+
+
 def central_elements(ctx: TerwilligerContext) -> CentralElements:
-    L, F, R, K = ctx.L, ctx.F, ctx.R, ctx.K
-    n, D = ctx.n, ctx.D
-    q2 = ExactScalar(ctx.b)
+    D, b = ctx.D, ctx.b
+    q2 = ExactScalar(b)
     q2e = ctx.qexp(ctx.two_e())
     one = ExactScalar(1)
-    RL = R @ L
-    LR = L @ R
-    kvals = [Fraction(1, ctx.b ** int(ctx.dist_x[y])) for y in range(n)]
-    k2vals = [v * v for v in kvals]
-    KK = K.row_scale(kvals)
-    C0 = F.row_scale(kvals) + K.scale((q2e - one) / (q2 - one))
     top = ctx.qexp(ctx.two_e() + 2 * D - 2)
-    C1 = RL.row_scale(kvals).scale(q2 / (q2 + 1)) \
-        - LR.row_scale(kvals).scale(q2.inverse() / (q2 + 1)) \
-        + K.scale(top / (q2 - 1))
-    C2 = RL.row_scale(k2vals).scale(one / (q2 + 1)) \
-        - LR.row_scale(k2vals).scale(q2.inverse() / (q2 + 1)) \
-        + KK.scale(top / (q2 * q2 - 1))
-    # Omega from its same-distance entry data
+    C0 = graded(ctx, [(1, "KF"), ((q2e - one) / (q2 - one), "K")])
+    C1 = graded(ctx, [(q2 / (q2 + 1), "KRL"),
+                      (-q2.inverse() / (q2 + 1), "KLR"),
+                      (top / (q2 - 1), "K")])
+    C2 = graded(ctx, [(one / (q2 + 1), "KKRL"),
+                      (-q2.inverse() / (q2 + 1), "KKLR"),
+                      (top / (q2 * q2 - 1), "KK")])
+    # Omega from its same-distance entry data: beta_s on the diagonal of
+    # block s and alpha_s on its edges
     alpha, beta = _omega_coeffs(ctx)
-    same = (ctx.dist_x[:, None] == ctx.dist_x[None, :])
-    omega = ExactMatrix.diag([beta[int(ctx.dist_x[y])] for y in range(n)])
-    masked = ctx.A.masked(same.astype(np.int64))
-    # alpha_s * (E*_s A E*_s) summed over s
-    omega = omega + masked.row_scale(
-        [alpha.get(int(ctx.dist_x[y]), 0) for y in range(n)])
-    # G from the two-step same-distance counts; on distance class i the
+    omega = _diagonal_blocks(ctx, lambda s, eye: [
+        (beta[s], eye), (alpha.get(s, 0), ctx.adj(s, s))])
+    # G from the two-step same-distance counts; on distance class s the
     # counts and A carry the coefficients below (down vanishes on class 0,
     # up on class D, and A on class 0 = {x})
     zeta, xi = ctx.bm.zeta, ctx.bm.xi
     spec = ctx.g.spec
-    b = spec.b
     _, gamma, _, rho, _ = td_scalars(spec)
-    up, down = _two_step_counts(ctx)
-    G = _by_distance(ctx, down, lambda i: xi * (1 - b * b) * Fraction(1, b ** i)) \
-        + _by_distance(ctx, up, lambda i: xi * (1 - Fraction(1, b * b))
-                       * Fraction(1, b ** i)) \
-        + _by_distance(ctx, ctx.g.adjacency * same,
-                       lambda i: xi * (Fraction(1, b) - 1)
-                       * (b_pow(b, spec.e) - 1) * Fraction(1, b ** i)) \
-        - ctx.Astar.scale(rho)
-    Gstar = ExactMatrix.identity(n).scale(-gamma * zeta ** 2) - omega.scale(zeta)
-    cents = CentralElements(C0, C1, C2, omega, G, Gstar, RL, LR)
+    counts = _two_step_counts(ctx)
+    G = _diagonal_blocks(ctx, lambda s, eye: [
+        (xi * (1 - b * b) * Fraction(1, b ** s), counts[s][1]),
+        (xi * (1 - Fraction(1, b * b)) * Fraction(1, b ** s), counts[s][0]),
+        (xi * (Fraction(1, b) - 1) * (b_pow(b, spec.e) - 1)
+         * Fraction(1, b ** s), ctx.adj(s, s)),
+        (-rho * ctx.bm.theta_star[s], eye)])
+    Gstar = combine((-gamma * zeta ** 2, graded(ctx, [(1, "")])),
+                    (-zeta, omega))
+    cents = CentralElements(C0, C1, C2, omega, G, Gstar)
     _verify_central(ctx, cents)
     return cents
 
 
-def _two_step_counts(ctx: TerwilligerContext) -> tuple[np.ndarray, np.ndarray]:
-    """(up, down): for y, z at one distance s from x, up[y, z] counts their
-    common neighbours at distance s + 1 and down[y, z] those at s - 1; both
-    vanish on pairs at different distances."""
-    n, adj, blocks = ctx.n, ctx.g.adjacency, ctx.blocks
-    up = np.zeros((n, n), dtype=np.int64)
-    down = np.zeros((n, n), dtype=np.int64)
-    for s in range(ctx.D):
-        near, far = blocks[s], blocks[s + 1]
-        up[np.ix_(near, near)] = int_matmul(adj[np.ix_(near, far)],
-                                            adj[np.ix_(far, near)])
-        down[np.ix_(far, far)] = int_matmul(adj[np.ix_(far, near)],
-                                            adj[np.ix_(near, far)])
-    return up, down
+def _two_step_counts(ctx: TerwilligerContext) -> list[tuple]:
+    """(up, down) per distance class s: for y, z in class s, up[y, z]
+    counts their common neighbours in class s + 1 and down[y, z] those in
+    class s - 1 (zero on class D and on class 0)."""
+    def through(s, h):
+        if ctx.adj(s, h) is None:
+            return np.zeros((len(ctx.blocks[s]),) * 2, dtype=np.int64)
+        return int_matmul(ctx.adj(s, h), ctx.adj(h, s))
 
-
-def _by_distance(ctx: TerwilligerContext, counts: np.ndarray,
-                 coeff) -> ExactMatrix:
-    """The integer matrix `counts` with row y scaled by coeff(d(x, y))."""
-    return ExactMatrix(counts.astype(np.int64, copy=False)).row_scale(
-        [coeff(int(s)) for s in ctx.dist_x])
-
-
-def commutes_with_distance_diagonal(ctx: TerwilligerContext,
-                                    m: ExactMatrix) -> bool:
-    """[m, X] = 0 for every diagonal matrix constant on the distance
-    classes (in particular A* and K): m must vanish off the blocks."""
-    off = (ctx.dist_x[:, None] != ctx.dist_x[None, :]).astype(np.int64)
-    return m.masked(off).is_zero()
+    return [(through(s, s + 1), through(s, s - 1)) for s in range(ctx.D + 1)]
 
 
 def _verify_central(ctx: TerwilligerContext, c: CentralElements):
     q2 = ExactScalar(ctx.b)
     q2e = ctx.qexp(ctx.two_e())
-    one = ExactScalar(1)
     zeta, xi = ctx.bm.zeta, ctx.bm.xi
     _, gamma, _, rho, _ = td_scalars(ctx.g.spec)
-    n = ctx.n
-    ident = ExactMatrix.identity(n)
+    theta_star = ctx.bm.theta_star
+    ident = graded(ctx, [(1, "")])
     for name, m in [("C0", c.C0), ("C1", c.C1), ("C2", c.C2),
                     ("Omega", c.Omega), ("G", c.G), ("G*", c.Gstar)]:
-        if m.T != m:
+        if not equal({(j, i): x.T for (i, j), x in m.items()}, m):
             raise AssertionError(f"{name} is not symmetric")
-        if not commutes(m, ctx.A):
+        if not commutes_with_adjacency(ctx, m):
             raise AssertionError(f"{name} does not commute with A")
-        if not commutes_with_distance_diagonal(ctx, m):
+        # [m, A*] on block (i, j) is (theta*_i - theta*_j) m_ij
+        if not is_zero({(i, j): x.scale(theta_star[i] - theta_star[j])
+                        for (i, j), x in m.items()}):
             raise AssertionError(f"{name} does not commute with A*")
-    kvals = [Fraction(1, ctx.b ** int(ctx.dist_x[y])) for y in range(n)]
     # the generator expressions for Omega, G, G*
-    KF = ctx.F.row_scale(kvals)
-    lhs = c.Omega
-    rhs = KF.scale(-xi * (q2 - 1) * (q2 - 1) / q2) \
-        + ctx.K.scale(-xi * (q2 - 1) * (q2e - 1) / q2) \
-        + ident.scale(-2 * gamma * zeta)
-    if lhs != rhs:
+    rhs = graded(ctx, [(-xi * (q2 - 1) * (q2 - 1) / q2, "KF"),
+                       (-xi * (q2 - 1) * (q2e - 1) / q2, "K"),
+                       (-2 * gamma * zeta, "")])
+    if not equal(c.Omega, rhs):
         raise AssertionError("Omega generator expression fails")
     q4 = q2 * q2
-    rhs = c.RL.row_scale(kvals).scale(xi * (one - q4)) \
-        + c.LR.row_scale(kvals).scale(xi * (one - q4.inverse())) \
-        + KF.scale(xi * (q2.inverse() - 1) * (q2e - 1)) \
-        + ctx.K.scale(ExactScalar(-rho) * xi) + ident.scale(-rho * zeta)
-    if c.G != rhs:
+    rhs = graded(ctx, [(xi * (1 - q4), "KRL"),
+                       (xi * (1 - q4.inverse()), "KLR"),
+                       (xi * (q2.inverse() - 1) * (q2e - 1), "KF"),
+                       (ExactScalar(-rho) * xi, "K"), (-rho * zeta, "")])
+    if not equal(c.G, rhs):
         raise AssertionError("G generator expression fails")
-    rhs = KF.scale(zeta * xi * (q2 - 1) * (q2 - 1) / q2) \
-        + ctx.K.scale(zeta * xi * (q2 - 1) * (q2e - 1) / q2) \
-        + ident.scale(gamma * zeta ** 2)
-    if c.Gstar != rhs:
+    rhs = graded(ctx, [(zeta * xi * (q2 - 1) * (q2 - 1) / q2, "KF"),
+                       (zeta * xi * (q2 - 1) * (q2e - 1) / q2, "K"),
+                       (gamma * zeta ** 2, "")])
+    if not equal(c.Gstar, rhs):
         raise AssertionError("G* generator expression fails")
     # G* = -gamma zeta^2 I - zeta Omega holds by construction; re-check
-    if c.Gstar != ident.scale(-gamma * zeta ** 2) - c.Omega.scale(zeta):
+    if not equal(c.Gstar, combine((-gamma * zeta ** 2, ident),
+                                  (-zeta, c.Omega))):
         raise AssertionError("G* relation to Omega fails")
     for name, m, (a0, a1, a2) in zip(("Omega", "G", "G*"),
                                      (c.Omega, c.G, c.Gstar),
                                      _central_by_c0_c1(ctx)):
-        if m != c.C0.scale(a0) + c.C1.scale(a1) + ident.scale(a2):
+        if not equal(m, combine((a0, c.C0), (a1, c.C1), (a2, ident))):
             raise AssertionError(f"{name} vs C0, C1 expression fails")
 
 
@@ -473,7 +558,7 @@ def _central_by_c0_c1(ctx: TerwilligerContext):
             (zeta * xi * (q2 - 1) * (q2 - 1) / q2, 0, gamma * zeta ** 2))
 
 
-def verify_g_entry_table(ctx: TerwilligerContext, G: ExactMatrix) -> bool:
+def verify_g_entry_table(ctx: TerwilligerContext, G: Graded) -> bool:
     """Entry table of G over vertex pairs, classified by the two distances
     and the local quad geometry."""
     spec = ctx.g.spec
@@ -482,41 +567,42 @@ def verify_g_entry_table(ctx: TerwilligerContext, G: ExactMatrix) -> bool:
     _, _, _, rho, _ = td_scalars(spec)
     cvals, _, bvals = closed_form_intersection(spec)
     theta_star = ctx.bm.theta_star
-    dist = ctx.g.dist
-    same = ctx.dist_x[:, None] == ctx.dist_x[None, :]
-    two = same & (dist == 2)
-    up, down = _two_step_counts(ctx)
+    counts = _two_step_counts(ctx)
+
     # pairs at one distance s from x: the diagonal, adjacent pairs, pairs at
     # distance 2 with a common neighbour at s + 1, and pairs at distance 2
     # without one, weighted by their common neighbours at s - 1; 0 elsewhere
-    want = ExactMatrix.diag([
-        xi * Fraction(1, b ** (s + 1)) * (1 - b * b)
-        * (b * cvals[s] - Fraction(bvals[s], b)) - rho * theta_star[s]
-        for s in map(int, ctx.dist_x)])
-    want = want + _by_distance(
-        ctx, same & (dist == 1), lambda s: xi * Fraction(1, b ** (s + 1))
-        * (1 - b) * (b * b + b + b_pow(b, spec.e) - 1))
-    want = want + _by_distance(
-        ctx, two & (up > 0),
-        lambda s: -xi * Fraction(1, b ** (s + 1)) * (b + 1) * (b - 1) ** 2)
-    want = want + _by_distance(
-        ctx, np.where(two & (up == 0), down, 0),
-        lambda s: xi * Fraction(1, b ** s) * (1 - b * b))
-    return G == want
+    def table(s, eye):
+        block = ctx.blocks[s]
+        dist = ctx.g.dist[np.ix_(block, block)]
+        up, down = counts[s]
+        two = dist == 2
+        return [
+            (xi * Fraction(1, b ** (s + 1)) * (1 - b * b)
+             * (b * cvals[s] - Fraction(bvals[s], b)) - rho * theta_star[s],
+             eye),
+            (xi * Fraction(1, b ** (s + 1)) * (1 - b)
+             * (b * b + b + b_pow(b, spec.e) - 1),
+             (dist == 1).astype(np.int64)),
+            (-xi * Fraction(1, b ** (s + 1)) * (b + 1) * (b - 1) ** 2,
+             (two & (up > 0)).astype(np.int64)),
+            (xi * Fraction(1, b ** s) * (1 - b * b),
+             np.where(two & (up == 0), down, 0))]
+
+    return equal(G, _diagonal_blocks(ctx, table))
 
 
-def verify_omega_entry_table(ctx: TerwilligerContext, omega: ExactMatrix) -> bool:
+def verify_omega_entry_table(ctx: TerwilligerContext, omega: Graded) -> bool:
     """Same-distance entry table for a central element of the
     sum(alpha E* A E*) + sum(beta E*) shape."""
     alpha, beta = _omega_coeffs(ctx)
-    same = ctx.dist_x[:, None] == ctx.dist_x[None, :]
-    want = ExactMatrix.diag([beta[int(s)] for s in ctx.dist_x]) + _by_distance(
-        ctx, same & (ctx.g.dist == 1), lambda s: alpha.get(s, 0))
-    return omega == want
+    return equal(omega, _diagonal_blocks(ctx, lambda s, eye: [
+        (beta[s], eye), (alpha.get(s, 0), (ctx.g.dist[np.ix_(
+            ctx.blocks[s], ctx.blocks[s])] == 1).astype(np.int64))]))
 
 
 def central_characterization_matrix(ctx: TerwilligerContext, alpha1, beta0,
-                                    perturb: bool = False) -> ExactMatrix:
+                                    perturb: bool = False) -> Graded:
     """C = sum alpha_i E*_i A E*_i + sum beta_i E*_i with
     alpha_i = b^(1-i) alpha_1 and beta_i = beta_0 - a_1 b^(1-i)
     (b^i - 1)/(b-1) alpha_1.  With perturb, alpha_min(2, D) is raised by 1."""
@@ -536,11 +622,17 @@ def central_characterization_matrix(ctx: TerwilligerContext, alpha1, beta0,
         # beta_1 computed from the old alpha_1
         i = min(2, ctx.D)
         alphas[i] = alphas[i] + 1
-    same = (ctx.dist_x[:, None] == ctx.dist_x[None, :]).astype(np.int64)
-    c = ctx.A.masked(same).row_scale(
-        [alphas.get(int(ctx.dist_x[y]), 0) for y in range(ctx.n)])
-    c = c + ExactMatrix.diag([betas[int(ctx.dist_x[y])] for y in range(ctx.n)])
-    return c
+    return _diagonal_blocks(ctx, lambda s, eye: [
+        (alphas.get(s, 0), ctx.adj(s, s)), (betas[s], eye)])
+
+
+def verify_central_characterization(ctx: TerwilligerContext) -> bool:
+    """Two matrices of the characterized shape commute with A; the
+    perturbed one does not, unless F = 0 annihilates its alpha part."""
+    ok = [commutes_with_adjacency(ctx, central_characterization_matrix(
+        ctx, *args)) for args in ((1, 0), (3, 2), (1, 0, True))]
+    flat = any(ctx.adj(s, s).any() for s in range(ctx.D + 1))
+    return ok[0] and ok[1] and ok[2] != flat
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +646,6 @@ class HomogeneousComponent:
     d: int
     mult: int
     rungs: list[ExactMatrix]  # rung j: rung 0 raised j times, on block r+j
-    basis: Subspace | None    # full-coordinate RREF basis (full=True only)
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -602,18 +693,6 @@ def ladder_action(ctx: TerwilligerContext, r: int, t: int,
         ExactMatrix.diag(powers), ExactMatrix.diag(ctx.bm.theta_star[r:r + size]))
 
 
-def _embed(local: ExactMatrix, shape, index) -> ExactMatrix:
-    """The matrix of the given shape holding `local` at `index`, 0 elsewhere."""
-    def place(part):
-        if part is None:
-            return None
-        out = np.zeros(shape, dtype=part.dtype)
-        out[index] = part
-        return out
-
-    return ExactMatrix(place(local.n0), place(local.n1), local.den, local.rad)
-
-
 def _restrict(low: ExactMatrix, pivots, image: ExactMatrix,
               what: str) -> ExactMatrix:
     """The matrix M with image = M @ low, where `low` holds leading-1 RREF
@@ -648,24 +727,27 @@ def decompose(part: DistancePartition, cents: CentralElements | None = None,
     prod_d (M_LR - mu_d) = 0, M_LR M_F = M_F M_LR and, for each d, P_d
     prod_t (M_F - nu_t) = 0 with P_d = prod_(d' != d) (M_LR - mu_d').  Then
     the lowest rung of W(r, t, d) is the row space of P_d P_t: one RREF.
+    Rung j of a component, the lowest rung raised j times, is a mult x
+    |B_(r+j)| matrix of rank mult.
 
-    With full=True (requires the central elements) every component carries
-    its RREF basis, and the whole decomposition is certified:
+    With full=True (requires the central elements) the whole decomposition
+    is certified, rung by rung on the blocks:
     - L, F, R act on the raising ladder of each component as
       `ladder_action` says (so each component is A- and A*-invariant),
-    - each component lies in the joint kernel of (C_i - chi_i I),
-    - the components are pairwise orthogonal,
+    - each component lies in the joint kernel of (C_k - chi_k I): the
+      blocks (h, r + j) of C_k map rung j to chi_k times itself for
+      h = r + j and to 0 otherwise,
+    - the components are pairwise orthogonal: the rungs that share a block
+      have a zero Gram product,
     - their dimensions sum to |X|, which pins the joint kernels exactly and
       makes V their direct sum.
-    With full=False `part` may be the bare `distance_partition`, as no
-    n x n matrix is read: only the feasible triples with multiplicities are
-    computed (used for base-vertex sampling), and dimensions still must sum
-    to |X|.
+    With full=False `part` may be the bare `distance_partition`: only the
+    feasible triples with multiplicities are computed (used for base-vertex
+    sampling), and dimensions still must sum to |X|.
     """
     if full and cents is None:
         raise ValueError("full decomposition requires the central elements")
     n, D, b = part.n, part.D, part.b
-    adj = part.g.adjacency
     q2 = Fraction(b)
     c2_const = chi2(part, 0, 0, 0)  # q^(2e+2D-2)/(q^4-1), the K^2 coefficient
     if not c2_const.is_rational:
@@ -674,38 +756,31 @@ def decompose(part: DistancePartition, cents: CentralElements | None = None,
     cst = (b_pow(b, part.g.spec.e) - 1) / (b - 1)
     comps: list[HomogeneousComponent] = []
     for r in range(D + 1):
-        block = part.blocks[r]
-        kr = len(block)
+        kr = len(part.blocks[r])
         if kr == 0:
             continue
         if r == 0:
             low, pivots = ExactMatrix.identity(kr), range(kr)
         else:
-            below = part.blocks[r - 1]
-            ker = kernel(ExactMatrix.from_int(adj[np.ix_(below, block)]))
-            low, pivots = ker.basis, ker.pivots
+            low, pivots = kernel(ExactMatrix.from_int(part.adj(r - 1, r)))
         size = low.shape[0]
         if size == 0:
             continue
         # raising chains: U[j] maps block r coordinates to block r+j
         U = [np.eye(kr, dtype=np.int64)]
         for j in range(D - r):
-            step = adj[np.ix_(part.blocks[r + j + 1], part.blocks[r + j])]
-            U.append(int_matmul(step, U[-1]))
+            U.append(int_matmul(part.adj(r + j + 1, r + j), U[-1]))
         # On ker L the element C2 acts through LR alone, which restricts to
         # the integer matrix U1^t U1 on the block; its eigenvalue separates
         # the module diameter d.  C0 acts through F, whose eigenvalue
         # separates the dual endpoint t:
         #   C0 v = chi0 v  <=>  F|block_r v = (b^r chi0 - cst) v.
         # Both are symmetric, so row y of low @ M is the image of row y.
-        if r < D:
-            u1 = adj[np.ix_(part.blocks[r + 1], block)]
-            lr_local = ExactMatrix(int_matmul(u1.T, u1))
-        else:
-            lr_local = ExactMatrix.zeros(kr, kr)
+        lr_local = ExactMatrix(int_matmul(U[1].T, U[1])) if r < D \
+            else ExactMatrix.zeros(kr, kr)
         m_lr = _restrict(low, pivots, low @ lr_local, "LR")
         m_f = _restrict(low, pivots, low @ ExactMatrix.from_int(
-            adj[np.ix_(block, block)]), "F")
+            part.adj(r, r)), "F")
         ident = ExactMatrix.identity(size)
         mu = {}
         for d in range(D - r + 1):
@@ -746,8 +821,7 @@ def decompose(part: DistancePartition, cents: CentralElements | None = None,
                 if piece.is_zero():
                     continue
                 coords, _ = rref(piece)
-                comps.append(_build_component(part, r, t, d, coords @ low, U,
-                                              full))
+                comps.append(_build_component(r, t, d, coords @ low, U))
     if full:
         _certify_decomposition(part, cents, comps)
     else:
@@ -757,39 +831,20 @@ def decompose(part: DistancePartition, cents: CentralElements | None = None,
     return comps
 
 
-def _build_component(ctx: TerwilligerContext, r: int, t: int, d: int,
-                     low_rows: ExactMatrix, U,
-                     full: bool = True) -> HomogeneousComponent:
-    """The component raised from the lowest-rung rows `low_rows`.
-
-    Rung j, `low_rows @ U[j].T`, lives on block r+j, and the blocks are
-    disjoint with sorted vertex indices.  So the rung RREFs, embedded and
-    ordered by global pivot column, are the canonical RREF of the component:
-    each row is zero on every other row's pivot, within a rung by its RREF
-    and across rungs by disjoint support.  Its dimension is mult * (d + 1)
-    by the rank check.
-    """
-    n = ctx.n
+def _build_component(r: int, t: int, d: int, low_rows: ExactMatrix,
+                     U) -> HomogeneousComponent:
+    """The component raised from the lowest-rung rows `low_rows`, a
+    leading-1 RREF (the RREF coordinates times the RREF kernel basis), so
+    of rank equal to its row count.  Rung j is `low_rows @ U[j].T`, on block
+    r + j; each must keep that rank, so the dimension is mult * (d + 1)."""
     mult = low_rows.shape[0]
-    rungs = []
-    embedded = []
-    global_pivots = []
-    for j in range(d + 1):
+    rungs = [low_rows]
+    for j in range(1, d + 1):
         rung = low_rows @ ExactMatrix.from_int(U[j]).T
-        base, pivots = rref(rung)
-        if base.shape[0] != mult:
+        if len(intlinalg.int_rref(rung.n0)[1]) != mult:
             raise AssertionError("raising ladder drops rank before the top")
         rungs.append(rung)
-        if full:
-            block = ctx.blocks[r + j]
-            embedded.append(_embed(base, (mult, n), (slice(None), block)))
-            global_pivots.extend(block[list(pivots)])
-    basis = None
-    if full:
-        order = np.argsort(global_pivots)
-        basis = Subspace(n, ExactMatrix.stack_rows(embedded).take_rows(order),
-                         tuple(int(global_pivots[i]) for i in order))
-    return HomogeneousComponent(r, t, d, mult, rungs, basis)
+    return HomogeneousComponent(r, t, d, mult, rungs)
 
 
 def _certify_ladder(ctx: TerwilligerContext, comp: HomogeneousComponent):
@@ -801,18 +856,17 @@ def _certify_ladder(ctx: TerwilligerContext, comp: HomogeneousComponent):
     """
     r, t, d = comp.triple
     act = ladder_action(ctx, r, t, d)
-    blocks = ctx.blocks
     for j, rung in enumerate(comp.rungs):
         s = r + j
         near = [i for i in (s - 1, s, s + 1) if 0 <= i <= ctx.D]
-        image = rung @ ExactMatrix.from_int(ctx.g.adjacency[np.ix_(
-            blocks[s], np.concatenate([blocks[i] for i in near]))])
+        image = rung @ ExactMatrix.from_int(
+            np.concatenate([ctx.adj(s, i) for i in near], axis=1))
         # the image on blocks s-1, s, s+1: L, F and R of the rung
         want = {s - 1: comp.rungs[j - 1].scale(act.L.entry(j - 1, j))
                 if j else None,
                 s: rung.scale(act.F.entry(j, j)),
                 s + 1: comp.rungs[j + 1] if j < d else None}
-        parts = [ExactMatrix.zeros(comp.mult, len(blocks[i]))
+        parts = [ExactMatrix.zeros(comp.mult, len(ctx.blocks[i]))
                  if want[i] is None else want[i] for i in near]
         if image != ExactMatrix.stack_rows([p.T for p in parts]).T:
             raise AssertionError(
@@ -829,6 +883,7 @@ def _certify_decomposition(ctx: TerwilligerContext, cents: CentralElements,
     triples = [c.triple for c in comps]
     if len(set(triples)) != len(triples):
         raise AssertionError("duplicate feasible triple")
+    on_block: dict[int, list[ExactMatrix]] = {}
     for c in comps:
         r, t, d = c.triple
         if not (0 <= r and 0 <= t and 0 <= d and r + d <= ctx.D
@@ -837,25 +892,21 @@ def _certify_decomposition(ctx: TerwilligerContext, cents: CentralElements,
         if c.dim % (d + 1):
             raise AssertionError("multiplicity is not an integer")
         _certify_ladder(ctx, c)
-        bt = c.basis.basis.T
-        for ci, chif in ((cents.C0, chi0), (cents.C1, chi1), (cents.C2, chi2)):
-            val = chif(ctx, r, t, d)
-            if not ((ci @ bt) - bt.scale(val)).is_zero():
-                raise AssertionError(
-                    f"component {c.triple} is not in the joint kernel"
-                )
-    # pairwise orthogonality; with the dimension count, V is the direct sum
-    stacked = ExactMatrix.stack_rows([c.basis.basis for c in comps])
-    gram = stacked @ stacked.T
-    offsets = np.cumsum([0] + [c.dim for c in comps])
-    ga = gram.n0
-    for i in range(len(comps)):
-        for j in range(len(comps)):
-            if i == j:
-                continue
-            blockv = ga[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]]
-            if np.any(blockv):
-                raise AssertionError("components are not pairwise orthogonal")
+        for j, rung in enumerate(c.rungs):
+            s = r + j
+            on_block.setdefault(s, []).append(rung)
+            # C_k is block-diagonal (central_elements certifies [C_k, A*] = 0),
+            # so it acts on rung j through its block (s, s)
+            for ci, chif in ((cents.C0, chi0), (cents.C1, chi1),
+                             (cents.C2, chi2)):
+                if ci[s, s] @ rung.T != rung.T.scale(chif(ctx, r, t, d)):
+                    raise AssertionError(
+                        f"component {c.triple} is not in the joint kernel")
+    # pairwise orthogonality, on each block between the rungs that share it;
+    # with the dimension count, V is the direct sum
+    for rungs in on_block.values():
+        if any(not (a @ b.T).is_zero() for a, b in combinations(rungs, 2)):
+            raise AssertionError("components are not pairwise orthogonal")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,403 @@
+"""The n x n T-algebra: the dense reference for `terwilliger`'s block path.
+
+This is the construction `terwilliger` used before it evaluated T block by
+block on the distance partition: E*_i, A, A*, K, K^-1, L, F, R and the
+central elements as n x n exact matrices, and every check as one dense
+matrix identity.  The tests run both and compare status and witness.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from dualpolar.drg import b_pow, closed_form_intersection, td_scalars
+from dualpolar.exact import ExactScalar
+from dualpolar.intlinalg import int_matmul
+from dualpolar.leonard import tridiagonal_residuals
+from dualpolar.linexact import ExactMatrix, rref
+from dualpolar.terwilliger import (
+    LFRK_STATEMENTS,
+    TerwilligerContext,
+    _central_by_c0_c1,
+    _omega_coeffs,
+    chi0,
+    chi1,
+    chi2,
+    distance_partition,
+)
+
+
+@dataclass
+class DenseContext(TerwilligerContext):
+    """The partition with the n x n dual idempotents, A, A*, K, K^-1 and the
+    decomposition A = L + F + R."""
+
+    Estar: list
+    A: ExactMatrix
+    Astar: ExactMatrix
+    K: ExactMatrix
+    Kinv: ExactMatrix
+    L: ExactMatrix
+    F: ExactMatrix
+    R: ExactMatrix
+
+
+def embed(local: ExactMatrix, shape, index) -> ExactMatrix:
+    """The matrix of the given shape holding `local` at `index`, 0 elsewhere."""
+    def place(part):
+        if part is None:
+            return None
+        out = np.zeros(shape, dtype=part.dtype)
+        out[index] = part
+        return out
+
+    return ExactMatrix(place(local.n0), place(local.n1), local.den, local.rad)
+
+
+def masked(m: ExactMatrix, mask: np.ndarray) -> ExactMatrix:
+    """Entrywise product with a 0/1 integer mask."""
+    n1 = None if m.n1 is None else m.n1 * mask
+    return ExactMatrix(m.n0 * mask, n1, m.den, m.rad)
+
+
+def row_scale(m: ExactMatrix, values) -> ExactMatrix:
+    """diag(values) @ m."""
+    return ExactMatrix.diag(values) @ m
+
+
+def commutes(a: ExactMatrix, b: ExactMatrix) -> bool:
+    return (a @ b - b @ a).is_zero()
+
+
+def dense_context(g, bm, x: int = 0) -> DenseContext:
+    part = distance_partition(g, bm, x)
+    n, D, dist_x = part.n, part.D, part.dist_x
+    estar = [ExactMatrix.from_int(np.diag((dist_x == i).astype(np.int64)))
+             for i in range(D + 1)]
+    adj = g.adjacency.astype(np.int64)
+    kd = [Fraction(1, g.spec.b ** i) for i in range(D + 1)]
+    K = ExactMatrix.diag([kd[i] for i in dist_x])
+    Kinv = ExactMatrix.diag([1 / kd[i] for i in dist_x])
+    Astar = ExactMatrix.diag([bm.zeta + bm.xi * kd[i] for i in dist_x])
+    up = (dist_x[:, None] - dist_x[None, :] == 1).astype(np.int64) * adj
+    flat = (dist_x[:, None] == dist_x[None, :]).astype(np.int64) * adj
+    down = (dist_x[:, None] - dist_x[None, :] == -1).astype(np.int64) * adj
+    ctx = DenseContext(g, bm, x, part.q, dist_x, part.blocks, estar,
+                       ExactMatrix.from_int(adj), Astar, K, Kinv,
+                       ExactMatrix.from_int(down), ExactMatrix.from_int(flat),
+                       ExactMatrix.from_int(up))
+    if ctx.L.T != ctx.R or ctx.F.T != ctx.F:
+        raise AssertionError("transpose relations L^t = R, F^t = F fail")
+    if Astar != ExactMatrix.identity(n).scale(bm.zeta) + K.scale(bm.xi):
+        raise AssertionError("A* != zeta I + xi K")
+    total = estar[0].scale(bm.theta_star[0])
+    for m, c in zip(estar[1:], bm.theta_star[1:]):
+        total = total + m.scale(c)
+    if Astar != total:
+        raise AssertionError("A* != sum theta*_i E*_i")
+    return ctx
+
+
+# ---------------------------------------------------------------------------
+# The L, F, R, K relations
+
+
+def lfrk_relations(ctx: DenseContext) -> list[tuple[str, ExactMatrix]]:
+    L, F, R, K = ctx.L, ctx.F, ctx.R, ctx.K
+    q2 = ExactScalar(ctx.b)
+    q2e = ctx.qexp(ctx.two_e())
+    qpow = ctx.qexp(ctx.two_e() + 2 * ctx.D - 2)
+    one = ExactScalar(1)
+    c_hi = q2 * q2 / (q2 + 1)
+    c_lo = q2.inverse() / (q2 + 1)
+    resids = [
+        (K @ L) - (L @ K).scale(q2),
+        (K @ F) - (F @ K),
+        (K @ R) - (R @ K).scale(q2.inverse()),
+        (L @ F) - (F @ L).scale(q2) - L.scale(q2e - one),
+        (F @ R) - (R @ F).scale(q2) - R.scale(q2e - one),
+        (R @ L @ L).scale(c_hi) - (L @ R @ L) + (L @ L @ R).scale(c_lo)
+        + L.scale(qpow),
+        (R @ R @ L).scale(c_hi) - (R @ L @ R) + (L @ R @ R).scale(c_lo)
+        + R.scale(qpow),
+    ]
+    return list(zip(LFRK_STATEMENTS, resids))
+
+
+def verify_lfrk(ctx: DenseContext) -> list[dict]:
+    """One item per relation; a failure names the first nonzero entry of
+    the residual in row-major order and its value."""
+    report = []
+    for statement, resid in lfrk_relations(ctx):
+        ok = resid.is_zero()
+        item = {"id": f"lfrk:{statement}", "statement": statement,
+                "status": "pass" if ok else "fail"}
+        if not ok:
+            live = resid.n0 != 0
+            if resid.n1 is not None:
+                live |= resid.n1 != 0
+            y, z = (int(v) for v in np.argwhere(live)[0])
+            item["witness"] = {"entry": [y, z],
+                               "value": resid.entry(y, z).render()}
+        report.append(item)
+    return report
+
+
+def verify_lfrk_recovery(ctx: DenseContext) -> bool:
+    q = ctx.q
+    A, K, Kinv = ctx.A, ctx.K, ctx.Kinv
+    qi = q.inverse()
+    dd = (q - qi) * (q - qi)
+    s = (q + qi)
+    t1 = (Kinv @ A @ K)
+    t2 = (K @ A @ Kinv)
+    lrec = (t1.scale(qi) + t2.scale(q) - A.scale(s)).scale((dd * s).inverse())
+    frec = (A.scale(q * q + qi * qi) - t1 - t2).scale(dd.inverse())
+    rrec = (t1.scale(q) + t2.scale(qi) - A.scale(s)).scale((dd * s).inverse())
+    return lrec == ctx.L and frec == ctx.F and rrec == ctx.R
+
+
+def verify_lrf_commutations(ctx: DenseContext) -> bool:
+    mats = [ctx.L @ ctx.R, ctx.R @ ctx.L, ctx.F, ctx.K]
+    return all(commutes(mats[i], mats[j])
+               for i in range(len(mats)) for j in range(i + 1, len(mats)))
+
+
+def verify_tridiagonal_relations(ctx: DenseContext) -> bool:
+    inner1, inner2 = tridiagonal_residuals(ctx.A, ctx.Astar,
+                                           *td_scalars(ctx.g.spec))
+    return commutes(ctx.A, inner1) and commutes(ctx.Astar, inner2)
+
+
+# ---------------------------------------------------------------------------
+# Central elements
+
+
+@dataclass
+class DenseCentralElements:
+    C0: ExactMatrix
+    C1: ExactMatrix
+    C2: ExactMatrix
+    Omega: ExactMatrix
+    G: ExactMatrix
+    Gstar: ExactMatrix
+    RL: ExactMatrix
+    LR: ExactMatrix
+
+
+def _by_distance(ctx, counts: np.ndarray, coeff) -> ExactMatrix:
+    """The integer matrix `counts` with row y scaled by coeff(d(x, y))."""
+    return row_scale(ExactMatrix(counts.astype(np.int64, copy=False)),
+                     [coeff(int(s)) for s in ctx.dist_x])
+
+
+def two_step_counts(ctx) -> tuple[np.ndarray, np.ndarray]:
+    n, adj, blocks = ctx.n, ctx.g.adjacency, ctx.blocks
+    up = np.zeros((n, n), dtype=np.int64)
+    down = np.zeros((n, n), dtype=np.int64)
+    for s in range(ctx.D):
+        near, far = blocks[s], blocks[s + 1]
+        up[np.ix_(near, near)] = int_matmul(adj[np.ix_(near, far)],
+                                            adj[np.ix_(far, near)])
+        down[np.ix_(far, far)] = int_matmul(adj[np.ix_(far, near)],
+                                            adj[np.ix_(near, far)])
+    return up, down
+
+
+def central_elements(ctx: DenseContext) -> DenseCentralElements:
+    L, F, R, K = ctx.L, ctx.F, ctx.R, ctx.K
+    n, D = ctx.n, ctx.D
+    q2 = ExactScalar(ctx.b)
+    q2e = ctx.qexp(ctx.two_e())
+    one = ExactScalar(1)
+    RL = R @ L
+    LR = L @ R
+    kvals = [Fraction(1, ctx.b ** int(ctx.dist_x[y])) for y in range(n)]
+    k2vals = [v * v for v in kvals]
+    KK = row_scale(K, kvals)
+    C0 = row_scale(F, kvals) + K.scale((q2e - one) / (q2 - one))
+    top = ctx.qexp(ctx.two_e() + 2 * D - 2)
+    C1 = row_scale(RL, kvals).scale(q2 / (q2 + 1)) \
+        - row_scale(LR, kvals).scale(q2.inverse() / (q2 + 1)) \
+        + K.scale(top / (q2 - 1))
+    C2 = row_scale(RL, k2vals).scale(one / (q2 + 1)) \
+        - row_scale(LR, k2vals).scale(q2.inverse() / (q2 + 1)) \
+        + KK.scale(top / (q2 * q2 - 1))
+    alpha, beta = _omega_coeffs(ctx)
+    same = (ctx.dist_x[:, None] == ctx.dist_x[None, :])
+    omega = ExactMatrix.diag([beta[int(ctx.dist_x[y])] for y in range(n)])
+    omega = omega + row_scale(masked(ctx.A, same.astype(np.int64)),
+                              [alpha.get(int(ctx.dist_x[y]), 0)
+                               for y in range(n)])
+    zeta, xi = ctx.bm.zeta, ctx.bm.xi
+    spec = ctx.g.spec
+    b = spec.b
+    _, gamma, _, rho, _ = td_scalars(spec)
+    up, down = two_step_counts(ctx)
+    G = _by_distance(ctx, down, lambda i: xi * (1 - b * b) * Fraction(1, b ** i)) \
+        + _by_distance(ctx, up, lambda i: xi * (1 - Fraction(1, b * b))
+                       * Fraction(1, b ** i)) \
+        + _by_distance(ctx, ctx.g.adjacency * same,
+                       lambda i: xi * (Fraction(1, b) - 1)
+                       * (b_pow(b, spec.e) - 1) * Fraction(1, b ** i)) \
+        - ctx.Astar.scale(rho)
+    Gstar = ExactMatrix.identity(n).scale(-gamma * zeta ** 2) - omega.scale(zeta)
+    cents = DenseCentralElements(C0, C1, C2, omega, G, Gstar, RL, LR)
+    verify_central(ctx, cents)
+    return cents
+
+
+def verify_central(ctx: DenseContext, c: DenseCentralElements):
+    q2 = ExactScalar(ctx.b)
+    q2e = ctx.qexp(ctx.two_e())
+    one = ExactScalar(1)
+    zeta, xi = ctx.bm.zeta, ctx.bm.xi
+    _, gamma, _, rho, _ = td_scalars(ctx.g.spec)
+    n = ctx.n
+    ident = ExactMatrix.identity(n)
+    off = (ctx.dist_x[:, None] != ctx.dist_x[None, :]).astype(np.int64)
+    for name, m in [("C0", c.C0), ("C1", c.C1), ("C2", c.C2),
+                    ("Omega", c.Omega), ("G", c.G), ("G*", c.Gstar)]:
+        if m.T != m:
+            raise AssertionError(f"{name} is not symmetric")
+        if not commutes(m, ctx.A):
+            raise AssertionError(f"{name} does not commute with A")
+        if not masked(m, off).is_zero():
+            raise AssertionError(f"{name} does not commute with A*")
+    kvals = [Fraction(1, ctx.b ** int(ctx.dist_x[y])) for y in range(n)]
+    KF = row_scale(ctx.F, kvals)
+    rhs = KF.scale(-xi * (q2 - 1) * (q2 - 1) / q2) \
+        + ctx.K.scale(-xi * (q2 - 1) * (q2e - 1) / q2) \
+        + ident.scale(-2 * gamma * zeta)
+    if c.Omega != rhs:
+        raise AssertionError("Omega generator expression fails")
+    q4 = q2 * q2
+    rhs = row_scale(c.RL, kvals).scale(xi * (one - q4)) \
+        + row_scale(c.LR, kvals).scale(xi * (one - q4.inverse())) \
+        + KF.scale(xi * (q2.inverse() - 1) * (q2e - 1)) \
+        + ctx.K.scale(ExactScalar(-rho) * xi) + ident.scale(-rho * zeta)
+    if c.G != rhs:
+        raise AssertionError("G generator expression fails")
+    rhs = KF.scale(zeta * xi * (q2 - 1) * (q2 - 1) / q2) \
+        + ctx.K.scale(zeta * xi * (q2 - 1) * (q2e - 1) / q2) \
+        + ident.scale(gamma * zeta ** 2)
+    if c.Gstar != rhs:
+        raise AssertionError("G* generator expression fails")
+    if c.Gstar != ident.scale(-gamma * zeta ** 2) - c.Omega.scale(zeta):
+        raise AssertionError("G* relation to Omega fails")
+    for name, m, (a0, a1, a2) in zip(("Omega", "G", "G*"),
+                                     (c.Omega, c.G, c.Gstar),
+                                     _central_by_c0_c1(ctx)):
+        if m != c.C0.scale(a0) + c.C1.scale(a1) + ident.scale(a2):
+            raise AssertionError(f"{name} vs C0, C1 expression fails")
+
+
+def verify_g_entry_table(ctx: DenseContext, G: ExactMatrix) -> bool:
+    spec = ctx.g.spec
+    b = spec.b
+    xi = ctx.bm.xi
+    _, _, _, rho, _ = td_scalars(spec)
+    cvals, _, bvals = closed_form_intersection(spec)
+    theta_star = ctx.bm.theta_star
+    dist = ctx.g.dist
+    same = ctx.dist_x[:, None] == ctx.dist_x[None, :]
+    two = same & (dist == 2)
+    up, down = two_step_counts(ctx)
+    want = ExactMatrix.diag([
+        xi * Fraction(1, b ** (s + 1)) * (1 - b * b)
+        * (b * cvals[s] - Fraction(bvals[s], b)) - rho * theta_star[s]
+        for s in map(int, ctx.dist_x)])
+    want = want + _by_distance(
+        ctx, same & (dist == 1), lambda s: xi * Fraction(1, b ** (s + 1))
+        * (1 - b) * (b * b + b + b_pow(b, spec.e) - 1))
+    want = want + _by_distance(
+        ctx, two & (up > 0),
+        lambda s: -xi * Fraction(1, b ** (s + 1)) * (b + 1) * (b - 1) ** 2)
+    want = want + _by_distance(
+        ctx, np.where(two & (up == 0), down, 0),
+        lambda s: xi * Fraction(1, b ** s) * (1 - b * b))
+    return G == want
+
+
+def verify_omega_entry_table(ctx: DenseContext, omega: ExactMatrix) -> bool:
+    alpha, beta = _omega_coeffs(ctx)
+    same = ctx.dist_x[:, None] == ctx.dist_x[None, :]
+    want = ExactMatrix.diag([beta[int(s)] for s in ctx.dist_x]) + _by_distance(
+        ctx, same & (ctx.g.dist == 1), lambda s: alpha.get(s, 0))
+    return omega == want
+
+
+def central_characterization_matrix(ctx: DenseContext, alpha1, beta0,
+                                    perturb: bool = False) -> ExactMatrix:
+    b = ctx.b
+    _, avals, _ = closed_form_intersection(ctx.g.spec)
+    a1 = avals[1]
+    alpha1 = Fraction(alpha1)
+    beta0 = Fraction(beta0)
+    alphas = {i: Fraction(b) ** (1 - i) * alpha1 for i in range(1, ctx.D + 1)}
+    betas = {i: beta0 - a1 * Fraction(b) ** (1 - i)
+             * Fraction(b ** i - 1, b - 1) * alpha1 for i in range(ctx.D + 1)}
+    if perturb:
+        i = min(2, ctx.D)
+        alphas[i] = alphas[i] + 1
+    same = (ctx.dist_x[:, None] == ctx.dist_x[None, :]).astype(np.int64)
+    c = row_scale(masked(ctx.A, same),
+                  [alphas.get(int(ctx.dist_x[y]), 0) for y in range(ctx.n)])
+    return c + ExactMatrix.diag([betas[int(ctx.dist_x[y])]
+                                 for y in range(ctx.n)])
+
+
+def characterization(ctx: DenseContext) -> bool:
+    """`central:characterization` on the dense matrices."""
+    m1 = central_characterization_matrix(ctx, 1, 0)
+    m2 = central_characterization_matrix(ctx, 3, 2)
+    mp = central_characterization_matrix(ctx, 1, 0, perturb=True)
+    ok = commutes(m1, ctx.A) and commutes(m2, ctx.A)
+    if ctx.F.is_zero():
+        return ok and commutes(mp, ctx.A)
+    return ok and not commutes(mp, ctx.A)
+
+
+# ---------------------------------------------------------------------------
+# The decomposition certificate
+
+
+def component_basis(ctx, comp) -> tuple[ExactMatrix, tuple[int, ...]]:
+    """The n-wide RREF basis of a component: its rungs embedded in their
+    blocks and row-reduced together."""
+    embedded = [embed(rung, (rung.shape[0], ctx.n),
+                      (slice(None), ctx.blocks[comp.r + j]))
+                for j, rung in enumerate(comp.rungs)]
+    return rref(ExactMatrix.stack_rows(embedded))
+
+
+def certify_joint_kernel(ctx: DenseContext, cents: DenseCentralElements,
+                         comps):
+    """Each component lies in the joint kernel of (C_i - chi_i I), and the
+    components are pairwise orthogonal, on n-wide bases."""
+    bases = [component_basis(ctx, c)[0] for c in comps]
+    for c, basis in zip(comps, bases):
+        bt = basis.T
+        for ci, chif in ((cents.C0, chi0), (cents.C1, chi1), (cents.C2, chi2)):
+            if not ((ci @ bt) - bt.scale(chif(ctx, *c.triple))).is_zero():
+                raise AssertionError(
+                    f"component {c.triple} is not in the joint kernel")
+    stacked = ExactMatrix.stack_rows(bases)
+    gram = (stacked @ stacked.T).n0.copy()
+    offsets = np.cumsum([0] + [c.dim for c in comps])
+    for i in range(len(comps)):
+        gram[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]] = 0
+    if np.any(gram):
+        raise AssertionError("components are not pairwise orthogonal")
+
+
+def dense(ctx, x) -> ExactMatrix:
+    """The n x n matrix of a graded element, from its blocks."""
+    out = ExactMatrix.zeros(ctx.n, ctx.n)
+    for (i, j), m in x.items():
+        out = out + embed(m, (ctx.n, ctx.n),
+                          np.ix_(ctx.blocks[i], ctx.blocks[j]))
+    return out

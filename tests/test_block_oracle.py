@@ -1,0 +1,203 @@
+"""The block-graded T-algebra against the dense n x n oracle, through verify.
+
+`terwilliger` evaluates every T-algebra check one block pair of the
+distance partition at a time.  `dense_oracle` keeps the n x n construction
+it replaced.  Here `verify --suite all` runs once on each: the dense run
+swaps the context, the LFRK and central checks and the decomposition
+certificate for the oracle's, and both reports must agree in every status
+and witness, on intact graphs and on graphs with one adjacency entry or
+pair changed."""
+
+import functools
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import dualpolar
+from dualpolar import cli, drg, terwilliger
+from dualpolar.cli import main
+from dualpolar.linexact import ExactMatrix
+from dualpolar.polar import FormSpec, PolarGraph, build_polar_graph
+
+import dense_oracle
+
+DENSE = {
+    "build_context": dense_oracle.dense_context,
+    "verify_lfrk": dense_oracle.verify_lfrk,
+    "verify_lfrk_recovery": dense_oracle.verify_lfrk_recovery,
+    "verify_lrf_commutations": dense_oracle.verify_lrf_commutations,
+    "verify_tridiagonal_relations": dense_oracle.verify_tridiagonal_relations,
+    "central_elements": dense_oracle.central_elements,
+    "verify_omega_entry_table": dense_oracle.verify_omega_entry_table,
+    "verify_g_entry_table": dense_oracle.verify_g_entry_table,
+    "verify_central_characterization": dense_oracle.characterization,
+}
+
+
+def _dense_decompose(real):
+    """decompose with the oracle's n-wide joint-kernel and orthogonality
+    certificate in place of the rung-local one."""
+    def run(part, cents=None, full=True):
+        comps = real(part, full=False)
+        if full:
+            for c in comps:
+                terwilliger._certify_ladder(part, c)
+            dense_oracle.certify_joint_kernel(part, cents, comps)
+        return comps
+    return run
+
+
+@functools.lru_cache(maxsize=None)
+def graph(family, D, b):
+    g = build_polar_graph(FormSpec(family, D, b))
+    return g, drg.spectral_data(g)
+
+
+def verify(monkeypatch, capsys, g, bm, x, path, suite="all"):
+    """The report of `verify --suite all` at base x on the given graph, on
+    the block path or the dense one, without `timing`."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "load_graph", lambda _: g)
+        m.setattr(drg, "spectral_data", lambda _: bm)
+        if path == "dense":
+            for name, fn in DENSE.items():
+                m.setattr(terwilliger, name, fn)
+            m.setattr(terwilliger, "decompose",
+                      _dense_decompose(terwilliger.decompose))
+        capsys.readouterr()
+        main(["verify", "--graph", "g.json", "--suite", suite,
+              "--base-vertex", str(x)])
+        report = json.loads(capsys.readouterr().out)
+    del report["timing"]
+    return report
+
+
+@pytest.mark.parametrize("family,D,b,x", [
+    ("D", 3, 2, 0), ("D", 3, 2, 17), ("C", 3, 2, 0), ("C", 3, 2, 101),
+    ("D", 4, 2, 0), ("D", 4, 2, 47)])
+def test_block_path_matches_dense_oracle(monkeypatch, capsys, family, D, b,
+                                         x):
+    g, bm = graph(family, D, b)
+    block = verify(monkeypatch, capsys, g, bm, x, "block")
+    assert block == verify(monkeypatch, capsys, g, bm, x, "dense")
+    assert block["summary"]["fail"] == 0 and block["summary"]["skipped"] == 0
+
+
+def _tampered(g, x, classes, pair):
+    """g with one entry A[y, z] (and A[z, y] too when pair) set to 1, for
+    the first non-adjacent y < z with y in class classes[0] and z in
+    classes[1] at x, y, z != x; the distances are kept."""
+    dist_x = g.dist[x]
+    adj = g.adjacency.copy()
+    y, z = next((int(y), int(z))
+                for y in np.flatnonzero(dist_x == classes[0])
+                for z in np.flatnonzero(dist_x == classes[1])
+                if y < z and not adj[y, z] and x not in (y, z))
+    adj[y, z] = 1
+    if pair:
+        adj[z, y] = 1
+    return PolarGraph(g.spec, g.vertices, adj, g.dist)
+
+
+@pytest.mark.parametrize("family,D,b", [("D", 3, 2), ("C", 3, 2)])
+@pytest.mark.parametrize("classes,pair,message", [
+    ((2, 2), False, "transpose relations"),
+    ((2, 2), True, None),
+    ((1, 2), False, "transpose relations"),
+    ((1, 2), True, None),
+    ((1, 3), True, "A does not split as L + F + R"),
+], ids=["diagonal-entry", "diagonal-pair", "off-diagonal-entry",
+        "off-diagonal-pair", "across-two-classes"])
+def test_perturbed_adjacency_fails_alike(monkeypatch, capsys, family, D, b,
+                                         classes, pair, message):
+    """One adjacency entry (or symmetric pair) added in a diagonal block,
+    in an off-diagonal block, or across two classes: the block path and the
+    oracle fail the same checks with the same witnesses.  A single entry
+    breaks L^t = R or F^t = F; an edge two classes apart is refused by
+    `distance_partition`; a symmetric pair inside the grading breaks LFRK
+    relations, reported at the same entry with the same value."""
+    g, bm = graph(family, D, b)
+    bad = _tampered(g, 0, classes, pair)
+    block = verify(monkeypatch, capsys, bad, bm, 0, "block")
+    assert block == verify(monkeypatch, capsys, bad, bm, 0, "dense")
+    checks = {c["id"]: c for c in block["checks"]}
+    lfrk = [c for c in checks.values() if c["id"].startswith("lfrk:")
+            and c["status"] == "fail"]
+    assert checks["central:construction"]["status"] == "fail"
+    if message is not None:
+        assert len(lfrk) == 10
+        assert all(message in c["witness"] for c in lfrk)
+    else:
+        assert any(isinstance(c.get("witness"), dict) for c in lfrk)
+
+
+@pytest.mark.parametrize("suite", ["lfrk", "central", "modules"])
+def test_suite_creates_no_n_wide_matrix(monkeypatch, capsys, suite):
+    """On D_4(2), past the Bose-Mesner data (given here), no ExactMatrix
+    with a side of length n = 270 is created."""
+    g, bm = graph("D", 4, 2)
+    n = g.n_vertices
+    shapes = []
+    real = ExactMatrix.__init__
+
+    def init(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        if n in self.shape:
+            shapes.append(self.shape)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", init)
+    report = verify(monkeypatch, capsys, g, bm, 47, "block", suite)
+    assert report["summary"]["fail"] == 0
+    assert shapes == []
+
+
+# Run `verify --suite central` in a fresh `python -O` interpreter, where
+# `assert` statements are stripped, with the K coefficient of C0 moved by
+# one when asked.
+_OPTIMIZED_TW = """
+import importlib.util, sys
+import dualpolar
+spec = importlib.util.find_spec("dualpolar.terwilliger")
+src = open(spec.origin).read()
+line = '((q2e - one) / (q2 - one), "K")'
+if src.count(line) != 1:  # no assert: this runs under -O
+    sys.exit("the K term of C0 was not found")
+if sys.argv[1] == "perturb":
+    src = src.replace(line, '((q2e - one) / (q2 - one) + 1, "K")')
+mod = importlib.util.module_from_spec(spec)
+exec(compile(src, spec.origin, "exec"), mod.__dict__)
+sys.modules["dualpolar.terwilliger"] = dualpolar.terwilliger = mod
+from dualpolar.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("mode,status", [("perturb", "fail"),
+                                         ("keep", "pass")])
+def test_block_certificate_fails_under_python_O(tmp_path, mode, status):
+    """The block certificates raise; none is a bare assert."""
+    path = str(tmp_path / "d32.json")
+    assert main(["build", "--family", "D", "--D", "3", "--b", "2",
+                 "--out", path]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(dualpolar.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_TW, mode, "verify",
+         "--graph", path, "--suite", "central"],
+        capture_output=True, text=True, env=env, timeout=300)
+    checks = {c["id"]: c for c in json.loads(out.stdout)["checks"]}
+    # the characterization builds no central element
+    assert checks.pop("central:characterization")["status"] == "pass"
+    assert sorted(checks) == ["central:construction", "central:g-entries",
+                              "central:omega-entries"]
+    for c in checks.values():
+        assert c["status"] == status
+        if status == "fail":
+            assert c["witness"] == "C0 does not commute with A"
+    assert out.returncode == (1 if status == "fail" else 0)

@@ -258,19 +258,32 @@ VERIFY_DATA = os.path.join(os.path.dirname(__file__), "data", "verify")
 
 
 # `verify --suite all` on D_3(2), and the verify-modules benchmark call on
-# D_4(2).  Each *.report.json was written by the implementation with n x n
-# component projectors (commit 173fa5e), with its `timing` entry removed;
-# since the report lists both U_q(sl2) variants, each also holds the
-# uq:variant2 check and one more pass in its summary.
+# D_4(2).  Each of these two *.report.json was written by the implementation
+# with n x n component projectors (commit 173fa5e), with its `timing` entry
+# removed; since the report lists both U_q(sl2) variants, each also holds the
+# uq:variant2 check and one more pass in its summary.  The other five cover
+# the families with e = 1, 1/2, 2, 3/2 and 1 (C, B, 2D, 2A_odd, 2A_even),
+# where the q-exponents of the block scalars differ from the D family's; they
+# were written by the implementation with the n x n T-algebra context
+# (commit 859bf79), with `timing` removed.
+GOLDEN_FIELD = {"b23-all": 3, "2aodd24-all": 4, "2aeven24-all": 4}  # else 2
+
+
 @pytest.mark.parametrize("name,family,D,options", [
     ("d32-all", "D", 3, []),
     ("d42-modules", "D", 4, ["--base-vertex", "47",
-                             "--all-vertices-sample", "3"])])
+                             "--all-vertices-sample", "3"]),
+    ("c32-all", "C", 3, ["--all-vertices-sample", "2"]),
+    ("b23-all", "B", 2, ["--all-vertices-sample", "2"]),
+    ("2d22-all", "2D", 2, ["--all-vertices-sample", "2"]),
+    ("2aodd24-all", "2A_odd", 2, ["--all-vertices-sample", "2"]),
+    ("2aeven24-all", "2A_even", 2, ["--all-vertices-sample", "2"])])
 def test_verify_report_matches_golden(tmp_path, capsys, monkeypatch, name,
                                       family, D, options):
     monkeypatch.chdir(tmp_path)
-    graph = f"{family.lower()}{D}2.json"
-    assert main(["build", "--family", family, "--D", str(D), "--b", "2",
+    b = GOLDEN_FIELD.get(name, 2)
+    graph = f"{family.lower()}{D}{b}.json"
+    assert main(["build", "--family", family, "--D", str(D), "--b", str(b),
                  "--out", graph]) == 0
     capsys.readouterr()
     assert main(["verify", "--graph", graph, "--suite", "all",

@@ -275,9 +275,9 @@ def _dense_split_sequence(A, Astar, E, Estar, theta, theta_star):
             lower = lower + Estar[h]
         for h in range(i, d):
             upper = upper + E[h]
-        ui = kernel(ExactMatrix.stack_rows([ident - lower, ident - upper]))
-        assert ui.dim == 1
-        u = ui.basis.T
+        ui, _ = kernel(ExactMatrix.stack_rows([ident - lower, ident - upper]))
+        assert ui.shape[0] == 1
+        u = ui.T
         w = (A - ident.scale(theta[i - 1])) @ (
             (Astar - ident.scale(theta_star[i])) @ u)
         pos = next(j for j in range(n) if not u.entry(j, 0).is_zero)

@@ -24,7 +24,6 @@ from dualpolar.linexact import ExactMatrix, inverse, rref
 from dualpolar.polar import FormSpec, PolarGraph, build_polar_graph
 from dualpolar import terwilliger
 from dualpolar.terwilliger import (
-    _embed,
     build_context,
     central_elements,
     decompose,
@@ -33,6 +32,8 @@ from dualpolar.terwilliger import (
     upsilon_psi_lambda,
 )
 from dualpolar.uqsl2 import casimir_scalar, uq_on_standard_module
+
+from dense_oracle import dense_context, embed
 
 
 def orthogonal_projector(rows: ExactMatrix) -> ExactMatrix:
@@ -53,7 +54,7 @@ def dense_center(ctx, comps):
         proj = zero
         for j, rung in enumerate(c.rungs):
             block = ctx.blocks[c.r + j]
-            proj = proj + _embed(orthogonal_projector(rung), (n, n),
+            proj = proj + embed(orthogonal_projector(rung), (n, n),
                                  np.ix_(block, block))
         assert proj @ proj == proj and proj.T == proj
         total = total + proj
@@ -89,7 +90,7 @@ def ladder_copies(ctx, comp):
     """One n x (d+1) matrix per copy, with column j the copy's rung j."""
     n = ctx.n
     for i in range(comp.mult):
-        cols = [_embed(rung.take_rows([i]), (1, n),
+        cols = [embed(rung.take_rows([i]), (1, n),
                        (slice(None), ctx.blocks[comp.r + j]))
                 for j, rung in enumerate(comp.rungs)]
         yield ExactMatrix.stack_rows(cols).T
@@ -109,7 +110,7 @@ def dense_extract(ctx, comp):
     inverse of its basis.  A must be diagonal on the first basis and A* on
     the second."""
     r, t, d = comp.triple
-    lowest = _embed(comp.rungs[0], (comp.mult, ctx.n),
+    lowest = embed(comp.rungs[0], (comp.mult, ctx.n),
                     (slice(None), ctx.blocks[r]))
     seed = rref(lowest)[0].take_rows([0]).T
     assert ctx.Estar[r] @ seed == seed
@@ -137,7 +138,7 @@ def tridiagonal_families(m: ExactMatrix):
 @functools.lru_cache(maxsize=None)
 def decomposed(family, D, b, x):
     g = build_polar_graph(FormSpec(family, D, b))
-    ctx = build_context(g, spectral_data(g), x)
+    ctx = dense_context(g, spectral_data(g), x)
     return ctx, decompose(ctx, central_elements(ctx))
 
 
@@ -266,10 +267,14 @@ class Untouchable:
 
 
 def test_module_extraction_reads_no_n_by_n_matrix():
+    """The context holds no n x n matrix; extraction reads none of the
+    dense oracle's either, nor an idempotent E_i."""
     ctx, comps = decomposed("C", 3, 2, 101)
     blind = replace(ctx, bm=replace(ctx.bm, E=Untouchable()),
                     **{name: Untouchable() for name in
                        ("Estar", "A", "Astar", "K", "Kinv", "L", "F", "R")})
+    assert not any(isinstance(v, ExactMatrix)
+                   for v in vars(build_context(ctx.g, ctx.bm, 101)).values())
     for c in comps:
         want = extract_module(ctx, c)
         rec = extract_module(blind, c)

@@ -7,12 +7,11 @@ import pytest
 from dualpolar.drg import b_pow, closed_form_intersection, td_scalars
 from dualpolar.exact import ExactScalar
 from dualpolar.drg import spectral_data
-from dualpolar.linexact import ExactMatrix, kernel, row_space
+from dualpolar.linexact import ExactMatrix, kernel
 from dualpolar import intlinalg, terwilliger
 from dualpolar.polar import FormSpec, PolarGraph, build_polar_graph
 from dualpolar.terwilliger import (
     TerwilligerContext,
-    _embed,
     _omega_coeffs,
     aw_module_scalars,
     build_context,
@@ -21,10 +20,12 @@ from dualpolar.terwilliger import (
     chi0,
     chi1,
     chi2,
-    commutes,
+    commutes_with_adjacency,
     decompose,
     distance_partition,
     extract_module,
+    graded,
+    is_zero,
     verify_center_commutation,
     verify_center_identities,
     verify_g_entry_table,
@@ -35,6 +36,8 @@ from dualpolar.terwilliger import (
     verify_tridiagonal_relations,
 )
 from dualpolar.uqsl2 import casimir_scalar
+
+import dense_oracle
 
 
 @pytest.fixture(scope="module")
@@ -52,26 +55,37 @@ def comps_d32(ctx_d32, cents_d32):
     return decompose(ctx_d32, cents_d32)
 
 
+def _flat_is_zero(ctx):
+    return not any(ctx.adj(s, s).any() for s in range(ctx.D + 1))
+
+
 def test_context_invariants(ctx_c32):
     ctx = ctx_c32
-    assert ctx.A == ctx.L + ctx.F + ctx.R
-    assert ctx.L.T == ctx.R
-    assert ctx.F.T == ctx.F
-    assert ctx.K.entry(0, 0) == ExactScalar(1)  # K_xx = q^0
-    # trace E*_1 = valency at the base vertex
-    assert ctx.Estar[1].trace() == ExactScalar(14)
-    # A* entry at a neighbor is theta*_1 = 25/2
-    y = int(np.nonzero(ctx.dist_x == 1)[0][0])
-    assert ctx.Astar.entry(y, y) == ExactScalar(Fraction(25, 2))
+    adj = ctx.g.adjacency
+    # A = L + F + R: the blocks hold every edge
+    assert sum(int(ctx.adj(i, j).sum()) for i in range(4) for j in range(4)
+               if ctx.adj(i, j) is not None) == int(adj.sum())
+    for i in range(4):
+        assert (ctx.adj(i, i).T == ctx.adj(i, i)).all()  # F^t = F
+        if i < 3:
+            assert (ctx.adj(i, i + 1).T == ctx.adj(i + 1, i)).all()  # L^t = R
+    assert graded(ctx, [(1, "K")])[0, 0] == ExactMatrix.identity(1)  # q^0
+    # |B_1| = trace E*_1 = valency at the base vertex
+    assert len(ctx.blocks[1]) == 14
+    # A* on a neighbor is theta*_1 = 25/2
+    assert graded(ctx, [(1, "S")])[1, 1] == ExactMatrix.identity(14).scale(
+        Fraction(25, 2))
 
 
 def test_estar_a_estar_vanishing(ctx_c32):
-    # E*_i A E*_j = 0 whenever |i - j| > 1
+    # E*_i A E*_j = 0 whenever |i - j| > 1, so there is no such block
     for i in range(4):
         for j in range(4):
-            prod = ctx_c32.Estar[i] @ ctx_c32.A @ ctx_c32.Estar[j]
+            block = ctx_c32.g.adjacency[np.ix_(ctx_c32.blocks[i],
+                                               ctx_c32.blocks[j])]
             if abs(i - j) > 1:
-                assert prod.is_zero()
+                assert not block.any()
+                assert ctx_c32.adj(i, j) is None
 
 
 def test_lfrk_relations_c32(ctx_c32):
@@ -79,21 +93,22 @@ def test_lfrk_relations_c32(ctx_c32):
     assert len(report) == 7
     assert all(item["status"] == "pass" for item in report)
     # spot: K L = q^2 L K with q^2 = 2
-    assert ctx_c32.K @ ctx_c32.L == (ctx_c32.L @ ctx_c32.K).scale(2)
+    kl = graded(ctx_c32, [(1, "KL"), (-2, "LK")])
+    assert sorted(kl) == [(0, 1), (1, 2), (2, 3)] and is_zero(kl)
     # the cubic relation with its scalar: q^(2e+2D-2) = q^6 = 8
-    L, R = ctx_c32.L, ctx_c32.R
-    lhs = (R @ L @ L).scale(Fraction(4, 3)) - (L @ R @ L) \
-        + (L @ L @ R).scale(Fraction(1, 6))
-    assert lhs == L.scale(-8)
+    assert is_zero(graded(ctx_c32, [(Fraction(4, 3), "RLL"), (-1, "LRL"),
+                                    (Fraction(1, 6), "LLR"), (8, "L")]))
+    assert not is_zero(graded(ctx_c32, [(Fraction(4, 3), "RLL"),
+                                        (-1, "LRL"), (Fraction(1, 6), "LLR"),
+                                        (7, "L")]))
 
 
 def test_lfrk_relations_d32(ctx_d32):
     report = verify_lfrk(ctx_d32)
     assert all(item["status"] == "pass" for item in report)
     # e = 0 degenerate case: LF - q^2 FL = 0 (and F = 0 here outright)
-    L, F = ctx_d32.L, ctx_d32.F
-    assert (L @ F - (F @ L).scale(2)).is_zero()
-    assert F.is_zero()
+    assert is_zero(graded(ctx_d32, [(1, "LF"), (-2, "FL")]))
+    assert _flat_is_zero(ctx_d32)
 
 
 def test_lfrk_recovery_and_commutations(ctx_c32, ctx_d32):
@@ -110,10 +125,16 @@ def test_chi_values_c32(ctx_c32):
 
 
 def test_central_commute(ctx_c32, cents_c32):
+    theta_star = ctx_c32.bm.theta_star
     for m in (cents_c32.C0, cents_c32.C1, cents_c32.C2, cents_c32.Omega,
               cents_c32.G, cents_c32.Gstar):
-        assert commutes(m, ctx_c32.A)
-        assert commutes(m, ctx_c32.Astar)
+        assert commutes_with_adjacency(ctx_c32, m)
+        assert is_zero({(i, j): x.scale(theta_star[i] - theta_star[j])
+                        for (i, j), x in m.items()})
+        # a block off the diagonal does not commute with A*
+        assert not is_zero({(i, j + 1): x.scale(theta_star[i]
+                                                - theta_star[j + 1])
+                            for (i, j), x in m.items() if j < 3})
 
 
 def _g_table_by_entry(ctx, G):
@@ -180,6 +201,17 @@ def _bumped(m, y, z):
     return ExactMatrix(n0, m.n1, m.den, m.rad)
 
 
+def _bumped_graded(ctx, x, y, z):
+    """Copy of the graded x with entry (y, z) raised by 1/den of its block
+    (by 1 where x has no such block)."""
+    i, j = int(ctx.dist_x[y]), int(ctx.dist_x[z])
+    a = int(np.searchsorted(ctx.blocks[i], y))
+    c = int(np.searchsorted(ctx.blocks[j], z))
+    block = x.get((i, j), ExactMatrix.zeros(len(ctx.blocks[i]),
+                                            len(ctx.blocks[j])))
+    return {**x, (i, j): _bumped(block, a, c)}
+
+
 def _pair_kinds(ctx):
     """One vertex pair of each kind the entry tables tell apart."""
     dx, dist = ctx.dist_x, ctx.g.dist
@@ -192,18 +224,19 @@ def _pair_kinds(ctx):
 
 def _check_entry_tables(ctx, cents):
     """Both implementations accept G and Omega and reject a copy of either
-    with one entry changed, at a pair of each kind."""
+    with one entry changed, at a pair of each kind (off the diagonal blocks
+    too, where the block path stores no block)."""
     assert verify_omega_entry_table(ctx, cents.Omega)
     assert verify_g_entry_table(ctx, cents.G)
-    assert _omega_table_by_entry(ctx, cents.Omega)
-    assert _g_table_by_entry(ctx, cents.G)
+    assert _omega_table_by_entry(ctx, dense_oracle.dense(ctx, cents.Omega))
+    assert _g_table_by_entry(ctx, dense_oracle.dense(ctx, cents.G))
     for y, z in _pair_kinds(ctx):
-        omega = _bumped(cents.Omega, y, z)
+        omega = _bumped_graded(ctx, cents.Omega, y, z)
         assert not verify_omega_entry_table(ctx, omega)
-        assert not _omega_table_by_entry(ctx, omega)
-        G = _bumped(cents.G, y, z)
+        assert not _omega_table_by_entry(ctx, dense_oracle.dense(ctx, omega))
+        G = _bumped_graded(ctx, cents.G, y, z)
         assert not verify_g_entry_table(ctx, G)
-        assert not _g_table_by_entry(ctx, G)
+        assert not _g_table_by_entry(ctx, dense_oracle.dense(ctx, G))
 
 
 def test_entry_tables(ctx_c32, cents_c32):
@@ -214,20 +247,24 @@ def test_entry_tables_d32(ctx_d32, cents_d32):
     _check_entry_tables(ctx_d32, cents_d32)
 
 
+def _commutes_with_a(ctx, m):
+    return commutes_with_adjacency(ctx, m)
+
+
 def test_central_characterization(ctx_c32):
     m1 = central_characterization_matrix(ctx_c32, 1, 0)
     m2 = central_characterization_matrix(ctx_c32, Fraction(3, 2), 2)
-    assert commutes(m1, ctx_c32.A)
-    assert commutes(m2, ctx_c32.A)
+    assert _commutes_with_a(ctx_c32, m1)
+    assert _commutes_with_a(ctx_c32, m2)
     mp = central_characterization_matrix(ctx_c32, 1, 0, perturb=True)
-    assert not commutes(mp, ctx_c32.A)
+    assert not _commutes_with_a(ctx_c32, mp)
 
 
 def test_central_characterization_degenerate(ctx_d32):
     # with no same-distance edges the alpha part is annihilated
-    assert ctx_d32.F.is_zero()
+    assert _flat_is_zero(ctx_d32)
     mp = central_characterization_matrix(ctx_d32, 1, 0, perturb=True)
-    assert commutes(mp, ctx_d32.A)
+    assert _commutes_with_a(ctx_d32, mp)
 
 
 def test_decompose_c32(comps_c32):
@@ -244,37 +281,48 @@ def test_decompose_d32(comps_d32):
         assert c.dim % (c.d + 1) == 0
 
 
-def test_joint_kernel_bruteforce_oracle(ctx_d32, cents_d32, comps_d32):
-    # independent route: stack (C_i - chi_i I) and row-reduce the whole
-    # 90 x 30 system; compare with the ladder construction
-    n = ctx_d32.n
-    ident = ExactMatrix.identity(n)
+def _contains_rows(basis: ExactMatrix, pivots, m: ExactMatrix) -> bool:
+    """Every row of m lies in the row space of the RREF rows `basis`."""
+    return m == m.submatrix(range(m.shape[0]), list(pivots)) @ basis
+
+
+def test_joint_kernel_bruteforce_oracle(graph_d32, bm_d32, ctx_d32,
+                                        comps_d32):
+    # independent route: stack the dense (C_i - chi_i I) and row-reduce the
+    # whole 90 x 30 system; compare with the ladder construction
+    dctx = dense_oracle.dense_context(graph_d32, bm_d32, 0)
+    cents = dense_oracle.central_elements(dctx)
+    ident = ExactMatrix.identity(dctx.n)
     for comp in comps_d32:
         r, t, d = comp.triple
         stacked = ExactMatrix.stack_rows([
-            cents_d32.C0 - ident.scale(chi0(ctx_d32, r, t, d)),
-            cents_d32.C1 - ident.scale(chi1(ctx_d32, r, t, d)),
-            cents_d32.C2 - ident.scale(chi2(ctx_d32, r, t, d)),
+            cents.C0 - ident.scale(chi0(ctx_d32, r, t, d)),
+            cents.C1 - ident.scale(chi1(ctx_d32, r, t, d)),
+            cents.C2 - ident.scale(chi2(ctx_d32, r, t, d)),
         ])
-        ker = kernel(stacked)
-        assert ker.dim == comp.dim
-        assert ker.basis == comp.basis.basis
+        ker, pivots = kernel(stacked)
+        assert ker.shape[0] == comp.dim
+        assert (ker, pivots) == dense_oracle.component_basis(ctx_d32, comp)
 
 
-def test_kernel_of_c0_shift_c32(ctx_c32, cents_c32, comps_c32):
+def test_kernel_of_c0_shift_c32(graph_c32, bm_c32, ctx_c32, cents_c32,
+                                comps_c32):
     # ker(C0 - chi0(0,0,3) I) is the sum of all components sharing that
     # central character; it contains the primary component and is
     # A- and A*-invariant
+    dctx = dense_oracle.dense_context(graph_c32, bm_c32, 0)
     val = chi0(ctx_c32, 0, 0, 3)
-    m = cents_c32.C0 - ExactMatrix.identity(135).scale(val)
-    ker = kernel(m)
+    m = dense_oracle.dense(ctx_c32, cents_c32.C0) \
+        - ExactMatrix.identity(135).scale(val)
+    ker, pivots = kernel(m)
     expect = sum(c.dim for c in comps_c32
                  if chi0(ctx_c32, *c.triple) == val)
-    assert ker.dim == expect
+    assert ker.shape[0] == expect
     primary = [c for c in comps_c32 if c.triple == (0, 0, 3)][0]
-    assert ker.contains_rows(primary.basis.basis)
-    assert ker.contains_rows((ctx_c32.A @ ker.basis.T).T)
-    assert ker.contains_rows((ctx_c32.Astar @ ker.basis.T).T)
+    assert _contains_rows(ker, pivots, dense_oracle.component_basis(
+        ctx_c32, primary)[0])
+    assert _contains_rows(ker, pivots, (dctx.A @ ker.T).T)
+    assert _contains_rows(ker, pivots, (dctx.Astar @ ker.T).T)
 
 
 def test_primary_module_is_span_of_distance_vectors(ctx_c32, comps_c32):
@@ -286,7 +334,7 @@ def test_primary_module_is_span_of_distance_vectors(ctx_c32, comps_c32):
         rows.append([1 if ctx_c32.dist_x[y] == i else 0 for y in range(n)])
     m = ExactMatrix.from_rows(rows)
     primary = [c for c in comps_c32 if c.triple == (0, 0, 3)][0]
-    assert primary.basis.contains_rows(m)
+    assert _contains_rows(*dense_oracle.component_basis(ctx_c32, primary), m)
     assert primary.dim == 4
 
 
@@ -307,22 +355,27 @@ def test_center_identities(ctx_c32, cents_c32, comps_c32, center_c32):
         verify_center_identities(ctx_c32, bad)
 
 
+def _acts_as(x, comp, value) -> bool:
+    """The block-diagonal x maps every rung of comp to value times itself."""
+    return all(x[comp.r + j, comp.r + j] @ rung.T == rung.T.scale(value)
+               for j, rung in enumerate(comp.rungs))
+
+
 def test_c2_on_primary_via_displacements(ctx_c32, cents_c32, comps_c32):
     # C2 = q^(2e-2)/(q^4-1) U^-2 P^-2 acts on the primary component as 1/3
     primary = [c for c in comps_c32 if c.triple == (0, 0, 3)][0]
-    bt = primary.basis.basis.T
     third = ExactScalar(Fraction(1, 3))
-    assert (cents_c32.C2 @ bt) == bt.scale(third)
+    assert _acts_as(cents_c32.C2, primary, third)
+    assert not _acts_as(cents_c32.C2, primary, ExactScalar(1))
     assert chi2(ctx_c32, 0, 0, 3) == third
 
 
 def test_aw_scalar_action(ctx_c32, cents_c32, comps_c32):
     for c in comps_c32:
         om, eta, eta_star = aw_module_scalars(ctx_c32, *c.triple)
-        bt = c.basis.basis.T
-        assert (cents_c32.Omega @ bt) == bt.scale(ExactScalar(om))
-        assert (cents_c32.G @ bt) == bt.scale(ExactScalar(eta))
-        assert (cents_c32.Gstar @ bt) == bt.scale(ExactScalar(eta_star))
+        assert _acts_as(cents_c32.Omega, c, ExactScalar(om))
+        assert _acts_as(cents_c32.G, c, ExactScalar(eta))
+        assert _acts_as(cents_c32.Gstar, c, ExactScalar(eta_star))
 
 
 def test_extract_module_primary(ctx_c32, comps_c32):
@@ -402,8 +455,9 @@ def graph_d42():
 
 def test_decompose_elimination_count_d42(graph_d42, monkeypatch):
     """One exact kernel per subconstituent r >= 1, and per component one
-    RREF of its lowest rung plus one per rung: D + sum (d + 2) calls of
-    int_rref, none for a candidate eigenvalue that does not occur."""
+    RREF of its lowest rung plus one rank per raised rung (rung 0 is
+    already an RREF): D + sum (d + 1) calls of int_rref, none for a
+    candidate eigenvalue that does not occur."""
     ctx = build_context(graph_d42, spectral_data(graph_d42), 47)
     cents = central_elements(ctx)
     calls = []
@@ -411,7 +465,7 @@ def test_decompose_elimination_count_d42(graph_d42, monkeypatch):
     monkeypatch.setattr(intlinalg, "int_rref",
                         lambda mat: calls.append(mat.shape) or real(mat))
     comps = decompose(ctx, cents)
-    assert len(calls) <= ctx.D + sum(c.d + 2 for c in comps)
+    assert len(calls) == ctx.D + sum(c.d + 1 for c in comps)
     assert sorted((c.triple, c.mult) for c in comps) == [
         ((0, 0, 4), 1), ((1, 1, 2), 14), ((2, 1, 2), 35), ((2, 2, 0), 20),
         ((3, 2, 0), 70), ((4, 2, 0), 28)]
@@ -429,24 +483,3 @@ def test_decompose_refuses_a_shifted_chi0(ctx_d32, cents_d32, monkeypatch):
     monkeypatch.setattr(terwilliger, "chi0", shifted)
     with pytest.raises(AssertionError, match="chi0 candidates"):
         decompose(ctx_d32, cents_d32)
-
-
-@pytest.mark.parametrize("family,D,b,bases", [("D", 3, 2, (0, 17)),
-                                              ("C", 3, 2, (0, 101)),
-                                              ("D", 4, 2, (0, 47))])
-def test_merged_component_basis_is_the_row_space_of_its_rungs(family, D, b,
-                                                               bases):
-    """decompose orders the embedded rung RREFs by global pivot instead of
-    reducing their stack; the result is the canonical RREF of the stack."""
-    g = build_polar_graph(FormSpec(family, D, b))
-    bm = spectral_data(g)
-    for x in bases:
-        ctx = build_context(g, bm, x)
-        comps = decompose(ctx, central_elements(ctx))
-        for c in comps:
-            embedded = [_embed(rung, (rung.shape[0], ctx.n),
-                               (slice(None), ctx.blocks[c.r + j]))
-                        for j, rung in enumerate(c.rungs)]
-            want = row_space(ExactMatrix.stack_rows(embedded))
-            assert c.basis.pivots == want.pivots
-            assert c.basis.key() == want.key()
