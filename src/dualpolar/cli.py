@@ -95,7 +95,10 @@ def cmd_build(args) -> int:
         g = build_polar_graph(spec, budget=args.budget)
     except BudgetExceededError as exc:
         raise InputError(str(exc)) from exc
-    save_graph(g, args.out)
+    try:
+        save_graph(g, args.out)
+    except OSError as exc:
+        raise InputError(f"cannot write graph: {exc}") from exc
     print(f"wrote {args.out}: {g.n_vertices} vertices, "
           f"valency {g.degree(0)}, diameter {g.diameter}")
     return 0
@@ -242,7 +245,7 @@ def cmd_verify(args) -> int:
 
     try:
         g = load_graph(args.graph)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"cannot load graph: {exc}") from exc
     if not 0 <= args.base_vertex < g.n_vertices:
         raise InputError(f"--base-vertex {args.base_vertex} is not a vertex; "
@@ -259,7 +262,7 @@ def cmd_verify(args) -> int:
     # functions are looked up on their modules when a stage is built
     stage = _Stages(
         drg=lambda: drg.verify_distance_regular(g),
-        bm=lambda: drg.spectral_data(g),
+        bm=lambda: drg.spectral_data(g.spec, g.n_vertices, stage["drg"]),
         ctx=lambda: tw.build_context(g, stage["bm"], args.base_vertex),
         lfrk=lambda: {item["statement"]: item
                       for item in tw.verify_lfrk(stage["ctx"])},

@@ -1,11 +1,18 @@
 """Distance-regular graph analytics over exact scalars.
 
-verify_distance_regular certifies the defining independence of the counts
-|G_i(x) ^ G_j(y)| from the vertex pair (it is the brute-force oracle, run on
-the actual graph).  spectral_data builds the primitive idempotents from the
-closed-form eigenvalue list via the projector product formula; the identity
-sum(E_i) = I certifies that the closed form exhausts the spectrum, and all
-Krein parameters are solved for and then verified by exact reconstruction.
+verify_distance_regular certifies distance-regularity by its definition:
+for every pair (y, z) at distance l, the numbers c_l, a_l, b_l of
+neighbours of z at distance l - 1, l, l + 1 from y are constant.  They are
+M_(l-1), M_l, M_(l+1) on those pairs, for the D + 1 products M_h = A_h A.
+
+The Bose-Mesner algebra is then held by scalars (Brouwer, Cohen, Neumaier,
+Distance-Regular Graphs, 1989, sections 4.1 and 9.4): A_h = v_h(A) with
+x v_h = b_(h-1) v_(h-1) + a_h v_h + c_(h+1) v_(h+1), P_ih = v_h(theta_i),
+Q_hi = m_i v_h(theta_i) / k_h and E_i = (1/n) sum_h Q_hi A_h.  spectral_data
+checks the closed forms as scalar identities: the theta_i are the roots of
+(x - a_D) v_D - b_(D-1) v_(D-1), theta_0 = k and m_0 = 1 (E_0 = J/n),
+PQ = nI (its diagonal is Biggs' formula for m_i), and Q_h1 = theta*_h (the
+diagonal of A* is |X| times row x of E_1, at every x).
 """
 
 from __future__ import annotations
@@ -13,13 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
-from .exact import ExactScalar
 from .intlinalg import int_matmul
-from .linexact import ExactMatrix, spectral_projectors
-from .polar import FormSpec, PolarGraph
+# perfbench/tracer.py resolves drg.spectral_projectors and
+# drg.krein_parameters by name, so removing either breaks the benchmark
+from .linexact import spectral_projectors  # noqa: F401
+from .polar import FormSpec
 
 
 class NotDistanceRegularError(ValueError):
@@ -37,51 +46,38 @@ class IntersectionData:
     c: tuple[int, ...]
     a: tuple[int, ...]
     b: tuple[int, ...]
-    p: np.ndarray  # p[h][i][j]
 
     @property
     def k(self) -> int:
         return self.b[0]
 
 
-def distance_matrices(dist: np.ndarray, D: int) -> list[np.ndarray]:
-    return [(dist == i).astype(np.uint8) for i in range(D + 1)]
-
-
 def verify_distance_regular(g) -> IntersectionData:
-    """Exhaustive check of distance-regularity; returns the intersection
-    numbers, or raises NotDistanceRegularError with a witness."""
+    """The intersection numbers, or NotDistanceRegularError with a witness:
+    M_h[y, z] = |G_h(y) ^ G_1(z)| must be constant on the pairs at each
+    distance h - 1, h, h + 1."""
     dist = g.dist
     D = int(dist.max())
-    mats = distance_matrices(dist, D)
-    n = dist.shape[0]
-    p = np.zeros((D + 1, D + 1, D + 1), dtype=np.int64)
-    for i in range(D + 1):
-        for j in range(i, D + 1):
-            prod = int_matmul(mats[i], mats[j])
-            for h in range(D + 1):
-                support = mats[h].astype(bool)
-                if h == 0:
-                    vals = prod[np.arange(n), np.arange(n)]
-                else:
-                    vals = prod[support]
-                if vals.size == 0:
-                    continue
-                v0 = int(vals[0])
-                if (vals != v0).any():
-                    ys, zs = np.nonzero(support & (prod != v0))
-                    y, z = int(ys[0]), int(zs[0])
-                    raise NotDistanceRegularError(h, i, j, y, z, v0,
-                                                  int(prod[y, z]))
-                p[h, i, j] = p[h, j, i] = v0
-    c = tuple(int(p[i, 1, i - 1]) if i >= 1 else 0 for i in range(D + 1))
-    b = tuple(int(p[i, 1, i + 1]) if i < D else 0 for i in range(D + 1))
-    a = tuple(int(p[i, 1, i]) for i in range(D + 1))
+    classes = [dist == h for h in range(D + 1)]
+    counts = {}  # (l, h): |G_h(y) ^ G_1(z)| for the pairs at distance l
+    for h in range(D + 1):
+        prod = int_matmul(classes[h], g.adjacency)
+        for l in range(max(h - 1, 0), min(h + 1, D) + 1):
+            vals = prod[classes[l]]
+            v0 = int(vals[0])
+            if (vals != v0).any():
+                ys, zs = np.nonzero(classes[l] & (prod != v0))
+                y, z = int(ys[0]), int(zs[0])
+                raise NotDistanceRegularError(l, h, 1, y, z, v0,
+                                              int(prod[y, z]))
+            counts[l, h] = v0
+    c, a, b = (tuple(counts.get((i, i + s), 0) for i in range(D + 1))
+               for s in (-1, 0, 1))
     k = b[0]
     for i in range(D + 1):
         if c[i] + a[i] + b[i] != k:
             raise NotDistanceRegularError(i, 1, i, -1, -1, k, c[i] + a[i] + b[i])
-    return IntersectionData(D, c, a, b, p)
+    return IntersectionData(D, c, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -184,32 +180,33 @@ def closed_form_dual_intersection(spec: FormSpec):
 @dataclass
 class BoseMesnerData:
     theta: list[Fraction]
-    E: list[ExactMatrix]
     m: list[int]
+    P: list[list[Fraction]]  # P[i][h] = v_h(theta_i), A_h = sum_i P_ih E_i
+    Q: list[list[Fraction]]  # Q[h][i], E_i = (1/n) sum_h Q_hi A_h
     krein: np.ndarray  # Fractions, q[h][i][j]
     theta_star: list[Fraction]
     zeta: Fraction
     xi: Fraction
 
 
-def krein_parameters(E: list[ExactMatrix], n: int, m: list[int]) -> np.ndarray:
-    """Solve E_i o E_j = (1/n) sum_h q^h_ij E_h and verify exactly."""
-    D1 = len(E)
+def distance_polynomials(data: IntersectionData, x) -> list[Fraction]:
+    """v_0(x), ..., v_D(x), then (x - a_D) v_D(x) - b_(D-1) v_(D-1)(x),
+    from x v_h = b_(h-1) v_(h-1) + a_h v_h + c_(h+1) v_(h+1)."""
+    v = [Fraction(0), Fraction(1)]  # v_-1, v_0
+    for h in range(data.D + 1):
+        b_prev = data.b[h - 1] if h else 0
+        c_next = data.c[h + 1] if h < data.D else 1
+        v.append(((x - data.a[h]) * v[-1] - b_prev * v[-2]) / c_next)
+    return v[1:]
+
+
+def krein_parameters(P, Q, n: int) -> np.ndarray:
+    """q^h_ij = n^-1 sum_l Q_li Q_lj P_hl, from E_i o E_j = n^-2 sum_l
+    Q_li Q_lj A_l (the A_l are disjoint 0/1) and A_l = sum_h P_hl E_h."""
+    D1 = len(P)
     q = np.empty((D1, D1, D1), dtype=object)
-    for i in range(D1):
-        for j in range(i, D1):
-            had = E[i].entrywise(E[j])
-            for h in range(D1):
-                tr = had.entrywise(E[h]).sum_all()
-                val = tr.as_fraction() * n / m[h]
-                q[h, i, j] = q[h, j, i] = val
-            recon = ExactMatrix.zeros(n, n)
-            for h in range(D1):
-                recon = recon + E[h].scale(Fraction(q[h, i, j], n))
-            if recon != had:
-                raise AssertionError(
-                    f"Krein reconstruction failed for (i,j)=({i},{j})"
-                )
+    for h, i, j in product(range(D1), repeat=3):
+        q[h, i, j] = sum(Q[l][i] * Q[l][j] * P[h][l] for l in range(D1)) / n
     return q
 
 
@@ -230,31 +227,42 @@ def check_q_polynomial_pattern(q: np.ndarray) -> None:
                     raise AssertionError(f"q^{h}_{i}{j} should not vanish")
 
 
-def spectral_data(g: PolarGraph, spec: FormSpec | None = None) -> BoseMesnerData:
-    spec = spec or g.spec
-    n = g.n_vertices
+def spectral_data(spec: FormSpec, n: int,
+                  data: IntersectionData) -> BoseMesnerData:
+    """The eigenvalues, multiplicities, eigenmatrices and Krein parameters
+    of a distance-regular graph on n vertices with the certified
+    intersection data, each closed form checked as a scalar identity."""
+    D = data.D
     theta = closed_form_eigenvalues(spec)
     for i in range(len(theta) - 1):
         if not theta[i] > theta[i + 1]:
             raise AssertionError("eigenvalues are not strictly decreasing")
-    A = ExactMatrix.from_int(g.adjacency.astype(np.int64))
-    E = spectral_projectors(A, theta)
     m = closed_form_multiplicities(spec)
-    for i, (Ei, mi) in enumerate(zip(E, m)):
-        if Ei.trace() != ExactScalar(mi):
-            raise AssertionError(f"rank of idempotent {i} is not {mi}")
-    if sum(m) != n:
-        raise AssertionError("multiplicities do not sum to |X|")
-    J = ExactMatrix.from_int(np.ones((n, n), dtype=np.int64))
-    if E[0] != J.scale(Fraction(1, n)):
+    if theta[0] != data.k or m[0] != 1:
         raise AssertionError("principal idempotent is not J/|X|")
-    q = krein_parameters(E, n, m)
+    # D + 1 distinct roots of a polynomial of degree D + 1: all eigenvalues
+    values = [distance_polynomials(data, t) for t in theta]
+    if len(theta) != D + 1 or any(v[-1] != 0 for v in values):
+        raise AssertionError("theta_i are not the roots of "
+                             "(x - a_D) v_D - b_(D-1) v_(D-1)")
+    P = [v[:-1] for v in values]
+    k = P[0]  # k_h = v_h(theta_0) = v_h(k)
+    Q = [[m[i] * P[i][h] / k[h] for i in range(D + 1)] for h in range(D + 1)]
+    for i, j in product(range(D + 1), repeat=2):
+        # on the diagonal, m_i sum_h v_h(theta_i)^2 / k_h = n: Biggs' formula
+        if sum(P[i][h] * Q[h][j] for h in range(D + 1)) != (n if i == j else 0):
+            raise AssertionError(f"PQ != nI at ({i}, {j})")
+    q = krein_parameters(P, Q, n)
     check_q_polynomial_pattern(q)
     zeta, xi = dual_eigenvalue_scalars(spec)
     theta_star = closed_form_dual_eigenvalues(spec)
+    for h in range(D + 1):
+        if Q[h][1] != theta_star[h]:
+            raise AssertionError(f"Q_{h}1 != theta*_{h}: the dual adjacency "
+                                 "is not |X| times a row of E_1")
     if theta_star[0] != m[1]:
         raise AssertionError("theta*_0 != m_1")
-    return BoseMesnerData(theta, E, m, q, theta_star, zeta, xi)
+    return BoseMesnerData(theta, m, P, Q, q, theta_star, zeta, xi)
 
 
 # ---------------------------------------------------------------------------

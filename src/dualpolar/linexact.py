@@ -303,16 +303,6 @@ class ExactMatrix:
                            None if self.n1 is None else self.n1.T.copy(),
                            self.den, self.rad, _normalize=False)
 
-    def trace(self) -> ExactScalar:
-        a = Fraction(int(np.trace(self.n0)), self.den)
-        c = Fraction(int(np.trace(self.n1)), self.den) if self.n1 is not None else 0
-        return ExactScalar(a, c, self.rad)
-
-    def sum_all(self) -> ExactScalar:
-        a = Fraction(int(self.n0.sum()), self.den)
-        c = Fraction(int(self.n1.sum()), self.den) if self.n1 is not None else 0
-        return ExactScalar(a, c, self.rad)
-
     def submatrix(self, row_idx, col_idx) -> "ExactMatrix":
         n0 = self.n0[np.ix_(row_idx, col_idx)]
         n1 = None if self.n1 is None else self.n1[np.ix_(row_idx, col_idx)]

@@ -454,6 +454,8 @@ def graph_to_json(g: PolarGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> PolarGraph:
+    if not isinstance(data, dict):
+        raise TypeError("expected a JSON object")
     spec = FormSpec(data["family"], int(data["D"]), int(data["b"]))
     if Fraction(data["e"]) != spec.e:
         raise ValueError("e value in file disagrees with the family table")

@@ -128,10 +128,10 @@ def distance_partition(g: PolarGraph, bm: BoseMesnerData,
     matrix:
     - adjacent vertices differ by at most 1 in distance from x, so
       A = L + F + R over the partition,
-    - theta*_i = zeta + xi b^-i, so A* = zeta I + xi K = sum theta*_i E*_i,
-    - |X| E_1[x, y] = theta*_(d(x, y)) for every y: the diagonal of A* is
-      |X| times row x of E_1, read on one block at a time."""
-    n, D, b = g.n_vertices, g.spec.D, g.spec.b
+    - theta*_i = zeta + xi b^-i, so A* = zeta I + xi K = sum theta*_i E*_i.
+    That the diagonal of A* is |X| times row x of E_1 is `spectral_data`'s
+    Q_h1 = theta*_h, which holds at every base vertex."""
+    D, b = g.spec.D, g.spec.b
     dist_x = g.dist[x].astype(np.int64)
     blocks = [np.nonzero(dist_x == i)[0] for i in range(D + 1)]
     for i in range(D - 1):
@@ -142,11 +142,6 @@ def distance_partition(g: PolarGraph, bm: BoseMesnerData,
     if any(bm.theta_star[i] != bm.zeta + bm.xi * Fraction(1, b ** i)
            for i in range(D + 1)):
         raise AssertionError("theta*_i != zeta + xi b^-i")
-    for i, block in enumerate(blocks):
-        ones = ExactMatrix.from_int(np.ones((1, len(block)), dtype=np.int64))
-        if bm.E[1].submatrix([x], block).scale(n) \
-                != ones.scale(bm.theta_star[i]):
-            raise AssertionError("dual adjacency disagrees with |X| E_1 row x")
     return DistancePartition(g, bm, x, ExactScalar.sqrt(b), dist_x, blocks)
 
 

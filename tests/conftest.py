@@ -1,6 +1,6 @@
 import pytest
 
-from dualpolar.drg import spectral_data
+from dualpolar.drg import spectral_data, verify_distance_regular
 from dualpolar.polar import FormSpec, build_polar_graph
 from dualpolar.terwilliger import (
     build_context,
@@ -22,12 +22,14 @@ def graph_d32():
 
 @pytest.fixture(scope="session")
 def bm_c32(graph_c32):
-    return spectral_data(graph_c32)
+    return spectral_data(graph_c32.spec, graph_c32.n_vertices,
+                         verify_distance_regular(graph_c32))
 
 
 @pytest.fixture(scope="session")
 def bm_d32(graph_d32):
-    return spectral_data(graph_d32)
+    return spectral_data(graph_d32.spec, graph_d32.n_vertices,
+                         verify_distance_regular(graph_d32))
 
 
 @pytest.fixture(scope="session")

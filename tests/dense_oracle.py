@@ -1,9 +1,15 @@
-"""The n x n T-algebra: the dense reference for `terwilliger`'s block path.
+"""The n x n T-algebra and Bose-Mesner algebra: the dense reference for
+`terwilliger`'s block path and `drg`'s coefficient form.
 
 This is the construction `terwilliger` used before it evaluated T block by
 block on the distance partition: E*_i, A, A*, K, K^-1, L, F, R and the
 central elements as n x n exact matrices, and every check as one dense
 matrix identity.  The tests run both and compare status and witness.
+
+It also keeps what `drg` did before it held the Bose-Mesner algebra by
+scalars: every p^h_ij from the (D+1)(D+2)/2 products A_i A_j, the primitive
+idempotents by the projector product formula, and the Krein parameters
+solved from the Hadamard products E_i o E_j and verified by reconstruction.
 """
 
 from __future__ import annotations
@@ -13,11 +19,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from dualpolar.drg import b_pow, closed_form_intersection, td_scalars
+from dualpolar.drg import (
+    NotDistanceRegularError,
+    b_pow,
+    closed_form_intersection,
+    td_scalars,
+)
 from dualpolar.exact import ExactScalar
 from dualpolar.intlinalg import int_matmul
 from dualpolar.leonard import tridiagonal_residuals
-from dualpolar.linexact import ExactMatrix, rref
+from dualpolar.linexact import ExactMatrix, rref, spectral_projectors
 from dualpolar.terwilliger import (
     LFRK_STATEMENTS,
     TerwilligerContext,
@@ -28,6 +39,76 @@ from dualpolar.terwilliger import (
     chi2,
     distance_partition,
 )
+
+
+def distance_matrices(dist: np.ndarray, D: int) -> list[np.ndarray]:
+    return [(dist == i).astype(np.uint8) for i in range(D + 1)]
+
+
+def intersection_numbers(g) -> np.ndarray:
+    """p[h, i, j] = |G_i(y) ^ G_j(z)| for every pair (y, z) at distance h,
+    each product A_i A_j checked constant on the pairs at each distance;
+    raises NotDistanceRegularError with a witness."""
+    dist = g.dist
+    D = int(dist.max())
+    mats = distance_matrices(dist, D)
+    n = dist.shape[0]
+    p = np.zeros((D + 1, D + 1, D + 1), dtype=np.int64)
+    for i in range(D + 1):
+        for j in range(i, D + 1):
+            prod = int_matmul(mats[i], mats[j])
+            for h in range(D + 1):
+                support = mats[h].astype(bool)
+                if h == 0:
+                    vals = prod[np.arange(n), np.arange(n)]
+                else:
+                    vals = prod[support]
+                if vals.size == 0:
+                    continue
+                v0 = int(vals[0])
+                if (vals != v0).any():
+                    ys, zs = np.nonzero(support & (prod != v0))
+                    y, z = int(ys[0]), int(zs[0])
+                    raise NotDistanceRegularError(h, i, j, y, z, v0,
+                                                  int(prod[y, z]))
+                p[h, i, j] = p[h, j, i] = v0
+    return p
+
+
+def intersection_array(p: np.ndarray):
+    """(c, a, b) read off the p^h_1j, with c_0 = b_D = 0."""
+    D = p.shape[0] - 1
+    c = tuple(int(p[i, 1, i - 1]) if i >= 1 else 0 for i in range(D + 1))
+    a = tuple(int(p[i, 1, i]) for i in range(D + 1))
+    b = tuple(int(p[i, 1, i + 1]) if i < D else 0 for i in range(D + 1))
+    return c, a, b
+
+
+def idempotents(g, theta) -> list[ExactMatrix]:
+    """The primitive idempotents E_i of A as n x n exact matrices, by the
+    projector product formula; sum E_i = I certifies the eigenvalues."""
+    return spectral_projectors(
+        ExactMatrix.from_int(g.adjacency.astype(np.int64)), theta)
+
+
+def hadamard_krein(E: list[ExactMatrix], m: list[int]) -> np.ndarray:
+    """Solve E_i o E_j = (1/n) sum_h q^h_ij E_h and verify exactly."""
+    D1, n = len(E), E[0].shape[0]
+    q = np.empty((D1, D1, D1), dtype=object)
+    for i in range(D1):
+        for j in range(i, D1):
+            had = E[i].entrywise(E[j])
+            for h in range(D1):
+                tr = had.entrywise(E[h])  # rational: no radical part
+                q[h, i, j] = q[h, j, i] = \
+                    Fraction(int(tr.n0.sum()), tr.den) * n / m[h]
+            recon = ExactMatrix.zeros(n, n)
+            for h in range(D1):
+                recon = recon + E[h].scale(Fraction(q[h, i, j], n))
+            if recon != had:
+                raise AssertionError(
+                    f"Krein reconstruction failed for (i,j)=({i},{j})")
+    return q
 
 
 @dataclass

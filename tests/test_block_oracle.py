@@ -6,7 +6,9 @@ it replaced.  Here `verify --suite all` runs once on each: the dense run
 swaps the context, the LFRK and central checks and the decomposition
 certificate for the oracle's, and both reports must agree in every status
 and witness, on intact graphs and on graphs with one adjacency entry or
-pair changed."""
+pair changed.  A changed graph is not distance-regular, so it is given the
+intact graph's intersection and Bose-Mesner data: otherwise every check
+would fail at `drg`, alike on both paths, and compare nothing."""
 
 import functools
 import json
@@ -54,15 +56,19 @@ def _dense_decompose(real):
 @functools.lru_cache(maxsize=None)
 def graph(family, D, b):
     g = build_polar_graph(FormSpec(family, D, b))
-    return g, drg.spectral_data(g)
+    data = drg.verify_distance_regular(g)
+    return g, (data, drg.spectral_data(g.spec, g.n_vertices, data))
 
 
-def verify(monkeypatch, capsys, g, bm, x, path, suite="all"):
+def verify(monkeypatch, capsys, g, x, path, suite="all", given=None):
     """The report of `verify --suite all` at base x on the given graph, on
-    the block path or the dense one, without `timing`."""
+    the block path or the dense one, without `timing`; given, a pair of
+    intersection data and Bose-Mesner data, replaces the graph's own."""
     with monkeypatch.context() as m:
         m.setattr(cli, "load_graph", lambda _: g)
-        m.setattr(drg, "spectral_data", lambda _: bm)
+        if given is not None:
+            m.setattr(drg, "verify_distance_regular", lambda _: given[0])
+            m.setattr(drg, "spectral_data", lambda *_: given[1])
         if path == "dense":
             for name, fn in DENSE.items():
                 m.setattr(terwilliger, name, fn)
@@ -81,9 +87,9 @@ def verify(monkeypatch, capsys, g, bm, x, path, suite="all"):
     ("D", 4, 2, 0), ("D", 4, 2, 47)])
 def test_block_path_matches_dense_oracle(monkeypatch, capsys, family, D, b,
                                          x):
-    g, bm = graph(family, D, b)
-    block = verify(monkeypatch, capsys, g, bm, x, "block")
-    assert block == verify(monkeypatch, capsys, g, bm, x, "dense")
+    g, _ = graph(family, D, b)
+    block = verify(monkeypatch, capsys, g, x, "block")
+    assert block == verify(monkeypatch, capsys, g, x, "dense")
     assert block["summary"]["fail"] == 0 and block["summary"]["skipped"] == 0
 
 
@@ -120,10 +126,10 @@ def test_perturbed_adjacency_fails_alike(monkeypatch, capsys, family, D, b,
     breaks L^t = R or F^t = F; an edge two classes apart is refused by
     `distance_partition`; a symmetric pair inside the grading breaks LFRK
     relations, reported at the same entry with the same value."""
-    g, bm = graph(family, D, b)
+    g, intact = graph(family, D, b)
     bad = _tampered(g, 0, classes, pair)
-    block = verify(monkeypatch, capsys, bad, bm, 0, "block")
-    assert block == verify(monkeypatch, capsys, bad, bm, 0, "dense")
+    block = verify(monkeypatch, capsys, bad, 0, "block", given=intact)
+    assert block == verify(monkeypatch, capsys, bad, 0, "dense", given=intact)
     checks = {c["id"]: c for c in block["checks"]}
     lfrk = [c for c in checks.values() if c["id"].startswith("lfrk:")
             and c["status"] == "fail"]
@@ -135,11 +141,12 @@ def test_perturbed_adjacency_fails_alike(monkeypatch, capsys, family, D, b,
         assert any(isinstance(c.get("witness"), dict) for c in lfrk)
 
 
-@pytest.mark.parametrize("suite", ["lfrk", "central", "modules"])
+@pytest.mark.parametrize("suite", ["drg", "lfrk", "central", "modules",
+                                   "all"])
 def test_suite_creates_no_n_wide_matrix(monkeypatch, capsys, suite):
-    """On D_4(2), past the Bose-Mesner data (given here), no ExactMatrix
-    with a side of length n = 270 is created."""
-    g, bm = graph("D", 4, 2)
+    """On D_4(2), the Bose-Mesner data included, no ExactMatrix with a side
+    of length n = 270 is created."""
+    g, _ = graph("D", 4, 2)
     n = g.n_vertices
     shapes = []
     real = ExactMatrix.__init__
@@ -150,7 +157,7 @@ def test_suite_creates_no_n_wide_matrix(monkeypatch, capsys, suite):
             shapes.append(self.shape)
 
     monkeypatch.setattr(ExactMatrix, "__init__", init)
-    report = verify(monkeypatch, capsys, g, bm, 47, "block", suite)
+    report = verify(monkeypatch, capsys, g, 47, "block", suite)
     assert report["summary"]["fail"] == 0
     assert shapes == []
 

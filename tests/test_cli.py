@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -43,6 +44,11 @@ def module_ids(*triples):
 
 D32_IDS = ALL_IDS + module_ids((0, 0, 3), (1, 1, 1), (2, 1, 1))
 
+# every check that needs the certified intersection data: all but
+# drg:td-scalars, which reads closed forms only; the modules:leonard checks
+# are not reported, as there are no components
+NEEDS_DRG = [cid for cid in ALL_IDS if cid != "drg:td-scalars"]
+
 
 @pytest.fixture(scope="module")
 def d32_file(tmp_path_factory):
@@ -75,6 +81,13 @@ def test_missing_graph_is_input_error(tmp_path, capsys):
     assert "cannot load graph" in capsys.readouterr().err
 
 
+def test_build_into_missing_directory_is_input_error(tmp_path, capsys):
+    out = str(tmp_path / "absent" / "g.json")
+    assert main(["build", "--family", "D", "--D", "2", "--b", "2",
+                 "--out", out]) == 2
+    assert "cannot write graph" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def c23_data(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("cli") / "c23.json")
@@ -85,11 +98,13 @@ def c23_data(tmp_path_factory):
 
 
 @pytest.mark.parametrize("defect", ["coordinate", "truncated", "duplicate",
-                                    "missing"])
+                                    "missing", "not-an-object"])
 def test_malformed_graph_is_input_error(c23_data, tmp_path, capsys, defect):
     data = json.loads(json.dumps(c23_data))
     verts = data["vertices"]
-    if defect == "coordinate":
+    if defect == "not-an-object":
+        data = [1, 2]
+    elif defect == "coordinate":
         verts[0] = "f" + verts[0][1:]  # 15 is not in GF(3)
     elif defect == "truncated":
         verts[0] = verts[0][:-1]
@@ -130,8 +145,7 @@ def _raiser(exc, calls):
 STAGE_FAILURES = {
     # stage function -> (error it raises, ids of the checks that need it)
     "drg.verify_distance_regular": (
-        NotDistanceRegularError(1, 1, 1, 3, 4, 2, 5),
-        ["drg:counts", "drg:intersection"]),
+        NotDistanceRegularError(1, 1, 1, 3, 4, 2, 5), NEEDS_DRG),
     "terwilliger.central_elements": (
         AssertionError("G* vs C0 expression fails"),
         ["central:construction", "central:omega-entries",
@@ -179,6 +193,35 @@ def test_failing_stage_fails_its_checks(d32_file, capsys, monkeypatch,
         assert [args[-1] for args in calls] == [1, 2]
     else:
         assert len(calls) == 1
+
+
+def test_non_distance_regular_graph_fails_every_dependent_check(
+        capsys, monkeypatch):
+    """D_3(2) with one extra edge inside a distance class (distances kept):
+    every check that needs the intersection data fails with the
+    NotDistanceRegularError text as witness, and verify exits 1."""
+    from dualpolar import cli
+    from dualpolar.polar import FormSpec, PolarGraph, build_polar_graph
+
+    g = build_polar_graph(FormSpec("D", 3, 2))
+    y, z = (int(v) for v in np.flatnonzero(g.dist[0] == 2)[:2])
+    assert not g.adjacency[y, z]
+    adj = g.adjacency.copy()
+    adj[y, z] = adj[z, y] = 1
+    monkeypatch.setattr(cli, "load_graph",
+                        lambda _: PolarGraph(g.spec, g.vertices, adj, g.dist))
+    capsys.readouterr()
+    assert main(["verify", "--graph", "g.json", "--suite", "all"]) == 1
+    out, err = capsys.readouterr()
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert sorted(checks) == sorted(ALL_IDS)
+    assert sorted(c for c in checks if checks[c]["status"] == "fail") \
+        == sorted(NEEDS_DRG)
+    for cid in NEEDS_DRG:
+        assert re.fullmatch(r"count \|G_\d\(x\) \^ G_1\(y\)\| at distance "
+                            r"\d is not constant: pair \(\d+,\d+\) gives "
+                            r"\d+, expected \d+", checks[cid]["witness"]), cid
+    assert err == ""
 
 
 def test_shifted_chi0_fails_modules_dimension(d32_file, capsys,

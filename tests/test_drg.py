@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+import dense_oracle
+
 from dualpolar.drg import (
-    BoseMesnerData,
     NotDistanceRegularError,
     closed_form_dual_eigenvalues,
     closed_form_dual_intersection,
@@ -58,11 +60,13 @@ def test_c32_intersection_array(graph_c32):
     c, a, b = closed_form_intersection(spec)
     assert tuple(c) == data.c and tuple(a) == data.a and tuple(b) == data.b
     # spot-check the counting against the direct per-pair oracle
+    p = dense_oracle.intersection_numbers(graph_c32)
+    assert dense_oracle.intersection_array(p) == (data.c, data.a, data.b)
     for x, y in [(0, 1), (0, 5), (3, 77)]:
         h = graph_c32.dist[x, y]
         for i in range(4):
             for j in range(4):
-                assert direct_count_oracle(graph_c32, x, y, i, j) == data.p[h, i, j]
+                assert direct_count_oracle(graph_c32, x, y, i, j) == p[h, i, j]
 
 
 def test_d32_intersection_array(graph_d32):
@@ -97,11 +101,15 @@ def test_c32_spectral_data(bm_c32, graph_c32):
     assert bm.m == [1, 35, 84, 15]
     assert sum(bm.m) == 135
     assert bm.theta_star[0] == bm.m[1] == 35
-    # E_0 = J/|X| is asserted inside spectral_data; idempotent family checks
-    for i, Ei in enumerate(bm.E):
-        for j, Ej in enumerate(bm.E):
-            prod = Ei @ Ej
-            assert prod == (Ei if i == j else prod - prod)
+    # the valencies k_h = v_h(k) and E_0 = J/|X|: Q_h0 = 1
+    assert bm.P[0] == [1, 14, 56, 64]
+    assert [row[0] for row in bm.Q] == [1, 1, 1, 1]
+    assert bm.Q[0] == bm.m
+    assert [row[1] for row in bm.Q] == bm.theta_star
+    for i in range(4):
+        for j in range(4):
+            assert sum(bm.P[i][h] * bm.Q[h][j] for h in range(4)) \
+                == (135 if i == j else 0)
 
 
 def test_krein_dual_intersection_consistency(bm_c32, graph_c32):
@@ -117,29 +125,29 @@ def test_krein_dual_intersection_consistency(bm_c32, graph_c32):
 
 def test_triple_products_vanishing(graph_c32, bm_c32):
     # E*_h A_i E*_j = 0 iff p^h_ij = 0, and E_h A*_i E_j = 0 iff q^h_ij = 0
-    import dualpolar.drg as drg
     from dualpolar.linexact import ExactMatrix
 
     g = graph_c32
-    data = verify_distance_regular(g)
+    p = dense_oracle.intersection_numbers(g)
+    E = dense_oracle.idempotents(g, bm_c32.theta)
     x = 0
     n = g.n_vertices
     dist_x = g.dist[x]
     estar = [ExactMatrix.from_int(np.diag((dist_x == i).astype(np.int64)))
              for i in range(4)]
     amats = [ExactMatrix.from_int(m.astype(np.int64))
-             for m in drg.distance_matrices(g.dist, 3)]
+             for m in dense_oracle.distance_matrices(g.dist, 3)]
     astar_i = []
     for i in range(4):
-        col = bm_c32.E[i].take_rows([x])
+        col = E[i].take_rows([x])
         diag = [col.entry(0, y) * n for y in range(n)]
         astar_i.append(ExactMatrix.diag(diag))
     for h in range(4):
         for i in range(4):
             for j in range(4):
                 lhs = estar[h] @ amats[i] @ estar[j]
-                assert lhs.is_zero() == (data.p[h, i, j] == 0)
-                lhs2 = bm_c32.E[h] @ astar_i[i] @ bm_c32.E[j]
+                assert lhs.is_zero() == (p[h, i, j] == 0)
+                lhs2 = E[h] @ astar_i[i] @ E[j]
                 assert lhs2.is_zero() == (bm_c32.krein[h, i, j] == 0)
 
 
@@ -163,3 +171,92 @@ def test_beta_recurrence_direct(graph_c32):
     beta = td_scalars(graph_c32.spec)[0]
     for i in range(2, 3):
         assert (th[i - 2] - th[i + 1]) / (th[i - 1] - th[i]) == beta + 1
+
+
+# ---------------------------------------------------------------------------
+# The coefficient form against the dense n x n oracle
+
+
+@pytest.mark.parametrize("family,D,b", [("D", 3, 2), ("C", 3, 2),
+                                        ("2A_odd", 2, 4)])
+def test_coefficient_form_matches_dense_oracle(family, D, b):
+    """E_i = (1/n) sum_h Q_hi A_h is the dense projector-formula idempotent,
+    and krein_parameters is the Hadamard-product Krein array, exactly."""
+    from dualpolar.linexact import ExactMatrix
+
+    g = build_polar_graph(FormSpec(family, D, b))
+    n = g.n_vertices
+    data = verify_distance_regular(g)
+    p = dense_oracle.intersection_numbers(g)
+    assert dense_oracle.intersection_array(p) == (data.c, data.a, data.b)
+    bm = spectral_data(g.spec, n, data)
+    E = dense_oracle.idempotents(g, bm.theta)
+    amats = [ExactMatrix.from_int(m.astype(np.int64))
+             for m in dense_oracle.distance_matrices(g.dist, D)]
+    for i in range(D + 1):
+        total = amats[0].scale(Fraction(bm.Q[0][i], n))
+        for h in range(1, D + 1):
+            total = total + amats[h].scale(Fraction(bm.Q[h][i], n))
+        assert total == E[i]
+    assert (dense_oracle.hadamard_krein(E, bm.m) == bm.krein).all()
+
+
+def _cycle(n):
+    return [[int(abs(i - j) in (1, n - 1)) for j in range(n)]
+            for i in range(n)]
+
+
+def _petersen():
+    pairs = list(combinations(range(5), 2))
+    return [[int(not set(s) & set(t)) for t in pairs] for s in pairs]
+
+
+def _prism():  # two triangles joined by a matching: cubic, not DRG
+    adj = np.zeros((6, 6), dtype=np.uint8)
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                adj[i, j] = adj[i + 3, j + 3] = 1
+        adj[i, i + 3] = adj[i + 3, i] = 1
+    return adj
+
+
+def _chorded_hexagon():
+    adj = np.array(_cycle(6), dtype=np.uint8)
+    adj[0, 3] = adj[3, 0] = 1
+    return adj
+
+
+def _d32_plus_edge():
+    g = build_polar_graph(FormSpec("D", 3, 2))
+    adj = g.adjacency.copy()
+    z = int(np.flatnonzero(g.dist[0] == 2)[0])
+    adj[0, z] = adj[z, 0] = 1
+    return adj
+
+
+@pytest.mark.parametrize("adj,regular", [
+    (1 - np.eye(4, dtype=np.uint8), True),
+    (_cycle(7), True),
+    (_petersen(), True),
+    (np.kron([[0, 1], [1, 0]], np.ones((3, 3), dtype=np.uint8)), True),
+    ([[0, 1, 0], [1, 0, 1], [0, 1, 0]], False),
+    ([[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]], False),
+    (_prism(), False),
+    (_chorded_hexagon(), False),
+    (_d32_plus_edge(), False),
+], ids=["K4", "C7", "petersen", "K33", "path", "star", "prism",
+        "chorded-hexagon", "D32-plus-edge"])
+def test_distance_regularity_matches_dense_oracle(adj, regular):
+    """D + 1 products A_h A give the c, a, b of all (D+1)(D+2)/2 products
+    A_i A_j, and refuse the same graphs."""
+    g = _Plain(adj)
+    if regular:
+        data = verify_distance_regular(g)
+        p = dense_oracle.intersection_numbers(g)
+        assert dense_oracle.intersection_array(p) == (data.c, data.a, data.b)
+    else:
+        with pytest.raises(NotDistanceRegularError):
+            verify_distance_regular(g)
+        with pytest.raises(NotDistanceRegularError):
+            dense_oracle.intersection_numbers(g)

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualpolar.drg import spectral_data
+from dualpolar.drg import spectral_data, verify_distance_regular
 from dualpolar.exact import ExactScalar
 from dualpolar.leonard import leonard_from_tmodule
 from dualpolar.linexact import ExactMatrix, inverse, rref
@@ -33,7 +33,7 @@ from dualpolar.terwilliger import (
 )
 from dualpolar.uqsl2 import casimir_scalar, uq_on_standard_module
 
-from dense_oracle import dense_context, embed
+from dense_oracle import dense_context, embed, idempotents
 
 
 def orthogonal_projector(rows: ExactMatrix) -> ExactMatrix:
@@ -103,20 +103,20 @@ def _representation(basis: ExactMatrix, image: ExactMatrix) -> ExactMatrix:
     return inverse(gram) @ (basis @ image.T)
 
 
-def dense_extract(ctx, comp):
+def dense_extract(ctx, E, comp):
     """(A* on the dual standard basis, A on the standard basis) of the
     module generated by the first RREF row of comp's lowest rung: rows
-    E_(t+i) seed and E*_(r+i) E_t seed, each matrix through the Gram
-    inverse of its basis.  A must be diagonal on the first basis and A* on
-    the second."""
+    E_(t+i) seed and E*_(r+i) E_t seed, with E the n x n primitive
+    idempotents, each matrix through the Gram inverse of its basis.  A must
+    be diagonal on the first basis and A* on the second."""
     r, t, d = comp.triple
     lowest = embed(comp.rungs[0], (comp.mult, ctx.n),
                     (slice(None), ctx.blocks[r]))
     seed = rref(lowest)[0].take_rows([0]).T
     assert ctx.Estar[r] @ seed == seed
-    dual = ExactMatrix.stack_rows([(ctx.bm.E[t + i] @ seed).T
+    dual = ExactMatrix.stack_rows([(E[t + i] @ seed).T
                                    for i in range(d + 1)])
-    u = ctx.bm.E[t] @ seed
+    u = E[t] @ seed
     std = ExactMatrix.stack_rows([(ctx.Estar[r + i] @ u).T
                                   for i in range(d + 1)])
     assert _representation(dual, (ctx.A @ dual.T).T) == ExactMatrix.diag(
@@ -138,7 +138,8 @@ def tridiagonal_families(m: ExactMatrix):
 @functools.lru_cache(maxsize=None)
 def decomposed(family, D, b, x):
     g = build_polar_graph(FormSpec(family, D, b))
-    ctx = dense_context(g, spectral_data(g), x)
+    bm = spectral_data(g.spec, g.n_vertices, verify_distance_regular(g))
+    ctx = dense_context(g, bm, x)
     return ctx, decompose(ctx, central_elements(ctx))
 
 
@@ -224,9 +225,10 @@ def test_flipped_adjacency_bit_in_a_block_is_refused(ctx_d32_base0):
 def test_ladder_module_matches_dense_extraction(family, D, b, bases):
     for x in bases:
         ctx, comps = decomposed(family, D, b, x)
+        E = idempotents(ctx.g, ctx.bm.theta)
         for c in comps:
             rec = extract_module(ctx, c)
-            astar_rep, a_rep = dense_extract(ctx, c)
+            astar_rep, a_rep = dense_extract(ctx, E, c)
             assert rec.astar_dual_rep == astar_rep, c.triple
             assert rec.a_std_rep == a_rep, c.triple
             for families, dense in (((rec.cstar, rec.astar, rec.bstar),
@@ -267,14 +269,14 @@ class Untouchable:
 
 
 def test_module_extraction_reads_no_n_by_n_matrix():
-    """The context holds no n x n matrix; extraction reads none of the
-    dense oracle's either, nor an idempotent E_i."""
+    """The context and its Bose-Mesner data hold no n x n matrix;
+    extraction reads none of the dense oracle's either."""
     ctx, comps = decomposed("C", 3, 2, 101)
-    blind = replace(ctx, bm=replace(ctx.bm, E=Untouchable()),
-                    **{name: Untouchable() for name in
-                       ("Estar", "A", "Astar", "K", "Kinv", "L", "F", "R")})
-    assert not any(isinstance(v, ExactMatrix)
-                   for v in vars(build_context(ctx.g, ctx.bm, 101)).values())
+    blind = replace(ctx, **{name: Untouchable() for name in
+                            ("Estar", "A", "Astar", "K", "Kinv", "L", "F",
+                             "R")})
+    for held in (build_context(ctx.g, ctx.bm, 101), ctx.bm):
+        assert not any(isinstance(v, ExactMatrix) for v in vars(held).values())
     for c in comps:
         want = extract_module(ctx, c)
         rec = extract_module(blind, c)

@@ -6,7 +6,7 @@ import pytest
 
 from dualpolar.drg import b_pow, closed_form_intersection, td_scalars
 from dualpolar.exact import ExactScalar
-from dualpolar.drg import spectral_data
+from dualpolar.drg import spectral_data, verify_distance_regular
 from dualpolar.linexact import ExactMatrix, kernel
 from dualpolar import intlinalg, terwilliger
 from dualpolar.polar import FormSpec, PolarGraph, build_polar_graph
@@ -427,14 +427,23 @@ def test_base_vertex_independence_c32(graph_c32, bm_c32, comps_c32):
         assert sorted((c.triple, c.mult) for c in li) == base
 
 
-def test_distance_partition_refuses_a_perturbed_e1_row(graph_d32, bm_d32):
-    x, y = 5, 11
-    e1 = _bumped(bm_d32.E[1], x, y)
-    bad = replace(bm_d32, E=[bm_d32.E[0], e1, *bm_d32.E[2:]])
-    with pytest.raises(AssertionError, match="E_1 row x"):
-        distance_partition(graph_d32, bad, x)
-    # only row x of E_1 is read at x
-    distance_partition(graph_d32, bad, y)
+@pytest.mark.parametrize("h", range(4))
+def test_spectral_data_refuses_a_perturbed_dual_eigenvalue(graph_d32,
+                                                           monkeypatch, h):
+    """Column 1 of Q is |X| times row x of E_1 by distance, at every x:
+    with theta*_h moved, A* is no longer |X| diag(E_1 row x)."""
+    from dualpolar import drg
+
+    g = graph_d32
+    data = drg.verify_distance_regular(g)
+    real = drg.closed_form_dual_eigenvalues(g.spec)
+    assert [row[1] for row in spectral_data(g.spec, g.n_vertices,
+                                            data).Q] == real
+    bumped = [t + (i == h) for i, t in enumerate(real)]
+    monkeypatch.setattr(drg, "closed_form_dual_eigenvalues",
+                        lambda spec: bumped)
+    with pytest.raises(AssertionError, match=f"Q_{h}1 != theta\\*_{h}"):
+        spectral_data(g.spec, g.n_vertices, data)
 
 
 def test_distance_partition_refuses_an_edge_across_two_classes(graph_d32,
@@ -458,7 +467,9 @@ def test_decompose_elimination_count_d42(graph_d42, monkeypatch):
     RREF of its lowest rung plus one rank per raised rung (rung 0 is
     already an RREF): D + sum (d + 1) calls of int_rref, none for a
     candidate eigenvalue that does not occur."""
-    ctx = build_context(graph_d42, spectral_data(graph_d42), 47)
+    bm = spectral_data(graph_d42.spec, graph_d42.n_vertices,
+                       verify_distance_regular(graph_d42))
+    ctx = build_context(graph_d42, bm, 47)
     cents = central_elements(ctx)
     calls = []
     real = intlinalg.int_rref
