@@ -21,18 +21,25 @@ exhaustively at build time, and again at load time, against breadth-first
 search.
 
 Both steps work on the point table: the singular points of GF(b)^n, one
-monic vector each, as a numpy array.  The field's tables evaluate the form
-on all of them at once, from its Gram matrix (and, for the quadratic
-families, the coefficients of Q), giving the singular points and a P x P
-perpendicularity matrix.  Enumeration extends totally isotropic flags one
-point at a time: the points that extend a k-space S are the AND of the perp
-rows of S, minus S, and span(S, p) is read off a per-point line table.  The
-maximal subspaces are sorted by their RREF rows, which are read off their
-points.  The codim matrix
+monic vector each, as a numpy array ordered by leading position.  The
+field's tables evaluate the form on all of them at once, from its Gram
+matrix (and, for the quadratic families, the coefficients of Q), giving the
+singular points and a P x P perpendicularity matrix.  Enumeration grows
+subspaces by their RREF: the first k rows of a totally isotropic
+(k+1)-space in RREF are a totally isotropic k-space S in RREF, and its last
+row is a singular point p perpendicular to S, with lead(p) past the last
+pivot of S and every row of S zero at column lead(p).  A level is an
+(L, k) array of row points; one level step is the AND of k bit-packed perp
+rows and the lead-column condition, and `np.nonzero` of it lists every
+(k+1)-space exactly once.  The same pairings, on all rows at once, check
+that each vertex is totally isotropic.  The codim matrix
 comes from the vertex x point incidence I: (I I^T)_yz = |y intersect z| is
 (b^d - 1)/(b - 1) with d = dim(y intersect z).  That product runs on float32
 BLAS and is exact, because every entry and every partial sum is a count of
-at most P points, and P < 2^24 (see `intlinalg.int_matmul`).
+at most P points, and P < 2^24 (see `intlinalg.int_matmul`).  The
+breadth-first search runs from all vertices at once on bit-packed rows, 64
+sources per uint64 word, one `np.bitwise_or.reduceat` over the neighbour
+lists per step.
 """
 
 from __future__ import annotations
@@ -216,26 +223,39 @@ def _pairing(field: FieldSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _sigma(spec: FormSpec, x: np.ndarray) -> np.ndarray:
+    """x conjugated for the Hermitean families, x itself otherwise."""
+    return spec.field.conj_table[x] if spec.hermitean else x
+
+
+def _totally_isotropic(spec: FormSpec, rows: np.ndarray) -> np.ndarray:
+    """For rows of shape (m, k, n) over GF(b): is the span of each row block
+    totally isotropic, as `FormSpec.totally_isotropic` decides?  Every
+    pairing B(u, v) of two rows of a block vanishes, and for the quadratic
+    families Q of every row as well."""
+    field = spec.field
+    ug = _pairing(field, rows[..., None, :], spec.gram.T)
+    ok = (_pairing(field, ug[:, :, None], _sigma(spec, rows)[:, None]) == 0
+          ).all((1, 2))
+    if spec.quadratic:
+        uw = _pairing(field, rows[..., None, :], spec.quad.T)
+        ok &= (_pairing(field, uw, rows) == 0).all(1)
+    return ok
+
+
 class _PointTable:
-    """The singular points of the polar space, one monic row each in `vecs`:
-    u W sigma(u)^T = 0, with the matrices of `FormSpec._form_matrices` (W is
-    the Gram matrix G for the non-quadratic families)."""
+    """The singular points of the polar space, one monic row each in `vecs`,
+    ordered by leading position (`_monic_vectors`)."""
 
     def __init__(self, spec: FormSpec):
-        field, b, n = spec.field, spec.b, spec.n
+        b, n = spec.b, spec.n
         self.spec = spec
-        w = spec.quad if spec.quadratic else spec.gram
         allv = _monic_vectors(b, n)
-        uw = _pairing(field, allv[:, None], w.T[None])
-        self.vecs = allv[_pairing(field, uw, self.sigma(allv)) == 0]
+        self.vecs = allv[_totally_isotropic(spec, allv[:, None])]
         # the base-b code of a monic vector -> its point, -1 for no point
         self.weights = b ** np.arange(n - 1, -1, -1, dtype=np.int64)
         self.index = np.full(b ** n, -1, dtype=np.int32)
         self.index[(self.vecs * self.weights).sum(-1)] = np.arange(len(self.vecs))
-        self.lines = [None] * len(self.vecs)
-
-    def sigma(self, x: np.ndarray) -> np.ndarray:
-        return self.spec.field.conj_table[x] if self.spec.hermitean else x
 
     def lookup(self, v: np.ndarray) -> np.ndarray:
         """The point of each vector v[..., :]; -1 for zero or non-singular."""
@@ -248,24 +268,12 @@ class _PointTable:
         """P x P bool B(p, p') = 0, in row blocks of about 2^18 entries."""
         field, npts = self.spec.field, len(self.vecs)
         u = _pairing(field, self.vecs[:, None], self.spec.gram.T[None])
-        v = self.sigma(self.vecs)
+        v = _sigma(self.spec, self.vecs)
         out = np.empty((npts, npts), dtype=bool)
         step = max(1, 2 ** 18 // npts)
         for lo in range(0, npts, step):
             out[lo:lo + step] = _pairing(field, u[lo:lo + step, None], v[None]) == 0
         return out
-
-    def line(self, p: int) -> np.ndarray:
-        """P x (b-1), cached: row s holds the points of s + lam p, lam != 0,
-        which for s perpendicular to p are the rest of the line sp.  The
-        cache is int16 when every point index and -1 fit, else int32."""
-        if self.lines[p] is None:
-            field = self.spec.field
-            steps = field.mul_table[np.arange(1, self.spec.b)[:, None], self.vecs[p]]
-            dtype = np.int16 if len(self.vecs) < 2 ** 15 else np.int32
-            self.lines[p] = self.lookup(
-                field.add_table[self.vecs[:, None], steps]).astype(dtype)
-        return self.lines[p]
 
 
 # ---------------------------------------------------------------------------
@@ -274,46 +282,54 @@ class _PointTable:
 
 def enumerate_maximal_isotropic(spec: FormSpec, budget: int = 100_000):
     """All maximal (dimension D) totally isotropic subspaces, in canonical
-    RREF order, by extending totally isotropic flags on the point table.
+    RREF order, grown one RREF row at a time on the point table.
 
-    A k-space S is its sorted point indices.  Its extensions are span(S, p)
-    for p in the AND of the perp rows of S, minus S; a p inside an earlier
-    extension of S is skipped, so each pair S < T is met once.
+    Level k is an (L, k) array: the row points of every totally isotropic
+    k-space S in RREF.  The extensions of S are its rows followed by a
+    singular point p with p perpendicular to every row of S, lead(p) past
+    the last pivot of S (so p is zero at the pivots of S), and every row
+    of S zero at column lead(p).  Those are exactly the RREFs of the
+    totally isotropic (k+1)-spaces, each met once.  The lead-column
+    condition depends on S only through the set of columns it allows, so
+    it is evaluated once per distinct set.  Raises BudgetExceededError when
+    there are more than `budget` points or subspaces on some level.
     """
     if _vertex_count(spec) > budget:
         raise BudgetExceededError("enumeration budget exceeded")
     table = _PointTable(spec)
-    if len(table.vecs) > budget:
+    npts, n = table.vecs.shape
+    if npts > budget:
         raise BudgetExceededError("enumeration budget exceeded")
-    level = [np.array([p]) for p in range(len(table.vecs))]
-    perp = table.perp() if spec.D > 1 else None
+    lead = (table.vecs != 0).argmax(1)
+    support = (table.vecs != 0) @ (1 << np.arange(n, dtype=np.int64))
+    level = np.arange(npts)[:, None]
+    perp = np.packbits(table.perp(), axis=1) if spec.D > 1 else None
     for _ in range(1, spec.D):
-        nxt: dict = {}
-        for pts in level:
-            free = np.logical_and.reduce(perp[pts])
-            free[pts] = False
-            for p in np.flatnonzero(free):
-                if not free[p]:
-                    continue
-                ext = np.concatenate((pts, [p], table.line(p)[pts].ravel()))
-                free[ext] = False
-                ext.sort()
-                nxt.setdefault(ext.tobytes(), ext)
-            if len(nxt) > budget:
+        # columns past the last pivot where every row of S is zero
+        last = lead[level[:, -1]]
+        free = ((1 << n) - (2 << last)) & ~np.bitwise_or.reduce(support[level], 1)
+        codes, which = np.unique(free, return_inverse=True)
+        allowed = np.packbits((codes[:, None] >> lead) & 1 == 1, axis=1)
+        parts, total = [], 0
+        step = max(1, 2 ** 20 // perp.shape[1])
+        for lo in range(0, len(level), step):
+            chunk = level[lo:lo + step]
+            ok = allowed[which[lo:lo + step]]
+            for j in range(chunk.shape[1]):
+                ok &= perp[chunk[:, j]]
+            s, p = np.nonzero(np.unpackbits(ok, axis=1, count=npts))
+            total += len(s)
+            if total > budget:
                 raise BudgetExceededError("enumeration budget exceeded")
-        level = list(nxt.values())
-    # the RREF rows of a subspace are its points with one nonzero pivot
-    # coordinate, the pivots being the leading positions of its points
-    vecs = table.vecs[np.array(level)]
-    pivots = np.zeros((len(level), spec.n), dtype=bool)
-    np.put_along_axis(pivots, (vecs != 0).argmax(-1), True, -1)
-    rref = vecs[((vecs != 0) & pivots[:, None]).sum(-1) == 1]
-    out = sorted(tuple(map(tuple, v)) for v in
-                 rref.reshape(len(level), spec.D, spec.n).tolist())
-    for key in out:
-        if not spec.totally_isotropic(key):
-            raise AssertionError("enumerated subspace is not totally isotropic")
-    return out
+            parts.append(np.column_stack((chunk[s], p)))
+        level = np.concatenate(parts)
+    rows = table.vecs[level]
+    if not _totally_isotropic(spec, rows).all():
+        raise AssertionError("enumerated subspace is not totally isotropic")
+    flat = rows.reshape(len(rows), -1)
+    flat = flat[np.lexsort(flat.T[::-1])]
+    return [tuple(map(tuple, v)) for v in
+            flat.reshape(len(rows), spec.D, n).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +362,45 @@ class PolarGraph:
                 f"|X|={self.n_vertices})")
 
 
+# uint64 words of gathered frontier rows per search block (16 MB)
+_BFS_WORDS = 2 ** 21
+
+
 def _bfs_distances(adj: np.ndarray) -> np.ndarray:
+    """Graph distances from the 0/1 adjacency matrix, -1 where a vertex is
+    not reached: breadth-first search from blocks of sources at once.
+
+    Row u of the frontier holds, 64 per uint64 word, the sources whose
+    search reached u in the last step; one step ORs the rows of the
+    vertices w with adj[w, u] = 1 (`np.bitwise_or.reduceat` over the
+    neighbour lists) and drops the sources that had reached u before.
+    """
     n = adj.shape[0]
     dist = np.full((n, n), -1, dtype=np.int16)
-    reached = np.eye(n, dtype=bool)
-    frontier = reached.copy()
     np.fill_diagonal(dist, 0)
-    step = 0
-    while frontier.any():
-        step += 1
-        newly = (int_matmul(frontier, adj) > 0) & ~reached
-        dist[newly] = step
-        reached |= newly
-        frontier = newly
+    into, src = np.nonzero(adj.T)  # w = src[i] has an edge into u = into[i]
+    has = np.bincount(into, minlength=n) > 0
+    starts = np.searchsorted(into, np.flatnonzero(has))
+    width = 64 * max(1, _BFS_WORDS // max(len(src), 1))
+    for lo in range(0, n, width):
+        nb = min(width, n - lo)
+        seed = np.zeros((n, -(-nb // 64) * 64), dtype=bool)
+        seed[lo + np.arange(nb), np.arange(nb)] = True
+        front = np.packbits(seed, axis=1, bitorder="little").view(np.uint64)
+        reached = front.copy()
+        out = dist[lo:lo + nb].T  # out[u, x - lo] is the distance x -> u
+        step = 0
+        while True:
+            step += 1
+            new = np.zeros_like(front)
+            new[has] = np.bitwise_or.reduceat(front[src], starts, axis=0)
+            new &= ~reached
+            if not new.any():
+                break
+            reached |= new
+            out[np.unpackbits(new.view(np.uint8), axis=1, count=nb,
+                              bitorder="little").view(bool)] = step
+            front = new
     return dist
 
 
@@ -440,9 +482,7 @@ def _vertex_unhex(spec: FormSpec, s: str):
 
 
 def graph_to_json(g: PolarGraph) -> dict:
-    rows = []
-    for i in range(g.n_vertices):
-        rows.append(np.packbits(g.adjacency[i]).tobytes().hex())
+    rows = [r.tobytes().hex() for r in np.packbits(g.adjacency, axis=1)]
     return {
         "family": g.spec.family,
         "D": g.spec.D,
@@ -465,15 +505,24 @@ def graph_from_json(data: dict) -> PolarGraph:
         raise ValueError(f"file has {m} vertices, the dual polar graph {count}")
     if len(data["adjacency"]) != m:
         raise ValueError("adjacency in file needs one row per vertex")
-    adj = np.zeros((m, m), dtype=np.uint8)
-    for i, hexrow in enumerate(data["adjacency"]):
-        bits = np.unpackbits(np.frombuffer(bytes.fromhex(hexrow), dtype=np.uint8))
-        adj[i] = bits[:m]
+    width = -(-m // 8)
+    packed = [bytes.fromhex(row) for row in data["adjacency"]]
+    for i, row in enumerate(packed):
+        if len(row) != width:
+            raise ValueError(f"adjacency row {i} has {len(row)} bytes, "
+                             f"expected {width}")
+    bits = np.unpackbits(np.frombuffer(b"".join(packed), dtype=np.uint8)
+                         .reshape(m, width), axis=1)
+    padded = np.flatnonzero(bits[:, m:].any(1))
+    if len(padded):
+        raise ValueError(f"adjacency row {padded[0]} has bits set past "
+                         f"column {m - 1}")
+    adj = np.ascontiguousarray(bits[:, :m])
     if not np.array_equal(adj, adj.T):
         raise ValueError("adjacency in file is not symmetric")
-    for v in verts:
-        if not spec.totally_isotropic(v):
-            raise ValueError("vertex in file is not totally isotropic")
+    rows = np.array(verts, dtype=np.int16).reshape(m, spec.D, spec.n)
+    if not _totally_isotropic(spec, rows).all():
+        raise ValueError("vertex in file is not totally isotropic")
     return _certified_graph(spec, verts, adj)
 
 

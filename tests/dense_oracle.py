@@ -10,6 +10,8 @@ It also keeps what `drg` did before it held the Bose-Mesner algebra by
 scalars: every p^h_ij from the (D+1)(D+2)/2 products A_i A_j, the primitive
 idempotents by the projector product formula, and the Krein parameters
 solved from the Hadamard products E_i o E_j and verified by reconstruction.
+And it keeps the breadth-first search `polar` ran before its frontier was
+bit-packed: one dense n x n product per step.
 """
 
 from __future__ import annotations
@@ -39,6 +41,25 @@ from dualpolar.terwilliger import (
     chi2,
     distance_partition,
 )
+
+
+def bfs_distances(adj: np.ndarray) -> np.ndarray:
+    """Graph distances from the 0/1 adjacency matrix, -1 where a vertex is
+    not reached; row x of the frontier holds the vertices at the current
+    distance from x."""
+    n = adj.shape[0]
+    dist = np.full((n, n), -1, dtype=np.int16)
+    reached = np.eye(n, dtype=bool)
+    frontier = reached.copy()
+    np.fill_diagonal(dist, 0)
+    step = 0
+    while frontier.any():
+        step += 1
+        newly = (int_matmul(frontier, adj) > 0) & ~reached
+        dist[newly] = step
+        reached |= newly
+        frontier = newly
+    return dist
 
 
 def distance_matrices(dist: np.ndarray, D: int) -> list[np.ndarray]:

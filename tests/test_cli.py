@@ -98,11 +98,22 @@ def c23_data(tmp_path_factory):
 
 
 @pytest.mark.parametrize("defect", ["coordinate", "truncated", "duplicate",
-                                    "missing", "not-an-object"])
-def test_malformed_graph_is_input_error(c23_data, tmp_path, capsys, defect):
+                                    "missing", "not-an-object", "long-row",
+                                    "padded-row", "short-row"])
+def test_malformed_graph_is_input_error(c23_data, d32_file, tmp_path, capsys,
+                                        defect):
     data = json.loads(json.dumps(c23_data))
-    verts = data["vertices"]
-    if defect == "not-an-object":
+    verts, rows = data["vertices"], data["adjacency"]
+    if defect == "long-row":
+        rows[0] += "ff"
+    elif defect == "padded-row":  # 30 vertices: 4 bytes, the last 2 bits pad
+        with open(d32_file) as fh:
+            data = json.load(fh)
+        rows = data["adjacency"]
+        rows[0] = rows[0][:-2] + f"{int(rows[0][-2:], 16) | 1:02x}"
+    elif defect == "short-row":
+        rows[0] = rows[0][:-2]
+    elif defect == "not-an-object":
         data = [1, 2]
     elif defect == "coordinate":
         verts[0] = "f" + verts[0][1:]  # 15 is not in GF(3)
@@ -116,7 +127,10 @@ def test_malformed_graph_is_input_error(c23_data, tmp_path, capsys, defect):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     assert main(["verify", "--graph", str(path), "--suite", "drg"]) == 2
-    assert "cannot load graph" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cannot load graph" in err
+    if defect.endswith("-row"):
+        assert "adjacency row 0 " in err
 
 
 @pytest.mark.parametrize("suite,ids", [

@@ -18,15 +18,14 @@ from dualpolar.drg import (
     td_scalars,
     verify_distance_regular,
 )
-from dualpolar.polar import FormSpec, build_polar_graph
+from dualpolar import polar
+from dualpolar.polar import FormSpec, _bfs_distances, build_polar_graph
 
 
 class _Plain:
     """Adapter giving any adjacency matrix the graph interface."""
 
     def __init__(self, adj):
-        from dualpolar.polar import _bfs_distances
-
         self.adjacency = np.asarray(adj, dtype=np.uint8)
         self.dist = _bfs_distances(self.adjacency)
         self.n_vertices = self.adjacency.shape[0]
@@ -235,7 +234,7 @@ def _d32_plus_edge():
     return adj
 
 
-@pytest.mark.parametrize("adj,regular", [
+SMALL_GRAPHS = [
     (1 - np.eye(4, dtype=np.uint8), True),
     (_cycle(7), True),
     (_petersen(), True),
@@ -245,8 +244,12 @@ def _d32_plus_edge():
     (_prism(), False),
     (_chorded_hexagon(), False),
     (_d32_plus_edge(), False),
-], ids=["K4", "C7", "petersen", "K33", "path", "star", "prism",
-        "chorded-hexagon", "D32-plus-edge"])
+]
+SMALL_IDS = ["K4", "C7", "petersen", "K33", "path", "star", "prism",
+             "chorded-hexagon", "D32-plus-edge"]
+
+
+@pytest.mark.parametrize("adj,regular", SMALL_GRAPHS, ids=SMALL_IDS)
 def test_distance_regularity_matches_dense_oracle(adj, regular):
     """D + 1 products A_h A give the c, a, b of all (D+1)(D+2)/2 products
     A_i A_j, and refuse the same graphs."""
@@ -260,3 +263,46 @@ def test_distance_regularity_matches_dense_oracle(adj, regular):
             verify_distance_regular(g)
         with pytest.raises(NotDistanceRegularError):
             dense_oracle.intersection_numbers(g)
+
+
+# ---------------------------------------------------------------------------
+# The bit-packed breadth-first search against the dense one
+
+
+@pytest.mark.parametrize("adj,regular", SMALL_GRAPHS, ids=SMALL_IDS)
+def test_bfs_matches_dense_oracle(adj, regular):
+    adj = np.asarray(adj, dtype=np.uint8)
+    assert np.array_equal(_bfs_distances(adj), dense_oracle.bfs_distances(adj))
+
+
+def _two_triangles():
+    return np.kron(np.eye(2, dtype=np.uint8), 1 - np.eye(3, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("adj,cut", [
+    ([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]], 3),
+    ([[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]], 1),
+    (_two_triangles(), 3),
+], ids=["isolated-last", "isolated-first", "two-triangles"])
+def test_bfs_unreached_is_minus_one(adj, cut):
+    """Vertices on different sides of `cut` are not connected."""
+    adj = np.asarray(adj, dtype=np.uint8)
+    dist = _bfs_distances(adj)
+    assert np.array_equal(dist, dense_oracle.bfs_distances(adj))
+    assert (dist[:cut, cut:] == -1).all() and (dist[cut:, :cut] == -1).all()
+    assert (np.diag(dist) == 0).all()
+
+
+@pytest.mark.parametrize("family,D,b", [("D", 3, 2), ("C", 3, 2),
+                                        ("2A_odd", 2, 4)])
+@pytest.mark.parametrize("words", [polar._BFS_WORDS, 1],
+                         ids=["one-block", "64-source-blocks"])
+def test_bfs_matches_dense_oracle_on_polar_graphs(monkeypatch, family, D, b,
+                                                  words):
+    """With one word per search block, the sources run in blocks of 64 and
+    the last block is partial."""
+    g = build_polar_graph(FormSpec(family, D, b))
+    monkeypatch.setattr(polar, "_BFS_WORDS", words)
+    dist = _bfs_distances(g.adjacency)
+    assert np.array_equal(dist, dense_oracle.bfs_distances(g.adjacency))
+    assert np.array_equal(dist, g.dist)

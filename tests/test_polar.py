@@ -1,15 +1,19 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dualpolar import polar
 from dualpolar.gf import build_field
 from dualpolar.polar import (
     BudgetExceededError,
     FormSpec,
-    _PointTable,
     _codim_matrix,
+    _totally_isotropic,
+    _vertex_hex,
     build_polar_graph,
     enumerate_maximal_isotropic,
     graph_from_json,
@@ -161,6 +165,8 @@ def test_2a_even_d1_against_oracle():
     ("2D", 2, 2),      # the Q coefficients of the anisotropic part
     ("2A_odd", 2, 4),  # Hermitean: conjugation in the Gram pairing
     ("B", 2, 3),       # odd characteristic: Q(e_i) and the polar form apart
+    ("C", 2, 3),       # odd characteristic: an alternating form
+    ("D", 2, 3),       # odd characteristic: Q without an anisotropic part
 ])
 def test_enumeration_against_oracle(family, D, b):
     spec = FormSpec(family, D, b)
@@ -175,9 +181,93 @@ def test_codim_against_oracle(family, D, b):
                           codim_oracle(g.spec, g.vertices))
 
 
+@pytest.mark.parametrize("value", [3, 0])
+def test_perturbed_codim_is_refused(monkeypatch, value):
+    """One entry of the codim matrix off (2 -> 3, or 2 -> 0, which keeps
+    the adjacency codim == 1) fails the distance certificate."""
+    g = build_polar_graph(FormSpec("C", 2, 3))
+    codim = _codim_matrix(g.spec, g.vertices)
+    z = int(np.flatnonzero(codim[0] == 2)[0])
+    codim[0, z] = value
+    monkeypatch.setattr(polar, "_codim_matrix", lambda spec, verts: codim)
+    with pytest.raises(ValueError,
+                       match=r"graph distance disagrees with D - dim\(y\^z\)"):
+        polar._certified_graph(g.spec, g.vertices, g.adjacency)
+
+
+ISOTROPY_CASES = [("C", 2, 3), ("B", 2, 3), ("D", 3, 2), ("2D", 2, 2),
+                  ("2A_even", 2, 4), ("2A_odd", 2, 4)]
+
+
+def _one_coordinate_changed(spec, vert):
+    """vert with each coordinate in turn moved by +1 in GF(b)."""
+    out = []
+    for a in range(spec.D):
+        for j in range(spec.n):
+            rows = [list(r) for r in vert]
+            rows[a][j] = spec.field.add(rows[a][j], 1)
+            out.append(tuple(map(tuple, rows)))
+    return out
+
+
+@pytest.mark.parametrize("family,D,b", ISOTROPY_CASES)
+def test_isotropy_check_matches_form_spec(family, D, b):
+    """The one-pass check agrees with FormSpec.totally_isotropic on the
+    vertices and on every one-coordinate change of the first 20."""
+    spec = FormSpec(family, D, b)
+    verts = enumerate_maximal_isotropic(spec)
+    assert _totally_isotropic(spec, np.array(verts)).all()
+    changed = [w for v in verts[:20] for w in _one_coordinate_changed(spec, v)]
+    got = _totally_isotropic(spec, np.array(changed))
+    assert got.tolist() == [spec.totally_isotropic(w) for w in changed]
+    assert not got.all()
+
+
+@pytest.mark.parametrize("family,D,b", ISOTROPY_CASES)
+def test_non_isotropic_vertex_in_file_is_refused(family, D, b):
+    g = build_polar_graph(FormSpec(family, D, b))
+    bad = next(w for w in _one_coordinate_changed(g.spec, g.vertices[0])
+               if not g.spec.totally_isotropic(w))
+    data = graph_to_json(g)
+    data["vertices"][0] = _vertex_hex(g.spec, bad)
+    with pytest.raises(ValueError, match="vertex in file is not totally "
+                                         "isotropic"):
+        graph_from_json(data)
+
+
 def test_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_maximal_isotropic(FormSpec("C", 3, 2), budget=10)
+
+
+def test_budget_boundary():
+    """C_3(2) has 63 points, 315 isotropic lines and 135 planes: the budget
+    bounds the largest level, so 315 passes and 314 does not."""
+    spec = FormSpec("C", 3, 2)
+    assert len(enumerate_maximal_isotropic(spec, budget=315)) == 135
+    with pytest.raises(BudgetExceededError):
+        enumerate_maximal_isotropic(spec, budget=314)
+
+
+# sha256 of the JSON text `build` writes, one graph per family
+BUILD_GOLDENS = {
+    ("C", 3, 2): "a22a853d429cd5aea904661199807bd62d1c0ade2dbb3b213d021ae9e1ba29cd",
+    ("D", 3, 2): "dd5b956465169912eeb6e6398aab8816a2100ef4324537f4c60bfcd1d89e2da6",
+    ("B", 2, 3): "095fb2abd74b0fd12a4df5653bf2ddd41385c1c40acc8441fef333cea49a6e9d",
+    ("2D", 2, 2): "13d6b832d14228df193332826aa954793f6d833dab579fc106bdc6b1c0b62cec",
+    ("2A_even", 2, 4):
+        "3b5f37b6a45256e4803908065293609a91312635ac6f6d4e044a64856c518406",
+    ("2A_odd", 2, 4):
+        "9b528d04638da5aac239c5aa68527beb91a38f608cdaa40fc47b3ec41398c18f",
+    ("C", 2, 7): "122cbd8f5ad6bb610f2f554216b4cb026c3dd6c3b0fc5354b852b29c9e09e6aa",
+}
+
+
+@pytest.mark.parametrize("key", BUILD_GOLDENS, ids=lambda k: "%s_%d(%d)" % k)
+def test_build_golden(key):
+    g = build_polar_graph(FormSpec(*key))
+    text = json.dumps(graph_to_json(g))
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILD_GOLDENS[key]
 
 
 def test_c3_2_graph_basics():
@@ -291,19 +381,3 @@ def test_json_roundtrip_wide_fields(family, D, b, width):
     assert g2.vertices == g.vertices
     assert np.array_equal(g2.adjacency, g.adjacency)
     assert np.array_equal(g2.dist, g.dist)
-
-
-@pytest.mark.parametrize("family,D,b", [("C", 2, 7), ("2A_odd", 2, 4)])
-def test_line_cache_is_int16_and_matches_int32(family, D, b):
-    """The int16 line cache holds exactly the point indices (and -1) of the
-    int32 lookup it is built from."""
-    table = _PointTable(FormSpec(family, D, b))
-    field = table.spec.field
-    assert len(table.vecs) < 2 ** 15
-    for p in range(len(table.vecs)):
-        steps = field.mul_table[np.arange(1, b)[:, None], table.vecs[p]]
-        want = table.lookup(field.add_table[table.vecs[:, None], steps])
-        assert want.dtype == np.int32
-        got = table.line(p)
-        assert got.dtype == np.int16
-        assert np.array_equal(got.astype(np.int32), want)
