@@ -4,6 +4,8 @@ verify_distance_regular certifies distance-regularity by its definition:
 for every pair (y, z) at distance l, the numbers c_l, a_l, b_l of
 neighbours of z at distance l - 1, l, l + 1 from y are constant.  They are
 M_(l-1), M_l, M_(l+1) on those pairs, for the D + 1 products M_h = A_h A.
+The same numbers prove that g.dist (for a dual polar graph, the codim
+matrix D - dim(y intersect z)) is the path metric; no other check does.
 
 The Bose-Mesner algebra is then held by scalars (Brouwer, Cohen, Neumaier,
 Distance-Regular Graphs, 1989, sections 4.1 and 9.4): A_h = v_h(A) with
@@ -40,6 +42,14 @@ class NotDistanceRegularError(ValueError):
         )
 
 
+class NotPathMetricError(ValueError):
+    """g.dist is not the path metric of g.adjacency, at the witness pair."""
+
+    def __init__(self, y, z, message):
+        self.witness = (y, z)
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class IntersectionData:
     D: int
@@ -53,15 +63,44 @@ class IntersectionData:
 
 
 def verify_distance_regular(g) -> IntersectionData:
-    """The intersection numbers, or NotDistanceRegularError with a witness:
-    M_h[y, z] = |G_h(y) ^ G_1(z)| must be constant on the pairs at each
-    distance h - 1, h, h + 1."""
-    dist = g.dist
-    D = int(dist.max())
+    """The intersection numbers of the graph on g.adjacency, once g.dist is
+    proven to be its path metric; else NotPathMetricError or
+    NotDistanceRegularError with a witness pair.
+
+    With f = g.dist, D = max f and M_h[y, z] = |{w ~ z : f(y, w) = h}|:
+    (1) f is 0 exactly on the diagonal and never negative;
+    (2) every value 0, ..., D occurs;
+    (3) M_(l-1), M_l, M_(l+1) are constant, c_l, a_l, b_l, on the pairs
+        at each f = l;
+    (4) c_l + a_l + b_l is the degree of z there: every neighbour w of z
+        has |f(y, w) - f(y, z)| <= 1;
+    (5) c_l >= 1 for 1 <= l <= D.
+    Then f is the path metric d (Brouwer, Cohen, Neumaier, Distance-Regular
+    Graphs, 1989, section 4.1): by (5) a walk from z that lowers f(y, .)
+    by one at each step reaches y, the one zero of f(y, .) by (1), in
+    f(y, z) steps, so the graph is connected and d <= f; by (4) f(y, .)
+    grows by at most one per step of a shortest path from y, so f <= d.
+    (3) is then distance-regularity; (2) leaves no class empty.
+    """
+    dist, adj = g.dist, g.adjacency
+    n, D, deg = len(dist), int(dist.max()), adj.sum(0)
     classes = [dist == h for h in range(D + 1)]
+
+    def refuse(mask, why):
+        """NotPathMetricError at the first pair of mask, if it has one."""
+        if mask.any():
+            y, z = divmod(int(mask.argmax()), n)
+            raise NotPathMetricError(y, z, f"pair ({y},{z}) at distance "
+                                     f"{dist[y, z]}: {why(y, z)}")
+
+    refuse((classes[0] != np.eye(n, dtype=bool)) | (dist < 0),
+           lambda y, z: "a metric is 0 on the diagonal only, never negative")
+    for l in range(1, D):
+        if not classes[l].any():
+            refuse(dist > l, lambda y, z: f"no pair is at distance {l}")
     counts = {}  # (l, h): |G_h(y) ^ G_1(z)| for the pairs at distance l
     for h in range(D + 1):
-        prod = int_matmul(classes[h], g.adjacency)
+        prod = int_matmul(classes[h], adj)
         for l in range(max(h - 1, 0), min(h + 1, D) + 1):
             vals = prod[classes[l]]
             v0 = int(vals[0])
@@ -73,10 +112,13 @@ def verify_distance_regular(g) -> IntersectionData:
             counts[l, h] = v0
     c, a, b = (tuple(counts.get((i, i + s), 0) for i in range(D + 1))
                for s in (-1, 0, 1))
-    k = b[0]
-    for i in range(D + 1):
-        if c[i] + a[i] + b[i] != k:
-            raise NotDistanceRegularError(i, 1, i, -1, -1, k, c[i] + a[i] + b[i])
+    for l in range(D + 1):
+        near = c[l] + a[l] + b[l]
+        refuse(classes[l] & (deg != near), lambda y, z: f"only {near} of "
+               f"the {deg[z]} neighbours of {z} are within one step")
+        if l and not c[l]:
+            refuse(classes[l], lambda y, z: f"no neighbour of {z} is at "
+                   f"distance {l - 1} from {y}")
     return IntersectionData(D, c, a, b)
 
 

@@ -63,10 +63,6 @@ class ExactScalar:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def rational(cls, x) -> "ExactScalar":
-        return cls(_fr(x))
-
-    @classmethod
     def sqrt(cls, b: int) -> "ExactScalar":
         """The scalar sqrt(b); collapses to an integer when b is a square."""
         return cls(0, 1, b)
@@ -173,9 +169,6 @@ class ExactScalar:
     def __hash__(self):
         return hash((self.a, self.c, self.rad))
 
-    def sort_key(self):
-        return (self.a, self.c, self.rad)
-
     # -- text ------------------------------------------------------------
 
     def render(self) -> str:
@@ -201,6 +194,15 @@ def parse_scalar(text: str) -> ExactScalar:
     if m:
         return ExactScalar(Fraction(m.group(1)), Fraction(m.group(2)), int(m.group(3)))
     return ExactScalar(Fraction(text.strip()))
+
+
+def parse_int(data: dict, name: str) -> int:
+    """data[name], which must be a JSON integer: a float such as 3.9 or
+    3.0, a string or a bool raises ValueError naming the field."""
+    value = data[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name!r} must be an integer, got {value!r}")
+    return value
 
 
 def q_pow(q: ExactScalar, n: int) -> ExactScalar:

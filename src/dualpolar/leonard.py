@@ -774,11 +774,12 @@ def pa_from_json(data: dict) -> ParameterArray:
 
 
 def dqk_params_from_json(data: dict) -> DqkParams:
-    from .exact import parse_scalar
+    from .exact import parse_int, parse_scalar
 
     def get(name):
         v = data[name]
         return parse_scalar(str(v))
 
-    return DqkParams(get("q"), int(data["d"]), get("h"), get("h_star"),
-                     get("kappa"), get("kappa_star"), get("upsilon"))
+    return DqkParams(get("q"), parse_int(data, "d"), get("h"),
+                     get("h_star"), get("kappa"), get("kappa_star"),
+                     get("upsilon"))

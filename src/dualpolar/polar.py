@@ -16,9 +16,11 @@ isomorphic graph) are:
 The vertex set of the dual polar graph consists of the maximal totally
 isotropic (for quadratic forms: totally singular) subspaces, which all have
 dimension D; vertices are adjacent when they meet in dimension D - 1, and
-the graph distance of y, z equals D - dim(y intersect z), which is verified
-exhaustively at build time, and again at load time, against breadth-first
-search.
+the graph distance of y, z equals D - dim(y intersect z).  The graph stores
+that codim matrix as its distances; `drg.verify_distance_regular` proves it
+is the path metric, from the same products that certify
+distance-regularity.  A graph file holds no distances: every load computes
+codim again from the vertices.
 
 Both steps work on the point table: the singular points of GF(b)^n, one
 monic vector each, as a numpy array ordered by leading position.  The
@@ -36,10 +38,7 @@ that each vertex is totally isotropic.  The codim matrix
 comes from the vertex x point incidence I: (I I^T)_yz = |y intersect z| is
 (b^d - 1)/(b - 1) with d = dim(y intersect z).  That product runs on float32
 BLAS and is exact, because every entry and every partial sum is a count of
-at most P points, and P < 2^24 (see `intlinalg.int_matmul`).  The
-breadth-first search runs from all vertices at once on bit-packed rows, 64
-sources per uint64 word, one `np.bitwise_or.reduceat` over the neighbour
-lists per step.
+at most P points, and P < 2^24 (see `intlinalg.int_matmul`).
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .exact import parse_int
 from .gf import FieldSpec, field_of_order
 from .intlinalg import int_matmul
 
@@ -153,15 +153,6 @@ class FormSpec:
         if self.hermitean:
             v = [self.field.frobenius(x) for x in v]
         return self._evaluate(self.gram, u, v)
-
-    def form_value(self, u, v=None) -> int:
-        """Evaluate the form: Q(u) for quadratic families when v is omitted,
-        otherwise the bilinear / sesquilinear pairing of u and v."""
-        if v is None:
-            if self.quadratic:
-                return self.quad_value(u)
-            return self.bilinear(u, u)
-        return self.bilinear(u, v)
 
     def singular_vector(self, v) -> bool:
         """Is the single vector isotropic (singular, for quadratic types)?"""
@@ -337,7 +328,9 @@ def enumerate_maximal_isotropic(spec: FormSpec, budget: int = 100_000):
 
 
 class PolarGraph:
-    """Dual polar graph: vertices, adjacency, verified distance matrix."""
+    """Dual polar graph: vertices, adjacency (codim == 1) and the codim
+    matrix D - dim(y intersect z) as distances, which
+    `drg.verify_distance_regular` proves to be the path metric."""
 
     def __init__(self, spec: FormSpec, vertices, adjacency: np.ndarray,
                  dist: np.ndarray):
@@ -360,48 +353,6 @@ class PolarGraph:
     def __repr__(self):
         return (f"PolarGraph({self.spec.family}_{self.spec.D}({self.spec.b}), "
                 f"|X|={self.n_vertices})")
-
-
-# uint64 words of gathered frontier rows per search block (16 MB)
-_BFS_WORDS = 2 ** 21
-
-
-def _bfs_distances(adj: np.ndarray) -> np.ndarray:
-    """Graph distances from the 0/1 adjacency matrix, -1 where a vertex is
-    not reached: breadth-first search from blocks of sources at once.
-
-    Row u of the frontier holds, 64 per uint64 word, the sources whose
-    search reached u in the last step; one step ORs the rows of the
-    vertices w with adj[w, u] = 1 (`np.bitwise_or.reduceat` over the
-    neighbour lists) and drops the sources that had reached u before.
-    """
-    n = adj.shape[0]
-    dist = np.full((n, n), -1, dtype=np.int16)
-    np.fill_diagonal(dist, 0)
-    into, src = np.nonzero(adj.T)  # w = src[i] has an edge into u = into[i]
-    has = np.bincount(into, minlength=n) > 0
-    starts = np.searchsorted(into, np.flatnonzero(has))
-    width = 64 * max(1, _BFS_WORDS // max(len(src), 1))
-    for lo in range(0, n, width):
-        nb = min(width, n - lo)
-        seed = np.zeros((n, -(-nb // 64) * 64), dtype=bool)
-        seed[lo + np.arange(nb), np.arange(nb)] = True
-        front = np.packbits(seed, axis=1, bitorder="little").view(np.uint64)
-        reached = front.copy()
-        out = dist[lo:lo + nb].T  # out[u, x - lo] is the distance x -> u
-        step = 0
-        while True:
-            step += 1
-            new = np.zeros_like(front)
-            new[has] = np.bitwise_or.reduceat(front[src], starts, axis=0)
-            new &= ~reached
-            if not new.any():
-                break
-            reached |= new
-            out[np.unpackbits(new.view(np.uint8), axis=1, count=nb,
-                              bitorder="little").view(bool)] = step
-            front = new
-    return dist
 
 
 def _codim_matrix(spec: FormSpec, verts) -> np.ndarray:
@@ -435,19 +386,15 @@ def _codim_matrix(spec: FormSpec, verts) -> np.ndarray:
 
 
 def _certified_graph(spec: FormSpec, verts, adj=None) -> PolarGraph:
-    """The graph on verts with its distances certified against the codim
-    matrix; a given adjacency must equal codim == 1."""
+    """The graph on verts with the codim matrix as its distances; a given
+    adjacency must equal codim == 1.  `drg.verify_distance_regular` proves
+    that codim is the path metric."""
     codim = _codim_matrix(spec, verts)
     if adj is None:
         adj = (codim == 1).astype(np.uint8)
     elif not np.array_equal(adj, (codim == 1).astype(np.uint8)):
         raise ValueError("adjacency disagrees with the vertices")
-    dist = _bfs_distances(adj)
-    if (dist < 0).any():
-        raise ValueError("graph is not connected")
-    if not np.array_equal(dist, codim):
-        raise ValueError("graph distance disagrees with D - dim(y^z)")
-    return PolarGraph(spec, verts, adj, dist)
+    return PolarGraph(spec, verts, adj, codim)
 
 
 def build_polar_graph(spec: FormSpec, budget: int = 100_000) -> PolarGraph:
@@ -496,7 +443,8 @@ def graph_to_json(g: PolarGraph) -> dict:
 def graph_from_json(data: dict) -> PolarGraph:
     if not isinstance(data, dict):
         raise TypeError("expected a JSON object")
-    spec = FormSpec(data["family"], int(data["D"]), int(data["b"]))
+    spec = FormSpec(data["family"], parse_int(data, "D"),
+                    parse_int(data, "b"))
     if Fraction(data["e"]) != spec.e:
         raise ValueError("e value in file disagrees with the family table")
     verts = [_vertex_unhex(spec, s) for s in data["vertices"]]

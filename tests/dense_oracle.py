@@ -10,8 +10,9 @@ It also keeps what `drg` did before it held the Bose-Mesner algebra by
 scalars: every p^h_ij from the (D+1)(D+2)/2 products A_i A_j, the primitive
 idempotents by the projector product formula, and the Krein parameters
 solved from the Hadamard products E_i o E_j and verified by reconstruction.
-And it keeps the breadth-first search `polar` ran before its frontier was
-bit-packed: one dense n x n product per step.
+And it keeps a breadth-first search, one dense n x n product per step:
+`polar` runs none, and the tests compare the codim matrix it stores as the
+distance with this one.
 """
 
 from __future__ import annotations

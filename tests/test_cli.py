@@ -97,14 +97,24 @@ def c23_data(tmp_path_factory):
         return json.load(fh)
 
 
+# a JSON value that is not an integer, in an integer field of the file
+FIELD_DEFECTS = {"D-float": ("D", 2.9), "D-integral-float": ("D", 2.0),
+                 "D-bool": ("D", True), "D-string": ("D", "2"),
+                 "b-float": ("b", 3.5)}
+
+
 @pytest.mark.parametrize("defect", ["coordinate", "truncated", "duplicate",
                                     "missing", "not-an-object", "long-row",
-                                    "padded-row", "short-row"])
+                                    "padded-row", "short-row",
+                                    *FIELD_DEFECTS])
 def test_malformed_graph_is_input_error(c23_data, d32_file, tmp_path, capsys,
                                         defect):
     data = json.loads(json.dumps(c23_data))
     verts, rows = data["vertices"], data["adjacency"]
-    if defect == "long-row":
+    if defect in FIELD_DEFECTS:
+        field, value = FIELD_DEFECTS[defect]
+        data[field] = value
+    elif defect == "long-row":
         rows[0] += "ff"
     elif defect == "padded-row":  # 30 vertices: 4 bytes, the last 2 bits pad
         with open(d32_file) as fh:
@@ -131,6 +141,8 @@ def test_malformed_graph_is_input_error(c23_data, d32_file, tmp_path, capsys,
     assert "cannot load graph" in err
     if defect.endswith("-row"):
         assert "adjacency row 0 " in err
+    if defect in FIELD_DEFECTS:
+        assert f"{FIELD_DEFECTS[defect][0]!r} must be an integer" in err
 
 
 @pytest.mark.parametrize("suite,ids", [
@@ -355,18 +367,26 @@ LEONARD_ARRAY = {"q": "2", "d": 3, "h": "1", "h_star": "-2", "kappa": "1",
                  "kappa_star": "2", "upsilon": "5"}
 
 
-@pytest.mark.parametrize("content", [
-    "[1, 2, 3]",
-    '{"theta": 5, "theta_star": 5, "phi": 5, "phi2": 5}',
-    '{"theta": ["0 + 1*sqrt(2)", "0 + 1*sqrt(3)"], "theta_star": ["0", "1"],'
-    ' "phi": ["1"], "phi2": ["1"]}',
-    json.dumps({**LEONARD_ARRAY, "q": "0"}),
-], ids=["list", "scalar-theta", "mixed-radicands", "q-zero"])
-def test_malformed_parameter_array_is_input_error(tmp_path, capsys, content):
+@pytest.mark.parametrize("content,field", [
+    ("[1, 2, 3]", None),
+    ('{"theta": 5, "theta_star": 5, "phi": 5, "phi2": 5}', None),
+    ('{"theta": ["0 + 1*sqrt(2)", "0 + 1*sqrt(3)"], "theta_star": ["0", "1"],'
+     ' "phi": ["1"], "phi2": ["1"]}', None),
+    (json.dumps({**LEONARD_ARRAY, "q": "0"}), None),
+    (json.dumps({**LEONARD_ARRAY, "d": 2.5}), "d"),
+    (json.dumps({**LEONARD_ARRAY, "d": True}), "d"),
+    (json.dumps({**LEONARD_ARRAY, "d": "3"}), "d"),
+], ids=["list", "scalar-theta", "mixed-radicands", "q-zero", "d-float",
+        "d-bool", "d-string"])
+def test_malformed_parameter_array_is_input_error(tmp_path, capsys, content,
+                                                  field):
     path = tmp_path / "array.json"
     path.write_text(content)
     assert main(["leonard", "--params", str(path)]) == 2
-    assert "cannot load parameter array" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cannot load parameter array" in err
+    if field:
+        assert f"{field!r} must be an integer" in err
 
 
 def test_unknown_leonard_action_is_input_error(tmp_path, capsys):

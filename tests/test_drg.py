@@ -1,3 +1,4 @@
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,6 +9,7 @@ import dense_oracle
 
 from dualpolar.drg import (
     NotDistanceRegularError,
+    NotPathMetricError,
     closed_form_dual_eigenvalues,
     closed_form_dual_intersection,
     closed_form_eigenvalues,
@@ -18,16 +20,17 @@ from dualpolar.drg import (
     td_scalars,
     verify_distance_regular,
 )
-from dualpolar import polar
-from dualpolar.polar import FormSpec, _bfs_distances, build_polar_graph
+from dualpolar.polar import FormSpec, build_polar_graph
 
 
 class _Plain:
-    """Adapter giving any adjacency matrix the graph interface."""
+    """Adapter giving any adjacency matrix the graph interface, with the
+    breadth-first distances, or the given ones."""
 
-    def __init__(self, adj):
+    def __init__(self, adj, dist=None):
         self.adjacency = np.asarray(adj, dtype=np.uint8)
-        self.dist = _bfs_distances(self.adjacency)
+        self.dist = (dense_oracle.bfs_distances(self.adjacency) if dist is None
+                     else np.asarray(dist, dtype=np.int16))
         self.n_vertices = self.adjacency.shape[0]
 
 
@@ -266,17 +269,51 @@ def test_distance_regularity_matches_dense_oracle(adj, regular):
 
 
 # ---------------------------------------------------------------------------
-# The bit-packed breadth-first search against the dense one
+# The distances: the breadth-first oracle, and the path-metric certificate
+
+
+def _queue_bfs(adj):
+    """Distances by one queue-driven search per source, -1 where a vertex is
+    not reached."""
+    n = len(adj)
+    nbrs = [np.flatnonzero(row) for row in adj]
+    dist = np.full((n, n), -1, dtype=np.int16)
+    for x in range(n):
+        dist[x, x] = 0
+        queue = deque([x])
+        while queue:
+            u = queue.popleft()
+            for w in nbrs[u]:
+                if dist[x, w] < 0:
+                    dist[x, w] = dist[x, u] + 1
+                    queue.append(w)
+    return dist
 
 
 @pytest.mark.parametrize("adj,regular", SMALL_GRAPHS, ids=SMALL_IDS)
 def test_bfs_matches_dense_oracle(adj, regular):
+    """The oracle's search, which `_Plain` and the polar-graph test below
+    rely on, against a search per source."""
     adj = np.asarray(adj, dtype=np.uint8)
-    assert np.array_equal(_bfs_distances(adj), dense_oracle.bfs_distances(adj))
+    assert np.array_equal(_queue_bfs(adj), dense_oracle.bfs_distances(adj))
 
 
 def _two_triangles():
     return np.kron(np.eye(2, dtype=np.uint8), 1 - np.eye(3, dtype=np.uint8))
+
+
+def _with(dist, *entries):
+    """dist with each symmetric pair (y, z) set to the given value."""
+    dist = np.array(dist, dtype=np.int16)
+    for y, z, value in entries:
+        dist[y, z] = dist[z, y] = value
+    return dist
+
+
+def _refused(g, witness, message):
+    with pytest.raises(NotPathMetricError, match=message) as err:
+        verify_distance_regular(g)
+    assert err.value.witness == witness
 
 
 @pytest.mark.parametrize("adj,cut", [
@@ -285,24 +322,58 @@ def _two_triangles():
     (_two_triangles(), 3),
 ], ids=["isolated-last", "isolated-first", "two-triangles"])
 def test_bfs_unreached_is_minus_one(adj, cut):
-    """Vertices on different sides of `cut` are not connected."""
+    """Vertices on different sides of `cut` are not connected: the search
+    leaves them at -1, and the metric check refuses the negative entry."""
     adj = np.asarray(adj, dtype=np.uint8)
-    dist = _bfs_distances(adj)
-    assert np.array_equal(dist, dense_oracle.bfs_distances(adj))
+    dist = dense_oracle.bfs_distances(adj)
+    assert np.array_equal(dist, _queue_bfs(adj))
     assert (dist[:cut, cut:] == -1).all() and (dist[cut:, :cut] == -1).all()
     assert (np.diag(dist) == 0).all()
+    _refused(_Plain(adj), (0, cut), rf"pair \(0,{cut}\) at distance -1: a "
+                                    r"metric is 0 on the diagonal only")
+
+
+def test_off_diagonal_zero_is_refused():
+    g = _Plain(_petersen())
+    g.dist = _with(g.dist, (1, 4, 0))
+    _refused(g, (1, 4), r"pair \(1,4\) at distance 0: a metric is 0 on "
+                        r"the diagonal only, never negative")
+
+
+def test_skipped_value_is_refused():
+    """Distances 0, 1 and 3 on a path: no pair is at distance 2, which
+    would leave an empty class (an IndexError once)."""
+    path = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    g = _Plain(path, _with(dense_oracle.bfs_distances(np.array(path)),
+                           (0, 2, 3)))
+    _refused(g, (0, 2), r"pair \(0,2\) at distance 3: no pair is at "
+                        r"distance 2")
+
+
+def test_missing_descent_is_refused():
+    """Two triangles at distance 2 from each other: every count is constant
+    and within one step, but c_2 = 0, and the graph is not connected."""
+    g = _Plain(_two_triangles(), _with(1 - np.eye(6), *[
+        (y, z, 2) for y in range(3) for z in range(3, 6)]))
+    _refused(g, (0, 3), r"pair \(0,3\) at distance 2: no neighbour of 3 is "
+                        r"at distance 1 from 0")
+
+
+def test_neighbour_beyond_one_step_is_refused():
+    """The 4-cycle 0-2-1-3 with f(0, 3) = 3 on its edge 0-3: every count is
+    constant, but vertex 0 has a neighbour three steps from itself."""
+    cycle = [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]]
+    f = [[0, 2, 1, 3], [2, 0, 3, 1], [1, 3, 0, 2], [3, 1, 2, 0]]
+    _refused(_Plain(cycle, f), (0, 0),
+             r"pair \(0,0\) at distance 0: only 1 of the 2 neighbours of 0 "
+             r"are within one step")
 
 
 @pytest.mark.parametrize("family,D,b", [("D", 3, 2), ("C", 3, 2),
-                                        ("2A_odd", 2, 4)])
-@pytest.mark.parametrize("words", [polar._BFS_WORDS, 1],
-                         ids=["one-block", "64-source-blocks"])
-def test_bfs_matches_dense_oracle_on_polar_graphs(monkeypatch, family, D, b,
-                                                  words):
-    """With one word per search block, the sources run in blocks of 64 and
-    the last block is partial."""
+                                        ("2A_odd", 2, 4), ("B", 2, 3),
+                                        ("2D", 2, 2), ("2A_even", 2, 4)])
+def test_bfs_matches_dense_oracle_on_polar_graphs(family, D, b):
+    """The codim matrix the graph stores as its distance is the path
+    metric, on every family."""
     g = build_polar_graph(FormSpec(family, D, b))
-    monkeypatch.setattr(polar, "_BFS_WORDS", words)
-    dist = _bfs_distances(g.adjacency)
-    assert np.array_equal(dist, dense_oracle.bfs_distances(g.adjacency))
-    assert np.array_equal(dist, g.dist)
+    assert np.array_equal(g.dist, dense_oracle.bfs_distances(g.adjacency))

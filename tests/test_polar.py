@@ -7,6 +7,11 @@ import numpy as np
 import pytest
 
 from dualpolar import polar
+from dualpolar.drg import (
+    NotDistanceRegularError,
+    NotPathMetricError,
+    verify_distance_regular,
+)
 from dualpolar.gf import build_field
 from dualpolar.polar import (
     BudgetExceededError,
@@ -107,10 +112,10 @@ def test_symplectic_form_values():
     spec = FormSpec("C", 3, 2)
     e1 = (1, 0, 0, 0, 0, 0)
     e4 = (0, 0, 0, 1, 0, 0)
-    assert spec.form_value(e1, e1) == 0  # alternating
-    assert spec.form_value(e1, e4) == 1  # standard pairing e_i <-> e_{D+i}
+    assert spec.bilinear(e1, e1) == 0  # alternating
+    assert spec.bilinear(e1, e4) == 1  # standard pairing e_i <-> e_{D+i}
     with pytest.raises(ValueError):
-        spec.form_value((1, 0), (0, 1))
+        spec.bilinear((1, 0), (0, 1))
 
 
 def test_hermitean_form_value_example():
@@ -119,7 +124,7 @@ def test_hermitean_form_value_example():
     omega = 2  # class of x in GF(4)
     u = (1, 0, 0, omega, 0, 0)
     # H(u, u) = 1*conj(omega) + omega*conj(1) = omega^2 + omega = 1
-    assert spec.form_value(u, u) == 1
+    assert spec.bilinear(u, u) == 1
     assert f.add(f.frobenius(omega), omega) == 1
 
 
@@ -181,18 +186,24 @@ def test_codim_against_oracle(family, D, b):
                           codim_oracle(g.spec, g.vertices))
 
 
-@pytest.mark.parametrize("value", [3, 0])
-def test_perturbed_codim_is_refused(monkeypatch, value):
+@pytest.mark.parametrize("value,error,witness", [
+    (3, NotDistanceRegularError, r"pair \(0,2\) gives 9, expected 8"),
+    (0, NotPathMetricError, r"pair \(0,5\) at distance 0: a metric"),
+], ids=["3", "0"])
+def test_perturbed_codim_is_refused(monkeypatch, value, error, witness):
     """One entry of the codim matrix off (2 -> 3, or 2 -> 0, which keeps
-    the adjacency codim == 1) fails the distance certificate."""
+    the adjacency codim == 1) becomes the graph's distance, and the
+    distance-regularity check refuses it with a witness pair."""
     g = build_polar_graph(FormSpec("C", 2, 3))
     codim = _codim_matrix(g.spec, g.vertices)
     z = int(np.flatnonzero(codim[0] == 2)[0])
+    assert z == 5
     codim[0, z] = value
     monkeypatch.setattr(polar, "_codim_matrix", lambda spec, verts: codim)
-    with pytest.raises(ValueError,
-                       match=r"graph distance disagrees with D - dim\(y\^z\)"):
-        polar._certified_graph(g.spec, g.vertices, g.adjacency)
+    bad = polar._certified_graph(g.spec, g.vertices, g.adjacency)
+    assert bad.dist[0, z] == value
+    with pytest.raises(error, match=witness):
+        verify_distance_regular(bad)
 
 
 ISOTROPY_CASES = [("C", 2, 3), ("B", 2, 3), ("D", 3, 2), ("2D", 2, 2),
@@ -292,8 +303,8 @@ def test_d3_2_graph_bipartite_valency():
 
 
 def test_distance_equals_codim_formula_exhaustive():
-    # build_polar_graph verifies BFS distance == D - dim(y^z) internally;
-    # make the check visible here for one instance
+    # the graph's distance is the codim matrix, checked here against
+    # spans counted one vertex pair at a time
     g = build_polar_graph(FormSpec("C", 2, 3))
     assert np.array_equal(g.dist, codim_oracle(g.spec, g.vertices))
 

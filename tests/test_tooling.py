@@ -1,14 +1,16 @@
 """Names looked up from outside the package must exist: the benchmark
 tracer wraps `dualpolar` functions by name, and `dualpolar.__all__` lists
-the public exports."""
+the public exports.  And the package holds no `assert` statement."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -39,3 +41,14 @@ def test_package_exports_resolve():
 
     for name in dualpolar.__all__:
         assert hasattr(dualpolar, name), name
+
+
+def test_no_assert_statement_in_package():
+    """`python -O` strips `assert`, so a certificate that used one would
+    pass whatever it checks; certificates raise AssertionError instead."""
+    found = []
+    for path in sorted((ROOT / "src" / "dualpolar").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
