@@ -44,15 +44,16 @@ from dualpolar.terwilliger import (
 )
 
 
-def bfs_distances(adj: np.ndarray) -> np.ndarray:
+def bfs_distances(adj: np.ndarray, sources=None) -> np.ndarray:
     """Graph distances from the 0/1 adjacency matrix, -1 where a vertex is
     not reached; row x of the frontier holds the vertices at the current
-    distance from x."""
+    distance from x.  With `sources` (vertex indices) only their rows are
+    searched and returned, in that order."""
     n = adj.shape[0]
-    dist = np.full((n, n), -1, dtype=np.int16)
-    reached = np.eye(n, dtype=bool)
+    sources = np.arange(n) if sources is None else np.asarray(sources)
+    reached = np.eye(n, dtype=bool)[sources]
+    dist = np.where(reached, 0, -1).astype(np.int16)
     frontier = reached.copy()
-    np.fill_diagonal(dist, 0)
     step = 0
     while frontier.any():
         step += 1

@@ -369,11 +369,26 @@ def test_neighbour_beyond_one_step_is_refused():
              r"are within one step")
 
 
-@pytest.mark.parametrize("family,D,b", [("D", 3, 2), ("C", 3, 2),
-                                        ("2A_odd", 2, 4), ("B", 2, 3),
-                                        ("2D", 2, 2), ("2A_even", 2, 4)])
-def test_bfs_matches_dense_oracle_on_polar_graphs(family, D, b):
+_POLAR_SEARCHES = [
+    pytest.param(family, D, b, block, id=f"{name}-{family}-{D}-{b}")
+    for name, block in [("one-block", None), ("64-source-blocks", 64)]
+    for family, D, b in [("2A_odd", 2, 4), ("C", 3, 2), ("D", 3, 2)]
+] + [pytest.param(family, D, b, None, id=f"{family}-{D}-{b}")
+     for family, D, b in [("B", 2, 3), ("2D", 2, 2), ("2A_even", 2, 4)]]
+
+
+@pytest.mark.parametrize("family,D,b,block", _POLAR_SEARCHES)
+def test_bfs_matches_dense_oracle_on_polar_graphs(family, D, b, block):
     """The codim matrix the graph stores as its distance is the path
-    metric, on every family."""
+    metric, on every family.  With `block`, the search runs from blocks of
+    that many sources and the last block is partial."""
     g = build_polar_graph(FormSpec(family, D, b))
-    assert np.array_equal(g.dist, dense_oracle.bfs_distances(g.adjacency))
+    n = g.adjacency.shape[0]
+    if block is None:
+        dist = dense_oracle.bfs_distances(g.adjacency)
+    else:
+        assert n % block
+        dist = np.concatenate([
+            dense_oracle.bfs_distances(g.adjacency, range(s, min(s + block, n)))
+            for s in range(0, n, block)])
+    assert np.array_equal(g.dist, dist)
