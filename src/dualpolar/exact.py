@@ -205,6 +205,20 @@ def parse_int(data: dict, name: str) -> int:
     return value
 
 
+def parse_fraction(data: dict, name: str) -> Fraction:
+    """data[name], which must be a JSON string holding a rational number
+    such as "1" or "3/2": a number, a bool or any other string raises
+    ValueError naming the field."""
+    value = data[name]
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{name!r} must be a string holding a fraction, "
+                     f"got {value!r}")
+
+
 def q_pow(q: ExactScalar, n: int) -> ExactScalar:
     """Exact q**n for a nonzero scalar q (n may be negative).
 

@@ -6,14 +6,16 @@ canonical: its rows are primitive (gcd 1) with a positive pivot, and
 dividing each row by its pivot yields the unique leading-1 RREF of the row
 space.
 
-int_rref reduces every matrix modulo word-sized primes, recovers the
-rational entries by rational reconstruction run on the whole free-column
-block at once, and certifies the candidate exactly.  Only when that keeps
-failing does it fall back to Bareiss' fraction-free elimination, which
-keeps every entry a minor of the input and makes the rows primitive once,
-at the end.  int_kernel reads the canonical null-space basis off a single
-int_rref of the column-reversed matrix.  int_matmul is the one exact
-integer product, on float BLAS where a bound proves it exact.
+int_rref reduces every matrix modulo primes below 2^23, by a blocked
+elimination whose panel updates are exact float64 BLAS products, recovers
+the rational entries by rational reconstruction run on the whole
+free-column block at once, and certifies the candidate exactly.  Only
+when that keeps failing does it fall back to Bareiss' fraction-free
+elimination, which keeps every entry a minor of the input and makes the
+rows primitive once, at the end.  int_kernel reads the canonical
+null-space basis off a single int_rref of the column-reversed matrix.
+int_matmul is the one exact integer product, on float BLAS where a bound
+proves it exact.
 """
 
 from __future__ import annotations
@@ -258,7 +260,7 @@ def int_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Modular row reduction with exact certification
 #
-# The canonical RREF is computed modulo word-sized primes, lifted by CRT, and
+# The canonical RREF is computed modulo primes below 2^23, lifted by CRT, and
 # the free-column entries recovered by rational reconstruction.  The
 # candidate is then certified exactly:
 #
@@ -306,9 +308,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _prime_list(count: int = 40) -> list[int]:
+# _mod_rref is exact for primes below _P_LIMIT and panels of at most 128
+# columns (see its docstring)
+_P_LIMIT = 2 ** 23
+_PANEL = 64
+
+
+def _prime_list(count: int = 53) -> list[int]:
+    """The `count` largest primes below 2^23, decreasing.  53 of them
+    multiply to about 2^1219, the reconstruction capacity of the 40 largest
+    primes below 2^30 (2^1200)."""
     out = []
-    p = 2 ** 30 - 35  # largest prime below 2^30
+    p = _P_LIMIT - 15  # largest prime below 2^23
     while len(out) < count:
         if is_prime(p):
             out.append(p)
@@ -317,34 +328,101 @@ def _prime_list(count: int = 40) -> list[int]:
 
 
 _PRIMES = _prime_list()
-_MODULAR_CANDIDATE_TRIES = 40
+_MODULAR_CANDIDATE_TRIES = len(_PRIMES)
 
 
 def _mod_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Plain Gauss-Jordan over GF(p), vectorized."""
+    """Gauss-Jordan over GF(p), for a prime p below 2^23: the nonzero rows
+    of the reduced row echelon form, entries in [0, p), and the pivots.
+
+    Right-looking and blocked.  The columns are taken w = _PANEL at a time.
+    A panel is reduced by the per-pivot loop on its own columns, extended
+    by k tracker columns, one per pivot it finds.  They record each row as
+    its old row (zero for the panel's k pivot rows) plus C times the k
+    pivot rows as they were before the panel.  The trailing columns then
+    take the whole panel at once: the pivot rows are zeroed and every row
+    gets C @ (old pivot rows), mod p.  A tracked panel is at most 2w
+    columns wide, so once at most 2w columns remain they form one last
+    panel, which has no trailing block, no tracker and no product.
+
+    Reduction mod p is delayed: per pivot only the pivot column (which
+    gives the multipliers) and the pivot row are reduced, and the panel
+    once, at its end.  Why the arithmetic is exact:
+
+    * Inside a panel every entry starts in [0, p), and each of its at most
+      2w = 128 pivots subtracts a multiplier times a pivot-row entry, both
+      in [0, p).  So |entry| < p + 128 (p-1)^2 < 2^23 + 2^7 * 2^46 < 2^54,
+      far inside int64; each product of two reduced values, such as the
+      pivot row times the inverse of its pivot, is below 2^46.
+    * In the trailing product C and the old pivot rows have entries in
+      [0, p) and the inner dimension is k <= w.  Every partial sum is an
+      integer of absolute value at most k (p-1)^2 < 2^53 for every k <= 128,
+      so int_matmul runs it on float64 BLAS, exactly (see its docstring).
+      The old rows add less than p.
+
+    The reduced echelon form over GF(p) is unique, so the result is that
+    of the plain per-pivot loop.
+    """
+    if p >= _P_LIMIT:
+        raise ValueError(f"_mod_rref is exact only for p < 2^23, got {p}")
     a = (mat % p).astype(np.int64)
     nrows, ncols = a.shape
     pivots = []
     r = 0
-    for c in range(ncols):
-        if r == nrows:
+    c1 = 0
+    while c1 < ncols and r < nrows:
+        c0 = c1
+        c1 = ncols if ncols - c0 <= 2 * _PANEL else c0 + _PANEL
+        w, r0 = c1 - c0, r
+        track = 0 if c1 == ncols else min(w, nrows - r0)
+        if track:
+            panel = np.zeros((nrows, w + track), dtype=np.int64)
+            panel[:, :w] = a[:, c0:c1]
+        else:
+            panel = a[:, c0:]
+        perm = np.arange(nrows)  # panel row i holds the old row perm[i]
+        for j in range(w):
+            if r == nrows:
+                break
+            col = panel[:, j]
+            if r > r0:  # the panel is reduced until its first pivot
+                col %= p
+            rows = col.nonzero()[0]
+            i = rows.searchsorted(r)
+            if i == rows.size:
+                continue
+            q = int(rows[i])
+            if q != r:
+                panel[[r, q]] = panel[[q, r]]
+                perm[[r, q]] = perm[[q, r]]
+                rows[i] = r
+            if track:
+                panel[r, w + r - r0] = 1
+            # rows at or below r are exactly zero left of column j, so only
+            # columns j.. change; row r is overwritten after the update
+            piv = panel[r, j:] % p
+            piv *= pow(int(piv[0]), p - 2, p)
+            piv %= p
+            if rows.size > 1:
+                panel[rows, j:] -= col[rows, None] * piv
+            panel[r, j:] = piv
+            pivots.append(c0 + j)
+            r += 1
+        panel %= p
+        if not track:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        q = r + int(nz[0])
-        if q != r:
-            a[[r, q]] = a[[q, r]]
-        # row r is zero left of column c, so only columns c.. change
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = (a[r, c:] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        rows = np.flatnonzero(col)
-        if rows.size:
-            a[rows, c:] = (a[rows, c:] - np.outer(col[rows], a[r, c:])) % p
-        pivots.append(c)
-        r += 1
+        a[:, c0:c1] = panel[:, :w]
+        if r > r0:
+            # rows r0.. are zero left of c0, so only the trailing columns
+            # need the permutation, which moves at most 2 (r - r0) rows
+            trail = a[:, c1:]
+            src = trail[perm[r0:r]]
+            moved = (perm != np.arange(nrows)).nonzero()[0]
+            trail[moved] = trail[perm[moved]]
+            trail[r0:r] = 0
+            coef = panel[:, w:w + r - r0]
+            rows = coef.any(axis=1).nonzero()[0]
+            trail[rows] = (trail[rows] + int_matmul(coef[rows], src)) % p
     return a[:r], tuple(pivots)
 
 
@@ -393,7 +471,7 @@ def _int_rref_modular(mat: np.ndarray):
     """Certified modular RREF; None when reconstruction keeps failing."""
     nrows, ncols = mat.shape
     acc = None  # (pivots, residues (object array), modulus, prime count)
-    for p in _PRIMES[:_MODULAR_CANDIDATE_TRIES]:
+    for tried, p in enumerate(_PRIMES[:_MODULAR_CANDIDATE_TRIES], 1):
         red, pivots = _mod_rref(mat, p)
         if acc is not None and pivots != acc[0]:
             # pivot disagreement: restart with the richer structure (more
@@ -407,8 +485,8 @@ def _int_rref_modular(mat: np.ndarray):
             acc = (pivots, _crt_combine(acc[1], acc[2], red.astype(object), p),
                    acc[2] * p, acc[3] + 1)
         pivots, residues, modulus, nprimes = acc
-        if nprimes > 4 and nprimes % 4:
-            continue  # reconstruction attempts on a sparse schedule
+        if nprimes > 4 and nprimes % 4 and tried < _MODULAR_CANDIDATE_TRIES:
+            continue  # reconstruct after primes 1-4, every 4th and the last
         k = len(pivots)
         free = _free_columns(ncols, pivots)
         got = _rat_reconstruct_block(residues[:, free], modulus,

@@ -49,7 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import parse_int
+from .exact import parse_fraction, parse_int
 from .gf import FieldSpec, field_of_order
 from .intlinalg import int_matmul
 
@@ -445,7 +445,7 @@ def graph_from_json(data: dict) -> PolarGraph:
         raise TypeError("expected a JSON object")
     spec = FormSpec(data["family"], parse_int(data, "D"),
                     parse_int(data, "b"))
-    if Fraction(data["e"]) != spec.e:
+    if parse_fraction(data, "e") != spec.e:
         raise ValueError("e value in file disagrees with the family table")
     verts = [_vertex_unhex(spec, s) for s in data["vertices"]]
     m, count = len(verts), _vertex_count(spec)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import dualpolar
+from dualpolar import intlinalg
 from dualpolar.cli import main
 from dualpolar.drg import NotDistanceRegularError
 
@@ -97,10 +98,13 @@ def c23_data(tmp_path_factory):
         return json.load(fh)
 
 
-# a JSON value that is not an integer, in an integer field of the file
+# a JSON value of the wrong kind in a field of the file: D and b are
+# integers, e a fraction written as a string ("1", "1/2")
 FIELD_DEFECTS = {"D-float": ("D", 2.9), "D-integral-float": ("D", 2.0),
                  "D-bool": ("D", True), "D-string": ("D", "2"),
-                 "b-float": ("b", 3.5)}
+                 "b-float": ("b", 3.5), "e-bool": ("e", True),
+                 "e-float": ("e", 1.0), "e-integer": ("e", 1),
+                 "e-text": ("e", "one")}
 
 
 @pytest.mark.parametrize("defect", ["coordinate", "truncated", "duplicate",
@@ -142,7 +146,9 @@ def test_malformed_graph_is_input_error(c23_data, d32_file, tmp_path, capsys,
     if defect.endswith("-row"):
         assert "adjacency row 0 " in err
     if defect in FIELD_DEFECTS:
-        assert f"{FIELD_DEFECTS[defect][0]!r} must be an integer" in err
+        field = FIELD_DEFECTS[defect][0]
+        kind = "a string" if field == "e" else "an integer"
+        assert f"{field!r} must be {kind}" in err
 
 
 @pytest.mark.parametrize("suite,ids", [
@@ -361,6 +367,26 @@ def test_verify_report_matches_golden(tmp_path, capsys, monkeypatch, name,
     del report["timing"]
     with open(os.path.join(VERIFY_DATA, f"{name}.report.json")) as fh:
         assert json.dumps(report, indent=2) + "\n" == fh.read()
+
+
+@pytest.mark.parametrize("name,family,D,options", [
+    ("d32-all", "D", 3, []),
+    ("c32-all", "C", 3, ["--all-vertices-sample", "2"])])
+def test_golden_runs_never_reach_the_fraction_free_fallback(
+        tmp_path, capsys, monkeypatch, name, family, D, options):
+    """Every int_rref of these runs is reconstructed from the primes and
+    certified.  A fallback to the fraction-free elimination, about 100 times
+    slower, would leave the report unchanged, so only this test sees it."""
+    fallbacks = []
+
+    def refuse(mat):
+        fallbacks.append(mat.shape)
+        raise AssertionError(f"fraction-free fallback on {mat.shape}")
+
+    monkeypatch.setattr(intlinalg, "_int_rref_exact", refuse)
+    test_verify_report_matches_golden(tmp_path, capsys, monkeypatch, name,
+                                      family, D, options)
+    assert fallbacks == []
 
 
 LEONARD_ARRAY = {"q": "2", "d": 3, "h": "1", "h_star": "-2", "kappa": "1",

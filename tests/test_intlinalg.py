@@ -8,7 +8,9 @@ import random
 import numpy as np
 import pytest
 
+from dualpolar import intlinalg
 from dualpolar.intlinalg import (
+    _PANEL,
     _PRIMES,
     _gcd_rows,
     _int_rref_exact,
@@ -154,7 +156,7 @@ def test_modular_rref_matches_exact(seed, bits):
         rows, pivots = _int_rref_exact(m)
         assert len(pivots) <= rank
         got = _int_rref_modular(m)
-        if bits == 21:  # entries near 2^42: 40 primes always suffice
+        if bits == 21:  # entries near 2^42: the 53 primes always suffice
             assert got is not None
         if got is not None:
             assert got[1] == pivots
@@ -365,6 +367,76 @@ def test_mod_rref_matches_full_row_update(seed):
         assert (got == want).all()
 
 
+def _assert_mod_rref_matches_oracle(mat, p):
+    got, got_piv = _mod_rref(mat, p)
+    want, want_piv = _full_row_mod_rref(mat, p)
+    assert got_piv == want_piv
+    assert got.shape == want.shape
+    assert (got == want).all()
+
+
+# (nrows, ncols, rank, zeroed columns) at panel width w: matrices up to 150 x 150
+# that reach more than one panel, with zero columns on and across a panel
+# boundary, a panel with no pivot, rows that run out within the first panel,
+# and degenerate shapes
+BLOCKED_CASES = {
+    "full-rank": lambda w: (150, 150, 150, None),
+    "low-rank": lambda w: (150, 150, 40, None),
+    "rank-deficient-wide": lambda w: (90, 150, 70, None),
+    "tall": lambda w: (150, 100, 100, None),
+    "zero-columns-at-boundary": lambda w: (150, 150, 60, (w - 2, w + 2)),
+    "pivot-free-panel": lambda w: (120, 150 + w, 100, (w, 2 * w)),
+    "rows-run-out": lambda w: (20, 150, 20, None),
+    "all-zero": lambda w: (30, 150, 0, None),
+    "one-row": lambda w: (1, 150, 1, None),
+    "one-column": lambda w: (150, 1, 1, None),
+    "no-rows": lambda w: (0, 150, 0, None),
+    "no-columns": lambda w: (150, 0, 0, None),
+}
+
+
+@pytest.mark.parametrize("width", [_PANEL, 8])
+@pytest.mark.parametrize("name", sorted(BLOCKED_CASES))
+def test_blocked_mod_rref_matches_full_row_update(monkeypatch, name, width):
+    """The blocked elimination, at the module's panel width and at a narrow
+    one that cuts these matrices into many tracked panels, against the
+    plain per-pivot loop."""
+    monkeypatch.setattr(intlinalg, "_PANEL", width)
+    nrows, ncols, rank, zero = BLOCKED_CASES[name](width)
+    rng = np.random.default_rng([nrows, ncols, rank])
+    mat = _low_rank(rng, nrows, ncols, rank, 21)
+    if zero:
+        mat[:, zero[0]:zero[1]] = 0
+    for p in (_PRIMES[0], _PRIMES[-1], 7):
+        _assert_mod_rref_matches_oracle(mat, p)
+
+
+@pytest.mark.parametrize("ncols", [_PANEL - 1, _PANEL, _PANEL + 1,
+                                   2 * _PANEL + 1])
+def test_mod_rref_worst_case_magnitudes(ncols):
+    """Entries of p - 1 and next to it, for the largest listed prime, make
+    the multipliers and pivot rows of the delayed reduction as large as
+    they can be."""
+    p = _PRIMES[0]
+    rng = np.random.default_rng(ncols)
+    top = np.full((ncols, ncols), p - 1, dtype=np.int64)
+    cases = [top,                                    # rank 1
+             top - np.eye(ncols, dtype=np.int64),    # -(J + I): full rank
+             rng.integers(p - 2 ** 10, p, size=(ncols + 3, ncols))]
+    for mat in cases:
+        _assert_mod_rref_matches_oracle(mat, p)
+
+
+def test_mod_rref_refuses_primes_past_its_exact_range():
+    """The delayed reduction is proven exact only below 2^23."""
+    first = next(q for q in range(2 ** 23 + 1, 2 ** 24, 2) if is_prime(q))
+    mat = np.eye(3, dtype=np.int64)
+    for p in (2 ** 23, first, 2 ** 30 - 35):
+        with pytest.raises(ValueError, match="2\\^23"):
+            _mod_rref(mat, p)
+    assert _mod_rref(mat, max(_PRIMES))[1] == (0, 1, 2)
+
+
 def test_is_prime_matches_trial_division():
     sieve = [_trial_division(n) for n in range(10 ** 5)]
     assert [is_prime(n) for n in range(10 ** 5)] == sieve
@@ -380,7 +452,7 @@ def test_is_prime_matches_trial_division():
 
 def test_prime_list_is_unchanged():
     assert _PRIMES == _prime_list()
-    assert len(_PRIMES) == 40 and _PRIMES[0] == 2 ** 30 - 35
+    assert len(_PRIMES) == 53 and _PRIMES[0] == 2 ** 23 - 15
     assert all(_trial_division(p) for p in _PRIMES)
     # no prime is skipped between the first and the last
     assert [p for p in range(_PRIMES[0], _PRIMES[-1] - 1, -2)
