@@ -132,52 +132,6 @@ class FormSpec:
             return f.add_table[w, f.neg_table[w.T]], None
         return f.add_table[w, w.T], (w if self.quadratic else None)
 
-    def _evaluate(self, mat, u, v) -> int:
-        """sum_ij u_i mat_ij v_j over GF(b)."""
-        if len(u) != self.n or len(v) != self.n:
-            raise ValueError("vector has wrong length")
-        f, acc = self.field, 0
-        for i, j in zip(*np.nonzero(mat)):
-            acc = f.add(acc, f.mul(f.mul(u[i], int(mat[i, j])), v[j]))
-        return acc
-
-    def quad_value(self, u) -> int:
-        """Q(u) for the quadratic families."""
-        return self._evaluate(self.quad, u, u)
-
-    def bilinear(self, u, v) -> int:
-        """The (sesqui)linear pairing of the family.
-
-        For quadratic families this is the polar form Q(u+v) - Q(u) - Q(v).
-        """
-        if self.hermitean:
-            v = [self.field.frobenius(x) for x in v]
-        return self._evaluate(self.gram, u, v)
-
-    def singular_vector(self, v) -> bool:
-        """Is the single vector isotropic (singular, for quadratic types)?"""
-        if self.quadratic:
-            return self.quad_value(v) == 0
-        if self.family == "C":
-            return True
-        return self.bilinear(v, v) == 0
-
-    def totally_isotropic(self, rows) -> bool:
-        """Does the form vanish completely on the span of the given rows?
-
-        In characteristic 2, Q(x+y) = Q(x) + Q(y) + polar(x, y), so singular
-        basis vectors with pairwise-vanishing pairings span a totally
-        singular space in every characteristic.
-        """
-        rows = list(rows)
-        for i, u in enumerate(rows):
-            if not self.singular_vector(u):
-                return False
-            for v in rows[i:] if self.hermitean else rows[i + 1:]:
-                if self.bilinear(u, v) != 0:
-                    return False
-        return True
-
     def __repr__(self):
         return f"FormSpec({self.family}, D={self.D}, b={self.b})"
 
@@ -221,7 +175,8 @@ def _sigma(spec: FormSpec, x: np.ndarray) -> np.ndarray:
 
 def _totally_isotropic(spec: FormSpec, rows: np.ndarray) -> np.ndarray:
     """For rows of shape (m, k, n) over GF(b): is the span of each row block
-    totally isotropic, as `FormSpec.totally_isotropic` decides?  Every
+    totally isotropic?  (`totally_isotropic` in tests/dense_oracle.py
+    decides the same one vector pair at a time.)  Every
     pairing B(u, v) of two rows of a block vanishes, and for the quadratic
     families Q of every row as well."""
     field = spec.field
@@ -410,22 +365,59 @@ def _hex_width(spec: FormSpec) -> int:
     return len(f"{spec.b - 1:x}")
 
 
-def _vertex_hex(spec: FormSpec, vert) -> str:
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+
+# the value of each hex digit byte; 255 marks every other byte
+_HEX_VALUES = np.full(256, 255, dtype=np.uint8)
+_HEX_VALUES[np.frombuffer(b"0123456789abcdefABCDEF", dtype=np.uint8)] = [
+    *range(16), *range(10, 16)]
+
+
+def _vertices_hex(spec: FormSpec, verts) -> list[str]:
+    """One fixed-width lowercase hex string per vertex, its D rows of n
+    coordinates in order."""
     w = _hex_width(spec)
-    return "".join(f"{c:0{w}x}" for row in vert for c in row)
+    cells = np.array(verts, dtype=np.int64).reshape(len(verts), -1)
+    shifts = 4 * np.arange(w - 1, -1, -1)
+    text = _HEX_DIGITS[cells[..., None] >> shifts & 15].tobytes().decode()
+    size = cells.shape[1] * w
+    return [text[i:i + size] for i in range(0, len(text), size)]
 
 
-def _vertex_unhex(spec: FormSpec, s: str):
-    """D rows of n coordinates from a fixed-width hex string, each
+def _unhex(texts, size: int, what: str) -> np.ndarray:
+    """The digit values, shape (len(texts), size), of strings that must
+    each be `size` hex digits; ValueError names the first `what` that is
+    not."""
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    bad = np.flatnonzero(lengths != size)
+    if len(bad):
+        i = bad[0]
+        raise ValueError(f"{what} {i} has {lengths[i]} characters, "
+                         f"expected {size} hex digits")
+    # a non-ASCII character becomes "?", so every string stays `size` bytes
+    raw = "".join(texts).encode("ascii", "replace")
+    digits = _HEX_VALUES[np.frombuffer(raw, dtype=np.uint8)]
+    digits = digits.reshape(len(texts), size)
+    bad = np.argwhere(digits == 255)
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"{what} {i} has {texts[i][j]!r} at position {j}, "
+                         "which is no hex digit")
+    return digits
+
+
+def _vertices_unhex(spec: FormSpec, texts) -> np.ndarray:
+    """The (m, D, n) coordinates of m fixed-width hex vertex strings, each
     coordinate checked to lie in GF(b)."""
-    w, n = _hex_width(spec), spec.n
-    if len(s) != spec.D * n * w:
-        raise ValueError(f"vertex {s!r} has {len(s)} hex digits, expected "
-                         f"{spec.D * n * w}")
-    cells = [int(s[i:i + w], 16) for i in range(0, len(s), w)]
-    if not all(0 <= c < spec.b for c in cells):
-        raise ValueError(f"vertex {s!r} has a coordinate outside GF({spec.b})")
-    return tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(spec.D))
+    w, m = _hex_width(spec), len(texts)
+    digits = _unhex(texts, spec.D * spec.n * w, "vertex")
+    shifts = 4 * np.arange(w - 1, -1, -1)
+    cells = (digits.reshape(m, -1, w).astype(np.int64) << shifts).sum(-1)
+    bad = np.flatnonzero((cells >= spec.b).any(1))
+    if len(bad):
+        raise ValueError(f"vertex {bad[0]} ({texts[bad[0]]!r}) has a "
+                         f"coordinate outside GF({spec.b})")
+    return cells.astype(np.int16).reshape(m, spec.D, spec.n)
 
 
 def graph_to_json(g: PolarGraph) -> dict:
@@ -435,7 +427,7 @@ def graph_to_json(g: PolarGraph) -> dict:
         "D": g.spec.D,
         "b": g.spec.b,
         "e": str(g.spec.e),
-        "vertices": [_vertex_hex(g.spec, v) for v in g.vertices],
+        "vertices": _vertices_hex(g.spec, g.vertices),
         "adjacency": rows,
     }
 
@@ -447,20 +439,15 @@ def graph_from_json(data: dict) -> PolarGraph:
                     parse_int(data, "b"))
     if parse_fraction(data, "e") != spec.e:
         raise ValueError("e value in file disagrees with the family table")
-    verts = [_vertex_unhex(spec, s) for s in data["vertices"]]
-    m, count = len(verts), _vertex_count(spec)
+    rows = _vertices_unhex(spec, data["vertices"])
+    m, count = len(rows), _vertex_count(spec)
     if m != count:
         raise ValueError(f"file has {m} vertices, the dual polar graph {count}")
     if len(data["adjacency"]) != m:
         raise ValueError("adjacency in file needs one row per vertex")
     width = -(-m // 8)
-    packed = [bytes.fromhex(row) for row in data["adjacency"]]
-    for i, row in enumerate(packed):
-        if len(row) != width:
-            raise ValueError(f"adjacency row {i} has {len(row)} bytes, "
-                             f"expected {width}")
-    bits = np.unpackbits(np.frombuffer(b"".join(packed), dtype=np.uint8)
-                         .reshape(m, width), axis=1)
+    digits = _unhex(data["adjacency"], 2 * width, "adjacency row")
+    bits = np.unpackbits(digits[:, 0::2] << 4 | digits[:, 1::2], axis=1)
     padded = np.flatnonzero(bits[:, m:].any(1))
     if len(padded):
         raise ValueError(f"adjacency row {padded[0]} has bits set past "
@@ -468,10 +455,10 @@ def graph_from_json(data: dict) -> PolarGraph:
     adj = np.ascontiguousarray(bits[:, :m])
     if not np.array_equal(adj, adj.T):
         raise ValueError("adjacency in file is not symmetric")
-    rows = np.array(verts, dtype=np.int16).reshape(m, spec.D, spec.n)
     if not _totally_isotropic(spec, rows).all():
         raise ValueError("vertex in file is not totally isotropic")
-    return _certified_graph(spec, verts, adj)
+    return _certified_graph(spec, [tuple(map(tuple, v)) for v in rows.tolist()],
+                            adj)
 
 
 def save_graph(g: PolarGraph, path: str):

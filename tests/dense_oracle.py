@@ -13,6 +13,9 @@ solved from the Hadamard products E_i o E_j and verified by reconstruction.
 And it keeps a breadth-first search, one dense n x n product per step:
 `polar` runs none, and the tests compare the codim matrix it stores as the
 distance with this one.
+
+Last, the scalar form oracle: the form of a `polar.FormSpec` evaluated one
+vector pair at a time, the reference for `polar._totally_isotropic`.
 """
 
 from __future__ import annotations
@@ -505,3 +508,58 @@ def dense(ctx, x) -> ExactMatrix:
         out = out + embed(m, (ctx.n, ctx.n),
                           np.ix_(ctx.blocks[i], ctx.blocks[j]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The scalar form oracle
+
+
+def _evaluate(spec, mat, u, v) -> int:
+    """sum_ij u_i mat_ij v_j over GF(b)."""
+    if len(u) != spec.n or len(v) != spec.n:
+        raise ValueError("vector has wrong length")
+    f, acc = spec.field, 0
+    for i, j in zip(*np.nonzero(mat)):
+        acc = f.add(acc, f.mul(f.mul(u[i], int(mat[i, j])), v[j]))
+    return acc
+
+
+def quad_value(spec, u) -> int:
+    """Q(u) for the quadratic families."""
+    return _evaluate(spec, spec.quad, u, u)
+
+
+def bilinear(spec, u, v) -> int:
+    """The (sesqui)linear pairing of the family.
+
+    For quadratic families this is the polar form Q(u+v) - Q(u) - Q(v).
+    """
+    if spec.hermitean:
+        v = [spec.field.frobenius(x) for x in v]
+    return _evaluate(spec, spec.gram, u, v)
+
+
+def singular_vector(spec, v) -> bool:
+    """Is the single vector isotropic (singular, for quadratic types)?"""
+    if spec.quadratic:
+        return quad_value(spec, v) == 0
+    if spec.family == "C":
+        return True
+    return bilinear(spec, v, v) == 0
+
+
+def totally_isotropic(spec, rows) -> bool:
+    """Does the form vanish completely on the span of the given rows?
+
+    In characteristic 2, Q(x+y) = Q(x) + Q(y) + polar(x, y), so singular
+    basis vectors with pairwise-vanishing pairings span a totally
+    singular space in every characteristic.
+    """
+    rows = list(rows)
+    for i, u in enumerate(rows):
+        if not singular_vector(spec, u):
+            return False
+        for v in rows[i:] if spec.hermitean else rows[i + 1:]:
+            if bilinear(spec, u, v) != 0:
+                return False
+    return True

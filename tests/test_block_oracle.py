@@ -176,8 +176,8 @@ if src.count(line) != 1:  # no assert: this runs under -O
 if sys.argv[1] == "perturb":
     src = src.replace(line, '((q2e - one) / (q2 - one) + 1, "K")')
 mod = importlib.util.module_from_spec(spec)
-exec(compile(src, spec.origin, "exec"), mod.__dict__)
 sys.modules["dualpolar.terwilliger"] = dualpolar.terwilliger = mod
+exec(compile(src, spec.origin, "exec"), mod.__dict__)
 from dualpolar.cli import main
 sys.exit(main(sys.argv[2:]))
 """

@@ -110,7 +110,7 @@ FIELD_DEFECTS = {"D-float": ("D", 2.9), "D-integral-float": ("D", 2.0),
 @pytest.mark.parametrize("defect", ["coordinate", "truncated", "duplicate",
                                     "missing", "not-an-object", "long-row",
                                     "padded-row", "short-row",
-                                    *FIELD_DEFECTS])
+                                    "spaced-row", *FIELD_DEFECTS])
 def test_malformed_graph_is_input_error(c23_data, d32_file, tmp_path, capsys,
                                         defect):
     data = json.loads(json.dumps(c23_data))
@@ -127,6 +127,8 @@ def test_malformed_graph_is_input_error(c23_data, d32_file, tmp_path, capsys,
         rows[0] = rows[0][:-2] + f"{int(rows[0][-2:], 16) | 1:02x}"
     elif defect == "short-row":
         rows[0] = rows[0][:-2]
+    elif defect == "spaced-row":  # bytes.fromhex skips the spaces
+        rows[0] = " ".join(rows[0][i:i + 2] for i in range(0, len(rows[0]), 2))
     elif defect == "not-an-object":
         data = [1, 2]
     elif defect == "coordinate":
@@ -149,6 +151,32 @@ def test_malformed_graph_is_input_error(c23_data, d32_file, tmp_path, capsys,
         field = FIELD_DEFECTS[defect][0]
         kind = "a string" if field == "e" else "an integer"
         assert f"{field!r} must be {kind}" in err
+
+
+@pytest.fixture(scope="module")
+def wide_data(tmp_path_factory):
+    """2A_odd_1(25): two hex digits per coordinate."""
+    path = str(tmp_path_factory.mktemp("cli") / "2aodd125.json")
+    assert main(["build", "--family", "2A_odd", "--D", "1", "--b", "25",
+                 "--out", path]) == 0
+    with open(path) as fh:
+        return json.load(fh)
+
+
+# the coordinate 1 written so that int(cell, 16) still reads 1, and a
+# non-ASCII character in its place
+@pytest.mark.parametrize("cell,pos", [("+1", 2), (" 1", 2), ("1 ", 3),
+                                      ("\u00e91", 2)])
+def test_non_hex_vertex_is_input_error(wide_data, tmp_path, capsys, cell,
+                                       pos):
+    data = json.loads(json.dumps(wide_data))
+    assert data["vertices"][0] == "0001"
+    data["vertices"][0] = vertex = "00" + cell
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--graph", str(path), "--suite", "drg"]) == 2
+    assert (f"vertex 0 has {vertex[pos]!r} at position {pos}, which is no "
+            "hex digit") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite,ids", [
@@ -483,8 +511,8 @@ if src.count(line) != 1:  # no assert: this runs under -O
 if sys.argv[1] == "perturb":
     src = src.replace(line, line + " + 1")
 mod = importlib.util.module_from_spec(spec)
-exec(compile(src, spec.origin, "exec"), mod.__dict__)
 sys.modules["dualpolar.drg"] = dualpolar.drg = mod
+exec(compile(src, spec.origin, "exec"), mod.__dict__)
 from dualpolar.cli import main
 sys.exit(main(sys.argv[2:]))
 """

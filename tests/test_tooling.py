@@ -1,13 +1,20 @@
 """Names looked up from outside the package must exist: the benchmark
 tracer wraps `dualpolar` functions by name, and `dualpolar.__all__` lists
-the public exports.  And the package holds no `assert` statement."""
+the public exports.  The package holds no `assert` statement.  And a CLI
+call imports only the submodules its subcommand runs."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import dualpolar
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -37,10 +44,59 @@ def test_counted_methods_resolve(tracer):
 
 
 def test_package_exports_resolve():
-    import dualpolar
-
     for name in dualpolar.__all__:
         assert hasattr(dualpolar, name), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        dualpolar.no_such_name
+
+
+# Print the dualpolar submodules loaded after `import dualpolar` and, with
+# arguments, after one CLI call with its output discarded.
+_FOOTPRINT = """
+import contextlib, io, json, sys
+import dualpolar
+if sys.argv[1:]:
+    from dualpolar.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(sys.argv[1:])
+    if rc:
+        sys.exit(f"exit code {rc}")
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("dualpolar."))))
+"""
+
+# modules no call of the subcommand needs, at any input
+_NOT_LOADED = {
+    "import": ["cli", "drg", "exact", "gf", "intlinalg", "leonard",
+               "linexact", "polar", "terwilliger", "uqsl2"],
+    "build": ["drg", "leonard", "linexact", "terwilliger", "uqsl2"],
+    "leonard": ["drg", "terwilliger"],
+}
+
+
+@pytest.mark.parametrize("command", list(_NOT_LOADED))
+def test_cli_call_imports_only_what_it_runs(tmp_path, command):
+    """Each call runs in a fresh interpreter and, without cached bytecode,
+    compiles every module it imports: `build` must not pay for the
+    T-algebra, nor `leonard` for the graph layer."""
+    argv = []
+    if command == "build":
+        argv = ["build", "--family", "D", "--D", "3", "--b", "2",
+                "--out", str(tmp_path / "d32.json")]
+    elif command == "leonard":
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps({"q": "2", "d": 4, "h": "1",
+                                    "h_star": "-2", "kappa": "1",
+                                    "kappa_star": "2", "upsilon": "5"}))
+        argv = ["leonard", "--params", str(path)]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(dualpolar.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    loaded = {m.removeprefix("dualpolar.") for m in json.loads(out.stdout)}
+    assert sorted(loaded & set(_NOT_LOADED[command])) == []
 
 
 def test_no_assert_statement_in_package():
