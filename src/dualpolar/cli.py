@@ -18,13 +18,6 @@ import sys
 import time
 
 from . import __version__
-from .polar import (
-    BudgetExceededError,
-    FormSpec,
-    build_polar_graph,
-    load_graph,
-    save_graph,
-)
 
 
 class InputError(Exception):
@@ -87,6 +80,9 @@ def _emit(report: Report) -> int:
 
 
 def cmd_build(args) -> int:
+    from .polar import (BudgetExceededError, FormSpec, build_polar_graph,
+                        save_graph)
+
     try:
         spec = FormSpec(args.family, args.D, args.b)
     except ValueError as exc:
@@ -218,8 +214,7 @@ def _suite_modules(report, stage, g, sample_vertices):
     for x in sample_vertices:
         def same(x=x):
             base = sorted((c.triple, c.mult) for c in stage["comps"])
-            part = tw.distance_partition(g, stage["bm"], x)
-            li = tw.decompose(part, full=False)
+            li = tw.decompose(tw.build_context(g, stage["bm"], x), full=False)
             return sorted((c.triple, c.mult) for c in li) == base
         report.run(f"modules:base-vertex:{x}",
                    "feasible triple multiset agrees with the base run", same)
@@ -242,6 +237,7 @@ def _suite_uq(report, stage):
 
 def cmd_verify(args) -> int:
     from . import drg, terwilliger as tw, uqsl2
+    from .polar import load_graph
 
     try:
         g = load_graph(args.graph)
@@ -267,7 +263,7 @@ def cmd_verify(args) -> int:
         lfrk=lambda: {item["statement"]: item
                       for item in tw.verify_lfrk(stage["ctx"])},
         cents=lambda: tw.central_elements(stage["ctx"]),
-        comps=lambda: tw.decompose(stage["ctx"], stage["cents"]),
+        comps=lambda: tw.decompose(stage["ctx"]),
         center=lambda: tw.upsilon_psi_lambda(stage["ctx"], stage["comps"]),
         uq1=lambda: uqsl2.uq_on_standard_module(stage["ctx"],
                                                 stage["center"], 1),

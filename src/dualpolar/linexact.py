@@ -13,10 +13,10 @@ absolute value at most B = k * max|a| * max|b|, so float32 BLAS is exact for
 B < 2^24 and float64 BLAS for B < 2^53.  Larger products run in int64 (below
 2^62) or Python ints.
 
-Row reduction, kernels and inverses over Q are delegated to the vectorized
-integer engine in intlinalg; matrices with a live irrational part go through
-a generic elimination over ExactScalar (only ever needed at small sizes).
-A triangular matrix is inverted by back substitution over either field.
+Row reduction, kernels and inverses run over Q only, in the vectorized
+integer engine of intlinalg; a matrix with a live irrational part is refused
+with ValueError.  A triangular matrix is inverted by back substitution over
+either field.
 """
 
 from __future__ import annotations
@@ -118,21 +118,17 @@ class ExactMatrix:
         return cls(intlinalg.as_int_array(arr), None, den, rad)
 
     @classmethod
-    def from_rows(cls, rows, rad: int | None = None) -> "ExactMatrix":
+    def from_rows(cls, rows) -> "ExactMatrix":
         """Build from nested sequences of ExactScalar / Fraction / int."""
         scal = [[x if isinstance(x, ExactScalar) else ExactScalar(x) for x in row]
                 for row in rows]
-        r = 0
+        rad = 0
         for row in scal:
             for x in row:
                 if x.rad:
-                    if r and x.rad != r:
+                    if rad and x.rad != rad:
                         raise MixedRadicandError("mixed radicands in matrix")
-                    r = x.rad
-        if rad is None:
-            rad = r
-        elif r and r != rad:
-            raise MixedRadicandError("mixed radicands in matrix")
+                    rad = x.rad
         den = math.lcm(*(d for row in scal for x in row
                          for d in (x.a.denominator, x.c.denominator)))
         n0 = [[int(x.a * den) for x in row] for row in scal]
@@ -209,11 +205,6 @@ class ExactMatrix:
         a = Fraction(int(self.n0[i, j]), self.den)
         c = Fraction(int(self.n1[i, j]), self.den) if self.n1 is not None else 0
         return ExactScalar(a, c, self.rad)
-
-    def rows(self):
-        nr, nc = self.shape
-        for i in range(nr):
-            yield [self.entry(i, j) for j in range(nc)]
 
     # -- radicand bookkeeping ---------------------------------------------
 
@@ -366,63 +357,27 @@ def _leading_one(red: np.ndarray, pivots, ncols: int) -> ExactMatrix:
     return ExactMatrix(_to_object(red) * scale[:, None], None, den)
 
 
-def _generic_rref(rows: list[list[ExactScalar]]):
-    """Gauss-Jordan over ExactScalar; returns (rows, pivots)."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if not rows[i][c].is_zero), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows[:r], tuple(pivots)
+def _rational(m: ExactMatrix, what: str):
+    if not m.is_rational:
+        raise ValueError(f"{what} runs over Q only; the matrix has an "
+                         f"irrational part in sqrt({m.rad})")
 
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Leading-1 reduced row echelon form of the row space of m."""
-    if m.is_rational:
-        red, pivots = intlinalg.int_rref(m.n0)
-        return _leading_one(red, pivots, m.shape[1]), pivots
-    red, pivots = _generic_rref([list(r) for r in m.rows()])
-    if not red:
-        return ExactMatrix.zeros(0, m.shape[1]), ()
-    return ExactMatrix.from_rows(red, rad=m.rad), pivots
+    """Leading-1 reduced row echelon form of the row space of a rational
+    matrix m."""
+    _rational(m, "rref")
+    red, pivots = intlinalg.int_rref(m.n0)
+    return _leading_one(red, pivots, m.shape[1]), pivots
 
 
 def kernel(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Exact right null space {v : m v = 0}: its leading-1 RREF basis rows
-    and their pivots, as `rref` returns a row space."""
-    ncols = m.shape[1]
-    if m.is_rational:
-        basis, pivots = intlinalg.int_kernel(m.n0)
-        return _leading_one(basis, pivots, ncols), pivots
-    red, pivots = _generic_rref([list(r) for r in m.rows()])
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    if not free:
-        return ExactMatrix.zeros(0, ncols), ()
-    from .exact import ZERO, ONE
-
-    rows = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][f]
-        rows.append(v)
-    red2, piv2 = _generic_rref(rows)
-    return ExactMatrix.from_rows(red2, rad=m.rad), piv2
+    """Exact right null space {v : m v = 0} of a rational matrix m: its
+    leading-1 RREF basis rows and their pivots, as `rref` returns a row
+    space."""
+    _rational(m, "kernel")
+    basis, pivots = intlinalg.int_kernel(m.n0)
+    return _leading_one(basis, pivots, m.shape[1]), pivots
 
 
 def _is_upper_triangular(m: ExactMatrix) -> bool:
@@ -452,8 +407,9 @@ def _upper_triangular_inverse(m: ExactMatrix) -> ExactMatrix:
 def inverse(m: ExactMatrix) -> ExactMatrix:
     """Exact inverse of a square nonsingular matrix.  A triangular matrix
     (the bidiagonal A* - h* of a split basis, say) is inverted by back
-    substitution, in O(n^2) row operations when it is bidiagonal; any other
-    by row reduction of [m | I]."""
+    substitution over either field, in O(n^2) row operations when it is
+    bidiagonal; any other must be rational, and is inverted by the integer
+    engine."""
     n = m.shape[0]
     if m.shape[1] != n:
         raise ValueError("matrix must be square")
@@ -461,20 +417,12 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
         return _upper_triangular_inverse(m)
     if _is_upper_triangular(m.T):
         return _upper_triangular_inverse(m.T).T
-    if m.is_rational:
-        num, den = intlinalg.int_inverse(m.n0)
-        dlcm = math.lcm(*map(int, den))
-        scale = np.array([dlcm // int(d) for d in den], dtype=object)
-        rows = _to_object(num) * scale[:, None] * m.den
-        return ExactMatrix(rows, None, dlcm)
-    red, pivots = _generic_rref(
-        [list(r) + [ExactScalar(1 if i == j else 0) for j in range(n)]
-         for i, r in enumerate(m.rows())]
-    )
-    if list(pivots) != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    rows = [r[n:] for r in red]
-    return ExactMatrix.from_rows(rows, rad=m.rad)
+    _rational(m, "inverse of a non-triangular matrix")
+    num, den = intlinalg.int_inverse(m.n0)
+    dlcm = math.lcm(*map(int, den))
+    scale = np.array([dlcm // int(d) for d in den], dtype=object)
+    rows = _to_object(num) * scale[:, None] * m.den
+    return ExactMatrix(rows, None, dlcm)
 
 
 # ---------------------------------------------------------------------------

@@ -20,26 +20,26 @@ by Lagrange projectors: polynomials in the small matrices of LR and F in the
 coordinates of an RREF basis of the lowest rungs.  That costs one exact
 kernel per subconstituent and one RREF per component, however many
 candidate eigenvalues there are.  Counting the components only
-(`decompose(full=False)`, at sampled base vertices) reads the
-`distance_partition` and its adjacency blocks.
+(`decompose(full=False)`, at sampled base vertices) reads the context's
+adjacency blocks and certifies nothing beyond sum dim = |X|.
 
-The construction is certified against the defining joint-kernel
-description, rung by rung: C_k acts on rung j of W(r, t, d), on block r + j,
-as chi_k; rungs sharing a block are orthogonal; and sum dim = |X| pins the
-kernels exactly (joint eigenspaces of commuting operators for distinct
-eigenvalue triples are independent, so no kernel can be larger).
-
-Each component W(r, t, d) is also certified on its raising ladder (rung j
-is the lowest rung raised j times): F acts on rung j as a_j(W), L maps it to
+Each component W(r, t, d) is certified on its raising ladder (rung j is the
+lowest rung raised j times): F acts on rung j as a_j(W), L maps it to
 b_(j-1)(W) c_j(W) times rung j - 1, and L kills rung 0, R rung d.  So L, F,
 R, K and A* act on W as the (d+1) x (d+1) matrices of `ladder_action`, once
-per copy, and the central elements as scalars (T is semisimple).  V is the
-direct sum of the W, so an identity among these holds on V exactly when it
-holds on every small matrix: Upsilon, Psi and Lambda are per-component
-scalars, and the center identities are scalar identities.  The Leonard
-system of each module is read off the same ladder: E_(t+i) acts on W as a
-primitive idempotent of the (d+1) x (d+1) ladder A, and E*_(r+i) as the
-projection on rung i, so `extract_module` touches no n-wide vector.
+per copy.  C0, C1, C2 are words in K, L, F, R (`central_terms`), so on W
+they act as those words evaluated on the ladder matrices, and the
+construction is certified against the defining joint-kernel description
+there: each C_k evaluates to chi_k I.  Rungs sharing a block are orthogonal,
+and sum dim = |X| pins the kernels exactly (joint eigenspaces of commuting
+operators for distinct eigenvalue triples are independent, so no kernel can
+be larger).  V is the direct sum of the W, so an identity among these holds
+on V exactly when it holds on every small matrix: Upsilon, Psi and Lambda
+are per-component scalars, and the center identities are scalar identities
+(T is semisimple).  The Leonard system of each module is read off the same
+ladder: E_(t+i) acts on W as a primitive idempotent of the (d+1) x (d+1)
+ladder A, and E*_(r+i) as the projection on rung i, so `extract_module`
+touches no n-wide vector.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ _MOVES = {"L": -1, "F": 0, "R": 1}
 
 
 @dataclass
-class DistancePartition:
+class TerwilligerContext:
     """The subconstituents of the graph at a base vertex x, and the
     adjacency blocks between them: all that T is evaluated on."""
 
@@ -117,18 +117,14 @@ class DistancePartition:
         return self._adj[i, j]
 
 
-class TerwilligerContext(DistancePartition):
-    """The partition with every adjacency block read and certified:
-    L^t = R and F^t = F, block by block."""
-
-
-def distance_partition(g: PolarGraph, bm: BoseMesnerData,
-                       x: int = 0) -> DistancePartition:
+def build_context(g: PolarGraph, bm: BoseMesnerData,
+                  x: int = 0) -> TerwilligerContext:
     """The distance partition at x, with the checks of the dual adjacency
-    matrix:
+    matrix and of the adjacency blocks:
     - adjacent vertices differ by at most 1 in distance from x, so
       A = L + F + R over the partition,
-    - theta*_i = zeta + xi b^-i, so A* = zeta I + xi K = sum theta*_i E*_i.
+    - theta*_i = zeta + xi b^-i, so A* = zeta I + xi K = sum theta*_i E*_i,
+    - L^t = R and F^t = F, block by block.
     That the diagonal of A* is |X| times row x of E_1 is `spectral_data`'s
     Q_h1 = theta*_h, which holds at every base vertex."""
     D, b = g.spec.D, g.spec.b
@@ -142,16 +138,10 @@ def distance_partition(g: PolarGraph, bm: BoseMesnerData,
     if any(bm.theta_star[i] != bm.zeta + bm.xi * Fraction(1, b ** i)
            for i in range(D + 1)):
         raise AssertionError("theta*_i != zeta + xi b^-i")
-    return DistancePartition(g, bm, x, ExactScalar.sqrt(b), dist_x, blocks)
-
-
-def build_context(g: PolarGraph, bm: BoseMesnerData, x: int = 0) -> TerwilligerContext:
-    part = distance_partition(g, bm, x)
-    ctx = TerwilligerContext(g, bm, x, part.q, part.dist_x, part.blocks)
-    for i in range(ctx.D + 1):
+    ctx = TerwilligerContext(g, bm, x, ExactScalar.sqrt(b), dist_x, blocks)
+    for i in range(D + 1):
         for j in (i, i + 1):
-            if j <= ctx.D and not np.array_equal(ctx.adj(j, i),
-                                                 ctx.adj(i, j).T):
+            if j <= D and not np.array_equal(ctx.adj(j, i), ctx.adj(i, j).T):
                 raise AssertionError(
                     "transpose relations L^t = R, F^t = F fail")
     return ctx
@@ -170,23 +160,23 @@ def _expand(word: str) -> list[str]:
     return out
 
 
-def _chain(part: DistancePartition, path: str, j: int, memo: dict):
+def _chain(ctx: TerwilligerContext, path: str, j: int, memo: dict):
     """The integer product of the adjacency blocks of the word `path` in L,
     F, R on column block j (the identity for the empty word); words with a
     common right factor share its product."""
     if (path, j) not in memo:
         if not path:
-            memo[path, j] = np.eye(len(part.blocks[j]), dtype=np.int64)
+            memo[path, j] = np.eye(len(ctx.blocks[j]), dtype=np.int64)
         else:
             rest = path[1:]
             c = j + sum(_MOVES[x] for x in rest)
-            step = part.adj(c + _MOVES[path[0]], c)
+            step = ctx.adj(c + _MOVES[path[0]], c)
             memo[path, j] = step if not rest else int_matmul(
-                step, _chain(part, rest, j, memo))
+                step, _chain(ctx, rest, j, memo))
     return memo[path, j]
 
 
-def graded(part: DistancePartition, terms) -> Graded:
+def graded(ctx: TerwilligerContext, terms) -> Graded:
     """sum coeff * word over the (coeff, word) terms, block by block.
 
     A word is a product of the letters L, F, R, K, k (K^-1), S (A*) and A
@@ -197,17 +187,17 @@ def graded(part: DistancePartition, terms) -> Graded:
     R ending in block i: an exact scalar times the integer product of the
     adjacency blocks.  Every block a term reaches is stored."""
     words = [(coeff, w) for coeff, word in terms for w in _expand(word)]
-    scalars = {"K": [Fraction(1, part.b ** i) for i in range(part.D + 1)],
-               "k": [Fraction(part.b ** i) for i in range(part.D + 1)],
-               "S": part.bm.theta_star}
+    scalars = {"K": [Fraction(1, ctx.b ** i) for i in range(ctx.D + 1)],
+               "k": [Fraction(ctx.b ** i) for i in range(ctx.D + 1)],
+               "S": ctx.bm.theta_star}
     sums: dict = {}
-    for j in range(part.D + 1):
+    for j in range(ctx.D + 1):
         for coeff, word in words:
             i, s, path = j, Fraction(1), ""
             for letter in reversed(word):
                 if letter in _MOVES:
                     i += _MOVES[letter]
-                    if not 0 <= i <= part.D:
+                    if not 0 <= i <= ctx.D:
                         break
                     path = letter + path
                 else:
@@ -217,7 +207,7 @@ def graded(part: DistancePartition, terms) -> Graded:
                 block[path] = block.get(path, 0) + coeff * s
     memo: dict = {}
     return {(i, j): ExactMatrix.combination(
-        [(s, _chain(part, path, j, memo)) for path, s in block.items()])
+        [(s, _chain(ctx, path, j, memo)) for path, s in block.items()])
         for (i, j), block in sums.items()}
 
 
@@ -240,7 +230,7 @@ def equal(x: Graded, y: Graded) -> bool:
                for ij in x.keys() | y.keys())
 
 
-def first_nonzero(part: DistancePartition, x: Graded):
+def first_nonzero(ctx: TerwilligerContext, x: Graded):
     """(y, z, value) of the first nonzero entry of x in row-major order of
     the n x n matrix, or None.  The blocks hold sorted vertex indices, so
     the first local nonzero of each block is its first global one."""
@@ -249,12 +239,12 @@ def first_nonzero(part: DistancePartition, x: Graded):
         live = m.n0 != 0 if m.n1 is None else (m.n0 != 0) | (m.n1 != 0)
         if live.any():
             a, c = np.argwhere(live)[0]
-            hits.append((int(part.blocks[i][a]), int(part.blocks[j][c]),
+            hits.append((int(ctx.blocks[i][a]), int(ctx.blocks[j][c]),
                          m.entry(a, c)))
     return min(hits, key=lambda hit: hit[:2], default=None)
 
 
-def commutes_with_adjacency(part: DistancePartition, x: Graded) -> bool:
+def commutes_with_adjacency(ctx: TerwilligerContext, x: Graded) -> bool:
     """X A = A X.  A stored block X_ik = (n0 + n1 sqrt(rad)) / den meets the
     adjacency blocks A_kj and A_hi; on each block pair the residual sum of
     XA - AX is one exact combination of these integer products."""
@@ -264,13 +254,13 @@ def commutes_with_adjacency(part: DistancePartition, x: Graded) -> bool:
             (ExactScalar(0, Fraction(1, m.den), m.rad), m.n1)])
         for s, arr in parts:
             for j in (k - 1, k, k + 1):
-                if part.adj(k, j) is not None:
+                if ctx.adj(k, j) is not None:
                     terms.setdefault((i, j), []).append(
-                        (s, int_matmul(arr, part.adj(k, j))))
+                        (s, int_matmul(arr, ctx.adj(k, j))))
             for h in (i - 1, i, i + 1):
-                if part.adj(h, i) is not None:
+                if ctx.adj(h, i) is not None:
                     terms.setdefault((h, k), []).append(
-                        (-s, int_matmul(part.adj(h, i), arr)))
+                        (-s, int_matmul(ctx.adj(h, i), arr)))
     return all(ExactMatrix.combination(t).is_zero() for t in terms.values())
 
 
@@ -445,19 +435,23 @@ def _diagonal_blocks(ctx: TerwilligerContext, terms_of) -> Graded:
         for s, block in enumerate(ctx.blocks)}
 
 
-def central_elements(ctx: TerwilligerContext) -> CentralElements:
-    D, b = ctx.D, ctx.b
-    q2 = ExactScalar(b)
+def central_terms(ctx: TerwilligerContext) -> tuple[list, list, list]:
+    """The (coeff, word) terms of C0, C1 and C2, in the letters of
+    `graded`."""
+    q2 = ExactScalar(ctx.b)
     q2e = ctx.qexp(ctx.two_e())
     one = ExactScalar(1)
-    top = ctx.qexp(ctx.two_e() + 2 * D - 2)
-    C0 = graded(ctx, [(1, "KF"), ((q2e - one) / (q2 - one), "K")])
-    C1 = graded(ctx, [(q2 / (q2 + 1), "KRL"),
-                      (-q2.inverse() / (q2 + 1), "KLR"),
-                      (top / (q2 - 1), "K")])
-    C2 = graded(ctx, [(one / (q2 + 1), "KKRL"),
-                      (-q2.inverse() / (q2 + 1), "KKLR"),
-                      (top / (q2 * q2 - 1), "KK")])
+    top = ctx.qexp(ctx.two_e() + 2 * ctx.D - 2)
+    return ([(1, "KF"), ((q2e - one) / (q2 - one), "K")],
+            [(q2 / (q2 + 1), "KRL"), (-q2.inverse() / (q2 + 1), "KLR"),
+             (top / (q2 - 1), "K")],
+            [(one / (q2 + 1), "KKRL"), (-q2.inverse() / (q2 + 1), "KKLR"),
+             (top / (q2 * q2 - 1), "KK")])
+
+
+def central_elements(ctx: TerwilligerContext) -> CentralElements:
+    b = ctx.b
+    C0, C1, C2 = (graded(ctx, terms) for terms in central_terms(ctx))
     # Omega from its same-distance entry data: beta_s on the diagonal of
     # block s and alpha_s on its edges
     alpha, beta = _omega_coeffs(ctx)
@@ -668,6 +662,17 @@ class LadderAction:
     def A(self) -> ExactMatrix:
         return self.L + self.F + self.R
 
+    def evaluate(self, terms) -> ExactMatrix:
+        """sum coeff * word over (coeff, word) terms in the letters L, F, R,
+        K and k (K^-1) of `graded`, as a (d+1) x (d+1) matrix."""
+        mats = {"L": self.L, "F": self.F, "R": self.R, "K": self.K,
+                "k": self.Kinv}
+        size = self.K.shape[0]
+        out = ExactMatrix.zeros(size, size)
+        for coeff, word in terms:
+            out = out + _product((mats[x] for x in word), size).scale(coeff)
+        return out
+
 
 def ladder_action(ctx: TerwilligerContext, r: int, t: int,
                   d: int) -> LadderAction:
@@ -710,7 +715,7 @@ def _product(factors, size: int) -> ExactMatrix:
     return ExactMatrix.identity(size) if out is None else out
 
 
-def decompose(part: DistancePartition, cents: CentralElements | None = None,
+def decompose(ctx: TerwilligerContext,
               full: bool = True) -> list[HomogeneousComponent]:
     """Homogeneous components of the standard module.
 
@@ -725,46 +730,45 @@ def decompose(part: DistancePartition, cents: CentralElements | None = None,
     Rung j of a component, the lowest rung raised j times, is a mult x
     |B_(r+j)| matrix of rank mult.
 
-    With full=True (requires the central elements) the whole decomposition
-    is certified, rung by rung on the blocks:
+    With full=True the whole decomposition is certified, rung by rung on
+    the blocks:
     - L, F, R act on the raising ladder of each component as
       `ladder_action` says (so each component is A- and A*-invariant),
-    - each component lies in the joint kernel of (C_k - chi_k I): the
-      blocks (h, r + j) of C_k map rung j to chi_k times itself for
-      h = r + j and to 0 otherwise,
+    - each component lies in the joint kernel of (C_k - chi_k I): C_k is a
+      word in K, L, F, R, so it acts on every copy of the component as its
+      `central_terms` evaluated on the ladder matrices, which must be
+      chi_k I,
     - the components are pairwise orthogonal: the rungs that share a block
       have a zero Gram product,
     - their dimensions sum to |X|, which pins the joint kernels exactly and
       makes V their direct sum.
-    With full=False `part` may be the bare `distance_partition`: only the
-    feasible triples with multiplicities are computed (used for base-vertex
-    sampling), and dimensions still must sum to |X|.
+    With full=False only the feasible triples with multiplicities are
+    computed (used for base-vertex sampling), and dimensions still must sum
+    to |X|.
     """
-    if full and cents is None:
-        raise ValueError("full decomposition requires the central elements")
-    n, D, b = part.n, part.D, part.b
+    n, D, b = ctx.n, ctx.D, ctx.b
     q2 = Fraction(b)
-    c2_const = chi2(part, 0, 0, 0)  # q^(2e+2D-2)/(q^4-1), the K^2 coefficient
+    c2_const = chi2(ctx, 0, 0, 0)  # q^(2e+2D-2)/(q^4-1), the K^2 coefficient
     if not c2_const.is_rational:
         raise AssertionError("central scalar must be rational")
     c2_const = c2_const.as_fraction()
-    cst = (b_pow(b, part.g.spec.e) - 1) / (b - 1)
+    cst = (b_pow(b, ctx.g.spec.e) - 1) / (b - 1)
     comps: list[HomogeneousComponent] = []
     for r in range(D + 1):
-        kr = len(part.blocks[r])
+        kr = len(ctx.blocks[r])
         if kr == 0:
             continue
         if r == 0:
             low, pivots = ExactMatrix.identity(kr), range(kr)
         else:
-            low, pivots = kernel(ExactMatrix.from_int(part.adj(r - 1, r)))
+            low, pivots = kernel(ExactMatrix.from_int(ctx.adj(r - 1, r)))
         size = low.shape[0]
         if size == 0:
             continue
         # raising chains: U[j] maps block r coordinates to block r+j
         U = [np.eye(kr, dtype=np.int64)]
         for j in range(D - r):
-            U.append(int_matmul(part.adj(r + j + 1, r + j), U[-1]))
+            U.append(int_matmul(ctx.adj(r + j + 1, r + j), U[-1]))
         # On ker L the element C2 acts through LR alone, which restricts to
         # the integer matrix U1^t U1 on the block; its eigenvalue separates
         # the module diameter d.  C0 acts through F, whose eigenvalue
@@ -775,11 +779,11 @@ def decompose(part: DistancePartition, cents: CentralElements | None = None,
             else ExactMatrix.zeros(kr, kr)
         m_lr = _restrict(low, pivots, low @ lr_local, "LR")
         m_f = _restrict(low, pivots, low @ ExactMatrix.from_int(
-            part.adj(r, r)), "F")
+            ctx.adj(r, r)), "F")
         ident = ExactMatrix.identity(size)
         mu = {}
         for d in range(D - r + 1):
-            val = chi2(part, r, 0, d)
+            val = chi2(ctx, r, 0, d)
             if not val.is_rational:
                 raise AssertionError("chi2 must be rational")
             mu[d] = q2 * (q2 + 1) * (c2_const - val.as_fraction() * b ** (2 * r))
@@ -799,7 +803,7 @@ def decompose(part: DistancePartition, cents: CentralElements | None = None,
                 continue
             nu = {}
             for t in range(max(0, D - r - d), D - d + 1):
-                val = chi0(part, r, t, d)
+                val = chi0(ctx, r, t, d)
                 if not val.is_rational:
                     raise AssertionError("chi0 must be rational")
                 nu[t] = b ** r * val.as_fraction() - cst
@@ -817,12 +821,11 @@ def decompose(part: DistancePartition, cents: CentralElements | None = None,
                     continue
                 coords, _ = rref(piece)
                 comps.append(_build_component(r, t, d, coords @ low, U))
+    total = sum(c.dim for c in comps)
+    if total != n:
+        raise AssertionError(f"component dimensions sum to {total}, not {n}")
     if full:
-        _certify_decomposition(part, cents, comps)
-    else:
-        total = sum(c.dim for c in comps)
-        if total != n:
-            raise AssertionError(f"component dimensions sum to {total}, not {n}")
+        _certify_decomposition(ctx, comps)
     return comps
 
 
@@ -842,8 +845,10 @@ def _build_component(r: int, t: int, d: int, low_rows: ExactMatrix,
     return HomogeneousComponent(r, t, d, mult, rungs)
 
 
-def _certify_ladder(ctx: TerwilligerContext, comp: HomogeneousComponent):
-    """L, F, R act on the rungs of comp as `ladder_action` says.
+def _certify_ladder(ctx: TerwilligerContext,
+                    comp: HomogeneousComponent) -> LadderAction:
+    """L, F, R act on the rungs of comp as `ladder_action` says; returns
+    that action.
 
     One block-local adjacency product per rung gives the rows of L, F and R
     applied to the rung; A is symmetric, so row y of `rung @ adj[block, :]`
@@ -867,36 +872,34 @@ def _certify_ladder(ctx: TerwilligerContext, comp: HomogeneousComponent):
             raise AssertionError(
                 f"L, F, R do not act on the raising ladder of component "
                 f"{comp.triple} by its intersection numbers")
+    return act
 
 
-def _certify_decomposition(ctx: TerwilligerContext, cents: CentralElements,
+def _certify_decomposition(ctx: TerwilligerContext,
                            comps: list[HomogeneousComponent]):
-    n = ctx.n
-    total = sum(c.dim for c in comps)
-    if total != n:
-        raise AssertionError(f"component dimensions sum to {total}, not {n}")
+    """The certificate of `decompose(full=True)` on components whose
+    dimensions sum to |X|: feasible distinct triples, the ladder action and
+    C_k = chi_k on it, and pairwise orthogonality."""
     triples = [c.triple for c in comps]
     if len(set(triples)) != len(triples):
         raise AssertionError("duplicate feasible triple")
+    terms = central_terms(ctx)
     on_block: dict[int, list[ExactMatrix]] = {}
     for c in comps:
         r, t, d = c.triple
         if not (0 <= r and 0 <= t and 0 <= d and r + d <= ctx.D
                 and t + d <= ctx.D and r + t + d >= ctx.D):
             raise AssertionError(f"triple {c.triple} violates feasibility bounds")
-        if c.dim % (d + 1):
-            raise AssertionError("multiplicity is not an integer")
-        _certify_ladder(ctx, c)
+        act = _certify_ladder(ctx, c)
+        # K, L, F, R act on every copy of the component as the ladder
+        # matrices, so C_k acts there as its terms evaluated on them
+        ident = ExactMatrix.identity(d + 1)
+        for ck, chif in zip(terms, (chi0, chi1, chi2)):
+            if act.evaluate(ck) != ident.scale(chif(ctx, r, t, d)):
+                raise AssertionError(
+                    f"component {c.triple} is not in the joint kernel")
         for j, rung in enumerate(c.rungs):
-            s = r + j
-            on_block.setdefault(s, []).append(rung)
-            # C_k is block-diagonal (central_elements certifies [C_k, A*] = 0),
-            # so it acts on rung j through its block (s, s)
-            for ci, chif in ((cents.C0, chi0), (cents.C1, chi1),
-                             (cents.C2, chi2)):
-                if ci[s, s] @ rung.T != rung.T.scale(chif(ctx, r, t, d)):
-                    raise AssertionError(
-                        f"component {c.triple} is not in the joint kernel")
+            on_block.setdefault(r + j, []).append(rung)
     # pairwise orthogonality, on each block between the rungs that share it;
     # with the dimension count, V is the direct sum
     for rungs in on_block.values():
@@ -932,9 +935,9 @@ def verify_center_identities(ctx: TerwilligerContext,
                              center: CenterData) -> None:
     """The expressions of C0, C1, C2 through the displacement elements, and
     of Omega, G, G* through either family, as one scalar identity per
-    component: C_i acts on W(r, t, d) as chi_i (decompose's joint-kernel
-    certificate), and Omega, G, G* as their C0, C1 expressions
-    (`_verify_central`)."""
+    component: C_i acts on W(r, t, d) as chi_i (`decompose` reads this off
+    the certified ladder matrices), and Omega, G, G* as their C0, C1
+    expressions (`_verify_central`)."""
     q2 = ExactScalar(ctx.b)
     q4 = q2 * q2
     q2e = ctx.qexp(ctx.two_e())

@@ -43,8 +43,8 @@ def cents_c32(ctx_c32):
 
 
 @pytest.fixture(scope="session")
-def comps_c32(ctx_c32, cents_c32):
-    return decompose(ctx_c32, cents_c32)
+def comps_c32(ctx_c32):
+    return decompose(ctx_c32)
 
 
 @pytest.fixture(scope="session")

@@ -40,10 +40,10 @@ from dualpolar.terwilliger import (
     TerwilligerContext,
     _central_by_c0_c1,
     _omega_coeffs,
+    build_context,
     chi0,
     chi1,
     chi2,
-    distance_partition,
 )
 
 
@@ -180,7 +180,7 @@ def commutes(a: ExactMatrix, b: ExactMatrix) -> bool:
 
 
 def dense_context(g, bm, x: int = 0) -> DenseContext:
-    part = distance_partition(g, bm, x)
+    part = build_context(g, bm, x)
     n, D, dist_x = part.n, part.D, part.dist_x
     estar = [ExactMatrix.from_int(np.diag((dist_x == i).astype(np.int64)))
              for i in range(D + 1)]

@@ -3,9 +3,9 @@
 `terwilliger` evaluates every T-algebra check one block pair of the
 distance partition at a time.  `dense_oracle` keeps the n x n construction
 it replaced.  Here `verify --suite all` runs once on each: the dense run
-swaps the context, the LFRK and central checks and the decomposition
-certificate for the oracle's, and both reports must agree in every status
-and witness, on intact graphs and on graphs with one adjacency entry or
+swaps the context and the LFRK and central checks for the oracle's, and
+adds the oracle's n-wide joint-kernel certificate to the decomposition.
+Both reports must agree in every status and witness, on intact graphs and on graphs with one adjacency entry or
 pair changed.  A changed graph is not distance-regular, so it is given the
 intact graph's intersection and Bose-Mesner data: otherwise every check
 would fail at `drg`, alike on both paths, and compare nothing."""
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import dualpolar
-from dualpolar import cli, drg, terwilliger
+from dualpolar import drg, polar, terwilliger
 from dualpolar.cli import main
 from dualpolar.linexact import ExactMatrix
 from dualpolar.polar import FormSpec, PolarGraph, build_polar_graph
@@ -41,14 +41,15 @@ DENSE = {
 
 
 def _dense_decompose(real):
-    """decompose with the oracle's n-wide joint-kernel and orthogonality
-    certificate in place of the rung-local one."""
-    def run(part, cents=None, full=True):
-        comps = real(part, full=False)
+    """decompose followed by the oracle's n-wide joint-kernel and
+    orthogonality certificate, on the oracle's own n x n central elements.
+    The block certificate runs first, so a failure it finds is reported
+    with the same witness on both paths."""
+    def run(ctx, full=True):
+        comps = real(ctx, full=full)
         if full:
-            for c in comps:
-                terwilliger._certify_ladder(part, c)
-            dense_oracle.certify_joint_kernel(part, cents, comps)
+            dense_oracle.certify_joint_kernel(
+                ctx, dense_oracle.central_elements(ctx), comps)
         return comps
     return run
 
@@ -65,7 +66,7 @@ def verify(monkeypatch, capsys, g, x, path, suite="all", given=None):
     the block path or the dense one, without `timing`; given, a pair of
     intersection data and Bose-Mesner data, replaces the graph's own."""
     with monkeypatch.context() as m:
-        m.setattr(cli, "load_graph", lambda _: g)
+        m.setattr(polar, "load_graph", lambda _: g)
         if given is not None:
             m.setattr(drg, "verify_distance_regular", lambda _: given[0])
             m.setattr(drg, "spectral_data", lambda *_: given[1])
@@ -124,7 +125,7 @@ def test_perturbed_adjacency_fails_alike(monkeypatch, capsys, family, D, b,
     in an off-diagonal block, or across two classes: the block path and the
     oracle fail the same checks with the same witnesses.  A single entry
     breaks L^t = R or F^t = F; an edge two classes apart is refused by
-    `distance_partition`; a symmetric pair inside the grading breaks LFRK
+    `build_context`; a symmetric pair inside the grading breaks LFRK
     relations, reported at the same entry with the same value."""
     g, intact = graph(family, D, b)
     bad = _tampered(g, 0, classes, pair)
@@ -142,7 +143,7 @@ def test_perturbed_adjacency_fails_alike(monkeypatch, capsys, family, D, b,
 
 
 @pytest.mark.parametrize("suite", ["drg", "lfrk", "central", "modules",
-                                   "all"])
+                                   "uq", "all"])
 def test_suite_creates_no_n_wide_matrix(monkeypatch, capsys, suite):
     """On D_4(2), the Bose-Mesner data included, no ExactMatrix with a side
     of length n = 270 is created."""

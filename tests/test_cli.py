@@ -209,8 +209,7 @@ STAGE_FAILURES = {
     "terwilliger.central_elements": (
         AssertionError("G* vs C0 expression fails"),
         ["central:construction", "central:omega-entries",
-         "central:g-entries", "modules:dimension", "modules:center-commute",
-         "modules:center-identities", *UQ_IDS]),
+         "central:g-entries"]),
     "terwilliger.decompose": (
         AssertionError("components are not pairwise orthogonal"),
         ["modules:dimension", "modules:center-commute",
@@ -255,12 +254,28 @@ def test_failing_stage_fails_its_checks(d32_file, capsys, monkeypatch,
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("suite", ["modules", "uq"])
+def test_modules_and_uq_need_no_central_elements(d32_file, capsys,
+                                                 monkeypatch, suite):
+    """decompose certifies the central elements on the ladder matrices, so
+    the suites after it build no n x n or block central element."""
+    from dualpolar import terwilliger
+
+    calls = []
+    monkeypatch.setattr(terwilliger, "central_elements",
+                        _raiser(AssertionError("not needed"), calls))
+    capsys.readouterr()
+    assert main(["verify", "--graph", d32_file, "--suite", suite]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["summary"]["fail"] == 0 and calls == []
+
+
 def test_non_distance_regular_graph_fails_every_dependent_check(
         capsys, monkeypatch):
     """D_3(2) with one extra edge inside a distance class (distances kept):
     every check that needs the intersection data fails with the
     NotDistanceRegularError text as witness, and verify exits 1."""
-    from dualpolar import cli
+    from dualpolar import polar
     from dualpolar.polar import FormSpec, PolarGraph, build_polar_graph
 
     g = build_polar_graph(FormSpec("D", 3, 2))
@@ -268,7 +283,7 @@ def test_non_distance_regular_graph_fails_every_dependent_check(
     assert not g.adjacency[y, z]
     adj = g.adjacency.copy()
     adj[y, z] = adj[z, y] = 1
-    monkeypatch.setattr(cli, "load_graph",
+    monkeypatch.setattr(polar, "load_graph",
                         lambda _: PolarGraph(g.spec, g.vertices, adj, g.dist))
     capsys.readouterr()
     assert main(["verify", "--graph", "g.json", "--suite", "all"]) == 1
@@ -307,9 +322,11 @@ def test_shifted_chi0_fails_modules_dimension(d32_file, capsys,
     assert err == ""
 
 
-def test_sampled_vertices_build_no_context(d32_file, capsys, monkeypatch):
-    """Each sampled vertex is decomposed on its distance partition; only
-    the base vertex gets the n x n context."""
+def test_sampled_vertices_build_their_context(d32_file, capsys,
+                                              monkeypatch):
+    """Each sampled vertex is decomposed on its own context, checked by
+    `build_context` like the base vertex's; that no context holds an n-wide
+    matrix is `test_suite_creates_no_n_wide_matrix`."""
     from dualpolar import terwilliger
 
     calls = []
@@ -323,7 +340,7 @@ def test_sampled_vertices_build_no_context(d32_file, capsys, monkeypatch):
     sampled = [c for c in checks if c["id"].startswith("modules:base-vertex")]
     assert len(sampled) == 5
     assert all(c["status"] == "pass" for c in sampled)
-    assert calls == [4]
+    assert calls == [4, 0, 6, 12, 18, 24]
 
 
 @pytest.mark.parametrize("family,b", [("C", 2), ("C", 3), ("D", 2),

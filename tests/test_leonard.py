@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dualpolar.exact import ExactScalar, q_pow
@@ -261,6 +262,21 @@ def test_graph_module_leonard_bridge(ctx_c32, comps_c32):
 # The dense projector path as an oracle for the rank-one path
 
 
+def _null_line(m: ExactMatrix) -> ExactMatrix:
+    """A column spanning the right null space of m over Q(sqrt r), which
+    must be a line.  With m = (M0 + M1 sqrt r) / den, m (v0 + v1 sqrt r) = 0
+    for rational v0, v1 exactly when (v0, v1) is in the Q-kernel of
+    [[M0, r M1], [M1, M0]]; with v, sqrt r v is a solution too, so that
+    kernel has twice the dimension, and its first RREF row gives v."""
+    n = m.shape[1]
+    m1 = np.zeros_like(m.n0) if m.n1 is None else m.n1
+    basis, _ = kernel(ExactMatrix.from_int(
+        np.block([[m.n0, m.rad * m1], [m1, m.n0]])))
+    assert basis.shape[0] == 2
+    return ExactMatrix(basis.n0[:1, :n].T, basis.n0[:1, n:].T, basis.den,
+                       m.rad)
+
+
 def _dense_split_sequence(A, Astar, E, Estar, theta, theta_star):
     """phi_i from the split summand U_i = (E*_0 + ... + E*_i) V cap
     (E_i + ... + E_d) V, the joint kernel of I minus the two projector
@@ -275,9 +291,7 @@ def _dense_split_sequence(A, Astar, E, Estar, theta, theta_star):
             lower = lower + Estar[h]
         for h in range(i, d):
             upper = upper + E[h]
-        ui, _ = kernel(ExactMatrix.stack_rows([ident - lower, ident - upper]))
-        assert ui.shape[0] == 1
-        u = ui.T
+        u = _null_line(ExactMatrix.stack_rows([ident - lower, ident - upper]))
         w = (A - ident.scale(theta[i - 1])) @ (
             (Astar - ident.scale(theta_star[i])) @ u)
         pos = next(j for j in range(n) if not u.entry(j, 0).is_zero)

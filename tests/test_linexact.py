@@ -106,11 +106,13 @@ def test_kernel_vectors_annihilated_exactly():
 
 
 def test_kernel_irrational_entries():
+    """Elimination runs over Q only: rref and kernel refuse a matrix with
+    an irrational part."""
     r2 = ExactScalar.sqrt(2)
     m = ExactMatrix.from_rows([[1, r2], [r2, 2]])
-    basis, _ = kernel(m)
-    assert basis.shape[0] == 1
-    assert (m @ basis.T).is_zero()
+    for fn in (rref, kernel):
+        with pytest.raises(ValueError, match="over Q only"):
+            fn(m)
 
 
 def test_matmul_exactness_against_fractions():
@@ -151,9 +153,11 @@ def test_object_fallback_on_big_entries():
 def test_inverse_roundtrip():
     m = ExactMatrix.from_rows([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
     assert m @ inverse(m) == ExactMatrix.identity(3)
+    # over Q(sqrt 2) only a triangular matrix is inverted
+    # (test_triangular_inverse_over_q_sqrt); any other is refused
     r2 = ExactScalar.sqrt(2)
-    m2 = ExactMatrix.from_rows([[1, r2], [r2, 3]])
-    assert inverse(m2) @ m2 == ExactMatrix.identity(2)
+    with pytest.raises(ValueError, match="over Q only"):
+        inverse(ExactMatrix.from_rows([[1, r2], [r2, 3]]))
 
 
 @pytest.mark.parametrize("values", [

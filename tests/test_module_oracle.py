@@ -25,7 +25,6 @@ from dualpolar.polar import FormSpec, PolarGraph, build_polar_graph
 from dualpolar import terwilliger
 from dualpolar.terwilliger import (
     build_context,
-    central_elements,
     decompose,
     extract_module,
     ladder_action,
@@ -140,7 +139,7 @@ def decomposed(family, D, b, x):
     g = build_polar_graph(FormSpec(family, D, b))
     bm = spectral_data(g.spec, g.n_vertices, verify_distance_regular(g))
     ctx = dense_context(g, bm, x)
-    return ctx, decompose(ctx, central_elements(ctx))
+    return ctx, decompose(ctx)
 
 
 ORACLE_CASES = [("D", 3, 2, (0, 17)), ("C", 3, 2, (0, 101))]
@@ -198,12 +197,11 @@ def _perturbed_intersection(triple, which, j):
 def test_perturbed_ladder_scalar_is_refused(ctx_d32_base0, monkeypatch,
                                             triple, which, j):
     ctx = ctx_d32_base0
-    cents = central_elements(ctx)
-    decompose(ctx, cents)  # passes unperturbed
+    decompose(ctx)  # passes unperturbed
     monkeypatch.setattr(terwilliger, "module_intersection",
                         _perturbed_intersection(triple, which, j))
     with pytest.raises(AssertionError, match=re.escape(str(triple))):
-        decompose(ctx, cents)
+        decompose(ctx)
 
 
 def test_flipped_adjacency_bit_in_a_block_is_refused(ctx_d32_base0):
@@ -218,7 +216,7 @@ def test_flipped_adjacency_bit_in_a_block_is_refused(ctx_d32_base0):
     g = ctx.g
     tampered = replace(ctx, g=PolarGraph(g.spec, g.vertices, adj, g.dist))
     with pytest.raises(AssertionError, match=re.escape("(0, 0, 3)")):
-        decompose(tampered, central_elements(ctx))
+        decompose(tampered)
 
 
 @pytest.mark.parametrize("family,D,b,bases", ORACLE_CASES)

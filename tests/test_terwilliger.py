@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from dualpolar.linexact import ExactMatrix, kernel
 from dualpolar import intlinalg, terwilliger
 from dualpolar.polar import FormSpec, PolarGraph, build_polar_graph
 from dualpolar.terwilliger import (
-    TerwilligerContext,
     _omega_coeffs,
     aw_module_scalars,
     build_context,
@@ -22,7 +22,6 @@ from dualpolar.terwilliger import (
     chi2,
     commutes_with_adjacency,
     decompose,
-    distance_partition,
     extract_module,
     graded,
     is_zero,
@@ -51,8 +50,8 @@ def cents_d32(ctx_d32):
 
 
 @pytest.fixture(scope="module")
-def comps_d32(ctx_d32, cents_d32):
-    return decompose(ctx_d32, cents_d32)
+def comps_d32(ctx_d32):
+    return decompose(ctx_d32)
 
 
 def _flat_is_zero(ctx):
@@ -412,9 +411,7 @@ def test_base_vertex_independence_small(graph_d32, bm_d32, comps_d32):
     the distance partition alone, with no n x n matrix."""
     base = sorted((c.triple, c.mult) for c in comps_d32)
     for x in range(graph_d32.n_vertices):
-        part = distance_partition(graph_d32, bm_d32, x)
-        assert not isinstance(part, TerwilligerContext)
-        li = decompose(part, full=False)
+        li = decompose(build_context(graph_d32, bm_d32, x), full=False)
         assert sorted((c.triple, c.mult) for c in li) == base
 
 
@@ -423,7 +420,7 @@ def test_base_vertex_independence_c32(graph_c32, bm_c32, comps_c32):
     so there the sampled path also splits by dual endpoint."""
     base = sorted((c.triple, c.mult) for c in comps_c32)
     for x in (17, 100):
-        li = decompose(distance_partition(graph_c32, bm_c32, x), full=False)
+        li = decompose(build_context(graph_c32, bm_c32, x), full=False)
         assert sorted((c.triple, c.mult) for c in li) == base
 
 
@@ -446,15 +443,15 @@ def test_spectral_data_refuses_a_perturbed_dual_eigenvalue(graph_d32,
         spectral_data(g.spec, g.n_vertices, data)
 
 
-def test_distance_partition_refuses_an_edge_across_two_classes(graph_d32,
-                                                              bm_d32):
+def test_build_context_refuses_an_edge_across_two_classes(graph_d32,
+                                                          bm_d32):
     g = graph_d32
     y = int(np.nonzero(g.adjacency[0])[0][0])
     dist = g.dist.copy()
     dist[0, y] = dist[y, 0] = 2  # a neighbour of 0 put two classes away
     tampered = PolarGraph(g.spec, g.vertices, g.adjacency, dist)
     with pytest.raises(AssertionError, match="L \\+ F \\+ R"):
-        distance_partition(tampered, bm_d32, 0)
+        build_context(tampered, bm_d32, 0)
 
 
 @pytest.fixture(scope="module")
@@ -470,19 +467,18 @@ def test_decompose_elimination_count_d42(graph_d42, monkeypatch):
     bm = spectral_data(graph_d42.spec, graph_d42.n_vertices,
                        verify_distance_regular(graph_d42))
     ctx = build_context(graph_d42, bm, 47)
-    cents = central_elements(ctx)
     calls = []
     real = intlinalg.int_rref
     monkeypatch.setattr(intlinalg, "int_rref",
                         lambda mat: calls.append(mat.shape) or real(mat))
-    comps = decompose(ctx, cents)
+    comps = decompose(ctx)
     assert len(calls) == ctx.D + sum(c.d + 1 for c in comps)
     assert sorted((c.triple, c.mult) for c in comps) == [
         ((0, 0, 4), 1), ((1, 1, 2), 14), ((2, 1, 2), 35), ((2, 2, 0), 20),
         ((3, 2, 0), 70), ((4, 2, 0), 28)]
 
 
-def test_decompose_refuses_a_shifted_chi0(ctx_d32, cents_d32, monkeypatch):
+def test_decompose_refuses_a_shifted_chi0(ctx_d32, monkeypatch):
     """chi0 of the trivial module (0, 0, 3) moved by 1: F on the lowest
     rung at x has no eigenvalue among the candidates."""
     real = terwilliger.chi0
@@ -493,4 +489,23 @@ def test_decompose_refuses_a_shifted_chi0(ctx_d32, cents_d32, monkeypatch):
 
     monkeypatch.setattr(terwilliger, "chi0", shifted)
     with pytest.raises(AssertionError, match="chi0 candidates"):
-        decompose(ctx_d32, cents_d32)
+        decompose(ctx_d32)
+
+
+@pytest.mark.parametrize("triple", [(0, 0, 3), (2, 1, 1)],
+                         ids=["0-0-3", "2-1-1"])
+def test_decompose_refuses_a_shifted_chi1(ctx_d32, monkeypatch, triple):
+    """chi1 moved by 1 on one triple: the construction does not use chi1,
+    so only the certificate, C1 evaluated on the ladder matrices of that
+    component, ties it to the graph, and it names the triple."""
+    real = terwilliger.chi1
+
+    def shifted(ctx, r, t, d):
+        val = real(ctx, r, t, d)
+        return val + 1 if (r, t, d) == triple else val
+
+    decompose(ctx_d32)  # passes unperturbed
+    monkeypatch.setattr(terwilliger, "chi1", shifted)
+    with pytest.raises(AssertionError, match=re.escape(
+            f"component {triple} is not in the joint kernel")):
+        decompose(ctx_d32)

@@ -69,7 +69,7 @@ _NOT_LOADED = {
     "import": ["cli", "drg", "exact", "gf", "intlinalg", "leonard",
                "linexact", "polar", "terwilliger", "uqsl2"],
     "build": ["drg", "leonard", "linexact", "terwilliger", "uqsl2"],
-    "leonard": ["drg", "terwilliger"],
+    "leonard": ["drg", "gf", "polar", "terwilliger"],
 }
 
 
