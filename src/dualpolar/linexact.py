@@ -142,8 +142,8 @@ class ExactMatrix:
         return cls(np.zeros((nrows, ncols), dtype=np.int64))
 
     @classmethod
-    def identity(cls, n: int, scale=1) -> "ExactMatrix":
-        return cls.from_int(np.eye(n, dtype=np.int64)).scale(scale)
+    def identity(cls, n: int) -> "ExactMatrix":
+        return cls.from_int(np.eye(n, dtype=np.int64))
 
     @classmethod
     def diag(cls, values) -> "ExactMatrix":

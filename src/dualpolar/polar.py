@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -96,7 +97,6 @@ class FormSpec:
         }[family]
         if family == "2D":
             self._anis = self._anisotropic_binary_quadratic()
-        self.gram, self.quad = self._form_matrices()
 
     def _anisotropic_binary_quadratic(self):
         """Lex-smallest (a, c) with t^2 + a t + c irreducible over GF(b)."""
@@ -132,14 +132,26 @@ class FormSpec:
             return f.add_table[w, f.neg_table[w.T]], None
         return f.add_table[w, w.T], (w if self.quadratic else None)
 
+    # n x n, so built on first use, after the callers' vertex-count bounds
+    _forms = cached_property(_form_matrices)
+    gram = property(lambda self: self._forms[0])
+    quad = property(lambda self: self._forms[1])
+
     def __repr__(self):
         return f"FormSpec({self.family}, D={self.D}, b={self.b})"
 
 
-def _vertex_count(spec: FormSpec) -> int:
-    """prod_{i<D} (b^(i+e) + 1), the number of maximal isotropic subspaces."""
+def _vertex_count(spec: FormSpec, bound: int) -> int:
+    """prod_{i<D} (b^(i+e) + 1), the number of maximal isotropic subspaces,
+    or a partial product above `bound` as soon as one passes it: a huge D
+    costs no D-sized work."""
     b_e = math.isqrt(spec.b ** int(2 * spec.e))
-    return math.prod(spec.b ** i * b_e + 1 for i in range(spec.D))
+    count = 1
+    for i in range(spec.D):
+        count *= spec.b ** i * b_e + 1
+        if count > bound:
+            break
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +252,7 @@ def enumerate_maximal_isotropic(spec: FormSpec, budget: int = 100_000):
     it is evaluated once per distinct set.  Raises BudgetExceededError when
     there are more than `budget` points or subspaces on some level.
     """
-    if _vertex_count(spec) > budget:
+    if _vertex_count(spec, budget) > budget:
         raise BudgetExceededError("enumeration budget exceeded")
     table = _PointTable(spec)
     npts, n = table.vecs.shape
@@ -439,10 +451,12 @@ def graph_from_json(data: dict) -> PolarGraph:
                     parse_int(data, "b"))
     if parse_fraction(data, "e") != spec.e:
         raise ValueError("e value in file disagrees with the family table")
-    rows = _vertices_unhex(spec, data["vertices"])
-    m, count = len(rows), _vertex_count(spec)
+    m = len(data["vertices"])
+    count = _vertex_count(spec, m)
     if m != count:
-        raise ValueError(f"file has {m} vertices, the dual polar graph {count}")
+        raise ValueError(f"file has {m} vertices, the dual polar graph "
+                         + (f"{count}" if count <= m else f"more than {m}"))
+    rows = _vertices_unhex(spec, data["vertices"])
     if len(data["adjacency"]) != m:
         raise ValueError("adjacency in file needs one row per vertex")
     width = -(-m // 8)

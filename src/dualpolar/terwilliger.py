@@ -11,6 +11,13 @@ with exact scalars s_c and integer products M_c of adjacency blocks
 (`graded`).  Every block a construction produces is stored, so [X, A*] = 0,
 on block (i, j) the identity (theta*_i - theta*_j) X_ij = 0, stays a check.
 
+The central elements C0, C1, C2, Omega, G and G* are all words in K, L, F,
+R (`central_terms`), built once each by `graded`.  C0, C1 and C2 are
+certified symmetric and commuting with A and A*.  Omega, G and G* are
+certified to equal combinations a0 C0 + a1 C1 + a2 I, which makes them
+symmetric and central too; the paper's entry tables of Omega and G are then
+checks of the word-built elements.
+
 The homogeneous decomposition is computed by a lowering-ladder construction:
 the joint lowest-rung spaces ker(L) ^ E*_r V are split by diameter (length of
 the raising ladder, read off the action of C2 through LR) and by dual
@@ -435,69 +442,47 @@ def _diagonal_blocks(ctx: TerwilligerContext, terms_of) -> Graded:
         for s, block in enumerate(ctx.blocks)}
 
 
-def central_terms(ctx: TerwilligerContext) -> tuple[list, list, list]:
-    """The (coeff, word) terms of C0, C1 and C2, in the letters of
-    `graded`."""
+def central_terms(ctx: TerwilligerContext) -> tuple[list, ...]:
+    """The (coeff, word) terms of C0, C1, C2, Omega, G and G*, in the
+    letters of `graded` and the field order of `CentralElements`."""
     q2 = ExactScalar(ctx.b)
+    q4 = q2 * q2
     q2e = ctx.qexp(ctx.two_e())
     one = ExactScalar(1)
     top = ctx.qexp(ctx.two_e() + 2 * ctx.D - 2)
+    zeta, xi = ctx.bm.zeta, ctx.bm.xi
+    _, gamma, _, rho, _ = td_scalars(ctx.g.spec)
     return ([(1, "KF"), ((q2e - one) / (q2 - one), "K")],
             [(q2 / (q2 + 1), "KRL"), (-q2.inverse() / (q2 + 1), "KLR"),
              (top / (q2 - 1), "K")],
             [(one / (q2 + 1), "KKRL"), (-q2.inverse() / (q2 + 1), "KKLR"),
-             (top / (q2 * q2 - 1), "KK")])
+             (top / (q4 - 1), "KK")],
+            [(-xi * (q2 - 1) * (q2 - 1) / q2, "KF"),
+             (-xi * (q2 - 1) * (q2e - 1) / q2, "K"), (-2 * gamma * zeta, "")],
+            [(xi * (1 - q4), "KRL"), (xi * (1 - q4.inverse()), "KLR"),
+             (xi * (q2.inverse() - 1) * (q2e - 1), "KF"),
+             (ExactScalar(-rho) * xi, "K"), (-rho * zeta, "")],
+            [(zeta * xi * (q2 - 1) * (q2 - 1) / q2, "KF"),
+             (zeta * xi * (q2 - 1) * (q2e - 1) / q2, "K"),
+             (gamma * zeta ** 2, "")])
 
 
 def central_elements(ctx: TerwilligerContext) -> CentralElements:
-    b = ctx.b
-    C0, C1, C2 = (graded(ctx, terms) for terms in central_terms(ctx))
-    # Omega from its same-distance entry data: beta_s on the diagonal of
-    # block s and alpha_s on its edges
-    alpha, beta = _omega_coeffs(ctx)
-    omega = _diagonal_blocks(ctx, lambda s, eye: [
-        (beta[s], eye), (alpha.get(s, 0), ctx.adj(s, s))])
-    # G from the two-step same-distance counts; on distance class s the
-    # counts and A carry the coefficients below (down vanishes on class 0,
-    # up on class D, and A on class 0 = {x})
-    zeta, xi = ctx.bm.zeta, ctx.bm.xi
-    spec = ctx.g.spec
-    _, gamma, _, rho, _ = td_scalars(spec)
-    counts = _two_step_counts(ctx)
-    G = _diagonal_blocks(ctx, lambda s, eye: [
-        (xi * (1 - b * b) * Fraction(1, b ** s), counts[s][1]),
-        (xi * (1 - Fraction(1, b * b)) * Fraction(1, b ** s), counts[s][0]),
-        (xi * (Fraction(1, b) - 1) * (b_pow(b, spec.e) - 1)
-         * Fraction(1, b ** s), ctx.adj(s, s)),
-        (-rho * ctx.bm.theta_star[s], eye)])
-    Gstar = combine((-gamma * zeta ** 2, graded(ctx, [(1, "")])),
-                    (-zeta, omega))
-    cents = CentralElements(C0, C1, C2, omega, G, Gstar)
+    """C0, C1, C2, Omega, G and G*, each built from its words
+    (`central_terms`) and certified by `_verify_central`."""
+    cents = CentralElements(*(graded(ctx, t) for t in central_terms(ctx)))
     _verify_central(ctx, cents)
     return cents
 
 
-def _two_step_counts(ctx: TerwilligerContext) -> list[tuple]:
-    """(up, down) per distance class s: for y, z in class s, up[y, z]
-    counts their common neighbours in class s + 1 and down[y, z] those in
-    class s - 1 (zero on class D and on class 0)."""
-    def through(s, h):
-        if ctx.adj(s, h) is None:
-            return np.zeros((len(ctx.blocks[s]),) * 2, dtype=np.int64)
-        return int_matmul(ctx.adj(s, h), ctx.adj(h, s))
-
-    return [(through(s, s + 1), through(s, s - 1)) for s in range(ctx.D + 1)]
-
-
 def _verify_central(ctx: TerwilligerContext, c: CentralElements):
-    q2 = ExactScalar(ctx.b)
-    q2e = ctx.qexp(ctx.two_e())
-    zeta, xi = ctx.bm.zeta, ctx.bm.xi
-    _, gamma, _, rho, _ = td_scalars(ctx.g.spec)
+    """C0, C1 and C2 are symmetric and commute with A and A*.  Omega, G and
+    G* equal a0 C0 + a1 C1 + a2 I (`_central_by_c0_c1`), which makes them
+    symmetric and central as well, and G* = -gamma zeta^2 I - zeta Omega."""
+    zeta = ctx.bm.zeta
+    gamma = td_scalars(ctx.g.spec)[1]
     theta_star = ctx.bm.theta_star
-    ident = graded(ctx, [(1, "")])
-    for name, m in [("C0", c.C0), ("C1", c.C1), ("C2", c.C2),
-                    ("Omega", c.Omega), ("G", c.G), ("G*", c.Gstar)]:
+    for name, m in [("C0", c.C0), ("C1", c.C1), ("C2", c.C2)]:
         if not equal({(j, i): x.T for (i, j), x in m.items()}, m):
             raise AssertionError(f"{name} is not symmetric")
         if not commutes_with_adjacency(ctx, m):
@@ -506,33 +491,15 @@ def _verify_central(ctx: TerwilligerContext, c: CentralElements):
         if not is_zero({(i, j): x.scale(theta_star[i] - theta_star[j])
                         for (i, j), x in m.items()}):
             raise AssertionError(f"{name} does not commute with A*")
-    # the generator expressions for Omega, G, G*
-    rhs = graded(ctx, [(-xi * (q2 - 1) * (q2 - 1) / q2, "KF"),
-                       (-xi * (q2 - 1) * (q2e - 1) / q2, "K"),
-                       (-2 * gamma * zeta, "")])
-    if not equal(c.Omega, rhs):
-        raise AssertionError("Omega generator expression fails")
-    q4 = q2 * q2
-    rhs = graded(ctx, [(xi * (1 - q4), "KRL"),
-                       (xi * (1 - q4.inverse()), "KLR"),
-                       (xi * (q2.inverse() - 1) * (q2e - 1), "KF"),
-                       (ExactScalar(-rho) * xi, "K"), (-rho * zeta, "")])
-    if not equal(c.G, rhs):
-        raise AssertionError("G generator expression fails")
-    rhs = graded(ctx, [(zeta * xi * (q2 - 1) * (q2 - 1) / q2, "KF"),
-                       (zeta * xi * (q2 - 1) * (q2e - 1) / q2, "K"),
-                       (gamma * zeta ** 2, "")])
-    if not equal(c.Gstar, rhs):
-        raise AssertionError("G* generator expression fails")
-    # G* = -gamma zeta^2 I - zeta Omega holds by construction; re-check
-    if not equal(c.Gstar, combine((-gamma * zeta ** 2, ident),
-                                  (-zeta, c.Omega))):
-        raise AssertionError("G* relation to Omega fails")
+    ident = graded(ctx, [(1, "")])
     for name, m, (a0, a1, a2) in zip(("Omega", "G", "G*"),
                                      (c.Omega, c.G, c.Gstar),
                                      _central_by_c0_c1(ctx)):
         if not equal(m, combine((a0, c.C0), (a1, c.C1), (a2, ident))):
             raise AssertionError(f"{name} vs C0, C1 expression fails")
+    if not equal(c.Gstar, combine((-gamma * zeta ** 2, ident),
+                                  (-zeta, c.Omega))):
+        raise AssertionError("G* relation to Omega fails")
 
 
 def _central_by_c0_c1(ctx: TerwilligerContext):
@@ -556,7 +523,12 @@ def verify_g_entry_table(ctx: TerwilligerContext, G: Graded) -> bool:
     _, _, _, rho, _ = td_scalars(spec)
     cvals, _, bvals = closed_form_intersection(spec)
     theta_star = ctx.bm.theta_star
-    counts = _two_step_counts(ctx)
+
+    def through(s, h):
+        """Common neighbours in class h of the pairs in class s (0 if class
+        h does not exist)."""
+        adj = ctx.adj(s, h)
+        return 0 if adj is None else int_matmul(adj, ctx.adj(h, s))
 
     # pairs at one distance s from x: the diagonal, adjacent pairs, pairs at
     # distance 2 with a common neighbour at s + 1, and pairs at distance 2
@@ -564,7 +536,7 @@ def verify_g_entry_table(ctx: TerwilligerContext, G: Graded) -> bool:
     def table(s, eye):
         block = ctx.blocks[s]
         dist = ctx.g.dist[np.ix_(block, block)]
-        up, down = counts[s]
+        up, down = through(s, s + 1), through(s, s - 1)
         two = dist == 2
         return [
             (xi * Fraction(1, b ** (s + 1)) * (1 - b * b)
@@ -582,8 +554,10 @@ def verify_g_entry_table(ctx: TerwilligerContext, G: Graded) -> bool:
 
 
 def verify_omega_entry_table(ctx: TerwilligerContext, omega: Graded) -> bool:
-    """Same-distance entry table for a central element of the
-    sum(alpha E* A E*) + sum(beta E*) shape."""
+    """The paper's same-distance entry table of Omega: beta_s on the
+    diagonal of block s, alpha_s on its adjacent pairs, 0 elsewhere.  Omega
+    is built from its words (`central_terms`), so this compares two
+    descriptions of it."""
     alpha, beta = _omega_coeffs(ctx)
     return equal(omega, _diagonal_blocks(ctx, lambda s, eye: [
         (beta[s], eye), (alpha.get(s, 0), (ctx.g.dist[np.ix_(
@@ -883,7 +857,7 @@ def _certify_decomposition(ctx: TerwilligerContext,
     triples = [c.triple for c in comps]
     if len(set(triples)) != len(triples):
         raise AssertionError("duplicate feasible triple")
-    terms = central_terms(ctx)
+    terms = central_terms(ctx)[:3]
     on_block: dict[int, list[ExactMatrix]] = {}
     for c in comps:
         r, t, d = c.triple

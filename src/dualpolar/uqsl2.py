@@ -348,42 +348,36 @@ def uq_on_standard_module(ctx, center, variant: int = 1) -> StandardModuleAction
     for triple in sorted(center.Upsilon):
         lad = ladder_action(ctx, *triple)
         ident = ExactMatrix.identity(triple[2] + 1)
-        ups = ident.scale(center.Upsilon[triple])
-        upsi = ident.scale(center.Upsilon[triple].inverse())
-        psi = ident.scale(center.Psi[triple])
-        psii = ident.scale(center.Psi[triple].inverse())
-        base = (upsi @ psii @ lad.Kinv).scale(ctx.qexp(-D))
+        ups, psi = center.Upsilon[triple], center.Psi[triple]
+        upsi, psii = ups.inverse(), psi.inverse()
+        base = lad.Kinv.scale(upsi * psii * ctx.qexp(-D))
         if variant == 1:
-            x = base + (ups @ psii @ lad.R).scale(ctx.qexp(-e2 - D) * (q2 - 1))
-            y = base - (upsi @ psi @ lad.L).scale(ctx.qexp(-D) * (q2 - 1))
+            x = base + lad.R.scale(ups * psii * ctx.qexp(-e2 - D) * (q2 - 1))
+            y = base - lad.L.scale(upsi * psi * ctx.qexp(-D) * (q2 - 1))
         else:
-            x = base - (upsi @ psi @ lad.R).scale(ctx.qexp(-D) * (q2 - 1))
-            y = base + (ups @ psii @ lad.L).scale(ctx.qexp(-e2 - D) * (q2 - 1))
-        z = (ups @ psi @ lad.K).scale(ctx.qexp(D))
-        zinv = (upsi @ psii @ lad.Kinv).scale(ctx.qexp(-D))
-        act = UqAction(q, x, y, z, zinv)
+            x = base - lad.R.scale(upsi * psi * ctx.qexp(-D) * (q2 - 1))
+            y = base + lad.L.scale(ups * psii * ctx.qexp(-e2 - D) * (q2 - 1))
+        z = lad.K.scale(ups * psi * ctx.qexp(D))
+        act = UqAction(q, x, y, z, base)
         act.verify()
-        first = (upsi @ psi).scale(params["kappa"])
-        second = (ups @ psii).scale(params["upsilon"])
-        if variant == 1:
-            recov = ident.scale(params["h"]) + first @ x + second @ y
-        else:
-            recov = ident.scale(params["h"]) + first @ y + second @ x
+        first, second = (x, y) if variant == 1 else (y, x)
+        recov = ident.scale(params["h"]) \
+            + first.scale(upsi * psi * params["kappa"]) \
+            + second.scale(ups * psii * params["upsilon"])
         if recov != lad.A:
             raise AssertionError("A recovery on the standard module fails")
         recov_star = ident.scale(params["h_star"]) \
-            + ((upsi @ psii) @ z).scale(params["kappa_star"])
+            + z.scale(upsi * psii * params["kappa_star"])
         if recov_star != lad.Astar:
             raise AssertionError("A* recovery on the standard module fails")
         # Chevalley images in terms of K, L, R
         if variant == 1:
-            e_want = (psi @ psi @ lad.K @ lad.L)
-            f_want = (ups @ psii @ lad.R).scale(ctx.qexp(1 - e2 - D))
+            e_want = (lad.K @ lad.L).scale(psi * psi)
+            f_want = lad.R.scale(ups * psii * ctx.qexp(1 - e2 - D))
         else:
-            e_want = (ups @ ups @ lad.K @ lad.L).scale(-ctx.qexp(-e2))
-            f_want = (upsi @ psi @ lad.R).scale(-ctx.qexp(1 - D))
-        k_want = (ups @ psi @ lad.K).scale(ctx.qexp(D))
-        if act.e != e_want or act.f != f_want or act.k != k_want:
+            e_want = (lad.K @ lad.L).scale(-(ups * ups) * ctx.qexp(-e2))
+            f_want = lad.R.scale(-(upsi * psi) * ctx.qexp(1 - D))
+        if act.e != e_want or act.f != f_want or act.k != z:
             raise AssertionError("Chevalley images in K, L, R fail")
         # Casimir acts as the diameter weight
         if act.casimir() != ident.scale(center.Lam[triple]):

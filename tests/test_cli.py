@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 
@@ -87,6 +88,35 @@ def test_build_into_missing_directory_is_input_error(tmp_path, capsys):
     assert main(["build", "--family", "D", "--D", "2", "--b", "2",
                  "--out", out]) == 2
     assert "cannot write graph" in capsys.readouterr().err
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("command,message", [
+    ("build", "enumeration budget exceeded"),
+    ("verify", "cannot load graph: file has 0 vertices, the dual polar "
+               "graph more than 0")])
+def test_huge_diameter_is_input_error(tmp_path, command, message):
+    """D = 20000 in a fresh interpreter limited to 2 GB of address space:
+    the vertex count is bounded before any n x n form matrix (n = 40000)
+    exists, so the command exits 2 with a message, not a MemoryError."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"family": "C", "D": 20000, "b": 2, "e": "1",
+                                "vertices": [], "adjacency": []}))
+    args = (["build", "--family", "C", "--D", "20000", "--b", "2", "--out",
+             str(tmp_path / "out.json")] if command == "build"
+            else ["verify", "--graph", str(path)])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(dualpolar.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-m", "dualpolar.cli", *args],
+                         capture_output=True, text=True, env=env,
+                         timeout=300, preexec_fn=_limit_address_space)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == f"error: {message}\n"
 
 
 @pytest.fixture(scope="module")

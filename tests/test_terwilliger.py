@@ -136,6 +136,40 @@ def test_central_commute(ctx_c32, cents_c32):
                             for (i, j), x in m.items() if j < 3})
 
 
+def test_central_commutation_certified_on_c0_c1_c2_only(ctx_c32,
+                                                         monkeypatch):
+    """Omega, G and G* are certified as combinations of C0, C1 and I, so
+    only C0, C1 and C2 meet the [., A] certificate."""
+    calls = []
+    real = terwilliger.commutes_with_adjacency
+    monkeypatch.setattr(terwilliger, "commutes_with_adjacency",
+                        lambda ctx, x: calls.append(x) or real(ctx, x))
+    cents = central_elements(ctx_c32)
+    assert len(calls) == 3
+    assert all(a is b for a, b in zip(calls, (cents.C0, cents.C1, cents.C2)))
+
+
+@pytest.mark.parametrize("index,name", [(3, "Omega"), (4, "G"), (5, "G*")])
+@pytest.mark.parametrize("term", [0, -1], ids=["first-term", "last-term"])
+def test_central_refuses_a_shifted_term(ctx_c32, monkeypatch, index, name,
+                                        term):
+    """One coefficient of the words of Omega, G or G* moved by 1: the
+    element is still built, symmetric, and (for the constant term) central,
+    but it no longer equals its C0, C1 expression."""
+    real = terwilliger.central_terms
+
+    def shifted(ctx):
+        terms = [list(t) for t in real(ctx)]
+        coeff, word = terms[index][term]
+        terms[index][term] = (coeff + 1, word)
+        return tuple(terms)
+
+    monkeypatch.setattr(terwilliger, "central_terms", shifted)
+    with pytest.raises(AssertionError, match=re.escape(
+            f"{name} vs C0, C1 expression fails")):
+        central_elements(ctx_c32)
+
+
 def _g_table_by_entry(ctx, G):
     """Reference: the G entry table checked pair by pair."""
     spec = ctx.g.spec
