@@ -198,27 +198,6 @@ def closed_form_dual_eigenvalues(spec: FormSpec) -> list[Fraction]:
     return [zeta + xi * Fraction(1, spec.b ** i) for i in range(spec.D + 1)]
 
 
-def closed_form_dual_intersection(spec: FormSpec):
-    """Graph-level dual intersection numbers (c*_i, a*_i, b*_i)."""
-    b, D, e = spec.b, spec.D, spec.e
-    zeta, xi = dual_eigenvalue_scalars(spec)
-    theta_star0 = zeta + xi
-    cs, bs, as_ = [], [], []
-    for i in range(D + 1):
-        ci = (
-            xi * b_pow(b, -i) * (b ** i - 1) * (b_pow(b, e - i) + 1)
-            / ((b_pow(b, D + e - 2 * i) + 1) * (b_pow(b, D + e - 2 * i + 1) + 1))
-        )
-        bi = (
-            xi * (1 - b_pow(b, i - D)) * (b_pow(b, -D - e + i) + 1)
-            / ((b_pow(b, -D - e + 2 * i) + 1) * (b_pow(b, -D - e + 2 * i + 1) + 1))
-        )
-        cs.append(ci)
-        bs.append(bi)
-        as_.append(theta_star0 - ci - bi)
-    return cs, as_, bs
-
-
 @dataclass
 class BoseMesnerData:
     theta: list[Fraction]

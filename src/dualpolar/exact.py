@@ -2,10 +2,13 @@
 
 Every spectral quantity in this package lives in Q or in Q(sqrt(b)) where b
 is the prime power attached to a form family (the deformation parameter is
-q = sqrt(b)).  A scalar is stored as a + c*sqrt(rad) with a, c rational and
-rad a nonnegative integer.  Perfect-square radicands collapse eagerly to the
-rational form, so fields built over b = 4, 9, ... run in pure rational
-arithmetic.  Scalars never touch floating point; the one place the package
+q = sqrt(b)).  A scalar is stored as four Python ints (p, r, den, rad)
+meaning (p + r*sqrt(rad)) / den, in one canonical form: den > 0,
+gcd(p, r, den) = 1, and rad = 0 exactly when r = 0.  Perfect-square
+radicands collapse eagerly to the rational form, so fields built over
+b = 4, 9, ... run in pure rational arithmetic.  Arithmetic runs on those
+ints with one gcd per result and builds no `Fraction`; equal scalars have
+equal parts.  Scalars never touch floating point; the one place the package
 does is `intlinalg.int_matmul`, and only where a bound proves the product
 exact.
 """
@@ -16,46 +19,45 @@ import math
 import re
 from fractions import Fraction
 
+_gcd = math.gcd
+
 
 class MixedRadicandError(ArithmeticError):
     """Raised when combining scalars from distinct quadratic extensions."""
 
 
-def _fr(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int or a Fraction."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-def _collapse_root(rad: int) -> int | None:
-    """Return sqrt(rad) if rad is a perfect square (or 0/1), else None."""
-    if rad < 0:
-        raise ValueError("radicand must be nonnegative")
-    r = math.isqrt(rad)
-    return r if r * r == rad else None
+def _ratio_text(n: int, d: int) -> str:
+    """n/d in lowest terms, as str(Fraction(n, d)) writes it."""
+    g = _gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 class ExactScalar:
-    """An element a + c*sqrt(rad) of Q(sqrt(rad)), immutable and hashable."""
+    """An element (p + r*sqrt(rad)) / den of Q(sqrt(rad)), immutable and
+    hashable.
 
-    __slots__ = ("a", "c", "rad")
+    The parts are ints in canonical form: den > 0, gcd(p, r, den) = 1, and
+    rad = 0 exactly when r = 0 (a perfect-square radicand is folded into
+    p), so two scalars are equal exactly when their parts are.  The
+    constructor takes the rational parts a + c*sqrt(rad) as ints or
+    Fractions; the properties `a` and `c` give them back as Fractions.
+    """
 
-    def __init__(self, a=0, c=0, rad: int = 0):
-        a = _fr(a)
-        c = _fr(c)
-        rad = int(rad)
-        root = _collapse_root(rad) if (c != 0) else 0
-        if c == 0:
-            rad = 0
-        elif root is not None:
-            a += c * root
-            c = Fraction(0)
-            rad = 0
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "rad", rad)
+    __slots__ = ("p", "r", "den", "rad")
+
+    def __new__(cls, a=0, c=0, rad: int = 0):
+        an, ad = _ratio(a)
+        cn, cd = _ratio(c)
+        return cls.from_parts(an * cd, cn * ad, ad * cd, int(rad))
 
     def __setattr__(self, *_):
         raise AttributeError("ExactScalar is immutable")
@@ -67,20 +69,43 @@ class ExactScalar:
         """The scalar sqrt(b); collapses to an integer when b is a square."""
         return cls(0, 1, b)
 
+    @staticmethod
+    def from_parts(p: int, r: int, den: int, rad: int) -> "ExactScalar":
+        """(p + r*sqrt(rad)) / den from ints, put in canonical form."""
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        if den < 0:
+            p, r, den = -p, -r, -den
+        if r:
+            if rad < 0:
+                raise ValueError("radicand must be nonnegative")
+            root = math.isqrt(rad)
+            if root * root == rad:
+                p, r = p + r * root, 0
+        return _reduced(p, r, den, rad)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.den)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self.r, self.den)
+
     # -- predicates ----------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return self.c == 0
+        return self.r == 0
 
     @property
     def is_zero(self) -> bool:
-        return self.a == 0 and self.c == 0
+        return self.p == 0 and self.r == 0
 
     def as_fraction(self) -> Fraction:
-        if self.c != 0:
+        if self.r != 0:
             raise ValueError(f"{self} is irrational")
-        return self.a
+        return Fraction(self.p, self.den)
 
     # -- coercion ------------------------------------------------------
 
@@ -88,12 +113,13 @@ class ExactScalar:
     def _coerce(x) -> "ExactScalar":
         if isinstance(x, ExactScalar):
             return x
-        return ExactScalar(_fr(x))
+        n, d = _ratio(x)
+        return _make(n, 0, d, 0)
 
     def _join_rad(self, other: "ExactScalar") -> int:
-        if self.c == 0:
+        if self.r == 0:
             return other.rad
-        if other.c == 0:
+        if other.r == 0:
             return self.rad
         if self.rad != other.rad:
             raise MixedRadicandError(
@@ -106,12 +132,16 @@ class ExactScalar:
     def __add__(self, other):
         o = self._coerce(other)
         rad = self._join_rad(o)
-        return ExactScalar(self.a + o.a, self.c + o.c, rad)
+        d1, d2 = self.den, o.den
+        if d1 == d2:
+            return _reduced(self.p + o.p, self.r + o.r, d1, rad)
+        return _reduced(self.p * d2 + o.p * d1, self.r * d2 + o.r * d1,
+                        d1 * d2, rad)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(-self.a, -self.c, self.rad)
+        return _make(-self.p, -self.r, self.den, self.rad)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -121,24 +151,32 @@ class ExactScalar:
 
     def __mul__(self, other):
         o = self._coerce(other)
+        if not self.r and not o.r:
+            p, den = self.p * o.p, self.den * o.den
+            g = _gcd(p, den)
+            return _make(p // g, 0, den // g, 0)
         rad = self._join_rad(o)
-        a = self.a * o.a + self.c * o.c * rad
-        c = self.a * o.c + self.c * o.a
-        return ExactScalar(a, c, rad)
+        return _reduced(self.p * o.p + self.r * o.r * rad,
+                        self.p * o.r + self.r * o.p, self.den * o.den, rad)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactScalar":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero scalar")
-        nrm = self.a * self.a - self.c * self.c * self.rad
-        # nrm = 0 with self != 0 would force sqrt(rad) rational, which the
-        # constructor already collapsed; so nrm is nonzero here.
-        return ExactScalar(self.a / nrm, -self.c / nrm, self.rad)
+        """den (p - r sqrt(rad)) / (p^2 - r^2 rad).  The norm is nonzero:
+        it vanishes only if sqrt(rad) is rational, and such radicands have
+        collapsed."""
+        p, r, den = self.p, self.r, self.den
+        if not r:
+            if not p:
+                raise ZeroDivisionError("inverse of zero scalar")
+            return _make(den, 0, p, 0) if p > 0 else _make(-den, 0, -p, 0)
+        nrm = p * p - r * r * self.rad
+        if nrm < 0:
+            return _reduced(-den * p, den * r, -nrm, self.rad)
+        return _reduced(den * p, -den * r, nrm, self.rad)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o.inverse()
+        return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inverse()
@@ -146,7 +184,7 @@ class ExactScalar:
     def __pow__(self, n: int) -> "ExactScalar":
         if n < 0:
             return self.inverse() ** (-n)
-        out = ExactScalar(1)
+        out = _make(1, 0, 1, 0)
         base = self
         while n:
             if n & 1:
@@ -158,24 +196,27 @@ class ExactScalar:
     # -- comparison ----------------------------------------------------
 
     def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return (self.a, self.c) == (o.a, o.c) and (
-            self.c == 0 or self.rad == o.rad
-        )
+        if isinstance(other, ExactScalar):
+            return self.p == other.p and self.r == other.r \
+                and self.den == other.den and self.rad == other.rad
+        if isinstance(other, (int, Fraction)):
+            return self.r == 0 and (self.p, self.den) == _ratio(other)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.c, self.rad))
+        """A rational scalar hashes as the int or Fraction it equals."""
+        if self.r:
+            return hash((self.p, self.r, self.den, self.rad))
+        return hash(self.p) if self.den == 1 else hash(self.as_fraction())
 
     # -- text ------------------------------------------------------------
 
     def render(self) -> str:
         """Textual format "p/q" or "p/q + r/s*sqrt(b)"."""
-        if self.c == 0:
-            return str(self.a)
-        return f"{self.a} + {self.c}*sqrt({self.rad})"
+        if self.r == 0:
+            return _ratio_text(self.p, self.den)
+        return (f"{_ratio_text(self.p, self.den)} + "
+                f"{_ratio_text(self.r, self.den)}*sqrt({self.rad})")
 
     __str__ = render
 
@@ -183,17 +224,47 @@ class ExactScalar:
         return f"ExactScalar({self.render()!r})"
 
 
+_new = object.__new__
+_set_p = ExactScalar.p.__set__
+_set_r = ExactScalar.r.__set__
+_set_den = ExactScalar.den.__set__
+_set_rad = ExactScalar.rad.__set__
+
+
+def _make(p: int, r: int, den: int, rad: int) -> ExactScalar:
+    """A new scalar from parts already in canonical form."""
+    x = _new(ExactScalar)
+    _set_p(x, p)
+    _set_r(x, r)
+    _set_den(x, den)
+    _set_rad(x, rad)
+    return x
+
+
+def _reduced(p: int, r: int, den: int, rad: int) -> ExactScalar:
+    """A new scalar from parts with den > 0 and rad not a perfect square
+    (unless r = 0), divided by gcd(p, r, den)."""
+    g = _gcd(p, r, den)
+    if g != 1:
+        p, r, den = p // g, r // g, den // g
+    return _make(p, r, den, rad if r else 0)
+
+
+_RATIO = r"(-?\d+)(?:/(\d+))?"
 _SCALAR_RE = re.compile(
-    r"^\s*(-?\d+(?:/\d+)?)\s*\+\s*(-?\d+(?:/\d+)?)\*sqrt\((\d+)\)\s*$"
-)
+    rf"^\s*{_RATIO}(?:\s*\+\s*{_RATIO}\*sqrt\((\d+)\))?\s*$")
 
 
 def parse_scalar(text: str) -> ExactScalar:
-    """Inverse of ExactScalar.render."""
+    """Inverse of ExactScalar.render; other text that `Fraction` reads,
+    such as "0.25", is read as that rational."""
     m = _SCALAR_RE.match(text)
-    if m:
-        return ExactScalar(Fraction(m.group(1)), Fraction(m.group(2)), int(m.group(3)))
-    return ExactScalar(Fraction(text.strip()))
+    if not m:
+        return ExactScalar(Fraction(text.strip()))
+    an, ad, cn, cd, rad = m.groups()
+    ad, cd = int(ad or 1), int(cd or 1)
+    return ExactScalar.from_parts(int(an) * cd, int(cn or 0) * ad, ad * cd,
+                                  int(rad or 0))
 
 
 def parse_int(data: dict, name: str) -> int:
@@ -219,6 +290,19 @@ def parse_fraction(data: dict, name: str) -> Fraction:
                      f"got {value!r}")
 
 
+def parse_scalar_field(value, label: str) -> ExactScalar:
+    """value, read from the JSON field `label`, which must be a string
+    holding a scalar such as "1/2" or "0 + 1*sqrt(3)": a number, a bool or
+    any other string raises ValueError naming the field."""
+    if isinstance(value, str):
+        try:
+            return parse_scalar(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{label} must be a string holding a scalar, "
+                     f"got {value!r}")
+
+
 def q_pow(q: ExactScalar, n: int) -> ExactScalar:
     """Exact q**n for a nonzero scalar q (n may be negative).
 
@@ -227,16 +311,14 @@ def q_pow(q: ExactScalar, n: int) -> ExactScalar:
     """
     if q.is_zero:
         raise ZeroDivisionError("q must be nonzero")
-    if q.is_rational:
-        return ExactScalar(q.a ** n)
-    if q.a == 0 and q.c == 1:
+    if q.r == 0:
+        p, den = (q.p, q.den) if n >= 0 else (q.den, q.p)
+        if den < 0:
+            p, den = -p, -den
+        return _make(p ** abs(n), 0, den ** abs(n), 0)
+    if q.p == 0 and q.r == 1 and q.den == 1:
         b = q.rad
         half, odd = divmod(n, 2)
-        if odd == 0:
-            return ExactScalar(Fraction(b) ** half)
-        return ExactScalar(0, Fraction(b) ** half, b)
+        num, den = (b ** half, 1) if half >= 0 else (1, b ** -half)
+        return _make(0, num, den, b) if odd else _make(num, 0, den, 0)
     return q ** n
-
-
-ZERO = ExactScalar(0)
-ONE = ExactScalar(1)

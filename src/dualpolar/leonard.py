@@ -184,11 +184,6 @@ def dqk_array(p: DqkParams, check: bool = True) -> ParameterArray:
     return ParameterArray(th, ths, phi, phi2)
 
 
-def dqk_ddown_params(p: DqkParams) -> DqkParams:
-    """The double-down-arrow relative swaps kappa and upsilon."""
-    return DqkParams(p.q, p.d, p.h, p.h_star, p.upsilon, p.kappa_star, p.kappa)
-
-
 # ---------------------------------------------------------------------------
 # The dihedral action on parameter arrays
 
@@ -435,37 +430,6 @@ def intersection_data(pa: ParameterArray):
     return c, a, b, cs, astar, bs
 
 
-def dqk_intersection_closed_forms(p: DqkParams):
-    """Closed forms of the intersection and dual intersection numbers for a
-    dual q-Krawtchouk array."""
-    q, d = p.q, p.d
-    h, k, ks, u = p.h, p.kappa, p.kappa_star, p.upsilon
-    zero = ExactScalar(0)
-    b = [k * q_pow(q, i) * (q_pow(q, d - i) - q_pow(q, i - d))
-         if i < d else zero for i in range(d + 1)]
-    c = [u * q_pow(q, i - d) * (q_pow(q, -i) - q_pow(q, i))
-         if i >= 1 else zero for i in range(d + 1)]
-    a = [h + (k + u) * q_pow(q, 2 * i - d) for i in range(d + 1)]
-    theta_star0 = p.h_star + ks * q_pow(q, d)
-    bs, cs = [zero] * (d + 1), [zero] * (d + 1)
-    if d >= 1:
-        bs[0] = k * ks * (q_pow(q, d) - q_pow(q, -d)) \
-            / (k - u * q_pow(q, 2 - 2 * d))
-        cs[d] = u * ks * q_pow(q, 2 * d - 2) * (q_pow(q, -d) - q_pow(q, d)) \
-            / (k - u * q_pow(q, 2 * d - 2))
-    for i in range(1, d):
-        bs[i] = (k * ks * q_pow(q, i) * (q_pow(q, d - i) - q_pow(q, i - d))
-                 * (k - u * q_pow(q, 2 * i - 2 * d))) \
-            / ((k - u * q_pow(q, 4 * i - 2 * d))
-               * (k - u * q_pow(q, 4 * i - 2 * d + 2)))
-        cs[i] = (u * ks * q_pow(q, 5 * i - 3 * d - 2)
-                 * (q_pow(q, -i) - q_pow(q, i)) * (k - u * q_pow(q, 2 * i))) \
-            / ((k - u * q_pow(q, 4 * i - 2 * d))
-               * (k - u * q_pow(q, 4 * i - 2 * d - 2)))
-    astar = [theta_star0 - bs[i] - cs[i] for i in range(d + 1)]
-    return c, a, b, cs, astar, bs
-
-
 # ---------------------------------------------------------------------------
 # Tridiagonal and Askey-Wilson scalars
 
@@ -560,28 +524,6 @@ def td_aw_scalars(pa: ParameterArray,
         - gamma * ts(i) ** 2 - omega * ts(i) for i in range(d + 1)], "eta*")
     return TdAwScalars(beta, gamma, gamma_star, rho, rho_star,
                        omega, eta, eta_star, unique)
-
-
-def dqk_td_aw_closed_forms(p: DqkParams) -> TdAwScalars:
-    """beta = q^2 + q^-2 and companions for the dual q-Krawtchouk family."""
-    q = p.q
-    beta = q_pow(q, 2) + q_pow(q, -2)
-    two = ExactScalar(2)
-    gamma = p.h * (two - beta)
-    gamma_star = p.h_star * (two - beta)
-    rho = p.h * p.h * (beta - two) - p.kappa * p.upsilon * (beta * beta - 4)
-    rho_star = p.h_star * p.h_star * (beta - two)
-    omega = (beta - two) * (
-        two * p.h * p.h_star - (p.kappa + p.upsilon) * p.kappa_star)
-    eta = p.kappa * p.upsilon * p.h_star * (beta * beta - 4) \
-        + p.kappa * p.upsilon * p.kappa_star * (q + q.inverse()) \
-        * (q - q.inverse()) ** 2 * (q_pow(q, p.d + 1) + q_pow(q, -p.d - 1)) \
-        - p.h * (beta - two) * (p.h * p.h_star
-                                - (p.kappa + p.upsilon) * p.kappa_star)
-    eta_star = p.h_star * (beta - two) * (
-        (p.kappa + p.upsilon) * p.kappa_star - p.h * p.h_star)
-    return TdAwScalars(beta, gamma, gamma_star, rho, rho_star,
-                       omega, eta, eta_star, p.d >= 3)
 
 
 def tridiagonal_residuals(A: ExactMatrix, As: ExactMatrix, beta, gamma,
@@ -760,25 +702,29 @@ def pa_to_json(pa: ParameterArray, scalars: TdAwScalars | None = None) -> dict:
 
 
 def pa_from_json(data: dict) -> ParameterArray:
-    from .exact import parse_scalar
+    from .exact import parse_scalar_field
 
     if "theta" in data:
-        return ParameterArray(
-            [parse_scalar(s) for s in data["theta"]],
-            [parse_scalar(s) for s in data["theta_star"]],
-            [parse_scalar(s) for s in data["phi"]],
-            [parse_scalar(s) for s in data["phi2"]],
-        )
+        def seq(name):
+            values = data[name]
+            if not isinstance(values, list):
+                raise ValueError(f"{name!r} must be a list, got {values!r}")
+            return [parse_scalar_field(v, f"{name!r}[{i}]")
+                    for i, v in enumerate(values)]
+
+        return ParameterArray(seq("theta"), seq("theta_star"), seq("phi"),
+                              seq("phi2"))
     p = dqk_params_from_json(data)
     return dqk_array(p)
 
 
 def dqk_params_from_json(data: dict) -> DqkParams:
-    from .exact import parse_int, parse_scalar
+    """Every scalar field must be a JSON string, so that a float such as
+    0.30000000000000001 is refused rather than read as 3/10."""
+    from .exact import parse_int, parse_scalar_field
 
     def get(name):
-        v = data[name]
-        return parse_scalar(str(v))
+        return parse_scalar_field(data[name], repr(name))
 
     return DqkParams(get("q"), parse_int(data, "d"), get("h"),
                      get("h_star"), get("kappa"), get("kappa_star"),

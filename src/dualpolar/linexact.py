@@ -2,9 +2,11 @@
 
 An ExactMatrix with radicand r is stored as a pair of integer numpy arrays
 (n0, n1) and a common positive denominator: entry (i, j) equals
-(n0[i,j] + n1[i,j]*sqrt(r)) / den.  The parts use int64 with an automatic
-upgrade to Python-int object arrays before any operation could overflow, so
-all arithmetic is exact.
+(n0[i,j] + n1[i,j]*sqrt(r)) / den, the form of an ExactScalar's int parts
+(p, r, den), so scalars enter and leave a matrix as ints, never as
+Fractions.  The parts use int64 with an automatic upgrade to Python-int
+object arrays before any operation could overflow, so all arithmetic is
+exact.
 
 Floating point is used in one place, the integer products of
 intlinalg.int_matmul, and only where a bound proves it exact: for a product
@@ -22,7 +24,6 @@ either field.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -74,6 +75,15 @@ def _lin(*terms):
     return out
 
 
+def _one_denominator(scalars) -> tuple[int, int]:
+    """The lcm of the scalars' denominators and their common radicand (0
+    when all are rational); distinct radicands raise."""
+    rads = {s.rad for s in scalars if s.r}
+    if len(rads) > 1:
+        raise MixedRadicandError("mixed radicands in matrix")
+    return math.lcm(*(s.den for s in scalars)), (rads.pop() if rads else 0)
+
+
 class ExactMatrix:
     """Immutable dense matrix over Q(sqrt(rad))."""
 
@@ -122,20 +132,11 @@ class ExactMatrix:
         """Build from nested sequences of ExactScalar / Fraction / int."""
         scal = [[x if isinstance(x, ExactScalar) else ExactScalar(x) for x in row]
                 for row in rows]
-        rad = 0
-        for row in scal:
-            for x in row:
-                if x.rad:
-                    if rad and x.rad != rad:
-                        raise MixedRadicandError("mixed radicands in matrix")
-                    rad = x.rad
-        den = math.lcm(*(d for row in scal for x in row
-                         for d in (x.a.denominator, x.c.denominator)))
-        n0 = [[int(x.a * den) for x in row] for row in scal]
-        n1 = [[int(x.c * den) for x in row] for row in scal]
-        a0 = intlinalg.as_int_array(n0)
-        a1 = intlinalg.as_int_array(n1)
-        return cls(a0, a1, den, rad)
+        den, rad = _one_denominator([x for row in scal for x in row])
+        n0 = [[x.p * (den // x.den) for x in row] for row in scal]
+        n1 = [[x.r * (den // x.den) for x in row] for row in scal]
+        return cls(intlinalg.as_int_array(n0), intlinalg.as_int_array(n1),
+                   den, rad)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
@@ -147,23 +148,10 @@ class ExactMatrix:
 
     @classmethod
     def diag(cls, values) -> "ExactMatrix":
-        vals = [v if isinstance(v, ExactScalar) else ExactScalar(v) for v in values]
-        rad = 0
-        for v in vals:
-            if v.c != 0:
-                if rad and v.rad != rad:
-                    raise MixedRadicandError("mixed radicands in matrix")
-                rad = v.rad
-        den = math.lcm(*(d for v in vals
-                         for d in (v.a.denominator, v.c.denominator)))
-
-        def numerators(parts) -> np.ndarray:
-            # one vector over the common denominator, placed on the diagonal
-            return np.diag(intlinalg.as_int_array(
-                [[x.numerator * (den // x.denominator) for x in parts]])[0])
-
-        return cls(numerators([v.a for v in vals]),
-                   numerators([v.c for v in vals]), den, rad)
+        row = cls.from_rows([values])  # one row over one denominator
+        return cls(np.diag(row.n0[0]),
+                   None if row.n1 is None else np.diag(row.n1[0]),
+                   row.den, row.rad)
 
     @classmethod
     def column(cls, values) -> "ExactMatrix":
@@ -176,14 +164,9 @@ class ExactMatrix:
         one denominator first, so each part is one integer combination."""
         terms = [(s if isinstance(s, ExactScalar) else ExactScalar(s), m)
                  for s, m in terms]
-        rads = {s.rad for s, _ in terms if s.c != 0}
-        if len(rads) > 1:
-            raise MixedRadicandError("mixed radicands in matrix")
-        rad = rads.pop() if rads else 0
-        den = math.lcm(*(d for s, _ in terms
-                         for d in (s.a.denominator, s.c.denominator)))
-        n0 = _lin(*((int(s.a * den), m) for s, m in terms))
-        n1 = _lin(*((int(s.c * den), m) for s, m in terms))
+        den, rad = _one_denominator([s for s, _ in terms])
+        n0 = _lin(*((s.p * (den // s.den), m) for s, m in terms))
+        n1 = _lin(*((s.r * (den // s.den), m) for s, m in terms))
         if n0 is None:
             n0 = np.zeros(terms[0][1].shape, dtype=np.int64)
         return cls(n0, n1, den, rad)
@@ -202,9 +185,9 @@ class ExactMatrix:
         return not np.any(self.n0) and self.n1 is None
 
     def entry(self, i: int, j: int) -> ExactScalar:
-        a = Fraction(int(self.n0[i, j]), self.den)
-        c = Fraction(int(self.n1[i, j]), self.den) if self.n1 is not None else 0
-        return ExactScalar(a, c, self.rad)
+        r = int(self.n1[i, j]) if self.n1 is not None else 0
+        return ExactScalar.from_parts(int(self.n0[i, j]), r, self.den,
+                                      self.rad)
 
     # -- radicand bookkeeping ---------------------------------------------
 
@@ -254,16 +237,12 @@ class ExactMatrix:
         s = s if isinstance(s, ExactScalar) else ExactScalar(s)
         if s.is_zero:
             return ExactMatrix.zeros(*self.shape)
-        rad = self._join_rad(s.rad if s.c != 0 else 0)
-        qa = s.a.denominator
-        qc = s.c.denominator
-        pa = int(s.a * qa * qc)
-        pc = int(s.c * qa * qc)
-        n0 = _lin((pa, self.n0), (pc * rad, self.n1))
-        n1 = _lin((pc, self.n0), (pa, self.n1))
+        rad = self._join_rad(s.rad)
+        n0 = _lin((s.p, self.n0), (s.r * rad, self.n1))
+        n1 = _lin((s.r, self.n0), (s.p, self.n1))
         if n0 is None:
             n0 = np.zeros(self.shape, dtype=np.int64)
-        return ExactMatrix(n0, n1, self.den * qa * qc, rad)
+        return ExactMatrix(n0, n1, self.den * s.den, rad)
 
     def __mul__(self, s):
         return self.scale(s)

@@ -277,34 +277,6 @@ def verify_cross_variant_leonard(act1: UqAction, act2: UqAction,
     return ok1 and ok2 and act1.Z == act2.Z
 
 
-def verify_split_basis_is_y_eigenbasis(real: LeonardRealization,
-                                       act: UqAction, eps: int) -> bool:
-    """On a normalized-split realization, the inverted basis vectors are a
-    normalized y-eigenbasis for the variant-1 structure."""
-    if real.basis != "normalized-split":
-        raise ValueError("needs the normalized-split realization")
-    d = real.pa.d
-    n = d + 1
-    q = act.q
-    es = ExactScalar(eps)
-    cols = [ExactMatrix.from_rows([[1 if i == d - j else 0]
-                                   for i in range(n)]) for j in range(n)]
-    for j, u in enumerate(cols):
-        if (act.Y @ u).scale(es) != u.scale(q_pow(q, d - 2 * j)):
-            return False
-        zu = (act.Z @ u).scale(es) - u.scale(q_pow(q, 2 * j - d))
-        want = (cols[j + 1].scale(q_pow(q, -d) - q_pow(q, 2 * j + 2 - d))
-                if j < d else ExactMatrix.zeros(n, 1))
-        if zu != want:
-            return False
-        xu = (act.X @ u).scale(es) - u.scale(q_pow(q, 2 * j - d))
-        want = (cols[j - 1].scale(q_pow(q, d) - q_pow(q, 2 * j - 2 - d))
-                if j > 0 else ExactMatrix.zeros(n, 1))
-        if xu != want:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # The two module structures on the standard module of a dual polar graph
 

@@ -14,12 +14,22 @@ And it keeps a breadth-first search, one dense n x n product per step:
 `polar` runs none, and the tests compare the codim matrix it stores as the
 distance with this one.
 
-Last, the scalar form oracle: the form of a `polar.FormSpec` evaluated one
+Then the scalar form oracle: the form of a `polar.FormSpec` evaluated one
 vector pair at a time, the reference for `polar._totally_isotropic`.
+
+And the scalar oracle: `FractionPairScalar`, the element of Q(sqrt(b))
+held as two Fractions, which `exact.ExactScalar` replaced by integer parts.
+
+Last, closed forms from the paper that `verify` and `leonard` do not
+compute but the tests compare with: the graph's dual intersection numbers,
+the dual q-Krawtchouk intersection numbers, tridiagonal and Askey-Wilson
+scalars and double-down relative, and the normalized-split basis as a
+y-eigenbasis of the variant-1 U_q(sl2) structure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,12 +39,19 @@ from dualpolar.drg import (
     NotDistanceRegularError,
     b_pow,
     closed_form_intersection,
+    dual_eigenvalue_scalars,
     td_scalars,
 )
-from dualpolar.exact import ExactScalar
+from dualpolar.exact import ExactScalar, MixedRadicandError, q_pow
 from dualpolar.intlinalg import int_matmul
-from dualpolar.leonard import tridiagonal_residuals
+from dualpolar.leonard import (
+    DqkParams,
+    LeonardRealization,
+    TdAwScalars,
+    tridiagonal_residuals,
+)
 from dualpolar.linexact import ExactMatrix, rref, spectral_projectors
+from dualpolar.polar import FormSpec
 from dualpolar.terwilliger import (
     LFRK_STATEMENTS,
     TerwilligerContext,
@@ -45,6 +62,7 @@ from dualpolar.terwilliger import (
     chi1,
     chi2,
 )
+from dualpolar.uqsl2 import UqAction
 
 
 def bfs_distances(adj: np.ndarray, sources=None) -> np.ndarray:
@@ -562,4 +580,284 @@ def totally_isotropic(spec, rows) -> bool:
         for v in rows[i:] if spec.hermitean else rows[i + 1:]:
             if bilinear(spec, u, v) != 0:
                 return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# The scalar oracle
+
+
+def _fr(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"cannot interpret {x!r} as a rational number")
+
+
+def _collapse_root(rad: int) -> int | None:
+    """Return sqrt(rad) if rad is a perfect square (or 0/1), else None."""
+    if rad < 0:
+        raise ValueError("radicand must be nonnegative")
+    r = math.isqrt(rad)
+    return r if r * r == rad else None
+
+
+class FractionPairScalar:
+    """An element a + c*sqrt(rad) of Q(sqrt(rad)), immutable and hashable:
+    the pair-of-Fractions scalar that `exact.ExactScalar` replaced, kept
+    as the reference its integer parts are compared with."""
+
+    __slots__ = ("a", "c", "rad")
+
+    def __init__(self, a=0, c=0, rad: int = 0):
+        a = _fr(a)
+        c = _fr(c)
+        rad = int(rad)
+        root = _collapse_root(rad) if (c != 0) else 0
+        if c == 0:
+            rad = 0
+        elif root is not None:
+            a += c * root
+            c = Fraction(0)
+            rad = 0
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "rad", rad)
+
+    def __setattr__(self, *_):
+        raise AttributeError("FractionPairScalar is immutable")
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def sqrt(cls, b: int) -> "FractionPairScalar":
+        """The scalar sqrt(b); collapses to an integer when b is a square."""
+        return cls(0, 1, b)
+
+    # -- predicates ----------------------------------------------------
+
+    @property
+    def is_rational(self) -> bool:
+        return self.c == 0
+
+    @property
+    def is_zero(self) -> bool:
+        return self.a == 0 and self.c == 0
+
+    def as_fraction(self) -> Fraction:
+        if self.c != 0:
+            raise ValueError(f"{self} is irrational")
+        return self.a
+
+    # -- coercion ------------------------------------------------------
+
+    @staticmethod
+    def _coerce(x) -> "FractionPairScalar":
+        if isinstance(x, FractionPairScalar):
+            return x
+        return FractionPairScalar(_fr(x))
+
+    def _join_rad(self, other: "FractionPairScalar") -> int:
+        if self.c == 0:
+            return other.rad
+        if other.c == 0:
+            return self.rad
+        if self.rad != other.rad:
+            raise MixedRadicandError(
+                f"cannot mix sqrt({self.rad}) with sqrt({other.rad})"
+            )
+        return self.rad
+
+    # -- arithmetic ----------------------------------------------------
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        rad = self._join_rad(o)
+        return FractionPairScalar(self.a + o.a, self.c + o.c, rad)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionPairScalar(-self.a, -self.c, self.rad)
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        rad = self._join_rad(o)
+        a = self.a * o.a + self.c * o.c * rad
+        c = self.a * o.c + self.c * o.a
+        return FractionPairScalar(a, c, rad)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FractionPairScalar":
+        if self.is_zero:
+            raise ZeroDivisionError("inverse of zero scalar")
+        nrm = self.a * self.a - self.c * self.c * self.rad
+        # nrm = 0 with self != 0 would force sqrt(rad) rational, which the
+        # constructor already collapsed; so nrm is nonzero here.
+        return FractionPairScalar(self.a / nrm, -self.c / nrm, self.rad)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) * self.inverse()
+
+    def __pow__(self, n: int) -> "FractionPairScalar":
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = FractionPairScalar(1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    # -- comparison ----------------------------------------------------
+
+    def __eq__(self, other):
+        try:
+            o = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        return (self.a, self.c) == (o.a, o.c) and (
+            self.c == 0 or self.rad == o.rad
+        )
+
+    def __hash__(self):
+        return hash((self.a, self.c, self.rad))
+
+    # -- text ------------------------------------------------------------
+
+    def render(self) -> str:
+        """Textual format "p/q" or "p/q + r/s*sqrt(b)"."""
+        if self.c == 0:
+            return str(self.a)
+        return f"{self.a} + {self.c}*sqrt({self.rad})"
+
+    __str__ = render
+
+    def __repr__(self):
+        return f"FractionPairScalar({self.render()!r})"
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of the dual q-Krawtchouk family
+
+
+def closed_form_dual_intersection(spec: FormSpec):
+    """Graph-level dual intersection numbers (c*_i, a*_i, b*_i)."""
+    b, D, e = spec.b, spec.D, spec.e
+    zeta, xi = dual_eigenvalue_scalars(spec)
+    theta_star0 = zeta + xi
+    cs, bs, as_ = [], [], []
+    for i in range(D + 1):
+        ci = (
+            xi * b_pow(b, -i) * (b ** i - 1) * (b_pow(b, e - i) + 1)
+            / ((b_pow(b, D + e - 2 * i) + 1) * (b_pow(b, D + e - 2 * i + 1) + 1))
+        )
+        bi = (
+            xi * (1 - b_pow(b, i - D)) * (b_pow(b, -D - e + i) + 1)
+            / ((b_pow(b, -D - e + 2 * i) + 1) * (b_pow(b, -D - e + 2 * i + 1) + 1))
+        )
+        cs.append(ci)
+        bs.append(bi)
+        as_.append(theta_star0 - ci - bi)
+    return cs, as_, bs
+
+
+
+def dqk_ddown_params(p: DqkParams) -> DqkParams:
+    """The double-down-arrow relative swaps kappa and upsilon."""
+    return DqkParams(p.q, p.d, p.h, p.h_star, p.upsilon, p.kappa_star, p.kappa)
+
+
+def dqk_intersection_closed_forms(p: DqkParams):
+    """Closed forms of the intersection and dual intersection numbers for a
+    dual q-Krawtchouk array."""
+    q, d = p.q, p.d
+    h, k, ks, u = p.h, p.kappa, p.kappa_star, p.upsilon
+    zero = ExactScalar(0)
+    b = [k * q_pow(q, i) * (q_pow(q, d - i) - q_pow(q, i - d))
+         if i < d else zero for i in range(d + 1)]
+    c = [u * q_pow(q, i - d) * (q_pow(q, -i) - q_pow(q, i))
+         if i >= 1 else zero for i in range(d + 1)]
+    a = [h + (k + u) * q_pow(q, 2 * i - d) for i in range(d + 1)]
+    theta_star0 = p.h_star + ks * q_pow(q, d)
+    bs, cs = [zero] * (d + 1), [zero] * (d + 1)
+    if d >= 1:
+        bs[0] = k * ks * (q_pow(q, d) - q_pow(q, -d)) \
+            / (k - u * q_pow(q, 2 - 2 * d))
+        cs[d] = u * ks * q_pow(q, 2 * d - 2) * (q_pow(q, -d) - q_pow(q, d)) \
+            / (k - u * q_pow(q, 2 * d - 2))
+    for i in range(1, d):
+        bs[i] = (k * ks * q_pow(q, i) * (q_pow(q, d - i) - q_pow(q, i - d))
+                 * (k - u * q_pow(q, 2 * i - 2 * d))) \
+            / ((k - u * q_pow(q, 4 * i - 2 * d))
+               * (k - u * q_pow(q, 4 * i - 2 * d + 2)))
+        cs[i] = (u * ks * q_pow(q, 5 * i - 3 * d - 2)
+                 * (q_pow(q, -i) - q_pow(q, i)) * (k - u * q_pow(q, 2 * i))) \
+            / ((k - u * q_pow(q, 4 * i - 2 * d))
+               * (k - u * q_pow(q, 4 * i - 2 * d - 2)))
+    astar = [theta_star0 - bs[i] - cs[i] for i in range(d + 1)]
+    return c, a, b, cs, astar, bs
+
+
+def dqk_td_aw_closed_forms(p: DqkParams) -> TdAwScalars:
+    """beta = q^2 + q^-2 and companions for the dual q-Krawtchouk family."""
+    q = p.q
+    beta = q_pow(q, 2) + q_pow(q, -2)
+    two = ExactScalar(2)
+    gamma = p.h * (two - beta)
+    gamma_star = p.h_star * (two - beta)
+    rho = p.h * p.h * (beta - two) - p.kappa * p.upsilon * (beta * beta - 4)
+    rho_star = p.h_star * p.h_star * (beta - two)
+    omega = (beta - two) * (
+        two * p.h * p.h_star - (p.kappa + p.upsilon) * p.kappa_star)
+    eta = p.kappa * p.upsilon * p.h_star * (beta * beta - 4) \
+        + p.kappa * p.upsilon * p.kappa_star * (q + q.inverse()) \
+        * (q - q.inverse()) ** 2 * (q_pow(q, p.d + 1) + q_pow(q, -p.d - 1)) \
+        - p.h * (beta - two) * (p.h * p.h_star
+                                - (p.kappa + p.upsilon) * p.kappa_star)
+    eta_star = p.h_star * (beta - two) * (
+        (p.kappa + p.upsilon) * p.kappa_star - p.h * p.h_star)
+    return TdAwScalars(beta, gamma, gamma_star, rho, rho_star,
+                       omega, eta, eta_star, p.d >= 3)
+
+
+def verify_split_basis_is_y_eigenbasis(real: LeonardRealization,
+                                       act: UqAction, eps: int) -> bool:
+    """On a normalized-split realization, the inverted basis vectors are a
+    normalized y-eigenbasis for the variant-1 structure."""
+    if real.basis != "normalized-split":
+        raise ValueError("needs the normalized-split realization")
+    d = real.pa.d
+    n = d + 1
+    q = act.q
+    es = ExactScalar(eps)
+    cols = [ExactMatrix.from_rows([[1 if i == d - j else 0]
+                                   for i in range(n)]) for j in range(n)]
+    for j, u in enumerate(cols):
+        if (act.Y @ u).scale(es) != u.scale(q_pow(q, d - 2 * j)):
+            return False
+        zu = (act.Z @ u).scale(es) - u.scale(q_pow(q, 2 * j - d))
+        want = (cols[j + 1].scale(q_pow(q, -d) - q_pow(q, 2 * j + 2 - d))
+                if j < d else ExactMatrix.zeros(n, 1))
+        if zu != want:
+            return False
+        xu = (act.X @ u).scale(es) - u.scale(q_pow(q, 2 * j - d))
+        want = (cols[j - 1].scale(q_pow(q, d) - q_pow(q, 2 * j - 2 - d))
+                if j > 0 else ExactMatrix.zeros(n, 1))
+        if xu != want:
+            return False
     return True

@@ -468,26 +468,45 @@ LEONARD_ARRAY = {"q": "2", "d": 3, "h": "1", "h_star": "-2", "kappa": "1",
                  "kappa_star": "2", "upsilon": "5"}
 
 
-@pytest.mark.parametrize("content,field", [
+LEONARD_TEXT = json.dumps(LEONARD_ARRAY)
+
+
+@pytest.mark.parametrize("content,message", [
     ("[1, 2, 3]", None),
     ('{"theta": 5, "theta_star": 5, "phi": 5, "phi2": 5}', None),
     ('{"theta": ["0 + 1*sqrt(2)", "0 + 1*sqrt(3)"], "theta_star": ["0", "1"],'
      ' "phi": ["1"], "phi2": ["1"]}', None),
     (json.dumps({**LEONARD_ARRAY, "q": "0"}), None),
-    (json.dumps({**LEONARD_ARRAY, "d": 2.5}), "d"),
-    (json.dumps({**LEONARD_ARRAY, "d": True}), "d"),
-    (json.dumps({**LEONARD_ARRAY, "d": "3"}), "d"),
+    (json.dumps({**LEONARD_ARRAY, "d": 2.5}), "'d' must be an integer"),
+    (json.dumps({**LEONARD_ARRAY, "d": True}), "'d' must be an integer"),
+    (json.dumps({**LEONARD_ARRAY, "d": "3"}), "'d' must be an integer"),
+    (LEONARD_TEXT.replace('"h": "1"', '"h": 0.30000000000000001'),
+     "'h' must be a string holding a scalar, got 0.3"),
+    (LEONARD_TEXT.replace('"kappa": "1"', '"kappa": 1e0'),
+     "'kappa' must be a string holding a scalar, got 1.0"),
+    (json.dumps({**LEONARD_ARRAY, "upsilon": True}),
+     "'upsilon' must be a string holding a scalar, got True"),
+    (json.dumps({**LEONARD_ARRAY, "q": 2}),
+     "'q' must be a string holding a scalar, got 2"),
+    (json.dumps({**LEONARD_ARRAY, "h_star": "two"}),
+     "'h_star' must be a string holding a scalar, got 'two'"),
+    ('{"theta": ["1", 2], "theta_star": ["0", "1"], "phi": ["1"],'
+     ' "phi2": ["1"]}', "'theta'[1] must be a string holding a scalar, got 2"),
+    ('{"theta": ["1", "2"], "theta_star": ["0", "1"], "phi": [0.5],'
+     ' "phi2": ["1"]}', "'phi'[0] must be a string holding a scalar, got 0.5"),
 ], ids=["list", "scalar-theta", "mixed-radicands", "q-zero", "d-float",
-        "d-bool", "d-string"])
+        "d-bool", "d-string", "h-float", "kappa-float", "upsilon-bool",
+        "q-integer", "h_star-word", "theta-integer-entry",
+        "phi-float-entry"])
 def test_malformed_parameter_array_is_input_error(tmp_path, capsys, content,
-                                                  field):
+                                                  message):
     path = tmp_path / "array.json"
     path.write_text(content)
     assert main(["leonard", "--params", str(path)]) == 2
     err = capsys.readouterr().err
     assert "cannot load parameter array" in err
-    if field:
-        assert f"{field!r} must be an integer" in err
+    if message:
+        assert message in err
 
 
 def test_unknown_leonard_action_is_input_error(tmp_path, capsys):

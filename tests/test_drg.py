@@ -11,7 +11,6 @@ from dualpolar.drg import (
     NotDistanceRegularError,
     NotPathMetricError,
     closed_form_dual_eigenvalues,
-    closed_form_dual_intersection,
     closed_form_eigenvalues,
     closed_form_intersection,
     closed_form_multiplicities,
@@ -115,7 +114,7 @@ def test_c32_spectral_data(bm_c32, graph_c32):
 
 
 def test_krein_dual_intersection_consistency(bm_c32, graph_c32):
-    cs, as_, bs = closed_form_dual_intersection(graph_c32.spec)
+    cs, as_, bs = dense_oracle.closed_form_dual_intersection(graph_c32.spec)
     q = bm_c32.krein
     for i in range(4):
         if i >= 1:

@@ -11,9 +11,6 @@ from dualpolar.leonard import (
     certify_leonard_system,
     d4_transform,
     dqk_array,
-    dqk_ddown_params,
-    dqk_intersection_closed_forms,
-    dqk_td_aw_closed_forms,
     extract_from_realization,
     extract_parameter_array,
     intersection_data,
@@ -26,6 +23,12 @@ from dualpolar.leonard import (
 )
 from dualpolar.linexact import ExactMatrix, kernel, spectral_projectors
 from dualpolar.uqsl2 import uq_on_leonard, verify_cross_variant_leonard
+
+from dense_oracle import (
+    dqk_ddown_params,
+    dqk_intersection_closed_forms,
+    dqk_td_aw_closed_forms,
+)
 
 
 @pytest.fixture(scope="module")

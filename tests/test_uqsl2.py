@@ -17,8 +17,9 @@ from dualpolar.uqsl2 import (
     uq_on_standard_module,
     verify_cross_variant_leonard,
     verify_cross_variant_standard,
-    verify_split_basis_is_y_eigenbasis,
 )
+
+from dense_oracle import verify_split_basis_is_y_eigenbasis
 
 QS = {"2": ExactScalar(2), "sqrt2": ExactScalar.sqrt(2),
       "sqrt3": ExactScalar.sqrt(3)}
