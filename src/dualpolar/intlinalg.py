@@ -9,13 +9,16 @@ space.
 int_rref reduces every matrix modulo primes below 2^23, by a blocked
 elimination whose panel updates are exact float64 BLAS products, recovers
 the rational entries by rational reconstruction run on the whole
-free-column block at once, and certifies the candidate exactly.  Only
+free-column block at once, and certifies the candidate exactly.  With one
+prime the residues, the reconstruction, the candidate rows and the
+certificate stay in int64 wherever a bound shows the entries fit.  Only
 when that keeps failing does it fall back to Bareiss' fraction-free
 elimination, which keeps every entry a minor of the input and makes the
 rows primitive once, at the end.  int_kernel reads the canonical
 null-space basis off a single int_rref of the column-reversed matrix.
-int_matmul is the one exact integer product, on float BLAS where a bound
-proves it exact.
+int_rank proves a full rank with one elimination mod p.  int_matmul is
+the one exact integer product, on float BLAS where a bound proves it
+exact.
 """
 
 from __future__ import annotations
@@ -117,6 +120,14 @@ def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod.astype(np.int64, copy=False)
 
 
+def _scale_rows(a: np.ndarray, scale) -> np.ndarray:
+    """a with row i multiplied by the int scale[i]: int64 when max|scale| *
+    max|a| is below 2^62, Python ints otherwise."""
+    top = max(map(abs, scale), default=0) * max(_max_abs(a), 1)
+    dtype = np.int64 if top < _INT64_SAFE else object
+    return a.astype(dtype, copy=False) * np.array(scale, dtype=dtype)[:, None]
+
+
 def _gcd_rows(a: np.ndarray) -> np.ndarray:
     """Componentwise gcd along rows; zero rows give gcd 1."""
     if a.dtype != object:
@@ -197,8 +208,12 @@ def _free_columns(ncols: int, pivots) -> np.ndarray:
 
 
 def int_rank(mat: np.ndarray) -> int:
-    """Rank over Q, from one int_rref.  Nothing in the package calls it; it
-    stays because perfbench/tracer.py wraps it by name."""
+    """Rank over Q.  The rank mod a prime is at most the rank over Q (a
+    minor that is nonzero mod p is nonzero), so one `_mod_rref` at
+    _PRIMES[0] that reaches min(rows, cols) pivots proves full rank;
+    otherwise the rank is read off int_rref."""
+    if len(_mod_rref(mat, _PRIMES[0])[1]) == min(mat.shape):
+        return min(mat.shape)
     return len(int_rref(mat)[1])
 
 
@@ -273,6 +288,17 @@ def int_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # of a space is unique, so the verified candidate IS the canonical RREF.
 # On any failure more primes are added, and ultimately the fraction-free
 # elimination is used, so the result is always exact.
+#
+# From one prime to the result nothing leaves int64 unless a bound says it
+# must: the residues are int64, a residue within the reconstruction bound
+# of 0 or of the modulus is its own small signed numerator over 1 (no
+# Euclidean loop), and the candidate rows and their scaled copies in the
+# certificate are int64 while max lcm * max|numerator| (max scale *
+# max|row|) stays below 2^62.  A second prime combines the residues by CRT
+# on Python ints.
+#
+# The first bullet alone certifies a full rank: if the elimination mod p
+# finds min(rows, cols) pivots, so does the one over Q (int_rank).
 
 
 # The first twelve primes: as Miller-Rabin bases they decide primality of
@@ -437,17 +463,34 @@ def _crt_combine(res1: np.ndarray, mod1: int, res2: np.ndarray,
 def _rat_reconstruct_block(x: np.ndarray, modulus: int, bound: int):
     """(num, den) arrays with num = den * x mod modulus, |num| <= bound,
     0 < den <= bound and gcd(num, den) = 1 entrywise, or None if some entry
-    has no such fraction.
+    has no such fraction; bound >= 1.
 
     Wang's rational reconstruction: the extended Euclidean algorithm on
-    (modulus, x) stopped at the first remainder <= bound, run on every entry
-    at once.  Each step updates only the entries still above the bound.  The
-    arithmetic is int64 while the modulus is below 2^31 (then |den * x| <
-    2^47) and Python ints above.
+    (modulus, x) stopped at the first remainder <= bound.  A residue within
+    the bound of 0 or of the modulus is answered directly, as x / 1 or
+    (x - modulus) / 1: that is the loop's answer after no step, or after
+    one whose quotient is 1 (then x > modulus / 2).  The loop runs on the
+    other entries at once.  The arithmetic is int64 while the modulus is
+    below 2^31 and Python ints above.
     """
     dtype = np.int64 if modulus < 2 ** 31 else object
     shape = x.shape
     x = (x.astype(dtype) % modulus).ravel()
+    num = np.where(x <= bound, x, x - modulus)
+    den = np.ones_like(x)
+    rest = np.flatnonzero((x > bound) & (x < modulus - bound))
+    if rest.size:
+        got = _wang(x[rest], modulus, bound)
+        if got is None:
+            return None
+        num[rest], den[rest] = got
+    return num.reshape(shape), den.reshape(shape)
+
+
+def _wang(x: np.ndarray, modulus: int, bound: int):
+    """`_rat_reconstruct_block` by the Euclidean loop alone, on a flat array
+    of residues in [0, modulus).  Each step updates only the entries still
+    above the bound; in int64, |den * x| < 2^16 * 2^31."""
     r0, r1 = np.full_like(x, modulus), x.copy()
     s0, s1 = np.zeros_like(x), np.ones_like(x)
     live = np.flatnonzero(r1 > bound)
@@ -464,13 +507,15 @@ def _rat_reconstruct_block(x: np.ndarray, modulus: int, bound: int):
     num, den = num // g, den // g
     if np.any((num - den * x) % modulus):
         return None
-    return num.reshape(shape), den.reshape(shape)
+    return num, den
 
 
 def _int_rref_modular(mat: np.ndarray):
     """Certified modular RREF; None when reconstruction keeps failing."""
     nrows, ncols = mat.shape
-    acc = None  # (pivots, residues (object array), modulus, prime count)
+    # (pivots, residues, modulus, prime count): the residues stay int64 for
+    # one prime and become Python ints at the first CRT
+    acc = None
     for tried, p in enumerate(_PRIMES[:_MODULAR_CANDIDATE_TRIES], 1):
         red, pivots = _mod_rref(mat, p)
         if acc is not None and pivots != acc[0]:
@@ -480,29 +525,41 @@ def _int_rref_modular(mat: np.ndarray):
                 continue
             acc = None
         if acc is None:
-            acc = (pivots, red.astype(object), p, 1)
+            acc = (pivots, red, p, 1)
         else:
-            acc = (pivots, _crt_combine(acc[1], acc[2], red.astype(object), p),
+            acc = (pivots, _crt_combine(_to_object(acc[1]), acc[2],
+                                        _to_object(red), p),
                    acc[2] * p, acc[3] + 1)
         pivots, residues, modulus, nprimes = acc
         if nprimes > 4 and nprimes % 4 and tried < _MODULAR_CANDIDATE_TRIES:
             continue  # reconstruct after primes 1-4, every 4th and the last
-        k = len(pivots)
         free = _free_columns(ncols, pivots)
         got = _rat_reconstruct_block(residues[:, free], modulus,
                                      math.isqrt(modulus // 2))
         if got is None:
             continue
-        num, den = got
-        # row i of the RREF is num[i] / den[i] on the free columns and 1 at
-        # its pivot; clear the denominators with one lcm per row
-        lcm = np.array([math.lcm(*row) for row in den.tolist()], dtype=object)
-        rows = np.zeros((k, ncols), dtype=object)
-        rows[np.arange(k), list(pivots)] = lcm
-        rows[:, free] = num * (lcm[:, None] // den)
+        rows = _candidate_rows(*got, pivots, free, ncols)
         if _verify_rref_candidate(mat, rows, pivots):
             return _downcast(rows), pivots
     return None
+
+
+def _candidate_rows(num, den, pivots, free, ncols) -> np.ndarray:
+    """Row i of the RREF is num[i] / den[i] on the free columns and 1 at its
+    pivot; clear the denominators with one lcm per row.  Every entry is at
+    most that lcm times max|num|, so the rows are int64 when this is below
+    2^62 and Python ints otherwise."""
+    k = len(pivots)
+    lcm = [1] * k
+    for i in np.flatnonzero((den != 1).any(axis=1)):
+        lcm[i] = math.lcm(*den[i].tolist())
+    top = max(lcm, default=1) * max(_max_abs(num), 1)
+    dtype = np.int64 if top < _INT64_SAFE else object
+    lcm = np.array(lcm, dtype=dtype)
+    rows = np.zeros((k, ncols), dtype=dtype)
+    rows[np.arange(k), list(pivots)] = lcm
+    rows[:, free] = num.astype(dtype) * (lcm[:, None] // den.astype(dtype))
+    return rows
 
 
 def _verify_rref_candidate(mat, rows, pivots) -> bool:
@@ -510,9 +567,10 @@ def _verify_rref_candidate(mat, rows, pivots) -> bool:
     k = len(pivots)
     if k == 0:
         return not np.any(mat)
-    dens = np.array([rows[i, pivots[i]] for i in range(k)], dtype=object)
-    big = math.lcm(*map(int, dens))
-    rhs = int_matmul(mat[:, list(pivots)], (big // dens)[:, None] * rows)
+    dens = rows[np.arange(k), list(pivots)].tolist()
+    big = math.lcm(*dens)
+    rhs = int_matmul(mat[:, list(pivots)],
+                     _scale_rows(rows, [big // d for d in dens]))
     if _max_abs(mat) * big < _INT64_SAFE:
         lhs = mat.astype(np.int64, copy=False) * big
     else:

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import intlinalg
 from .exact import ExactScalar, MixedRadicandError
-from .intlinalg import _INT64_SAFE, _downcast, _max_abs, _to_object
+from .intlinalg import (_INT64_SAFE, _downcast, _max_abs, _scale_rows,
+                        _to_object)
 
 
 def _gcd_all(*arrays_and_ints) -> int:
@@ -327,13 +328,13 @@ class ExactMatrix:
 
 def _leading_one(red: np.ndarray, pivots, ncols: int) -> ExactMatrix:
     """The leading-1 RREF whose rows are the primitive integer rows `red`
-    (as int_rref returns them) divided by their pivot entries."""
+    (as int_rref returns them) divided by their pivot entries, over the lcm
+    of the pivots; int64 wherever the scaled rows fit."""
     if len(pivots) == 0:
         return ExactMatrix.zeros(0, ncols)
-    piv = [int(red[i, p]) for i, p in enumerate(pivots)]
+    piv = red[np.arange(len(pivots)), list(pivots)].tolist()
     den = math.lcm(*piv)
-    scale = np.array([den // p for p in piv], dtype=object)
-    return ExactMatrix(_to_object(red) * scale[:, None], None, den)
+    return ExactMatrix(_scale_rows(red, [den // p for p in piv]), None, den)
 
 
 def _rational(m: ExactMatrix, what: str):

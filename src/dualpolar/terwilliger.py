@@ -681,6 +681,17 @@ def _restrict(low: ExactMatrix, pivots, image: ExactMatrix,
     return m
 
 
+def _scalar_value(m: ExactMatrix) -> Fraction | None:
+    """c with m = c I, or None; O(size^2)."""
+    if not m.is_rational:
+        return None
+    diag = np.diagonal(m.n0)
+    if (diag != diag[0]).any() or np.count_nonzero(m.n0) != \
+            np.count_nonzero(diag):
+        return None
+    return Fraction(int(diag[0]), m.den)
+
+
 def _product(factors, size: int) -> ExactMatrix:
     """The product of the size x size factors; the identity if none."""
     out = None
@@ -701,6 +712,11 @@ def decompose(ctx: TerwilligerContext,
     prod_d (M_LR - mu_d) = 0, M_LR M_F = M_F M_LR and, for each d, P_d
     prod_t (M_F - nu_t) = 0 with P_d = prod_(d' != d) (M_LR - mu_d').  Then
     the lowest rung of W(r, t, d) is the row space of P_d P_t: one RREF.
+    Where M_LR = mu_d I for a candidate (read off the entries in
+    O(size^2)), that alone is the certificate: the block holds diameter d
+    only, and P_d, a nonzero multiple of I, is not multiplied in.  If then
+    also M_F = nu_t I, the block holds one component, (r, t, d), whose
+    lowest rung is the kernel basis itself: no product and no RREF.
     Rung j of a component, the lowest rung raised j times, is a mult x
     |B_(r+j)| matrix of rank mult.
 
@@ -749,9 +765,11 @@ def decompose(ctx: TerwilligerContext,
         # separates the dual endpoint t:
         #   C0 v = chi0 v  <=>  F|block_r v = (b^r chi0 - cst) v.
         # Both are symmetric, so row y of low @ M is the image of row y.
-        lr_local = ExactMatrix(int_matmul(U[1].T, U[1])) if r < D \
-            else ExactMatrix.zeros(kr, kr)
-        m_lr = _restrict(low, pivots, low @ lr_local, "LR")
+        if r < D:
+            m_lr = _restrict(low, pivots, low @ ExactMatrix(
+                int_matmul(U[1].T, U[1])), "LR")
+        else:  # R vanishes on E*_D V, and so does LR
+            m_lr = ExactMatrix.zeros(size, size)
         m_f = _restrict(low, pivots, low @ ExactMatrix.from_int(
             ctx.adj(r, r)), "F")
         ident = ExactMatrix.identity(size)
@@ -763,17 +781,23 @@ def decompose(ctx: TerwilligerContext,
             mu[d] = q2 * (q2 + 1) * (c2_const - val.as_fraction() * b ** (2 * r))
         if len(set(mu.values())) != len(mu):
             raise AssertionError("chi2 does not separate diameters")
-        lr_shift = {d: m_lr - ident.scale(v) for d, v in mu.items()}
-        if not _product(lr_shift.values(), size).is_zero():
-            raise AssertionError(
-                f"LR on the lowest rungs of block {r} has an eigenvalue "
-                "outside the chi2 candidates")
-        if m_lr @ m_f != m_f @ m_lr:
-            raise AssertionError(
-                f"LR and F do not commute on the lowest rungs of block {r}")
-        for d in mu:
-            p_d = _product((m for e, m in lr_shift.items() if e != d), size)
-            if p_d.is_zero():
+        # M_LR = mu_d I is the whole certificate for diameter d, and then
+        # P_d is a nonzero multiple of I, left out (None)
+        c = _scalar_value(m_lr)
+        diameters = {d: None for d, v in mu.items() if v == c}
+        if not diameters:
+            lr_shift = {d: m_lr - ident.scale(v) for d, v in mu.items()}
+            if not _product(lr_shift.values(), size).is_zero():
+                raise AssertionError(
+                    f"LR on the lowest rungs of block {r} has an eigenvalue "
+                    "outside the chi2 candidates")
+            if m_lr @ m_f != m_f @ m_lr:
+                raise AssertionError(
+                    f"LR and F do not commute on the lowest rungs of block {r}")
+            diameters = {d: _product((m for e, m in lr_shift.items() if e != d),
+                                     size) for d in mu}
+        for d, p_d in diameters.items():
+            if p_d is not None and p_d.is_zero():
                 continue
             nu = {}
             for t in range(max(0, D - r - d), D - d + 1):
@@ -783,14 +807,23 @@ def decompose(ctx: TerwilligerContext,
                 nu[t] = b ** r * val.as_fraction() - cst
             if len(set(nu.values())) != len(nu):
                 raise AssertionError("chi0 does not separate dual endpoints")
+            if p_d is None:
+                # one diameter: M_F = nu_t I certifies t, the piece is I and
+                # the lowest rungs are the component's, already an RREF
+                c = _scalar_value(m_f)
+                t = next((u for u, v in nu.items() if v == c), None)
+                if t is not None:
+                    comps.append(_build_component(r, t, d, low, U))
+                    continue
+            head = [] if p_d is None else [p_d]
             f_shift = {t: m_f - ident.scale(v) for t, v in nu.items()}
-            if not (p_d @ _product(f_shift.values(), size)).is_zero():
+            if not _product([*head, *f_shift.values()], size).is_zero():
                 raise AssertionError(
                     f"F on the diameter-{d} lowest rungs of block {r} has an "
                     "eigenvalue outside the chi0 candidates")
             for t in nu:
-                piece = p_d @ _product(
-                    (m for u, m in f_shift.items() if u != t), size)
+                piece = _product(
+                    [*head, *(m for u, m in f_shift.items() if u != t)], size)
                 if piece.is_zero():
                     continue
                 coords, _ = rref(piece)
@@ -808,12 +841,14 @@ def _build_component(r: int, t: int, d: int, low_rows: ExactMatrix,
     """The component raised from the lowest-rung rows `low_rows`, a
     leading-1 RREF (the RREF coordinates times the RREF kernel basis), so
     of rank equal to its row count.  Rung j is `low_rows @ U[j].T`, on block
-    r + j; each must keep that rank, so the dimension is mult * (d + 1)."""
+    r + j; each must keep that rank, so the dimension is mult * (d + 1).
+    `intlinalg.int_rank` certifies it, from one prime where the rank does
+    not drop mod p."""
     mult = low_rows.shape[0]
     rungs = [low_rows]
     for j in range(1, d + 1):
         rung = low_rows @ ExactMatrix.from_int(U[j]).T
-        if len(intlinalg.int_rref(rung.n0)[1]) != mult:
+        if intlinalg.int_rank(rung.n0) != mult:
             raise AssertionError("raising ladder drops rank before the top")
         rungs.append(rung)
     return HomogeneousComponent(r, t, d, mult, rungs)

@@ -449,19 +449,35 @@ def test_verify_report_matches_golden(tmp_path, capsys, monkeypatch, name,
     ("c32-all", "C", 3, ["--all-vertices-sample", "2"])])
 def test_golden_runs_never_reach_the_fraction_free_fallback(
         tmp_path, capsys, monkeypatch, name, family, D, options):
-    """Every int_rref of these runs is reconstructed from the primes and
-    certified.  A fallback to the fraction-free elimination, about 100 times
-    slower, would leave the report unchanged, so only this test sees it."""
-    fallbacks = []
+    """Every int_rref of these runs is reconstructed from one prime, with
+    no CRT, certified, and returned in int64.  A fallback to the
+    fraction-free elimination, about 100 times slower, or a detour through
+    Python-int arrays would leave the report unchanged, so only this test
+    sees it."""
+    fallbacks, combined, dtypes = [], [], []
 
     def refuse(mat):
         fallbacks.append(mat.shape)
         raise AssertionError(f"fraction-free fallback on {mat.shape}")
 
+    def no_crt(*args):
+        combined.append(args[0].shape)
+        raise AssertionError(f"CRT on {args[0].shape}")
+
+    real = intlinalg.int_rref
+
+    def recorded(mat):
+        got = real(mat)
+        dtypes.append(got[0].dtype)
+        return got
+
     monkeypatch.setattr(intlinalg, "_int_rref_exact", refuse)
+    monkeypatch.setattr(intlinalg, "_crt_combine", no_crt)
+    monkeypatch.setattr(intlinalg, "int_rref", recorded)
     test_verify_report_matches_golden(tmp_path, capsys, monkeypatch, name,
                                       family, D, options)
-    assert fallbacks == []
+    assert fallbacks == [] and combined == []
+    assert dtypes and set(dtypes) == {np.dtype(np.int64)}
 
 
 LEONARD_ARRAY = {"q": "2", "d": 3, "h": "1", "h_star": "-2", "kappa": "1",

@@ -22,6 +22,7 @@ from dualpolar.intlinalg import (
     _rat_reconstruct_block,
     int_kernel,
     int_matmul,
+    int_rank,
     int_rref,
     is_prime,
 )
@@ -315,12 +316,54 @@ def test_kernel_of_empty_and_zero_matrices(shape):
         assert (got == np.eye(shape[1], dtype=np.int64)).all()
 
 
+# (rows, cols, rank) of the seeded int_rank cases
+RANK_CASES = {
+    "square-full": (6, 6, 6), "square-deficient": (6, 6, 3),
+    "wide-full": (4, 9, 4), "wide-deficient": (4, 9, 2),
+    "tall-full": (9, 4, 4), "tall-deficient": (9, 4, 1),
+    "zero": (3, 5, 0), "empty-rows": (0, 4, 0), "empty-cols": (3, 0, 0),
+    "empty": (0, 0, 0)}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(RANK_CASES))
+def test_int_rank_matches_int_rref(monkeypatch, name, seed):
+    """int_rank is the rank of int_rref, in int64 and in Python ints; a
+    full rank is proved by one prime, without int_rref."""
+    nrows, ncols, rank = RANK_CASES[name]
+    rng = np.random.default_rng([seed, nrows, ncols, rank])
+    mat = _low_rank(rng, nrows, ncols, rank, 3)
+    calls = []
+    monkeypatch.setattr(intlinalg, "int_rref",
+                        lambda m: calls.append(m.shape) or int_rref(m))
+    for m in (mat, mat.astype(np.int64)):
+        assert int_rank(m) == len(int_rref(m)[1]) == rank
+    full = rank == min(nrows, ncols)
+    assert len(calls) == (0 if full else 2)
+
+
+@pytest.mark.parametrize("rows", [[[1, 0], [0, 1]], [[1, 0], [0, 1], [2, 0]]],
+                         ids=["square", "tall"])
+def test_int_rank_where_the_rank_drops_mod_p(rows):
+    """diag(1, p) with p = _PRIMES[0] has rank 1 mod p and rank 2 over Q;
+    so does the same matrix with a third row added."""
+    p = _PRIMES[0]
+    m = np.array(rows, dtype=np.int64)
+    m[1, 1] = p
+    assert len(_mod_rref(m, p)[1]) == 1
+    assert int_rank(m) == len(int_rref(m)[1]) == 2
+    assert int_rank(m.astype(object)) == 2
+
+
 @pytest.mark.parametrize("nprimes", [0, 1, 2, 3, 5])
 def test_block_reconstruction_matches_scalar(nprimes):
     """Entries that reconstruct, entries that fail, and moduli of one prime
     (int64 arithmetic) and of several (Python ints).  The composite modulus
     720720 (nprimes = 0) also meets entries whose candidate is rejected by
-    the final congruence check."""
+    the final congruence check.  Residues within the bound of 0 or of the
+    modulus are answered without the loop; those at the edges of that range
+    and past them are included.  Blocks are given as Python ints, and also
+    as int64 where the modulus allows."""
     rng = np.random.default_rng(nprimes)
     modulus = math.prod(_PRIMES[:nprimes]) if nprimes else 720720
     bound = math.isqrt(modulus // 2)
@@ -334,24 +377,28 @@ def test_block_reconstruction_matches_scalar(nprimes):
     draw = random.Random(nprimes)
     xs += [draw.randrange(modulus) for _ in range(20)]
     xs += [0, 1, modulus - 1] + list(range(2, 300))
+    xs += list(range(modulus - 300, modulus - 1))
+    xs += [bound, bound + 1, modulus - bound - 1, modulus - bound]
     want = [_scalar_rat_reconstruct(x, modulus, bound) for x in xs]
     assert any(w is None for w in want) and any(w is not None for w in want)
     # entry by entry, and in 3 x 3 blocks, which fail exactly when one of
     # their entries does
-    for x, w in zip(xs, want):
-        got = _rat_reconstruct_block(np.array([[x]], dtype=object), modulus,
-                                     bound)
-        assert (got and (int(got[0][0, 0]), int(got[1][0, 0]))) == w
-    for lo in range(0, len(xs) - 8, 9):
-        block = np.array(xs[lo:lo + 9], dtype=object).reshape(3, 3)
-        got = _rat_reconstruct_block(block, modulus, bound)
-        expect = want[lo:lo + 9]
-        if None in expect:
-            assert got is None
-        else:
-            assert got[0].shape == got[1].shape == (3, 3)
-            assert list(zip(got[0].ravel().tolist(),
-                            got[1].ravel().tolist())) == expect
+    dtypes = [object] + ([np.int64] if modulus < 2 ** 63 else [])
+    for dtype in dtypes:
+        for x, w in zip(xs, want):
+            got = _rat_reconstruct_block(np.array([[x]], dtype=dtype),
+                                         modulus, bound)
+            assert (got and (int(got[0][0, 0]), int(got[1][0, 0]))) == w
+        for lo in range(0, len(xs) - 8, 9):
+            block = np.array(xs[lo:lo + 9], dtype=dtype).reshape(3, 3)
+            got = _rat_reconstruct_block(block, modulus, bound)
+            expect = want[lo:lo + 9]
+            if None in expect:
+                assert got is None
+            else:
+                assert got[0].shape == got[1].shape == (3, 3)
+                assert list(zip(got[0].ravel().tolist(),
+                                got[1].ravel().tolist())) == expect
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -493,23 +493,94 @@ def graph_d42():
     return build_polar_graph(FormSpec("D", 4, 2))
 
 
-def test_decompose_elimination_count_d42(graph_d42, monkeypatch):
-    """One exact kernel per subconstituent r >= 1, and per component one
-    RREF of its lowest rung plus one rank per raised rung (rung 0 is
-    already an RREF): D + sum (d + 1) calls of int_rref, none for a
-    candidate eigenvalue that does not occur."""
+@pytest.fixture(scope="module")
+def ctx_d42(graph_d42):
     bm = spectral_data(graph_d42.spec, graph_d42.n_vertices,
                        verify_distance_regular(graph_d42))
-    ctx = build_context(graph_d42, bm, 47)
+    return build_context(graph_d42, bm, 47)
+
+
+def test_decompose_elimination_count_d42(ctx_d42, monkeypatch):
+    """One exact kernel per subconstituent r >= 1, and one RREF of its
+    lowest rung per component whose block holds another component; none
+    where a block holds one component (there M_LR and M_F are scalars),
+    none for a candidate eigenvalue that does not occur, and none for the
+    rung ranks, which one prime certifies: 4 + 2 calls of int_rref at
+    vertex 47."""
+    ctx = ctx_d42
     calls = []
     real = intlinalg.int_rref
     monkeypatch.setattr(intlinalg, "int_rref",
                         lambda mat: calls.append(mat.shape) or real(mat))
     comps = decompose(ctx)
-    assert len(calls) == ctx.D + sum(c.d + 1 for c in comps)
+    shared = [c for c in comps if sum(e.r == c.r for e in comps) > 1]
+    assert len(calls) == ctx.D + len(shared) == 6
     assert sorted((c.triple, c.mult) for c in comps) == [
         ((0, 0, 4), 1), ((1, 1, 2), 14), ((2, 1, 2), 35), ((2, 2, 0), 20),
         ((3, 2, 0), 70), ((4, 2, 0), 28)]
+
+
+@pytest.mark.parametrize("graph,triple,on_block", [("d32", (0, 0, 3), 1),
+                                                   ("d42", (2, 1, 2), 2)],
+                         ids=["d32-0-0-3", "d42-2-1-2"])
+def test_decompose_refuses_a_shifted_chi2(request, monkeypatch, graph,
+                                          triple, on_block):
+    """chi2 of one module moved by 1: LR on the lowest rungs of its block
+    has an eigenvalue outside the candidates.  On D_3(2) the block of
+    (0, 0, 3) holds one component, so M_LR is a scalar, which matches no
+    candidate; on D_4(2) the block of (2, 1, 2) also holds (2, 2, 0), and
+    the product over the candidates is not zero.  chi2 does not depend on
+    t, and decompose reads it at t = 0, so the shift is keyed on (r, d)."""
+    ctx = request.getfixturevalue(f"ctx_{graph}")
+    comps = decompose(ctx, full=False)  # passes unperturbed
+    assert triple in [c.triple for c in comps]
+    assert sum(c.r == triple[0] for c in comps) == on_block
+    real = terwilliger.chi2
+
+    def shifted(ctx, r, t, d):
+        val = real(ctx, r, t, d)
+        return val + 1 if (r, d) == (triple[0], triple[2]) else val
+
+    monkeypatch.setattr(terwilliger, "chi2", shifted)
+    with pytest.raises(AssertionError, match=re.escape(
+            f"LR on the lowest rungs of block {triple[0]} has an eigenvalue "
+            "outside the chi2 candidates")):
+        decompose(ctx, full=False)
+
+
+def _ladder(width, *raised):
+    """U for _build_component on a block of `width` vertices: the identity,
+    then the raising chains, each given by its transpose (rung j is
+    low_rows @ U[j].T)."""
+    return [np.eye(width, dtype=np.int64)] + [
+        np.array(m, dtype=np.int64).T for m in raised]
+
+
+def test_build_component_refuses_a_rung_that_drops_rank():
+    """Rung 1 keeps rank 2, rung 2 (columns 0 and 1 now equal) drops to
+    rank 1 before the top."""
+    low = ExactMatrix.from_int([[1, 0, 2], [0, 1, 3]])
+    U = _ladder(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                [[1, 1], [1, 1], [0, 0]])
+    with pytest.raises(AssertionError,
+                       match="raising ladder drops rank before the top"):
+        terwilliger._build_component(1, 1, 2, low, U)
+
+
+def test_build_component_accepts_a_ladder_of_multiples_of_p(monkeypatch):
+    """Every entry of rung 1 is a multiple of p = _PRIMES[0], so its rank
+    mod p is 0; int_rank falls back to int_rref, which finds rank 2."""
+    p = intlinalg._PRIMES[0]
+    low = ExactMatrix.identity(2)
+    U = _ladder(2, [[p, 0, 0], [0, 2 * p, p]])
+    calls = []
+    real = intlinalg.int_rref
+    monkeypatch.setattr(intlinalg, "int_rref",
+                        lambda mat: calls.append(mat.shape) or real(mat))
+    comp = terwilliger._build_component(0, 0, 1, low, U)
+    assert calls == [(2, 3)]
+    assert comp.mult == 2 and comp.dim == 4
+    assert comp.rungs[1] == ExactMatrix.from_int([[p, 0, 0], [0, 2 * p, p]])
 
 
 def test_decompose_refuses_a_shifted_chi0(ctx_d32, monkeypatch):
