@@ -8,6 +8,8 @@
 Reports are JSON on stdout: {"version", "input", "checks": [...],
 "summary": {...}}.  Each check carries a self-contained statement of the
 identity tested.  Exit codes: 0 all pass, 1 a check failed, 2 input error.
+`--suite lfrk` and `--suite central` run `decompose`: their identities are
+checked on the ladders of the homogeneous components it certifies.
 """
 
 from __future__ import annotations
@@ -153,16 +155,17 @@ def _suite_lfrk(report, stage):
     from . import terwilliger as tw
 
     for statement in tw.LFRK_STATEMENTS:
-        def one(statement=statement):
-            item = stage["lfrk"][statement]
-            return item["status"] == "pass", item.get("witness")
-        report.run(f"lfrk:{statement}", statement, one)
+        report.run(f"lfrk:{statement}", statement,
+                   lambda statement=statement: stage["lfrk"][statement])
     report.run("lfrk:recovery", "L, F, R are recovered from K A K^-1 "
-               "conjugations", lambda: tw.verify_lfrk_recovery(stage["ctx"]))
+               "conjugations", lambda: tw.verify_lfrk_recovery(
+                   stage["ctx"], stage["comps"]))
     report.run("lfrk:commuting", "LR, RL, F, K mutually commute",
-               lambda: tw.verify_lrf_commutations(stage["ctx"]))
+               lambda: tw.verify_lrf_commutations(stage["ctx"],
+                                                  stage["comps"]))
     report.run("lfrk:tridiagonal", "both tridiagonal bracket relations hold",
-               lambda: tw.verify_tridiagonal_relations(stage["ctx"]))
+               lambda: tw.verify_tridiagonal_relations(stage["ctx"],
+                                                       stage["comps"]))
 
 
 def _suite_central(report, stage):
@@ -170,7 +173,8 @@ def _suite_central(report, stage):
 
     report.run("central:construction", "C0, C1, C2, Omega, G, G* are "
                "symmetric and commute with A and A*",
-               lambda: stage["cents"] is not None)
+               lambda: tw.verify_central_construction(stage["ctx"],
+                                                      stage["comps"]))
     report.run("central:omega-entries", "Omega matches its same-distance "
                "entry table", lambda: tw.verify_omega_entry_table(
                    stage["ctx"], stage["cents"].Omega))
@@ -181,7 +185,8 @@ def _suite_central(report, stage):
                "alpha_i = b^(1-i) alpha_1 with matching beta_i commutes "
                "with A; a perturbed alpha does not (unless the flattening "
                "part vanishes)",
-               lambda: tw.verify_central_characterization(stage["ctx"]))
+               lambda: tw.verify_central_characterization(stage["ctx"],
+                                                          stage["comps"]))
 
 
 def _suite_modules(report, stage, g, sample_vertices):
@@ -260,8 +265,7 @@ def cmd_verify(args) -> int:
         drg=lambda: drg.verify_distance_regular(g),
         bm=lambda: drg.spectral_data(g.spec, g.n_vertices, stage["drg"]),
         ctx=lambda: tw.build_context(g, stage["bm"], args.base_vertex),
-        lfrk=lambda: {item["statement"]: item
-                      for item in tw.verify_lfrk(stage["ctx"])},
+        lfrk=lambda: tw.verify_lfrk(stage["ctx"], stage["comps"]),
         cents=lambda: tw.central_elements(stage["ctx"]),
         comps=lambda: tw.decompose(stage["ctx"]),
         center=lambda: tw.upsilon_psi_lambda(stage["ctx"], stage["comps"]),

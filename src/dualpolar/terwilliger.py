@@ -5,18 +5,7 @@ B_D at the base vertex x: E*_i A E*_j = 0 for |i - j| > 1 (Terwilliger, The
 subconstituent algebra of an association scheme I, 1992).  K, K^-1, A* and
 E*_i act on B_i as scalars, and L, F, R on B_i are the adjacency blocks
 A[B_(i-1), B_i], A[B_i, B_i], A[B_(i+1), B_i].  So the context is the
-partition with these blocks, an element X of T is held by its blocks
-E*_i X E*_j, and each identity is checked per block pair as sum_c s_c M_c
-with exact scalars s_c and integer products M_c of adjacency blocks
-(`graded`).  Every block a construction produces is stored, so [X, A*] = 0,
-on block (i, j) the identity (theta*_i - theta*_j) X_ij = 0, stays a check.
-
-The central elements C0, C1, C2, Omega, G and G* are all words in K, L, F,
-R (`central_terms`), built once each by `graded`.  C0, C1 and C2 are
-certified symmetric and commuting with A and A*.  Omega, G and G* are
-certified to equal combinations a0 C0 + a1 C1 + a2 I, which makes them
-symmetric and central too; the paper's entry tables of Omega and G are then
-checks of the word-built elements.
+partition with these blocks, and `build_context` certifies L^t = R, F^t = F.
 
 The homogeneous decomposition is computed by a lowering-ladder construction:
 the joint lowest-rung spaces ker(L) ^ E*_r V are split by diameter (length of
@@ -34,26 +23,30 @@ Each component W(r, t, d) is certified on its raising ladder (rung j is the
 lowest rung raised j times): F acts on rung j as a_j(W), L maps it to
 b_(j-1)(W) c_j(W) times rung j - 1, and L kills rung 0, R rung d.  So L, F,
 R, K and A* act on W as the (d+1) x (d+1) matrices of `ladder_action`, once
-per copy.  C0, C1, C2 are words in K, L, F, R (`central_terms`), so on W
-they act as those words evaluated on the ladder matrices, and the
-construction is certified against the defining joint-kernel description
-there: each C_k evaluates to chi_k I.  Rungs sharing a block are orthogonal,
-and sum dim = |X| pins the kernels exactly (joint eigenspaces of commuting
-operators for distinct eigenvalue triples are independent, so no kernel can
-be larger).  V is the direct sum of the W, so an identity among these holds
-on V exactly when it holds on every small matrix: Upsilon, Psi and Lambda
-are per-component scalars, and the center identities are scalar identities
-(T is semisimple).  The Leonard system of each module is read off the same
-ladder: E_(t+i) acts on W as a primitive idempotent of the (d+1) x (d+1)
-ladder A, and E*_(r+i) as the projection on rung i, so `extract_module`
-touches no n-wide vector.
+per copy; the component keeps them as its `action`.  C0, C1, C2 are words in
+K, L, F, R (`central_terms`), so on W they act as those words evaluated on
+the ladder matrices, and each must evaluate to chi_k I.  The triples have
+pairwise distinct (chi0, chi1, chi2), so the components lie in distinct
+joint eigenspaces and are independent, and sum dim = |X| makes V their
+direct sum (T is semisimple).
+
+A word combination in L, F, R, K, K^-1, A and A* is therefore zero on V
+exactly when it is zero on every ladder.  The LFRK relations, the
+recoveries, the commutations, the tridiagonal relations and the expressions
+of Omega, G, G* through C0 and C1 (`identities`) are checked so, as are the
+characterization and the center identities: Upsilon, Psi and Lambda are
+per-component scalars.  Only the paper's entry tables of Omega and G are
+statements about matrix entries; for them Omega and G are built block by
+block from their words (`graded`, `central_elements`).  The Leonard system
+of each module is read off the same ladder: E_(t+i) acts on W as a
+primitive idempotent of the (d+1) x (d+1) ladder A, and E*_(r+i) as the
+projection on rung i, so `extract_module` touches no n-wide vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -90,6 +83,8 @@ class TerwilligerContext:
     blocks: list[np.ndarray]  # vertex indices at distance i from x, sorted
     _adj: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
+    _identities: dict | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     @property
     def n(self) -> int:
@@ -158,15 +153,6 @@ def build_context(g: PolarGraph, bm: BoseMesnerData,
 # Graded elements
 
 
-def _expand(word: str) -> list[str]:
-    """The words in L, F, R, K, k, S that `word` becomes with A = L + F + R."""
-    out = [""]
-    for letter in word:
-        out = [w + x for w in out
-               for x in ("LFR" if letter == "A" else letter)]
-    return out
-
-
 def _chain(ctx: TerwilligerContext, path: str, j: int, memo: dict):
     """The integer product of the adjacency blocks of the word `path` in L,
     F, R on column block j (the identity for the empty word); words with a
@@ -186,29 +172,24 @@ def _chain(ctx: TerwilligerContext, path: str, j: int, memo: dict):
 def graded(ctx: TerwilligerContext, terms) -> Graded:
     """sum coeff * word over the (coeff, word) terms, block by block.
 
-    A word is a product of the letters L, F, R, K, k (K^-1), S (A*) and A
-    (L + F + R).  On column block j its letters act right to left: L, F and
-    R move to the next block through their adjacency block, K, k and S
-    multiply by their scalar on the current block, and a word that leaves
-    0..D vanishes.  Block (i, j) is sum_w s_w M_w over the words w in L, F,
-    R ending in block i: an exact scalar times the integer product of the
-    adjacency blocks.  Every block a term reaches is stored."""
-    words = [(coeff, w) for coeff, word in terms for w in _expand(word)]
-    scalars = {"K": [Fraction(1, ctx.b ** i) for i in range(ctx.D + 1)],
-               "k": [Fraction(ctx.b ** i) for i in range(ctx.D + 1)],
-               "S": ctx.bm.theta_star}
+    A word is a product of the letters L, F, R and K.  On column block j its
+    letters act right to left: L, F and R move to the next block through
+    their adjacency block, K multiplies by its scalar b^-i on the current
+    block i, and a word that leaves 0..D vanishes.  Block (i, j) is
+    sum_w s_w M_w over the words w ending in block i: an exact scalar times
+    the integer product of the adjacency blocks."""
     sums: dict = {}
     for j in range(ctx.D + 1):
-        for coeff, word in words:
+        for coeff, word in terms:
             i, s, path = j, Fraction(1), ""
             for letter in reversed(word):
-                if letter in _MOVES:
-                    i += _MOVES[letter]
-                    if not 0 <= i <= ctx.D:
-                        break
-                    path = letter + path
-                else:
-                    s *= scalars[letter][i]
+                if letter == "K":
+                    s /= ctx.b ** i
+                    continue
+                i += _MOVES[letter]
+                if not 0 <= i <= ctx.D:
+                    break
+                path = letter + path
             else:
                 block = sums.setdefault((i, j), {})
                 block[path] = block.get(path, 0) + coeff * s
@@ -218,71 +199,18 @@ def graded(ctx: TerwilligerContext, terms) -> Graded:
         for (i, j), block in sums.items()}
 
 
-def combine(*pairs) -> Graded:
-    """sum s X over (scalar s, graded X) pairs."""
-    out: Graded = {}
-    for s, x in pairs:
-        for ij, m in x.items():
-            out[ij] = out[ij] + m.scale(s) if ij in out else m.scale(s)
-    return out
-
-
-def is_zero(x: Graded) -> bool:
-    return all(m.is_zero() for m in x.values())
-
-
 def equal(x: Graded, y: Graded) -> bool:
     return all(x[ij] == y[ij] if ij in x and ij in y
                else x.get(ij, y.get(ij)).is_zero()
                for ij in x.keys() | y.keys())
 
 
-def first_nonzero(ctx: TerwilligerContext, x: Graded):
-    """(y, z, value) of the first nonzero entry of x in row-major order of
-    the n x n matrix, or None.  The blocks hold sorted vertex indices, so
-    the first local nonzero of each block is its first global one."""
-    hits = []
-    for (i, j), m in x.items():
-        live = m.n0 != 0 if m.n1 is None else (m.n0 != 0) | (m.n1 != 0)
-        if live.any():
-            a, c = np.argwhere(live)[0]
-            hits.append((int(ctx.blocks[i][a]), int(ctx.blocks[j][c]),
-                         m.entry(a, c)))
-    return min(hits, key=lambda hit: hit[:2], default=None)
-
-
-def commutes_with_adjacency(ctx: TerwilligerContext, x: Graded) -> bool:
-    """X A = A X.  A stored block X_ik = (n0 + n1 sqrt(rad)) / den meets the
-    adjacency blocks A_kj and A_hi; on each block pair the residual sum of
-    XA - AX is one exact combination of these integer products."""
-    terms: dict = {}
-    for (i, k), m in x.items():
-        parts = [(Fraction(1, m.den), m.n0)] + ([] if m.n1 is None else [
-            (ExactScalar(0, Fraction(1, m.den), m.rad), m.n1)])
-        for s, arr in parts:
-            for j in (k - 1, k, k + 1):
-                if ctx.adj(k, j) is not None:
-                    terms.setdefault((i, j), []).append(
-                        (s, int_matmul(arr, ctx.adj(k, j))))
-            for h in (i - 1, i, i + 1):
-                if ctx.adj(h, i) is not None:
-                    terms.setdefault((h, k), []).append(
-                        (-s, int_matmul(ctx.adj(h, i), arr)))
-    return all(ExactMatrix.combination(t).is_zero() for t in terms.values())
-
-
 def commutes(a: ExactMatrix, b: ExactMatrix) -> bool:
     return (a @ b - b @ a).is_zero()
 
 
-def _bracket(letter: str, terms) -> list:
-    """The terms of [letter, sum terms]."""
-    return [(c, letter + w) for c, w in terms] + [(-c, w + letter)
-                                                  for c, w in terms]
-
-
 # ---------------------------------------------------------------------------
-# The L, F, R, K relations
+# Identities on the ladders
 
 
 LFRK_STATEMENTS = (
@@ -296,15 +224,56 @@ LFRK_STATEMENTS = (
 )
 
 
-def lfrk_relations(ctx: TerwilligerContext) -> list[tuple[str, Graded]]:
-    """The seven generator relations, as (statement, lhs - rhs) pairs in the
-    order of LFRK_STATEMENTS."""
-    q2 = ExactScalar(ctx.b)
+def _bracket(letter: str, terms) -> list:
+    """The terms of [letter, sum terms]."""
+    return [(c, letter + w) for c, w in terms] + [(-c, w + letter)
+                                                  for c, w in terms]
+
+
+def _times(s, terms) -> list:
+    """The terms of s * sum terms."""
+    return [(s * c, w) for c, w in terms]
+
+
+def identities(ctx: TerwilligerContext) -> dict[str, list[list]]:
+    """The word identities of the lfrk and central suites by check id, each
+    a list of (coeff, word) term lists whose sums must vanish on V; words
+    are in the letters of `LadderAction.evaluate`.
+
+    - the seven generator relations, as lhs - rhs in the order of
+      LFRK_STATEMENTS;
+    - L, F, R recovered from A and K: K^-1 A K and K A K^-1 scale block
+      (i, j) of A by b^(j-i) and b^(i-j);
+    - LR, RL, F, K mutually commute;
+    - A commutes with A^2 A* - beta A A* A + A* A^2 - gamma (A A* + A* A) -
+      rho A*, and A* with A*^2 A - beta A* A A* + A A*^2 - gamma* (A* A +
+      A A*) - rho* A;
+    - Omega, G and G* equal a0 C0 + a1 C1 + a2 I (`_central_by_c0_c1`), and
+      G* = -gamma zeta^2 I - zeta Omega.
+    Built once per context, for every check that reads them."""
+    if ctx._identities is not None:
+        return ctx._identities
+    q, q2 = ctx.q, ExactScalar(ctx.b)
+    qi = q.inverse()
     q2e = ctx.qexp(ctx.two_e())
     qpow = ctx.qexp(ctx.two_e() + 2 * ctx.D - 2)
     c_hi = q2 * q2 / (q2 + 1)
     c_lo = q2.inverse() / (q2 + 1)
-    resids = [
+    dd = (q - qi) * (q - qi)
+    s = q + qi
+    beta, gamma, gamma_s, rho, rho_s = td_scalars(ctx.g.spec)
+    words = ["LR", "RL", "F", "K"]
+    inner1 = [(1, "AAS"), (-beta, "ASA"), (1, "SAA"), (-gamma, "AS"),
+              (-gamma, "SA"), (-rho, "S")]
+    inner2 = [(1, "SSA"), (-beta, "SAS"), (1, "ASS"), (-gamma_s, "SA"),
+              (-gamma_s, "AS"), (-rho_s, "A")]
+    c0, c1, _, omega, g, gstar = central_terms(ctx)
+    zeta = ctx.bm.zeta
+    central = [m + _times(-a0, c0) + _times(-a1, c1) + [(-a2, "")]
+               for m, (a0, a1, a2) in zip((omega, g, gstar),
+                                          _central_by_c0_c1(ctx))]
+    central.append(gstar + _times(zeta, omega) + [(gamma * zeta ** 2, "")])
+    lfrk = [
         [(1, "KL"), (-q2, "LK")],
         [(1, "KF"), (-1, "FK")],
         [(1, "KR"), (-q2.inverse(), "RK")],
@@ -313,55 +282,62 @@ def lfrk_relations(ctx: TerwilligerContext) -> list[tuple[str, Graded]]:
         [(c_hi, "RLL"), (-1, "LRL"), (c_lo, "LLR"), (qpow, "L")],
         [(c_hi, "RRL"), (-1, "RLR"), (c_lo, "LRR"), (qpow, "R")],
     ]
-    return [(statement, graded(ctx, terms))
-            for statement, terms in zip(LFRK_STATEMENTS, resids)]
+    ctx._identities = {
+        **{f"lfrk:{st}": [terms] for st, terms in zip(LFRK_STATEMENTS, lfrk)},
+        "lfrk:recovery": [
+            [(qi / (dd * s), "kAK"), (q / (dd * s), "KAk"), (-1 / dd, "A"),
+             (-1, "L")],
+            [((q * q + qi * qi) / dd, "A"), (-1 / dd, "kAK"),
+             (-1 / dd, "KAk"), (-1, "F")],
+            [(q / (dd * s), "kAK"), (qi / (dd * s), "KAk"), (-1 / dd, "A"),
+             (-1, "R")]],
+        "lfrk:commuting": [[(1, u + v), (-1, v + u)]
+                           for i, u in enumerate(words) for v in words[i + 1:]],
+        "lfrk:tridiagonal": [_bracket("A", inner1), _bracket("S", inner2)],
+        "central:construction": central,
+    }
+    return ctx._identities
 
 
-def verify_lfrk(ctx: TerwilligerContext) -> list[dict]:
-    report = []
-    for statement, resid in lfrk_relations(ctx):
-        witness = first_nonzero(ctx, resid)
-        item = {"id": f"lfrk:{statement}", "statement": statement,
-                "status": "pass" if witness is None else "fail"}
-        if witness is not None:
-            y, z, value = witness
-            item["witness"] = {"entry": [y, z], "value": value.render()}
-        report.append(item)
-    return report
+def _ladder_witness(comp, m: ExactMatrix) -> dict | None:
+    """The first nonzero entry of m, a matrix on the ladder of comp, in
+    row-major order, or None."""
+    live = m.n0 != 0 if m.n1 is None else (m.n0 != 0) | (m.n1 != 0)
+    if not live.any():
+        return None
+    i, j = (int(v) for v in np.argwhere(live)[0])
+    return {"component": list(comp.triple), "entry": [i, j],
+            "value": m.entry(i, j).render()}
 
 
-def verify_lfrk_recovery(ctx: TerwilligerContext) -> bool:
-    """L, F, R are recovered from A and K by conjugation identities:
-    K^-1 A K and K A K^-1 scale block (i, j) of A by b^(j-i) and b^(i-j)."""
-    q = ctx.q
-    qi = q.inverse()
-    dd = (q - qi) * (q - qi)
-    s = (q + qi)
-    lrec = [(qi / (dd * s), "kAK"), (q / (dd * s), "KAk"), (-1 / dd, "A")]
-    frec = [((q * q + qi * qi) / dd, "A"), (-1 / dd, "kAK"), (-1 / dd, "KAk")]
-    rrec = [(q / (dd * s), "kAK"), (qi / (dd * s), "KAk"), (-1 / dd, "A")]
-    return all(is_zero(graded(ctx, terms + [(-1, op)]))
-               for terms, op in ((lrec, "L"), (frec, "F"), (rrec, "R")))
+def _on_ladders(comps, term_lists) -> tuple[bool, dict | None]:
+    """Every sum of terms vanishes on the ladder of every component: (True,
+    None), or (False, the first nonzero entry found)."""
+    for terms in term_lists:
+        for c in comps:
+            witness = _ladder_witness(c, c.action.evaluate(terms))
+            if witness is not None:
+                return False, witness
+    return True, None
 
 
-def verify_lrf_commutations(ctx: TerwilligerContext) -> bool:
-    """LR, RL, F, K mutually commute."""
-    words = ["LR", "RL", "F", "K"]
-    return all(is_zero(graded(ctx, [(1, u + v), (-1, v + u)]))
-               for i, u in enumerate(words) for v in words[i + 1:])
+def verify_lfrk(ctx: TerwilligerContext, comps) -> dict:
+    """(ok, witness) of each generator relation by statement, on the
+    ladders of the components of a full decomposition."""
+    ids = identities(ctx)
+    return {st: _on_ladders(comps, ids[f"lfrk:{st}"]) for st in LFRK_STATEMENTS}
 
 
-def verify_tridiagonal_relations(ctx: TerwilligerContext) -> bool:
-    """Both bracket relations with the five tridiagonal scalars: A commutes
-    with A^2 A* - beta A A* A + A* A^2 - gamma (A A* + A* A) - rho A*, and A*
-    with A*^2 A - beta A* A A* + A A*^2 - gamma* (A* A + A A*) - rho* A."""
-    beta, gamma, gamma_s, rho, rho_s = td_scalars(ctx.g.spec)
-    inner1 = [(1, "AAS"), (-beta, "ASA"), (1, "SAA"), (-gamma, "AS"),
-              (-gamma, "SA"), (-rho, "S")]
-    inner2 = [(1, "SSA"), (-beta, "SAS"), (1, "ASS"), (-gamma_s, "SA"),
-              (-gamma_s, "AS"), (-rho_s, "A")]
-    return is_zero(graded(ctx, _bracket("A", inner1))) \
-        and is_zero(graded(ctx, _bracket("S", inner2)))
+def verify_lfrk_recovery(ctx: TerwilligerContext, comps):
+    return _on_ladders(comps, identities(ctx)["lfrk:recovery"])
+
+
+def verify_lrf_commutations(ctx: TerwilligerContext, comps):
+    return _on_ladders(comps, identities(ctx)["lfrk:commuting"])
+
+
+def verify_tridiagonal_relations(ctx: TerwilligerContext, comps):
+    return _on_ladders(comps, identities(ctx)["lfrk:tridiagonal"])
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +346,10 @@ def verify_tridiagonal_relations(ctx: TerwilligerContext) -> bool:
 
 @dataclass
 class CentralElements:
-    C0: Graded
-    C1: Graded
-    C2: Graded
+    """Omega and G, block by block, for their entry tables."""
+
     Omega: Graded
     G: Graded
-    Gstar: Graded
 
 
 def chi0(ctx: TerwilligerContext, r: int, t: int, d: int) -> ExactScalar:
@@ -468,38 +442,28 @@ def central_terms(ctx: TerwilligerContext) -> tuple[list, ...]:
 
 
 def central_elements(ctx: TerwilligerContext) -> CentralElements:
-    """C0, C1, C2, Omega, G and G*, each built from its words
-    (`central_terms`) and certified by `_verify_central`."""
-    cents = CentralElements(*(graded(ctx, t) for t in central_terms(ctx)))
-    _verify_central(ctx, cents)
-    return cents
+    """Omega and G built from their words (`central_terms`), block by block:
+    the paper's entry tables describe their entries.  That the words are
+    central is `verify_central_construction`'s certificate."""
+    terms = central_terms(ctx)
+    return CentralElements(graded(ctx, terms[3]), graded(ctx, terms[4]))
 
 
-def _verify_central(ctx: TerwilligerContext, c: CentralElements):
-    """C0, C1 and C2 are symmetric and commute with A and A*.  Omega, G and
-    G* equal a0 C0 + a1 C1 + a2 I (`_central_by_c0_c1`), which makes them
-    symmetric and central as well, and G* = -gamma zeta^2 I - zeta Omega."""
-    zeta = ctx.bm.zeta
-    gamma = td_scalars(ctx.g.spec)[1]
-    theta_star = ctx.bm.theta_star
-    for name, m in [("C0", c.C0), ("C1", c.C1), ("C2", c.C2)]:
-        if not equal({(j, i): x.T for (i, j), x in m.items()}, m):
-            raise AssertionError(f"{name} is not symmetric")
-        if not commutes_with_adjacency(ctx, m):
-            raise AssertionError(f"{name} does not commute with A")
-        # [m, A*] on block (i, j) is (theta*_i - theta*_j) m_ij
-        if not is_zero({(i, j): x.scale(theta_star[i] - theta_star[j])
-                        for (i, j), x in m.items()}):
-            raise AssertionError(f"{name} does not commute with A*")
-    ident = graded(ctx, [(1, "")])
-    for name, m, (a0, a1, a2) in zip(("Omega", "G", "G*"),
-                                     (c.Omega, c.G, c.Gstar),
-                                     _central_by_c0_c1(ctx)):
-        if not equal(m, combine((a0, c.C0), (a1, c.C1), (a2, ident))):
-            raise AssertionError(f"{name} vs C0, C1 expression fails")
-    if not equal(c.Gstar, combine((-gamma * zeta ** 2, ident),
-                                  (-zeta, c.Omega))):
-        raise AssertionError("G* relation to Omega fails")
+def verify_central_construction(ctx: TerwilligerContext, comps):
+    """C0, C1, C2, Omega, G and G* are symmetric and commute with A and A*,
+    given a full decomposition `comps`.
+
+    C0, C1 and C2 act on every component as chi_k I, which `decompose`
+    certifies on the ladders; V is the direct sum of the components, so they
+    are central in T.  They are symmetric word by word: with L^t = R and
+    F^t = F (`build_context`) and K diagonal, (KF)^t = FK, (KRL)^t = RLK and
+    (KLR)^t = LRK, and K commutes with F, RL and LR, each of which maps
+    every subconstituent to itself; so KF, KRL, KLR, KKRL, KKLR and KK are
+    symmetric.  Checked here on every ladder: Omega, G and G* equal
+    a0 C0 + a1 C1 + a2 I, that is they act there as a0 chi0 + a1 chi1 + a2,
+    which makes them symmetric and central too, and G* = -gamma zeta^2 I -
+    zeta Omega."""
+    return _on_ladders(comps, identities(ctx)["central:construction"])
 
 
 def _central_by_c0_c1(ctx: TerwilligerContext):
@@ -564,11 +528,14 @@ def verify_omega_entry_table(ctx: TerwilligerContext, omega: Graded) -> bool:
             ctx.blocks[s], ctx.blocks[s])] == 1).astype(np.int64))]))
 
 
-def central_characterization_matrix(ctx: TerwilligerContext, alpha1, beta0,
-                                    perturb: bool = False) -> Graded:
-    """C = sum alpha_i E*_i A E*_i + sum beta_i E*_i with
-    alpha_i = b^(1-i) alpha_1 and beta_i = beta_0 - a_1 b^(1-i)
-    (b^i - 1)/(b-1) alpha_1.  With perturb, alpha_min(2, D) is raised by 1."""
+def central_characterization_matrix(ctx: TerwilligerContext, comp,
+                                    alpha1, beta0,
+                                    perturb: bool = False) -> ExactMatrix:
+    """C = sum alpha_i E*_i A E*_i + sum beta_i E*_i on the ladder of comp,
+    with alpha_i = b^(1-i) alpha_1 and beta_i = beta_0 - a_1 b^(1-i)
+    (b^i - 1)/(b-1) alpha_1.  With perturb, alpha_min(2, D) is raised by 1.
+    E*_(r+j) acts on the ladder as the projection on rung j, so
+    E*_(r+j) A E*_(r+j) acts there as F, which is diagonal."""
     b = ctx.b
     _, avals, _ = closed_form_intersection(ctx.g.spec)
     a1 = avals[1]
@@ -585,17 +552,27 @@ def central_characterization_matrix(ctx: TerwilligerContext, alpha1, beta0,
         # beta_1 computed from the old alpha_1
         i = min(2, ctx.D)
         alphas[i] = alphas[i] + 1
-    return _diagonal_blocks(ctx, lambda s, eye: [
-        (alphas.get(s, 0), ctx.adj(s, s)), (betas[s], eye)])
+    rungs = range(comp.r, comp.r + comp.d + 1)
+    return ExactMatrix.diag([alphas.get(i, 0) for i in rungs]) \
+        @ comp.action.F + ExactMatrix.diag([betas[i] for i in rungs])
 
 
-def verify_central_characterization(ctx: TerwilligerContext) -> bool:
-    """Two matrices of the characterized shape commute with A; the
-    perturbed one does not, unless F = 0 annihilates its alpha part."""
-    ok = [commutes_with_adjacency(ctx, central_characterization_matrix(
-        ctx, *args)) for args in ((1, 0), (3, 2), (1, 0, True))]
-    flat = any(ctx.adj(s, s).any() for s in range(ctx.D + 1))
-    return ok[0] and ok[1] and ok[2] != flat
+def verify_central_characterization(ctx: TerwilligerContext, comps):
+    """Two matrices of the characterized shape commute with A on every
+    ladder; the perturbed one does not on some ladder, unless F vanishes on
+    every ladder and so annihilates its alpha part."""
+    def bracket(c, *args):
+        m = central_characterization_matrix(ctx, c, *args)
+        return _ladder_witness(c, m @ c.action.A - c.action.A @ m)
+
+    for args in ((1, 0), (3, 2)):
+        for c in comps:
+            witness = bracket(c, *args)
+            if witness is not None:
+                return False, witness
+    flat = all(c.action.F.is_zero() for c in comps)
+    moved = any(bracket(c, 1, 0, True) is not None for c in comps)
+    return moved != flat, None
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +586,9 @@ class HomogeneousComponent:
     d: int
     mult: int
     rungs: list[ExactMatrix]  # rung j: rung 0 raised j times, on block r+j
+    # L, F, R, K, A* on every copy, once `decompose(full=True)` certifies it
+    action: LadderAction | None = field(default=None, compare=False,
+                                        repr=False)
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -631,20 +611,33 @@ class LadderAction:
     K: ExactMatrix
     Kinv: ExactMatrix
     Astar: ExactMatrix
+    _words: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def __post_init__(self):
+        self._words.update({
+            "": ExactMatrix.identity(self.K.shape[0]), "L": self.L,
+            "F": self.F, "R": self.R, "K": self.K, "k": self.Kinv,
+            "S": self.Astar, "A": self.L + self.F + self.R})
 
     @property
     def A(self) -> ExactMatrix:
-        return self.L + self.F + self.R
+        return self._words["A"]
+
+    def word(self, word: str) -> ExactMatrix:
+        """The product of the letters of `word`, built once per ladder;
+        words with a common right factor share its product."""
+        if word not in self._words:
+            self._words[word] = self._words[word[0]] @ self.word(word[1:])
+        return self._words[word]
 
     def evaluate(self, terms) -> ExactMatrix:
         """sum coeff * word over (coeff, word) terms in the letters L, F, R,
-        K and k (K^-1) of `graded`, as a (d+1) x (d+1) matrix."""
-        mats = {"L": self.L, "F": self.F, "R": self.R, "K": self.K,
-                "k": self.Kinv}
+        K, k (K^-1), S (A*) and A (L + F + R), as a (d+1) x (d+1) matrix."""
         size = self.K.shape[0]
         out = ExactMatrix.zeros(size, size)
         for coeff, word in terms:
-            out = out + _product((mats[x] for x in word), size).scale(coeff)
+            out = out + self.word(word).scale(coeff)
         return out
 
 
@@ -723,15 +716,19 @@ def decompose(ctx: TerwilligerContext,
     With full=True the whole decomposition is certified, rung by rung on
     the blocks:
     - L, F, R act on the raising ladder of each component as
-      `ladder_action` says (so each component is A- and A*-invariant),
+      `ladder_action` says (so each component is A- and A*-invariant); the
+      component keeps that action,
     - each component lies in the joint kernel of (C_k - chi_k I): C_k is a
       word in K, L, F, R, so it acts on every copy of the component as its
       `central_terms` evaluated on the ladder matrices, which must be
       chi_k I,
-    - the components are pairwise orthogonal: the rungs that share a block
-      have a zero Gram product,
-    - their dimensions sum to |X|, which pins the joint kernels exactly and
-      makes V their direct sum.
+    - the occurring triples have pairwise distinct (chi0, chi1, chi2).
+    Then V is the direct sum of the components.  Each lies in the joint
+    eigenspace of C0, C1, C2 for its own eigenvalue triple, and joint
+    eigenvectors for distinct eigenvalue triples are linearly independent.
+    Within a component, rung j lies in block r + j and has rank mult, so
+    the component has dimension mult (d + 1).  The dimensions sum to |X|,
+    so the sum of the components is direct and is all of V.
     With full=False only the feasible triples with multiplicities are
     computed (used for base-vertex sampling), and dimensions still must sum
     to |X|.
@@ -887,33 +884,30 @@ def _certify_ladder(ctx: TerwilligerContext,
 def _certify_decomposition(ctx: TerwilligerContext,
                            comps: list[HomogeneousComponent]):
     """The certificate of `decompose(full=True)` on components whose
-    dimensions sum to |X|: feasible distinct triples, the ladder action and
-    C_k = chi_k on it, and pairwise orthogonality."""
-    triples = [c.triple for c in comps]
-    if len(set(triples)) != len(triples):
-        raise AssertionError("duplicate feasible triple")
-    terms = central_terms(ctx)[:3]
-    on_block: dict[int, list[ExactMatrix]] = {}
+    dimensions sum to |X|: feasible triples with pairwise distinct (chi0,
+    chi1, chi2), so distinct triples, and the ladder action, kept on each
+    component, with C_k = chi_k on it."""
+    by_chi: dict = {}
     for c in comps:
         r, t, d = c.triple
         if not (0 <= r and 0 <= t and 0 <= d and r + d <= ctx.D
                 and t + d <= ctx.D and r + t + d >= ctx.D):
             raise AssertionError(f"triple {c.triple} violates feasibility bounds")
-        act = _certify_ladder(ctx, c)
+        chi = tuple(chif(ctx, r, t, d) for chif in (chi0, chi1, chi2))
+        if chi in by_chi:
+            raise AssertionError(f"components {by_chi[chi].triple} and "
+                                 f"{c.triple} share chi0, chi1, chi2")
+        by_chi[chi] = c
+    terms = central_terms(ctx)[:3]
+    for chi, c in by_chi.items():
+        c.action = _certify_ladder(ctx, c)
         # K, L, F, R act on every copy of the component as the ladder
         # matrices, so C_k acts there as its terms evaluated on them
-        ident = ExactMatrix.identity(d + 1)
-        for ck, chif in zip(terms, (chi0, chi1, chi2)):
-            if act.evaluate(ck) != ident.scale(chif(ctx, r, t, d)):
+        ident = ExactMatrix.identity(c.d + 1)
+        for ck, value in zip(terms, chi):
+            if c.action.evaluate(ck) != ident.scale(value):
                 raise AssertionError(
                     f"component {c.triple} is not in the joint kernel")
-        for j, rung in enumerate(c.rungs):
-            on_block.setdefault(r + j, []).append(rung)
-    # pairwise orthogonality, on each block between the rungs that share it;
-    # with the dimension count, V is the direct sum
-    for rungs in on_block.values():
-        if any(not (a @ b.T).is_zero() for a, b in combinations(rungs, 2)):
-            raise AssertionError("components are not pairwise orthogonal")
 
 
 # ---------------------------------------------------------------------------
@@ -923,11 +917,13 @@ def _certify_decomposition(ctx: TerwilligerContext,
 @dataclass
 class CenterData:
     """The displacement weights Upsilon, Psi and the diameter weight Lambda,
-    by the scalar each acts as on the homogeneous component (r, t, d)."""
+    by the scalar each acts as on the homogeneous component (r, t, d), and
+    the certified ladder action of each component."""
 
     Upsilon: dict[tuple[int, int, int], ExactScalar]  # q^(r+t+d-D)
     Psi: dict[tuple[int, int, int], ExactScalar]      # q^(r-t)
     Lam: dict[tuple[int, int, int], ExactScalar]      # Casimir on L(d, 1)
+    ladders: dict[tuple[int, int, int], LadderAction]
 
 
 def upsilon_psi_lambda(ctx: TerwilligerContext,
@@ -937,7 +933,8 @@ def upsilon_psi_lambda(ctx: TerwilligerContext,
     return CenterData(
         {c.triple: ctx.qexp(c.r + c.t + c.d - ctx.D) for c in comps},
         {c.triple: ctx.qexp(c.r - c.t) for c in comps},
-        {c.triple: casimir_scalar(ctx.q, c.d, 1) for c in comps})
+        {c.triple: casimir_scalar(ctx.q, c.d, 1) for c in comps},
+        {c.triple: c.action for c in comps})
 
 
 def verify_center_identities(ctx: TerwilligerContext,
@@ -946,7 +943,7 @@ def verify_center_identities(ctx: TerwilligerContext,
     of Omega, G, G* through either family, as one scalar identity per
     component: C_i acts on W(r, t, d) as chi_i (`decompose` reads this off
     the certified ladder matrices), and Omega, G, G* as their C0, C1
-    expressions (`_verify_central`)."""
+    expressions (`verify_central_construction`)."""
     q2 = ExactScalar(ctx.b)
     q4 = q2 * q2
     q2e = ctx.qexp(ctx.two_e())
@@ -992,7 +989,7 @@ def verify_center_commutation(ctx: TerwilligerContext,
     """Upsilon, Psi and Lambda commute with A and A*: each is a scalar on a
     component, where A and A* act by the certified ladder matrices."""
     for triple in sorted(center.Upsilon):
-        act = ladder_action(ctx, *triple)
+        act = center.ladders[triple]
         ident = ExactMatrix.identity(triple[2] + 1)
         for weight in (center.Upsilon, center.Psi, center.Lam):
             w = ident.scale(weight[triple])
@@ -1087,7 +1084,7 @@ def extract_module(ctx: TerwilligerContext,
     A turns into diag theta_(t+i) by `eigenbasis`' certificate; the
     standard basis is diag(u) with u = E_t e_0, on which A* is diagonal."""
     r, t, d = comp.triple
-    act = ladder_action(ctx, r, t, d)
+    act = comp.action
     eig = eigenbasis(act.A, [ExactScalar(ctx.bm.theta[t + i])
                              for i in range(d + 1)], f"A on {comp.triple}")
     w0 = [eig.W.entry(i, 0) for i in range(d + 1)]

@@ -15,8 +15,8 @@ rational expressions in A - h and A* - h*, and two to the standard module of
 a dual polar graph through K, L, R and the displacement weights Upsilon,
 Psi.  The standard-module structures are built and checked one homogeneous
 component W(r, t, d) at a time: there K, L, R act on each copy of the
-raising ladder by the (d+1) x (d+1) matrices of
-`terwilliger.ladder_action`, which `decompose` certifies, and Upsilon, Psi
+raising ladder by the (d+1) x (d+1) ladder matrices that `decompose`
+certifies and keeps with each component, and Upsilon, Psi
 and the diameter weight Lambda act as scalars.  V is the direct sum of the
 components, so a relation holds on V exactly when it holds on every such
 small matrix.
@@ -307,8 +307,6 @@ def uq_on_standard_module(ctx, center, variant: int = 1) -> StandardModuleAction
     They are checked on each homogeneous component W(r, t, d), where K, L, R
     act by the (d+1) x (d+1) ladder matrices and Upsilon, Psi, Lambda by
     scalars; V is the direct sum of the components."""
-    from .terwilliger import ladder_action
-
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     q = ctx.q
@@ -318,7 +316,7 @@ def uq_on_standard_module(ctx, center, variant: int = 1) -> StandardModuleAction
     params = dpg_uq_params(ctx)
     actions = {}
     for triple in sorted(center.Upsilon):
-        lad = ladder_action(ctx, *triple)
+        lad = center.ladders[triple]
         ident = ExactMatrix.identity(triple[2] + 1)
         ups, psi = center.Upsilon[triple], center.Psi[triple]
         upsi, psii = ups.inverse(), psi.inverse()

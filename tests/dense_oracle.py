@@ -1,10 +1,12 @@
 """The n x n T-algebra and Bose-Mesner algebra: the dense reference for
-`terwilliger`'s block path and `drg`'s coefficient form.
+`terwilliger`'s checks on the ladders and blocks and `drg`'s coefficient
+form.
 
-This is the construction `terwilliger` used before it evaluated T block by
-block on the distance partition: E*_i, A, A*, K, K^-1, L, F, R and the
-central elements as n x n exact matrices, and every check as one dense
-matrix identity.  The tests run both and compare status and witness.
+This is the construction `terwilliger` used before it evaluated T on the
+distance partition and then on the ladders of the homogeneous components:
+E*_i, A, A*, K, K^-1, L, F, R and the central elements as n x n exact
+matrices, and every check as one dense matrix identity.  The tests run both
+and compare status and witness.
 
 It also keeps what `drg` did before it held the Bose-Mesner algebra by
 scalars: every p^h_ij from the (D+1)(D+2)/2 products A_i A_j, the primitive
@@ -252,22 +254,19 @@ def lfrk_relations(ctx: DenseContext) -> list[tuple[str, ExactMatrix]]:
     return list(zip(LFRK_STATEMENTS, resids))
 
 
-def verify_lfrk(ctx: DenseContext) -> list[dict]:
-    """One item per relation; a failure names the first nonzero entry of
-    the residual in row-major order and its value."""
-    report = []
+def verify_lfrk(ctx: DenseContext) -> dict:
+    """(ok, witness) of each relation by statement; a failure names the
+    first nonzero entry of the residual in row-major order and its value."""
+    report = {}
     for statement, resid in lfrk_relations(ctx):
-        ok = resid.is_zero()
-        item = {"id": f"lfrk:{statement}", "statement": statement,
-                "status": "pass" if ok else "fail"}
-        if not ok:
+        witness = None
+        if not resid.is_zero():
             live = resid.n0 != 0
             if resid.n1 is not None:
                 live |= resid.n1 != 0
             y, z = (int(v) for v in np.argwhere(live)[0])
-            item["witness"] = {"entry": [y, z],
-                               "value": resid.entry(y, z).render()}
-        report.append(item)
+            witness = {"entry": [y, z], "value": resid.entry(y, z).render()}
+        report[statement] = (witness is None, witness)
     return report
 
 

@@ -1,18 +1,23 @@
-"""The block-graded T-algebra against the dense n x n oracle, through verify.
+"""The T-algebra checks on the ladders against the dense n x n oracle,
+through verify.
 
-`terwilliger` evaluates every T-algebra check one block pair of the
-distance partition at a time.  `dense_oracle` keeps the n x n construction
-it replaced.  Here `verify --suite all` runs once on each: the dense run
-swaps the context and the LFRK and central checks for the oracle's, and
-adds the oracle's n-wide joint-kernel certificate to the decomposition.
-Both reports must agree in every status and witness, on intact graphs and on graphs with one adjacency entry or
-pair changed.  A changed graph is not distance-regular, so it is given the
-intact graph's intersection and Bose-Mesner data: otherwise every check
-would fail at `drg`, alike on both paths, and compare nothing."""
+`terwilliger` checks the LFRK and central identities on the ladder matrices
+of the homogeneous components that `decompose` certifies, and builds Omega
+and G block by block for their entry tables.  `dense_oracle` keeps the n x n
+construction of all of these.  Here `verify --suite all` runs once on each:
+the dense run swaps the context and the LFRK and central checks for the
+oracle's, and adds the oracle's n-wide joint-kernel and orthogonality
+certificate to the decomposition.  Both reports must agree in every status
+and witness on intact graphs, and on graphs with one adjacency entry
+changed or one edge added across two classes.  A changed graph is not
+distance-regular, so it is given the intact graph's intersection and
+Bose-Mesner data: otherwise every check would fail at `drg`, alike on both
+paths, and compare nothing."""
 
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -27,29 +32,47 @@ from dualpolar.polar import FormSpec, PolarGraph, build_polar_graph
 
 import dense_oracle
 
+def _dense_central(ctx):
+    """The oracle's n x n central elements, built and certified once per
+    dense context."""
+    if "_cents" not in vars(ctx):
+        ctx._cents = dense_oracle.central_elements(ctx)
+    return ctx._cents
+
+
+def _on_context(check):
+    """A ladder check's signature (ctx, comps) for a dense check of ctx.
+    verify has built comps already, so both paths depend on `decompose`."""
+    return lambda ctx, comps: check(ctx)
+
+
 DENSE = {
     "build_context": dense_oracle.dense_context,
-    "verify_lfrk": dense_oracle.verify_lfrk,
-    "verify_lfrk_recovery": dense_oracle.verify_lfrk_recovery,
-    "verify_lrf_commutations": dense_oracle.verify_lrf_commutations,
-    "verify_tridiagonal_relations": dense_oracle.verify_tridiagonal_relations,
-    "central_elements": dense_oracle.central_elements,
+    "verify_lfrk": _on_context(dense_oracle.verify_lfrk),
+    "verify_lfrk_recovery": _on_context(dense_oracle.verify_lfrk_recovery),
+    "verify_lrf_commutations": _on_context(
+        dense_oracle.verify_lrf_commutations),
+    "verify_tridiagonal_relations": _on_context(
+        dense_oracle.verify_tridiagonal_relations),
+    "verify_central_construction": _on_context(
+        lambda ctx: _dense_central(ctx) is not None),
+    "central_elements": _dense_central,
     "verify_omega_entry_table": dense_oracle.verify_omega_entry_table,
     "verify_g_entry_table": dense_oracle.verify_g_entry_table,
-    "verify_central_characterization": dense_oracle.characterization,
+    "verify_central_characterization": _on_context(
+        dense_oracle.characterization),
 }
 
 
 def _dense_decompose(real):
     """decompose followed by the oracle's n-wide joint-kernel and
     orthogonality certificate, on the oracle's own n x n central elements.
-    The block certificate runs first, so a failure it finds is reported
+    The ladder certificate runs first, so a failure it finds is reported
     with the same witness on both paths."""
     def run(ctx, full=True):
         comps = real(ctx, full=full)
         if full:
-            dense_oracle.certify_joint_kernel(
-                ctx, dense_oracle.central_elements(ctx), comps)
+            dense_oracle.certify_joint_kernel(ctx, _dense_central(ctx), comps)
         return comps
     return run
 
@@ -63,7 +86,7 @@ def graph(family, D, b):
 
 def verify(monkeypatch, capsys, g, x, path, suite="all", given=None):
     """The report of `verify --suite all` at base x on the given graph, on
-    the block path or the dense one, without `timing`; given, a pair of
+    the ladder path or the dense one, without `timing`; given, a pair of
     intersection data and Bose-Mesner data, replaces the graph's own."""
     with monkeypatch.context() as m:
         m.setattr(polar, "load_graph", lambda _: g)
@@ -88,10 +111,12 @@ def verify(monkeypatch, capsys, g, x, path, suite="all", given=None):
     ("D", 4, 2, 0), ("D", 4, 2, 47)])
 def test_block_path_matches_dense_oracle(monkeypatch, capsys, family, D, b,
                                          x):
+    """The ladder path, which replaced the block path of the LFRK and
+    central checks, against the dense oracle."""
     g, _ = graph(family, D, b)
-    block = verify(monkeypatch, capsys, g, x, "block")
-    assert block == verify(monkeypatch, capsys, g, x, "dense")
-    assert block["summary"]["fail"] == 0 and block["summary"]["skipped"] == 0
+    ladder = verify(monkeypatch, capsys, g, x, "ladder")
+    assert ladder == verify(monkeypatch, capsys, g, x, "dense")
+    assert ladder["summary"]["fail"] == 0 and ladder["summary"]["skipped"] == 0
 
 
 def _tampered(g, x, classes, pair):
@@ -122,24 +147,37 @@ def _tampered(g, x, classes, pair):
 def test_perturbed_adjacency_fails_alike(monkeypatch, capsys, family, D, b,
                                          classes, pair, message):
     """One adjacency entry (or symmetric pair) added in a diagonal block,
-    in an off-diagonal block, or across two classes: the block path and the
-    oracle fail the same checks with the same witnesses.  A single entry
-    breaks L^t = R or F^t = F; an edge two classes apart is refused by
-    `build_context`; a symmetric pair inside the grading breaks LFRK
-    relations, reported at the same entry with the same value."""
+    in an off-diagonal block, or across two classes.  A single entry breaks
+    L^t = R or F^t = F, and an edge two classes apart is refused by
+    `build_context`: there the ladder path and the oracle fail the same
+    checks with the same witnesses.  A symmetric pair inside the grading
+    breaks the ladder certificate of `decompose`, which both paths run
+    before their LFRK and central checks: every LFRK check and the
+    construction fail on both, with the witness of `modules:dimension`.
+    Only the entry tables differ there: the oracle certifies its central
+    elements before it reads Omega and G, the ladder path reads them only."""
     g, intact = graph(family, D, b)
     bad = _tampered(g, 0, classes, pair)
-    block = verify(monkeypatch, capsys, bad, 0, "block", given=intact)
-    assert block == verify(monkeypatch, capsys, bad, 0, "dense", given=intact)
-    checks = {c["id"]: c for c in block["checks"]}
-    lfrk = [c for c in checks.values() if c["id"].startswith("lfrk:")
-            and c["status"] == "fail"]
-    assert checks["central:construction"]["status"] == "fail"
+    ladder = verify(monkeypatch, capsys, bad, 0, "ladder", given=intact)
+    dense = verify(monkeypatch, capsys, bad, 0, "dense", given=intact)
     if message is not None:
-        assert len(lfrk) == 10
-        assert all(message in c["witness"] for c in lfrk)
+        assert ladder == dense
     else:
-        assert any(isinstance(c.get("witness"), dict) for c in lfrk)
+        def rest(report):
+            return [c for c in report["checks"] if c["id"] not in (
+                "central:omega-entries", "central:g-entries")]
+        assert rest(ladder) == rest(dense)
+    for report in (ladder, dense):
+        checks = {c["id"]: c for c in report["checks"]}
+        failed = [c for c in checks.values()
+                  if c["id"].startswith("lfrk:")
+                  or c["id"] == "central:construction"]
+        assert len(failed) == 11
+        assert all(c["status"] == "fail" for c in failed)
+        want = checks["modules:dimension"]["witness"]
+        assert checks["modules:dimension"]["status"] == "fail"
+        assert message is None or message in want
+        assert all(c["witness"] == want for c in failed)
 
 
 @pytest.mark.parametrize("suite", ["drg", "lfrk", "central", "modules",
@@ -187,7 +225,10 @@ sys.exit(main(sys.argv[2:]))
 @pytest.mark.parametrize("mode,status", [("perturb", "fail"),
                                          ("keep", "pass")])
 def test_block_certificate_fails_under_python_O(tmp_path, mode, status):
-    """The block certificates raise; none is a bare assert."""
+    """The ladder certificates raise; none is a bare assert.  The moved K
+    term of C0 breaks the joint-kernel certificate of `decompose`, so the
+    construction and the characterization, which run on its ladders, fail
+    with its message; the entry tables read Omega and G only, and pass."""
     path = str(tmp_path / "d32.json")
     assert main(["build", "--family", "D", "--D", "3", "--b", "2",
                  "--out", path]) == 0
@@ -200,12 +241,53 @@ def test_block_certificate_fails_under_python_O(tmp_path, mode, status):
          "--graph", path, "--suite", "central"],
         capture_output=True, text=True, env=env, timeout=300)
     checks = {c["id"]: c for c in json.loads(out.stdout)["checks"]}
-    # the characterization builds no central element
-    assert checks.pop("central:characterization")["status"] == "pass"
-    assert sorted(checks) == ["central:construction", "central:g-entries",
+    assert sorted(checks) == ["central:characterization",
+                              "central:construction", "central:g-entries",
                               "central:omega-entries"]
-    for c in checks.values():
-        assert c["status"] == status
-        if status == "fail":
-            assert c["witness"] == "C0 does not commute with A"
+    for cid, c in checks.items():
+        if cid in ("central:construction", "central:characterization"):
+            assert c["status"] == status
+        else:
+            assert c["status"] == "pass"
+        if c["status"] == "fail":
+            assert re.fullmatch(r"component \(\d, \d, \d\) is not in the "
+                                "joint kernel", c["witness"])
     assert out.returncode == (1 if status == "fail" else 0)
+
+
+def test_one_ladder_action_per_component(monkeypatch, capsys):
+    """`decompose` keeps the ladder action it certifies on each component,
+    and every later check reads it there: one `ladder_action` per triple in
+    a D_4(2) run of every suite with three sampled base vertices, whose
+    decompositions certify nothing and build none."""
+    g, _ = graph("D", 4, 2)
+    calls = []
+    real = terwilliger.ladder_action
+    monkeypatch.setattr(terwilliger, "ladder_action",
+                        lambda ctx, *t: calls.append(t) or real(ctx, *t))
+    monkeypatch.setattr(polar, "load_graph", lambda _: g)
+    capsys.readouterr()
+    assert main(["verify", "--graph", "g.json", "--suite", "all",
+                 "--all-vertices-sample", "3"]) == 0
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    triples = [tuple(t[:3]) for t in checks["modules:dimension"]["witness"][
+        "triples"]]
+    assert len(triples) == 6 and sorted(calls) == triples
+
+
+@pytest.mark.parametrize("suite", ["lfrk", "central"])
+def test_block_products_only_for_the_entry_tables(monkeypatch, capsys,
+                                                  suite):
+    """`--suite lfrk` forms no graded element; `--suite central` forms
+    Omega and G only, for their entry tables."""
+    g, _ = graph("D", 4, 2)
+    calls = []
+    real = terwilliger.graded
+    monkeypatch.setattr(terwilliger, "graded",
+                        lambda ctx, terms: calls.append(terms)
+                        or real(ctx, terms))
+    report = verify(monkeypatch, capsys, g, 0, "ladder", suite)
+    assert report["summary"]["fail"] == 0
+    ctx = terwilliger.build_context(g, graph("D", 4, 2)[1][1], 0)
+    omega, G = terwilliger.central_terms(ctx)[3:5]
+    assert calls == ([] if suite == "lfrk" else [omega, G])

@@ -236,13 +236,17 @@ STAGE_FAILURES = {
     # stage function -> (error it raises, ids of the checks that need it)
     "drg.verify_distance_regular": (
         NotDistanceRegularError(1, 1, 1, 3, 4, 2, 5), NEEDS_DRG),
+    # Omega and G serve the two entry tables only
     "terwilliger.central_elements": (
-        AssertionError("G* vs C0 expression fails"),
-        ["central:construction", "central:omega-entries",
-         "central:g-entries"]),
+        AssertionError("Omega and G are not built"),
+        ["central:omega-entries", "central:g-entries"]),
+    # the LFRK and central identities are checked on its ladders
     "terwilliger.decompose": (
-        AssertionError("components are not pairwise orthogonal"),
-        ["modules:dimension", "modules:center-commute",
+        AssertionError("components (1, 1, 1) and (2, 1, 1) share chi0, "
+                       "chi1, chi2"),
+        [*LFRK_IDS, "lfrk:recovery", "lfrk:commuting", "lfrk:tridiagonal",
+         "central:construction", "central:characterization",
+         "modules:dimension", "modules:center-commute",
          "modules:center-identities", *UQ_IDS]),
     "terwilliger.upsilon_psi_lambda": (
         AssertionError("displacement weights are not defined"),

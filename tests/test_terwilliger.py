@@ -17,16 +17,18 @@ from dualpolar.terwilliger import (
     build_context,
     central_characterization_matrix,
     central_elements,
+    central_terms,
     chi0,
     chi1,
     chi2,
-    commutes_with_adjacency,
+    commutes,
     decompose,
     extract_module,
     graded,
-    is_zero,
     verify_center_commutation,
     verify_center_identities,
+    verify_central_characterization,
+    verify_central_construction,
     verify_g_entry_table,
     verify_lfrk,
     verify_lfrk_recovery,
@@ -58,7 +60,11 @@ def _flat_is_zero(ctx):
     return not any(ctx.adj(s, s).any() for s in range(ctx.D + 1))
 
 
-def test_context_invariants(ctx_c32):
+def _primary(comps):
+    return next(c for c in comps if c.triple == (0, 0, 3))
+
+
+def test_context_invariants(ctx_c32, comps_c32):
     ctx = ctx_c32
     adj = ctx.g.adjacency
     # A = L + F + R: the blocks hold every edge
@@ -71,8 +77,8 @@ def test_context_invariants(ctx_c32):
     assert graded(ctx, [(1, "K")])[0, 0] == ExactMatrix.identity(1)  # q^0
     # |B_1| = trace E*_1 = valency at the base vertex
     assert len(ctx.blocks[1]) == 14
-    # A* on a neighbor is theta*_1 = 25/2
-    assert graded(ctx, [(1, "S")])[1, 1] == ExactMatrix.identity(14).scale(
+    # A* on a neighbor, rung 1 of the primary module, is theta*_1 = 25/2
+    assert _primary(comps_c32).action.Astar.entry(1, 1) == ExactScalar(
         Fraction(25, 2))
 
 
@@ -87,34 +93,40 @@ def test_estar_a_estar_vanishing(ctx_c32):
                 assert ctx_c32.adj(i, j) is None
 
 
-def test_lfrk_relations_c32(ctx_c32):
-    report = verify_lfrk(ctx_c32)
-    assert len(report) == 7
-    assert all(item["status"] == "pass" for item in report)
-    # spot: K L = q^2 L K with q^2 = 2
-    kl = graded(ctx_c32, [(1, "KL"), (-2, "LK")])
-    assert sorted(kl) == [(0, 1), (1, 2), (2, 3)] and is_zero(kl)
-    # the cubic relation with its scalar: q^(2e+2D-2) = q^6 = 8
-    assert is_zero(graded(ctx_c32, [(Fraction(4, 3), "RLL"), (-1, "LRL"),
-                                    (Fraction(1, 6), "LLR"), (8, "L")]))
-    assert not is_zero(graded(ctx_c32, [(Fraction(4, 3), "RLL"),
-                                        (-1, "LRL"), (Fraction(1, 6), "LLR"),
-                                        (7, "L")]))
+def test_lfrk_relations_c32(ctx_c32, comps_c32):
+    report = verify_lfrk(ctx_c32, comps_c32)
+    assert list(report) == list(terwilliger.LFRK_STATEMENTS)
+    assert all(out == (True, None) for out in report.values())
+    # spot: K L = q^2 L K with q^2 = 2, on every ladder
+    assert all(c.action.evaluate([(1, "KL"), (-2, "LK")]).is_zero()
+               for c in comps_c32)
+    # the cubic relation with its scalar: q^(2e+2D-2) = q^6 = 8; with 7 the
+    # residual is -L, first nonzero on the first component with d > 0
+    cubic = [(Fraction(4, 3), "RLL"), (-1, "LRL"), (Fraction(1, 6), "LLR")]
+    assert terwilliger._on_ladders(comps_c32, [cubic + [(8, "L")]]) \
+        == (True, None)
+    ok, witness = terwilliger._on_ladders(comps_c32, [cubic + [(7, "L")]])
+    first = next(c for c in comps_c32 if c.d > 0)
+    assert not ok and witness == {
+        "component": list(first.triple), "entry": [0, 1],
+        "value": (-first.action.L.entry(0, 1)).render()}
 
 
-def test_lfrk_relations_d32(ctx_d32):
-    report = verify_lfrk(ctx_d32)
-    assert all(item["status"] == "pass" for item in report)
+def test_lfrk_relations_d32(ctx_d32, comps_d32):
+    report = verify_lfrk(ctx_d32, comps_d32)
+    assert all(out == (True, None) for out in report.values())
     # e = 0 degenerate case: LF - q^2 FL = 0 (and F = 0 here outright)
-    assert is_zero(graded(ctx_d32, [(1, "LF"), (-2, "FL")]))
+    assert all(c.action.evaluate([(1, "LF"), (-2, "FL")]).is_zero()
+               and c.action.F.is_zero() for c in comps_d32)
     assert _flat_is_zero(ctx_d32)
 
 
-def test_lfrk_recovery_and_commutations(ctx_c32, ctx_d32):
-    for ctx in (ctx_c32, ctx_d32):
-        assert verify_lfrk_recovery(ctx)
-        assert verify_lrf_commutations(ctx)
-        assert verify_tridiagonal_relations(ctx)
+def test_lfrk_recovery_and_commutations(ctx_c32, ctx_d32, comps_c32,
+                                        comps_d32):
+    for ctx, comps in ((ctx_c32, comps_c32), (ctx_d32, comps_d32)):
+        assert verify_lfrk_recovery(ctx, comps) == (True, None)
+        assert verify_lrf_commutations(ctx, comps) == (True, None)
+        assert verify_tridiagonal_relations(ctx, comps) == (True, None)
 
 
 def test_chi_values_c32(ctx_c32):
@@ -123,39 +135,47 @@ def test_chi_values_c32(ctx_c32):
     assert chi2(ctx_c32, 0, 0, 3) == ExactScalar(Fraction(1, 3))
 
 
-def test_central_commute(ctx_c32, cents_c32):
-    theta_star = ctx_c32.bm.theta_star
-    for m in (cents_c32.C0, cents_c32.C1, cents_c32.C2, cents_c32.Omega,
-              cents_c32.G, cents_c32.Gstar):
-        assert commutes_with_adjacency(ctx_c32, m)
-        assert is_zero({(i, j): x.scale(theta_star[i] - theta_star[j])
-                        for (i, j), x in m.items()})
-        # a block off the diagonal does not commute with A*
-        assert not is_zero({(i, j + 1): x.scale(theta_star[i]
-                                                - theta_star[j + 1])
-                            for (i, j), x in m.items() if j < 3})
+def test_central_commute(ctx_c32, comps_c32):
+    """Each of the six central elements acts on every ladder as a scalar,
+    so it commutes with A and A* there; L, which moves between
+    subconstituents, does not commute with A*."""
+    assert verify_central_construction(ctx_c32, comps_c32) == (True, None)
+    for c in comps_c32:
+        act = c.action
+        for terms in central_terms(ctx_c32):
+            m = act.evaluate(terms)
+            assert m == ExactMatrix.identity(c.d + 1).scale(m.entry(0, 0))
+            assert commutes(m, act.A) and commutes(m, act.Astar)
+        assert commutes(act.L, act.Astar) == (c.d == 0)
 
 
-def test_central_commutation_certified_on_c0_c1_c2_only(ctx_c32,
+def test_central_commutation_certified_on_c0_c1_c2_only(ctx_c32, comps_c32,
                                                          monkeypatch):
-    """Omega, G and G* are certified as combinations of C0, C1 and I, so
-    only C0, C1 and C2 meet the [., A] certificate."""
+    """`decompose` certifies C0, C1 and C2 alone against their scalars
+    chi_k, on every ladder; the construction check compares Omega, G and
+    G* with their C0, C1 expressions and evaluates no C_k by itself."""
     calls = []
-    real = terwilliger.commutes_with_adjacency
-    monkeypatch.setattr(terwilliger, "commutes_with_adjacency",
-                        lambda ctx, x: calls.append(x) or real(ctx, x))
-    cents = central_elements(ctx_c32)
-    assert len(calls) == 3
-    assert all(a is b for a, b in zip(calls, (cents.C0, cents.C1, cents.C2)))
+    real = terwilliger.LadderAction.evaluate
+    monkeypatch.setattr(terwilliger.LadderAction, "evaluate",
+                        lambda self, terms: calls.append(terms)
+                        or real(self, terms))
+    comps = decompose(ctx_c32)
+    c_terms = list(central_terms(ctx_c32)[:3])
+    assert calls == c_terms * len(comps)
+    calls.clear()
+    assert verify_central_construction(ctx_c32, comps) == (True, None)
+    assert len(calls) == 4 * len(comps)
+    assert not any(terms in c_terms for terms in calls)
 
 
 @pytest.mark.parametrize("index,name", [(3, "Omega"), (4, "G"), (5, "G*")])
 @pytest.mark.parametrize("term", [0, -1], ids=["first-term", "last-term"])
-def test_central_refuses_a_shifted_term(ctx_c32, monkeypatch, index, name,
-                                        term):
+def test_central_refuses_a_shifted_term(ctx_c32, comps_c32, monkeypatch,
+                                        index, name, term):
     """One coefficient of the words of Omega, G or G* moved by 1: the
-    element is still built, symmetric, and (for the constant term) central,
-    but it no longer equals its C0, C1 expression."""
+    element no longer equals its C0, C1 expression on some ladder.  A moved
+    constant term adds I to the residual, seen first at entry (0, 0) of
+    the first component."""
     real = terwilliger.central_terms
 
     def shifted(ctx):
@@ -165,9 +185,14 @@ def test_central_refuses_a_shifted_term(ctx_c32, monkeypatch, index, name,
         return tuple(terms)
 
     monkeypatch.setattr(terwilliger, "central_terms", shifted)
-    with pytest.raises(AssertionError, match=re.escape(
-            f"{name} vs C0, C1 expression fails")):
-        central_elements(ctx_c32)
+    # a fresh context: the identities are built once per context
+    ctx = build_context(ctx_c32.g, ctx_c32.bm, 0)
+    ok, witness = verify_central_construction(ctx, comps_c32)
+    assert not ok
+    assert tuple(witness["component"]) in [c.triple for c in comps_c32]
+    if term == -1:
+        assert witness == {"component": list(comps_c32[0].triple),
+                           "entry": [0, 0], "value": "1"}
 
 
 def _g_table_by_entry(ctx, G):
@@ -280,24 +305,27 @@ def test_entry_tables_d32(ctx_d32, cents_d32):
     _check_entry_tables(ctx_d32, cents_d32)
 
 
-def _commutes_with_a(ctx, m):
-    return commutes_with_adjacency(ctx, m)
+def _commutes_on_ladders(ctx, comps, *args):
+    """central_characterization_matrix(*args) commutes with A on every
+    ladder."""
+    return all(commutes(central_characterization_matrix(ctx, c, *args),
+                        c.action.A) for c in comps)
 
 
-def test_central_characterization(ctx_c32):
-    m1 = central_characterization_matrix(ctx_c32, 1, 0)
-    m2 = central_characterization_matrix(ctx_c32, Fraction(3, 2), 2)
-    assert _commutes_with_a(ctx_c32, m1)
-    assert _commutes_with_a(ctx_c32, m2)
-    mp = central_characterization_matrix(ctx_c32, 1, 0, perturb=True)
-    assert not _commutes_with_a(ctx_c32, mp)
+def test_central_characterization(ctx_c32, comps_c32):
+    assert verify_central_characterization(ctx_c32, comps_c32) \
+        == (True, None)
+    assert _commutes_on_ladders(ctx_c32, comps_c32, 1, 0)
+    assert _commutes_on_ladders(ctx_c32, comps_c32, Fraction(3, 2), 2)
+    assert not _commutes_on_ladders(ctx_c32, comps_c32, 1, 0, True)
 
 
-def test_central_characterization_degenerate(ctx_d32):
+def test_central_characterization_degenerate(ctx_d32, comps_d32):
     # with no same-distance edges the alpha part is annihilated
     assert _flat_is_zero(ctx_d32)
-    mp = central_characterization_matrix(ctx_d32, 1, 0, perturb=True)
-    assert _commutes_with_a(ctx_d32, mp)
+    assert _commutes_on_ladders(ctx_d32, comps_d32, 1, 0, True)
+    assert verify_central_characterization(ctx_d32, comps_d32) \
+        == (True, None)
 
 
 def test_decompose_c32(comps_c32):
@@ -338,14 +366,13 @@ def test_joint_kernel_bruteforce_oracle(graph_d32, bm_d32, ctx_d32,
         assert (ker, pivots) == dense_oracle.component_basis(ctx_d32, comp)
 
 
-def test_kernel_of_c0_shift_c32(graph_c32, bm_c32, ctx_c32, cents_c32,
-                                comps_c32):
+def test_kernel_of_c0_shift_c32(graph_c32, bm_c32, ctx_c32, comps_c32):
     # ker(C0 - chi0(0,0,3) I) is the sum of all components sharing that
     # central character; it contains the primary component and is
     # A- and A*-invariant
     dctx = dense_oracle.dense_context(graph_c32, bm_c32, 0)
     val = chi0(ctx_c32, 0, 0, 3)
-    m = dense_oracle.dense(ctx_c32, cents_c32.C0) \
+    m = dense_oracle.central_elements(dctx).C0 \
         - ExactMatrix.identity(135).scale(val)
     ker, pivots = kernel(m)
     expect = sum(c.dim for c in comps_c32
@@ -394,21 +421,26 @@ def _acts_as(x, comp, value) -> bool:
                for j, rung in enumerate(comp.rungs))
 
 
-def test_c2_on_primary_via_displacements(ctx_c32, cents_c32, comps_c32):
+def test_c2_on_primary_via_displacements(ctx_c32, comps_c32):
     # C2 = q^(2e-2)/(q^4-1) U^-2 P^-2 acts on the primary component as 1/3
-    primary = [c for c in comps_c32 if c.triple == (0, 0, 3)][0]
+    c2 = _primary(comps_c32).action.evaluate(central_terms(ctx_c32)[2])
     third = ExactScalar(Fraction(1, 3))
-    assert _acts_as(cents_c32.C2, primary, third)
-    assert not _acts_as(cents_c32.C2, primary, ExactScalar(1))
+    assert c2 == ExactMatrix.identity(4).scale(third)
+    assert c2 != ExactMatrix.identity(4)
     assert chi2(ctx_c32, 0, 0, 3) == third
 
 
 def test_aw_scalar_action(ctx_c32, cents_c32, comps_c32):
+    """Omega and G, built block by block, act on the rungs of every
+    component as its closed module scalars; G*, built on the ladder only,
+    acts there as its own."""
+    gstar = central_terms(ctx_c32)[5]
     for c in comps_c32:
         om, eta, eta_star = aw_module_scalars(ctx_c32, *c.triple)
         assert _acts_as(cents_c32.Omega, c, ExactScalar(om))
         assert _acts_as(cents_c32.G, c, ExactScalar(eta))
-        assert _acts_as(cents_c32.Gstar, c, ExactScalar(eta_star))
+        assert c.action.evaluate(gstar) == ExactMatrix.identity(
+            c.d + 1).scale(eta_star)
 
 
 def test_extract_module_primary(ctx_c32, comps_c32):
@@ -614,3 +646,73 @@ def test_decompose_refuses_a_shifted_chi1(ctx_d32, monkeypatch, triple):
     with pytest.raises(AssertionError, match=re.escape(
             f"component {triple} is not in the joint kernel")):
         decompose(ctx_d32)
+
+
+def _ladder_checks(ctx, comps) -> dict:
+    """(ok, witness) of every check run on the ladders, by check id."""
+    out = {f"lfrk:{st}": res for st, res in verify_lfrk(ctx, comps).items()}
+    out["lfrk:recovery"] = verify_lfrk_recovery(ctx, comps)
+    out["lfrk:commuting"] = verify_lrf_commutations(ctx, comps)
+    out["lfrk:tridiagonal"] = verify_tridiagonal_relations(ctx, comps)
+    out["central:construction"] = verify_central_construction(ctx, comps)
+    out["central:characterization"] = verify_central_characterization(
+        ctx, comps)
+    return out
+
+
+# one identity of each check: each LFRK relation, each recovery, one
+# commutation, each tridiagonal bracket, and the Omega, G and G*
+# expressions; None moves the characterization's alpha_2
+MOVED = [(f"lfrk:{st}", 0) for st in terwilliger.LFRK_STATEMENTS] + [
+    ("lfrk:recovery", 0), ("lfrk:recovery", 1), ("lfrk:recovery", 2),
+    ("lfrk:commuting", 0), ("lfrk:tridiagonal", 0), ("lfrk:tridiagonal", 1),
+    ("central:construction", 0), ("central:construction", 1),
+    ("central:construction", 2), ("central:characterization", None)]
+
+
+@pytest.mark.parametrize("check,index", MOVED,
+                         ids=[f"{c}-{i}" for c, i in MOVED])
+def test_moved_coefficient_fails_its_check_alone(ctx_c32, comps_c32,
+                                                 monkeypatch, check, index):
+    """The first coefficient of one identity moved by 1 (or alpha_2 of the
+    characterization raised by 1): exactly that check fails on C_3(2), with
+    the component, the ladder entry and the value as witness."""
+    assert all(ok for ok, _ in _ladder_checks(ctx_c32, comps_c32).values())
+    if index is None:
+        real = terwilliger.central_characterization_matrix
+        monkeypatch.setattr(
+            terwilliger, "central_characterization_matrix",
+            lambda ctx, comp, alpha1, beta0, perturb=False: real(
+                ctx, comp, alpha1, beta0, perturb or (alpha1, beta0) == (1, 0)))
+    else:
+        real = terwilliger.identities
+
+        def moved(ctx):
+            ids = {**real(ctx), check: list(real(ctx)[check])}
+            terms = list(ids[check][index])
+            terms[0] = (terms[0][0] + 1, terms[0][1])
+            ids[check][index] = terms
+            return ids
+        monkeypatch.setattr(terwilliger, "identities", moved)
+    checks = _ladder_checks(ctx_c32, comps_c32)
+    assert [cid for cid, (ok, _) in checks.items() if not ok] == [check]
+    witness = checks[check][1]
+    assert sorted(witness) == ["component", "entry", "value"]
+    comp = next(c for c in comps_c32 if list(c.triple) == witness["component"])
+    assert all(0 <= k <= comp.d for k in witness["entry"])
+    assert witness["value"] != "0"
+
+
+def test_decompose_refuses_components_with_equal_chi(ctx_d42, monkeypatch):
+    """(1, 1, 2) and (2, 2, 0) share chi0 and chi2 on D_4(2); chi1, which
+    the construction does not read, tells them apart.  Given the chi1 of
+    (1, 1, 2), (2, 2, 0) is refused before any ladder is certified: the
+    joint eigenspaces of C0, C1, C2 would no longer separate the two."""
+    for chif in (chi0, chi2):
+        assert chif(ctx_d42, 1, 1, 2) == chif(ctx_d42, 2, 2, 0)
+    real = terwilliger.chi1
+    monkeypatch.setattr(terwilliger, "chi1", lambda ctx, r, t, d: real(
+        ctx, *((1, 1, 2) if (r, t, d) == (2, 2, 0) else (r, t, d))))
+    with pytest.raises(AssertionError, match=re.escape(
+            "components (1, 1, 2) and (2, 2, 0) share chi0, chi1, chi2")):
+        decompose(ctx_d42)
