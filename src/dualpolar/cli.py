@@ -314,7 +314,7 @@ def cmd_leonard(args) -> int:
         if not isinstance(data, dict):
             raise TypeError("expected a JSON object")
         pa = ln.pa_from_json(data)
-        verdict = ln.validate(pa)  # mixed radicands raise here
+        verdict = pa.verdict  # mixed radicands raise here
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
         raise InputError(f"cannot load parameter array: {exc}") from exc
     meta = {"params": args.params, "d": pa.d, "actions": actions}

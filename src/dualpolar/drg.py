@@ -290,9 +290,21 @@ def spectral_data(spec: FormSpec, n: int,
 # Tridiagonal scalars
 
 
+# td_scalars by form (family, D, b): verified once, read by every check
+_TD_SCALARS: dict = {}
+
+
 def td_scalars(spec: FormSpec):
     """(beta, gamma, gamma*, rho, rho*) as exact rationals, verified against
-    the defining recurrences on the eigenvalue sequences."""
+    the defining recurrences on the eigenvalue sequences once per form; a
+    failed verification raises and is not kept."""
+    key = (spec.family, spec.D, spec.b)
+    if key not in _TD_SCALARS:
+        _TD_SCALARS[key] = _checked_td_scalars(spec)
+    return _TD_SCALARS[key]
+
+
+def _checked_td_scalars(spec: FormSpec):
     b, D, e = spec.b, spec.D, spec.e
     beta = Fraction(b) + Fraction(1, b)
     gamma = (b_pow(b, e) - 1) * (b - 1) / b

@@ -18,7 +18,7 @@ rows primitive once, at the end.  int_kernel reads the canonical
 null-space basis off a single int_rref of the column-reversed matrix.
 int_rank proves a full rank with one elimination mod p.  int_matmul is
 the one exact integer product, on float BLAS where a bound proves it
-exact.
+exact and in int64 when it is tiny.
 """
 
 from __future__ import annotations
@@ -72,6 +72,8 @@ def _max_abs(a) -> int:
 # to 2^53 a float64; int64 is used up to 2^62, which leaves a bit to spare.
 _F32_EXACT = 2 ** 24
 _F64_EXACT = 2 ** 53
+# int64 beats the float32 round trip below about 2000 multiply-adds
+_TINY = 2048
 
 
 def _matmul_dtype(bound: int):
@@ -86,36 +88,43 @@ def _matmul_dtype(bound: int):
     return object
 
 
-def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def int_matmul(a: np.ndarray, b: np.ndarray, *, ma: int | None = None,
+               mb: int | None = None) -> np.ndarray:
     """Exact product of two 2-d integer (or bool) arrays of any dtype.
 
-    The result is int64 when B = k * max|a| * max|b|, with k = a.shape[1],
-    is below 2^62, and an object array of Python ints otherwise.  The
-    arithmetic is chosen from B alone: float32 BLAS below 2^24, float64 BLAS
-    below 2^53, int64 below 2^62, Python ints above.
+    ma and mb, when given, bound max|a| and max|b| (0 only for a zero
+    operand) and spare the scans.  The result is int64 when B = k * ma * mb,
+    with k = a.shape[1], is below 2^62, and an object array of Python ints
+    otherwise.  The arithmetic is chosen from B: float32 BLAS below 2^24,
+    float64 BLAS below 2^53, int64 below 2^62, Python ints above; a product
+    of fewer than _TINY multiply-adds runs in int64 for any B below 2^62.
 
-    Why a float product is exact: every partial sum that any summation order
+    Why the product is exact: every partial sum that any summation order
     forms for entry (i, l) adds some of the k terms a_ij * b_jl, each an
-    integer of absolute value at most max|a| * max|b|, so the partial sum is
-    an integer of absolute value at most B.  Below 2^24 (2^53) every such
-    integer is a float32 (float64), and so are the operands, as max|a| and
-    max|b| are at most B.  Each multiply, add or fused multiply-add then
-    yields an exactly representable integer and rounds nothing, whatever
-    order or blocking the BLAS uses.  This holds for the classical
-    inner-product algorithm that BLAS libraries implement; a Strassen-type
-    algorithm forms sums that are not partial sums and is not covered.
+    integer of absolute value at most ma * mb, so the partial sum is an
+    integer of absolute value at most B, and no int64 sum wraps below 2^62.
+    Below 2^24 (2^53) every such integer is a float32 (float64), and so are
+    the operands, as max|a| and max|b| are at most B.  Each multiply, add or
+    fused multiply-add then yields an exactly representable integer and
+    rounds nothing, whatever order or blocking the BLAS uses.  This holds
+    for the classical inner-product algorithm that BLAS libraries
+    implement; a Strassen-type algorithm forms sums that are not partial
+    sums and is not covered.
 
     Operands are widened before they meet, so a uint8 or bool product does
     not wrap, and each float copy lives only as long as its product.
     """
-    m, n = a.shape[0], b.shape[1]
-    ma, mb = _max_abs(a), _max_abs(b)
+    m, k, n = a.shape[0], a.shape[1], b.shape[1]
+    ma = _max_abs(a) if ma is None else ma
+    mb = _max_abs(b) if mb is None else mb
     if ma == 0 or mb == 0:
         # a zero operand may face entries no float can hold (0 * inf is nan)
         return np.zeros((m, n), dtype=np.int64)
-    dtype = _matmul_dtype(a.shape[1] * ma * mb)
+    dtype = _matmul_dtype(k * ma * mb)
     if dtype is object:
         return np.dot(_to_object(a), _to_object(b))
+    if m * k * n < _TINY:
+        dtype = np.int64
     prod = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
     return prod.astype(np.int64, copy=False)
 

@@ -67,13 +67,19 @@ class ParameterArray:
                 and self.phi == other.phi and self.phi2 == other.phi2)
 
     @cached_property
+    def verdict(self) -> "Verdict":
+        """validate(self), run once per array: the CLI, every realization
+        and td_aw_scalars read it."""
+        return validate(self)
+
+    @cached_property
     def intersection_numbers(self) -> tuple:
         """intersection_data(self) as tuples, computed once per array: the
         standard realization and td_aw_scalars both read it."""
         return tuple(map(tuple, intersection_data(self)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     valid: bool
     beta_plus_one: ExactScalar | None = None
@@ -246,10 +252,12 @@ def _tridiagonal_eigenvectors(m: ExactMatrix, eigs) -> ExactMatrix:
         rows = [ExactMatrix.from_int(np.ones((1, n), dtype=np.int64))]
         for i in range(n - 1):
             # m[i,i-1] v[i-1] + (m[i,i] - theta) v[i] + m[i,i+1] v[i+1] = 0
-            acc = rows[i].scale(m.entry(i, i)) - rows[i].entrywise(lam)
+            c = -m.entry(i, i + 1).inverse()
+            terms = [(c * m.entry(i, i), rows[i]),
+                     (-c, rows[i].entrywise(lam))]
             if i:
-                acc = acc + rows[i - 1].scale(m.entry(i, i - 1))
-            rows.append(acc.scale(-m.entry(i, i + 1).inverse()))
+                terms.append((c * m.entry(i, i - 1), rows[i - 1]))
+            rows.append(ExactMatrix.combination(terms))
         return ExactMatrix.stack_rows(rows)
     if all(nz[i + 1, i] for i in range(n - 1)):
         rev = list(range(n - 1, -1, -1))
@@ -332,7 +340,7 @@ def realize(pa: ParameterArray, basis: str = "split") -> LeonardRealization:
     th*_(i-1)), superdiagonal th*_d - th*_(i-1) (A* then has constant row
     sum th*_d).  standard: A is the intersection matrix, A* diagonal.
     """
-    v = validate(pa)
+    v = pa.verdict
     if not v.valid:
         raise ValueError(f"invalid parameter array: {v.failure}")
     d = pa.d
@@ -459,7 +467,7 @@ def td_aw_scalars(pa: ParameterArray,
     if d < 1:
         raise ValueError("need d >= 1")
     th, ths = pa.theta, pa.theta_star
-    v = validate(pa)
+    v = pa.verdict
     if not v.valid:
         raise ValueError(f"invalid parameter array: {v.failure}")
     unique = d >= 3
@@ -531,11 +539,15 @@ def tridiagonal_residuals(A: ExactMatrix, As: ExactMatrix, beta, gamma,
     """The inner brackets of the two tridiagonal relations,
         A^2 A* - beta A A* A + A* A^2 - gamma (A A* + A* A) - rho A*,
         A*^2 A - beta A* A A* + A A*^2 - gamma* (A* A + A A*) - rho* A;
-    the relations say they commute with A and with A* respectively."""
-    lhs1 = (A @ A @ As) - (A @ As @ A).scale(beta) + (As @ A @ A) \
-        - ((A @ As) + (As @ A)).scale(gamma) - As.scale(rho)
-    lhs2 = (As @ As @ A) - (As @ A @ As).scale(beta) + (A @ As @ As) \
-        - ((As @ A) + (A @ As)).scale(gamma_star) - A.scale(rho_star)
+    the relations say they commute with A and with A* respectively.  The
+    eight words are built from the products A A* and A* A."""
+    AS, SA = A @ As, As @ A
+    lhs1 = ExactMatrix.combination((
+        (1, A @ AS), (-beta, AS @ A), (1, SA @ A), (-gamma, AS),
+        (-gamma, SA), (-rho, As)))
+    lhs2 = ExactMatrix.combination((
+        (1, As @ SA), (-beta, SA @ As), (1, AS @ As), (-gamma_star, SA),
+        (-gamma_star, AS), (-rho_star, A)))
     return lhs1, lhs2
 
 
@@ -550,10 +562,10 @@ def verify_td_aw_matrix(real: LeonardRealization, s: TdAwScalars) -> bool:
         return False
     if not (lhs2 @ As - As @ lhs2).is_zero():
         return False
-    rhs1 = (A @ A).scale(s.gamma_star) + A.scale(s.omega) \
-        + ident.scale(s.eta)
-    rhs2 = (As @ As).scale(s.gamma) + As.scale(s.omega) \
-        + ident.scale(s.eta_star)
+    rhs1 = ExactMatrix.combination(((s.gamma_star, A @ A), (s.omega, A),
+                                    (s.eta, ident)))
+    rhs2 = ExactMatrix.combination(((s.gamma, As @ As), (s.omega, As),
+                                    (s.eta_star, ident)))
     return lhs1 == rhs1 and lhs2 == rhs2
 
 
@@ -591,10 +603,10 @@ def first_split_sequence(A: ExactMatrix, Astar: ExactMatrix,
     phis = []
     u = u0
     for i in range(1, d + 1):
-        nxt = A @ u - u.scale(theta[i - 1])
+        nxt = ExactMatrix.combination(((1, A @ u), (-theta[i - 1], u)))
         if nxt.is_zero():
             raise AssertionError(f"split vector u_{i} vanishes")
-        w = Astar @ nxt - nxt.scale(theta_star[i])
+        w = ExactMatrix.combination(((1, Astar @ nxt), (-theta_star[i], nxt)))
         # w must be phi_i * u_(i-1)
         pos = int(np.flatnonzero(_nonzero(u))[0])
         phi = w.entry(pos, 0) / u.entry(pos, 0)
@@ -602,7 +614,7 @@ def first_split_sequence(A: ExactMatrix, Astar: ExactMatrix,
             raise AssertionError("split action is not scalar")
         phis.append(phi)
         u = nxt
-    if not (A @ u - u.scale(theta[d])).is_zero():
+    if not ExactMatrix.combination(((1, A @ u), (-theta[d], u))).is_zero():
         raise AssertionError("the last split vector is not in E_d V")
     return phis
 
@@ -647,7 +659,7 @@ def leonard_from_tmodule(ctx, rec) -> tuple[ParameterArray, DqkParams]:
     Astar = rec.astar_dual_rep
     _, eig_star = certify_leonard_system(A, Astar, theta, theta_star)
     pa = extract_parameter_array(A, Astar, eig_star, theta, theta_star)
-    v = validate(pa)
+    v = pa.verdict
     if not v.valid:
         raise AssertionError(f"module parameter array is invalid: {v.failure}")
     q = ctx.q

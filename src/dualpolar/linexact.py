@@ -8,12 +8,17 @@ Fractions.  The parts use int64 with an automatic upgrade to Python-int
 object arrays before any operation could overflow, so all arithmetic is
 exact.
 
-Floating point is used in one place, the integer products of
-intlinalg.int_matmul, and only where a bound proves it exact: for a product
-with inner dimension k, every partial sum of an entry is an integer of
-absolute value at most B = k * max|a| * max|b|, so float32 BLAS is exact for
-B < 2^24 and float64 BLAS for B < 2^53.  Larger products run in int64 (below
-2^62) or Python ints.
+Every linear operation is one primitive, `ExactMatrix.combination`: a sum
+s_1 M_1 + ... + s_k M_k goes over one common denominator, each part is one
+integer combination (`_lin`) and the result is normalized once; a sum,
+difference or scaling is a combination of one or two terms.  Each matrix
+scans max|n0| and max|n1| once, on first use (`bounds`), and passes them to
+`_lin` and `_mm` as bounds.  A product is one integer product: n0 n0' for
+two rational matrices, else the stacked parts [n0; n1] @ [n0' | n1'],
+whose blocks are the cross terms (a rational side gives n0 alone).
+intlinalg.int_matmul runs it on float32 or float64 BLAS, in int64 (also
+for any product of fewer than _TINY multiply-adds that fits) or in Python
+ints, each chosen from a bound that proves it exact (see its docstring).
 
 Row reduction, kernels and inverses run over Q only, in the vectorized
 integer engine of intlinalg; a matrix with a live irrational part is refused
@@ -35,7 +40,8 @@ from .intlinalg import (_INT64_SAFE, _downcast, _max_abs, _scale_rows,
 
 def _gcd_all(*arrays_and_ints) -> int:
     """gcd of the ints and of every entry of the arrays (None is skipped);
-    returns as soon as it reaches 1."""
+    returns as soon as it reaches 1, which the first entry of an array
+    often settles before the array is reduced."""
     g = 0
     for x in arrays_and_ints:
         if x is None:
@@ -43,31 +49,45 @@ def _gcd_all(*arrays_and_ints) -> int:
         if isinstance(x, (int, np.integer)):
             g = math.gcd(g, abs(int(x)))
         elif x.size:
-            g = math.gcd(g, int(np.gcd.reduce(np.abs(x), axis=None)))
+            g = math.gcd(g, abs(int(x.flat[0])))
+            if g != 1:
+                g = math.gcd(g, int(np.gcd.reduce(np.abs(x), axis=None)))
         if g == 1:
             return 1
     return g
 
 
-def _mm(a, b):
-    """Exact integer matmul (None means zero); see intlinalg.int_matmul."""
-    if a is None or b is None:
-        return None
-    return intlinalg.int_matmul(a, b)
+def _mm(a, b, *, ma=None, mb=None):
+    """Exact integer matmul, given bounds on max|a| and max|b|; see
+    intlinalg.int_matmul."""
+    return intlinalg.int_matmul(a, b, ma=ma, mb=mb)
 
 
-def _lin(*terms):
-    """Exact sum of coeff*array terms (None arrays are zero)."""
-    live = [(c, a) for c, a in terms if a is not None and c != 0]
+def _lin(*terms, tops=None):
+    """Exact sum of coeff*array terms (None arrays are zero).  tops, when
+    given, holds per term an upper bound on max|array|, or None to scan."""
+    live, bound = [], 0
+    for i, (c, a) in enumerate(terms):
+        if a is None or c == 0:
+            continue
+        live.append((c, a))
+        if bound is None or a.dtype == object:
+            bound = None  # Python ints: no bound is needed
+            continue
+        top = tops[i] if tops is not None and tops[i] is not None \
+            else _max_abs(a)
+        # An all-zero array still meets its coefficient in c * a, so every
+        # live term counts at least |c|: an int64 array times a |c| >= 2^63
+        # overflows.
+        bound += abs(c) * max(top, 1)
     if not live:
         return None
-    # An all-zero array still meets its coefficient in c * a, so every live
-    # term counts at least |c|: an int64 array times a |c| >= 2^63 overflows.
-    bound = sum(abs(c) * max(_max_abs(a), 1) for c, a in live)
-    if bound < _INT64_SAFE and all(a.dtype != object for _, a in live):
-        out = live[0][0] * live[0][1]
+    if bound is not None and bound < _INT64_SAFE:
+        # a unit coefficient costs no product; the first sum makes a copy
+        c, a = live[0]
+        out = a if c == 1 and len(live) > 1 else c * a
         for c, a in live[1:]:
-            out = out + c * a
+            out = out + (a if c == 1 else c * a)
         return out
     out = None
     for c, a in live:
@@ -85,19 +105,24 @@ def _one_denominator(scalars) -> tuple[int, int]:
     return math.lcm(*(s.den for s in scalars)), (rads.pop() if rads else 0)
 
 
+_ONE = ExactScalar(1)
+_MINUS_ONE = ExactScalar(-1)
+
+
 class ExactMatrix:
     """Immutable dense matrix over Q(sqrt(rad))."""
 
-    __slots__ = ("rad", "den", "n0", "n1")
+    __slots__ = ("rad", "den", "n0", "n1", "_bounds")
 
-    def __init__(self, n0, n1=None, den: int = 1, rad: int = 0, _normalize=True):
+    def __init__(self, n0, n1=None, den: int = 1, rad: int = 0,
+                 _normalize=True, _bounds=None):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
             den = -den
             n0 = -n0
             n1 = None if n1 is None else -n1
-        if n1 is not None and not np.any(n1):
+        if n1 is not None and not n1.any():
             n1 = None
         if n1 is None:
             rad = 0
@@ -118,9 +143,18 @@ class ExactMatrix:
         object.__setattr__(self, "n1", n1)
         object.__setattr__(self, "den", int(den))
         object.__setattr__(self, "rad", int(rad))
+        object.__setattr__(self, "_bounds", _bounds)
 
     def __setattr__(self, *_):
         raise AttributeError("ExactMatrix is immutable")
+
+    def bounds(self) -> tuple[int, int]:
+        """(max|n0|, max|n1|), 0 for a missing n1; scanned on first use
+        and kept, as the parts never change."""
+        if self._bounds is None:
+            object.__setattr__(self, "_bounds",
+                               (_max_abs(self.n0), _max_abs(self.n1)))
+        return self._bounds
 
     # -- constructors ---------------------------------------------------
 
@@ -141,7 +175,7 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls(np.zeros((nrows, ncols), dtype=np.int64))
+        return cls(np.zeros((nrows, ncols), dtype=np.int64), _bounds=(0, 0))
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -161,15 +195,44 @@ class ExactMatrix:
     @classmethod
     def combination(cls, terms) -> "ExactMatrix":
         """sum s M over pairs of a scalar s (ExactScalar, Fraction or int)
-        and an integer array M, all M of one shape: the scalars are put over
-        one denominator first, so each part is one integer combination."""
-        terms = [(s if isinstance(s, ExactScalar) else ExactScalar(s), m)
-                 for s, m in terms]
-        den, rad = _one_denominator([s for s, _ in terms])
-        n0 = _lin(*((s.p * (den // s.den), m) for s, m in terms))
-        n1 = _lin(*((s.r * (den // s.den), m) for s, m in terms))
+        and a matrix M (an ExactMatrix or an integer array), all M of one
+        shape; pairs with s = 0 are left out.  The products s M are put
+        over their least common denominator, so each part of the sum is one
+        integer combination, and the sum is normalized once.  Every live
+        irrational scalar and matrix must have the same radicand."""
+        terms = list(terms)
+        shape = terms[0][1].shape
+        live, rad = [], 0
+        for s, m in terms:
+            if not isinstance(s, ExactScalar):
+                s = ExactScalar(s)
+            if s.is_zero:
+                continue
+            if isinstance(m, ExactMatrix):
+                n0, n1, den, mrad = m.n0, m.n1, m.den, m.rad
+                b0, b1 = m.bounds()
+            else:
+                n0, n1, den, mrad, b0, b1 = m, None, 1, 0, None, None
+            for r in (s.rad, mrad):
+                if r and r != rad:
+                    if rad:
+                        raise MixedRadicandError(
+                            f"cannot mix sqrt({rad}) with sqrt({r})")
+                    rad = r
+            live.append((s, den * s.den, n0, n1, b0, b1))
+        den = math.lcm(*(d for _, d, *_ in live))
+        terms0, terms1, tops = [], [], []
+        for s, d, n0, n1, b0, b1 in live:
+            f = den // d
+            # (p + r sqrt rad)(n0 + n1 sqrt rad)
+            #     = (p n0 + r rad n1) + (r n0 + p n1) sqrt rad
+            terms0 += [(f * s.p, n0), (f * s.r * rad, n1)]
+            terms1 += [(f * s.r, n0), (f * s.p, n1)]
+            tops += [b0, b1]
+        n0 = _lin(*terms0, tops=tops)
+        n1 = _lin(*terms1, tops=tops)
         if n0 is None:
-            n0 = np.zeros(terms[0][1].shape, dtype=np.int64)
+            n0 = np.zeros(shape, dtype=np.int64)
         return cls(n0, n1, den, rad)
 
     # -- basic queries ---------------------------------------------------
@@ -206,44 +269,44 @@ class ExactMatrix:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        rad = self._join_rad(other.rad if other.n1 is not None else 0)
-        g = math.gcd(self.den, other.den)
-        sa, sb = other.den // g, self.den // g
-        n0 = _lin((sa, self.n0), (sb, other.n0))
-        n1 = _lin((sa, self.n1), (sb, other.n1))
-        if n0 is None:
-            n0 = np.zeros(self.shape, dtype=np.int64)
-        return ExactMatrix(n0, n1, self.den * sa, rad)
+        return ExactMatrix.combination(((_ONE, self), (_ONE, other)))
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + (-other)
+        return ExactMatrix.combination(((_ONE, self), (_MINUS_ONE, other)))
 
     def __neg__(self) -> "ExactMatrix":
         return ExactMatrix(-self.n0, None if self.n1 is None else -self.n1,
-                           self.den, self.rad, _normalize=False)
+                           self.den, self.rad, _normalize=False,
+                           _bounds=self._bounds)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         rad = self._join_rad(other.rad if other.n1 is not None else 0)
-        p00 = _mm(self.n0, other.n0)
-        p11 = _mm(self.n1, other.n1)
-        p01 = _mm(self.n0, other.n1)
-        p10 = _mm(self.n1, other.n0)
-        n0 = _lin((1, p00), (rad, p11))
-        n1 = _lin((1, p01), (1, p10))
-        if n0 is None:
-            n0 = np.zeros((self.shape[0], other.shape[1]), dtype=np.int64)
+        (a0, a1), (b0, b1) = self.bounds(), other.bounds()
+        if self.n1 is None and other.n1 is None:
+            return ExactMatrix(_mm(self.n0, other.n0, ma=a0, mb=b0), None,
+                               self.den * other.den)
+        # One product of the stacked parts: [n0; n1] @ [n0' | n1'] has the
+        # blocks n0 n0', n0 n1' (top) and n1 n0', n1 n1' (bottom); a
+        # rational side contributes its n0 alone.
+        m, n = self.shape[0], other.shape[1]
+        a = self.n0 if self.n1 is None else np.concatenate((self.n0, self.n1))
+        b = other.n0 if other.n1 is None else np.concatenate(
+            (other.n0, other.n1), axis=1)
+        ma, mb = max(a0, a1), max(b0, b1)
+        p = _mm(a, b, ma=ma, mb=mb)
+        if self.n1 is None:
+            n0, n1 = p[:, :n], p[:, n:]
+        elif other.n1 is None:
+            n0, n1 = p[:m], p[m:]
+        else:
+            # every entry of p is a sum of k terms of size at most ma * mb
+            top = self.shape[1] * ma * mb
+            n0 = _lin((1, p[:m, :n]), (rad, p[m:, n:]), tops=(top, top))
+            n1 = _lin((1, p[:m, n:]), (1, p[m:, :n]), tops=(top, top))
         return ExactMatrix(n0, n1, self.den * other.den, rad)
 
     def scale(self, s) -> "ExactMatrix":
-        s = s if isinstance(s, ExactScalar) else ExactScalar(s)
-        if s.is_zero:
-            return ExactMatrix.zeros(*self.shape)
-        rad = self._join_rad(s.rad)
-        n0 = _lin((s.p, self.n0), (s.r * rad, self.n1))
-        n1 = _lin((s.r, self.n0), (s.p, self.n1))
-        if n0 is None:
-            n0 = np.zeros(self.shape, dtype=np.int64)
-        return ExactMatrix(n0, n1, self.den * s.den, rad)
+        return ExactMatrix.combination(((s, self),))
 
     def __mul__(self, s):
         return self.scale(s)
@@ -254,16 +317,21 @@ class ExactMatrix:
         """Hadamard (entrywise) product."""
         rad = self._join_rad(other.rad if other.n1 is not None else 0)
 
-        def prod(a, b):
+        def prod(a, ta, b, tb):
             if a is None or b is None:
                 return None
-            if a.dtype != object and b.dtype != object:
-                if _max_abs(a) * _max_abs(b) < _INT64_SAFE:
-                    return a * b
+            if a.dtype != object and b.dtype != object \
+                    and ta * tb < _INT64_SAFE:
+                return a * b
             return _to_object(a) * _to_object(b)
 
-        n0 = _lin((1, prod(self.n0, other.n0)), (rad, prod(self.n1, other.n1)))
-        n1 = _lin((1, prod(self.n0, other.n1)), (1, prod(self.n1, other.n0)))
+        (a0, a1), (b0, b1) = self.bounds(), other.bounds()
+        n0 = _lin((1, prod(self.n0, a0, other.n0, b0)),
+                  (rad, prod(self.n1, a1, other.n1, b1)),
+                  tops=(a0 * b0, a1 * b1))
+        n1 = _lin((1, prod(self.n0, a0, other.n1, b1)),
+                  (1, prod(self.n1, a1, other.n0, b0)),
+                  tops=(a0 * b1, a1 * b0))
         if n0 is None:
             n0 = np.zeros(self.shape, dtype=np.int64)
         return ExactMatrix(n0, n1, self.den * other.den, rad)
@@ -272,7 +340,8 @@ class ExactMatrix:
     def T(self) -> "ExactMatrix":
         return ExactMatrix(self.n0.T.copy(),
                            None if self.n1 is None else self.n1.T.copy(),
-                           self.den, self.rad, _normalize=False)
+                           self.den, self.rad, _normalize=False,
+                           _bounds=self._bounds)
 
     def submatrix(self, row_idx, col_idx) -> "ExactMatrix":
         n0 = self.n0[np.ix_(row_idx, col_idx)]
@@ -375,12 +444,10 @@ def _upper_triangular_inverse(m: ExactMatrix) -> ExactMatrix:
         piv = m.entry(i, i)
         if piv.is_zero:
             raise ZeroDivisionError("matrix is singular")
-        row = ident.take_rows([i])
-        for j in range(i + 1, n):
-            c = m.entry(i, j)
-            if not c.is_zero:
-                row = row - rows[j].scale(c)
-        rows[i] = row.scale(piv.inverse())
+        inv = piv.inverse()
+        rows[i] = ExactMatrix.combination(
+            [(inv, ident.take_rows([i]))]
+            + [(-m.entry(i, j) * inv, rows[j]) for j in range(i + 1, n)])
     return ExactMatrix.stack_rows(rows)
 
 
@@ -429,14 +496,10 @@ def spectral_projectors(a: ExactMatrix, eigs) -> list[ExactMatrix]:
         for j, ej in enumerate(eigs):
             if j == i:
                 continue
-            p = p @ (a - ident.scale(ej))
+            p = p @ ExactMatrix.combination(((1, a), (-ej, ident)))
             denom = denom * (ei - ej)
-        p = p.scale(denom.inverse())
-        projs.append(p)
-    total = projs[0]
-    for p in projs[1:]:
-        total = total + p
-    if total != ident:
+        projs.append(p.scale(denom.inverse()))
+    if ExactMatrix.combination((1, p) for p in projs) != ident:
         raise ValueError("eigenvalue list does not exhaust the spectrum")
     for ei, p in zip(eigs, projs):
         if p @ p != p:

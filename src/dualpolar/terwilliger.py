@@ -634,11 +634,8 @@ class LadderAction:
     def evaluate(self, terms) -> ExactMatrix:
         """sum coeff * word over (coeff, word) terms in the letters L, F, R,
         K, k (K^-1), S (A*) and A (L + F + R), as a (d+1) x (d+1) matrix."""
-        size = self.K.shape[0]
-        out = ExactMatrix.zeros(size, size)
-        for coeff, word in terms:
-            out = out + self.word(word).scale(coeff)
-        return out
+        return ExactMatrix.combination(
+            [(coeff, self.word(word)) for coeff, word in terms])
 
 
 def ladder_action(ctx: TerwilligerContext, r: int, t: int,
@@ -783,7 +780,8 @@ def decompose(ctx: TerwilligerContext,
         c = _scalar_value(m_lr)
         diameters = {d: None for d, v in mu.items() if v == c}
         if not diameters:
-            lr_shift = {d: m_lr - ident.scale(v) for d, v in mu.items()}
+            lr_shift = {d: ExactMatrix.combination(((1, m_lr), (-v, ident)))
+                        for d, v in mu.items()}
             if not _product(lr_shift.values(), size).is_zero():
                 raise AssertionError(
                     f"LR on the lowest rungs of block {r} has an eigenvalue "
@@ -813,7 +811,8 @@ def decompose(ctx: TerwilligerContext,
                     comps.append(_build_component(r, t, d, low, U))
                     continue
             head = [] if p_d is None else [p_d]
-            f_shift = {t: m_f - ident.scale(v) for t, v in nu.items()}
+            f_shift = {t: ExactMatrix.combination(((1, m_f), (-v, ident)))
+                       for t, v in nu.items()}
             if not _product([*head, *f_shift.values()], size).is_zero():
                 raise AssertionError(
                     f"F on the diameter-{d} lowest rungs of block {r} has an "

@@ -25,6 +25,7 @@ small matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exact import ExactScalar, q_pow
 from .leonard import DqkParams, LeonardRealization
@@ -44,7 +45,8 @@ def casimir_scalar(q: ExactScalar, d: int, eps: int) -> ExactScalar:
 
 
 class UqAction:
-    """Matrices for the equitable generators, with derived Chevalley ones."""
+    """Matrices for the equitable generators, with derived Chevalley ones,
+    each built once per action."""
 
     def __init__(self, q: ExactScalar, X: ExactMatrix, Y: ExactMatrix,
                  Z: ExactMatrix, Zinv: ExactMatrix | None = None):
@@ -65,16 +67,17 @@ class UqAction:
     def kinv(self) -> ExactMatrix:
         return self.Zinv
 
-    @property
+    @cached_property
     def f(self) -> ExactMatrix:
-        q = self.q
-        return (self.X - self.Zinv).scale((q - q.inverse()).inverse())
+        c = (self.q - self.q.inverse()).inverse()
+        return ExactMatrix.combination(((c, self.X), (-c, self.Zinv)))
 
-    @property
+    @cached_property
     def e(self) -> ExactMatrix:
         q = self.q
-        return (self._ident - self.Z @ self.Y).scale(
-            (q.inverse() * (q - q.inverse()).inverse()))
+        c = q.inverse() * (q - q.inverse()).inverse()
+        return ExactMatrix.combination(((c, self._ident),
+                                        (-c, self.Z @ self.Y)))
 
     def equitable_residuals(self) -> list[tuple[str, ExactMatrix]]:
         q = self.q
@@ -83,9 +86,11 @@ class UqAction:
         out = []
         for name, a, b in (("xy", self.X, self.Y), ("yz", self.Y, self.Z),
                            ("zx", self.Z, self.X)):
-            lhs = ((a @ b).scale(q) - (b @ a).scale(qi)).scale(den)
+            resid = ExactMatrix.combination(((q * den, a @ b),
+                                             (-qi * den, b @ a),
+                                             (-1, self._ident)))
             out.append((f"(q {name[0]} {name[1]} - q^-1 {name[1]} {name[0]})"
-                        f"/(q - q^-1) = 1", lhs - self._ident))
+                        f"/(q - q^-1) = 1", resid))
         out.append(("z z^-1 = 1", self.Z @ self.Zinv - self._ident))
         return out
 
@@ -93,11 +98,15 @@ class UqAction:
         q = self.q
         qi = q.inverse()
         k, e, f = self.k, self.e, self.f
+        c = (q - qi).inverse()
         out = [
-            ("k e = q^2 e k", k @ e - (e @ k).scale(q * q)),
-            ("k f = q^-2 f k", k @ f - (f @ k).scale(qi * qi)),
+            ("k e = q^2 e k",
+             ExactMatrix.combination(((1, k @ e), (-q * q, e @ k)))),
+            ("k f = q^-2 f k",
+             ExactMatrix.combination(((1, k @ f), (-qi * qi, f @ k)))),
             ("e f - f e = (k - k^-1)/(q - q^-1)",
-             e @ f - f @ e - (k - self.kinv).scale((q - qi).inverse())),
+             ExactMatrix.combination(((1, e @ f), (-1, f @ e), (-c, k),
+                                      (c, self.kinv)))),
         ]
         return out
 
@@ -111,9 +120,9 @@ class UqAction:
         """ef + (q^-1 k + q k^-1)/(q - q^-1)^2, verified central."""
         q = self.q
         qi = q.inverse()
-        delta = self.e @ self.f + (self.k.scale(qi)
-                                   + self.kinv.scale(q)).scale(
-            ((q - qi) ** 2).inverse())
+        c = ((q - qi) ** 2).inverse()
+        delta = ExactMatrix.combination(((1, self.e @ self.f),
+                                         (qi * c, self.k), (q * c, self.kinv)))
         for name, g in (("k", self.k), ("e", self.e), ("f", self.f)):
             if delta @ g != g @ delta:
                 raise AssertionError(f"Casimir does not commute with {name}")
@@ -142,8 +151,9 @@ def build_Ld(d: int, eps: int, q: ExactScalar, basis: str = "kef") -> UqAction:
         f = ExactMatrix.from_rows(fmat)
         e = ExactMatrix.from_rows(emat)
         kinv = ExactMatrix.diag([es * q_pow(q, 2 * i - d) for i in range(n)])
-        x = kinv + f.scale(q - q.inverse())
-        y = kinv - (kinv @ e).scale(q * (q - q.inverse()))
+        x = ExactMatrix.combination(((1, kinv), (q - q.inverse(), f)))
+        y = ExactMatrix.combination(((1, kinv),
+                                     (-q * (q - q.inverse()), kinv @ e)))
         act = UqAction(q, x, y, k, kinv)
         act.verify()
         if act.e != e or act.f != f or act.k != k:
@@ -220,38 +230,34 @@ def uq_on_leonard(real: LeonardRealization, p: DqkParams, eps: int = 1,
     es = ExactScalar(eps)
     n = real.A.shape[0]
     ident = ExactMatrix.identity(n)
-    B = real.A - ident.scale(p.h)
-    Bs = real.Astar - ident.scale(p.h_star)
+    B = ExactMatrix.combination(((1, real.A), (-p.h, ident)))
+    Bs = ExactMatrix.combination(((1, real.Astar), (-p.h_star, ident)))
     Bsi = inverse(Bs)
     two2 = q * q - qi * qi
     s = q + qi
 
-    def mix(coef) -> ExactMatrix:
-        # (q B - q^-1 B* B B*^-1)/(coef q^-1 (q^2 - q^-2))
-        return (B.scale(q) - (Bs @ B @ Bsi).scale(qi)).scale(
-            (coef * qi * two2).inverse())
-
-    def mix2(coef) -> ExactMatrix:
-        # (q B - q^-1 B*^-1 B B*)/(coef q^-1 (q^2 - q^-2))
-        return (B.scale(q) - (Bsi @ B @ Bs).scale(qi)).scale(
-            (coef * qi * two2).inverse())
+    def mix(conj, coef, other) -> ExactMatrix:
+        # eps ((q B - q^-1 conj)/(coef q^-1 (q^2 - q^-2))
+        #      + kappa* (coef q^-1 - other q)/(coef (q + q^-1)) B*^-1)
+        c = es * (coef * qi * two2).inverse()
+        return ExactMatrix.combination((
+            (c * q, B), (-c * qi, conj),
+            (es * ks * (coef * qi - other * q) / (coef * s), Bsi)))
 
     k, u, ks = p.kappa, p.upsilon, p.kappa_star
-    if variant == 1:
-        X = (mix(k) + Bsi.scale(ks * (k * qi - u * q) / (k * s))).scale(es)
-        Y = (mix2(u) + Bsi.scale(ks * (u * qi - k * q) / (u * s))).scale(es)
-    else:
-        X = (mix(u) + Bsi.scale(ks * (u * qi - k * q) / (u * s))).scale(es)
-        Y = (mix2(k) + Bsi.scale(ks * (k * qi - u * q) / (k * s))).scale(es)
+    first, second = (k, u) if variant == 1 else (u, k)
+    X = mix(Bs @ B @ Bsi, first, second)
+    Y = mix(Bsi @ B @ Bs, second, first)
     # Z = (eps / kappa*) B*, so Z^-1 = (kappa* eps) B*^-1
     Z = Bs.scale(es * ks.inverse())
     act = UqAction(q, X, Y, Z, Bsi.scale(ks * es))
     act.verify()
     # recoveries of A and A*
-    first, second = (k, u) if variant == 1 else (u, k)
-    if real.A != ident.scale(p.h) + X.scale(es * first) + Y.scale(es * second):
+    if real.A != ExactMatrix.combination(((p.h, ident), (es * first, X),
+                                          (es * second, Y))):
         raise AssertionError("A recovery fails")
-    if real.Astar != ident.scale(p.h_star) + Z.scale(es * ks):
+    if real.Astar != ExactMatrix.combination(((p.h_star, ident),
+                                              (es * ks, Z))):
         raise AssertionError("A* recovery fails")
     # module type certificate: Z spectrum and Casimir scalar.  The columns
     # of V* are an eigenbasis of A*, so Z V* = V* diag(eps q^(d-2i)) says
@@ -271,9 +277,11 @@ def verify_cross_variant_leonard(act1: UqAction, act2: UqAction,
     """X' = kappa/upsilon X + (1 - kappa/upsilon) Z^-1 and the companion."""
     ratio = p.kappa / p.upsilon
     one = ExactScalar(1)
-    ok1 = act2.X == act1.X.scale(ratio) + act1.Zinv.scale(one - ratio)
+    ok1 = act2.X == ExactMatrix.combination(((ratio, act1.X),
+                                             (one - ratio, act1.Zinv)))
     rinv = ratio.inverse()
-    ok2 = act2.Y == act1.Y.scale(rinv) + act1.Zinv.scale(one - rinv)
+    ok2 = act2.Y == ExactMatrix.combination(((rinv, act1.Y),
+                                             (one - rinv, act1.Zinv)))
     return ok1 and ok2 and act1.Z == act2.Z
 
 
@@ -320,24 +328,26 @@ def uq_on_standard_module(ctx, center, variant: int = 1) -> StandardModuleAction
         ident = ExactMatrix.identity(triple[2] + 1)
         ups, psi = center.Upsilon[triple], center.Psi[triple]
         upsi, psii = ups.inverse(), psi.inverse()
-        base = lad.Kinv.scale(upsi * psii * ctx.qexp(-D))
-        if variant == 1:
-            x = base + lad.R.scale(ups * psii * ctx.qexp(-e2 - D) * (q2 - 1))
-            y = base - lad.L.scale(upsi * psi * ctx.qexp(-D) * (q2 - 1))
-        else:
-            x = base - lad.R.scale(upsi * psi * ctx.qexp(-D) * (q2 - 1))
-            y = base + lad.L.scale(ups * psii * ctx.qexp(-e2 - D) * (q2 - 1))
+        w = upsi * psii * ctx.qexp(-D)
+        base = lad.Kinv.scale(w)
+        # x = base + cx R and y = base + cy L
+        c_plus = ups * psii * ctx.qexp(-e2 - D) * (q2 - 1)
+        c_minus = -upsi * psi * ctx.qexp(-D) * (q2 - 1)
+        cx, cy = (c_plus, c_minus) if variant == 1 else (c_minus, c_plus)
+        x = ExactMatrix.combination(((w, lad.Kinv), (cx, lad.R)))
+        y = ExactMatrix.combination(((w, lad.Kinv), (cy, lad.L)))
         z = lad.K.scale(ups * psi * ctx.qexp(D))
         act = UqAction(q, x, y, z, base)
         act.verify()
         first, second = (x, y) if variant == 1 else (y, x)
-        recov = ident.scale(params["h"]) \
-            + first.scale(upsi * psi * params["kappa"]) \
-            + second.scale(ups * psii * params["upsilon"])
+        recov = ExactMatrix.combination((
+            (params["h"], ident), (upsi * psi * params["kappa"], first),
+            (ups * psii * params["upsilon"], second)))
         if recov != lad.A:
             raise AssertionError("A recovery on the standard module fails")
-        recov_star = ident.scale(params["h_star"]) \
-            + z.scale(upsi * psii * params["kappa_star"])
+        recov_star = ExactMatrix.combination((
+            (params["h_star"], ident),
+            (upsi * psii * params["kappa_star"], z)))
         if recov_star != lad.Astar:
             raise AssertionError("A* recovery on the standard module fails")
         # Chevalley images in terms of K, L, R

@@ -707,3 +707,27 @@ def test_leonard_computes_intersection_data_once(tmp_path, capsys,
     path.write_text(json.dumps(LEONARD_ARRAY))
     assert main(["leonard", "--params", str(path)]) == 0
     assert len(calls) == 1
+
+
+def test_leonard_validates_the_array_once(tmp_path, capsys, monkeypatch):
+    """The CLI, the three realizations and td_aw_scalars read one verdict,
+    kept on the parameter array."""
+    from dualpolar import leonard
+
+    calls = []
+    real = leonard.validate
+    monkeypatch.setattr(leonard, "validate",
+                        lambda pa: calls.append(pa) or real(pa))
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps(LEONARD_ARRAY))
+    assert main(["leonard", "--params", str(path)]) == 0
+    assert len(calls) == 1
+    # a failing verdict is reported once too
+    calls.clear()
+    path.write_text(json.dumps({"theta": ["1", "1"], "theta_star": ["0", "2"],
+                                "phi": ["1"], "phi2": ["1"]}))
+    capsys.readouterr()
+    assert main(["leonard", "--params", str(path)]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["status"] for c in checks] == ["fail"]
+    assert len(calls) == 1

@@ -504,3 +504,95 @@ def test_prime_list_is_unchanged():
     # no prime is skipped between the first and the last
     assert [p for p in range(_PRIMES[0], _PRIMES[-1] - 1, -2)
             if _trial_division(p)] == _PRIMES
+
+
+# ---------------------------------------------------------------------------
+# The tiny int64 branch of int_matmul and its keyword bounds
+
+
+class _CastSpy(np.ndarray):
+    """An array that records the dtypes it is cast to."""
+
+    casts: list = []
+
+    def astype(self, dtype, *args, **kwargs):
+        _CastSpy.casts.append(np.dtype(dtype))
+        return np.asarray(self).astype(dtype, *args, **kwargs)
+
+
+def _arithmetic_of(a, b):
+    _CastSpy.casts = []
+    got = int_matmul(a.view(_CastSpy), b.view(_CastSpy))
+    return set(_CastSpy.casts), np.asarray(got)
+
+
+def test_tiny_products_run_in_int64_and_larger_ones_on_blas():
+    rng = np.random.default_rng(3)
+    tiny = intlinalg._TINY
+    for m, k, n in ((12, 12, 14), (1, tiny - 1, 1), (1, tiny, 1),
+                    (16, 16, 16)):
+        a = rng.integers(-9, 9, size=(m, k), endpoint=True)
+        b = rng.integers(-9, 9, size=(k, n), endpoint=True)
+        casts, got = _arithmetic_of(a, b)
+        want = np.int64 if m * k * n < tiny else np.float32
+        assert casts == {np.dtype(want)}, (m, k, n)
+        assert got.dtype == np.int64 and (got == _reference(a, b)).all()
+
+
+@pytest.mark.parametrize("bound,k,ma,mb", BOUNDARIES)
+def test_blas_tiers_at_boundaries_above_the_tiny_size(bound, k, ma, mb):
+    """The tier boundaries again, with enough rows that the product is not
+    tiny, so each float tier meets its boundary."""
+    rng = np.random.default_rng(bound % 997)
+    a, b = _bound_case(rng, k, ma, mb)
+    a = np.concatenate([a] * (intlinalg._TINY // (5 * k * 4) + 1))
+    assert a.shape[0] * k * 4 >= intlinalg._TINY
+    want = _reference(a, b)
+    got = int_matmul(a, b)
+    assert (got == want).all()
+    assert got.dtype == (np.int64 if bound < 2 ** 62 else object)
+
+
+def test_tiny_branch_at_the_int64_limit():
+    # B = 2 * (2^30 - 1) * 2^31 just below 2^62 stays int64; one more in a
+    # factor reaches 2^62, and the product moves to Python ints
+    below = np.array([[2 ** 30 - 1, -(2 ** 30 - 1)]], dtype=np.int64)
+    at = np.array([[2 ** 30, 2 ** 30]], dtype=np.int64)
+    b = np.array([[2 ** 31], [-(2 ** 31)]], dtype=np.int64)
+    for a in (below, at):
+        bound = 2 * _max_abs(a) * _max_abs(b)
+        casts, got = _arithmetic_of(a, b)
+        assert got.dtype == (np.int64 if bound < 2 ** 62 else object)
+        assert (got == _reference(a, b)).all()
+        if bound < 2 ** 62:
+            assert casts == {np.dtype(np.int64)}
+    assert 2 * (2 ** 30 - 1) * 2 ** 31 < 2 ** 62 <= 2 * 2 ** 30 * 2 ** 31
+    assert int_matmul(at, b)[0, 0] == 0
+    assert int_matmul(at, -b)[0, 0] == 0
+    assert int_matmul(at.T, b.T)[0, 0] == 2 ** 61
+
+
+def test_tiny_branch_widens_bool_and_uint8():
+    full = np.full((3, 4), 255, dtype=np.uint8)
+    got = int_matmul(full, full.T)
+    assert got.dtype == np.int64 and (got == 4 * 255 * 255).all()
+    p = np.array([[True, False, True], [True, True, True]])
+    q = np.array([[True], [True], [False]])
+    assert int_matmul(p, q).tolist() == [[1], [2]]
+    assert int_matmul(p.astype(np.uint8) * 200, q).tolist() == [[200], [400]]
+
+
+def test_keyword_bounds():
+    rng = np.random.default_rng(5)
+    a = rng.integers(-50, 50, size=(4, 6), endpoint=True)
+    b = rng.integers(-50, 50, size=(6, 3), endpoint=True)
+    want = _reference(a, b)
+    # the exact maxima, and looser upper bounds that pick costlier paths
+    for ma, mb in ((_max_abs(a), _max_abs(b)), (2 ** 20, 2 ** 20),
+                   (2 ** 40, 2 ** 40)):
+        got = int_matmul(a, b, ma=ma, mb=mb)
+        assert (got == want).all()
+        assert got.dtype == (np.int64 if 6 * ma * mb < 2 ** 62 else object)
+    zero = np.zeros((4, 6), dtype=np.int64)
+    got = int_matmul(zero, b, ma=0, mb=_max_abs(b))
+    assert got.dtype == np.int64 and got.shape == (4, 3) and not got.any()

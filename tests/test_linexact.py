@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dualpolar.exact import ExactScalar
+from dualpolar.exact import ExactScalar, MixedRadicandError
 from dualpolar import intlinalg
 from dualpolar.linexact import (
     ExactMatrix,
@@ -314,3 +314,166 @@ def test_normalization_divides_common_factor_above_2_63():
     assert m.den == 7 and m.n0.dtype == np.int64
     assert m.n0.tolist() == [[1, 2]] and m.n1.tolist() == [[0, 1]]
     assert m.entry(0, 1) == ExactScalar(Fraction(2, 7), Fraction(1, 7), 2)
+
+
+# ---------------------------------------------------------------------------
+# The combination primitive, the stacked product and the cached bounds
+
+
+def _seeded_matrix(rng, shape, rad, den_max=6, top=9):
+    """A matrix over Q(sqrt rad) (over Q for rad = 0) with small random
+    entries and denominators."""
+    rows = [[ExactScalar(Fraction(rng.randint(-top, top),
+                                  rng.randint(1, den_max)),
+                         Fraction(rng.randint(-top, top),
+                                  rng.randint(1, den_max)) if rad else 0,
+                         rad)
+             for _ in range(shape[1])] for _ in range(shape[0])]
+    return ExactMatrix.from_rows(rows)
+
+
+def _seeded_scalar(rng, rad):
+    return ExactScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                       Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                       if rad else 0, rad)
+
+
+def _chained(terms):
+    """The oracle: one scale and one sum per term, each normalized."""
+    out = ExactMatrix.zeros(*terms[0][1].shape)
+    for s, m in terms:
+        out = out + m.scale(s)
+    return out
+
+
+def _entrywise_oracle(terms, shape):
+    """Entry (i, j) summed as ExactScalars."""
+    terms = [(s if isinstance(s, ExactScalar) else ExactScalar(s), m)
+             for s, m in terms]
+    return [[sum((s * m.entry(i, j) for s, m in terms),
+                 ExactScalar(0)) for j in range(shape[1])]
+            for i in range(shape[0])]
+
+
+def _entries(m: ExactMatrix):
+    return [[m.entry(i, j) for j in range(m.shape[1])]
+            for i in range(m.shape[0])]
+
+
+@pytest.mark.parametrize("rad", [0, 2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_combination_matches_chained_oracle(rad, seed):
+    rng = random.Random(f"{rad}:{seed}")
+    shape = (rng.randint(1, 5), rng.randint(1, 5))
+    terms = [(_seeded_scalar(rng, rad), _seeded_matrix(rng, shape, rad))
+             for _ in range(rng.randint(1, 5))]
+    terms.append((0, _seeded_matrix(rng, shape, rad)))  # a zero coefficient
+    terms.append((Fraction(-2, 3), _seeded_matrix(rng, shape, 0)))
+    got = ExactMatrix.combination(terms)
+    assert got == _chained(terms)
+    assert _entries(got) == _entrywise_oracle(terms, shape)
+    # lowest terms: the same parts as the chain's normalized result
+    want = _chained(terms)
+    assert got.den == want.den and got.rad == want.rad
+
+
+def test_combination_cancels_to_rational_and_to_zero():
+    r2 = ExactScalar.sqrt(2)
+    m = ExactMatrix.from_rows([[r2 / 3, 1], [ExactScalar(1, 2, 2), 0]])
+    n = ExactMatrix.from_rows([[r2 / 3, 0], [ExactScalar(0, 2, 2), 0]])
+    diff = ExactMatrix.combination([(1, m), (-1, n)])
+    assert diff.n1 is None and diff.rad == 0 and diff.den == 1
+    assert diff == ExactMatrix.from_rows([[0, 1], [1, 0]])
+    zero = ExactMatrix.combination([(3, m), (-3, m)])
+    assert zero.is_zero() and zero.den == 1 and zero.shape == (2, 2)
+    # every coefficient zero: the zero matrix of the terms' shape
+    assert ExactMatrix.combination([(0, m), (ExactScalar(0), n)]) \
+        == ExactMatrix.zeros(2, 2)
+    # an irrational scalar times an irrational matrix can be rational
+    assert ExactMatrix.combination([(r2, ExactMatrix.identity(2).scale(r2))]) \
+        == ExactMatrix.identity(2).scale(2)
+
+
+def test_combination_of_integer_arrays_and_matrices():
+    arr = np.array([[1, -2], [3, 4]], dtype=np.int64)
+    m = ExactMatrix.from_rows([[Fraction(1, 2), 0], [0, ExactScalar.sqrt(3)]])
+    got = ExactMatrix.combination([(Fraction(1, 3), arr), (2, m)])
+    assert got == ExactMatrix.from_int(arr).scale(Fraction(1, 3)) + m.scale(2)
+
+
+def test_combination_refuses_mixed_radicands():
+    r2, r3 = ExactScalar.sqrt(2), ExactScalar.sqrt(3)
+    m2 = ExactMatrix.from_rows([[r2, 1]])
+    m3 = ExactMatrix.from_rows([[r3, 1]])
+    q = ExactMatrix.from_rows([[1, 2]])
+    for terms in ([(1, m2), (1, m3)], [(r3, m2)], [(r2, q), (r3, q)],
+                  [(1, m2), (r3, q)]):
+        with pytest.raises(MixedRadicandError):
+            ExactMatrix.combination(terms)
+    # a zero coefficient takes its matrix out, radicand and all
+    assert ExactMatrix.combination([(1, m2), (0, m3)]) == m2
+
+
+def _four_product_oracle(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
+    """x y from the four products of the parts, each by Python ints."""
+    def mm(a, b):
+        if a is None or b is None:
+            return np.zeros((x.shape[0], y.shape[1]), dtype=object)
+        return np.dot(a.astype(object), b.astype(object))
+
+    rad = x.rad or y.rad
+    n0 = mm(x.n0, y.n0) + rad * mm(x.n1, y.n1)
+    n1 = mm(x.n0, y.n1) + mm(x.n1, y.n0)
+    return ExactMatrix(n0, n1, x.den * y.den, rad)
+
+
+@pytest.mark.parametrize("rad_x,rad_y", [(0, 0), (0, 2), (2, 0), (2, 2),
+                                         (0, 3), (3, 3)])
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_product_matches_four_products(rad_x, rad_y, seed):
+    rng = random.Random(f"{rad_x}:{rad_y}:{seed}")
+    m, k, n = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+    x = _seeded_matrix(rng, (m, k), rad_x)
+    y = _seeded_matrix(rng, (k, n), rad_y)
+    assert x @ y == _four_product_oracle(x, y)
+
+
+def test_stacked_product_with_parts_beyond_int64():
+    big = 3 ** 45  # above 2^62: the parts are Python ints
+    x = ExactMatrix(np.array([[big, 1], [0, -big]], dtype=object),
+                    np.array([[1, big], [2, 0]], dtype=object), 5, 2)
+    y = ExactMatrix(np.array([[1, 2], [big, 3]], dtype=object), None, 7)
+    for a, b in ((x, y), (y, x), (x, x), (y, y)):
+        assert a @ b == _four_product_oracle(a, b)
+
+
+def _bounds_hold(m: ExactMatrix) -> bool:
+    return m.bounds() == (intlinalg._max_abs(m.n0), intlinalg._max_abs(m.n1))
+
+
+def test_cached_bounds_follow_every_operation():
+    rng = random.Random(11)
+    r2 = ExactScalar.sqrt(2)
+    x = _seeded_matrix(rng, (3, 3), 2)
+    y = _seeded_matrix(rng, (3, 3), 2)
+    q = _seeded_matrix(rng, (3, 3), 0)
+    big = 2 ** 70
+    huge = ExactMatrix(np.array([[big, 1, 0], [0, 1, 0], [0, 0, 1]],
+                                dtype=object), None, 3)
+    assert huge.n0.dtype == object
+    # back to int64 once the big entry cancels
+    small = huge - ExactMatrix.from_int([[big, 0, 0], [0, 0, 0], [0, 0, 0]],
+                                        den=3)
+    assert small.n0.dtype == np.int64
+    results = [x, y, q, huge, small, x @ y, x @ q, q @ x, q @ q, huge @ x,
+               x + y, x - y, -x, x.T, x.scale(r2), x.scale(0),
+               x.entrywise(y), huge.entrywise(q), x.submatrix([0, 2], [1]),
+               x.take_rows([1]), ExactMatrix.stack_rows([x, q, huge]),
+               ExactMatrix.combination([(r2, x), (Fraction(1, big), q),
+                                        (3, huge)]),
+               ExactMatrix.zeros(2, 3), ExactMatrix.identity(3),
+               inverse(ExactMatrix.from_rows([[2, 1], [0, r2]]))]
+    for m in results:
+        assert _bounds_hold(m)
+        # negation and transposition keep the bounds they inherit
+        assert _bounds_hold(-m) and _bounds_hold(m.T)

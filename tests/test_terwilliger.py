@@ -716,3 +716,41 @@ def test_decompose_refuses_components_with_equal_chi(ctx_d42, monkeypatch):
     with pytest.raises(AssertionError, match=re.escape(
             "components (1, 1, 2) and (2, 2, 0) share chi0, chi1, chi2")):
         decompose(ctx_d42)
+
+
+def test_td_scalars_checked_once_per_form(graph_d32, bm_d32, monkeypatch):
+    """identities, central_terms, aw_module_scalars and
+    verify_center_identities all read td_scalars; its recurrences are
+    checked once per form (family, D, b), and a broken recurrence raises on
+    every call."""
+    from dualpolar import drg
+    from dualpolar.terwilliger import identities, upsilon_psi_lambda
+
+    checks = []
+    checked = drg._checked_td_scalars
+    monkeypatch.setattr(drg, "_TD_SCALARS", {})
+    monkeypatch.setattr(drg, "_checked_td_scalars",
+                        lambda spec: checks.append(spec) or checked(spec))
+    ctx = build_context(graph_d32, bm_d32, 0)
+    comps = decompose(ctx)
+    identities(ctx)
+    central_terms(ctx)
+    for c in comps:
+        aw_module_scalars(ctx, *c.triple)
+    verify_center_identities(ctx, upsilon_psi_lambda(ctx, comps))
+    # another graph of the same form reads the same scalars
+    td_scalars(FormSpec("D", 3, 2))
+    assert len(checks) == 1
+    td_scalars(FormSpec("C", 3, 2))
+    assert len(checks) == 2
+
+    # a recurrence that fails raises, and is not kept
+    monkeypatch.setattr(drg, "_TD_SCALARS", {})
+    real = drg.closed_form_eigenvalues
+    monkeypatch.setattr(drg, "closed_form_eigenvalues",
+                        lambda spec: [t + 1 if i == 1 else t
+                                      for i, t in enumerate(real(spec))])
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="recurrence"):
+            td_scalars(FormSpec("C", 3, 2))
+    assert drg._TD_SCALARS == {}

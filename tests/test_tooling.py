@@ -108,3 +108,58 @@ def test_no_assert_statement_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# ExactMatrix constructions and int_matmul calls of one CLI call; the
+# parent of the fused-combination kernel made 978 and 176 (leonard) and
+# 2422 and 814 (verify).  A rise means a temporary crept back in.
+_KERNEL_CEILINGS = {"leonard": (474, 164), "verify": (1151, 530)}
+
+
+def _kernel_counts(monkeypatch, argv) -> tuple[int, int]:
+    from dualpolar import intlinalg, linexact
+    from dualpolar.cli import main
+
+    counts = [0, 0]
+    init = linexact.ExactMatrix.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts[0] += 1
+        init(self, *args, **kwargs)
+
+    mm = intlinalg.int_matmul
+
+    def counted_mm(*args, **kwargs):
+        counts[1] += 1
+        return mm(*args, **kwargs)
+
+    monkeypatch.setattr(linexact.ExactMatrix, "__init__", counted_init)
+    for name in _NOT_LOADED["import"]:
+        module = importlib.import_module(f"dualpolar.{name}")
+        for key, val in list(vars(module).items()):
+            if val is mm:
+                monkeypatch.setattr(module, key, counted_mm)
+    assert main(argv) == 0
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("command", sorted(_KERNEL_CEILINGS))
+def test_exact_kernel_call_counts(tmp_path, capsys, monkeypatch, command):
+    from dualpolar.cli import main
+
+    if command == "leonard":
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps({"q": "2", "d": 4, "h": "1",
+                                    "h_star": "-2", "kappa": "1",
+                                    "kappa_star": "2", "upsilon": "5"}))
+        argv = ["leonard", "--params", str(path)]
+    else:
+        path = str(tmp_path / "d32.json")
+        assert main(["build", "--family", "D", "--D", "3", "--b", "2",
+                     "--out", path]) == 0
+        argv = ["verify", "--graph", path, "--suite", "all"]
+    constructions, products = _kernel_counts(monkeypatch, argv)
+    capsys.readouterr()
+    ceiling = _KERNEL_CEILINGS[command]
+    assert constructions <= ceiling[0] and products <= ceiling[1], \
+        (constructions, products)

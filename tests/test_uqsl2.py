@@ -10,6 +10,7 @@ from dualpolar.leonard import DqkParams, dqk_array, realize
 from dualpolar.linexact import ExactMatrix, spectral_projectors
 from dualpolar.terwilliger import ladder_action
 from dualpolar.uqsl2 import (
+    UqAction,
     build_Ld,
     casimir_scalar,
     dpg_uq_params,
@@ -150,3 +151,29 @@ def test_cross_variant_standard_c32(ctx_c32, center_c32, sm_c32):
     assert verify_cross_variant_standard(ctx_c32, center_c32, sm1, sm2)
     assert not verify_cross_variant_standard(ctx_c32, center_c32, sm2, sm1)
     assert not verify_cross_variant_standard(ctx_c32, center_c32, sm1, sm1)
+
+
+def test_chevalley_generators_built_once():
+    """e and f are built once per action: casimir, the Chevalley residuals
+    and the cross-variant check all read the same matrices."""
+    act = build_Ld(3, 1, QS["sqrt2"], "x-eigen")
+    assert act.e is act.e and act.f is act.f
+    e, f = act.e, act.f
+    act.verify()
+    act.casimir()
+    assert act.e is e and act.f is f
+
+
+@pytest.mark.parametrize("which", ["X", "Y", "Z"])
+def test_perturbed_generator_fails_its_relations(which):
+    """An action built from a perturbed generator gets its own e and f, and
+    fails the relations."""
+    q = QS["sqrt3"]
+    good = build_Ld(3, -1, q, "y-eigen")
+    mats = {"X": good.X, "Y": good.Y, "Z": good.Z}
+    mats[which] = mats[which] + ExactMatrix.diag([0, 0, 0, 1])
+    bad = UqAction(q, mats["X"], mats["Y"], mats["Z"],
+                   None if which == "Z" else good.Zinv)
+    with pytest.raises(AssertionError, match="relation .* fails"):
+        bad.verify()
+    assert (bad.e, bad.f) != (good.e, good.f)
