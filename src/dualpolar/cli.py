@@ -85,6 +85,8 @@ def cmd_build(args) -> int:
     from .polar import (BudgetExceededError, FormSpec, build_polar_graph,
                         save_graph)
 
+    if args.budget < 1:
+        raise InputError(f"--budget {args.budget} must be at least 1")
     try:
         spec = FormSpec(args.family, args.D, args.b)
     except ValueError as exc:
@@ -246,7 +248,9 @@ def cmd_verify(args) -> int:
 
     try:
         g = load_graph(args.graph)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise InputError(f"cannot load graph: missing field {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
         raise InputError(f"cannot load graph: {exc}") from exc
     if not 0 <= args.base_vertex < g.n_vertices:
         raise InputError(f"--base-vertex {args.base_vertex} is not a vertex; "
@@ -315,7 +319,10 @@ def cmd_leonard(args) -> int:
             raise TypeError("expected a JSON object")
         pa = ln.pa_from_json(data)
         verdict = pa.verdict  # mixed radicands raise here
-    except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
+    except KeyError as exc:
+        raise InputError(f"cannot load parameter array: missing field {exc}"
+                         ) from exc
+    except (OSError, ValueError, TypeError, ArithmeticError) as exc:
         raise InputError(f"cannot load parameter array: {exc}") from exc
     meta = {"params": args.params, "d": pa.d, "actions": actions}
     report = Report(meta)

@@ -89,18 +89,19 @@ class FieldSpec:
         q, p, m = self.order, self.p, self.m
         weights = p ** np.arange(m)
         digits = np.arange(q)[:, None] // weights % p
-        # times[a, k] = the digits of a x^k: multiplying by x shifts the
-        # digits up and folds the top one back through the monic modulus
+        # times[a, k] = the digits of a x^k, so times[a] is multiplication
+        # by a on digits (times[a, 0] the digits of a); multiplying by x
+        # shifts the digits up and folds the top one back through the modulus
         times = [digits]
         for _ in range(1, m):
             up = np.pad(times[-1][:, :-1], ((0, 0), (1, 0)))
             times.append((up - times[-1][:, -1:] * self.modulus[:m]) % p)
-        times = np.stack(times, axis=1)
+        self.times = np.stack(times, axis=1)
         # row by row, so that no temporary is larger than a row
         self.add_table = np.array([((d + digits) % p * weights).sum(1)
                                    for d in digits], dtype=np.int16)
         self.mul_table = np.array([(int_matmul(digits, t) % p * weights).sum(1)
-                                   for t in times], dtype=np.int16)
+                                   for t in self.times], dtype=np.int16)
         self.neg_table = ((-digits) % p * weights).sum(1)
         self.inv_table = (self.mul_table == 1).argmax(1)
         self.conj_table = None

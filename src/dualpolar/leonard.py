@@ -552,16 +552,16 @@ def tridiagonal_residuals(A: ExactMatrix, As: ExactMatrix, beta, gamma,
 
 
 def verify_td_aw_matrix(real: LeonardRealization, s: TdAwScalars) -> bool:
-    """Both tridiagonal bracket relations and both Askey-Wilson relations as
-    exact matrix identities."""
+    """Both Askey-Wilson relations as exact matrix identities:
+    lhs1 = gamma* A^2 + omega A + eta I and lhs2 = gamma A*^2 + omega A* +
+    eta* I, with lhs1, lhs2 the bracketed terms of the tridiagonal relations.
+    These imply both tridiagonal relations [A, lhs1] = 0 and [A*, lhs2] = 0,
+    since each right-hand side is a polynomial in A (in A*), which commutes
+    with A (with A*); so those are not checked separately."""
     A, As = real.A, real.Astar
     ident = ExactMatrix.identity(A.shape[0])
     lhs1, lhs2 = tridiagonal_residuals(A, As, s.beta, s.gamma, s.gamma_star,
                                        s.rho, s.rho_star)
-    if not (lhs1 @ A - A @ lhs1).is_zero():
-        return False
-    if not (lhs2 @ As - As @ lhs2).is_zero():
-        return False
     rhs1 = ExactMatrix.combination(((s.gamma_star, A @ A), (s.omega, A),
                                     (s.eta, ident)))
     rhs2 = ExactMatrix.combination(((s.gamma, As @ As), (s.omega, As),

@@ -26,7 +26,9 @@ Both steps work on the point table: the singular points of GF(b)^n, one
 monic vector each, as a numpy array ordered by leading position.  The
 field's tables evaluate the form on all of them at once, from its Gram
 matrix (and, for the quadratic families, the coefficients of Q), giving the
-singular points and a P x P perpendicularity matrix.  Enumeration grows
+singular points.  The P x P perpendicularity matrix comes from exact
+integer products over GF(p) on the base-p digits of the points, as
+multiplication by a field element is GF(p)-linear.  Enumeration grows
 subspaces by their RREF: the first k rows of a totally isotropic
 (k+1)-space in RREF are a totally isotropic k-space S in RREF, and its last
 row is a singular point p perpendicular to S, with lead(p) past the last
@@ -136,6 +138,8 @@ class FormSpec:
     _forms = cached_property(_form_matrices)
     gram = property(lambda self: self._forms[0])
     quad = property(lambda self: self._forms[1])
+    # one point table per form, for enumeration and the codim matrix alike
+    points = cached_property(lambda self: _PointTable(self))
 
     def __repr__(self):
         return f"FormSpec({self.family}, D={self.D}, b={self.b})"
@@ -223,19 +227,48 @@ class _PointTable:
         return self.index[(monic * self.weights).sum(-1)]
 
     def perp(self) -> np.ndarray:
-        """P x P bool B(p, p') = 0, in row blocks of about 2^18 entries."""
-        field, npts = self.spec.field, len(self.vecs)
-        u = _pairing(field, self.vecs[:, None], self.spec.gram.T[None])
-        v = _sigma(self.spec, self.vecs)
-        out = np.empty((npts, npts), dtype=bool)
-        step = max(1, 2 ** 18 // npts)
-        for lo in range(0, npts, step):
-            out[lo:lo + step] = _pairing(field, u[lo:lo + step, None], v[None]) == 0
+        """P x P bool B(p, p') = 0, from exact integer products over GF(p).
+
+        Multiplication by a field element is GF(p)-linear on base-p digits
+        (`FieldSpec.times`), so digit i of B(u, v) = sum_j (uG)_j sigma(v)_j
+        is sum_jk times[(uG)_j, k, i] digit_k(sigma(v)_j) reduced mod p.
+        Each such sum lies in [0, base), base = n m (p - 1)^2 + 1.  As many
+        digits as keep base^per within 2^16 (at least one) are packed in
+        base `base` into one `int_matmul` product, whose bound is then
+        base^per - 1, and a table of base^per bools tells which packed sums
+        are 0 mod p in every digit."""
+        field, spec = self.spec.field, self.spec
+        p, m = field.p, field.m
+        npts, n = self.vecs.shape
+        ug = _pairing(field, self.vecs[:, None], spec.gram.T[None])
+        left = field.times[ug].reshape(npts, n * m, m)
+        right = field.times[_sigma(spec, self.vecs), 0].reshape(npts, n * m)
+        base = n * m * (p - 1) ** 2 + 1
+        per = 1
+        while per < m and base ** (per + 1) <= 2 ** 16:
+            per += 1
+        digit_zero = np.arange(base) % p == 0
+        out = np.ones((npts, npts), dtype=bool)
+        for lo in range(0, m, per):
+            weights = base ** np.arange(min(per, m - lo))
+            zero = digit_zero
+            for _ in weights[1:]:
+                zero = np.logical_and.outer(digit_zero, zero).ravel()
+            out &= zero[int_matmul(left[..., lo:lo + per] @ weights, right.T)]
         return out
 
 
 # ---------------------------------------------------------------------------
 # Enumeration of maximal isotropic subspaces
+
+
+def _packed_nonzero(bits: np.ndarray):
+    """np.nonzero of the rows of bits that `np.packbits(..., axis=1)`
+    packed, in the same row-major order; only the nonzero bytes are
+    unpacked."""
+    row, byte = np.nonzero(bits)
+    at, bit = np.nonzero(np.unpackbits(bits[row, byte][:, None], axis=1))
+    return row[at], 8 * byte[at] + bit
 
 
 def enumerate_maximal_isotropic(spec: FormSpec, budget: int = 100_000):
@@ -254,7 +287,7 @@ def enumerate_maximal_isotropic(spec: FormSpec, budget: int = 100_000):
     """
     if _vertex_count(spec, budget) > budget:
         raise BudgetExceededError("enumeration budget exceeded")
-    table = _PointTable(spec)
+    table = spec.points
     npts, n = table.vecs.shape
     if npts > budget:
         raise BudgetExceededError("enumeration budget exceeded")
@@ -275,7 +308,7 @@ def enumerate_maximal_isotropic(spec: FormSpec, budget: int = 100_000):
             ok = allowed[which[lo:lo + step]]
             for j in range(chunk.shape[1]):
                 ok &= perp[chunk[:, j]]
-            s, p = np.nonzero(np.unpackbits(ok, axis=1, count=npts))
+            s, p = _packed_nonzero(ok)
             total += len(s)
             if total > budget:
                 raise BudgetExceededError("enumeration budget exceeded")
@@ -326,7 +359,7 @@ def _codim_matrix(spec: FormSpec, verts) -> np.ndarray:
     """D - dim(y intersect z) for all vertex pairs, from one exact product:
     with I the vertex x point incidence, (I I^T)_yz = |y intersect z| is
     (b^d - 1)/(b - 1), d = dim(y intersect z)."""
-    table = _PointTable(spec)
+    table = spec.points
     field, b, D = spec.field, spec.b, spec.D
     rows = np.array(verts, dtype=np.int16).reshape(len(verts), D, spec.n)
     coef = _monic_vectors(b, D)

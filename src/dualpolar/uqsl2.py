@@ -117,16 +117,14 @@ class UqAction:
                 raise AssertionError(f"relation {name} fails")
 
     def casimir(self) -> ExactMatrix:
-        """ef + (q^-1 k + q k^-1)/(q - q^-1)^2, verified central."""
+        """ef + (q^-1 k + q k^-1)/(q - q^-1)^2.  Not checked to be central
+        here: both callers require it to equal a scalar times I, which
+        commutes with k, e and f."""
         q = self.q
         qi = q.inverse()
         c = ((q - qi) ** 2).inverse()
-        delta = ExactMatrix.combination(((1, self.e @ self.f),
-                                         (qi * c, self.k), (q * c, self.kinv)))
-        for name, g in (("k", self.k), ("e", self.e), ("f", self.f)):
-            if delta @ g != g @ delta:
-                raise AssertionError(f"Casimir does not commute with {name}")
-        return delta
+        return ExactMatrix.combination(((1, self.e @ self.f),
+                                        (qi * c, self.k), (q * c, self.kinv)))
 
 
 def build_Ld(d: int, eps: int, q: ExactScalar, basis: str = "kef") -> UqAction:

@@ -17,7 +17,9 @@ And it keeps a breadth-first search, one dense n x n product per step:
 distance with this one.
 
 Then the scalar form oracle: the form of a `polar.FormSpec` evaluated one
-vector pair at a time, the reference for `polar._totally_isotropic`.
+vector pair at a time, the reference for `polar._totally_isotropic`, and
+the form on all pairs of points through the field's tables, the reference
+for `polar._PointTable.perp`.
 
 And the scalar oracle: `FractionPairScalar`, the element of Q(sqrt(b))
 held as two Fractions, which `exact.ExactScalar` replaced by integer parts.
@@ -53,7 +55,7 @@ from dualpolar.leonard import (
     tridiagonal_residuals,
 )
 from dualpolar.linexact import ExactMatrix, rref, spectral_projectors
-from dualpolar.polar import FormSpec
+from dualpolar.polar import FormSpec, _pairing, _sigma
 from dualpolar.terwilliger import (
     LFRK_STATEMENTS,
     TerwilligerContext,
@@ -580,6 +582,16 @@ def totally_isotropic(spec, rows) -> bool:
             if bilinear(spec, u, v) != 0:
                 return False
     return True
+
+
+def table_perp(spec) -> np.ndarray:
+    """The P x P bool B(p, p') = 0 on the point table of `spec`, from the
+    field's addition and multiplication tables on every pair: what
+    `polar._PointTable.perp` computed before it used exact integer products
+    over GF(p)."""
+    field, vecs = spec.field, spec.points.vecs
+    u = _pairing(field, vecs[:, None], spec.gram.T[None])
+    return _pairing(field, u[:, None], _sigma(spec, vecs)[None]) == 0
 
 
 # ---------------------------------------------------------------------------

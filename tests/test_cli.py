@@ -90,6 +90,21 @@ def test_build_into_missing_directory_is_input_error(tmp_path, capsys):
     assert "cannot write graph" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_input_error(tmp_path, capsys, monkeypatch,
+                                         budget):
+    """A budget below 1 is refused by name, before the form is built."""
+    from dualpolar import polar
+
+    calls = []
+    monkeypatch.setattr(polar, "FormSpec", _raiser(AssertionError(), calls))
+    assert main(["build", "--family", "D", "--D", "2", "--b", "2",
+                 "--out", str(tmp_path / "g.json"), "--budget", budget]) == 2
+    assert capsys.readouterr().err == \
+        f"error: --budget {budget} must be at least 1\n"
+    assert calls == []
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
@@ -181,6 +196,18 @@ def test_malformed_graph_is_input_error(c23_data, d32_file, tmp_path, capsys,
         field = FIELD_DEFECTS[defect][0]
         kind = "a string" if field == "e" else "an integer"
         assert f"{field!r} must be {kind}" in err
+
+
+@pytest.mark.parametrize("field", ["family", "D", "b", "e", "vertices",
+                                   "adjacency"])
+def test_graph_missing_field_is_named(c23_data, tmp_path, capsys, field):
+    data = json.loads(json.dumps(c23_data))
+    del data[field]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--graph", str(path), "--suite", "drg"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot load graph: missing field {field!r}\n"
 
 
 @pytest.fixture(scope="module")
@@ -529,6 +556,21 @@ def test_malformed_parameter_array_is_input_error(tmp_path, capsys, content,
         assert message in err
 
 
+@pytest.mark.parametrize("field", [*LEONARD_ARRAY, "theta_star"])
+def test_parameter_array_missing_field_is_named(tmp_path, capsys, field):
+    """Every field of a dual q-Krawtchouk array, and of a general array
+    (theta, theta_star, phi, phi2), is named when it is missing."""
+    if field == "theta_star":
+        data = {"theta": ["1", "2"], "phi": ["1"], "phi2": ["1"]}
+    else:
+        data = {k: v for k, v in LEONARD_ARRAY.items() if k != field}
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps(data))
+    assert main(["leonard", "--params", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot load parameter array: missing field {field!r}\n"
+
+
 def test_unknown_leonard_action_is_input_error(tmp_path, capsys):
     path = tmp_path / "array.json"
     path.write_text(json.dumps(LEONARD_ARRAY))
@@ -692,6 +734,32 @@ def test_leonard_scalars_skipped_below_d3(tmp_path, capsys):
     scalars = checks.pop("leonard:scalars")
     assert scalars["status"] == "skipped"
     assert "d >= 3" in scalars["statement"]
+    assert all(c["status"] == "pass" for c in checks.values())
+
+
+@pytest.mark.parametrize("name", ["omega", "eta", "eta_star", "rho",
+                                  "rho_star"])
+def test_leonard_scalars_fail_with_a_scalar_moved(tmp_path, capsys,
+                                                  monkeypatch, name):
+    """The Askey-Wilson equalities alone, without the two tridiagonal
+    commutators, refuse every one of these scalars moved by 1."""
+    import dataclasses
+
+    from dualpolar import leonard
+
+    real = leonard.td_aw_scalars
+
+    def moved(pa):
+        s = real(pa)
+        return dataclasses.replace(s, **{name: getattr(s, name) + 1})
+
+    monkeypatch.setattr(leonard, "td_aw_scalars", moved)
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps(LEONARD_ARRAY))
+    capsys.readouterr()
+    assert main(["leonard", "--params", str(path)]) == 1
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks.pop("leonard:scalars")["status"] == "fail"
     assert all(c["status"] == "pass" for c in checks.values())
 
 

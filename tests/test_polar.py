@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dense_oracle import bilinear, totally_isotropic
+from dense_oracle import bilinear, table_perp, totally_isotropic
 from dualpolar import polar
 from dualpolar.drg import (
     NotDistanceRegularError,
@@ -272,7 +272,40 @@ BUILD_GOLDENS = {
     ("2A_odd", 2, 4):
         "9b528d04638da5aac239c5aa68527beb91a38f608cdaa40fc47b3ec41398c18f",
     ("C", 2, 7): "122cbd8f5ad6bb610f2f554216b4cb026c3dd6c3b0fc5354b852b29c9e09e6aa",
+    ("2A_odd", 3, 4):
+        "d5d4cb4b92b95ee66e3080d3f04258733c74afcd4fd840554026347d3ecb585f",
+    ("C", 3, 3): "760defe831e5a489f684be98bee30dd895437368931c14b2336e3c83021cba03",
 }
+
+
+# every family, over GF(p^m) for m = 1 (GF(3)), 2 (GF(4), GF(9)), 3 (GF(8),
+# GF(27)) and 4 (GF(16)); D_2(27) and 2A_odd_2(16) split their digits over
+# two products
+PERP_CASES = [("C", 2, 3), ("C", 2, 4), ("C", 2, 8), ("C", 2, 9),
+              ("B", 2, 3), ("B", 2, 8), ("B", 2, 9), ("D", 3, 3),
+              ("D", 2, 8), ("D", 2, 27), ("2D", 2, 3), ("2D", 2, 4),
+              ("2D", 1, 8), ("2A_even", 2, 4), ("2A_even", 2, 9),
+              ("2A_odd", 2, 4), ("2A_odd", 2, 9), ("2A_odd", 2, 16)]
+
+
+@pytest.mark.parametrize("key", PERP_CASES, ids=lambda k: "%s_%d(%d)" % k)
+def test_perp_against_table_oracle(key):
+    spec = FormSpec(*key)
+    perp = spec.points.perp()
+    assert perp.dtype == bool
+    assert np.array_equal(perp, table_perp(spec))
+    assert perp.any() and not perp.all()
+
+
+@pytest.mark.parametrize("width", [1, 7, 13, 693])
+@pytest.mark.parametrize("density", [0.0, 0.01, 0.5, 1.0])
+def test_packed_nonzero_matches_unpacked(width, density):
+    rng = np.random.default_rng(width)
+    mask = rng.random((57, width)) < density
+    packed = np.packbits(mask, axis=1)
+    want = np.nonzero(np.unpackbits(packed, axis=1, count=width))
+    got = polar._packed_nonzero(packed)
+    assert [x.tolist() for x in got] == [x.tolist() for x in want]
 
 
 @pytest.mark.parametrize("key", BUILD_GOLDENS, ids=lambda k: "%s_%d(%d)" % k)
