@@ -724,7 +724,10 @@ def pa_from_json(data: dict) -> ParameterArray:
             return [parse_scalar_field(v, f"{name!r}[{i}]")
                     for i, v in enumerate(values)]
 
-        return ParameterArray(seq("theta"), seq("theta_star"), seq("phi"),
+        theta = seq("theta")
+        if not theta:
+            raise ValueError("'theta' must have at least one entry")
+        return ParameterArray(theta, seq("theta_star"), seq("phi"),
                               seq("phi2"))
     p = dqk_params_from_json(data)
     return dqk_array(p)
@@ -738,6 +741,8 @@ def dqk_params_from_json(data: dict) -> DqkParams:
     def get(name):
         return parse_scalar_field(data[name], repr(name))
 
-    return DqkParams(get("q"), parse_int(data, "d"), get("h"),
-                     get("h_star"), get("kappa"), get("kappa_star"),
-                     get("upsilon"))
+    d = parse_int(data, "d")
+    if d < 0:
+        raise ValueError(f"'d' must be at least 0, got {d}")
+    return DqkParams(get("q"), d, get("h"), get("h_star"), get("kappa"),
+                     get("kappa_star"), get("upsilon"))

@@ -1,6 +1,6 @@
 """Subconstituent algebra of a dual polar graph at a base vertex.
 
-Everything here is exact.  T is graded by the distance partition B_0, ...,
+Everything here is exact.  A respects the distance partition B_0, ...,
 B_D at the base vertex x: E*_i A E*_j = 0 for |i - j| > 1 (Terwilliger, The
 subconstituent algebra of an association scheme I, 1992).  K, K^-1, A* and
 E*_i act on B_i as scalars, and L, F, R on B_i are the adjacency blocks
@@ -36,9 +36,11 @@ recoveries, the commutations, the tridiagonal relations and the expressions
 of Omega, G, G* through C0 and C1 (`identities`) are checked so, as are the
 characterization and the center identities: Upsilon, Psi and Lambda are
 per-component scalars.  Only the paper's entry tables of Omega and G are
-statements about matrix entries; for them Omega and G are built block by
-block from their words (`graded`, `central_elements`).  The Leonard system
-of each module is read off the same ladder: E_(t+i) acts on W as a
+statements about matrix entries.  Every word of either maps each E*_s V
+to itself, so `central_elements` builds them on their diagonal blocks from
+F = A[B_s, B_s] and the two-step products RL, LR (`two_step`, formed once
+per context for them, the G entry table and `decompose`).  The Leonard
+system of each module is read off the same ladder: E_(t+i) acts on W as a
 primitive idempotent of the (d+1) x (d+1) ladder A, and E*_(r+i) as the
 projection on rung i, so `extract_module` touches no n-wide vector.
 """
@@ -64,12 +66,6 @@ from .linexact import ExactMatrix, kernel, rref
 from .polar import PolarGraph
 from .uqsl2 import casimir_scalar
 
-# An element X of T by its blocks {(i, j): E*_i X E*_j}; absent blocks are 0.
-Graded = dict[tuple[int, int], ExactMatrix]
-
-_MOVES = {"L": -1, "F": 0, "R": 1}
-
-
 @dataclass
 class TerwilligerContext:
     """The subconstituents of the graph at a base vertex x, and the
@@ -82,6 +78,8 @@ class TerwilligerContext:
     dist_x: np.ndarray
     blocks: list[np.ndarray]  # vertex indices at distance i from x, sorted
     _adj: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
+    _two: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
     _identities: dict | None = field(default=None, init=False, repr=False,
                                      compare=False)
@@ -118,6 +116,16 @@ class TerwilligerContext:
                 self.blocks[i], self.blocks[j])].astype(np.int64)
         return self._adj[i, j]
 
+    def two_step(self, s: int, h: int) -> np.ndarray | None:
+        """A[B_s, B_h] A[B_h, B_s] for h = s - 1 (RL on block s) or
+        h = s + 1 (LR on block s): entry (y, z) counts the common neighbours
+        of y and z in B_h.  None where block h does not exist."""
+        if not 0 <= h <= self.D:
+            return None
+        if (s, h) not in self._two:
+            self._two[s, h] = int_matmul(self.adj(s, h), self.adj(h, s))
+        return self._two[s, h]
+
 
 def build_context(g: PolarGraph, bm: BoseMesnerData,
                   x: int = 0) -> TerwilligerContext:
@@ -147,66 +155,6 @@ def build_context(g: PolarGraph, bm: BoseMesnerData,
                 raise AssertionError(
                     "transpose relations L^t = R, F^t = F fail")
     return ctx
-
-
-# ---------------------------------------------------------------------------
-# Graded elements
-
-
-def _chain(ctx: TerwilligerContext, path: str, j: int, memo: dict):
-    """The integer product of the adjacency blocks of the word `path` in L,
-    F, R on column block j (the identity for the empty word); words with a
-    common right factor share its product."""
-    if (path, j) not in memo:
-        if not path:
-            memo[path, j] = np.eye(len(ctx.blocks[j]), dtype=np.int64)
-        else:
-            rest = path[1:]
-            c = j + sum(_MOVES[x] for x in rest)
-            step = ctx.adj(c + _MOVES[path[0]], c)
-            memo[path, j] = step if not rest else int_matmul(
-                step, _chain(ctx, rest, j, memo))
-    return memo[path, j]
-
-
-def graded(ctx: TerwilligerContext, terms) -> Graded:
-    """sum coeff * word over the (coeff, word) terms, block by block.
-
-    A word is a product of the letters L, F, R and K.  On column block j its
-    letters act right to left: L, F and R move to the next block through
-    their adjacency block, K multiplies by its scalar b^-i on the current
-    block i, and a word that leaves 0..D vanishes.  Block (i, j) is
-    sum_w s_w M_w over the words w ending in block i: an exact scalar times
-    the integer product of the adjacency blocks."""
-    sums: dict = {}
-    for j in range(ctx.D + 1):
-        for coeff, word in terms:
-            i, s, path = j, Fraction(1), ""
-            for letter in reversed(word):
-                if letter == "K":
-                    s /= ctx.b ** i
-                    continue
-                i += _MOVES[letter]
-                if not 0 <= i <= ctx.D:
-                    break
-                path = letter + path
-            else:
-                block = sums.setdefault((i, j), {})
-                block[path] = block.get(path, 0) + coeff * s
-    memo: dict = {}
-    return {(i, j): ExactMatrix.combination(
-        [(s, _chain(ctx, path, j, memo)) for path, s in block.items()])
-        for (i, j), block in sums.items()}
-
-
-def equal(x: Graded, y: Graded) -> bool:
-    return all(x[ij] == y[ij] if ij in x and ij in y
-               else x.get(ij, y.get(ij)).is_zero()
-               for ij in x.keys() | y.keys())
-
-
-def commutes(a: ExactMatrix, b: ExactMatrix) -> bool:
-    return (a @ b - b @ a).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +294,12 @@ def verify_tridiagonal_relations(ctx: TerwilligerContext, comps):
 
 @dataclass
 class CentralElements:
-    """Omega and G, block by block, for their entry tables."""
+    """Omega and G by their diagonal blocks E*_s X E*_s (s = 0..D), for
+    their entry tables.  Every word of either maps each E*_s V to itself,
+    so every other block is 0."""
 
-    Omega: Graded
-    G: Graded
+    Omega: list[ExactMatrix]
+    G: list[ExactMatrix]
 
 
 def chi0(ctx: TerwilligerContext, r: int, t: int, d: int) -> ExactScalar:
@@ -409,16 +359,9 @@ def _omega_coeffs(ctx: TerwilligerContext):
     return alpha, beta
 
 
-def _diagonal_blocks(ctx: TerwilligerContext, terms_of) -> Graded:
-    """The block-diagonal element with block (s, s) sum terms_of(s, I)."""
-    return {(s, s): ExactMatrix.combination(
-        terms_of(s, np.eye(len(block), dtype=np.int64)))
-        for s, block in enumerate(ctx.blocks)}
-
-
 def central_terms(ctx: TerwilligerContext) -> tuple[list, ...]:
     """The (coeff, word) terms of C0, C1, C2, Omega, G and G*, in the
-    letters of `graded` and the field order of `CentralElements`."""
+    letters L, F, R, K (acting right to left)."""
     q2 = ExactScalar(ctx.b)
     q4 = q2 * q2
     q2e = ctx.qexp(ctx.two_e())
@@ -441,12 +384,33 @@ def central_terms(ctx: TerwilligerContext) -> tuple[list, ...]:
              (gamma * zeta ** 2, "")])
 
 
+def _on_block(ctx: TerwilligerContext, terms, s: int) -> ExactMatrix:
+    """E*_s (sum coeff * word) E*_s over the (coeff, word) terms, each word
+    K^m W with W one of "", F, RL, LR.  Each such word maps E*_s V to
+    itself: W acts there as I, A[B_s, B_s] or a two-step product (0 where
+    it passes through a block that does not exist), and K as b^-s.  Any
+    other word raises ValueError."""
+    through = {"RL": s - 1, "LR": s + 1}
+    coeffs: dict = {}
+    for coeff, word in terms:
+        w = word.lstrip("K")
+        if w not in ("", "F", *through):
+            raise ValueError(f"word {word!r} does not map E*_{s} V to itself")
+        k = Fraction(1, ctx.b ** (s * (len(word) - len(w))))
+        coeffs[w] = coeffs.get(w, 0) + coeff * k
+    mats = {"": np.eye(len(ctx.blocks[s]), dtype=np.int64), "F": ctx.adj(s, s)}
+    parts = [(c, mats[w] if w in mats else ctx.two_step(s, through[w]))
+             for w, c in coeffs.items()]
+    return ExactMatrix.combination((c, m) for c, m in parts if m is not None)
+
+
 def central_elements(ctx: TerwilligerContext) -> CentralElements:
-    """Omega and G built from their words (`central_terms`), block by block:
-    the paper's entry tables describe their entries.  That the words are
-    central is `verify_central_construction`'s certificate."""
+    """Omega and G built from their words (`central_terms`) on their
+    diagonal blocks: the paper's entry tables describe their entries.  That
+    the words are central is `verify_central_construction`'s certificate."""
     terms = central_terms(ctx)
-    return CentralElements(graded(ctx, terms[3]), graded(ctx, terms[4]))
+    return CentralElements(*([_on_block(ctx, terms[k], s)
+                              for s in range(ctx.D + 1)] for k in (3, 4)))
 
 
 def verify_central_construction(ctx: TerwilligerContext, comps):
@@ -478,7 +442,7 @@ def _central_by_c0_c1(ctx: TerwilligerContext):
             (zeta * xi * (q2 - 1) * (q2 - 1) / q2, 0, gamma * zeta ** 2))
 
 
-def verify_g_entry_table(ctx: TerwilligerContext, G: Graded) -> bool:
+def verify_g_entry_table(ctx: TerwilligerContext, G: list) -> bool:
     """Entry table of G over vertex pairs, classified by the two distances
     and the local quad geometry."""
     spec = ctx.g.spec
@@ -488,24 +452,18 @@ def verify_g_entry_table(ctx: TerwilligerContext, G: Graded) -> bool:
     cvals, _, bvals = closed_form_intersection(spec)
     theta_star = ctx.bm.theta_star
 
-    def through(s, h):
-        """Common neighbours in class h of the pairs in class s (0 if class
-        h does not exist)."""
-        adj = ctx.adj(s, h)
-        return 0 if adj is None else int_matmul(adj, ctx.adj(h, s))
-
     # pairs at one distance s from x: the diagonal, adjacent pairs, pairs at
     # distance 2 with a common neighbour at s + 1, and pairs at distance 2
     # without one, weighted by their common neighbours at s - 1; 0 elsewhere
-    def table(s, eye):
-        block = ctx.blocks[s]
+    def table(s, block):
         dist = ctx.g.dist[np.ix_(block, block)]
-        up, down = through(s, s + 1), through(s, s - 1)
+        up, down = (0 if m is None else m
+                    for m in (ctx.two_step(s, s + 1), ctx.two_step(s, s - 1)))
         two = dist == 2
         return [
             (xi * Fraction(1, b ** (s + 1)) * (1 - b * b)
              * (b * cvals[s] - Fraction(bvals[s], b)) - rho * theta_star[s],
-             eye),
+             np.eye(len(block), dtype=np.int64)),
             (xi * Fraction(1, b ** (s + 1)) * (1 - b)
              * (b * b + b + b_pow(b, spec.e) - 1),
              (dist == 1).astype(np.int64)),
@@ -514,18 +472,21 @@ def verify_g_entry_table(ctx: TerwilligerContext, G: Graded) -> bool:
             (xi * Fraction(1, b ** s) * (1 - b * b),
              np.where(two & (up == 0), down, 0))]
 
-    return equal(G, _diagonal_blocks(ctx, table))
+    return list(G) == [ExactMatrix.combination(table(s, block))
+                       for s, block in enumerate(ctx.blocks)]
 
 
-def verify_omega_entry_table(ctx: TerwilligerContext, omega: Graded) -> bool:
+def verify_omega_entry_table(ctx: TerwilligerContext, omega: list) -> bool:
     """The paper's same-distance entry table of Omega: beta_s on the
     diagonal of block s, alpha_s on its adjacent pairs, 0 elsewhere.  Omega
     is built from its words (`central_terms`), so this compares two
     descriptions of it."""
     alpha, beta = _omega_coeffs(ctx)
-    return equal(omega, _diagonal_blocks(ctx, lambda s, eye: [
-        (beta[s], eye), (alpha.get(s, 0), (ctx.g.dist[np.ix_(
-            ctx.blocks[s], ctx.blocks[s])] == 1).astype(np.int64))]))
+    return list(omega) == [ExactMatrix.combination([
+        (beta[s], np.eye(len(block), dtype=np.int64)),
+        (alpha.get(s, 0),
+         (ctx.g.dist[np.ix_(block, block)] == 1).astype(np.int64))])
+        for s, block in enumerate(ctx.blocks)]
 
 
 def central_characterization_matrix(ctx: TerwilligerContext, comp,
@@ -749,19 +710,15 @@ def decompose(ctx: TerwilligerContext,
         size = low.shape[0]
         if size == 0:
             continue
-        # raising chains: U[j] maps block r coordinates to block r+j
-        U = [np.eye(kr, dtype=np.int64)]
-        for j in range(D - r):
-            U.append(int_matmul(ctx.adj(r + j + 1, r + j), U[-1]))
         # On ker L the element C2 acts through LR alone, which restricts to
-        # the integer matrix U1^t U1 on the block; its eigenvalue separates
-        # the module diameter d.  C0 acts through F, whose eigenvalue
-        # separates the dual endpoint t:
+        # the two-step product A[B_r, B_(r+1)] A[B_(r+1), B_r] on the block;
+        # its eigenvalue separates the module diameter d.  C0 acts through
+        # F, whose eigenvalue separates the dual endpoint t:
         #   C0 v = chi0 v  <=>  F|block_r v = (b^r chi0 - cst) v.
         # Both are symmetric, so row y of low @ M is the image of row y.
         if r < D:
             m_lr = _restrict(low, pivots, low @ ExactMatrix(
-                int_matmul(U[1].T, U[1])), "LR")
+                ctx.two_step(r, r + 1)), "LR")
         else:  # R vanishes on E*_D V, and so does LR
             m_lr = ExactMatrix.zeros(size, size)
         m_f = _restrict(low, pivots, low @ ExactMatrix.from_int(
@@ -808,7 +765,7 @@ def decompose(ctx: TerwilligerContext,
                 c = _scalar_value(m_f)
                 t = next((u for u, v in nu.items() if v == c), None)
                 if t is not None:
-                    comps.append(_build_component(r, t, d, low, U))
+                    comps.append(_build_component(ctx, r, t, d, low))
                     continue
             head = [] if p_d is None else [p_d]
             f_shift = {t: ExactMatrix.combination(((1, m_f), (-v, ident)))
@@ -823,7 +780,8 @@ def decompose(ctx: TerwilligerContext,
                 if piece.is_zero():
                     continue
                 coords, _ = rref(piece)
-                comps.append(_build_component(r, t, d, coords @ low, U))
+                comps.append(_build_component(ctx, r, t, d,
+                                              coords @ low))
     total = sum(c.dim for c in comps)
     if total != n:
         raise AssertionError(f"component dimensions sum to {total}, not {n}")
@@ -832,18 +790,19 @@ def decompose(ctx: TerwilligerContext,
     return comps
 
 
-def _build_component(r: int, t: int, d: int, low_rows: ExactMatrix,
-                     U) -> HomogeneousComponent:
+def _build_component(ctx: TerwilligerContext, r: int, t: int, d: int,
+                     low_rows: ExactMatrix) -> HomogeneousComponent:
     """The component raised from the lowest-rung rows `low_rows`, a
     leading-1 RREF (the RREF coordinates times the RREF kernel basis), so
-    of rank equal to its row count.  Rung j is `low_rows @ U[j].T`, on block
-    r + j; each must keep that rank, so the dimension is mult * (d + 1).
-    `intlinalg.int_rank` certifies it, from one prime where the rank does
-    not drop mod p."""
+    of rank equal to its row count.  Rung j, on block r + j, is
+    rung j - 1 @ A[B_(r+j-1), B_(r+j)]: row y is R of row y of rung j - 1
+    (A is symmetric), so R v_j = v_(j+1) by construction.  Each rung must
+    keep the rank, so the dimension is mult * (d + 1); `intlinalg.int_rank`
+    certifies it, from one prime where the rank does not drop mod p."""
     mult = low_rows.shape[0]
     rungs = [low_rows]
     for j in range(1, d + 1):
-        rung = low_rows @ ExactMatrix.from_int(U[j]).T
+        rung = rungs[-1] @ ExactMatrix.from_int(ctx.adj(r + j - 1, r + j))
         if intlinalg.int_rank(rung.n0) != mult:
             raise AssertionError("raising ladder drops rank before the top")
         rungs.append(rung)
@@ -855,28 +814,30 @@ def _certify_ladder(ctx: TerwilligerContext,
     """L, F, R act on the rungs of comp as `ladder_action` says; returns
     that action.
 
-    One block-local adjacency product per rung gives the rows of L, F and R
-    applied to the rung; A is symmetric, so row y of `rung @ adj[block, :]`
-    is the image of rung row y.
+    R maps rung j to rung j + 1 by construction (`_build_component`).  The
+    rest is checked part by part, with one block-local adjacency product
+    each: L maps rung j to b_(j-1) c_j times rung j - 1 and rung 0 to 0, F
+    maps rung j to a_j times itself, and R maps the top rung to 0.  A is
+    symmetric, so row y of `rung @ A[B_s, B_i]` is the image of rung row y
+    on block i.
     """
     r, t, d = comp.triple
     act = ladder_action(ctx, r, t, d)
     for j, rung in enumerate(comp.rungs):
         s = r + j
-        near = [i for i in (s - 1, s, s + 1) if 0 <= i <= ctx.D]
-        image = rung @ ExactMatrix.from_int(
-            np.concatenate([ctx.adj(s, i) for i in near], axis=1))
-        # the image on blocks s-1, s, s+1: L, F and R of the rung
-        want = {s - 1: comp.rungs[j - 1].scale(act.L.entry(j - 1, j))
-                if j else None,
-                s: rung.scale(act.F.entry(j, j)),
-                s + 1: comp.rungs[j + 1] if j < d else None}
-        parts = [ExactMatrix.zeros(comp.mult, len(ctx.blocks[i]))
-                 if want[i] is None else want[i] for i in near]
-        if image != ExactMatrix.stack_rows([p.T for p in parts]).T:
-            raise AssertionError(
-                f"L, F, R do not act on the raising ladder of component "
-                f"{comp.triple} by its intersection numbers")
+        # (block, expected image of the rung there); None: the image is 0
+        parts = [(s, rung.scale(act.F.entry(j, j)))]
+        if s > 0:
+            parts.append((s - 1, comp.rungs[j - 1].scale(
+                act.L.entry(j - 1, j)) if j else None))
+        if j == d and s < ctx.D:
+            parts.append((s + 1, None))
+        for i, want in parts:
+            image = rung @ ExactMatrix.from_int(ctx.adj(s, i))
+            if not (image.is_zero() if want is None else image == want):
+                raise AssertionError(
+                    f"L, F, R do not act on the raising ladder of component "
+                    f"{comp.triple} by its intersection numbers")
     return act
 
 
@@ -985,16 +946,17 @@ def verify_center_identities(ctx: TerwilligerContext,
 
 def verify_center_commutation(ctx: TerwilligerContext,
                               center: CenterData) -> bool:
-    """Upsilon, Psi and Lambda commute with A and A*: each is a scalar on a
-    component, where A and A* act by the certified ladder matrices."""
-    for triple in sorted(center.Upsilon):
-        act = center.ladders[triple]
-        ident = ExactMatrix.identity(triple[2] + 1)
-        for weight in (center.Upsilon, center.Psi, center.Lam):
-            w = ident.scale(weight[triple])
-            if not commutes(w, act.A) or not commutes(w, act.Astar):
-                return False
-    return True
+    """Upsilon, Psi and Lambda commute with A and A*.
+
+    Each weight is sum_W w(W) E_W, with E_W the projection onto the
+    component W along the others.  Every W is T-invariant and V is their
+    direct sum (`decompose`), so every E_W, and every combination of them,
+    commutes with T.  What can fail is the data: each weight must hold one
+    scalar for every certified component, and for no other triple."""
+    if any(act is None for act in center.ladders.values()):
+        return False
+    return all(set(weight) == set(center.ladders)
+               for weight in (center.Upsilon, center.Psi, center.Lam))
 
 
 # ---------------------------------------------------------------------------

@@ -521,11 +521,12 @@ def certify_joint_kernel(ctx: DenseContext, cents: DenseCentralElements,
 
 
 def dense(ctx, x) -> ExactMatrix:
-    """The n x n matrix of a graded element, from its blocks."""
+    """The n x n matrix of an element given by its diagonal blocks
+    E*_s x E*_s, s = 0..D (every other block 0)."""
     out = ExactMatrix.zeros(ctx.n, ctx.n)
-    for (i, j), m in x.items():
+    for s, m in enumerate(x):
         out = out + embed(m, (ctx.n, ctx.n),
-                          np.ix_(ctx.blocks[i], ctx.blocks[j]))
+                          np.ix_(ctx.blocks[s], ctx.blocks[s]))
     return out
 
 

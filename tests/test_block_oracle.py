@@ -3,8 +3,8 @@ through verify.
 
 `terwilliger` checks the LFRK and central identities on the ladder matrices
 of the homogeneous components that `decompose` certifies, and builds Omega
-and G block by block for their entry tables.  `dense_oracle` keeps the n x n
-construction of all of these.  Here `verify --suite all` runs once on each:
+and G on their diagonal blocks for their entry tables.  `dense_oracle`
+keeps the n x n construction of all of these.  Here `verify --suite all` runs once on each:
 the dense run swaps the context and the LFRK and central checks for the
 oracle's, and adds the oracle's n-wide joint-kernel and orthogonality
 certificate to the decomposition.  Both reports must agree in every status
@@ -278,16 +278,34 @@ def test_one_ladder_action_per_component(monkeypatch, capsys):
 @pytest.mark.parametrize("suite", ["lfrk", "central"])
 def test_block_products_only_for_the_entry_tables(monkeypatch, capsys,
                                                   suite):
-    """`--suite lfrk` forms no graded element; `--suite central` forms
-    Omega and G only, for their entry tables."""
+    """`--suite lfrk` builds no central element; `--suite central` builds
+    Omega and G once, for their entry tables."""
     g, _ = graph("D", 4, 2)
     calls = []
-    real = terwilliger.graded
-    monkeypatch.setattr(terwilliger, "graded",
-                        lambda ctx, terms: calls.append(terms)
-                        or real(ctx, terms))
+    real = terwilliger.central_elements
+    monkeypatch.setattr(terwilliger, "central_elements",
+                        lambda ctx: calls.append(ctx) or real(ctx))
     report = verify(monkeypatch, capsys, g, 0, "ladder", suite)
     assert report["summary"]["fail"] == 0
-    ctx = terwilliger.build_context(g, graph("D", 4, 2)[1][1], 0)
-    omega, G = terwilliger.central_terms(ctx)[3:5]
-    assert calls == ([] if suite == "lfrk" else [omega, G])
+    assert len(calls) == (suite == "central")
+
+
+def test_two_step_products_formed_once(monkeypatch, capsys):
+    """One `verify --suite all` on D_4(2) forms each two-step product
+    A[B_s, B_h] A[B_h, B_s] once, for Omega, G, the G entry table and
+    decompose together, and no other product in `terwilliger`."""
+    g, _ = graph("D", 4, 2)
+    ctxs, products = [], []
+    build, mm = terwilliger.build_context, terwilliger.int_matmul
+    monkeypatch.setattr(terwilliger, "build_context",
+                        lambda *a: ctxs.append(build(*a)) or ctxs[-1])
+    monkeypatch.setattr(terwilliger, "int_matmul",
+                        lambda a, b: products.append((a, b)) or mm(a, b))
+    report = verify(monkeypatch, capsys, g, 0, "ladder")
+    assert report["summary"]["fail"] == 0
+    [ctx] = ctxs
+    blocks = {id(m): ij for ij, m in ctx._adj.items()}
+    formed = [(blocks[id(a)], blocks[id(b)]) for a, b in products]
+    D = ctx.D
+    assert sorted(formed) == sorted(((s, h), (h, s)) for s in range(D + 1)
+                                    for h in (s - 1, s + 1) if 0 <= h <= D)

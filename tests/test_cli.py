@@ -527,6 +527,9 @@ LEONARD_TEXT = json.dumps(LEONARD_ARRAY)
     (json.dumps({**LEONARD_ARRAY, "d": 2.5}), "'d' must be an integer"),
     (json.dumps({**LEONARD_ARRAY, "d": True}), "'d' must be an integer"),
     (json.dumps({**LEONARD_ARRAY, "d": "3"}), "'d' must be an integer"),
+    (json.dumps({**LEONARD_ARRAY, "d": -1}), "'d' must be at least 0, got -1"),
+    ('{"theta": [], "theta_star": [], "phi": [], "phi2": []}',
+     "'theta' must have at least one entry"),
     (LEONARD_TEXT.replace('"h": "1"', '"h": 0.30000000000000001'),
      "'h' must be a string holding a scalar, got 0.3"),
     (LEONARD_TEXT.replace('"kappa": "1"', '"kappa": 1e0'),
@@ -542,9 +545,9 @@ LEONARD_TEXT = json.dumps(LEONARD_ARRAY)
     ('{"theta": ["1", "2"], "theta_star": ["0", "1"], "phi": [0.5],'
      ' "phi2": ["1"]}', "'phi'[0] must be a string holding a scalar, got 0.5"),
 ], ids=["list", "scalar-theta", "mixed-radicands", "q-zero", "d-float",
-        "d-bool", "d-string", "h-float", "kappa-float", "upsilon-bool",
-        "q-integer", "h_star-word", "theta-integer-entry",
-        "phi-float-entry"])
+        "d-bool", "d-string", "d-negative", "theta-empty", "h-float",
+        "kappa-float", "upsilon-bool", "q-integer", "h_star-word",
+        "theta-integer-entry", "phi-float-entry"])
 def test_malformed_parameter_array_is_input_error(tmp_path, capsys, content,
                                                   message):
     path = tmp_path / "array.json"

@@ -1,6 +1,8 @@
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,10 +23,8 @@ from dualpolar.terwilliger import (
     chi0,
     chi1,
     chi2,
-    commutes,
     decompose,
     extract_module,
-    graded,
     verify_center_commutation,
     verify_center_identities,
     verify_central_characterization,
@@ -39,6 +39,7 @@ from dualpolar.terwilliger import (
 from dualpolar.uqsl2 import casimir_scalar
 
 import dense_oracle
+from dense_oracle import commutes
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +75,8 @@ def test_context_invariants(ctx_c32, comps_c32):
         assert (ctx.adj(i, i).T == ctx.adj(i, i)).all()  # F^t = F
         if i < 3:
             assert (ctx.adj(i, i + 1).T == ctx.adj(i + 1, i)).all()  # L^t = R
-    assert graded(ctx, [(1, "K")])[0, 0] == ExactMatrix.identity(1)  # q^0
+    assert terwilliger._on_block(ctx, [(1, "K")], 0) \
+        == ExactMatrix.identity(1)  # q^0
     # |B_1| = trace E*_1 = valency at the base vertex
     assert len(ctx.blocks[1]) == 14
     # A* on a neighbor, rung 1 of the primary module, is theta*_1 = 25/2
@@ -259,15 +261,12 @@ def _bumped(m, y, z):
     return ExactMatrix(n0, m.n1, m.den, m.rad)
 
 
-def _bumped_graded(ctx, x, y, z):
-    """Copy of the graded x with entry (y, z) raised by 1/den of its block
-    (by 1 where x has no such block)."""
-    i, j = int(ctx.dist_x[y]), int(ctx.dist_x[z])
-    a = int(np.searchsorted(ctx.blocks[i], y))
-    c = int(np.searchsorted(ctx.blocks[j], z))
-    block = x.get((i, j), ExactMatrix.zeros(len(ctx.blocks[i]),
-                                            len(ctx.blocks[j])))
-    return {**x, (i, j): _bumped(block, a, c)}
+def _bumped_blocks(ctx, x, y, z):
+    """Copy of the diagonal blocks x with entry (y, z), a pair at one
+    distance s from the base vertex, raised by 1/den of block s."""
+    s = int(ctx.dist_x[y])
+    a, c = (int(np.searchsorted(ctx.blocks[s], v)) for v in (y, z))
+    return [_bumped(m, a, c) if i == s else m for i, m in enumerate(x)]
 
 
 def _pair_kinds(ctx):
@@ -282,19 +281,22 @@ def _pair_kinds(ctx):
 
 def _check_entry_tables(ctx, cents):
     """Both implementations accept G and Omega and reject a copy of either
-    with one entry changed, at a pair of each kind (off the diagonal blocks
-    too, where the block path stores no block)."""
-    assert verify_omega_entry_table(ctx, cents.Omega)
-    assert verify_g_entry_table(ctx, cents.G)
-    assert _omega_table_by_entry(ctx, dense_oracle.dense(ctx, cents.Omega))
-    assert _g_table_by_entry(ctx, dense_oracle.dense(ctx, cents.G))
-    for y, z in _pair_kinds(ctx):
-        omega = _bumped_graded(ctx, cents.Omega, y, z)
-        assert not verify_omega_entry_table(ctx, omega)
-        assert not _omega_table_by_entry(ctx, dense_oracle.dense(ctx, omega))
-        G = _bumped_graded(ctx, cents.G, y, z)
-        assert not verify_g_entry_table(ctx, G)
-        assert not _g_table_by_entry(ctx, dense_oracle.dense(ctx, G))
+    with one entry changed, at a pair of each kind.  The block path holds
+    the diagonal blocks only (`_on_block` refuses any word that leaves its
+    block), so a pair at two distances is changed on the dense one alone."""
+    for x, by_blocks, by_entry in (
+            (cents.Omega, verify_omega_entry_table, _omega_table_by_entry),
+            (cents.G, verify_g_entry_table, _g_table_by_entry)):
+        assert by_blocks(ctx, x)
+        assert by_entry(ctx, dense_oracle.dense(ctx, x))
+        for y, z in _pair_kinds(ctx):
+            if ctx.dist_x[y] != ctx.dist_x[z]:
+                assert not by_entry(ctx, _bumped(dense_oracle.dense(ctx, x),
+                                                 y, z))
+                continue
+            bumped = _bumped_blocks(ctx, x, y, z)
+            assert not by_blocks(ctx, bumped)
+            assert not by_entry(ctx, dense_oracle.dense(ctx, bumped))
 
 
 def test_entry_tables(ctx_c32, cents_c32):
@@ -303,6 +305,17 @@ def test_entry_tables(ctx_c32, cents_c32):
 
 def test_entry_tables_d32(ctx_d32, cents_d32):
     _check_entry_tables(ctx_d32, cents_d32)
+
+
+@pytest.mark.parametrize("word", ["KR", "L"])
+def test_block_words_refuse_to_leave_their_block(ctx_c32, word):
+    """Omega and G are built on their diagonal blocks; a word that maps
+    E*_s V elsewhere is refused, not dropped."""
+    assert terwilliger._on_block(ctx_c32, [(1, "KF"), (1, "KKLR")], 1) \
+        .shape == (14, 14)
+    with pytest.raises(ValueError, match=re.escape(
+            f"word {word!r} does not map E*_1 V to itself")):
+        terwilliger._on_block(ctx_c32, [(1, "KF"), (1, word)], 1)
 
 
 def _commutes_on_ladders(ctx, comps, *args):
@@ -415,9 +428,26 @@ def test_center_identities(ctx_c32, cents_c32, comps_c32, center_c32):
         verify_center_identities(ctx_c32, bad)
 
 
+@pytest.mark.parametrize("weight", ["Upsilon", "Psi", "Lam"])
+def test_center_commutation_refuses_missing_or_extra_triples(
+        ctx_c32, center_c32, weight):
+    """Each weight is central as a combination of the projections onto the
+    certified components; one that misses a component, or holds a scalar
+    for a triple that is none, is not such a combination."""
+    values = getattr(center_c32, weight)
+    missing = {k: v for k, v in values.items() if k != (0, 0, 3)}
+    extra = {**values, (0, 0, 0): ExactScalar(1)}  # r + t + d < D
+    for bad in (missing, extra):
+        assert not verify_center_commutation(
+            ctx_c32, replace(center_c32, **{weight: bad}))
+    uncertified = {**center_c32.ladders, (0, 0, 3): None}
+    assert not verify_center_commutation(
+        ctx_c32, replace(center_c32, ladders=uncertified))
+
+
 def _acts_as(x, comp, value) -> bool:
-    """The block-diagonal x maps every rung of comp to value times itself."""
-    return all(x[comp.r + j, comp.r + j] @ rung.T == rung.T.scale(value)
+    """The diagonal blocks x map every rung of comp to value times itself."""
+    return all(x[comp.r + j] @ rung.T == rung.T.scale(value)
                for j, rung in enumerate(comp.rungs))
 
 
@@ -431,7 +461,7 @@ def test_c2_on_primary_via_displacements(ctx_c32, comps_c32):
 
 
 def test_aw_scalar_action(ctx_c32, cents_c32, comps_c32):
-    """Omega and G, built block by block, act on the rungs of every
+    """Omega and G, built on their diagonal blocks, act on the rungs of every
     component as its closed module scalars; G*, built on the ladder only,
     acts there as its own."""
     gstar = central_terms(ctx_c32)[5]
@@ -580,23 +610,24 @@ def test_decompose_refuses_a_shifted_chi2(request, monkeypatch, graph,
         decompose(ctx, full=False)
 
 
-def _ladder(width, *raised):
-    """U for _build_component on a block of `width` vertices: the identity,
-    then the raising chains, each given by its transpose (rung j is
-    low_rows @ U[j].T)."""
-    return [np.eye(width, dtype=np.int64)] + [
-        np.array(m, dtype=np.int64).T for m in raised]
+def _raising(r, *steps):
+    """A context for _build_component from block r up: A[B_(r+j-1),
+    B_(r+j)] is steps[j - 1], so rung j is rung j - 1 @ steps[j - 1]."""
+    blocks = {(r + j, r + j + 1): np.array(m, dtype=np.int64)
+              for j, m in enumerate(steps)}
+    return SimpleNamespace(adj=lambda i, j: blocks[i, j])
 
 
 def test_build_component_refuses_a_rung_that_drops_rank():
     """Rung 1 keeps rank 2, rung 2 (columns 0 and 1 now equal) drops to
     rank 1 before the top."""
     low = ExactMatrix.from_int([[1, 0, 2], [0, 1, 3]])
-    U = _ladder(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                [[1, 1], [1, 1], [0, 0]])
+    ctx = _raising(1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                   [[1, 1], [1, 1], [0, 0]])
+    assert terwilliger._build_component(ctx, 1, 1, 1, low).dim == 4
     with pytest.raises(AssertionError,
                        match="raising ladder drops rank before the top"):
-        terwilliger._build_component(1, 1, 2, low, U)
+        terwilliger._build_component(ctx, 1, 1, 2, low)
 
 
 def test_build_component_accepts_a_ladder_of_multiples_of_p(monkeypatch):
@@ -604,15 +635,89 @@ def test_build_component_accepts_a_ladder_of_multiples_of_p(monkeypatch):
     mod p is 0; int_rank falls back to int_rref, which finds rank 2."""
     p = intlinalg._PRIMES[0]
     low = ExactMatrix.identity(2)
-    U = _ladder(2, [[p, 0, 0], [0, 2 * p, p]])
+    ctx = _raising(0, [[p, 0, 0], [0, 2 * p, p]])
     calls = []
     real = intlinalg.int_rref
     monkeypatch.setattr(intlinalg, "int_rref",
                         lambda mat: calls.append(mat.shape) or real(mat))
-    comp = terwilliger._build_component(0, 0, 1, low, U)
+    comp = terwilliger._build_component(ctx, 0, 0, 1, low)
     assert calls == [(2, 3)]
     assert comp.mult == 2 and comp.dim == 4
     assert comp.rungs[1] == ExactMatrix.from_int([[p, 0, 0], [0, 2 * p, p]])
+
+
+def test_each_rung_is_raised_once(ctx_c32, monkeypatch):
+    """A full decompose forms the R image of each rung once: rung j + 1 is
+    that of rung j (`_build_component`), and `_certify_ladder` forms only
+    that of the top rung, which must vanish."""
+    products = []
+    real = ExactMatrix.__matmul__
+    monkeypatch.setattr(ExactMatrix, "__matmul__",
+                        lambda a, b: products.append((a, b)) or real(a, b))
+    comps = decompose(ctx_c32)
+    raised = Counter()
+    for c in comps:
+        for j, rung in enumerate(c.rungs):
+            s = c.r + j
+            if s < ctx_c32.D:
+                R = ctx_c32.adj(s, s + 1)
+                raised[c.triple, j] = sum(
+                    a is rung and np.array_equal(b.n0, R)
+                    for a, b in products if b.shape == R.shape)
+    assert raised and set(raised.values()) == {1}
+
+
+def _shift_intersection(monkeypatch, triple, which, j, by):
+    """module_intersection with entry j of c, a or b (which = 0, 1, 2)
+    moved by `by` on one triple."""
+    real = terwilliger.module_intersection
+
+    def shifted(ctx, *t):
+        out = [list(x) for x in real(ctx, *t)]
+        if t == triple:
+            out[which][j] += by(out)
+        return tuple(out)
+
+    monkeypatch.setattr(terwilliger, "module_intersection", shifted)
+
+
+def _refuses_ladder(ctx, triple):
+    return pytest.raises(AssertionError, match=re.escape(
+        "L, F, R do not act on the raising ladder of component "
+        f"{triple} by its intersection numbers"))
+
+
+@pytest.mark.parametrize("which", ["a", "bc"])
+def test_certify_ladder_refuses_a_moved_intersection_number(
+        ctx_c32, comps_c32, monkeypatch, which):
+    """a_1 of (1, 1, 2) moved by 1 breaks F on rung 1; b_0 c_1 moved by 1
+    (b_0 by 1 / c_1) breaks L on rung 1."""
+    triple = (1, 1, 2)
+    comp = next(c for c in comps_c32 if c.triple == triple)
+    assert terwilliger._certify_ladder(ctx_c32, comp) is not None
+    if which == "a":
+        _shift_intersection(monkeypatch, triple, 1, 1, lambda out: 1)
+    else:
+        _shift_intersection(monkeypatch, triple, 2, 0,
+                            lambda out: 1 / out[0][1])
+    with _refuses_ladder(ctx_c32, triple):
+        terwilliger._certify_ladder(ctx_c32, comp)
+
+
+def test_certify_ladder_refuses_a_top_rung_that_r_moves(ctx_c32, comps_c32,
+                                                        monkeypatch):
+    """(0, 0, 3) without its top rung, given the leading 3 x 3 block of its
+    true ladder action: L and F still act as that says, and only R of the
+    new top rung, which is the dropped rung, fails to vanish."""
+    comp = next(c for c in comps_c32 if c.triple == (0, 0, 3))
+    act = terwilliger.ladder_action(ctx_c32, 0, 0, 3)
+    lead = terwilliger.LadderAction(*(
+        m.submatrix(range(3), range(3))
+        for m in (act.L, act.F, act.R, act.K, act.Kinv, act.Astar)))
+    monkeypatch.setattr(terwilliger, "ladder_action", lambda *_: lead)
+    short = terwilliger.HomogeneousComponent(0, 0, 2, 1, comp.rungs[:3])
+    with _refuses_ladder(ctx_c32, (0, 0, 2)):
+        terwilliger._certify_ladder(ctx_c32, short)
 
 
 def test_decompose_refuses_a_shifted_chi0(ctx_d32, monkeypatch):
