@@ -578,8 +578,9 @@ def first_split_sequence(A: ExactMatrix, Astar: ExactMatrix,
                          theta_star) -> list[ExactScalar]:
     """phi_i as the eigenvalue of (A - theta_(i-1))(A* - theta*_i) on the
     i-th summand U_i = (E*_0 V + ... + E*_i V) cap (E_i V + ... + E_d V) of
-    the split decomposition, for a system `certify_leonard_system` certified
-    and u0 = v*_0, the theta*_0 eigenvector of A*.
+    the split decomposition, for a system that `certify_leonard_system` or
+    `terwilliger.extract_module` certified and u0 = v*_0, the theta*_0
+    eigenvector of A*.
 
     Set u_0 = u0 and u_i = (A - theta_(i-1)) u_(i-1).  Checked here: each
     u_i is nonzero, (A* - theta*_i) u_i = phi_i u_(i-1), and
@@ -620,12 +621,10 @@ def first_split_sequence(A: ExactMatrix, Astar: ExactMatrix,
 
 
 def extract_parameter_array(A: ExactMatrix, Astar: ExactMatrix,
-                            eig_star: Eigenbasis, theta,
+                            u0: ExactMatrix, theta,
                             theta_star) -> ParameterArray:
     """Parameter array of a certified Leonard system (A; A*) with eigenvalue
-    sequences theta, theta* and the eigenbasis of A*."""
-    n = A.shape[0]
-    u0 = eig_star.V.submatrix(range(n), [0])
+    sequences theta, theta* and the theta*_0 eigenvector u0 of A*."""
     phi = first_split_sequence(A, Astar, u0, theta, theta_star)
     phi2 = first_split_sequence(A, Astar, u0, list(reversed(theta)),
                                 theta_star)
@@ -633,8 +632,9 @@ def extract_parameter_array(A: ExactMatrix, Astar: ExactMatrix,
 
 
 def extract_from_realization(real: LeonardRealization) -> ParameterArray:
-    return extract_parameter_array(real.A, real.Astar, real.eig_star,
-                                   real.pa.theta, real.pa.theta_star)
+    v0 = real.eig_star.V.submatrix(range(real.pa.d + 1), [0])
+    return extract_parameter_array(real.A, real.Astar, v0, real.pa.theta,
+                                   real.pa.theta_star)
 
 
 # ---------------------------------------------------------------------------
@@ -651,14 +651,16 @@ def leonard_from_tmodule(ctx, rec) -> tuple[ParameterArray, DqkParams]:
         upsilon = -q^(2t+d)/(q^2 - 1),
 
     verified exactly by regenerating the array from the closed forms.
+
+    The array is read on the standard basis, where `extract_module` certified
+    the Leonard system and A* = diag theta*_(r+i), so v*_0 = e_0.
     """
     r, t, d = rec.r, rec.t, rec.d
     theta = [ExactScalar(ctx.bm.theta[t + i]) for i in range(d + 1)]
     theta_star = [ExactScalar(ctx.bm.theta_star[r + i]) for i in range(d + 1)]
-    A = ExactMatrix.diag(theta)
-    Astar = rec.astar_dual_rep
-    _, eig_star = certify_leonard_system(A, Astar, theta, theta_star)
-    pa = extract_parameter_array(A, Astar, eig_star, theta, theta_star)
+    pa = extract_parameter_array(rec.a_std_rep, ExactMatrix.diag(theta_star),
+                                 ExactMatrix.column([1] + [0] * d), theta,
+                                 theta_star)
     v = pa.verdict
     if not v.valid:
         raise AssertionError(f"module parameter array is invalid: {v.failure}")
@@ -713,9 +715,16 @@ def pa_to_json(pa: ParameterArray, scalars: TdAwScalars | None = None) -> dict:
     return out
 
 
+DQK_FIELDS = ("q", "h", "h_star", "kappa", "kappa_star", "upsilon")
+
+
 def pa_from_json(data: dict) -> ParameterArray:
     from .exact import parse_scalar_field
 
+    mixed = [k for k in DQK_FIELDS if k in data]
+    if "theta" in data and mixed:
+        raise ValueError(f"{mixed[0]!r} next to 'theta': give an explicit "
+                         "array or dual q-Krawtchouk parameters, not both")
     if "theta" in data:
         def seq(name):
             values = data[name]
@@ -744,5 +753,4 @@ def dqk_params_from_json(data: dict) -> DqkParams:
     d = parse_int(data, "d")
     if d < 0:
         raise ValueError(f"'d' must be at least 0, got {d}")
-    return DqkParams(get("q"), d, get("h"), get("h_star"), get("kappa"),
-                     get("kappa_star"), get("upsilon"))
+    return DqkParams(get("q"), d, *map(get, DQK_FIELDS[1:]))

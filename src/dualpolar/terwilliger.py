@@ -49,6 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import matmul
 
 import numpy as np
 
@@ -643,12 +645,30 @@ def _scalar_value(m: ExactMatrix) -> Fraction | None:
     return Fraction(int(diag[0]), m.den)
 
 
-def _product(factors, size: int) -> ExactMatrix:
-    """The product of the size x size factors; the identity if none."""
-    out = None
-    for f in factors:
-        out = f if out is None else out @ f
-    return ExactMatrix.identity(size) if out is None else out
+def _split(m: ExactMatrix, values: dict, lead: ExactMatrix | None,
+           chi: str, where: str) -> dict:
+    """The Lagrange split of the row space of `lead` (None: of I) by m, whose
+    eigenvalues must lie among the pairwise distinct `values`: {key: lead
+    prod_(j != key) (m - values[j])}, zero pieces dropped.  The certificate
+    is lead prod_j (m - values[j]) = 0, or m = c I for a candidate c, and
+    then the one piece is `lead`.  With m commuting with `lead`, each piece
+    times m - values[key] is 0, and the pieces sum to `lead` over scalars."""
+    if len(set(values.values())) != len(values):
+        raise AssertionError(f"{where}: two {chi} candidates coincide")
+    c = _scalar_value(m)
+    hit = [k for k, v in values.items() if v == c]
+    if hit:
+        return {hit[0]: lead}
+    head = [] if lead is None else [lead]
+    ident = ExactMatrix.identity(m.shape[0])
+    shift = {k: ExactMatrix.combination(((1, m), (-v, ident)))
+             for k, v in values.items()}
+    if not reduce(matmul, [*head, *shift.values()]).is_zero():
+        raise AssertionError(f"{where} has an eigenvalue outside the {chi} "
+                             "candidates")
+    pieces = {k: reduce(matmul, [*head, *(s for j, s in shift.items()
+                                          if j != k)]) for k in values}
+    return {k: p for k, p in pieces.items() if not p.is_zero()}
 
 
 def decompose(ctx: TerwilligerContext,
@@ -659,17 +679,18 @@ def decompose(ctx: TerwilligerContext,
     Lagrange projectors in the coordinates of their RREF basis: C2 acts
     there through LR as a scalar that separates the diameters d, and C0
     through F as one that separates the dual endpoints t.  With M_LR and
-    M_F the matrices of LR and F in those coordinates, the certificates are
-    prod_d (M_LR - mu_d) = 0, M_LR M_F = M_F M_LR and, for each d, P_d
-    prod_t (M_F - nu_t) = 0 with P_d = prod_(d' != d) (M_LR - mu_d').  Then
-    the lowest rung of W(r, t, d) is the row space of P_d P_t: one RREF.
-    Where M_LR = mu_d I for a candidate (read off the entries in
-    O(size^2)), that alone is the certificate: the block holds diameter d
-    only, and P_d, a nonzero multiple of I, is not multiplied in.  If then
-    also M_F = nu_t I, the block holds one component, (r, t, d), whose
-    lowest rung is the kernel basis itself: no product and no RREF.
-    Rung j of a component, the lowest rung raised j times, is a mult x
-    |B_(r+j)| matrix of rank mult.
+    M_F the matrices of LR and F in those coordinates, one routine,
+    `_split`, splits M_LR by the chi2 candidates mu_d and then, for each d,
+    M_F by the chi0 candidates nu_t on the row space of the diameter piece
+    P_d = prod_(d' != d) (M_LR - mu_d').  The certificates are prod_d (M_LR
+    - mu_d) = 0, M_LR M_F = M_F M_LR and P_d prod_t (M_F - nu_t) = 0; the
+    lowest rung of W(r, t, d) is the row space of P_d P_t: one RREF.  Where
+    M_LR = mu_d I (read off the entries in O(size^2)), that alone is the
+    certificate, P_d is I, and no commutation is checked.  If then also
+    M_F = nu_t I, the block holds one component, (r, t, d), whose lowest
+    rung is the kernel basis itself: no product and no RREF.  Rung j of a
+    component, the lowest rung raised j times, is a mult x |B_(r+j)|
+    matrix of rank mult.
 
     With full=True the whole decomposition is certified, rung by rung on
     the blocks:
@@ -692,19 +713,12 @@ def decompose(ctx: TerwilligerContext,
     to |X|.
     """
     n, D, b = ctx.n, ctx.D, ctx.b
-    q2 = Fraction(b)
-    c2_const = chi2(ctx, 0, 0, 0)  # q^(2e+2D-2)/(q^4-1), the K^2 coefficient
-    if not c2_const.is_rational:
-        raise AssertionError("central scalar must be rational")
-    c2_const = c2_const.as_fraction()
+    c2_const = chi2(ctx, 0, 0, 0).as_fraction()  # q^(2e+2D-2)/(q^4-1)
     cst = (b_pow(b, ctx.g.spec.e) - 1) / (b - 1)
     comps: list[HomogeneousComponent] = []
     for r in range(D + 1):
-        kr = len(ctx.blocks[r])
-        if kr == 0:
-            continue
-        if r == 0:
-            low, pivots = ExactMatrix.identity(kr), range(kr)
+        if r == 0:  # the base vertex
+            low, pivots = ExactMatrix.identity(1), [0]
         else:
             low, pivots = kernel(ExactMatrix.from_int(ctx.adj(r - 1, r)))
         size = low.shape[0]
@@ -723,65 +737,21 @@ def decompose(ctx: TerwilligerContext,
             m_lr = ExactMatrix.zeros(size, size)
         m_f = _restrict(low, pivots, low @ ExactMatrix.from_int(
             ctx.adj(r, r)), "F")
-        ident = ExactMatrix.identity(size)
-        mu = {}
-        for d in range(D - r + 1):
-            val = chi2(ctx, r, 0, d)
-            if not val.is_rational:
-                raise AssertionError("chi2 must be rational")
-            mu[d] = q2 * (q2 + 1) * (c2_const - val.as_fraction() * b ** (2 * r))
-        if len(set(mu.values())) != len(mu):
-            raise AssertionError("chi2 does not separate diameters")
-        # M_LR = mu_d I is the whole certificate for diameter d, and then
-        # P_d is a nonzero multiple of I, left out (None)
-        c = _scalar_value(m_lr)
-        diameters = {d: None for d, v in mu.items() if v == c}
-        if not diameters:
-            lr_shift = {d: ExactMatrix.combination(((1, m_lr), (-v, ident)))
-                        for d, v in mu.items()}
-            if not _product(lr_shift.values(), size).is_zero():
-                raise AssertionError(
-                    f"LR on the lowest rungs of block {r} has an eigenvalue "
-                    "outside the chi2 candidates")
-            if m_lr @ m_f != m_f @ m_lr:
-                raise AssertionError(
-                    f"LR and F do not commute on the lowest rungs of block {r}")
-            diameters = {d: _product((m for e, m in lr_shift.items() if e != d),
-                                     size) for d in mu}
+        mu = {d: b * (b + 1) * (c2_const - chi2(ctx, r, 0, d).as_fraction()
+                                * b ** (2 * r)) for d in range(D - r + 1)}
+        diameters = _split(m_lr, mu, None, "chi2",
+                           f"LR on the lowest rungs of block {r}")
+        if None not in diameters.values() and m_lr @ m_f != m_f @ m_lr:
+            raise AssertionError(
+                f"LR and F do not commute on the lowest rungs of block {r}")
         for d, p_d in diameters.items():
-            if p_d is not None and p_d.is_zero():
-                continue
-            nu = {}
-            for t in range(max(0, D - r - d), D - d + 1):
-                val = chi0(ctx, r, t, d)
-                if not val.is_rational:
-                    raise AssertionError("chi0 must be rational")
-                nu[t] = b ** r * val.as_fraction() - cst
-            if len(set(nu.values())) != len(nu):
-                raise AssertionError("chi0 does not separate dual endpoints")
-            if p_d is None:
-                # one diameter: M_F = nu_t I certifies t, the piece is I and
-                # the lowest rungs are the component's, already an RREF
-                c = _scalar_value(m_f)
-                t = next((u for u, v in nu.items() if v == c), None)
-                if t is not None:
-                    comps.append(_build_component(ctx, r, t, d, low))
-                    continue
-            head = [] if p_d is None else [p_d]
-            f_shift = {t: ExactMatrix.combination(((1, m_f), (-v, ident)))
-                       for t, v in nu.items()}
-            if not _product([*head, *f_shift.values()], size).is_zero():
-                raise AssertionError(
-                    f"F on the diameter-{d} lowest rungs of block {r} has an "
-                    "eigenvalue outside the chi0 candidates")
-            for t in nu:
-                piece = _product(
-                    [*head, *(m for u, m in f_shift.items() if u != t)], size)
-                if piece.is_zero():
-                    continue
-                coords, _ = rref(piece)
-                comps.append(_build_component(ctx, r, t, d,
-                                              coords @ low))
+            nu = {t: b ** r * chi0(ctx, r, t, d).as_fraction() - cst
+                  for t in range(max(0, D - r - d), D - d + 1)}
+            for t, piece in _split(m_f, nu, p_d, "chi0", f"F on the diameter-"
+                                   f"{d} lowest rungs of block {r}").items():
+                # None: the lowest rungs are the component's, an RREF already
+                comps.append(_build_component(ctx, r, t, d, low if piece is None
+                                              else rref(piece)[0] @ low))
     total = sum(c.dim for c in comps)
     if total != n:
         raise AssertionError(f"component dimensions sum to {total}, not {n}")
@@ -1043,7 +1013,14 @@ def extract_module(ctx: TerwilligerContext,
     as the projection on rung i.  In ladder coordinates v_0 is e_0, and the
     dual standard basis is the columns of V diag(w_i e_0 / w_i v_i), which
     A turns into diag theta_(t+i) by `eigenbasis`' certificate; the
-    standard basis is diag(u) with u = E_t e_0, on which A* is diagonal."""
+    standard basis is diag(u) with u = E_t e_0, on which A* is diagonal.
+
+    That is the Leonard-system certificate (Terwilliger, LAA 330, 2001),
+    which `leonard.leonard_from_tmodule` does not repeat: A is diagonalizable
+    with the simple eigenvalues theta_(t+i) (`eigenbasis`), A* = diag
+    theta*_(r+i), and A is irreducible tridiagonal on the standard basis, an
+    A*-eigenbasis, and A* on the dual standard basis, an A-eigenbasis: the
+    zero patterns of E*_i A E*_j and of E_i A* E_j."""
     r, t, d = comp.triple
     act = comp.action
     eig = eigenbasis(act.A, [ExactScalar(ctx.bm.theta[t + i])

@@ -290,6 +290,34 @@ def test_block_products_only_for_the_entry_tables(monkeypatch, capsys,
     assert len(calls) == (suite == "central")
 
 
+def test_one_leonard_certificate_per_module(monkeypatch, capsys):
+    """`extract_module` certifies the Leonard system of each module, and
+    `leonard_from_tmodule` does not certify it again: one `verify --suite
+    modules` on D_4(2) calls `eigenbasis` once per component and
+    `certify_leonard_system` never."""
+    from dualpolar import leonard
+
+    g, _ = graph("D", 4, 2)
+    calls = {"eigenbasis": 0, "certify_leonard_system": 0}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+    for module in (terwilliger, leonard):
+        spy(module, "eigenbasis")
+    spy(leonard, "certify_leonard_system")
+    report = verify(monkeypatch, capsys, g, 0, "ladder", "modules")
+    assert report["summary"]["fail"] == 0
+    modules = [c for c in report["checks"]
+               if c["id"].startswith("modules:leonard:")]
+    assert len(modules) == 6
+    assert calls == {"eigenbasis": 6, "certify_leonard_system": 0}
+
+
 def test_two_step_products_formed_once(monkeypatch, capsys):
     """One `verify --suite all` on D_4(2) forms each two-step product
     A[B_s, B_h] A[B_h, B_s] once, for Omega, G, the G entry table and

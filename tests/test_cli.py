@@ -517,6 +517,13 @@ LEONARD_ARRAY = {"q": "2", "d": 3, "h": "1", "h_star": "-2", "kappa": "1",
 
 LEONARD_TEXT = json.dumps(LEONARD_ARRAY)
 
+# the explicit array of LEONARD_ARRAY (theta, theta_star, phi, phi2)
+LEONARD_EXPLICIT = {
+    "d": 3, "theta": ["77/8", "11/2", "23/2", "329/8"],
+    "theta_star": ["14", "2", "-1", "-7/4"],
+    "phi": ["-189/2", "-225/8", "-189/32"],
+    "phi2": ["-945/2", "-1125/8", "-945/32"]}
+
 
 @pytest.mark.parametrize("content,message", [
     ("[1, 2, 3]", None),
@@ -544,10 +551,17 @@ LEONARD_TEXT = json.dumps(LEONARD_ARRAY)
      ' "phi2": ["1"]}', "'theta'[1] must be a string holding a scalar, got 2"),
     ('{"theta": ["1", "2"], "theta_star": ["0", "1"], "phi": [0.5],'
      ' "phi2": ["1"]}', "'phi'[0] must be a string holding a scalar, got 0.5"),
+    (json.dumps({**LEONARD_EXPLICIT, "q": "2"}),
+     "'q' next to 'theta': give an explicit array or dual q-Krawtchouk "
+     "parameters, not both"),
+    (json.dumps({**LEONARD_ARRAY, **LEONARD_EXPLICIT, "h": "3"}),
+     "'q' next to 'theta': give an explicit array or dual q-Krawtchouk "
+     "parameters, not both"),
 ], ids=["list", "scalar-theta", "mixed-radicands", "q-zero", "d-float",
         "d-bool", "d-string", "d-negative", "theta-empty", "h-float",
         "kappa-float", "upsilon-bool", "q-integer", "h_star-word",
-        "theta-integer-entry", "phi-float-entry"])
+        "theta-integer-entry", "phi-float-entry", "explicit-with-q",
+        "both-forms-disagreeing"])
 def test_malformed_parameter_array_is_input_error(tmp_path, capsys, content,
                                                   message):
     path = tmp_path / "array.json"

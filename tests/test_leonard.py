@@ -372,9 +372,9 @@ def test_certificate_edge_cases():
     A = ExactMatrix.from_rows([[3]])
     eig, eig_star = certify_leonard_system(A, ExactMatrix.from_rows([[5]]),
                                            [3], [5])
-    assert extract_parameter_array(A, ExactMatrix.from_rows([[5]]), eig_star,
-                                   [3], [5]) == ParameterArray([3], [5], [],
-                                                               [])
+    assert extract_parameter_array(A, ExactMatrix.from_rows([[5]]),
+                                   eig_star.V, [3], [5]) == \
+        ParameterArray([3], [5], [], [])
     full = ExactMatrix.from_rows([[1, 0, 2], [0, 2, 0], [0, 0, 3]])
     with pytest.raises(AssertionError, match="neither diagonal"):
         certify_leonard_system(full, ExactMatrix.diag([1, 2, 3]), [1, 2, 3],

@@ -255,6 +255,23 @@ def test_perturbed_dual_intersection_is_refused(monkeypatch, triple, i):
         extract_module(ctx, comp)
 
 
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_moved_standard_subdiagonal_is_refused(i):
+    """The split sequences are read on `a_std_rep`: a record whose entry
+    (i, i - 1) of A on the standard basis is moved by 1 has no split
+    decomposition for the module's eigenvalues."""
+    ctx, comps = decomposed("D", 3, 2, 0)
+    comp = next(c for c in comps if c.triple == (0, 0, 3))
+    rec = extract_module(ctx, comp)
+    leonard_from_tmodule(ctx, rec)  # passes unperturbed
+    rows = [[rec.a_std_rep.entry(a, b) for b in range(4)] for a in range(4)]
+    rows[i][i - 1] += 1
+    with pytest.raises(AssertionError, match="split action is not scalar|"
+                       "the last split vector is not in E_d V"):
+        leonard_from_tmodule(ctx, replace(
+            rec, a_std_rep=ExactMatrix.from_rows(rows)))
+
+
 class Untouchable:
     """Stands in for the n x n matrices of a context; any use raises."""
 

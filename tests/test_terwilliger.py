@@ -610,6 +610,52 @@ def test_decompose_refuses_a_shifted_chi2(request, monkeypatch, graph,
         decompose(ctx, full=False)
 
 
+@pytest.mark.parametrize("triple,on_block", [((1, 1, 2), 1),
+                                             ((2, 1, 2), 2)],
+                         ids=["scalar-1-1-2", "lead-2-1-2"])
+def test_decompose_refuses_a_shifted_chi0_d42(ctx_d42, monkeypatch, triple,
+                                              on_block):
+    """chi0 of one module of D_4(2) moved by 1: F on the lowest rungs of its
+    diameter has an eigenvalue outside the candidates (the twin of
+    `test_decompose_refuses_a_shifted_chi2`; `..._chi0` below moves the
+    trivial module of D_3(2), on block 0 of size 1).  Block 1 holds
+    (1, 1, 2) alone, so M_LR and M_F are scalars, and M_F matches no
+    candidate; block 2 also holds (2, 2, 0), so M_F is split on the row
+    space of the diameter piece P_2, and P_2 times the product over the
+    candidates is not zero."""
+    ctx = ctx_d42
+    comps = decompose(ctx, full=False)  # passes unperturbed
+    assert triple in [c.triple for c in comps]
+    assert sum(c.r == triple[0] for c in comps) == on_block
+    real = terwilliger.chi0
+
+    def shifted(ctx, r, t, d):
+        val = real(ctx, r, t, d)
+        return val + 1 if (r, t, d) == triple else val
+
+    monkeypatch.setattr(terwilliger, "chi0", shifted)
+    r, _, d = triple
+    with pytest.raises(AssertionError, match=re.escape(
+            f"F on the diameter-{d} lowest rungs of block {r} has an "
+            "eigenvalue outside the chi0 candidates")):
+        decompose(ctx, full=False)
+
+
+def test_decompose_refuses_coinciding_candidates(ctx_d42, monkeypatch):
+    """chi0 of (2, 0, 2) read as that of (2, 1, 2): two dual endpoints of
+    diameter 2 on block 2 share a candidate, which cannot separate them."""
+    real = terwilliger.chi0
+
+    def merged(ctx, r, t, d):
+        return real(ctx, r, 1 if (r, t, d) == (2, 0, 2) else t, d)
+
+    monkeypatch.setattr(terwilliger, "chi0", merged)
+    with pytest.raises(AssertionError, match=re.escape(
+            "F on the diameter-2 lowest rungs of block 2: two chi0 "
+            "candidates coincide")):
+        decompose(ctx_d42, full=False)
+
+
 def _raising(r, *steps):
     """A context for _build_component from block r up: A[B_(r+j-1),
     B_(r+j)] is steps[j - 1], so rung j is rung j - 1 @ steps[j - 1]."""
