@@ -130,18 +130,23 @@ class _Stages:
         return value
 
 
+def _holds(witness):
+    """(ok, witness) of a check whose witness is None exactly when it
+    holds."""
+    return witness is None, witness
+
+
 def _suite_drg(report, stage, spec, n):
     from . import drg
 
     report.run("drg:counts", "neighbor counts are independent of the vertex "
                "pair at each distance", lambda: stage["drg"] is not None)
-    c, a, b = map(tuple, drg.closed_form_intersection(spec))
     report.run("drg:intersection",
                "c_i = (b^i-1)/(b-1), b_i = b^(i+e)(b^(D-i)-1)/(b-1)",
-               lambda: (c, a, b) == (stage["drg"].c, stage["drg"].a,
-                                     stage["drg"].b))
+               lambda: _holds(drg.intersection_witness(spec, stage["drg"])))
     report.run("drg:multiplicities", "rank E_i = m_i and sum m_i = |X|",
-               lambda: sum(stage["bm"].m) == n)
+               lambda: _holds(None if sum(stage["bm"].m) == n else {
+                   "sum_m": sum(stage["bm"].m), "vertices": n}))
     report.run("drg:dual-eigenvalues", "theta*_i = zeta + xi b^-i with "
                "theta*_0 = m_1",
                lambda: stage["bm"].theta_star[0] == stage["bm"].m[1])
@@ -220,9 +225,14 @@ def _suite_modules(report, stage, g, sample_vertices):
                    "Leonard system with the closed-form parameters", one)
     for x in sample_vertices:
         def same(x=x):
-            base = sorted((c.triple, c.mult) for c in stage["comps"])
-            li = tw.decompose(tw.build_context(g, stage["bm"], x), full=False)
-            return sorted((c.triple, c.mult) for c in li) == base
+            base = {c.triple: c.mult for c in stage["comps"]}
+            here = {c.triple: c.mult for c in tw.decompose(
+                tw.build_context(g, stage["bm"], x), full=False)}
+            differ = [[*t, base.get(t, 0), here.get(t, 0)]
+                      for t in sorted(base.keys() | here.keys())
+                      if base.get(t) != here.get(t)]
+            # each: r, t, d, multiplicity at the base vertex and at x
+            return _holds({"differ": differ} if differ else None)
         report.run(f"modules:base-vertex:{x}",
                    "feasible triple multiset agrees with the base run", same)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 
 import numpy as np
 
@@ -154,6 +154,17 @@ def closed_form_intersection(spec: FormSpec) -> tuple[list[int], list[int], list
         bb.append(int(bi))
         aa.append(int(ai))
     return c, aa, bb
+
+
+def intersection_witness(spec: FormSpec, data: IntersectionData) -> dict | None:
+    """The first i where (c_i, a_i, b_i) of the graph differs from the
+    closed form, with both triples (None past the end of either); None when
+    they agree."""
+    rows = zip_longest(zip(*closed_form_intersection(spec)),
+                       zip(data.c, data.a, data.b))
+    return next(({"i": i, "closed_form": want and list(want),
+                  "graph": got and list(got)}
+                 for i, (want, got) in enumerate(rows) if want != got), None)
 
 
 def closed_form_eigenvalues(spec: FormSpec) -> list[Fraction]:

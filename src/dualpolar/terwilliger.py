@@ -37,16 +37,19 @@ of Omega, G, G* through C0 and C1 (`identities`) are checked so, as are the
 characterization and the center identities: Upsilon, Psi and Lambda are
 per-component scalars.  Only the paper's entry tables of Omega and G are
 statements about matrix entries.  Every word of either maps each E*_s V
-to itself, so `central_elements` builds them on their diagonal blocks from
-F = A[B_s, B_s] and the two-step products RL, LR (`two_step`, formed once
-per context for them, the G entry table and `decompose`).  The Leonard
-system of each module is read off the same ladder: E_(t+i) acts on W as a
-primitive idempotent of the (d+1) x (d+1) ladder A, and E*_(r+i) as the
-projection on rung i, so `extract_module` touches no n-wide vector.
+to itself, so `central_elements` reads each as its coefficients of I, F_s =
+A[B_s, B_s] and the two-step products RL_s, LR_s (`two_step`, formed once
+per context for the G entry table and `decompose`) on block s.  The Omega
+table is then one scalar check per block, and the G table one integer
+comparison per class of vertex pairs: no rational matrix is built.  The
+Leonard system of each module is read off the same ladder: E_(t+i) acts on
+W as a primitive idempotent of the (d+1) x (d+1) ladder A, and E*_(r+i) as
+the projection on rung i, so `extract_module` touches no n-wide vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -296,12 +299,13 @@ def verify_tridiagonal_relations(ctx: TerwilligerContext, comps):
 
 @dataclass
 class CentralElements:
-    """Omega and G by their diagonal blocks E*_s X E*_s (s = 0..D), for
-    their entry tables.  Every word of either maps each E*_s V to itself,
-    so every other block is 0."""
+    """Omega and G by their word coefficients on the diagonal blocks E*_s V
+    (s = 0..D): {W: c} over the words W of `_on_block`, so that the block s
+    is sum c W.  Every word of either maps each E*_s V to itself, so every
+    other block is 0."""
 
-    Omega: list[ExactMatrix]
-    G: list[ExactMatrix]
+    Omega: list[dict[str, Fraction]]
+    G: list[dict[str, Fraction]]
 
 
 def chi0(ctx: TerwilligerContext, r: int, t: int, d: int) -> ExactScalar:
@@ -386,30 +390,32 @@ def central_terms(ctx: TerwilligerContext) -> tuple[list, ...]:
              (gamma * zeta ** 2, "")])
 
 
-def _on_block(ctx: TerwilligerContext, terms, s: int) -> ExactMatrix:
+def _on_block(ctx: TerwilligerContext, terms, s: int) -> dict[str, Fraction]:
     """E*_s (sum coeff * word) E*_s over the (coeff, word) terms, each word
-    K^m W with W one of "", F, RL, LR.  Each such word maps E*_s V to
-    itself: W acts there as I, A[B_s, B_s] or a two-step product (0 where
-    it passes through a block that does not exist), and K as b^-s.  Any
-    other word raises ValueError."""
+    K^m W with W one of "" (I), F, RL, LR, as {W: rational coefficient}.
+    Each such word maps E*_s V to itself: W acts there as I, F_s =
+    A[B_s, B_s] or a two-step product RL_s, LR_s (`two_step`), and K as
+    b^-s.  A two-step product through a block that does not exist is 0, and
+    its word is dropped.  Any other word raises ValueError."""
     through = {"RL": s - 1, "LR": s + 1}
     coeffs: dict = {}
     for coeff, word in terms:
         w = word.lstrip("K")
         if w not in ("", "F", *through):
             raise ValueError(f"word {word!r} does not map E*_{s} V to itself")
-        k = Fraction(1, ctx.b ** (s * (len(word) - len(w))))
-        coeffs[w] = coeffs.get(w, 0) + coeff * k
-    mats = {"": np.eye(len(ctx.blocks[s]), dtype=np.int64), "F": ctx.adj(s, s)}
-    parts = [(c, mats[w] if w in mats else ctx.two_step(s, through[w]))
-             for w, c in coeffs.items()]
-    return ExactMatrix.combination((c, m) for c, m in parts if m is not None)
+        if 0 <= through.get(w, s) <= ctx.D:
+            k = Fraction(1, ctx.b ** (s * (len(word) - len(w))))
+            coeffs[w] = coeffs.get(w, ExactScalar(0)) + coeff * k
+    return {w: c.as_fraction() for w, c in coeffs.items()}
 
 
 def central_elements(ctx: TerwilligerContext) -> CentralElements:
-    """Omega and G built from their words (`central_terms`) on their
-    diagonal blocks: the paper's entry tables describe their entries.  That
-    the words are central is `verify_central_construction`'s certificate."""
+    """Omega and G by the coefficients of their words (`central_terms`) on
+    each diagonal block: on E*_s V, Omega = u_s F_s + v_s I and G = w_I I +
+    w_F F_s + w_RL RL_s + w_LR LR_s.  The paper's entry tables describe
+    their entries, and are checked from these coefficients and the integer
+    blocks of the context; no matrix is built.  That the words are central
+    is `verify_central_construction`'s certificate."""
     terms = central_terms(ctx)
     return CentralElements(*([_on_block(ctx, terms[k], s)
                               for s in range(ctx.D + 1)] for k in (3, 4)))
@@ -444,51 +450,102 @@ def _central_by_c0_c1(ctx: TerwilligerContext):
             (zeta * xi * (q2 - 1) * (q2 - 1) / q2, 0, gamma * zeta ** 2))
 
 
-def verify_g_entry_table(ctx: TerwilligerContext, G: list) -> bool:
-    """Entry table of G over vertex pairs, classified by the two distances
-    and the local quad geometry."""
+PAIR_CLASSES = ("diagonal", "adjacent", "distance 2, common neighbour at s+1",
+                "distance 2, none at s+1", "other")
+
+
+def _mismatches(ctx: TerwilligerContext, s: int, word: dict, table):
+    """Each pair (B_s[i], B_s[j]), row by row, where sum_W word[W] W (the
+    words of `_on_block`) differs from an entry table, as (i, j, class,
+    value, table value).  The table holds one value per class of
+    PAIR_CLASSES: the diagonal, the adjacent pairs (the ones of F_s), the
+    pairs at distance 2 with a common neighbour in B_(s+1) (LR_s > 0) and
+    without one, and the rest; on the fourth class it is a multiple of RL_s.
+
+    Without a two-step word or a table value past the adjacent pairs, the
+    check is scalar: v I + u F_s matches exactly when v is the diagonal
+    value and, where F_s != 0, u the adjacent one.  Otherwise both sides are
+    taken over one common denominator and compared on the integer blocks,
+    one row panel at a time: in int64 where a bound from the coefficients
+    and the valency k, which no count exceeds, proves that exact, else in
+    Python ints."""
+    f = ctx.adj(s, s)
+    vals = [word.get(w, 0) for w in ("", "F", "RL", "LR")]
+    if not (vals[2] or vals[3] or table[2] or table[3]):
+        if vals[0] != table[0]:
+            yield 0, 0, 0, vals[0], table[0]
+        if vals[1] != table[1] and f.any():
+            yield *np.argwhere(f)[0], 1, vals[1], table[1]
+        return
+    den = math.lcm(*(Fraction(v).denominator for v in (*vals, *table)))
+    w_i, w_f, w_rl, w_lr, *t = (int(v * den) for v in (*vals, *table))
+    size, k = len(f), len(ctx.blocks[1])
+    bound = sum(map(abs, (w_i, w_f, *t[:3]))) \
+        + k * sum(map(abs, (w_rl, w_lr, t[3])))
+    dtype = np.int64 if bound < 2 ** 62 else object
+    up, down = ctx.two_step(s, s + 1), ctx.two_step(s, s - 1)
+    step = max(1, 2 ** 20 // size)
+    for lo in range(0, size, step):
+        rows = slice(lo, lo + step)
+        f_p, up_p, down_p = (np.zeros_like(f[rows], dtype) if m is None else
+                             m[rows].astype(dtype, copy=False)
+                             for m in (f, up, down))
+        diag = np.equal.outer(np.arange(size)[rows], np.arange(size))
+        two = ctx.g.dist[np.ix_(ctx.blocks[s][rows], ctx.blocks[s])] == 2
+        classes = [diag, f_p == 1, two & (up_p > 0), two]
+        got = w_i * diag.astype(dtype) + w_f * f_p + w_rl * down_p \
+            + w_lr * up_p
+        want = np.select(classes, [*t[:3], t[3] * down_p], 0)
+        for i, j in np.argwhere(got != want):
+            yield lo + i, j, next((c for c, m in enumerate(classes)
+                                   if m[i, j]), 4), \
+                Fraction(int(got[i, j]), den), Fraction(int(want[i, j]), den)
+
+
+def _entry_table(ctx: TerwilligerContext, words: list, tables: list):
+    """(True, None) when the word coefficients of every diagonal block match
+    its entry table, else (False, a witness at the first pair that does
+    not)."""
+    for s, (word, table) in enumerate(zip(words, tables, strict=True)):
+        for i, j, cls, value, want in _mismatches(ctx, s, word, table):
+            y, z = (int(ctx.blocks[s][v]) for v in (i, j))
+            return False, {"block": s, "pair": [y, z],
+                           "class": PAIR_CLASSES[cls], "value": str(value),
+                           "table": str(want)}
+    return True, None
+
+
+def verify_g_entry_table(ctx: TerwilligerContext, G: list):
+    """The paper's entry table of G at one distance s from x, against G's
+    word coefficients (`central_elements`) on each block: one value on the
+    diagonal, one on adjacent pairs, one on pairs at distance 2 with a
+    common neighbour at s + 1, one times the number of common neighbours at
+    s - 1 on the other pairs at distance 2, and 0 elsewhere."""
     spec = ctx.g.spec
-    b = spec.b
-    xi = ctx.bm.xi
-    _, _, _, rho, _ = td_scalars(spec)
+    b, xi, rho = spec.b, ctx.bm.xi, td_scalars(spec)[3]
     cvals, _, bvals = closed_form_intersection(spec)
-    theta_star = ctx.bm.theta_star
-
-    # pairs at one distance s from x: the diagonal, adjacent pairs, pairs at
-    # distance 2 with a common neighbour at s + 1, and pairs at distance 2
-    # without one, weighted by their common neighbours at s - 1; 0 elsewhere
-    def table(s, block):
-        dist = ctx.g.dist[np.ix_(block, block)]
-        up, down = (0 if m is None else m
-                    for m in (ctx.two_step(s, s + 1), ctx.two_step(s, s - 1)))
-        two = dist == 2
-        return [
-            (xi * Fraction(1, b ** (s + 1)) * (1 - b * b)
-             * (b * cvals[s] - Fraction(bvals[s], b)) - rho * theta_star[s],
-             np.eye(len(block), dtype=np.int64)),
-            (xi * Fraction(1, b ** (s + 1)) * (1 - b)
-             * (b * b + b + b_pow(b, spec.e) - 1),
-             (dist == 1).astype(np.int64)),
-            (-xi * Fraction(1, b ** (s + 1)) * (b + 1) * (b - 1) ** 2,
-             (two & (up > 0)).astype(np.int64)),
-            (xi * Fraction(1, b ** s) * (1 - b * b),
-             np.where(two & (up == 0), down, 0))]
-
-    return list(G) == [ExactMatrix.combination(table(s, block))
-                       for s, block in enumerate(ctx.blocks)]
+    tables = []
+    for s in range(ctx.D + 1):
+        x = xi * Fraction(1, b ** (s + 1))
+        tables.append((
+            x * (1 - b * b) * (b * cvals[s] - Fraction(bvals[s], b))
+            - rho * ctx.bm.theta_star[s],
+            x * (1 - b) * (b * b + b + b_pow(b, spec.e) - 1),
+            -x * (b + 1) * (b - 1) ** 2, x * b * (1 - b * b), 0))
+    return _entry_table(ctx, G, tables)
 
 
-def verify_omega_entry_table(ctx: TerwilligerContext, omega: list) -> bool:
+def verify_omega_entry_table(ctx: TerwilligerContext, omega: list):
     """The paper's same-distance entry table of Omega: beta_s on the
-    diagonal of block s, alpha_s on its adjacent pairs, 0 elsewhere.  Omega
-    is built from its words (`central_terms`), so this compares two
-    descriptions of it."""
+    diagonal of block s, alpha_s on its adjacent pairs, 0 elsewhere.  Its
+    words are KF, K and 1, so on block s it is u_s F_s + v_s I, and the
+    table holds exactly when v_s = beta_s, and u_s = alpha_s wherever F_s !=
+    0: a scalar check per block.  F_s has a zero diagonal and its ones are
+    the adjacent pairs of B_s, as the build certifies adjacency == (codim
+    == 1) and `drg.verify_distance_regular` proves codim the path metric."""
     alpha, beta = _omega_coeffs(ctx)
-    return list(omega) == [ExactMatrix.combination([
-        (beta[s], np.eye(len(block), dtype=np.int64)),
-        (alpha.get(s, 0),
-         (ctx.g.dist[np.ix_(block, block)] == 1).astype(np.int64))])
-        for s, block in enumerate(ctx.blocks)]
+    return _entry_table(ctx, omega, [(beta[s], alpha.get(s, 0), 0, 0, 0)
+                                     for s in range(ctx.D + 1)])
 
 
 def central_characterization_matrix(ctx: TerwilligerContext, comp,
@@ -535,7 +592,9 @@ def verify_central_characterization(ctx: TerwilligerContext, comps):
                 return False, witness
     flat = all(c.action.F.is_zero() for c in comps)
     moved = any(bracket(c, 1, 0, True) is not None for c in comps)
-    return moved != flat, None
+    if moved == flat:
+        return False, {"perturbed_alpha": min(2, ctx.D), "commutes": not moved}
+    return True, None
 
 
 # ---------------------------------------------------------------------------

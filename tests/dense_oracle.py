@@ -520,6 +520,17 @@ def certify_joint_kernel(ctx: DenseContext, cents: DenseCentralElements,
         raise AssertionError("components are not pairwise orthogonal")
 
 
+def from_words(ctx, words) -> ExactMatrix:
+    """The n x n matrix of an element given by its word coefficients on the
+    diagonal blocks, as `terwilliger.central_elements` returns them."""
+    def block(s, word):
+        mats = {"": np.eye(len(ctx.blocks[s]), dtype=np.int64),
+                "F": ctx.adj(s, s), "RL": ctx.two_step(s, s - 1),
+                "LR": ctx.two_step(s, s + 1)}
+        return ExactMatrix.combination([(c, mats[w]) for w, c in word.items()])
+    return dense(ctx, [block(s, word) for s, word in enumerate(words)])
+
+
 def dense(ctx, x) -> ExactMatrix:
     """The n x n matrix of an element given by its diagonal blocks
     E*_s x E*_s, s = 0..D (every other block 0)."""

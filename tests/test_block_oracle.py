@@ -2,9 +2,9 @@
 through verify.
 
 `terwilliger` checks the LFRK and central identities on the ladder matrices
-of the homogeneous components that `decompose` certifies, and builds Omega
-and G on their diagonal blocks for their entry tables.  `dense_oracle`
-keeps the n x n construction of all of these.  Here `verify --suite all` runs once on each:
+of the homogeneous components that `decompose` certifies, and checks the
+entry tables of Omega and G from their word coefficients on the diagonal
+blocks.  `dense_oracle` keeps the n x n construction of all of these.  Here `verify --suite all` runs once on each:
 the dense run swaps the context and the LFRK and central checks for the
 oracle's, and adds the oracle's n-wide joint-kernel and orthogonality
 certificate to the decomposition.  Both reports must agree in every status
@@ -155,7 +155,8 @@ def test_perturbed_adjacency_fails_alike(monkeypatch, capsys, family, D, b,
     before their LFRK and central checks: every LFRK check and the
     construction fail on both, with the witness of `modules:dimension`.
     Only the entry tables differ there: the oracle certifies its central
-    elements before it reads Omega and G, the ladder path reads them only."""
+    elements before it reads Omega and G, the ladder path reads their word
+    coefficients only."""
     g, intact = graph(family, D, b)
     bad = _tampered(g, 0, classes, pair)
     ladder = verify(monkeypatch, capsys, bad, 0, "ladder", given=intact)
@@ -278,8 +279,8 @@ def test_one_ladder_action_per_component(monkeypatch, capsys):
 @pytest.mark.parametrize("suite", ["lfrk", "central"])
 def test_block_products_only_for_the_entry_tables(monkeypatch, capsys,
                                                   suite):
-    """`--suite lfrk` builds no central element; `--suite central` builds
-    Omega and G once, for their entry tables."""
+    """`--suite lfrk` builds no central element; `--suite central` reads
+    the word coefficients of Omega and G once, for their entry tables."""
     g, _ = graph("D", 4, 2)
     calls = []
     real = terwilliger.central_elements
@@ -320,8 +321,8 @@ def test_one_leonard_certificate_per_module(monkeypatch, capsys):
 
 def test_two_step_products_formed_once(monkeypatch, capsys):
     """One `verify --suite all` on D_4(2) forms each two-step product
-    A[B_s, B_h] A[B_h, B_s] once, for Omega, G, the G entry table and
-    decompose together, and no other product in `terwilliger`."""
+    A[B_s, B_h] A[B_h, B_s] once, for the G entry table and decompose
+    together, and no other product in `terwilliger`."""
     g, _ = graph("D", 4, 2)
     ctxs, products = [], []
     build, mm = terwilliger.build_context, terwilliger.int_matmul

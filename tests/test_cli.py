@@ -263,7 +263,7 @@ STAGE_FAILURES = {
     # stage function -> (error it raises, ids of the checks that need it)
     "drg.verify_distance_regular": (
         NotDistanceRegularError(1, 1, 1, 3, 4, 2, 5), NEEDS_DRG),
-    # Omega and G serve the two entry tables only
+    # the word coefficients of Omega and G serve only the two entry tables
     "terwilliger.central_elements": (
         AssertionError("Omega and G are not built"),
         ["central:omega-entries", "central:g-entries"]),
@@ -402,6 +402,75 @@ def test_sampled_vertices_build_their_context(d32_file, capsys,
     assert len(sampled) == 5
     assert all(c["status"] == "pass" for c in sampled)
     assert calls == [4, 0, 6, 12, 18, 24]
+
+
+@pytest.mark.parametrize("check", ["drg:intersection", "drg:multiplicities"])
+def test_drg_failures_carry_a_witness(d32_file, capsys, monkeypatch, check):
+    """a_1 of the closed form moved by 1: drg:intersection fails at i = 1
+    with both triples.  m_D moved by 1: drg:multiplicities fails with
+    sum m_i and |X|."""
+    from dataclasses import replace
+
+    from dualpolar import drg
+
+    if check == "drg:intersection":
+        real = drg.closed_form_intersection
+
+        def shifted(spec):
+            c, a, b = real(spec)
+            return c, [a[0], a[1] + 1, *a[2:]], b
+
+        monkeypatch.setattr(drg, "closed_form_intersection", shifted)
+        # D_3(2): c_1 = 1, a_1 = 0, b_1 = 6
+        want = {"i": 1, "closed_form": [1, 1, 6], "graph": [1, 0, 6]}
+    else:
+        real = drg.spectral_data
+
+        def shifted(*args):
+            bm = real(*args)
+            return replace(bm, m=[*bm.m[:-1], bm.m[-1] + 1])
+
+        monkeypatch.setattr(drg, "spectral_data", shifted)
+        want = {"sum_m": 31, "vertices": 30}
+    capsys.readouterr()
+    assert main(["verify", "--graph", d32_file, "--suite", "drg"]) == 1
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)[
+        "checks"]}
+    assert checks[check]["status"] == "fail"
+    assert checks[check]["witness"] == want
+    assert [c for c in checks if checks[c]["status"] == "fail"] == [check]
+
+
+def test_base_vertex_failure_names_the_triples(d32_file, capsys,
+                                               monkeypatch):
+    """A sampled decomposition with one multiplicity raised: the check at
+    that vertex fails, naming the triple with its multiplicity at the base
+    vertex and at the sampled one."""
+    from dataclasses import replace
+
+    from dualpolar import terwilliger
+
+    real = terwilliger.decompose
+
+    def raised(ctx, full=True):
+        comps = real(ctx, full=full)
+        return comps if full else [
+            replace(c, mult=c.mult + 1) if c.triple == (2, 1, 1) else c
+            for c in comps]
+
+    monkeypatch.setattr(terwilliger, "decompose", raised)
+    capsys.readouterr()
+    # one sampled vertex, 0
+    assert main(["verify", "--graph", d32_file, "--suite", "modules",
+                 "--all-vertices-sample", "1", "--base-vertex", "15"]) == 1
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)[
+        "checks"]}
+    mult = next(t[3] for t in checks["modules:dimension"]["witness"][
+        "triples"] if t[:3] == [2, 1, 1])
+    assert checks["modules:base-vertex:0"] == {
+        "id": "modules:base-vertex:0",
+        "statement": "feasible triple multiset agrees with the base run",
+        "status": "fail", "witness": {"differ": [[2, 1, 1, mult, mult + 1]]}}
 
 
 @pytest.mark.parametrize("family,b", [("C", 2), ("C", 3), ("D", 2),

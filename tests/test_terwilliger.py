@@ -1,3 +1,4 @@
+import copy
 import re
 from collections import Counter
 from dataclasses import replace
@@ -48,11 +49,6 @@ def ctx_d32(graph_d32, bm_d32):
 
 
 @pytest.fixture(scope="module")
-def cents_d32(ctx_d32):
-    return central_elements(ctx_d32)
-
-
-@pytest.fixture(scope="module")
 def comps_d32(ctx_d32):
     return decompose(ctx_d32)
 
@@ -75,8 +71,7 @@ def test_context_invariants(ctx_c32, comps_c32):
         assert (ctx.adj(i, i).T == ctx.adj(i, i)).all()  # F^t = F
         if i < 3:
             assert (ctx.adj(i, i + 1).T == ctx.adj(i + 1, i)).all()  # L^t = R
-    assert terwilliger._on_block(ctx, [(1, "K")], 0) \
-        == ExactMatrix.identity(1)  # q^0
+    assert terwilliger._on_block(ctx, [(1, "K")], 0) == {"": 1}  # q^0
     # |B_1| = trace E*_1 = valency at the base vertex
     assert len(ctx.blocks[1]) == 14
     # A* on a neighbor, rung 1 of the primary module, is theta*_1 = 25/2
@@ -254,65 +249,169 @@ def _omega_table_by_entry(ctx, omega):
     return True
 
 
-def _bumped(m, y, z):
-    """Copy of m with entry (y, z) raised by 1/den."""
-    n0 = m.n0.copy()
-    n0[y, z] += 1
-    return ExactMatrix(n0, m.n1, m.den, m.rad)
+def _tables(ctx):
+    """A graph's context with the word coefficients of Omega and G, and the
+    oracle's context and n x n central elements."""
+    dctx = dense_oracle.dense_context(ctx.g, ctx.bm, 0)
+    return SimpleNamespace(ctx=ctx, cents=central_elements(ctx), dctx=dctx,
+                           dense=dense_oracle.central_elements(dctx))
 
 
-def _bumped_blocks(ctx, x, y, z):
-    """Copy of the diagonal blocks x with entry (y, z), a pair at one
-    distance s from the base vertex, raised by 1/den of block s."""
-    s = int(ctx.dist_x[y])
-    a, c = (int(np.searchsorted(ctx.blocks[s], v)) for v in (y, z))
-    return [_bumped(m, a, c) if i == s else m for i, m in enumerate(x)]
+@pytest.fixture(scope="module")
+def tables_c32(ctx_c32):
+    return _tables(ctx_c32)
 
 
-def _pair_kinds(ctx):
-    """One vertex pair of each kind the entry tables tell apart."""
-    dx, dist = ctx.dist_x, ctx.g.dist
-    same = dx[:, None] == dx[None, :]
-    kinds = [same & (dist == 0), same & (dist == 1), same & (dist == 2),
-             ~same]
-    # D_3(2) has no adjacent pair at one distance from x
-    return [tuple(int(v) for v in np.argwhere(k)[0]) for k in kinds if k.any()]
+@pytest.fixture(scope="module")
+def tables_d32(ctx_d32):
+    return _tables(ctx_d32)
 
 
-def _check_entry_tables(ctx, cents):
-    """Both implementations accept G and Omega and reject a copy of either
-    with one entry changed, at a pair of each kind.  The block path holds
-    the diagonal blocks only (`_on_block` refuses any word that leaves its
-    block), so a pair at two distances is changed on the dense one alone."""
-    for x, by_blocks, by_entry in (
-            (cents.Omega, verify_omega_entry_table, _omega_table_by_entry),
-            (cents.G, verify_g_entry_table, _g_table_by_entry)):
-        assert by_blocks(ctx, x)
-        assert by_entry(ctx, dense_oracle.dense(ctx, x))
-        for y, z in _pair_kinds(ctx):
-            if ctx.dist_x[y] != ctx.dist_x[z]:
-                assert not by_entry(ctx, _bumped(dense_oracle.dense(ctx, x),
-                                                 y, z))
-                continue
-            bumped = _bumped_blocks(ctx, x, y, z)
-            assert not by_blocks(ctx, bumped)
-            assert not by_entry(ctx, dense_oracle.dense(ctx, bumped))
+@pytest.fixture(scope="module", params=["c32", "d32"])
+def tables(request):
+    return request.getfixturevalue(f"tables_{request.param}")
 
 
-def test_entry_tables(ctx_c32, cents_c32):
-    _check_entry_tables(ctx_c32, cents_c32)
+def _check_entry_tables(tables):
+    """The word coefficients give the oracle's n x n Omega and G, which the
+    oracle's tables and the pair-by-pair references accept, and so do the
+    coefficient checks."""
+    ctx, cents, dctx = tables.ctx, tables.cents, tables.dctx
+    omega = dense_oracle.from_words(ctx, cents.Omega)
+    g = dense_oracle.from_words(ctx, cents.G)
+    assert omega == tables.dense.Omega and g == tables.dense.G
+    assert dense_oracle.verify_omega_entry_table(dctx, omega)
+    assert dense_oracle.verify_g_entry_table(dctx, g)
+    assert _omega_table_by_entry(ctx, omega) and _g_table_by_entry(ctx, g)
+    assert verify_omega_entry_table(ctx, cents.Omega) == (True, None)
+    assert verify_g_entry_table(ctx, cents.G) == (True, None)
 
 
-def test_entry_tables_d32(ctx_d32, cents_d32):
-    _check_entry_tables(ctx_d32, cents_d32)
+def test_entry_tables(tables_c32):
+    _check_entry_tables(tables_c32)
+
+
+def test_entry_tables_d32(tables_d32):
+    _check_entry_tables(tables_d32)
+
+
+def _witness(ctx, y, z, cls, value, table):
+    return {"block": int(ctx.dist_x[y]), "pair": [int(y), int(z)],
+            "class": cls, "value": str(value), "table": str(table)}
+
+
+def _entry(m, y, z) -> Fraction:
+    return m.entry(int(y), int(z)).as_fraction()
+
+
+def _moved(words, s, word, by):
+    """A copy of the word coefficients with words[s][word] moved by `by`."""
+    out = [dict(w) for w in words]
+    out[s][word] = out[s].get(word, 0) + by
+    return out
+
+
+@pytest.mark.parametrize("which", ["alpha", "beta"])
+def test_omega_table_refuses_a_moved_alpha_or_beta(tables, monkeypatch,
+                                                   which):
+    """alpha_1 or beta_1 moved by 1: the table fails at the first pair of
+    its class in B_1, the diagonal or the first one of F_1.  D_3(2) has no
+    adjacent pair at one distance from x, so alpha is read nowhere there."""
+    ctx = tables.ctx
+    alpha, beta = _omega_coeffs(ctx)
+    moved = {"alpha": alpha, "beta": beta}[which]
+    real = moved[1]
+    moved[1] += 1
+    monkeypatch.setattr(terwilliger, "_omega_coeffs",
+                        lambda _: (alpha, beta))
+    ok, witness = verify_omega_entry_table(ctx, tables.cents.Omega)
+    ones = np.argwhere(ctx.adj(1, 1))
+    if which == "alpha" and not len(ones):
+        assert (ok, witness) == (True, None)
+        return
+    block = ctx.blocks[1]
+    y, z = (block[0], block[0]) if which == "beta" else block[ones[0]]
+    cls = "diagonal" if which == "beta" else "adjacent"
+    assert not ok and witness == _witness(ctx, y, z, cls, real, real + 1)
+
+
+@pytest.mark.parametrize("element,s,word,by", [
+    ("Omega", 2, "", 1), ("G", 2, "RL", Fraction(1, 3)), ("G", 1, "LR", 1),
+    ("G", 0, "", 2 ** 70)], ids=["Omega-I", "G-RL", "G-LR", "G-I-huge"])
+def test_entry_tables_refuse_a_moved_word_coefficient(tables, element, s,
+                                                      word, by):
+    """One word coefficient of Omega or G on block s moved: the first
+    diagonal entry of B_s moves by `by` times the count of the word there
+    (1 for I), and the table fails there.  A coefficient of 2^70 leaves
+    int64 for Python ints, and the witness stays exact."""
+    ctx = tables.ctx
+    check = {"Omega": verify_omega_entry_table, "G": verify_g_entry_table}
+    words = getattr(tables.cents, element)
+    y = ctx.blocks[s][0]
+    count = 1 if word == "" else int(
+        ctx.two_step(s, s - 1 if word == "RL" else s + 1)[0, 0])
+    table = _entry(getattr(tables.dense, element), y, y)
+    ok, witness = check[element](ctx, _moved(words, s, word, by))
+    assert not ok and witness == _witness(ctx, y, y, "diagonal",
+                                          table + by * count, table)
+
+
+def _counts_moved(ctx, s, h, i, j):
+    """A copy of ctx whose cache holds A[B_s, B_h] A[B_h, B_s] with entry
+    (i, j) raised by 1."""
+    out = copy.copy(ctx)
+    out._two = dict(ctx._two)
+    out._two[s, h] = ctx.two_step(s, h).copy()
+    out._two[s, h][i, j] += 1
+    return out
+
+
+@pytest.mark.parametrize("where", ["RL-diagonal", "LR-off-diagonal"])
+def test_g_table_refuses_a_moved_count(tables, where):
+    """One common-neighbour count inside a block raised by 1, in a copy of
+    the context's cache: on the diagonal of RL_2, or at the first pair of
+    B_1 with a common neighbour in B_2.  The table fails at that pair, by
+    the word's coefficient."""
+    ctx, words = tables.ctx, tables.cents.G
+    if where == "RL-diagonal":
+        s, h, (i, j), cls = 2, 1, (0, 0), "diagonal"
+    else:
+        s, h = 1, 2
+        lr = ctx.two_step(s, h)
+        i, j = next((i, j) for i, j in np.argwhere(lr) if i != j)
+        cls = "adjacent" if ctx.adj(s, s)[i, j] else \
+            "distance 2, common neighbour at s+1"
+    y, z = ctx.blocks[s][i], ctx.blocks[s][j]
+    table = _entry(tables.dense.G, y, z)
+    value = table + words[s]["RL" if h < s else "LR"]
+    ok, witness = verify_g_entry_table(_counts_moved(ctx, s, h, i, j), words)
+    assert not ok and witness == _witness(ctx, y, z, cls, value, table)
+
+
+def test_entry_tables_build_no_exact_matrix(ctx_c32, cents_c32,
+                                            monkeypatch):
+    """Both tables are checked from the word coefficients and the integer
+    blocks of the context: no ExactMatrix is constructed."""
+    made = []
+    init = ExactMatrix.__init__
+    monkeypatch.setattr(ExactMatrix, "__init__",
+                        lambda self, *a, **k: made.append(1)
+                        or init(self, *a, **k))
+    assert verify_omega_entry_table(ctx_c32, cents_c32.Omega) == (True, None)
+    assert verify_g_entry_table(ctx_c32, cents_c32.G) == (True, None)
+    assert made == []
 
 
 @pytest.mark.parametrize("word", ["KR", "L"])
 def test_block_words_refuse_to_leave_their_block(ctx_c32, word):
-    """Omega and G are built on their diagonal blocks; a word that maps
-    E*_s V elsewhere is refused, not dropped."""
+    """Omega and G are read by their word coefficients on the diagonal
+    blocks, K folded in as b^-s; a two-step product through a missing block
+    is dropped, and a word that maps E*_s V elsewhere is refused, not
+    dropped."""
     assert terwilliger._on_block(ctx_c32, [(1, "KF"), (1, "KKLR")], 1) \
-        .shape == (14, 14)
+        == {"F": Fraction(1, 2), "LR": Fraction(1, 4)}
+    assert terwilliger._on_block(ctx_c32, [(1, "KRL"), (3, "")], 0) \
+        == {"": 3}
     with pytest.raises(ValueError, match=re.escape(
             f"word {word!r} does not map E*_1 V to itself")):
         terwilliger._on_block(ctx_c32, [(1, "KF"), (1, word)], 1)
@@ -339,6 +438,19 @@ def test_central_characterization_degenerate(ctx_d32, comps_d32):
     assert _commutes_on_ladders(ctx_d32, comps_d32, 1, 0, True)
     assert verify_central_characterization(ctx_d32, comps_d32) \
         == (True, None)
+
+
+def test_central_characterization_names_the_perturbed_alpha(
+        ctx_c32, comps_c32, monkeypatch):
+    """A perturbation that no longer moves alpha_2 leaves the matrix
+    commuting with A on every ladder, although F does not vanish there:
+    the check fails and names the perturbed index."""
+    real = terwilliger.central_characterization_matrix
+    monkeypatch.setattr(terwilliger, "central_characterization_matrix",
+                        lambda ctx, comp, a1, b0, perturb=False:
+                        real(ctx, comp, a1, b0))
+    assert verify_central_characterization(ctx_c32, comps_c32) == (
+        False, {"perturbed_alpha": 2, "commutes": True})
 
 
 def test_decompose_c32(comps_c32):
@@ -445,12 +557,6 @@ def test_center_commutation_refuses_missing_or_extra_triples(
         ctx_c32, replace(center_c32, ladders=uncertified))
 
 
-def _acts_as(x, comp, value) -> bool:
-    """The diagonal blocks x map every rung of comp to value times itself."""
-    return all(x[comp.r + j] @ rung.T == rung.T.scale(value)
-               for j, rung in enumerate(comp.rungs))
-
-
 def test_c2_on_primary_via_displacements(ctx_c32, comps_c32):
     # C2 = q^(2e-2)/(q^4-1) U^-2 P^-2 acts on the primary component as 1/3
     c2 = _primary(comps_c32).action.evaluate(central_terms(ctx_c32)[2])
@@ -460,15 +566,17 @@ def test_c2_on_primary_via_displacements(ctx_c32, comps_c32):
     assert chi2(ctx_c32, 0, 0, 3) == third
 
 
-def test_aw_scalar_action(ctx_c32, cents_c32, comps_c32):
-    """Omega and G, built on their diagonal blocks, act on the rungs of every
+def test_aw_scalar_action(ctx_c32, comps_c32, tables_c32):
+    """The oracle's n x n Omega and G act on the n-wide basis of every
     component as its closed module scalars; G*, built on the ladder only,
     acts there as its own."""
+    cents = tables_c32.dense
     gstar = central_terms(ctx_c32)[5]
     for c in comps_c32:
         om, eta, eta_star = aw_module_scalars(ctx_c32, *c.triple)
-        assert _acts_as(cents_c32.Omega, c, ExactScalar(om))
-        assert _acts_as(cents_c32.G, c, ExactScalar(eta))
+        basis = dense_oracle.component_basis(ctx_c32, c)[0].T
+        assert cents.Omega @ basis == basis.scale(ExactScalar(om))
+        assert cents.G @ basis == basis.scale(ExactScalar(eta))
         assert c.action.evaluate(gstar) == ExactMatrix.identity(
             c.d + 1).scale(eta_star)
 
