@@ -130,12 +130,6 @@ class _Stages:
         return value
 
 
-def _holds(witness):
-    """(ok, witness) of a check whose witness is None exactly when it
-    holds."""
-    return witness is None, witness
-
-
 def _suite_drg(report, stage, spec, n):
     from . import drg
 
@@ -143,10 +137,14 @@ def _suite_drg(report, stage, spec, n):
                "pair at each distance", lambda: stage["drg"] is not None)
     report.run("drg:intersection",
                "c_i = (b^i-1)/(b-1), b_i = b^(i+e)(b^(D-i)-1)/(b-1)",
-               lambda: _holds(drg.intersection_witness(spec, stage["drg"])))
+               lambda: drg.verify_intersection(spec, stage["drg"]))
+
+    def multiplicities():
+        total = sum(stage["bm"].m)
+        return total == n, None if total == n else {"sum_m": total,
+                                                    "vertices": n}
     report.run("drg:multiplicities", "rank E_i = m_i and sum m_i = |X|",
-               lambda: _holds(None if sum(stage["bm"].m) == n else {
-                   "sum_m": sum(stage["bm"].m), "vertices": n}))
+               multiplicities)
     report.run("drg:dual-eigenvalues", "theta*_i = zeta + xi b^-i with "
                "theta*_0 = m_1",
                lambda: stage["bm"].theta_star[0] == stage["bm"].m[1])
@@ -232,7 +230,7 @@ def _suite_modules(report, stage, g, sample_vertices):
                       for t in sorted(base.keys() | here.keys())
                       if base.get(t) != here.get(t)]
             # each: r, t, d, multiplicity at the base vertex and at x
-            return _holds({"differ": differ} if differ else None)
+            return not differ, {"differ": differ} if differ else None
         report.run(f"modules:base-vertex:{x}",
                    "feasible triple multiset agrees with the base run", same)
 

@@ -110,6 +110,7 @@ def verify_distance_regular(g) -> IntersectionData:
                 raise NotDistanceRegularError(l, h, 1, y, z, v0,
                                               int(prod[y, z]))
             counts[l, h] = v0
+        del prod, vals  # one product alive at a time: they set the peak
     c, a, b = (tuple(counts.get((i, i + s), 0) for i in range(D + 1))
                for s in (-1, 0, 1))
     for l in range(D + 1):
@@ -156,15 +157,17 @@ def closed_form_intersection(spec: FormSpec) -> tuple[list[int], list[int], list
     return c, aa, bb
 
 
-def intersection_witness(spec: FormSpec, data: IntersectionData) -> dict | None:
-    """The first i where (c_i, a_i, b_i) of the graph differs from the
-    closed form, with both triples (None past the end of either); None when
-    they agree."""
+def verify_intersection(spec: FormSpec, data: IntersectionData):
+    """(True, None) when (c_i, a_i, b_i) of the graph is the closed form at
+    every i, else (False, the first i that differs with both triples, None
+    past the end of either)."""
     rows = zip_longest(zip(*closed_form_intersection(spec)),
                        zip(data.c, data.a, data.b))
-    return next(({"i": i, "closed_form": want and list(want),
-                  "graph": got and list(got)}
-                 for i, (want, got) in enumerate(rows) if want != got), None)
+    for i, (want, got) in enumerate(rows):
+        if want != got:
+            return False, {"i": i, "closed_form": want and list(want),
+                           "graph": got and list(got)}
+    return True, None
 
 
 def closed_form_eigenvalues(spec: FormSpec) -> list[Fraction]:

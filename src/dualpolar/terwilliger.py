@@ -39,12 +39,12 @@ per-component scalars.  Only the paper's entry tables of Omega and G are
 statements about matrix entries.  Every word of either maps each E*_s V
 to itself, so `central_elements` reads each as its coefficients of I, F_s =
 A[B_s, B_s] and the two-step products RL_s, LR_s (`two_step`, formed once
-per context for the G entry table and `decompose`) on block s.  The Omega
-table is then one scalar check per block, and the G table one integer
-comparison per class of vertex pairs: no rational matrix is built.  The
-Leonard system of each module is read off the same ladder: E_(t+i) acts on
-W as a primitive idempotent of the (d+1) x (d+1) ladder A, and E*_(r+i) as
-the projection on rung i, so `extract_module` touches no n-wide vector.
+per context for the entry tables and `decompose`) on block s.  Both tables
+are then checked by one integer comparison per class of vertex pairs: no
+rational matrix is built.  The Leonard system of each module is read off
+the same ladder: E_(t+i) acts on W as a primitive idempotent of the (d+1)
+x (d+1) ladder A, and E*_(r+i) as the projection on rung i, so
+`extract_module` touches no n-wide vector.
 """
 
 from __future__ import annotations
@@ -454,64 +454,60 @@ PAIR_CLASSES = ("diagonal", "adjacent", "distance 2, common neighbour at s+1",
                 "distance 2, none at s+1", "other")
 
 
-def _mismatches(ctx: TerwilligerContext, s: int, word: dict, table):
-    """Each pair (B_s[i], B_s[j]), row by row, where sum_W word[W] W (the
-    words of `_on_block`) differs from an entry table, as (i, j, class,
-    value, table value).  The table holds one value per class of
-    PAIR_CLASSES: the diagonal, the adjacent pairs (the ones of F_s), the
-    pairs at distance 2 with a common neighbour in B_(s+1) (LR_s > 0) and
-    without one, and the rest; on the fourth class it is a multiple of RL_s.
-
-    Without a two-step word or a table value past the adjacent pairs, the
-    check is scalar: v I + u F_s matches exactly when v is the diagonal
-    value and, where F_s != 0, u the adjacent one.  Otherwise both sides are
-    taken over one common denominator and compared on the integer blocks,
-    one row panel at a time: in int64 where a bound from the coefficients
-    and the valency k, which no count exceeds, proves that exact, else in
-    Python ints."""
-    f = ctx.adj(s, s)
-    vals = [word.get(w, 0) for w in ("", "F", "RL", "LR")]
-    if not (vals[2] or vals[3] or table[2] or table[3]):
-        if vals[0] != table[0]:
-            yield 0, 0, 0, vals[0], table[0]
-        if vals[1] != table[1] and f.any():
-            yield *np.argwhere(f)[0], 1, vals[1], table[1]
-        return
-    den = math.lcm(*(Fraction(v).denominator for v in (*vals, *table)))
-    w_i, w_f, w_rl, w_lr, *t = (int(v * den) for v in (*vals, *table))
-    size, k = len(f), len(ctx.blocks[1])
-    bound = sum(map(abs, (w_i, w_f, *t[:3]))) \
-        + k * sum(map(abs, (w_rl, w_lr, t[3])))
-    dtype = np.int64 if bound < 2 ** 62 else object
-    up, down = ctx.two_step(s, s + 1), ctx.two_step(s, s - 1)
-    step = max(1, 2 ** 20 // size)
-    for lo in range(0, size, step):
-        rows = slice(lo, lo + step)
-        f_p, up_p, down_p = (np.zeros_like(f[rows], dtype) if m is None else
-                             m[rows].astype(dtype, copy=False)
-                             for m in (f, up, down))
-        diag = np.equal.outer(np.arange(size)[rows], np.arange(size))
-        two = ctx.g.dist[np.ix_(ctx.blocks[s][rows], ctx.blocks[s])] == 2
-        classes = [diag, f_p == 1, two & (up_p > 0), two]
-        got = w_i * diag.astype(dtype) + w_f * f_p + w_rl * down_p \
-            + w_lr * up_p
-        want = np.select(classes, [*t[:3], t[3] * down_p], 0)
-        for i, j in np.argwhere(got != want):
-            yield lo + i, j, next((c for c, m in enumerate(classes)
-                                   if m[i, j]), 4), \
-                Fraction(int(got[i, j]), den), Fraction(int(want[i, j]), den)
-
-
 def _entry_table(ctx: TerwilligerContext, words: list, tables: list):
-    """(True, None) when the word coefficients of every diagonal block match
-    its entry table, else (False, a witness at the first pair that does
-    not)."""
+    """(True, None) when sum_W word[W] W (the words of `_on_block`) matches
+    its entry table on every diagonal block s, else (False, a witness at
+    the first pair that does not).  A table holds one value for each of the
+    first four classes of PAIR_CLASSES: the diagonal, the adjacent pairs
+    (the ones of F_s), the pairs at distance 2 with a common neighbour in
+    B_(s+1) (LR_s > 0), and those without one, where the value is a
+    multiple of RL_s; it is 0 on the other pairs.  Both sides are taken
+    over one common denominator and their difference is formed on the
+    integer blocks, one row panel at a time: in int64 where a bound from
+    the coefficients and the valency k, which no count exceeds, proves that
+    exact, else in Python ints."""
+    k = len(ctx.blocks[1])
     for s, (word, table) in enumerate(zip(words, tables, strict=True)):
-        for i, j, cls, value, want in _mismatches(ctx, s, word, table):
-            y, z = (int(ctx.blocks[s][v]) for v in (i, j))
-            return False, {"block": s, "pair": [y, z],
-                           "class": PAIR_CLASSES[cls], "value": str(value),
-                           "table": str(want)}
+        vals = [word.get(w, 0) for w in ("", "F", "RL", "LR")]
+        den = math.lcm(*(Fraction(v).denominator for v in (*vals, *table)))
+        w_i, w_f, w_rl, w_lr, t_i, t_f, t_up, t_rl = (
+            int(v * den) for v in (*vals, *table))
+        bound = sum(map(abs, (w_i, w_f, t_i, t_f, t_up))) \
+            + k * sum(map(abs, (w_rl, w_lr, t_rl)))
+        dtype = np.int64 if bound < 2 ** 62 else object
+        block, f = ctx.blocks[s], ctx.adj(s, s)
+        # a two-step product is read only where a coefficient needs it
+        up = ctx.two_step(s, s + 1) if w_lr or t_up or t_rl else None
+        down = ctx.two_step(s, s - 1) if w_rl or t_rl else None
+        step = max(1, 2 ** 20 // len(block))
+        for lo in range(0, len(block), step):
+            rows = slice(lo, lo + step)
+            up_p, down_p = (0 if m is None else
+                            m[rows].astype(dtype, copy=False)
+                            for m in (up, down))
+            diff = (w_f - t_f) * f[rows].astype(dtype) + w_rl * down_p \
+                + w_lr * up_p
+            diff[np.arange(len(diff)), np.arange(lo, lo + len(diff))] \
+                += w_i - t_i
+            if t_up or t_rl:
+                two = ctx.g.dist[np.ix_(block[rows], block)] == 2
+                near = two & (up_p > 0)
+                diff -= t_up * near.astype(dtype) \
+                    + t_rl * (two & ~near).astype(dtype) * down_p
+            if diff.any():
+                i, j = (int(v) for v in np.argwhere(diff)[0])
+                y, z = int(block[lo + i]), int(block[j])
+                c_up, c_down = (0 if m is None else int(m[lo + i, j]) for m
+                                in (ctx.two_step(s, s + 1),
+                                    ctx.two_step(s, s - 1)))
+                cls = 0 if y == z else 1 if f[lo + i, j] else 4 \
+                    if ctx.g.dist[y, z] != 2 else 2 if c_up else 3
+                want = (t_i, t_f, t_up, t_rl * c_down, 0)[cls]
+                got = want + int(diff[i, j])
+                return False, {"block": s, "pair": [y, z],
+                               "class": PAIR_CLASSES[cls],
+                               "value": str(Fraction(got, den)),
+                               "table": str(Fraction(want, den))}
     return True, None
 
 
@@ -531,21 +527,27 @@ def verify_g_entry_table(ctx: TerwilligerContext, G: list):
             x * (1 - b * b) * (b * cvals[s] - Fraction(bvals[s], b))
             - rho * ctx.bm.theta_star[s],
             x * (1 - b) * (b * b + b + b_pow(b, spec.e) - 1),
-            -x * (b + 1) * (b - 1) ** 2, x * b * (1 - b * b), 0))
+            -x * (b + 1) * (b - 1) ** 2, x * b * (1 - b * b)))
     return _entry_table(ctx, G, tables)
 
 
 def verify_omega_entry_table(ctx: TerwilligerContext, omega: list):
     """The paper's same-distance entry table of Omega: beta_s on the
     diagonal of block s, alpha_s on its adjacent pairs, 0 elsewhere.  Its
-    words are KF, K and 1, so on block s it is u_s F_s + v_s I, and the
-    table holds exactly when v_s = beta_s, and u_s = alpha_s wherever F_s !=
-    0: a scalar check per block.  F_s has a zero diagonal and its ones are
-    the adjacent pairs of B_s, as the build certifies adjacency == (codim
-    == 1) and `drg.verify_distance_regular` proves codim the path metric."""
+    words are KF, K and 1, so on block s it is u_s F_s + v_s I.  F_s has a
+    zero diagonal and its ones are the adjacent pairs of B_s, as the build
+    certifies adjacency == (codim == 1) and `drg.verify_distance_regular`
+    proves codim the path metric."""
     alpha, beta = _omega_coeffs(ctx)
-    return _entry_table(ctx, omega, [(beta[s], alpha.get(s, 0), 0, 0, 0)
+    return _entry_table(ctx, omega, [(beta[s], alpha.get(s, 0), 0, 0)
                                      for s in range(ctx.D + 1)])
+
+
+def _perturbed_alpha(ctx: TerwilligerContext) -> int:
+    """The i whose alpha_i the perturbed characterization raises: 2, or 1
+    for D = 1.  The raised alpha breaks alpha_2 = alpha_1 / b, or for D = 1
+    the beta_1 computed from the old alpha_1."""
+    return min(2, ctx.D)
 
 
 def central_characterization_matrix(ctx: TerwilligerContext, comp,
@@ -553,9 +555,10 @@ def central_characterization_matrix(ctx: TerwilligerContext, comp,
                                     perturb: bool = False) -> ExactMatrix:
     """C = sum alpha_i E*_i A E*_i + sum beta_i E*_i on the ladder of comp,
     with alpha_i = b^(1-i) alpha_1 and beta_i = beta_0 - a_1 b^(1-i)
-    (b^i - 1)/(b-1) alpha_1.  With perturb, alpha_min(2, D) is raised by 1.
-    E*_(r+j) acts on the ladder as the projection on rung j, so
-    E*_(r+j) A E*_(r+j) acts there as F, which is diagonal."""
+    (b^i - 1)/(b-1) alpha_1.  With perturb, alpha_i at i =
+    `_perturbed_alpha` is raised by 1.  E*_(r+j) acts on the ladder as the
+    projection on rung j, so E*_(r+j) A E*_(r+j) acts there as F, which is
+    diagonal."""
     b = ctx.b
     _, avals, _ = closed_form_intersection(ctx.g.spec)
     a1 = avals[1]
@@ -568,10 +571,7 @@ def central_characterization_matrix(ctx: TerwilligerContext, comp,
         for i in range(ctx.D + 1)
     }
     if perturb:
-        # the raised alpha breaks alpha_2 = alpha_1 / b, or for D = 1 the
-        # beta_1 computed from the old alpha_1
-        i = min(2, ctx.D)
-        alphas[i] = alphas[i] + 1
+        alphas[_perturbed_alpha(ctx)] += 1
     rungs = range(comp.r, comp.r + comp.d + 1)
     return ExactMatrix.diag([alphas.get(i, 0) for i in rungs]) \
         @ comp.action.F + ExactMatrix.diag([betas[i] for i in rungs])
@@ -593,7 +593,8 @@ def verify_central_characterization(ctx: TerwilligerContext, comps):
     flat = all(c.action.F.is_zero() for c in comps)
     moved = any(bracket(c, 1, 0, True) is not None for c in comps)
     if moved == flat:
-        return False, {"perturbed_alpha": min(2, ctx.D), "commutes": not moved}
+        return False, {"perturbed_alpha": _perturbed_alpha(ctx),
+                       "commutes": not moved}
     return True, None
 
 

@@ -4,10 +4,11 @@ through verify.
 `terwilliger` checks the LFRK and central identities on the ladder matrices
 of the homogeneous components that `decompose` certifies, and checks the
 entry tables of Omega and G from their word coefficients on the diagonal
-blocks.  `dense_oracle` keeps the n x n construction of all of these.  Here `verify --suite all` runs once on each:
-the dense run swaps the context and the LFRK and central checks for the
-oracle's, and adds the oracle's n-wide joint-kernel and orthogonality
-certificate to the decomposition.  Both reports must agree in every status
+blocks.  `dense_oracle` keeps the n x n construction of all of these.
+Here `verify --suite all` runs once on each: the dense run swaps the
+context and the LFRK and central checks for the oracle's, and adds the
+oracle's n-wide joint-kernel and orthogonality certificate to the
+decomposition.  Both reports must agree in every status
 and witness on intact graphs, and on graphs with one adjacency entry
 changed or one edge added across two classes.  A changed graph is not
 distance-regular, so it is given the intact graph's intersection and

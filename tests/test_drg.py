@@ -16,10 +16,10 @@ from dualpolar.drg import (
     closed_form_intersection,
     closed_form_multiplicities,
     dual_eigenvalue_scalars,
-    intersection_witness,
     spectral_data,
     td_scalars,
     verify_distance_regular,
+    verify_intersection,
 )
 from dualpolar.polar import FormSpec, build_polar_graph
 
@@ -395,18 +395,18 @@ def test_bfs_matches_dense_oracle_on_polar_graphs(family, D, b, block):
     assert np.array_equal(g.dist, dist)
 
 
-def test_intersection_witness_names_the_first_row(graph_d32):
+def test_verify_intersection_names_the_first_row(graph_d32):
     """The intersection data of D_3(2) agrees with the closed form; with
     b_2 changed, or with the last row missing, the witness names the first
     row that differs, and a missing triple is None."""
     data = verify_distance_regular(graph_d32)
     spec = graph_d32.spec
-    assert intersection_witness(spec, data) is None
+    assert verify_intersection(spec, data) == (True, None)
     c, a, b = closed_form_intersection(spec)
     bad = replace(data, b=(*data.b[:2], data.b[2] + 1, *data.b[3:]))
-    assert intersection_witness(spec, bad) == {
+    assert verify_intersection(spec, bad) == (False, {
         "i": 2, "closed_form": [c[2], a[2], b[2]],
-        "graph": [c[2], a[2], b[2] + 1]}
+        "graph": [c[2], a[2], b[2] + 1]})
     short = replace(data, c=data.c[:-1], a=data.a[:-1], b=data.b[:-1])
-    assert intersection_witness(spec, short) == {
-        "i": 3, "closed_form": [c[3], a[3], b[3]], "graph": None}
+    assert verify_intersection(spec, short) == (False, {
+        "i": 3, "closed_form": [c[3], a[3], b[3]], "graph": None})

@@ -272,19 +272,43 @@ def tables(request):
     return request.getfixturevalue(f"tables_{request.param}")
 
 
+def _bumped(m, y, z):
+    """Copy of m with entry (y, z) raised by 1/den."""
+    n0 = m.n0.copy()
+    n0[y, z] += 1
+    return ExactMatrix(n0, m.n1, m.den, m.rad)
+
+
+def _pair_kinds(ctx):
+    """One vertex pair of each kind the entry tables tell apart."""
+    dx, dist = ctx.dist_x, ctx.g.dist
+    same = dx[:, None] == dx[None, :]
+    kinds = [same & (dist == 0), same & (dist == 1), same & (dist == 2),
+             ~same]
+    # D_3(2) has no adjacent pair at one distance from x
+    return [tuple(int(v) for v in np.argwhere(k)[0]) for k in kinds if k.any()]
+
+
 def _check_entry_tables(tables):
     """The word coefficients give the oracle's n x n Omega and G, which the
     oracle's tables and the pair-by-pair references accept, and so do the
-    coefficient checks."""
+    coefficient checks.  The oracle's tables and the references reject a
+    copy of either with one entry raised, at a pair of each kind, a pair at
+    two distances from x included."""
     ctx, cents, dctx = tables.ctx, tables.cents, tables.dctx
     omega = dense_oracle.from_words(ctx, cents.Omega)
     g = dense_oracle.from_words(ctx, cents.G)
     assert omega == tables.dense.Omega and g == tables.dense.G
-    assert dense_oracle.verify_omega_entry_table(dctx, omega)
-    assert dense_oracle.verify_g_entry_table(dctx, g)
-    assert _omega_table_by_entry(ctx, omega) and _g_table_by_entry(ctx, g)
     assert verify_omega_entry_table(ctx, cents.Omega) == (True, None)
     assert verify_g_entry_table(ctx, cents.G) == (True, None)
+    for x, oracle, by_entry in (
+            (omega, dense_oracle.verify_omega_entry_table,
+             _omega_table_by_entry),
+            (g, dense_oracle.verify_g_entry_table, _g_table_by_entry)):
+        assert oracle(dctx, x) and by_entry(ctx, x)
+        for y, z in _pair_kinds(ctx):
+            assert not oracle(dctx, _bumped(x, y, z))
+            assert not by_entry(ctx, _bumped(x, y, z))
 
 
 def test_entry_tables(tables_c32):
