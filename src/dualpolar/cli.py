@@ -225,7 +225,7 @@ def _suite_modules(report, stage, g, sample_vertices):
         def same(x=x):
             base = {c.triple: c.mult for c in stage["comps"]}
             here = {c.triple: c.mult for c in tw.decompose(
-                tw.build_context(g, stage["bm"], x), full=False)}
+                tw.build_context(g, stage["bm"], x))}
             differ = [[*t, base.get(t, 0), here.get(t, 0)]
                       for t in sorted(base.keys() | here.keys())
                       if base.get(t) != here.get(t)]

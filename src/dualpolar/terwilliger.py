@@ -15,20 +15,19 @@ raising.  Both central elements act there as scalars, so the split is made
 by Lagrange projectors: polynomials in the small matrices of LR and F in the
 coordinates of an RREF basis of the lowest rungs.  That costs one exact
 kernel per subconstituent and one RREF per component, however many
-candidate eigenvalues there are.  Counting the components only
-(`decompose(full=False)`, at sampled base vertices) reads the context's
-adjacency blocks and certifies nothing beyond sum dim = |X|.
+candidate eigenvalues there are.
 
 Each component W(r, t, d) is certified on its raising ladder (rung j is the
 lowest rung raised j times): F acts on rung j as a_j(W), L maps it to
-b_(j-1)(W) c_j(W) times rung j - 1, and L kills rung 0, R rung d.  So L, F,
-R, K and A* act on W as the (d+1) x (d+1) matrices of `ladder_action`, once
-per copy; the component keeps them as its `action`.  C0, C1, C2 are words in
-K, L, F, R (`central_terms`), so on W they act as those words evaluated on
-the ladder matrices, and each must evaluate to chi_k I.  The triples have
-pairwise distinct (chi0, chi1, chi2), so the components lie in distinct
-joint eigenspaces and are independent, and sum dim = |X| makes V their
-direct sum (T is semisimple).
+b_(j-1)(W) c_j(W) != 0 times rung j - 1, so every rung keeps the rank of
+rung 0, an RREF; L kills rung 0, R rung d.  So L, F, R, K and A* act on W as
+the (d+1) x (d+1) matrices of `ladder_action`, once per copy; the component
+keeps them as its `action`.  C0, C1, C2 are words in K, L, F, R
+(`central_terms`), so on W they act as those words evaluated on the ladder
+matrices, and each must evaluate to chi_k I.  The triples have pairwise
+distinct (chi0, chi1, chi2), so the components lie in distinct joint
+eigenspaces and are independent, and sum dim = |X| makes V their direct sum
+(T is semisimple).
 
 A word combination in L, F, R, K, K^-1, A and A* is therefore zero on V
 exactly when it is zero on every ladder.  The LFRK relations, the
@@ -64,7 +63,6 @@ from .drg import (
     td_scalars,
 )
 from .exact import ExactScalar, q_pow
-from . import intlinalg
 from .intlinalg import int_matmul
 from .leonard import _check_axiom_pattern, eigenbasis
 from .linexact import ExactMatrix, kernel, rref
@@ -276,7 +274,7 @@ def _on_ladders(comps, term_lists) -> tuple[bool, dict | None]:
 
 def verify_lfrk(ctx: TerwilligerContext, comps) -> dict:
     """(ok, witness) of each generator relation by statement, on the
-    ladders of the components of a full decomposition."""
+    ladders of the components of the decomposition."""
     ids = identities(ctx)
     return {st: _on_ladders(comps, ids[f"lfrk:{st}"]) for st in LFRK_STATEMENTS}
 
@@ -423,7 +421,7 @@ def central_elements(ctx: TerwilligerContext) -> CentralElements:
 
 def verify_central_construction(ctx: TerwilligerContext, comps):
     """C0, C1, C2, Omega, G and G* are symmetric and commute with A and A*,
-    given a full decomposition `comps`.
+    given the decomposition `comps`.
 
     C0, C1 and C2 act on every component as chi_k I, which `decompose`
     certifies on the ladders; V is the direct sum of the components, so they
@@ -609,7 +607,7 @@ class HomogeneousComponent:
     d: int
     mult: int
     rungs: list[ExactMatrix]  # rung j: rung 0 raised j times, on block r+j
-    # L, F, R, K, A* on every copy, once `decompose(full=True)` certifies it
+    # L, F, R, K, A* on every copy, as `decompose` certifies it
     action: LadderAction | None = field(default=None, compare=False,
                                         repr=False)
 
@@ -731,8 +729,7 @@ def _split(m: ExactMatrix, values: dict, lead: ExactMatrix | None,
     return {k: p for k, p in pieces.items() if not p.is_zero()}
 
 
-def decompose(ctx: TerwilligerContext,
-              full: bool = True) -> list[HomogeneousComponent]:
+def decompose(ctx: TerwilligerContext) -> list[HomogeneousComponent]:
     """Homogeneous components of the standard module.
 
     On each subconstituent r the lowest rungs ker L ^ E*_r V are split by
@@ -750,10 +747,9 @@ def decompose(ctx: TerwilligerContext,
     M_F = nu_t I, the block holds one component, (r, t, d), whose lowest
     rung is the kernel basis itself: no product and no RREF.  Rung j of a
     component, the lowest rung raised j times, is a mult x |B_(r+j)|
-    matrix of rank mult.
+    matrix.
 
-    With full=True the whole decomposition is certified, rung by rung on
-    the blocks:
+    The whole decomposition is certified, rung by rung on the blocks:
     - L, F, R act on the raising ladder of each component as
       `ladder_action` says (so each component is A- and A*-invariant); the
       component keeps that action,
@@ -765,12 +761,10 @@ def decompose(ctx: TerwilligerContext,
     Then V is the direct sum of the components.  Each lies in the joint
     eigenspace of C0, C1, C2 for its own eigenvalue triple, and joint
     eigenvectors for distinct eigenvalue triples are linearly independent.
-    Within a component, rung j lies in block r + j and has rank mult, so
-    the component has dimension mult (d + 1).  The dimensions sum to |X|,
-    so the sum of the components is direct and is all of V.
-    With full=False only the feasible triples with multiplicities are
-    computed (used for base-vertex sampling), and dimensions still must sum
-    to |X|.
+    Within a component, rung j lies in block r + j and has rank mult
+    (`_certify_ladder`), so the component has dimension mult (d + 1).  The
+    dimensions sum to |X|, so the sum of the components is direct and is
+    all of V.
     """
     n, D, b = ctx.n, ctx.D, ctx.b
     c2_const = chi2(ctx, 0, 0, 0).as_fraction()  # q^(2e+2D-2)/(q^4-1)
@@ -815,8 +809,7 @@ def decompose(ctx: TerwilligerContext,
     total = sum(c.dim for c in comps)
     if total != n:
         raise AssertionError(f"component dimensions sum to {total}, not {n}")
-    if full:
-        _certify_decomposition(ctx, comps)
+    _certify_decomposition(ctx, comps)
     return comps
 
 
@@ -824,19 +817,15 @@ def _build_component(ctx: TerwilligerContext, r: int, t: int, d: int,
                      low_rows: ExactMatrix) -> HomogeneousComponent:
     """The component raised from the lowest-rung rows `low_rows`, a
     leading-1 RREF (the RREF coordinates times the RREF kernel basis), so
-    of rank equal to its row count.  Rung j, on block r + j, is
+    rung 0 has rank mult, its row count.  Rung j, on block r + j, is
     rung j - 1 @ A[B_(r+j-1), B_(r+j)]: row y is R of row y of rung j - 1
-    (A is symmetric), so R v_j = v_(j+1) by construction.  Each rung must
-    keep the rank, so the dimension is mult * (d + 1); `intlinalg.int_rank`
-    certifies it, from one prime where the rank does not drop mod p."""
-    mult = low_rows.shape[0]
+    (A is symmetric), so R v_j = v_(j+1) by construction.  No rank is
+    computed: `_certify_ladder` proves that every rung keeps rank mult, so
+    the dimension is mult * (d + 1), and fails on a rung that drops it."""
     rungs = [low_rows]
-    for j in range(1, d + 1):
-        rung = rungs[-1] @ ExactMatrix.from_int(ctx.adj(r + j - 1, r + j))
-        if intlinalg.int_rank(rung.n0) != mult:
-            raise AssertionError("raising ladder drops rank before the top")
-        rungs.append(rung)
-    return HomogeneousComponent(r, t, d, mult, rungs)
+    for s in range(r, r + d):
+        rungs.append(rungs[-1] @ ExactMatrix.from_int(ctx.adj(s, s + 1)))
+    return HomogeneousComponent(r, t, d, low_rows.shape[0], rungs)
 
 
 def _certify_ladder(ctx: TerwilligerContext,
@@ -850,9 +839,17 @@ def _certify_ladder(ctx: TerwilligerContext,
     maps rung j to a_j times itself, and R maps the top rung to 0.  A is
     symmetric, so row y of `rung @ A[B_s, B_i]` is the image of rung row y
     on block i.
+
+    This proves the rung ranks too.  Rung 0 is a leading-1 RREF, of rank
+    mult.  If rung j - 1 has rank mult and b_(j-1) c_j != 0, then L rung_j
+    = b_(j-1) c_j rung_(j-1) has rank mult, and so has rung j, of mult
+    rows.  So a zero b_(j-1) c_j is refused first.
     """
     r, t, d = comp.triple
     act = ladder_action(ctx, r, t, d)
+    if any(act.L.entry(j - 1, j) == 0 for j in range(1, d + 1)):
+        raise AssertionError(f"component {comp.triple} has b_(j-1) c_j = 0 "
+                             "on its ladder, so L cannot certify its rank")
     for j, rung in enumerate(comp.rungs):
         s = r + j
         # (block, expected image of the rung there); None: the image is 0
@@ -873,7 +870,7 @@ def _certify_ladder(ctx: TerwilligerContext,
 
 def _certify_decomposition(ctx: TerwilligerContext,
                            comps: list[HomogeneousComponent]):
-    """The certificate of `decompose(full=True)` on components whose
+    """The certificate of `decompose` on components whose
     dimensions sum to |X|: feasible triples with pairwise distinct (chi0,
     chi1, chi2), so distinct triples, and the ladder action, kept on each
     component, with C_k = chi_k on it."""
@@ -918,7 +915,7 @@ class CenterData:
 
 def upsilon_psi_lambda(ctx: TerwilligerContext,
                        comps: list[HomogeneousComponent]) -> CenterData:
-    """Upsilon, Psi and Lambda on the components of a full decomposition,
+    """Upsilon, Psi and Lambda on the components of the decomposition,
     which certifies V as their direct sum."""
     return CenterData(
         {c.triple: ctx.qexp(c.r + c.t + c.d - ctx.D) for c in comps},

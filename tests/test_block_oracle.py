@@ -70,10 +70,9 @@ def _dense_decompose(real):
     orthogonality certificate, on the oracle's own n x n central elements.
     The ladder certificate runs first, so a failure it finds is reported
     with the same witness on both paths."""
-    def run(ctx, full=True):
-        comps = real(ctx, full=full)
-        if full:
-            dense_oracle.certify_joint_kernel(ctx, _dense_central(ctx), comps)
+    def run(ctx):
+        comps = real(ctx)
+        dense_oracle.certify_joint_kernel(ctx, _dense_central(ctx), comps)
         return comps
     return run
 
@@ -259,9 +258,9 @@ def test_block_certificate_fails_under_python_O(tmp_path, mode, status):
 
 def test_one_ladder_action_per_component(monkeypatch, capsys):
     """`decompose` keeps the ladder action it certifies on each component,
-    and every later check reads it there: one `ladder_action` per triple in
-    a D_4(2) run of every suite with three sampled base vertices, whose
-    decompositions certify nothing and build none."""
+    and every later check reads it there: in a D_4(2) run of every suite
+    with three sampled base vertices, each of the four decompositions
+    builds one `ladder_action` per triple, and nothing else builds one."""
     g, _ = graph("D", 4, 2)
     calls = []
     real = terwilliger.ladder_action
@@ -274,7 +273,9 @@ def test_one_ladder_action_per_component(monkeypatch, capsys):
     checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     triples = [tuple(t[:3]) for t in checks["modules:dimension"]["witness"][
         "triples"]]
-    assert len(triples) == 6 and sorted(calls) == triples
+    sampled = [c for c in checks if c.startswith("modules:base-vertex:")]
+    assert len(triples) == 6
+    assert sorted(calls) == sorted(triples * (1 + len(sampled)))
 
 
 @pytest.mark.parametrize("suite", ["lfrk", "central"])

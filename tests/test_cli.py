@@ -452,9 +452,9 @@ def test_base_vertex_failure_names_the_triples(d32_file, capsys,
 
     real = terwilliger.decompose
 
-    def raised(ctx, full=True):
-        comps = real(ctx, full=full)
-        return comps if full else [
+    def raised(ctx):
+        comps = real(ctx)
+        return comps if ctx.x == 15 else [
             replace(c, mult=c.mult + 1) if c.triple == (2, 1, 1) else c
             for c in comps]
 
@@ -471,6 +471,32 @@ def test_base_vertex_failure_names_the_triples(d32_file, capsys,
         "id": "modules:base-vertex:0",
         "statement": "feasible triple multiset agrees with the base run",
         "status": "fail", "witness": {"differ": [[2, 1, 1, mult, mult + 1]]}}
+
+
+def test_base_vertex_certificate_failure_is_its_witness(d32_file, capsys,
+                                                        monkeypatch):
+    """b_0 c_1 of (2, 1, 1) moved at vertex 0 alone: the certified
+    decomposition there fails, and only modules:base-vertex:0 reports it,
+    with the ladder certificate's message as its witness."""
+    from dualpolar import terwilliger
+
+    real = terwilliger.module_intersection
+
+    def moved(ctx, *t):
+        c, a, b = real(ctx, *t)
+        return (c, a, [b[0] + 1, *b[1:]]) if (ctx.x, t) == (0, (2, 1, 1)) \
+            else (c, a, b)
+
+    monkeypatch.setattr(terwilliger, "module_intersection", moved)
+    capsys.readouterr()
+    assert main(["verify", "--graph", d32_file, "--suite", "modules",
+                 "--all-vertices-sample", "1", "--base-vertex", "15"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["id"] for c in checks if c["status"] != "pass"] == [
+        "modules:base-vertex:0"]
+    assert checks[-1]["witness"] == (
+        "L, F, R do not act on the raising ladder of component (2, 1, 1) by "
+        "its intersection numbers")
 
 
 @pytest.mark.parametrize("family,b", [("C", 2), ("C", 3), ("D", 2),

@@ -639,16 +639,16 @@ def test_base_vertex_independence_small(graph_d32, bm_d32, comps_d32):
     the distance partition alone, with no n x n matrix."""
     base = sorted((c.triple, c.mult) for c in comps_d32)
     for x in range(graph_d32.n_vertices):
-        li = decompose(build_context(graph_d32, bm_d32, x), full=False)
+        li = decompose(build_context(graph_d32, bm_d32, x))
         assert sorted((c.triple, c.mult) for c in li) == base
 
 
 def test_base_vertex_independence_c32(graph_c32, bm_c32, comps_c32):
     """C_3(2) has edges inside the subconstituents (F != 0, unlike D_3(2)),
-    so there the sampled path also splits by dual endpoint."""
+    so there each decomposition also splits by dual endpoint."""
     base = sorted((c.triple, c.mult) for c in comps_c32)
     for x in (17, 100):
-        li = decompose(build_context(graph_c32, bm_c32, x), full=False)
+        li = decompose(build_context(graph_c32, bm_c32, x))
         assert sorted((c.triple, c.mult) for c in li) == base
 
 
@@ -699,8 +699,8 @@ def test_decompose_elimination_count_d42(ctx_d42, monkeypatch):
     lowest rung per component whose block holds another component; none
     where a block holds one component (there M_LR and M_F are scalars),
     none for a candidate eigenvalue that does not occur, and none for the
-    rung ranks, which one prime certifies: 4 + 2 calls of int_rref at
-    vertex 47."""
+    rung ranks, which the ladder certificate implies: 4 + 2 calls of
+    int_rref at vertex 47."""
     ctx = ctx_d42
     calls = []
     real = intlinalg.int_rref
@@ -726,7 +726,7 @@ def test_decompose_refuses_a_shifted_chi2(request, monkeypatch, graph,
     the product over the candidates is not zero.  chi2 does not depend on
     t, and decompose reads it at t = 0, so the shift is keyed on (r, d)."""
     ctx = request.getfixturevalue(f"ctx_{graph}")
-    comps = decompose(ctx, full=False)  # passes unperturbed
+    comps = decompose(ctx)  # passes unperturbed
     assert triple in [c.triple for c in comps]
     assert sum(c.r == triple[0] for c in comps) == on_block
     real = terwilliger.chi2
@@ -739,7 +739,7 @@ def test_decompose_refuses_a_shifted_chi2(request, monkeypatch, graph,
     with pytest.raises(AssertionError, match=re.escape(
             f"LR on the lowest rungs of block {triple[0]} has an eigenvalue "
             "outside the chi2 candidates")):
-        decompose(ctx, full=False)
+        decompose(ctx)
 
 
 @pytest.mark.parametrize("triple,on_block", [((1, 1, 2), 1),
@@ -756,7 +756,7 @@ def test_decompose_refuses_a_shifted_chi0_d42(ctx_d42, monkeypatch, triple,
     space of the diameter piece P_2, and P_2 times the product over the
     candidates is not zero."""
     ctx = ctx_d42
-    comps = decompose(ctx, full=False)  # passes unperturbed
+    comps = decompose(ctx)  # passes unperturbed
     assert triple in [c.triple for c in comps]
     assert sum(c.r == triple[0] for c in comps) == on_block
     real = terwilliger.chi0
@@ -770,7 +770,7 @@ def test_decompose_refuses_a_shifted_chi0_d42(ctx_d42, monkeypatch, triple,
     with pytest.raises(AssertionError, match=re.escape(
             f"F on the diameter-{d} lowest rungs of block {r} has an "
             "eigenvalue outside the chi0 candidates")):
-        decompose(ctx, full=False)
+        decompose(ctx)
 
 
 def test_decompose_refuses_coinciding_candidates(ctx_d42, monkeypatch):
@@ -785,47 +785,37 @@ def test_decompose_refuses_coinciding_candidates(ctx_d42, monkeypatch):
     with pytest.raises(AssertionError, match=re.escape(
             "F on the diameter-2 lowest rungs of block 2: two chi0 "
             "candidates coincide")):
-        decompose(ctx_d42, full=False)
+        decompose(ctx_d42)
 
 
-def _raising(r, *steps):
-    """A context for _build_component from block r up: A[B_(r+j-1),
-    B_(r+j)] is steps[j - 1], so rung j is rung j - 1 @ steps[j - 1]."""
-    blocks = {(r + j, r + j + 1): np.array(m, dtype=np.int64)
-              for j, m in enumerate(steps)}
-    return SimpleNamespace(adj=lambda i, j: blocks[i, j])
+def test_certify_ladder_refuses_a_rung_that_drops_rank(ctx_c32, comps_c32):
+    """(1, 1, 2) with row 1 of rung 1 set to row 0, and rung 2 raised from
+    that: rung 0 keeps rank 7, rung 1 drops to 6, and L no longer maps
+    rung 1 to b_0 c_1 times rung 0.  No rank is computed; the ladder
+    certificate refuses the component."""
+    comp = next(c for c in comps_c32 if c.triple == (1, 1, 2))
+    rows = [0, 0, *range(2, comp.mult)]
+    rung1 = comp.rungs[1].take_rows(rows)
+    rungs = [comp.rungs[0], rung1,
+             rung1 @ ExactMatrix.from_int(ctx_c32.adj(2, 3))]
+    assert intlinalg.int_rank(rung1.n0) == comp.mult - 1
+    with _refuses_ladder(ctx_c32, comp.triple):
+        terwilliger._certify_ladder(ctx_c32, replace(comp, rungs=rungs))
 
 
-def test_build_component_refuses_a_rung_that_drops_rank():
-    """Rung 1 keeps rank 2, rung 2 (columns 0 and 1 now equal) drops to
-    rank 1 before the top."""
-    low = ExactMatrix.from_int([[1, 0, 2], [0, 1, 3]])
-    ctx = _raising(1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                   [[1, 1], [1, 1], [0, 0]])
-    assert terwilliger._build_component(ctx, 1, 1, 1, low).dim == 4
-    with pytest.raises(AssertionError,
-                       match="raising ladder drops rank before the top"):
-        terwilliger._build_component(ctx, 1, 1, 2, low)
-
-
-def test_build_component_accepts_a_ladder_of_multiples_of_p(monkeypatch):
-    """Every entry of rung 1 is a multiple of p = _PRIMES[0], so its rank
-    mod p is 0; int_rank falls back to int_rref, which finds rank 2."""
-    p = intlinalg._PRIMES[0]
-    low = ExactMatrix.identity(2)
-    ctx = _raising(0, [[p, 0, 0], [0, 2 * p, p]])
-    calls = []
-    real = intlinalg.int_rref
-    monkeypatch.setattr(intlinalg, "int_rref",
-                        lambda mat: calls.append(mat.shape) or real(mat))
-    comp = terwilliger._build_component(ctx, 0, 0, 1, low)
-    assert calls == [(2, 3)]
-    assert comp.mult == 2 and comp.dim == 4
-    assert comp.rungs[1] == ExactMatrix.from_int([[p, 0, 0], [0, 2 * p, p]])
+def test_certify_ladder_refuses_a_zero_b_c(ctx_c32, comps_c32, monkeypatch):
+    """c_1 of (1, 1, 2) set to 0: L would map rung 1 to 0, which proves
+    nothing about its rank, so the certificate refuses the ladder."""
+    triple = (1, 1, 2)
+    comp = next(c for c in comps_c32 if c.triple == triple)
+    _shift_intersection(monkeypatch, triple, 0, 1, lambda out: -out[0][1])
+    with pytest.raises(AssertionError, match=re.escape(
+            f"component {triple} has b_(j-1) c_j = 0 on its ladder")):
+        terwilliger._certify_ladder(ctx_c32, comp)
 
 
 def test_each_rung_is_raised_once(ctx_c32, monkeypatch):
-    """A full decompose forms the R image of each rung once: rung j + 1 is
+    """decompose forms the R image of each rung once: rung j + 1 is
     that of rung j (`_build_component`), and `_certify_ladder` forms only
     that of the top rung, which must vanish."""
     products = []
