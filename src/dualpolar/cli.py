@@ -250,6 +250,15 @@ def _suite_uq(report, stage):
                    stage["uq2"]))
 
 
+def _sample_vertices(n: int, k: int, base: int) -> list[int]:
+    """min(k, n - 1) vertices other than `base`: the grid 0, n//k, ...
+    without `base`, cut at k, then the lowest vertices off the grid."""
+    grid = range(0, n, max(1, n // max(k, 1)))
+    sample = [i for i in grid if i != base][:k]
+    return sample + [i for i in range(n) if i != base and i not in grid][
+        :min(k, n - 1) - len(sample)]
+
+
 def cmd_verify(args) -> int:
     from . import drg, terwilliger as tw, uqsl2
     from .polar import load_graph
@@ -293,12 +302,8 @@ def cmd_verify(args) -> int:
     if "central" in suites:
         _suite_central(report, stage)
     if "modules" in suites:
-        sample = []
-        if args.all_vertices_sample:
-            step = max(1, g.n_vertices // args.all_vertices_sample)
-            sample = [i for i in range(0, g.n_vertices, step)
-                      if i != args.base_vertex][:args.all_vertices_sample]
-        _suite_modules(report, stage, g, sample)
+        _suite_modules(report, stage, g, _sample_vertices(
+            g.n_vertices, args.all_vertices_sample, args.base_vertex))
     if "uq" in suites:
         _suite_uq(report, stage)
     return _emit(report)

@@ -404,6 +404,37 @@ def test_sampled_vertices_build_their_context(d32_file, capsys,
     assert calls == [4, 0, 6, 12, 18, 24]
 
 
+@pytest.mark.parametrize("k,sampled", [(1, [1]), (2, [15, 1])])
+def test_sample_on_the_grid_keeps_k_vertices(d32_file, capsys, k, sampled):
+    """D_3(2) has 30 vertices, so base vertex 0 lies on the sample grid of
+    k = 1 ({0}) and of k = 2 ({0, 15}): the lowest vertex off the grid takes
+    its place, and k vertices are still sampled."""
+    capsys.readouterr()
+    assert main(["verify", "--graph", d32_file, "--suite", "modules",
+                 "--all-vertices-sample", str(k)]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["id"] for c in checks if c["id"].startswith(
+        "modules:base-vertex:")] == [f"modules:base-vertex:{x}"
+                                     for x in sampled]
+
+
+def test_sample_vertices_count_and_grid():
+    """min(k, n - 1) distinct vertices other than the base, and, for a base
+    off the grid 0, n//k, ..., the first k grid points, the ids the
+    verify-modules benchmark workload expects."""
+    from dualpolar.cli import _sample_vertices
+
+    for n in range(1, 25):
+        for k in range(1, n + 2):
+            step = max(1, n // k)
+            for base in range(n):
+                got = _sample_vertices(n, k, base)
+                assert len(set(got)) == len(got) == min(k, n - 1)
+                assert base not in got and all(0 <= x < n for x in got)
+                if base % step:
+                    assert got == list(range(0, n, step))[:k]
+
+
 @pytest.mark.parametrize("check", ["drg:intersection", "drg:multiplicities"])
 def test_drg_failures_carry_a_witness(d32_file, capsys, monkeypatch, check):
     """a_1 of the closed form moved by 1: drg:intersection fails at i = 1
@@ -541,7 +572,8 @@ VERIFY_DATA = os.path.join(os.path.dirname(__file__), "data", "verify")
 # the families with e = 1, 1/2, 2, 3/2 and 1 (C, B, 2D, 2A_odd, 2A_even),
 # where the q-exponents of the block scalars differ from the D family's; they
 # were written by the implementation with the n x n T-algebra context
-# (commit 859bf79), with `timing` removed.
+# (commit 859bf79), with `timing` removed.  The base vertex 0 of b23-all lies
+# on its sample grid {0, 20}, so vertex 1 takes its place in the sample.
 GOLDEN_FIELD = {"b23-all": 3, "2aodd24-all": 4, "2aeven24-all": 4}  # else 2
 
 
