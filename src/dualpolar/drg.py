@@ -332,12 +332,11 @@ def _checked_td_scalars(spec: FormSpec):
         if not ok:
             raise AssertionError(f"{what} fails its recurrence at i = {i}")
 
-    for i in range(2, D - 1 + 1):
-        if i + 1 <= D and i - 2 >= 0:
-            holds((th[i - 2] - th[i + 1]) / (th[i - 1] - th[i]) == beta + 1,
-                  "beta", i)
-            holds((ths[i - 2] - ths[i + 1]) / (ths[i - 1] - ths[i])
-                  == beta + 1, "beta (dual)", i)
+    for i in range(2, D):
+        holds((th[i - 2] - th[i + 1]) / (th[i - 1] - th[i]) == beta + 1,
+              "beta", i)
+        holds((ths[i - 2] - ths[i + 1]) / (ths[i - 1] - ths[i]) == beta + 1,
+              "beta (dual)", i)
     for i in range(1, D):
         holds(gamma == th[i - 1] - beta * th[i] + th[i + 1], "gamma", i)
         holds(gamma_star == ths[i - 1] - beta * ths[i] + ths[i + 1],

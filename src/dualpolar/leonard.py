@@ -460,12 +460,14 @@ def td_aw_scalars(pa: ParameterArray,
     """The eight scalar parameters of the tridiagonal and Askey-Wilson
     relations, computed from the defining recurrences.
 
-    For d >= 3 beta is forced; for d <= 2 it must be supplied (the sequence
-    exists but is not unique in that regime).
+    For d >= 3 beta is forced; for d = 2 it must be supplied (the sequence
+    exists but is not unique in that regime).  d < 2 is refused: the
+    recurrence of gamma and gamma* has no index there.
     """
     d = pa.d
-    if d < 1:
-        raise ValueError("need d >= 1")
+    if d < 2:
+        raise ValueError("the recurrences fix gamma and gamma* only for "
+                         "d >= 2")
     th, ths = pa.theta, pa.theta_star
     v = pa.verdict
     if not v.valid:
@@ -486,16 +488,10 @@ def td_aw_scalars(pa: ParameterArray,
                 raise AssertionError(f"{what} is not constant across indices")
         return values[0]
 
-    if d >= 2:
-        gamma = constant([th[i - 1] - beta * th[i] + th[i + 1]
-                          for i in range(1, d)], "gamma")
-        gamma_star = constant([ths[i - 1] - beta * ths[i] + ths[i + 1]
-                               for i in range(1, d)], "gamma*")
-    else:
-        # d = 1: the recurrence range is empty; gamma follows from rho below
-        # only in the dqk closed forms, so take the convention h(2 - beta)
-        raise ValueError("general scalar extraction needs d >= 2; use the "
-                         "closed forms for d = 1")
+    gamma = constant([th[i - 1] - beta * th[i] + th[i + 1]
+                      for i in range(1, d)], "gamma")
+    gamma_star = constant([ths[i - 1] - beta * ths[i] + ths[i + 1]
+                           for i in range(1, d)], "gamma*")
     rho = constant([
         th[i - 1] ** 2 - beta * th[i - 1] * th[i] + th[i] ** 2
         - gamma * (th[i - 1] + th[i]) for i in range(1, d + 1)], "rho")

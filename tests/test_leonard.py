@@ -81,6 +81,16 @@ def test_d0_trivially_valid():
     assert v.valid and v.beta_plus_one is None
 
 
+@pytest.mark.parametrize("d", [0, 1])
+def test_td_aw_scalars_refuses_d_below_2(d):
+    """gamma and gamma* are read from the recurrence at 1 <= i < d, which
+    has no index for d < 2, even with beta supplied."""
+    pa = dqk_array(DqkParams(ExactScalar(2), d, 0, 0, 1, 1, 3))
+    with pytest.raises(ValueError, match=re.escape(
+            "the recurrences fix gamma and gamma* only for d >= 2")):
+        td_aw_scalars(pa, ExactScalar(Fraction(5, 2)))
+
+
 def test_dual_eigenvalue_difference_identity(ref, ref_pa):
     # theta*_i - theta*_j = kappa* q^d (q^-i - q^-j)(q^-i + q^-j)
     q, d = ref.q, ref.d

@@ -1,13 +1,15 @@
 """Names looked up from outside the package must exist: the benchmark
 tracer wraps `dualpolar` functions by name, and `dualpolar.__all__` lists
-the public exports.  The package holds no `assert` statement.  And a CLI
-call imports only the submodules its subcommand runs."""
+the public exports.  The package holds no `assert` statement and no
+helper without a use.  And a CLI call imports only the submodules its
+subcommand runs."""
 
 import ast
 import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,6 +110,31 @@ def test_no_assert_statement_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_dead_helper_in_package(tracer):
+    """Every top-level function, class and method of the package is
+    referenced by name somewhere in the package, or is a dunder, a public
+    export, or a name the tracer wraps.  An import alone is not a use."""
+    defined, used = [], set()
+    for path in sorted((ROOT / "src" / "dualpolar").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{path.stem}.{node.name}.{m.name}", m.name)
+                            for m in node.body
+                            if isinstance(m, ast.FunctionDef)]
+        used |= {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)}
+        used |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+    kept = {attr for _, attr, _ in tracer.SPANS} | set(dualpolar.__all__)
+    kept |= {m for _, _, methods, _ in tracer.COUNTED for m in methods}
+    dead = [where for where, name in defined if name not in used
+            and name not in kept and not re.fullmatch("__.*__", name)]
+    assert dead == []
 
 
 # ExactMatrix constructions and int_matmul calls of one CLI call.  The
