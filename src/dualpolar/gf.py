@@ -129,19 +129,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero field element")
         return int(self.inv_table[a])
 
-    def pow(self, a: int, n: int) -> int:
-        if a == 0:
-            return 0 if n else 1
-        n %= self.order - 1
-        out = 1
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
-
     def frobenius(self, x: int) -> int:
         """Conjugation x -> x^(p^(m/2)); requires even extension degree."""
         if self.m % 2:

@@ -169,13 +169,12 @@ class DqkParams:
                 raise ValueError(f"kappa = upsilon q^{2 * i - 2 * self.d}")
 
 
-def dqk_array(p: DqkParams, check: bool = True) -> ParameterArray:
+def dqk_array(p: DqkParams) -> ParameterArray:
     """theta_i = h + kappa q^(d-2i) + upsilon q^(2i-d);
     theta*_i = h* + kappa* q^(d-2i);
     phi_i = kappa kappa* q^(d+1-2i)(q^i - q^-i)(q^(i-d-1) - q^(d+1-i));
     phi2_i = kappa* upsilon q^(d+1-2i)(q^i - q^-i)(q^(i-d-1) - q^(d+1-i))."""
-    if check:
-        p.check()
+    p.check()
     q, d = p.q, p.d
     th = [p.h + p.kappa * q_pow(q, d - 2 * i) + p.upsilon * q_pow(q, 2 * i - d)
           for i in range(d + 1)]
@@ -671,9 +670,7 @@ def leonard_from_tmodule(ctx, rec) -> tuple[ParameterArray, DqkParams]:
         ExactScalar(ctx.bm.xi) * ctx.qexp(-2 * r - d),
         -ctx.qexp(2 * t + d) / (q2 - 1),
     )
-    if d >= 1:
-        params.check()
-    if dqk_array(params, check=False) != pa:
+    if dqk_array(params) != pa:
         raise AssertionError("module parameters disagree with the dual "
                              "q-Krawtchouk closed forms")
     if d >= 1:

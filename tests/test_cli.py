@@ -362,9 +362,9 @@ def test_non_distance_regular_graph_fails_every_dependent_check(
 
 def test_shifted_chi0_fails_modules_dimension(d32_file, capsys,
                                               monkeypatch):
-    """A chi0 that moves one dual-endpoint candidate makes decompose refuse
-    the lowest rungs: modules:dimension fails with the message as witness,
-    and verify exits 1 without a traceback."""
+    """A chi0 that moves one dual-endpoint candidate makes decompose raise
+    a component that its certificate refuses: modules:dimension fails with
+    the message as witness, and verify exits 1 without a traceback."""
     from dualpolar import terwilliger
 
     real = terwilliger.chi0
@@ -379,7 +379,8 @@ def test_shifted_chi0_fails_modules_dimension(d32_file, capsys,
     out, err = capsys.readouterr()
     checks = {c["id"]: c for c in json.loads(out)["checks"]}
     assert checks["modules:dimension"]["status"] == "fail"
-    assert "chi0 candidates" in checks["modules:dimension"]["witness"]
+    assert checks["modules:dimension"]["witness"] == \
+        "component (0, 0, 3) is not in the joint kernel"
     assert err == ""
 
 

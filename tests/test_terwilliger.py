@@ -576,9 +576,6 @@ def test_center_commutation_refuses_missing_or_extra_triples(
     for bad in (missing, extra):
         assert not verify_center_commutation(
             ctx_c32, replace(center_c32, **{weight: bad}))
-    uncertified = {**center_c32.ladders, (0, 0, 3): None}
-    assert not verify_center_commutation(
-        ctx_c32, replace(center_c32, ladders=uncertified))
 
 
 def test_c2_on_primary_via_displacements(ctx_c32, comps_c32):
@@ -714,21 +711,38 @@ def test_decompose_elimination_count_d42(ctx_d42, monkeypatch):
         ((3, 2, 0), 70), ((4, 2, 0), 28)]
 
 
-@pytest.mark.parametrize("graph,triple,on_block", [("d32", (0, 0, 3), 1),
-                                                   ("d42", (2, 1, 2), 2)],
+def _refuses_dimension(ctx, total, raised):
+    """decompose fails the dimension sum of its certificate, at total, and
+    the witness names each triple of `raised` with its multiplicity."""
+    with pytest.raises(AssertionError, match=re.escape(
+            f"component dimensions sum to {total}, not {ctx.n}: ")) as err:
+        decompose(ctx)
+    for triple, mult in raised:
+        assert f"{triple} x {mult}" in str(err.value)
+
+
+@pytest.mark.parametrize("graph,triple,on_block,total,raised", [
+    ("d32", (0, 0, 3), 1, 36, [((0, 1, 2), 1), ((0, 2, 1), 1),
+                               ((0, 3, 0), 1)]),
+    ("d42", (2, 1, 2), 2, 515, [((2, 1, 1), 35), ((2, 2, 1), 35),
+                                ((2, 3, 1), 35)])],
                          ids=["d32-0-0-3", "d42-2-1-2"])
 def test_decompose_refuses_a_shifted_chi2(request, monkeypatch, graph,
-                                          triple, on_block):
+                                          triple, on_block, total, raised):
     """chi2 of one module moved by 1: LR on the lowest rungs of its block
-    has an eigenvalue outside the candidates.  On D_3(2) the block of
-    (0, 0, 3) holds one component, so M_LR is a scalar, which matches no
-    candidate; on D_4(2) the block of (2, 1, 2) also holds (2, 2, 0), and
-    the product over the candidates is not zero.  chi2 does not depend on
-    t, and decompose reads it at t = 0, so the shift is keyed on (r, d)."""
+    has an eigenvalue outside the candidates, so no Lagrange piece there is
+    zero.  On D_3(2) the block of (0, 0, 3) holds one component, so M_LR is
+    a scalar, which matches no candidate; on D_4(2) the block of (2, 1, 2)
+    also holds (2, 2, 0).  The construction checks nothing: it raises a
+    component from every piece, the lowest rungs are counted more than
+    once, and the certificate refuses the dimension sum, naming the
+    diameters that do not occur.  chi2 does not depend on t, and decompose
+    reads it at t = 0, so the shift is keyed on (r, d)."""
     ctx = request.getfixturevalue(f"ctx_{graph}")
     comps = decompose(ctx)  # passes unperturbed
     assert triple in [c.triple for c in comps]
     assert sum(c.r == triple[0] for c in comps) == on_block
+    assert not {t for t, _ in raised} & {c.triple for c in comps}
     real = terwilliger.chi2
 
     def shifted(ctx, r, t, d):
@@ -736,29 +750,29 @@ def test_decompose_refuses_a_shifted_chi2(request, monkeypatch, graph,
         return val + 1 if (r, d) == (triple[0], triple[2]) else val
 
     monkeypatch.setattr(terwilliger, "chi2", shifted)
-    with pytest.raises(AssertionError, match=re.escape(
-            f"LR on the lowest rungs of block {triple[0]} has an eigenvalue "
-            "outside the chi2 candidates")):
-        decompose(ctx)
+    _refuses_dimension(ctx, total, raised)
 
 
-@pytest.mark.parametrize("triple,on_block", [((1, 1, 2), 1),
-                                             ((2, 1, 2), 2)],
+@pytest.mark.parametrize("triple,on_block,total,raised", [
+    ((1, 1, 2), 1, 312, [((1, 2, 2), 14)]),
+    ((2, 1, 2), 2, 480, [((2, 0, 2), 35), ((2, 2, 2), 35)])],
                          ids=["scalar-1-1-2", "lead-2-1-2"])
 def test_decompose_refuses_a_shifted_chi0_d42(ctx_d42, monkeypatch, triple,
-                                              on_block):
+                                              on_block, total, raised):
     """chi0 of one module of D_4(2) moved by 1: F on the lowest rungs of its
     diameter has an eigenvalue outside the candidates (the twin of
     `test_decompose_refuses_a_shifted_chi2`; `..._chi0` below moves the
     trivial module of D_3(2), on block 0 of size 1).  Block 1 holds
-    (1, 1, 2) alone, so M_LR and M_F are scalars, and M_F matches no
-    candidate; block 2 also holds (2, 2, 0), so M_F is split on the row
-    space of the diameter piece P_2, and P_2 times the product over the
-    candidates is not zero."""
+    (1, 1, 2) alone, so M_LR and M_F are scalars, and M_F matches none of
+    the two candidates; block 2 also holds (2, 2, 0), so M_F is split on
+    the row space of the diameter piece P_2 over three candidates.  No
+    piece is zero, each is raised, and the certificate refuses the
+    dimension sum, naming the dual endpoints that do not occur."""
     ctx = ctx_d42
     comps = decompose(ctx)  # passes unperturbed
     assert triple in [c.triple for c in comps]
     assert sum(c.r == triple[0] for c in comps) == on_block
+    assert not {t for t, _ in raised} & {c.triple for c in comps}
     real = terwilliger.chi0
 
     def shifted(ctx, r, t, d):
@@ -766,11 +780,7 @@ def test_decompose_refuses_a_shifted_chi0_d42(ctx_d42, monkeypatch, triple,
         return val + 1 if (r, t, d) == triple else val
 
     monkeypatch.setattr(terwilliger, "chi0", shifted)
-    r, _, d = triple
-    with pytest.raises(AssertionError, match=re.escape(
-            f"F on the diameter-{d} lowest rungs of block {r} has an "
-            "eigenvalue outside the chi0 candidates")):
-        decompose(ctx)
+    _refuses_dimension(ctx, total, raised)
 
 
 def test_decompose_refuses_coinciding_candidates(ctx_d42, monkeypatch):
@@ -890,16 +900,38 @@ def test_certify_ladder_refuses_a_top_rung_that_r_moves(ctx_c32, comps_c32,
 
 def test_decompose_refuses_a_shifted_chi0(ctx_d32, monkeypatch):
     """chi0 of the trivial module (0, 0, 3) moved by 1: F on the lowest
-    rung at x has no eigenvalue among the candidates."""
-    real = terwilliger.chi0
+    rung at x has no eigenvalue among the candidates.  There is one
+    candidate, t = 0, so `_split` returns the whole lowest rung, (0, 0, 3)
+    is raised from it, and C0 evaluated on its ladder matrices refuses it."""
+    real_chi0, real_build = terwilliger.chi0, terwilliger._build_component
+    built = []
 
     def shifted(ctx, r, t, d):
-        val = real(ctx, r, t, d)
+        val = real_chi0(ctx, r, t, d)
         return val + 1 if (r, t, d) == (0, 0, 3) else val
 
+    def build(ctx, r, t, d, low_rows):
+        built.append(((r, t, d), low_rows))
+        return real_build(ctx, r, t, d, low_rows)
+
     monkeypatch.setattr(terwilliger, "chi0", shifted)
-    with pytest.raises(AssertionError, match="chi0 candidates"):
+    monkeypatch.setattr(terwilliger, "_build_component", build)
+    with pytest.raises(AssertionError, match=re.escape(
+            "component (0, 0, 3) is not in the joint kernel")):
         decompose(ctx_d32)
+    assert built[0] == ((0, 0, 3), ExactMatrix.identity(1))
+
+
+@pytest.mark.parametrize("m", [[[1, 2], [0, 3]], [[4, 0], [0, 4]]],
+                         ids=["not-scalar", "other-scalar"])
+def test_split_of_a_lone_candidate_is_the_whole_space(m):
+    """With one candidate the Lagrange product is empty, so the one piece
+    is `lead`, or None (the whole space) without one, whatever m is: an m
+    with an eigenvalue outside the candidate is left to the certificate."""
+    m = ExactMatrix.from_rows(m)
+    lead = ExactMatrix.from_rows([[1, 0]])
+    assert terwilliger._split(m, {0: 5}, None, "chi0", "m") == {0: None}
+    assert terwilliger._split(m, {0: 5}, lead, "chi0", "m") == {0: lead}
 
 
 @pytest.mark.parametrize("triple", [(0, 0, 3), (2, 1, 1)],
