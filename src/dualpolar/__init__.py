@@ -3,7 +3,7 @@ Leonard systems of dual q-Krawtchouk type, and U_q(sl2) module structures.
 
 Everything is computed over Q or Q(sqrt(b)) with certified exact linear
 algebra.  Floating point appears in one place, the integer products of
-`intlinalg.int_matmul`, and only where a bound proves the result exact: with
+`intarith.int_matmul`, and only where a bound proves the result exact: with
 inner dimension k, every partial sum of an entry is an integer of absolute
 value at most B = k * max|a| * max|b|, so float32 BLAS is used for B < 2^24
 and float64 BLAS for B < 2^53; larger products run in int64 or Python ints.
@@ -13,7 +13,7 @@ dualpolar` loads no submodule, and `from dualpolar import decompose` loads
 `terwilliger` and what it imports, nothing else.  Every CLI call runs in a
 fresh interpreter, often without cached bytecode, so an eager import would
 compile every submodule on each call whatever the subcommand; `build`
-needs only polar, gf, intlinalg and exact.
+needs only polar, gf and intarith.
 """
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from itertools import product, zip_longest
 
 import numpy as np
 
-from .intlinalg import int_matmul
+from .intarith import int_matmul
 # perfbench/tracer.py resolves drg.spectral_projectors and
 # drg.krein_parameters by name, so removing either breaks the benchmark
 from .linexact import spectral_projectors  # noqa: F401

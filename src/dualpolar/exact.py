@@ -9,7 +9,7 @@ radicands collapse eagerly to the rational form, so fields built over
 b = 4, 9, ... run in pure rational arithmetic.  Arithmetic runs on those
 ints with one gcd per result and builds no `Fraction`; equal scalars have
 equal parts.  Scalars never touch floating point; the one place the package
-does is `intlinalg.int_matmul`, and only where a bound proves the product
+does is `intarith.int_matmul`, and only where a bound proves the product
 exact.
 """
 
@@ -288,6 +288,20 @@ def parse_fraction(data: dict, name: str) -> Fraction:
             pass
     raise ValueError(f"{name!r} must be a string holding a fraction, "
                      f"got {value!r}")
+
+
+def parse_strings(data: dict, name: str) -> list[str]:
+    """data[name], which must be a JSON array of strings: any other value,
+    or an array with an item that is no string, raises ValueError naming
+    the field."""
+    value = data[name]
+    if not isinstance(value, list):
+        raise ValueError(f"{name!r} must be a list of strings, got {value!r}")
+    for i, item in enumerate(value):
+        if not isinstance(item, str):
+            raise ValueError(f"{name!r} must be a list of strings, item {i} "
+                             f"is {item!r}")
+    return value
 
 
 def parse_scalar_field(value, label: str) -> ExactScalar:

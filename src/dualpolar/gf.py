@@ -20,7 +20,7 @@ import itertools
 
 import numpy as np
 
-from .intlinalg import int_matmul, is_prime
+from .intarith import int_matmul, is_prime
 
 _TABLE_LIMIT = 4096
 

@@ -16,9 +16,10 @@ when that keeps failing does it fall back to Bareiss' fraction-free
 elimination, which keeps every entry a minor of the input and makes the
 rows primitive once, at the end.  int_kernel reads the canonical
 null-space basis off a single int_rref of the column-reversed matrix.
-int_rank proves a full rank with one elimination mod p.  int_matmul is
-the one exact integer product, on float BLAS where a bound proves it
-exact and in int64 when it is tiny.
+int_rank proves a full rank with one elimination mod p.  The products
+run through `intarith.int_matmul`, exact by its bound.  The primes are
+found on first use, one at a time, so an import searches for none and a
+reduction that one prime certifies searches for one.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import math
 
 import numpy as np
 
-_INT64_SAFE = 2 ** 62
+from .intarith import (_INT64_SAFE, _max_abs, _to_object, int_matmul,
+                       is_prime)
 
 
 def as_int_array(rows) -> np.ndarray:
@@ -44,11 +46,6 @@ def as_int_array(rows) -> np.ndarray:
     return a.reshape(1, -1) if a.ndim == 1 else a
 
 
-def _to_object(a):
-    """a as a Python-int object array (None stays None)."""
-    return a if a is None or a.dtype == object else a.astype(object)
-
-
 def _downcast(a):
     """a as int64 when every entry fits below 2^62 (None stays None)."""
     if a is None or a.dtype != object:
@@ -56,77 +53,6 @@ def _downcast(a):
     if a.size == 0 or _max_abs(a) < _INT64_SAFE:
         return a.astype(np.int64)
     return a
-
-
-def _max_abs(a) -> int:
-    """max |entry| of an integer array; 0 for None or an empty array."""
-    if a is None or a.size == 0:
-        return 0
-    if a.dtype == object:
-        return int(np.abs(a).max())
-    # max and min, not np.abs: abs(-2^63) wraps in int64 and bool has no sign
-    return max(int(a.max()), -int(a.min()))
-
-
-# Every integer of absolute value at most 2^24 is a float32 and every one up
-# to 2^53 a float64; int64 is used up to 2^62, which leaves a bit to spare.
-_F32_EXACT = 2 ** 24
-_F64_EXACT = 2 ** 53
-# int64 beats the float32 round trip below about 2000 multiply-adds
-_TINY = 2048
-
-
-def _matmul_dtype(bound: int):
-    """Cheapest arithmetic that holds every integer of absolute value at
-    most `bound` exactly."""
-    if bound < _F32_EXACT:
-        return np.float32
-    if bound < _F64_EXACT:
-        return np.float64
-    if bound < _INT64_SAFE:
-        return np.int64
-    return object
-
-
-def int_matmul(a: np.ndarray, b: np.ndarray, *, ma: int | None = None,
-               mb: int | None = None) -> np.ndarray:
-    """Exact product of two 2-d integer (or bool) arrays of any dtype.
-
-    ma and mb, when given, bound max|a| and max|b| (0 only for a zero
-    operand) and spare the scans.  The result is int64 when B = k * ma * mb,
-    with k = a.shape[1], is below 2^62, and an object array of Python ints
-    otherwise.  The arithmetic is chosen from B: float32 BLAS below 2^24,
-    float64 BLAS below 2^53, int64 below 2^62, Python ints above; a product
-    of fewer than _TINY multiply-adds runs in int64 for any B below 2^62.
-
-    Why the product is exact: every partial sum that any summation order
-    forms for entry (i, l) adds some of the k terms a_ij * b_jl, each an
-    integer of absolute value at most ma * mb, so the partial sum is an
-    integer of absolute value at most B, and no int64 sum wraps below 2^62.
-    Below 2^24 (2^53) every such integer is a float32 (float64), and so are
-    the operands, as max|a| and max|b| are at most B.  Each multiply, add or
-    fused multiply-add then yields an exactly representable integer and
-    rounds nothing, whatever order or blocking the BLAS uses.  This holds
-    for the classical inner-product algorithm that BLAS libraries
-    implement; a Strassen-type algorithm forms sums that are not partial
-    sums and is not covered.
-
-    Operands are widened before they meet, so a uint8 or bool product does
-    not wrap, and each float copy lives only as long as its product.
-    """
-    m, k, n = a.shape[0], a.shape[1], b.shape[1]
-    ma = _max_abs(a) if ma is None else ma
-    mb = _max_abs(b) if mb is None else mb
-    if ma == 0 or mb == 0:
-        # a zero operand may face entries no float can hold (0 * inf is nan)
-        return np.zeros((m, n), dtype=np.int64)
-    dtype = _matmul_dtype(k * ma * mb)
-    if dtype is object:
-        return np.dot(_to_object(a), _to_object(b))
-    if m * k * n < _TINY:
-        dtype = np.int64
-    prod = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
-    return prod.astype(np.int64, copy=False)
 
 
 def _scale_rows(a: np.ndarray, scale) -> np.ndarray:
@@ -219,9 +145,9 @@ def _free_columns(ncols: int, pivots) -> np.ndarray:
 def int_rank(mat: np.ndarray) -> int:
     """Rank over Q.  The rank mod a prime is at most the rank over Q (a
     minor that is nonzero mod p is nonzero), so one `_mod_rref` at
-    _PRIMES[0] that reaches min(rows, cols) pivots proves full rank;
+    _prime(0) that reaches min(rows, cols) pivots proves full rank;
     otherwise the rank is read off int_rref."""
-    if len(_mod_rref(mat, _PRIMES[0])[1]) == min(mat.shape):
+    if len(_mod_rref(mat, _prime(0))[1]) == min(mat.shape):
         return min(mat.shape)
     return len(int_rref(mat)[1])
 
@@ -310,60 +236,29 @@ def int_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # finds min(rows, cols) pivots, so does the one over Q (int_rank).
 
 
-# The first twelve primes: as Miller-Rabin bases they decide primality of
-# every n below 318665857834031151167461 (Sorenson and Webster, 2015).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 318665857834031151167461
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test for n below _MR_LIMIT."""
-    if n >= _MR_LIMIT:
-        raise ValueError("is_prime is deterministic only below "
-                         f"{_MR_LIMIT}")
-    if n < 2:
-        return False
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 # _mod_rref is exact for primes below _P_LIMIT and panels of at most 128
 # columns (see its docstring)
 _P_LIMIT = 2 ** 23
 _PANEL = 64
 
 
-def _prime_list(count: int = 53) -> list[int]:
-    """The `count` largest primes below 2^23, decreasing.  53 of them
-    multiply to about 2^1219, the reconstruction capacity of the 40 largest
-    primes below 2^30 (2^1200)."""
-    out = []
-    p = _P_LIMIT - 15  # largest prime below 2^23
-    while len(out) < count:
-        if is_prime(p):
-            out.append(p)
-        p -= 2
-    return out
+# The primes below _P_LIMIT found so far, decreasing from the largest
+# (2^23 - 15), without a gap; `_prime` extends the list on first use.
+_PRIMES: list[int] = []
+# 53 primes multiply to about 2^1219, the reconstruction capacity of the 40
+# largest primes below 2^30 (2^1200)
+_MODULAR_CANDIDATE_TRIES = 53
 
 
-_PRIMES = _prime_list()
-_MODULAR_CANDIDATE_TRIES = len(_PRIMES)
+def _prime(i: int) -> int:
+    """The (i + 1)-th largest prime below _P_LIMIT, searched for only when
+    no call has asked for it yet."""
+    while len(_PRIMES) <= i:
+        p = _PRIMES[-1] - 2 if _PRIMES else _P_LIMIT - 1
+        while not is_prime(p):
+            p -= 2
+        _PRIMES.append(p)
+    return _PRIMES[i]
 
 
 def _mod_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -525,7 +420,8 @@ def _int_rref_modular(mat: np.ndarray):
     # (pivots, residues, modulus, prime count): the residues stay int64 for
     # one prime and become Python ints at the first CRT
     acc = None
-    for tried, p in enumerate(_PRIMES[:_MODULAR_CANDIDATE_TRIES], 1):
+    for tried in range(1, _MODULAR_CANDIDATE_TRIES + 1):
+        p = _prime(tried - 1)
         red, pivots = _mod_rref(mat, p)
         if acc is not None and pivots != acc[0]:
             # pivot disagreement: restart with the richer structure (more

@@ -16,7 +16,7 @@ scans max|n0| and max|n1| once, on first use (`bounds`), and passes them to
 `_lin` and `_mm` as bounds.  A product is one integer product: n0 n0' for
 two rational matrices, else the stacked parts [n0; n1] @ [n0' | n1'],
 whose blocks are the cross terms (a rational side gives n0 alone).
-intlinalg.int_matmul runs it on float32 or float64 BLAS, in int64 (also
+intarith.int_matmul runs it on float32 or float64 BLAS, in int64 (also
 for any product of fewer than _TINY multiply-adds that fits) or in Python
 ints, each chosen from a bound that proves it exact (see its docstring).
 
@@ -32,10 +32,10 @@ import math
 
 import numpy as np
 
-from . import intlinalg
+from . import intarith, intlinalg
 from .exact import ExactScalar, MixedRadicandError
-from .intlinalg import (_INT64_SAFE, _downcast, _max_abs, _scale_rows,
-                        _to_object)
+from .intarith import _INT64_SAFE, _max_abs, _to_object
+from .intlinalg import _downcast, _scale_rows
 
 
 def _gcd_all(*arrays_and_ints) -> int:
@@ -59,8 +59,8 @@ def _gcd_all(*arrays_and_ints) -> int:
 
 def _mm(a, b, *, ma=None, mb=None):
     """Exact integer matmul, given bounds on max|a| and max|b|; see
-    intlinalg.int_matmul."""
-    return intlinalg.int_matmul(a, b, ma=ma, mb=mb)
+    intarith.int_matmul."""
+    return intarith.int_matmul(a, b, ma=ma, mb=mb)
 
 
 def _lin(*terms, tops=None):

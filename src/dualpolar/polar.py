@@ -40,7 +40,7 @@ that each vertex is totally isotropic.  The codim matrix
 comes from the vertex x point incidence I: (I I^T)_yz = |y intersect z| is
 (b^d - 1)/(b - 1) with d = dim(y intersect z).  That product runs on float32
 BLAS and is exact, because every entry and every partial sum is a count of
-at most P points, and P < 2^24 (see `intlinalg.int_matmul`).
+at most P points, and P < 2^24 (see `intarith.int_matmul`).
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import parse_fraction, parse_int
 from .gf import FieldSpec, field_of_order
-from .intlinalg import int_matmul
+from .intarith import int_matmul
 
 FAMILIES = ("C", "B", "D", "2D", "2A_even", "2A_odd")
 
@@ -376,12 +375,13 @@ def _codim_matrix(spec: FormSpec, verts) -> np.ndarray:
     for d in range(D + 1):
         codim_of[(b ** d - 1) // (b - 1)] = D - d
     codim = codim_of[meet]
-    if (codim < 0).any():
+    if codim.min() < 0:
         raise ValueError("two vertices meet in a point set that is no subspace")
-    twins = np.argwhere(np.triu(codim == 0, 1))
-    if len(twins):
-        raise ValueError(f"vertices {twins[0, 0]} and {twins[0, 1]} are the "
-                         "same subspace")
+    # codim is 0 on the diagonal; a zero off it is a pair of twins, which
+    # is located only when the count of zeros says there is one
+    if codim.size - np.count_nonzero(codim) != len(verts):
+        i, j = np.argwhere(np.triu(codim == 0, 1))[0]
+        raise ValueError(f"vertices {i} and {j} are the same subspace")
     return codim
 
 
@@ -478,22 +478,27 @@ def graph_to_json(g: PolarGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> PolarGraph:
+    # here, not at the top: `build` writes graphs and never loads `exact`
+    from .exact import parse_fraction, parse_int, parse_strings
+
     if not isinstance(data, dict):
         raise TypeError("expected a JSON object")
     spec = FormSpec(data["family"], parse_int(data, "D"),
                     parse_int(data, "b"))
     if parse_fraction(data, "e") != spec.e:
         raise ValueError("e value in file disagrees with the family table")
-    m = len(data["vertices"])
+    texts = parse_strings(data, "vertices")
+    m = len(texts)
     count = _vertex_count(spec, m)
     if m != count:
         raise ValueError(f"file has {m} vertices, the dual polar graph "
                          + (f"{count}" if count <= m else f"more than {m}"))
-    rows = _vertices_unhex(spec, data["vertices"])
-    if len(data["adjacency"]) != m:
+    rows = _vertices_unhex(spec, texts)
+    adjacency = parse_strings(data, "adjacency")
+    if len(adjacency) != m:
         raise ValueError("adjacency in file needs one row per vertex")
     width = -(-m // 8)
-    digits = _unhex(data["adjacency"], 2 * width, "adjacency row")
+    digits = _unhex(adjacency, 2 * width, "adjacency row")
     bits = np.unpackbits(digits[:, 0::2] << 4 | digits[:, 1::2], axis=1)
     padded = np.flatnonzero(bits[:, m:].any(1))
     if len(padded):

@@ -65,7 +65,7 @@ from .drg import (
     td_scalars,
 )
 from .exact import ExactScalar, q_pow
-from .intlinalg import int_matmul
+from .intarith import int_matmul
 from .leonard import _check_axiom_pattern, eigenbasis
 from .linexact import ExactMatrix, kernel, rref
 from .polar import PolarGraph

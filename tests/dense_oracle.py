@@ -47,7 +47,7 @@ from dualpolar.drg import (
     td_scalars,
 )
 from dualpolar.exact import ExactScalar, MixedRadicandError, q_pow
-from dualpolar.intlinalg import int_matmul
+from dualpolar.intarith import int_matmul
 from dualpolar.leonard import (
     DqkParams,
     LeonardRealization,

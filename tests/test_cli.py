@@ -144,12 +144,22 @@ def c23_data(tmp_path_factory):
 
 
 # a JSON value of the wrong kind in a field of the file: D and b are
-# integers, e a fraction written as a string ("1", "1/2")
+# integers, e a fraction written as a string ("1", "1/2"), vertices and
+# adjacency lists of strings
 FIELD_DEFECTS = {"D-float": ("D", 2.9), "D-integral-float": ("D", 2.0),
                  "D-bool": ("D", True), "D-string": ("D", "2"),
                  "b-float": ("b", 3.5), "e-bool": ("e", True),
                  "e-float": ("e", 1.0), "e-integer": ("e", 1),
-                 "e-text": ("e", "one")}
+                 "e-text": ("e", "one"), "vertices-integer": ("vertices", 5),
+                 "vertices-null": ("vertices", None),
+                 "vertices-string": ("vertices", "00"),
+                 "vertices-integer-items": ("vertices", [5] * 40),
+                 "adjacency-null": ("adjacency", None),
+                 "adjacency-object": ("adjacency", {}),
+                 "adjacency-integer-rows": ("adjacency", [0] * 40),
+                 "adjacency-list-rows": ("adjacency", [[0, 1]] * 40)}
+_KINDS = {"D": "an integer", "b": "an integer", "e": "a string",
+          "vertices": "a list of strings", "adjacency": "a list of strings"}
 
 
 @pytest.mark.parametrize("defect", ["coordinate", "truncated", "duplicate",
@@ -194,8 +204,11 @@ def test_malformed_graph_is_input_error(c23_data, d32_file, tmp_path, capsys,
         assert "adjacency row 0 " in err
     if defect in FIELD_DEFECTS:
         field = FIELD_DEFECTS[defect][0]
-        kind = "a string" if field == "e" else "an integer"
-        assert f"{field!r} must be {kind}" in err
+        assert f"{field!r} must be {_KINDS[field]}" in err
+        if defect.endswith("-items") or defect.endswith("-rows"):
+            assert "item 0 is" in err
+    if defect == "duplicate":
+        assert "vertices 0 and 1 are the same subspace" in err
 
 
 @pytest.mark.parametrize("field", ["family", "D", "b", "e", "vertices",

@@ -8,24 +8,25 @@ import random
 import numpy as np
 import pytest
 
-from dualpolar import intlinalg
+from dualpolar import intarith, intlinalg
+from dualpolar.intarith import _matmul_dtype, _max_abs, int_matmul, is_prime
 from dualpolar.intlinalg import (
+    _MODULAR_CANDIDATE_TRIES,
     _PANEL,
     _PRIMES,
     _gcd_rows,
     _int_rref_exact,
     _int_rref_modular,
-    _matmul_dtype,
-    _max_abs,
     _mod_rref,
-    _prime_list,
+    _prime,
     _rat_reconstruct_block,
     int_kernel,
-    int_matmul,
     int_rank,
     int_rref,
-    is_prime,
 )
+
+# the largest and the smallest prime the modular path may use
+_FIRST, _LAST = _prime(0), _prime(_MODULAR_CANDIDATE_TRIES - 1)
 
 
 def _reference(a, b):
@@ -345,9 +346,9 @@ def test_int_rank_matches_int_rref(monkeypatch, name, seed):
 @pytest.mark.parametrize("rows", [[[1, 0], [0, 1]], [[1, 0], [0, 1], [2, 0]]],
                          ids=["square", "tall"])
 def test_int_rank_where_the_rank_drops_mod_p(rows):
-    """diag(1, p) with p = _PRIMES[0] has rank 1 mod p and rank 2 over Q;
+    """diag(1, p) with p = _prime(0) has rank 1 mod p and rank 2 over Q;
     so does the same matrix with a third row added."""
-    p = _PRIMES[0]
+    p = _FIRST
     m = np.array(rows, dtype=np.int64)
     m[1, 1] = p
     assert len(_mod_rref(m, p)[1]) == 1
@@ -365,7 +366,8 @@ def test_block_reconstruction_matches_scalar(nprimes):
     and past them are included.  Blocks are given as Python ints, and also
     as int64 where the modulus allows."""
     rng = np.random.default_rng(nprimes)
-    modulus = math.prod(_PRIMES[:nprimes]) if nprimes else 720720
+    modulus = (math.prod(map(_prime, range(nprimes))) if nprimes
+               else 720720)
     bound = math.isqrt(modulus // 2)
     # fractions with numerators and denominators around the bound, so some
     # reconstruct and some do not, and arbitrary residues
@@ -407,7 +409,7 @@ def test_mod_rref_matches_full_row_update(seed):
     nrows, ncols = int(rng.integers(1, 40)), int(rng.integers(1, 40))
     rank = int(rng.integers(0, min(nrows, ncols) + 1))
     mat = _low_rank(rng, nrows, ncols, rank, 21)
-    for p in (_PRIMES[0], _PRIMES[-1], 7):
+    for p in (_FIRST, _LAST, 7):
         got, got_piv = _mod_rref(mat, p)
         want, want_piv = _full_row_mod_rref(mat, p)
         assert got_piv == want_piv
@@ -454,7 +456,7 @@ def test_blocked_mod_rref_matches_full_row_update(monkeypatch, name, width):
     mat = _low_rank(rng, nrows, ncols, rank, 21)
     if zero:
         mat[:, zero[0]:zero[1]] = 0
-    for p in (_PRIMES[0], _PRIMES[-1], 7):
+    for p in (_FIRST, _LAST, 7):
         _assert_mod_rref_matches_oracle(mat, p)
 
 
@@ -464,7 +466,7 @@ def test_mod_rref_worst_case_magnitudes(ncols):
     """Entries of p - 1 and next to it, for the largest listed prime, make
     the multipliers and pivot rows of the delayed reduction as large as
     they can be."""
-    p = _PRIMES[0]
+    p = _FIRST
     rng = np.random.default_rng(ncols)
     top = np.full((ncols, ncols), p - 1, dtype=np.int64)
     cases = [top,                                    # rank 1
@@ -481,7 +483,7 @@ def test_mod_rref_refuses_primes_past_its_exact_range():
     for p in (2 ** 23, first, 2 ** 30 - 35):
         with pytest.raises(ValueError, match="2\\^23"):
             _mod_rref(mat, p)
-    assert _mod_rref(mat, max(_PRIMES))[1] == (0, 1, 2)
+    assert _mod_rref(mat, _FIRST)[1] == (0, 1, 2)
 
 
 def test_is_prime_matches_trial_division():
@@ -498,12 +500,14 @@ def test_is_prime_matches_trial_division():
 
 
 def test_prime_list_is_unchanged():
-    assert _PRIMES == _prime_list()
-    assert len(_PRIMES) == 53 and _PRIMES[0] == 2 ** 23 - 15
-    assert all(_trial_division(p) for p in _PRIMES)
-    # no prime is skipped between the first and the last
-    assert [p for p in range(_PRIMES[0], _PRIMES[-1] - 1, -2)
-            if _trial_division(p)] == _PRIMES
+    """The primes found on first use are the 53 largest below 2^23, in
+    decreasing order, as a trial-division scan down from 2^23 finds them."""
+    primes = [_prime(i) for i in range(_MODULAR_CANDIDATE_TRIES)]
+    assert len(primes) == 53 and primes[0] == 2 ** 23 - 15
+    assert _PRIMES[:53] == primes
+    # no prime is skipped between 2^23 and the last
+    assert [p for p in range(2 ** 23 - 1, primes[-1] - 1, -2)
+            if _trial_division(p)] == primes
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +532,7 @@ def _arithmetic_of(a, b):
 
 def test_tiny_products_run_in_int64_and_larger_ones_on_blas():
     rng = np.random.default_rng(3)
-    tiny = intlinalg._TINY
+    tiny = intarith._TINY
     for m, k, n in ((12, 12, 14), (1, tiny - 1, 1), (1, tiny, 1),
                     (16, 16, 16)):
         a = rng.integers(-9, 9, size=(m, k), endpoint=True)
@@ -545,8 +549,8 @@ def test_blas_tiers_at_boundaries_above_the_tiny_size(bound, k, ma, mb):
     tiny, so each float tier meets its boundary."""
     rng = np.random.default_rng(bound % 997)
     a, b = _bound_case(rng, k, ma, mb)
-    a = np.concatenate([a] * (intlinalg._TINY // (5 * k * 4) + 1))
-    assert a.shape[0] * k * 4 >= intlinalg._TINY
+    a = np.concatenate([a] * (intarith._TINY // (5 * k * 4) + 1))
+    assert a.shape[0] * k * 4 >= intarith._TINY
     want = _reference(a, b)
     got = int_matmul(a, b)
     assert (got == want).all()

@@ -66,11 +66,23 @@ if sys.argv[1:]:
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("dualpolar."))))
 """
 
+
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's
+    `dualpolar` and writes no cached bytecode."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(dualpolar.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 # modules no call of the subcommand needs, at any input
 _NOT_LOADED = {
-    "import": ["cli", "drg", "exact", "gf", "intlinalg", "leonard",
-               "linexact", "polar", "terwilliger", "uqsl2"],
-    "build": ["drg", "leonard", "linexact", "terwilliger", "uqsl2"],
+    "import": ["cli", "drg", "exact", "gf", "intarith", "intlinalg",
+               "leonard", "linexact", "polar", "terwilliger", "uqsl2"],
+    "build": ["drg", "exact", "intlinalg", "leonard", "linexact",
+              "terwilliger", "uqsl2"],
     "leonard": ["drg", "gf", "polar", "terwilliger"],
 }
 
@@ -79,7 +91,8 @@ _NOT_LOADED = {
 def test_cli_call_imports_only_what_it_runs(tmp_path, command):
     """Each call runs in a fresh interpreter and, without cached bytecode,
     compiles every module it imports: `build` must not pay for the
-    T-algebra, nor `leonard` for the graph layer."""
+    T-algebra, the eliminations or the exact scalars, nor `leonard` for
+    the graph layer."""
     argv = []
     if command == "build":
         argv = ["build", "--family", "D", "--D", "3", "--b", "2",
@@ -90,12 +103,9 @@ def test_cli_call_imports_only_what_it_runs(tmp_path, command):
                                     "h_star": "-2", "kappa": "1",
                                     "kappa_star": "2", "upsilon": "5"}))
         argv = ["leonard", "--params", str(path)]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(dualpolar.__file__))]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     out = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv],
-                         capture_output=True, text=True, env=env, timeout=120)
+                         capture_output=True, text=True, env=_fresh_env(),
+                         timeout=120)
     assert out.returncode == 0, out.stderr
     loaded = {m.removeprefix("dualpolar.") for m in json.loads(out.stdout)}
     assert sorted(loaded & set(_NOT_LOADED[command])) == []
@@ -143,6 +153,30 @@ def test_no_dead_helper_in_package(tracer):
     assert dead == []
 
 
+# `intlinalg` finds its primes on first use: the import searches for none,
+# and an elimination that one prime certifies finds that one prime.
+_LAZY_PRIMES = """
+import json
+from dualpolar import intarith
+calls = []
+is_prime = intarith.is_prime
+intarith.is_prime = lambda n: calls.append(n) or is_prime(n)
+from dualpolar import intlinalg
+found = [len(calls), list(intlinalg._PRIMES)]
+intlinalg.int_rref(intlinalg.as_int_array([[2, 4, 1], [3, 1, 5]]))
+print(json.dumps(found + [intlinalg._PRIMES]))
+"""
+
+
+def test_intlinalg_finds_its_primes_on_first_use():
+    out = subprocess.run([sys.executable, "-c", _LAZY_PRIMES],
+                         capture_output=True, text=True, env=_fresh_env(),
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    calls, at_import, after = json.loads(out.stdout)
+    assert (calls, at_import, after) == (0, [], [2 ** 23 - 15])
+
+
 # ExactMatrix constructions and int_matmul calls of one CLI call.  The
 # parent of the fused-combination kernel made 978 and 176 (leonard) and
 # 2422 and 814 (verify); with the Casimir centrality and tridiagonal
@@ -156,7 +190,7 @@ _KERNEL_CEILINGS = {"leonard": (456, 148), "verify": (885, 403)}
 
 
 def _kernel_counts(monkeypatch, argv) -> tuple[int, int]:
-    from dualpolar import intlinalg, linexact
+    from dualpolar import intarith, linexact
     from dualpolar.cli import main
 
     counts = [0, 0]
@@ -166,7 +200,7 @@ def _kernel_counts(monkeypatch, argv) -> tuple[int, int]:
         counts[0] += 1
         init(self, *args, **kwargs)
 
-    mm = intlinalg.int_matmul
+    mm = intarith.int_matmul
 
     def counted_mm(*args, **kwargs):
         counts[1] += 1
