@@ -11,19 +11,43 @@ elimination whose panel updates are exact float64 BLAS products, recovers
 the rational entries by rational reconstruction run on the whole
 free-column block at once, and certifies the candidate exactly.  With one
 prime the residues, the reconstruction, the candidate rows and the
-certificate stay in int64 wherever a bound shows the entries fit.  Only
-when that keeps failing does it fall back to Bareiss' fraction-free
-elimination, which keeps every entry a minor of the input and makes the
-rows primitive once, at the end.  int_kernel reads the canonical
-null-space basis off a single int_rref of the column-reversed matrix.
-int_rank proves a full rank with one elimination mod p.  The products
-run through `intarith.int_matmul`, exact by its bound.  The primes are
-found on first use, one at a time, so an import searches for none and a
-reduction that one prime certifies searches for one.
+certificate stay in int64 wherever a bound shows the entries fit.  It adds
+primes until a candidate is certified, and that always happens:
+
+* Pivot i of the RREF of M is the first column at which the leading
+  columns of M reach rank i + 1.  Mod p every block of leading columns
+  has rank at most its rank over Q (a minor that is nonzero mod p is
+  nonzero), so the pivots mod p are at most as many as the true ones, and
+  when as many, each is at or right of the true one.
+* Let R be the RREF over Q, P its pivots, and S a set of |P| rows with
+  D = det M[S, P] nonzero.  Mod a prime p that does not divide D, that
+  is mod all but finitely many, the columns P stay independent, so by the
+  first point the pivots mod p are P.  Mod any p where the pivots are P
+  the columns P are independent, so some such D is nonzero mod p.  Then
+  R = M[S, P]^-1 M[S, :] has its denominators prime to p, M = M[:, P] R
+  mod p, and R has rank |P| mod p; an RREF over GF(p) is unique, so the
+  RREF mod p is R mod p.
+
+So on a disagreement the loop keeps the pivots with more entries, and of
+as many the lexicographically smaller tuple.  Once the true pivots are
+seen they are never replaced, every later prime that gives them gives
+R mod p, and CRT combines those residues.  When their product passes
+2 H^2, H the largest numerator or denominator of R, rational
+reconstruction returns R, which the certificate accepts.  (The primes
+below 2^23 multiply to about e^(2^23): they run out only for an R whose
+entries have millions of bits.)
+
+int_kernel reads the canonical null-space basis off a single int_rref of
+the column-reversed matrix.  int_rank proves a full rank with one
+elimination mod p.  The products run through `intarith.int_matmul`, exact
+by its bound.  The primes are found on first use, one at a time, so an
+import searches for none and a reduction that one prime certifies
+searches for one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -64,75 +88,10 @@ def _scale_rows(a: np.ndarray, scale) -> np.ndarray:
 
 
 def _gcd_rows(a: np.ndarray) -> np.ndarray:
-    """Componentwise gcd along rows; zero rows give gcd 1."""
-    if a.dtype != object:
-        g = np.gcd.reduce(np.abs(a), axis=1)
-        return np.where(g == 0, 1, g)
-    out = np.empty(a.shape[0], dtype=object)
-    for i in range(a.shape[0]):
-        g = 0
-        for v in a[i]:
-            if v:
-                g = math.gcd(g, v if v > 0 else -v)
-                if g == 1:
-                    break
-        out[i] = g if g else 1
-    return out
-
-
-def _int_rref_exact(mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Fraction-free Gauss-Jordan row reduction of an integer matrix.
-
-    Uses the one-step fraction-free update
-        row_i <- (piv * row_i - col_i * row_piv) / previous_pivot,
-    whose divisions are exact and keep every entry a minor of the input, so
-    coefficients stay polynomially small without intermediate gcds.
-
-    Returns (R, pivots) where R holds the nonzero rows, each primitive with
-    positive leading entry, zeros above and below every pivot.  Row i of the
-    rational RREF is R[i] / R[i, pivots[i]].
-    """
-    a = mat.copy()
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    nrows, ncols = a.shape
-    pivots: list[int] = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        piv = int(a[r, c])
-        col = a[:, c].copy()
-        col[r] = 0
-        if a.dtype != object:
-            bound = abs(piv) * _max_abs(a) + _max_abs(col) * _max_abs(a[r])
-            if bound >= _INT64_SAFE:
-                a = _to_object(a)
-                col = _to_object(col)
-        others = np.ones(nrows, dtype=bool)
-        others[r] = False
-        sub = a[others] * piv - np.outer(col[others], a[r])
-        sub //= prev
-        a[others] = sub
-        prev = piv
-        pivots.append(c)
-        r += 1
-    a = a[:r]
-    if r:
-        g = _gcd_rows(a)
-        a = a // g[:, None]
-        for i in range(r):
-            if a[i, pivots[i]] < 0:
-                a[i] = -a[i]
-    a = _downcast(a)
-    return a, tuple(pivots)
+    """Componentwise gcd along rows, int64 or Python ints as a is; zero
+    rows give gcd 1."""
+    g = np.gcd.reduce(np.abs(a), axis=1)
+    return np.where(g == 0, 1, g)
 
 
 def _free_columns(ncols: int, pivots) -> np.ndarray:
@@ -221,8 +180,8 @@ def int_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 #
 # Together these force equality of the row spaces, and an RREF-shaped basis
 # of a space is unique, so the verified candidate IS the canonical RREF.
-# On any failure more primes are added, and ultimately the fraction-free
-# elimination is used, so the result is always exact.
+# On any failure int_rref adds a prime, with no cap; the module docstring
+# proves that the loop ends.
 #
 # From one prime to the result nothing leaves int64 unless a bound says it
 # must: the residues are int64, a residue within the reconstruction bound
@@ -245,9 +204,6 @@ _PANEL = 64
 # The primes below _P_LIMIT found so far, decreasing from the largest
 # (2^23 - 15), without a gap; `_prime` extends the list on first use.
 _PRIMES: list[int] = []
-# 53 primes multiply to about 2^1219, the reconstruction capacity of the 40
-# largest primes below 2^30 (2^1200)
-_MODULAR_CANDIDATE_TRIES = 53
 
 
 def _prime(i: int) -> int:
@@ -414,41 +370,6 @@ def _wang(x: np.ndarray, modulus: int, bound: int):
     return num, den
 
 
-def _int_rref_modular(mat: np.ndarray):
-    """Certified modular RREF; None when reconstruction keeps failing."""
-    nrows, ncols = mat.shape
-    # (pivots, residues, modulus, prime count): the residues stay int64 for
-    # one prime and become Python ints at the first CRT
-    acc = None
-    for tried in range(1, _MODULAR_CANDIDATE_TRIES + 1):
-        p = _prime(tried - 1)
-        red, pivots = _mod_rref(mat, p)
-        if acc is not None and pivots != acc[0]:
-            # pivot disagreement: restart with the richer structure (more
-            # pivots can only mean less rank drop)
-            if len(pivots) <= len(acc[0]):
-                continue
-            acc = None
-        if acc is None:
-            acc = (pivots, red, p, 1)
-        else:
-            acc = (pivots, _crt_combine(_to_object(acc[1]), acc[2],
-                                        _to_object(red), p),
-                   acc[2] * p, acc[3] + 1)
-        pivots, residues, modulus, nprimes = acc
-        if nprimes > 4 and nprimes % 4 and tried < _MODULAR_CANDIDATE_TRIES:
-            continue  # reconstruct after primes 1-4, every 4th and the last
-        free = _free_columns(ncols, pivots)
-        got = _rat_reconstruct_block(residues[:, free], modulus,
-                                     math.isqrt(modulus // 2))
-        if got is None:
-            continue
-        rows = _candidate_rows(*got, pivots, free, ncols)
-        if _verify_rref_candidate(mat, rows, pivots):
-            return _downcast(rows), pivots
-    return None
-
-
 def _candidate_rows(num, den, pivots, free, ncols) -> np.ndarray:
     """Row i of the RREF is num[i] / den[i] on the free columns and 1 at its
     pivot; clear the denominators with one lcm per row.  Every entry is at
@@ -484,11 +405,38 @@ def _verify_rref_candidate(mat, rows, pivots) -> bool:
 
 
 def int_rref(mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Canonical integer-row RREF: the certified modular path, with the
-    fraction-free elimination as the fallback."""
+    """Canonical integer-row RREF: (primitive rows, pivots), the rows int64
+    where they fit.  Reduces mat mod _prime(0), _prime(1), ... until a
+    reconstructed candidate is certified (see the module docstring)."""
     if mat.ndim != 2:
         raise ValueError("expected a 2-d array")
-    got = _int_rref_modular(mat)
-    if got is not None:
-        return got
-    return _int_rref_exact(mat)
+    ncols = mat.shape[1]
+    # (pivots, residues, modulus, prime count): the residues stay int64 for
+    # one prime and become Python ints at the first CRT
+    acc = None
+    for i in itertools.count():
+        p = _prime(i)
+        red, pivots = _mod_rref(mat, p)
+        if acc is not None and pivots != acc[0]:
+            # keep the pivots nearer the true ones: more of them, or as many
+            # and lexicographically smaller
+            if (-len(pivots), pivots) > (-len(acc[0]), acc[0]):
+                continue
+            acc = None
+        if acc is None:
+            acc = (pivots, red, p, 1)
+        else:
+            acc = (pivots, _crt_combine(_to_object(acc[1]), acc[2],
+                                        _to_object(red), p),
+                   acc[2] * p, acc[3] + 1)
+        pivots, residues, modulus, nprimes = acc
+        if nprimes > 4 and nprimes % 4:
+            continue  # reconstruct after primes 1-4 and every 4th
+        free = _free_columns(ncols, pivots)
+        got = _rat_reconstruct_block(residues[:, free], modulus,
+                                     math.isqrt(modulus // 2))
+        if got is None:
+            continue
+        rows = _candidate_rows(*got, pivots, free, ncols)
+        if _verify_rref_candidate(mat, rows, pivots):
+            return _downcast(rows), pivots

@@ -24,6 +24,9 @@ for `polar._PointTable.perp`.
 And the scalar oracle: `FractionPairScalar`, the element of Q(sqrt(b))
 held as two Fractions, which `exact.ExactScalar` replaced by integer parts.
 
+And the integer oracle: Bareiss' fraction-free elimination, the
+reference for the rows and pivots of `intlinalg.int_rref`'s modular loop.
+
 Last, closed forms from the paper that `verify` and `leonard` do not
 compute but the tests compare with: the graph's dual intersection numbers,
 the dual q-Krawtchouk intersection numbers, tridiagonal and Askey-Wilson
@@ -47,7 +50,8 @@ from dualpolar.drg import (
     td_scalars,
 )
 from dualpolar.exact import ExactScalar, MixedRadicandError, q_pow
-from dualpolar.intarith import int_matmul
+from dualpolar.intarith import _INT64_SAFE, _max_abs, _to_object, int_matmul
+from dualpolar.intlinalg import _downcast, _gcd_rows
 from dualpolar.leonard import (
     DqkParams,
     LeonardRealization,
@@ -772,6 +776,66 @@ class FractionPairScalar:
 
     def __repr__(self):
         return f"FractionPairScalar({self.render()!r})"
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free elimination
+
+
+def fraction_free_rref(
+        mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Fraction-free Gauss-Jordan row reduction of an integer matrix.
+
+    Uses the one-step fraction-free update
+        row_i <- (piv * row_i - col_i * row_piv) / previous_pivot,
+    whose divisions are exact and keep every entry a minor of the input, so
+    coefficients stay polynomially small without intermediate gcds.
+
+    Returns (R, pivots) where R holds the nonzero rows, each primitive with
+    positive leading entry, zeros above and below every pivot.  Row i of the
+    rational RREF is R[i] / R[i, pivots[i]].
+    """
+    a = mat.copy()
+    if a.ndim != 2:
+        raise ValueError("expected a 2-d array")
+    nrows, ncols = a.shape
+    pivots: list[int] = []
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+        piv = int(a[r, c])
+        col = a[:, c].copy()
+        col[r] = 0
+        if a.dtype != object:
+            bound = abs(piv) * _max_abs(a) + _max_abs(col) * _max_abs(a[r])
+            if bound >= _INT64_SAFE:
+                a = _to_object(a)
+                col = _to_object(col)
+        others = np.ones(nrows, dtype=bool)
+        others[r] = False
+        sub = a[others] * piv - np.outer(col[others], a[r])
+        sub //= prev
+        a[others] = sub
+        prev = piv
+        pivots.append(c)
+        r += 1
+    a = a[:r]
+    if r:
+        g = _gcd_rows(a)
+        a = a // g[:, None]
+        for i in range(r):
+            if a[i, pivots[i]] < 0:
+                a[i] = -a[i]
+    a = _downcast(a)
+    return a, tuple(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -619,37 +619,39 @@ def test_verify_report_matches_golden(tmp_path, capsys, monkeypatch, name,
 @pytest.mark.parametrize("name,family,D,options", [
     ("d32-all", "D", 3, []),
     ("c32-all", "C", 3, ["--all-vertices-sample", "2"])])
-def test_golden_runs_never_reach_the_fraction_free_fallback(
+def test_golden_runs_certify_every_rref_with_one_prime(
         tmp_path, capsys, monkeypatch, name, family, D, options):
-    """Every int_rref of these runs is reconstructed from one prime, with
-    no CRT, certified, and returned in int64.  A fallback to the
-    fraction-free elimination, about 100 times slower, or a detour through
-    Python-int arrays would leave the report unchanged, so only this test
-    sees it."""
-    fallbacks, combined, dtypes = [], [], []
-
-    def refuse(mat):
-        fallbacks.append(mat.shape)
-        raise AssertionError(f"fraction-free fallback on {mat.shape}")
+    """Every int_rref of these runs reduces mod one prime, reconstructs
+    without CRT, is certified, and returns int64 rows.  More primes, or a
+    detour through Python-int arrays, would leave the report unchanged, so
+    only this test sees it."""
+    per_rref, combined, dtypes = [], [], []
 
     def no_crt(*args):
         combined.append(args[0].shape)
         raise AssertionError(f"CRT on {args[0].shape}")
 
-    real = intlinalg.int_rref
+    real_mod, real_rref = intlinalg._mod_rref, intlinalg.int_rref
+    reductions = []
+
+    def counted_mod(mat, p):
+        reductions.append(p)
+        return real_mod(mat, p)
 
     def recorded(mat):
-        got = real(mat)
+        before = len(reductions)
+        got = real_rref(mat)
+        per_rref.append(len(reductions) - before)
         dtypes.append(got[0].dtype)
         return got
 
-    monkeypatch.setattr(intlinalg, "_int_rref_exact", refuse)
+    monkeypatch.setattr(intlinalg, "_mod_rref", counted_mod)
     monkeypatch.setattr(intlinalg, "_crt_combine", no_crt)
     monkeypatch.setattr(intlinalg, "int_rref", recorded)
     test_verify_report_matches_golden(tmp_path, capsys, monkeypatch, name,
                                       family, D, options)
-    assert fallbacks == [] and combined == []
-    assert dtypes and set(dtypes) == {np.dtype(np.int64)}
+    assert per_rref and set(per_rref) == {1} and combined == []
+    assert set(dtypes) == {np.dtype(np.int64)}
 
 
 LEONARD_ARRAY = {"q": "2", "d": 3, "h": "1", "h_star": "-2", "kappa": "1",

@@ -1,6 +1,7 @@
 """Differential tests of the exact integer product against Python ints, of
-the modular RREF against the fraction-free one, and of the vectorized
-kernels against the scalar and two-pass versions they replaced."""
+the modular RREF against the fraction-free one in `dense_oracle`, and of
+the vectorized kernels against the scalar and two-pass versions they
+replaced."""
 
 import math
 import random
@@ -11,12 +12,9 @@ import pytest
 from dualpolar import intarith, intlinalg
 from dualpolar.intarith import _matmul_dtype, _max_abs, int_matmul, is_prime
 from dualpolar.intlinalg import (
-    _MODULAR_CANDIDATE_TRIES,
     _PANEL,
     _PRIMES,
     _gcd_rows,
-    _int_rref_exact,
-    _int_rref_modular,
     _mod_rref,
     _prime,
     _rat_reconstruct_block,
@@ -25,8 +23,10 @@ from dualpolar.intlinalg import (
     int_rref,
 )
 
-# the largest and the smallest prime the modular path may use
-_FIRST, _LAST = _prime(0), _prime(_MODULAR_CANDIDATE_TRIES - 1)
+from dense_oracle import fraction_free_rref
+
+# the largest prime the modular path uses, and the 53rd
+_FIRST, _LAST = _prime(0), _prime(52)
 
 
 def _reference(a, b):
@@ -144,7 +144,7 @@ def _low_rank(rng, nrows, ncols, rank, bits):
 @pytest.mark.parametrize("seed", range(20))
 def test_modular_rref_matches_exact(seed, bits):
     """The certified modular RREF returns the canonical rows and pivots of
-    the fraction-free elimination, or None; never a different answer."""
+    the fraction-free elimination."""
     rng = np.random.default_rng([seed, bits])
     nrows, ncols = int(rng.integers(2, 9)), int(rng.integers(2, 11))
     rank = int(rng.integers(0, min(nrows, ncols) + 1))
@@ -155,15 +155,63 @@ def test_modular_rref_matches_exact(seed, bits):
     if _max_abs(mat) < 2 ** 62:
         inputs.append(mat.astype(np.int64))
     for m in inputs:
-        rows, pivots = _int_rref_exact(m)
+        rows, pivots = fraction_free_rref(m)
         assert len(pivots) <= rank
-        got = _int_rref_modular(m)
-        if bits == 21:  # entries near 2^42: the 53 primes always suffice
-            assert got is not None
-        if got is not None:
-            assert got[1] == pivots
-            assert got[0].shape == rows.shape
-            assert (got[0].astype(object) == rows.astype(object)).all()
+        got = int_rref(m)
+        assert got[1] == pivots
+        assert got[0].shape == rows.shape
+        assert (got[0].astype(object) == rows.astype(object)).all()
+
+
+def _counted_mod_rref(monkeypatch) -> list[int]:
+    """The primes of every `_mod_rref` call from now on, in order; past 100
+    calls it fails, so a loop that never settles fails instead of hanging."""
+    primes = []
+    real = intlinalg._mod_rref
+
+    def counted(mat, p):
+        primes.append(p)
+        assert len(primes) <= 100, "int_rref keeps adding primes"
+        return real(mat, p)
+
+    monkeypatch.setattr(intlinalg, "_mod_rref", counted)
+    return primes
+
+
+def test_int_rref_where_the_first_prime_moves_a_pivot_right(monkeypatch):
+    """Mod p = _prime(0) the rows [1, 1, 0] and [1, 1 + p, 1] have pivots
+    (0, 2): as many as over Q, but the second one column further right.
+    Every later prime gives the true (0, 1), which the loop keeps, and
+    reconstructs the entries +-1/p once the modulus passes 2 p^2."""
+    mat = np.array([[1, 1, 0], [1, 1 + _FIRST, 1]], dtype=np.int64)
+    assert _mod_rref(mat, _FIRST)[1] == (0, 2)
+    primes = _counted_mod_rref(monkeypatch)
+    rows, pivots = int_rref(mat)
+    want, want_pivots = fraction_free_rref(mat)
+    assert pivots == want_pivots == (0, 1)
+    assert rows.shape == want.shape and (rows == want).all()
+    assert len(primes) <= 4
+
+
+def test_int_rref_adds_primes_past_53(monkeypatch):
+    """A 6 x 8 product of rank 5 of factors with entries below 2^124: its
+    RREF holds ratios of 5 x 5 minors of about 625 bits, so reconstruction
+    needs a modulus past 2^1250, more than the 53 largest primes below 2^23
+    multiply to (about 2^1219), and the loop keeps adding primes."""
+    draw = random.Random(124)
+
+    def factor(nrows, ncols):
+        return np.array([[draw.randrange(-2 ** 124, 2 ** 124 + 1)
+                          for _ in range(ncols)] for _ in range(nrows)],
+                        dtype=object)
+
+    mat = np.dot(factor(6, 5), factor(5, 8))
+    primes = _counted_mod_rref(monkeypatch)
+    rows, pivots = int_rref(mat)
+    want, want_pivots = fraction_free_rref(mat)
+    assert len(pivots) == 5 and pivots == want_pivots
+    assert rows.shape == want.shape and (rows == want).all()
+    assert len(primes) > 53
 
 
 EDGE_CASES = {
@@ -178,8 +226,7 @@ EDGE_CASES = {
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_int_rref_edge_cases_match_exact(name):
     mat = np.array(EDGE_CASES[name], dtype=np.int64)
-    rows, pivots = _int_rref_exact(mat)
-    assert _int_rref_modular(mat) is not None  # the certified path ran
+    rows, pivots = fraction_free_rref(mat)
     got_rows, got_pivots = int_rref(mat)
     assert got_pivots == pivots
     assert got_rows.shape == rows.shape
@@ -195,7 +242,7 @@ def test_int_rref_small_low_bit_matches_exact(seed):
     nrows, ncols = int(rng.integers(1, 9)), int(rng.integers(1, 11))
     rank = int(rng.integers(0, min(nrows, ncols) + 1))
     mat = _low_rank(rng, nrows, ncols, rank, 3).astype(np.int64)
-    rows, pivots = _int_rref_exact(mat)
+    rows, pivots = fraction_free_rref(mat)
     assert len(pivots) <= rank
     got_rows, got_pivots = int_rref(mat)
     assert got_pivots == pivots
@@ -306,6 +353,19 @@ def test_kernel_matches_two_rref_kernel(seed):
         if got.size:
             assert not int_matmul(m, got.T).any()
             assert (_gcd_rows(got) == 1).all()
+
+
+def test_gcd_rows_matches_math_gcd():
+    """One np.gcd.reduce for int64 and Python-int rows, against math.gcd:
+    signs, zero rows, one-entry rows and entries past int64."""
+    rows = [[-4, 6, 0], [0, 0, 0], [-9, 0, 0], [7, -7, 14],
+            [3 * 2 ** 70, -6 * 2 ** 70, 9 * 2 ** 70], [-(2 ** 80), 0, 0]]
+    for a in (np.array(rows[:4], dtype=np.int64),
+              np.array(rows, dtype=object), np.array(rows)[:, :1],
+              np.zeros((3, 0), dtype=object), np.zeros((0, 3), dtype=object)):
+        want = [math.gcd(*map(int, row)) or 1 for row in a]
+        got = _gcd_rows(a)
+        assert got.dtype == a.dtype and got.tolist() == want
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0), (4, 4), (2, 5)])
@@ -502,7 +562,7 @@ def test_is_prime_matches_trial_division():
 def test_prime_list_is_unchanged():
     """The primes found on first use are the 53 largest below 2^23, in
     decreasing order, as a trial-division scan down from 2^23 finds them."""
-    primes = [_prime(i) for i in range(_MODULAR_CANDIDATE_TRIES)]
+    primes = [_prime(i) for i in range(53)]
     assert len(primes) == 53 and primes[0] == 2 ** 23 - 15
     assert _PRIMES[:53] == primes
     # no prime is skipped between 2^23 and the last

@@ -26,17 +26,39 @@ QS = {"2": ExactScalar(2), "sqrt2": ExactScalar.sqrt(2),
       "sqrt3": ExactScalar.sqrt(3)}
 
 
+def chevalley_residuals(act: UqAction) -> list[tuple[str, ExactMatrix]]:
+    """The Chevalley relations of k, e and f, each as a matrix that is zero
+    when it holds; `UqAction.verify` checks the equitable ones, which imply
+    them."""
+    q = act.q
+    qi = q.inverse()
+    k, e, f = act.k, act.e, act.f
+    c = (q - qi).inverse()
+    return [
+        ("k e = q^2 e k",
+         ExactMatrix.combination(((1, k @ e), (-q * q, e @ k)))),
+        ("k f = q^-2 f k",
+         ExactMatrix.combination(((1, k @ f), (-qi * qi, f @ k)))),
+        ("e f - f e = (k - k^-1)/(q - q^-1)",
+         ExactMatrix.combination(((1, e @ f), (-1, f @ e), (-c, k),
+                                  (c, act.kinv)))),
+    ]
+
+
 @pytest.mark.parametrize("qname", sorted(QS))
 @pytest.mark.parametrize("eps", [1, -1])
 @pytest.mark.parametrize("basis", ["kef", "x-eigen", "y-eigen", "z-eigen"])
 @pytest.mark.parametrize("d", [3, 4])
 def test_build_Ld_is_L_d_eps(qname, eps, basis, d):
-    """build_Ld checks the equitable and Chevalley relations itself; here k
-    must be diagonalizable with the simple eigenvalues eps q^(d-2i), and the
-    Casimir must act as the scalar of L(d, eps)."""
+    """build_Ld checks the equitable relations itself; here the Chevalley
+    relations must hold, k must be diagonalizable with the simple
+    eigenvalues eps q^(d-2i), and the Casimir must act as the scalar of
+    L(d, eps)."""
     q = QS[qname]
     act = build_Ld(d, eps, q, basis)
     assert act.dim == d + 1
+    for name, resid in chevalley_residuals(act):
+        assert resid.is_zero(), name
     weights = [ExactScalar(eps) * q_pow(q, d - 2 * i) for i in range(d + 1)]
     projs = spectral_projectors(act.k, weights)
     assert all(sum((p.entry(i, i) for i in range(d + 1)), ExactScalar(0))
@@ -80,12 +102,16 @@ def test_split_basis_is_y_eigenbasis(qname, eps):
 @pytest.mark.parametrize("eps", [1, -1])
 def test_cross_variant_leonard_odd_d_sqrt2(d, eps):
     """At odd d with q = sqrt2 the matrices have irrational entries, so the
-    inverses inside uq_on_leonard run the elimination over Q(sqrt 2)."""
+    inverses inside uq_on_leonard run the elimination over Q(sqrt 2).  Both
+    structures satisfy the Chevalley relations."""
     p = _params("sqrt2", d)
     real = realize(dqk_array(p), "normalized-split")
     assert not real.Astar.is_rational
     a1 = uq_on_leonard(real, p, eps, 1)
     a2 = uq_on_leonard(real, p, eps, 2)
+    for act in (a1, a2):
+        for name, resid in chevalley_residuals(act):
+            assert resid.is_zero(), name
     assert verify_cross_variant_leonard(a1, a2, p)
     assert not verify_cross_variant_leonard(a2, a1, p)
 
@@ -127,7 +153,7 @@ def test_uq_on_standard_module_c32(ctx_c32, comps_c32, center_c32, sm_c32,
         d = triple[2]
         assert act.dim == d + 1
         for name, resid in act.equitable_residuals() \
-                + act.chevalley_residuals():
+                + chevalley_residuals(act):
             assert resid.is_zero(), name
         lad = ladder_action(ctx_c32, *triple)
         ident = ExactMatrix.identity(d + 1)
@@ -154,8 +180,8 @@ def test_cross_variant_standard_c32(ctx_c32, center_c32, sm_c32):
 
 
 def test_chevalley_generators_built_once():
-    """e and f are built once per action: casimir, the Chevalley residuals
-    and the cross-variant check all read the same matrices."""
+    """e and f are built once per action: casimir and the cross-variant
+    check read the same matrices."""
     act = build_Ld(3, 1, QS["sqrt2"], "x-eigen")
     assert act.e is act.e and act.f is act.f
     e, f = act.e, act.f
