@@ -434,6 +434,12 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        from traceback import walk_tb
+        where = [f.f_code.co_name for f, _ in walk_tb(exc.__traceback__)
+                 if f.f_globals.get("__name__", "").startswith("dualpolar")]
+        print(f"error: out of memory in {where[-1]}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

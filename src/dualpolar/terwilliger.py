@@ -7,29 +7,36 @@ E*_i act on B_i as scalars, and L, F, R on B_i are the adjacency blocks
 A[B_(i-1), B_i], A[B_i, B_i], A[B_(i+1), B_i].  So the context is the
 partition with these blocks, and `build_context` certifies L^t = R, F^t = F.
 
-The homogeneous decomposition is computed by a lowering-ladder construction:
-the joint lowest-rung spaces ker(L) ^ E*_r V are split by diameter (length of
-the raising ladder, read off the action of C2 through LR) and by dual
-endpoint (the action of C0 through F), and each component is rebuilt by
-raising.  Both central elements act there as scalars, so the split is made
-by Lagrange projectors: polynomials in the small matrices of LR and F in the
-coordinates of an RREF basis of the lowest rungs.  That costs one exact
-kernel per subconstituent and one RREF per component, however many
-candidate eigenvalues there are.  The construction checks nothing: the
-certificate below is the one proof, and it holds for any components that
-pass it, however they were built.
+The homogeneous decomposition is computed below the top by a lowering-ladder
+construction: for r < D the joint lowest-rung spaces ker(L) ^ E*_r V are
+split by diameter (length of the raising ladder, read off the action of C2
+through LR) and by dual endpoint (the action of C0 through F), and each
+component is rebuilt by raising.  Both central elements act there as
+scalars, so the split is made by Lagrange projectors: polynomials in the
+small matrices of LR and F in the coordinates of an RREF basis of the
+lowest rungs.  That costs one exact kernel per subconstituent 1, ..., D - 1
+and one RREF per component, however many candidate eigenvalues there are.
+The top subconstituent B_D is not constructed: its components W(D, t, 0)
+hold no vectors, and are certified by counts and by power traces of F on
+B_D.  The construction checks nothing: the certificate below is the one
+proof, and it holds for any components that pass it, however they were
+built.
 
-Each component W(r, t, d) is certified on its raising ladder (rung j is the
-lowest rung raised j times): F acts on rung j as a_j(W), L maps it to
-b_(j-1)(W) c_j(W) != 0 times rung j - 1, so every rung keeps the rank of
-rung 0, an RREF; L kills rung 0, R rung d.  So L, F, R, K and A* act on W as
-the (d+1) x (d+1) matrices of `ladder_action`, once per copy; the component
-keeps them as its `action`.  C0, C1, C2 are words in K, L, F, R
-(`central_terms`), so on W they act as those words evaluated on the ladder
-matrices, and each must evaluate to chi_k I.  The triples have pairwise
-distinct (chi0, chi1, chi2), so the components lie in distinct joint
-eigenspaces and are independent, and sum dim = |X| makes V their direct sum
-(T is semisimple).
+Each component W(r, t, d) that holds rungs is certified on its raising
+ladder (rung j is the lowest rung raised j times): F acts on rung j as
+a_j(W), L maps it to b_(j-1)(W) c_j(W) != 0 times rung j - 1, so every rung
+keeps the rank of rung 0, an RREF; L kills rung 0, R rung d.  So L, F, R,
+K and A* act on W as the (d+1) x (d+1) matrices of `ladder_action`, once
+per copy; the component keeps them as its `action`.  C0, C1, C2 are words
+in K, L, F, R (`central_terms`), so on W they act as those words evaluated
+on the ladder matrices, and each must evaluate to chi_k I.  The triples
+have pairwise distinct (chi0, chi1, chi2), so the components lie in
+distinct joint eigenspaces and are independent.  When the rungs on every
+B_i, i < D, fill it, the orthogonal complement of their sum lies in E*_D V
+(A and A* are symmetric, so it is a T-module), where F alone acts; tr p(F)
+= 0 there for p with double roots at the candidates nu_t puts every
+eigenvalue among them, and the traces of F's powers give each multiplicity
+(`_certify_decomposition`).  So V is the direct sum of the components.
 
 A word combination in L, F, R, K, K^-1, A and A* is therefore zero on V
 exactly when it is zero on every ladder.  The LFRK relations, the
@@ -65,7 +72,7 @@ from .drg import (
     td_scalars,
 )
 from .exact import ExactScalar, q_pow
-from .intarith import int_matmul
+from .intarith import int_inner, int_matmul
 from .leonard import _check_axiom_pattern, eigenbasis
 from .linexact import ExactMatrix, kernel, rref
 from .polar import PolarGraph
@@ -608,7 +615,9 @@ class HomogeneousComponent:
     t: int
     d: int
     mult: int
-    rungs: list[ExactMatrix]  # rung j: rung 0 raised j times, on block r+j
+    # rung j: rung 0 raised j times, on block r+j; none for the W(D, t, 0)
+    # that `_certify_decomposition` certifies by traces
+    rungs: list[ExactMatrix]
     # L, F, R, K, A* on every copy, as `decompose` certifies it
     action: LadderAction | None = field(default=None, compare=False,
                                         repr=False)
@@ -692,10 +701,12 @@ def _scalar_value(m: ExactMatrix) -> Fraction | None:
 
 
 def _split(m: ExactMatrix, values: dict, lead: ExactMatrix | None,
-           chi: str, where: str) -> dict:
+           chi: str, where: str):
     """The Lagrange split of the row space of `lead` (None: of I) by m over
-    the pairwise distinct candidate eigenvalues `values`: {key: lead
-    prod_(j != key) (m - values[j])}, zero pieces dropped.  A lone
+    the pairwise distinct candidate eigenvalues `values`: yields (key, lead
+    prod_(j != key) (m - values[j])) for each key whose piece is not zero,
+    each piece formed only when the one before it has been taken, so that
+    a consumer that drops each piece holds one at a time.  A lone
     candidate, whose product is empty, and m = c I for a candidate c give
     one piece, `lead`.  Nothing is checked but that the candidates differ:
     if m has an eigenvalue outside them, or does not commute with `lead`,
@@ -707,44 +718,61 @@ def _split(m: ExactMatrix, values: dict, lead: ExactMatrix | None,
     hit = list(values) if len(values) == 1 else [
         k for k, v in values.items() if v == c]
     if hit:
-        return {hit[0]: lead}
+        yield hit[0], lead
+        return
     head = [] if lead is None else [lead]
     ident = ExactMatrix.identity(m.shape[0])
     shift = {k: ExactMatrix.combination(((1, m), (-v, ident)))
              for k, v in values.items()}
-    pieces = {k: reduce(matmul, [*head, *(s for j, s in shift.items()
-                                          if j != k)]) for k in values}
-    return {k: p for k, p in pieces.items() if not p.is_zero()}
+    for k in values:
+        piece = reduce(matmul, [*head, *(s for j, s in shift.items()
+                                         if j != k)])
+        if not piece.is_zero():
+            yield k, piece
+        del piece
+
+
+def _nu(ctx: TerwilligerContext, r: int, t: int, d: int) -> Fraction:
+    """The eigenvalue of F on the lowest rung of W(r, t, d): C0 acts there
+    as chi0, and C0 = K F + (b^e - 1)/(b - 1) K with K = b^-r on block r."""
+    b = ctx.b
+    return b ** r * chi0(ctx, r, t, d).as_fraction() \
+        - (b_pow(b, ctx.g.spec.e) - 1) / (b - 1)
 
 
 def decompose(ctx: TerwilligerContext) -> list[HomogeneousComponent]:
     """Homogeneous components of the standard module, certified.
 
-    On each subconstituent r the lowest rungs ker L ^ E*_r V are split by
-    Lagrange projectors in the coordinates of their RREF basis: C2 acts
+    On each subconstituent r < D the lowest rungs ker L ^ E*_r V are split
+    by Lagrange projectors in the coordinates of their RREF basis: C2 acts
     there through LR as a scalar that separates the diameters d, and C0
-    through F as one that separates the dual endpoints t.  M_LR and M_F,
-    the matrices of LR and F in those coordinates, are the pivot entries of
-    the images of the basis rows.  `_split` splits M_LR by the chi2
-    candidates mu_d and then, for each d, M_F by the chi0 candidates nu_t
-    on the row space of the diameter piece P_d = prod_(d' != d) (M_LR -
-    mu_d'); the lowest rung of W(r, t, d) is the row space of P_d P_t: one
-    RREF.  Where M_LR = mu_d I (read off the entries in O(size^2)), P_d is
-    I.  If then also M_F = nu_t I, the block holds one component, (r, t, d),
-    whose lowest rung is the kernel basis itself: no product and no RREF.
-    Rung j of a component, the lowest rung raised j times, is a mult x
-    |B_(r+j)| matrix.
+    through F as one that separates the dual endpoints t (`_nu`).  M_LR
+    and M_F, the matrices of LR and F in those coordinates, are the pivot
+    entries of the images of the basis rows.  `_split` splits M_LR by the
+    chi2 candidates mu_d and then, for each d, M_F by the chi0 candidates
+    nu_t on the row space of the diameter piece P_d = prod_(d' != d)
+    (M_LR - mu_d'); the lowest rung of W(r, t, d) is the row space of P_d
+    P_t: one RREF.  Where M_LR = mu_d I (read off the entries in
+    O(size^2)), P_d is I.  If then also M_F = nu_t I, the block holds one
+    component, (r, t, d), whose lowest rung is the kernel basis itself: no
+    product and no RREF.  Rung j of a component, the lowest rung raised j
+    times, is a mult x |B_(r+j)| matrix.
 
-    None of this construction is checked.  The proof that V is the direct
+    The top block B_D, the widest, is not constructed: no kernel, split or
+    RREF runs there.  Its components W(D, t, 0), on which L and R vanish,
+    are what the components below leave of V; `_certify_decomposition`
+    finds them, with their multiplicities, from counts and the power
+    traces of F on B_D, and they hold no rungs.
+
+    None of the construction is checked.  The proof that V is the direct
     sum of the components is `_certify_decomposition`, which holds for any
     components, however they were built; a wrong split raises components
     that it refuses.
     """
     D, b = ctx.D, ctx.b
     c2_const = chi2(ctx, 0, 0, 0).as_fraction()  # q^(2e+2D-2)/(q^4-1)
-    cst = (b_pow(b, ctx.g.spec.e) - 1) / (b - 1)
     comps: list[HomogeneousComponent] = []
-    for r in range(D + 1):
+    for r in range(D):
         if r == 0:  # the base vertex
             low, pivots = ExactMatrix.identity(1), [0]
         else:
@@ -755,29 +783,26 @@ def decompose(ctx: TerwilligerContext) -> list[HomogeneousComponent]:
         # On ker L the element C2 acts through LR alone, which restricts to
         # the two-step product A[B_r, B_(r+1)] A[B_(r+1), B_r] on the block;
         # its eigenvalue separates the module diameter d.  C0 acts through
-        # F, whose eigenvalue separates the dual endpoint t:
-        #   C0 v = chi0 v  <=>  F|block_r v = (b^r chi0 - cst) v.
-        # Both are symmetric, so row y of low @ M is the image of row y.  A
-        # row of the row space of low is its pivot entries times low, so
-        # the pivot columns of low @ M are M in the coordinates of low.
-        # R vanishes on E*_D V, and so does LR (two_step is None there)
-        m_lr, m_f = (ExactMatrix.zeros(size, size) if op is None else
-                     (low @ ExactMatrix(op)).submatrix(range(size), pivots)
+        # F, whose eigenvalue nu_t separates the dual endpoint t.  Both are
+        # symmetric, so row y of low @ M is the image of row y.  A row of
+        # the row space of low is its pivot entries times low, so the pivot
+        # columns of low @ M are M in the coordinates of low.
+        m_lr, m_f = ((low @ ExactMatrix(op)).submatrix(range(size), pivots)
                      for op in (ctx.two_step(r, r + 1), ctx.adj(r, r)))
         mu = {d: b * (b + 1) * (c2_const - chi2(ctx, r, 0, d).as_fraction()
                                 * b ** (2 * r)) for d in range(D - r + 1)}
-        diameters = _split(m_lr, mu, None, "chi2",
-                           f"LR on the lowest rungs of block {r}")
-        for d, p_d in diameters.items():
-            nu = {t: b ** r * chi0(ctx, r, t, d).as_fraction() - cst
+        for d, p_d in _split(m_lr, mu, None, "chi2",
+                             f"LR on the lowest rungs of block {r}"):
+            nu = {t: _nu(ctx, r, t, d)
                   for t in range(max(0, D - r - d), D - d + 1)}
             for t, piece in _split(m_f, nu, p_d, "chi0", f"F on the diameter-"
-                                   f"{d} lowest rungs of block {r}").items():
+                                   f"{d} lowest rungs of block {r}"):
                 # None: the lowest rungs are the component's, an RREF already
                 comps.append(_build_component(ctx, r, t, d, low if piece is None
                                               else rref(piece)[0] @ low))
-    _certify_decomposition(ctx, comps)
-    return comps
+                del piece  # one Lagrange piece alive at a time
+            del p_d
+    return comps + _certify_decomposition(ctx, comps)
 
 
 def _build_component(ctx: TerwilligerContext, r: int, t: int, d: int,
@@ -835,10 +860,24 @@ def _certify_ladder(ctx: TerwilligerContext,
     return act
 
 
+def _poly(roots) -> list[Fraction]:
+    """The coefficients of prod (x - root) over `roots`, from x^0 up."""
+    coeffs = [Fraction(1)]
+    for root in roots:
+        coeffs = [(coeffs[j - 1] if j else 0)
+                  - root * (coeffs[j] if j < len(coeffs) else 0)
+                  for j in range(len(coeffs) + 1)]
+    return coeffs
+
+
 def _certify_decomposition(ctx: TerwilligerContext,
-                           comps: list[HomogeneousComponent]):
-    """The one proof of `decompose`, for any components, however built:
-    - the dimensions mult (d + 1) sum to |X|,
+                           comps: list[HomogeneousComponent]
+                           ) -> list[HomogeneousComponent]:
+    """The one proof of `decompose`, for any components, however built.
+    Returns the components W(D, t, 0) that fill the rest of V, with no
+    rungs.  Checked:
+    - counts: for each i < D, the mults of the components with a rung on
+      B_i sum to |B_i|,
     - the triples are feasible, with pairwise distinct (chi0, chi1, chi2),
     - L, F, R act on the raising ladder of each component as
       `ladder_action` says (`_certify_ladder`, so each component is A- and
@@ -847,20 +886,126 @@ def _certify_decomposition(ctx: TerwilligerContext,
     - each component lies in the joint kernel of (C_k - chi_k I): C_k is a
       word in K, L, F, R, so it acts on every copy of the component as its
       `central_terms` evaluated on the ladder matrices, which must be
-      chi_k I.
-    Then V is the direct sum of the components.  Each has dimension mult
-    (d + 1) and lies in the joint eigenspace of C0, C1, C2 for its own
-    eigenvalue triple, and joint eigenvectors for distinct eigenvalue
-    triples are linearly independent; so the sum of the components is
-    direct, and as the dimensions sum to |X| it is all of V.  A failed
-    dimension sum names every triple with its multiplicity."""
-    total = sum(c.dim for c in comps)
-    if total != ctx.n:
-        counted = ", ".join(f"{c.triple} x {c.mult}"
-                            for c in sorted(comps, key=lambda c: c.triple))
-        raise AssertionError(f"component dimensions sum to {total}, not "
-                             f"{ctx.n}: {counted}")
+      chi_k I,
+    - the top block, by traces (below).
+
+    Joint eigenvectors for distinct eigenvalue triples are independent, so
+    the sum U of the components is direct, and E*_i U is the direct sum of
+    their rungs on B_i.  By the counts, E*_i U = E*_i V for i < D.  U is
+    A- and A*-invariant, and A, A* are symmetric, so its orthogonal
+    complement W' is too (Terwilliger, The subconstituent algebra of an
+    association scheme I, 1992); the E*_i are polynomials in A*, so W' is
+    the sum of its E*_i W', each orthogonal to E*_i U = E*_i V for i < D.
+    So W' lies in E*_D V, where R = 0.  For w in W', A w = L w + F w lies
+    in W' and L w in E*_(D-1) V, so L w = 0: L and R vanish on W', and F
+    maps it to itself.
+
+    E*_D V is the orthogonal sum of W' and E*_D U, the top rungs (r + d =
+    D), where F acts on each copy as a_d(W).  So tau_j = tr F^j over W' is
+    tr F_D^j - sum mult a_d(W)^j over the top rungs, F_D = A[B_D, B_D],
+    with tr F_D^(a+b) = <F_D^a, F_D^b> as F_D is symmetric; tau_0 = dim W'.
+    F is symmetric on W', so diagonalizable there with real eigenvalues.
+    For any set S of dual endpoints, p(x) = prod_(t in S) (x - nu_t)^2 is
+    not negative on the reals, so tr p(F) = 0 over W' puts every
+    eigenvalue of F there among the nu_t, t in S (`_nu`).  The
+    multiplicity of nu_t is then tr l_t(F) = sum_j [x^j] l_t tau_j, with
+    l_t the Lagrange polynomial of S at nu_t: the Vandermonde solve on
+    tau_0, ..., tau_(|S|-1).  Each must be a non-negative integer m_t.  L
+    and R kill the nu_t-eigenspace, and K, A* are scalars on E*_D V, so it
+    is m_t copies of a module of type (D, t, 0).  Its 1 x 1 ladder action
+    has F = a_0(W); the joint-kernel check of C0 = K F + (q^2e - 1)/(q^2 -
+    1) K on it holds exactly when a_0(W) = nu_t, so F acts as the action
+    says, and it is checked with the others for distinct (chi0, chi1,
+    chi2).  So V = U + W' is the direct sum of all the components, whose
+    dimensions sum to |X|.
+
+    S only chooses p, so how it is chosen is not part of the proof: none
+    when W' = 0; {t} when the mean tau_1 / tau_0 is nu_t, which needs no
+    product (tau_2 reads <F_D, F_D>); else t = 1, ..., D, with |S| - 1
+    products F_D^m (t = 0 only for the trivial module: E_0 V holds only
+    the constant vectors)."""
+    D = ctx.D
+    for i in range(D):
+        on = sorted((c for c in comps if c.r <= i <= c.r + c.d),
+                    key=lambda c: c.triple)
+        total, size = sum(c.mult for c in on), len(ctx.blocks[i])
+        if total != size:
+            counted = ", ".join(f"{c.triple} x {c.mult}" for c in on)
+            raise AssertionError(
+                f"the components with a rung on block {i} have "
+                f"multiplicities summing to {total}, not |B_{i}| = {size}: "
+                f"{counted}")
     by_chi: dict = {}
+    _certify_components(ctx, comps, by_chi, ladders=True)
+    top = _top_components(ctx, comps)
+    _certify_components(ctx, top, by_chi, ladders=False)
+    return top
+
+
+def _top_components(ctx: TerwilligerContext,
+                    comps: list[HomogeneousComponent]
+                    ) -> list[HomogeneousComponent]:
+    """The components W(D, t, 0), with no rungs, that F on B_D leaves
+    beyond the certified components `comps`, by the trace certificate of
+    `_certify_decomposition`: tr p(F) over W' must be 0, and each m_t a
+    non-negative integer."""
+    D = ctx.D
+    top = [(c.mult, c.action.F.entry(c.d, c.d).as_fraction())
+           for c in comps if c.r + c.d == D]
+    f = ctx.adj(D, D)
+    powers = [None, f]  # F_D^m at index m
+
+    def tau(j: int) -> Fraction:
+        """tr F^j over W'."""
+        s = len(powers) - 1
+        if j == 0:
+            whole = len(f)
+        elif j <= s:
+            whole = int(np.diagonal(powers[j]).astype(object).sum())
+        else:
+            whole = int_inner(powers[s], powers[j - s])
+        return whole - sum(m * a ** j for m, a in top)
+
+    dim, tr1 = tau(0), tau(1)
+    nu = {t: _nu(ctx, D, t, 0) for t in range(1, D + 1)}
+    S = [] if dim == 0 else [t for t in nu if nu[t] * dim == tr1][:1] \
+        or list(nu)
+    if len({nu[t] for t in S}) != len(S):
+        raise AssertionError(f"F on the top block {D}: two chi0 candidates "
+                             "coincide")
+    while len(powers) <= len(S):
+        powers.append(int_matmul(powers[-1], f))
+    taus = [tau(j) for j in range(2 * len(S) + 1)]
+    p = _poly([nu[t] for t in S for _ in (0, 1)])
+    residue = sum(c * v for c, v in zip(p, taus))
+    if residue:
+        raise AssertionError(
+            f"F on the top block {D} beyond the components below has tr "
+            f"p(F) = {residue}, not 0, for p with the double roots nu_t, "
+            f"t in {S}")
+    found = []
+    for t in S:
+        ell = _poly([nu[u] for u in S if u != t])
+        scale = math.prod(nu[t] - nu[u] for u in S if u != t)
+        mult = sum(c * v for c, v in zip(ell, taus)) / scale
+        if mult.denominator != 1 or mult < 0:
+            raise AssertionError(
+                f"the top block {D} gives W{(D, t, 0)} the multiplicity "
+                f"{mult}, not a non-negative integer")
+        if mult:
+            found.append(HomogeneousComponent(D, t, 0, int(mult), []))
+    return found
+
+
+def _certify_components(ctx: TerwilligerContext,
+                        comps: list[HomogeneousComponent], by_chi: dict,
+                        ladders: bool):
+    """Each triple is feasible, its (chi0, chi1, chi2) is not yet in
+    `by_chi` (then it is entered), and the component lies in the joint
+    kernel of (C_k - chi_k I) on its action: the one `_certify_ladder`
+    proves on its rungs, or without `ladders` the `ladder_action` that
+    the trace certificate proves for W(D, t, 0)."""
+    chis = []
     for c in comps:
         r, t, d = c.triple
         if not (0 <= r and 0 <= t and 0 <= d and r + d <= ctx.D
@@ -871,9 +1016,11 @@ def _certify_decomposition(ctx: TerwilligerContext,
             raise AssertionError(f"components {by_chi[chi].triple} and "
                                  f"{c.triple} share chi0, chi1, chi2")
         by_chi[chi] = c
+        chis.append(chi)
     terms = central_terms(ctx)[:3]
-    for chi, c in by_chi.items():
-        c.action = _certify_ladder(ctx, c)
+    for c, chi in zip(comps, chis):
+        c.action = _certify_ladder(ctx, c) if ladders \
+            else ladder_action(ctx, *c.triple)
         # K, L, F, R act on every copy of the component as the ladder
         # matrices, so C_k acts there as its terms evaluated on them
         ident = ExactMatrix.identity(c.d + 1)

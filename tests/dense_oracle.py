@@ -58,7 +58,7 @@ from dualpolar.leonard import (
     TdAwScalars,
     tridiagonal_residuals,
 )
-from dualpolar.linexact import ExactMatrix, rref, spectral_projectors
+from dualpolar.linexact import ExactMatrix, kernel, rref, spectral_projectors
 from dualpolar.polar import FormSpec, _pairing, _sigma
 from dualpolar.terwilliger import (
     LFRK_STATEMENTS,
@@ -69,6 +69,7 @@ from dualpolar.terwilliger import (
     chi0,
     chi1,
     chi2,
+    module_intersection,
 )
 from dualpolar.uqsl2 import UqAction
 
@@ -495,12 +496,37 @@ def characterization(ctx: DenseContext) -> bool:
 # The decomposition certificate
 
 
+def top_rung(ctx, t: int) -> ExactMatrix:
+    """The oracle's lowest rung of W(D, t, 0) at the base vertex of ctx:
+    the RREF basis of the vectors on the top block B_D that L kills and F
+    scales by a_0(W), from the kernel of the adjacency blocks
+    A[B_(D-1), B_D] and A[B_D, B_D] - a_0(W) I."""
+    D, blocks = ctx.D, ctx.blocks
+    a0 = module_intersection(ctx, D, t, 0)[1][0]
+    adj = ctx.g.adjacency.astype(np.int64)
+    lower = ExactMatrix.from_int(adj[np.ix_(blocks[D - 1], blocks[D])])
+    flat = ExactMatrix.from_int(adj[np.ix_(blocks[D], blocks[D])]) \
+        - ExactMatrix.identity(len(blocks[D])).scale(a0)
+    return kernel(ExactMatrix.stack_rows([lower, flat]))[0]
+
+
+def component_rungs(ctx, comp) -> list[ExactMatrix]:
+    """The rungs of a component.  A component W(D, t, 0), which `decompose`
+    certifies by traces and which holds none, gets the oracle's
+    `top_rung`, whose rank must be its multiplicity."""
+    if comp.rungs:
+        return comp.rungs
+    rung = top_rung(ctx, comp.t)
+    assert comp.d == 0 and rung.shape[0] == comp.mult, comp.triple
+    return [rung]
+
+
 def component_basis(ctx, comp) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """The n-wide RREF basis of a component: its rungs embedded in their
-    blocks and row-reduced together."""
+    """The n-wide RREF basis of a component: its rungs (`component_rungs`)
+    embedded in their blocks and row-reduced together."""
     embedded = [embed(rung, (rung.shape[0], ctx.n),
                       (slice(None), ctx.blocks[comp.r + j]))
-                for j, rung in enumerate(comp.rungs)]
+                for j, rung in enumerate(component_rungs(ctx, comp))]
     return rref(ExactMatrix.stack_rows(embedded))
 
 

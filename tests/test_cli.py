@@ -123,15 +123,34 @@ def test_huge_diameter_is_input_error(tmp_path, command, message):
     args = (["build", "--family", "C", "--D", "20000", "--b", "2", "--out",
              str(tmp_path / "out.json")] if command == "build"
             else ["verify", "--graph", str(path)])
+    out = _run_limited(args)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == f"error: {message}\n"
+
+
+def _run_limited(args):
+    """`python -m dualpolar.cli *args` in a fresh interpreter limited to
+    2 GB of address space."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(dualpolar.__file__))]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-m", "dualpolar.cli", *args],
-                         capture_output=True, text=True, env=env,
-                         timeout=300, preexec_fn=_limit_address_space)
+    return subprocess.run([sys.executable, "-m", "dualpolar.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=300, preexec_fn=_limit_address_space)
+
+
+def test_out_of_memory_is_a_one_line_error(tmp_path):
+    """2A_even_3(4) has n = 38313, inside the default --budget, and its
+    n x n codim product does not fit in 2 GB: the command exits 2 with one
+    line naming the innermost dualpolar function that ran out of memory,
+    and numpy's message with the shape, not a traceback."""
+    out = _run_limited(["build", "--family", "2A_even", "--D", "3", "--b",
+                        "4", "--out", str(tmp_path / "out.json")])
     assert out.returncode == 2, out.stderr
-    assert out.stderr == f"error: {message}\n"
+    assert re.fullmatch(r"error: out of memory in \w+: [^\n]*38313[^\n]*\n",
+                        out.stderr), out.stderr
+    assert "Traceback" not in out.stderr
 
 
 @pytest.fixture(scope="module")

@@ -157,6 +157,24 @@ def test_intersection_reference_values(ref, ref_pa):
     assert (c, a, b, cs, astar, bs) == dqk_intersection_closed_forms(ref)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("q", ["2", "sqrt3"])
+def test_intersection_a_matches_the_diagonal_form(d, q):
+    """intersection_data reads a_i = theta_0 - b_i - c_i off phi and phi2;
+    on a valid array it equals the diagonal form theta_i + phi_i /
+    (theta*_i - theta*_(i-1)) + phi_(i+1) / (theta*_i - theta*_(i+1)),
+    which `intersection_data` leaves unchecked as a theorem."""
+    qq = ExactScalar(2) if q == "2" else ExactScalar.sqrt(3)
+    pa = dqk_array(DqkParams(qq, d, 2, -1, 1, 2, 5))
+    assert validate(pa).valid
+    th, ths, phi = pa.theta, pa.theta_star, pa.phi
+    zero = ExactScalar(0)
+    diagonal = [th[i] + (phi[i - 1] / (ths[i] - ths[i - 1]) if i else zero)
+                + (phi[i] / (ths[i] - ths[i + 1]) if i < d else zero)
+                for i in range(d + 1)]
+    assert intersection_data(pa)[1] == diagonal
+
+
 def test_td_aw_scalars_reference(ref, ref_pa):
     s = td_aw_scalars(ref_pa)
     assert s.beta == ExactScalar(Fraction(17, 4))

@@ -5,7 +5,10 @@ displacement weights, the center checks and both U_q(sl2) structures run on
 (d+1) x (d+1) ladder matrices.  The oracle here builds what that replaced:
 one orthogonal projector per component, Upsilon, Psi, Lambda as n x n sums
 of projectors, and x, y, z from the n x n K, L, R.  Applied to every copy of
-every ladder, each dense operator must act as the ladder matrix does.
+every ladder, each dense operator must act as the ladder matrix does.  The
+components W(D, t, 0), which `decompose` certifies by traces, hold no
+vectors; theirs are the oracle's kernel on the top block
+(`dense_oracle.component_rungs`).
 
 `extract_module` reads each module's Leonard system off the ladder too; its
 oracle is the dense extraction from E_i, E*_i, A and A* on n-wide vectors."""
@@ -32,7 +35,7 @@ from dualpolar.terwilliger import (
 )
 from dualpolar.uqsl2 import casimir_scalar, uq_on_standard_module
 
-from dense_oracle import dense_context, embed, idempotents
+from dense_oracle import component_rungs, dense_context, embed, idempotents
 
 
 def orthogonal_projector(rows: ExactMatrix) -> ExactMatrix:
@@ -51,7 +54,7 @@ def dense_center(ctx, comps):
     total = zero
     for c in comps:
         proj = zero
-        for j, rung in enumerate(c.rungs):
+        for j, rung in enumerate(component_rungs(ctx, c)):
             block = ctx.blocks[c.r + j]
             proj = proj + embed(orthogonal_projector(rung), (n, n),
                                  np.ix_(block, block))
@@ -91,7 +94,7 @@ def ladder_copies(ctx, comp):
     for i in range(comp.mult):
         cols = [embed(rung.take_rows([i]), (1, n),
                        (slice(None), ctx.blocks[comp.r + j]))
-                for j, rung in enumerate(comp.rungs)]
+                for j, rung in enumerate(component_rungs(ctx, comp))]
         yield ExactMatrix.stack_rows(cols).T
 
 
@@ -109,7 +112,7 @@ def dense_extract(ctx, E, comp):
     idempotents, each matrix through the Gram inverse of its basis.  A must
     be diagonal on the first basis and A* on the second."""
     r, t, d = comp.triple
-    lowest = embed(comp.rungs[0], (comp.mult, ctx.n),
+    lowest = embed(component_rungs(ctx, comp)[0], (comp.mult, ctx.n),
                     (slice(None), ctx.blocks[r]))
     seed = rref(lowest)[0].take_rows([0]).T
     assert ctx.Estar[r] @ seed == seed

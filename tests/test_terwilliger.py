@@ -1,4 +1,6 @@
 import copy
+import functools
+import math
 import re
 from collections import Counter
 from dataclasses import replace
@@ -692,39 +694,45 @@ def ctx_d42(graph_d42):
 
 
 def test_decompose_elimination_count_d42(ctx_d42, monkeypatch):
-    """One exact kernel per subconstituent r >= 1, and one RREF of its
+    """One exact kernel per subconstituent 1 <= r < D, and one RREF of its
     lowest rung per component whose block holds another component; none
     where a block holds one component (there M_LR and M_F are scalars),
-    none for a candidate eigenvalue that does not occur, and none for the
-    rung ranks, which the ladder certificate implies: 4 + 2 calls of
-    int_rref at vertex 47."""
+    none for a candidate eigenvalue that does not occur, none for the rung
+    ranks, which the ladder certificate implies, and none on the top
+    block, which the trace certificate proves: 3 + 2 calls of int_rref at
+    vertex 47."""
     ctx = ctx_d42
     calls = []
     real = intlinalg.int_rref
     monkeypatch.setattr(intlinalg, "int_rref",
                         lambda mat: calls.append(mat.shape) or real(mat))
     comps = decompose(ctx)
-    shared = [c for c in comps if sum(e.r == c.r for e in comps) > 1]
-    assert len(calls) == ctx.D + len(shared) == 6
+    shared = [c for c in comps if c.r < ctx.D
+              and sum(e.r == c.r for e in comps) > 1]
+    assert len(calls) == ctx.D - 1 + len(shared) == 5
     assert sorted((c.triple, c.mult) for c in comps) == [
         ((0, 0, 4), 1), ((1, 1, 2), 14), ((2, 1, 2), 35), ((2, 2, 0), 20),
         ((3, 2, 0), 70), ((4, 2, 0), 28)]
 
 
-def _refuses_dimension(ctx, total, raised):
-    """decompose fails the dimension sum of its certificate, at total, and
-    the witness names each triple of `raised` with its multiplicity."""
+def _refuses_count(ctx, block, total, raised):
+    """decompose fails the count of its certificate on `block`, where the
+    multiplicities sum to total, and the witness names each triple of
+    `raised` with its multiplicity."""
+    size = len(ctx.blocks[block])
     with pytest.raises(AssertionError, match=re.escape(
-            f"component dimensions sum to {total}, not {ctx.n}: ")) as err:
+            f"the components with a rung on block {block} have "
+            f"multiplicities summing to {total}, not |B_{block}| = {size}: "
+            )) as err:
         decompose(ctx)
     for triple, mult in raised:
         assert f"{triple} x {mult}" in str(err.value)
 
 
 @pytest.mark.parametrize("graph,triple,on_block,total,raised", [
-    ("d32", (0, 0, 3), 1, 36, [((0, 1, 2), 1), ((0, 2, 1), 1),
-                               ((0, 3, 0), 1)]),
-    ("d42", (2, 1, 2), 2, 515, [((2, 1, 1), 35), ((2, 2, 1), 35),
+    ("d32", (0, 0, 3), 1, 4, [((0, 1, 2), 1), ((0, 2, 1), 1),
+                              ((0, 3, 0), 1)]),
+    ("d42", (2, 1, 2), 2, 210, [((2, 1, 1), 35), ((2, 2, 1), 35),
                                 ((2, 3, 1), 35)])],
                          ids=["d32-0-0-3", "d42-2-1-2"])
 def test_decompose_refuses_a_shifted_chi2(request, monkeypatch, graph,
@@ -735,7 +743,7 @@ def test_decompose_refuses_a_shifted_chi2(request, monkeypatch, graph,
     a scalar, which matches no candidate; on D_4(2) the block of (2, 1, 2)
     also holds (2, 2, 0).  The construction checks nothing: it raises a
     component from every piece, the lowest rungs are counted more than
-    once, and the certificate refuses the dimension sum, naming the
+    once, and the certificate refuses the count on the block, naming the
     diameters that do not occur.  chi2 does not depend on t, and decompose
     reads it at t = 0, so the shift is keyed on (r, d)."""
     ctx = request.getfixturevalue(f"ctx_{graph}")
@@ -750,12 +758,12 @@ def test_decompose_refuses_a_shifted_chi2(request, monkeypatch, graph,
         return val + 1 if (r, d) == (triple[0], triple[2]) else val
 
     monkeypatch.setattr(terwilliger, "chi2", shifted)
-    _refuses_dimension(ctx, total, raised)
+    _refuses_count(ctx, triple[0], total, raised)
 
 
 @pytest.mark.parametrize("triple,on_block,total,raised", [
-    ((1, 1, 2), 1, 312, [((1, 2, 2), 14)]),
-    ((2, 1, 2), 2, 480, [((2, 0, 2), 35), ((2, 2, 2), 35)])],
+    ((1, 1, 2), 1, 29, [((1, 2, 2), 14)]),
+    ((2, 1, 2), 2, 140, [((2, 0, 2), 35), ((2, 2, 2), 35)])],
                          ids=["scalar-1-1-2", "lead-2-1-2"])
 def test_decompose_refuses_a_shifted_chi0_d42(ctx_d42, monkeypatch, triple,
                                               on_block, total, raised):
@@ -766,8 +774,8 @@ def test_decompose_refuses_a_shifted_chi0_d42(ctx_d42, monkeypatch, triple,
     (1, 1, 2) alone, so M_LR and M_F are scalars, and M_F matches none of
     the two candidates; block 2 also holds (2, 2, 0), so M_F is split on
     the row space of the diameter piece P_2 over three candidates.  No
-    piece is zero, each is raised, and the certificate refuses the
-    dimension sum, naming the dual endpoints that do not occur."""
+    piece is zero, each is raised, and the certificate refuses the count
+    on the block, naming the dual endpoints that do not occur."""
     ctx = ctx_d42
     comps = decompose(ctx)  # passes unperturbed
     assert triple in [c.triple for c in comps]
@@ -780,7 +788,7 @@ def test_decompose_refuses_a_shifted_chi0_d42(ctx_d42, monkeypatch, triple,
         return val + 1 if (r, t, d) == triple else val
 
     monkeypatch.setattr(terwilliger, "chi0", shifted)
-    _refuses_dimension(ctx, total, raised)
+    _refuses_count(ctx, triple[0], total, raised)
 
 
 def test_decompose_refuses_coinciding_candidates(ctx_d42, monkeypatch):
@@ -930,8 +938,10 @@ def test_split_of_a_lone_candidate_is_the_whole_space(m):
     with an eigenvalue outside the candidate is left to the certificate."""
     m = ExactMatrix.from_rows(m)
     lead = ExactMatrix.from_rows([[1, 0]])
-    assert terwilliger._split(m, {0: 5}, None, "chi0", "m") == {0: None}
-    assert terwilliger._split(m, {0: 5}, lead, "chi0", "m") == {0: lead}
+    assert dict(terwilliger._split(m, {0: 5}, None, "chi0", "m")) \
+        == {0: None}
+    assert dict(terwilliger._split(m, {0: 5}, lead, "chi0", "m")) \
+        == {0: lead}
 
 
 @pytest.mark.parametrize("triple", [(0, 0, 3), (2, 1, 1)],
@@ -1021,6 +1031,141 @@ def test_decompose_refuses_components_with_equal_chi(ctx_d42, monkeypatch):
     with pytest.raises(AssertionError, match=re.escape(
             "components (1, 1, 2) and (2, 2, 0) share chi0, chi1, chi2")):
         decompose(ctx_d42)
+
+
+# The top block B_D: no vectors, certified by counts and power traces of F
+
+
+@functools.lru_cache(maxsize=None)
+def _context(family, D, b, x=0):
+    g = build_polar_graph(FormSpec(family, D, b))
+    bm = spectral_data(g.spec, g.n_vertices, verify_distance_regular(g))
+    return build_context(g, bm, x)
+
+
+@pytest.mark.parametrize("family,D,b,endpoints", [
+    ("C", 3, 2, 1), ("D", 4, 2, 1), ("2D", 3, 2, 2), ("D", 3, 2, 0)],
+    ids=["C-3-2", "D-4-2", "2D-3-2", "D-3-2"])
+def test_top_multiplicities_match_the_oracle_kernel(family, D, b,
+                                                    endpoints):
+    """The components W(D, t, 0) hold no rungs, and their multiplicities
+    are the ranks of the oracle's kernel of L and F - a_0(W) I on B_D, for
+    every t; the others hold their rungs.  One dual endpoint on the top
+    block (C_3(2), D_4(2)), two (2D_3(2)), and none (D_3(2), where the
+    rungs raised from below fill B_D)."""
+    ctx = _context(family, D, b)
+    comps = decompose(ctx)
+    top = {c.t: c.mult for c in comps if c.r == D}
+    assert all(not c.rungs for c in comps if c.r == D)
+    assert all(len(c.rungs) == c.d + 1 for c in comps if c.r < D)
+    oracle = {t: dense_oracle.top_rung(ctx, t).shape[0]
+              for t in range(D + 1)}
+    assert top == {t: m for t, m in oracle.items() if m}
+    assert len(top) == endpoints
+
+
+def test_top_certificate_refuses_a_count(ctx_c32, comps_c32):
+    """(1, 1, 2) given with one copy too many: its rungs lie on blocks 1,
+    2 and 3, and the count of block 1 fails first, naming each component
+    with a rung there."""
+    below = [replace(c, mult=c.mult + 1) if c.triple == (1, 1, 2) else c
+             for c in comps_c32 if c.r < ctx_c32.D]
+    with pytest.raises(AssertionError, match=re.escape(
+            "the components with a rung on block 1 have multiplicities "
+            "summing to 15, not |B_1| = 14: (0, 0, 3) x 1, (1, 1, 1) x 6, "
+            "(1, 1, 2) x 8")):
+        terwilliger._certify_decomposition(ctx_c32, below)
+
+
+@pytest.mark.parametrize("family,D,b,t,S", [
+    ("C", 3, 2, 2, [1, 2, 3]), ("2D", 3, 2, 2, [1, 2, 3])],
+    ids=["C-3-2", "2D-3-2"])
+def test_top_certificate_refuses_a_nonzero_trace_sum(monkeypatch, family, D,
+                                                     b, t, S):
+    """chi0 of W(D, t, 0) moved by 1 moves its candidate nu_t off the
+    eigenvalue a_0(W) of F on its copies, so tr p(F) over the complement
+    is the sum over those copies of p(a_0(W)) > 0, and the refusal names
+    it."""
+    ctx = _context(family, D, b)
+    mult = {c.t: c.mult for c in decompose(ctx) if c.r == D}[t]
+    real = terwilliger.chi0
+    monkeypatch.setattr(terwilliger, "chi0", lambda ctx, *triple: real(
+        ctx, *triple) + (triple == (D, t, 0)))
+    a0 = terwilliger.module_intersection(ctx, D, t, 0)[1][0]
+    residue = mult * math.prod((a0 - terwilliger._nu(ctx, D, s, 0)) ** 2
+                               for s in S)
+    assert residue > 0
+    with pytest.raises(AssertionError, match=re.escape(
+            f"F on the top block {D} beyond the components below has tr "
+            f"p(F) = {residue}, not 0, for p with the double roots nu_t, "
+            f"t in {S}")):
+        decompose(ctx)
+
+
+def test_top_certificate_refuses_a_negative_multiplicity():
+    """C_2(2) has W(2, 1, 0) x 3 and W(2, 2, 0) x 1 on its top block.  Given
+    the oracle's rung of W(2, 2, 0) as a component of two copies, the
+    traces over the complement are those of 3 copies of nu_1 less one of
+    nu_2: tr p(F) is 0, and the Vandermonde solve gives nu_2 the
+    multiplicity -1."""
+    ctx = _context("C", 2, 2)
+    comps = decompose(ctx)
+    assert sorted((c.triple, c.mult) for c in comps if c.r == 2) == [
+        ((2, 1, 0), 3), ((2, 2, 0), 1)]
+    given = terwilliger.HomogeneousComponent(
+        2, 2, 0, 2, [dense_oracle.top_rung(ctx, 2)])
+    with pytest.raises(AssertionError, match=re.escape(
+            "the top block 2 gives W(2, 2, 0) the multiplicity -1, not a "
+            "non-negative integer")):
+        terwilliger._certify_decomposition(
+            ctx, [c for c in comps if c.r < 2] + [given])
+
+
+def test_top_certificate_refuses_coinciding_candidates(monkeypatch):
+    """chi0 of (2, 1, 0) read as that of (2, 2, 0) on C_2(2), whose top
+    block holds both: the mean of F there is neither candidate, and the two
+    candidates of p coincide."""
+    ctx = _context("C", 2, 2)
+    real = terwilliger.chi0
+    monkeypatch.setattr(terwilliger, "chi0", lambda ctx, r, t, d: real(
+        ctx, r, 2 if (r, t, d) == (2, 1, 0) else t, d))
+    with pytest.raises(AssertionError, match=re.escape(
+            "F on the top block 2: two chi0 candidates coincide")):
+        decompose(ctx)
+
+
+def test_decompose_runs_no_elimination_on_the_top_block(monkeypatch):
+    """On 2D_3(2), whose top block holds two dual endpoints, the kernels
+    are those of A[B_(r-1), B_r] for 1 <= r < D, and every Lagrange split
+    is on a lower block."""
+    ctx = _context("2D", 3, 2)
+    kernels, splits = [], []
+    real_kernel, real_split = terwilliger.kernel, terwilliger._split
+    monkeypatch.setattr(terwilliger, "kernel",
+                        lambda m: kernels.append(m.shape) or real_kernel(m))
+    monkeypatch.setattr(terwilliger, "_split", lambda *args: splits.append(
+        args[-1]) or real_split(*args))
+    decompose(ctx)
+    sizes = [len(block) for block in ctx.blocks]
+    assert kernels == [(sizes[r - 1], sizes[r]) for r in range(1, ctx.D)]
+    assert splits and all(re.search(r"block [0-2]$", w) for w in splits)
+
+
+def test_split_forms_each_piece_when_it_is_taken(monkeypatch):
+    """Three candidates, one of which (5) is no eigenvalue of m: each piece
+    is one product of two shifts, formed only when the consumer asks for
+    it, and the zero piece of 5 is dropped."""
+    products = []
+    real = ExactMatrix.__matmul__
+    monkeypatch.setattr(ExactMatrix, "__matmul__",
+                        lambda a, b: products.append(1) or real(a, b))
+    m = ExactMatrix.diag([1, 2, 2])
+    pieces = terwilliger._split(m, {0: 1, 1: 2, 2: 5}, None, "chi0", "m")
+    assert products == []
+    key, piece = next(pieces)
+    assert (key, len(products)) == (0, 1)
+    assert piece == ExactMatrix.diag([4, 0, 0])  # (m - 2)(m - 5)
+    assert [k for k, _ in pieces] == [1] and len(products) == 3
 
 
 def test_td_scalars_checked_once_per_form(graph_d32, bm_d32, monkeypatch):
