@@ -436,8 +436,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         from traceback import walk_tb
+        # by package: under -m this module runs as __main__; main is one
         where = [f.f_code.co_name for f, _ in walk_tb(exc.__traceback__)
-                 if f.f_globals.get("__name__", "").startswith("dualpolar")]
+                 if f.f_globals.get("__package__") == __package__]
         print(f"error: out of memory in {where[-1]}: {exc}", file=sys.stderr)
         return 2
 

@@ -89,16 +89,6 @@ def int_matmul(a: np.ndarray, b: np.ndarray, *, ma: int | None = None,
     return prod.astype(np.int64, copy=False)
 
 
-def int_inner(a: np.ndarray, b: np.ndarray) -> int:
-    """Exact sum_ij a_ij b_ij of two integer arrays of one shape: in int64
-    when size * max|a| * max|b|, which bounds every partial sum, is below
-    2^62, else in Python ints."""
-    if a.size * _max_abs(a) * _max_abs(b) < _INT64_SAFE:
-        return int(np.vdot(a.astype(np.int64, copy=False),
-                           b.astype(np.int64, copy=False)))
-    return int((_to_object(a) * _to_object(b)).sum())
-
-
 # The first twelve primes: as Miller-Rabin bases they decide primality of
 # every n below 318665857834031151167461 (Sorenson and Webster, 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -72,7 +72,7 @@ from .drg import (
     td_scalars,
 )
 from .exact import ExactScalar, q_pow
-from .intarith import int_inner, int_matmul
+from .intarith import int_matmul
 from .leonard import _check_axiom_pattern, eigenbasis
 from .linexact import ExactMatrix, kernel, rref
 from .polar import PolarGraph
@@ -832,10 +832,11 @@ def _certify_ladder(ctx: TerwilligerContext,
     symmetric, so row y of `rung @ A[B_s, B_i]` is the image of rung row y
     on block i.
 
-    This proves the rung ranks too.  Rung 0 is a leading-1 RREF, of rank
-    mult.  If rung j - 1 has rank mult and b_(j-1) c_j != 0, then L rung_j
-    = b_(j-1) c_j rung_(j-1) has rank mult, and so has rung j, of mult
-    rows.  So a zero b_(j-1) c_j is refused first.
+    This proves the rung ranks too.  Rung 0 is a leading-1 RREF of mult
+    rows (`_certify_decomposition` checks it), so of rank mult.  If rung
+    j - 1 has rank mult and b_(j-1) c_j != 0, then L rung_j = b_(j-1) c_j
+    rung_(j-1) has rank mult, and so has rung j, of mult rows.  So a zero
+    b_(j-1) c_j is refused first.
     """
     r, t, d = comp.triple
     act = ladder_action(ctx, r, t, d)
@@ -870,15 +871,31 @@ def _poly(roots) -> list[Fraction]:
     return coeffs
 
 
+def _leading_one(m: ExactMatrix, rows: int, cols: int) -> bool:
+    """m is a rows x cols leading-1 RREF: the first nonzero columns of its
+    rows increase, and the submatrix at them is I (numerators den on the
+    diagonal and zeros off it), a minor that proves rank rows."""
+    if m.shape != (rows, cols) or not m.is_rational:
+        return False
+    lead = (m.n0 != 0).argmax(axis=1)
+    sub = m.n0[:, lead]
+    return bool((np.diff(lead) > 0).all()) \
+        and np.count_nonzero(sub) == rows \
+        and sub.diagonal().tolist() == [m.den] * rows
+
+
 def _certify_decomposition(ctx: TerwilligerContext,
                            comps: list[HomogeneousComponent]
                            ) -> list[HomogeneousComponent]:
     """The one proof of `decompose`, for any components, however built.
     Returns the components W(D, t, 0) that fill the rest of V, with no
     rungs.  Checked:
+    - each triple is feasible, and the component is given as d + 1 rungs
+      whose rung 0 is a leading-1 RREF of mult rows on B_r (`_leading_one`),
+      so of rank mult,
     - counts: for each i < D, the mults of the components with a rung on
       B_i sum to |B_i|,
-    - the triples are feasible, with pairwise distinct (chi0, chi1, chi2),
+    - the triples have pairwise distinct (chi0, chi1, chi2),
     - L, F, R act on the raising ladder of each component as
       `ladder_action` says (`_certify_ladder`, so each component is A- and
       A*-invariant, and rung j, on block r + j, has rank mult); the
@@ -910,21 +927,40 @@ def _certify_decomposition(ctx: TerwilligerContext,
     eigenvalue of F there among the nu_t, t in S (`_nu`).  The
     multiplicity of nu_t is then tr l_t(F) = sum_j [x^j] l_t tau_j, with
     l_t the Lagrange polynomial of S at nu_t: the Vandermonde solve on
-    tau_0, ..., tau_(|S|-1).  Each must be a non-negative integer m_t.  L
-    and R kill the nu_t-eigenspace, and K, A* are scalars on E*_D V, so it
-    is m_t copies of a module of type (D, t, 0).  Its 1 x 1 ladder action
-    has F = a_0(W); the joint-kernel check of C0 = K F + (q^2e - 1)/(q^2 -
-    1) K on it holds exactly when a_0(W) = nu_t, so F acts as the action
-    says, and it is checked with the others for distinct (chi0, chi1,
-    chi2).  So V = U + W' is the direct sum of all the components, whose
-    dimensions sum to |X|.
+    tau_0, ..., tau_(|S|-1).  It needs no check: l_t(F) is the projector
+    onto the nu_t-eigenspace of F on W', so its trace m_t is the dimension
+    of that eigenspace, a non-negative integer.  That holds as the tau_j
+    are the traces over W': the rungs of the components are independent
+    and of rank mult each, by the checks above.  L and R kill the
+    nu_t-eigenspace, and K, A* are scalars on E*_D V, so it is m_t copies
+    of a module of type (D, t, 0).  Its 1 x 1 ladder action has F =
+    a_0(W); the joint-kernel check of C0 = K F + (q^2e - 1)/(q^2 - 1) K on
+    it holds exactly when a_0(W) = nu_t, so F acts as the action says, and
+    it is checked with the others for distinct (chi0, chi1, chi2).  So V
+    = U + W' is the direct sum of all the components, whose dimensions
+    sum to |X|.
 
     S only chooses p, so how it is chosen is not part of the proof: none
     when W' = 0; {t} when the mean tau_1 / tau_0 is nu_t, which needs no
-    product (tau_2 reads <F_D, F_D>); else t = 1, ..., D, with |S| - 1
+    product (tau_2 counts the ones of F_D); else t = 1, ..., D, with |S| - 1
     products F_D^m (t = 0 only for the trivial module: E_0 V holds only
     the constant vectors)."""
     D = ctx.D
+    for c in comps:
+        r, t, d = c.triple
+        if not (0 <= r and 0 <= t and 0 <= d and r + d <= D
+                and t + d <= D and r + t + d >= D):
+            raise AssertionError(
+                f"triple {c.triple} violates feasibility bounds")
+        width = len(ctx.blocks[r])
+        if len(c.rungs) != c.d + 1 or not _leading_one(c.rungs[0], c.mult,
+                                                       width):
+            shape = c.rungs[0].shape if c.rungs else None
+            raise AssertionError(
+                f"component {c.triple} x {c.mult} is given as "
+                f"{len(c.rungs)} rungs with rung 0 of shape {shape}, not "
+                f"{c.d + 1} with rung 0 a leading-1 RREF of shape "
+                f"({c.mult}, {width})")
     for i in range(D):
         on = sorted((c for c in comps if c.r <= i <= c.r + c.d),
                     key=lambda c: c.triple)
@@ -936,9 +972,9 @@ def _certify_decomposition(ctx: TerwilligerContext,
                 f"multiplicities summing to {total}, not |B_{i}| = {size}: "
                 f"{counted}")
     by_chi: dict = {}
-    _certify_components(ctx, comps, by_chi, ladders=True)
+    _certify_components(ctx, comps, by_chi)
     top = _top_components(ctx, comps)
-    _certify_components(ctx, top, by_chi, ladders=False)
+    _certify_components(ctx, top, by_chi)
     return top
 
 
@@ -947,8 +983,8 @@ def _top_components(ctx: TerwilligerContext,
                     ) -> list[HomogeneousComponent]:
     """The components W(D, t, 0), with no rungs, that F on B_D leaves
     beyond the certified components `comps`, by the trace certificate of
-    `_certify_decomposition`: tr p(F) over W' must be 0, and each m_t a
-    non-negative integer."""
+    `_certify_decomposition`: tr p(F) over W' must be 0, and then each
+    m_t is the dimension of an eigenspace."""
     D = ctx.D
     top = [(c.mult, c.action.F.entry(c.d, c.d).as_fraction())
            for c in comps if c.r + c.d == D]
@@ -960,10 +996,15 @@ def _top_components(ctx: TerwilligerContext,
         s = len(powers) - 1
         if j == 0:
             whole = len(f)
+        elif j == 2:  # F_D is 0/1 and symmetric: tr F_D^2 counts its ones
+            whole = int(np.count_nonzero(f))
         elif j <= s:
             whole = int(np.diagonal(powers[j]).astype(object).sum())
         else:
-            whole = int_inner(powers[s], powers[j - s])
+            # <F^s, F^(j-s)>: the 1 x 1 product of the one flattened to a
+            # row and the other to a column
+            whole = int(int_matmul(powers[s].reshape(1, -1),
+                                   powers[j - s].reshape(-1, 1))[0, 0])
         return whole - sum(m * a ** j for m, a in top)
 
     dim, tr1 = tau(0), tau(1)
@@ -988,30 +1029,21 @@ def _top_components(ctx: TerwilligerContext,
         ell = _poly([nu[u] for u in S if u != t])
         scale = math.prod(nu[t] - nu[u] for u in S if u != t)
         mult = sum(c * v for c, v in zip(ell, taus)) / scale
-        if mult.denominator != 1 or mult < 0:
-            raise AssertionError(
-                f"the top block {D} gives W{(D, t, 0)} the multiplicity "
-                f"{mult}, not a non-negative integer")
         if mult:
             found.append(HomogeneousComponent(D, t, 0, int(mult), []))
     return found
 
 
 def _certify_components(ctx: TerwilligerContext,
-                        comps: list[HomogeneousComponent], by_chi: dict,
-                        ladders: bool):
-    """Each triple is feasible, its (chi0, chi1, chi2) is not yet in
-    `by_chi` (then it is entered), and the component lies in the joint
-    kernel of (C_k - chi_k I) on its action: the one `_certify_ladder`
-    proves on its rungs, or without `ladders` the `ladder_action` that
-    the trace certificate proves for W(D, t, 0)."""
+                        comps: list[HomogeneousComponent], by_chi: dict):
+    """The (chi0, chi1, chi2) of each triple is not yet in `by_chi` (then
+    it is entered), and the component lies in the joint kernel of (C_k -
+    chi_k I) on its action, the one `_certify_ladder` proves on its rungs:
+    for a rung-less W(D, t, 0), whose action the trace certificate
+    proves, that is its `ladder_action`."""
     chis = []
     for c in comps:
-        r, t, d = c.triple
-        if not (0 <= r and 0 <= t and 0 <= d and r + d <= ctx.D
-                and t + d <= ctx.D and r + t + d >= ctx.D):
-            raise AssertionError(f"triple {c.triple} violates feasibility bounds")
-        chi = tuple(chif(ctx, r, t, d) for chif in (chi0, chi1, chi2))
+        chi = tuple(chif(ctx, *c.triple) for chif in (chi0, chi1, chi2))
         if chi in by_chi:
             raise AssertionError(f"components {by_chi[chi].triple} and "
                                  f"{c.triple} share chi0, chi1, chi2")
@@ -1019,8 +1051,7 @@ def _certify_components(ctx: TerwilligerContext,
         chis.append(chi)
     terms = central_terms(ctx)[:3]
     for c, chi in zip(comps, chis):
-        c.action = _certify_ladder(ctx, c) if ladders \
-            else ladder_action(ctx, *c.triple)
+        c.action = _certify_ladder(ctx, c)
         # K, L, F, R act on every copy of the component as the ladder
         # matrices, so C_k acts there as its terms evaluated on them
         ident = ExactMatrix.identity(c.d + 1)

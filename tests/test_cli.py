@@ -128,14 +128,14 @@ def test_huge_diameter_is_input_error(tmp_path, command, message):
     assert out.stderr == f"error: {message}\n"
 
 
-def _run_limited(args):
-    """`python -m dualpolar.cli *args` in a fresh interpreter limited to
-    2 GB of address space."""
+def _run_limited(args, run=("-m", "dualpolar.cli")):
+    """`python *run *args`, by default `python -m dualpolar.cli *args`, in
+    a fresh interpreter limited to 2 GB of address space."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(dualpolar.__file__))]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-m", "dualpolar.cli", *args],
+    return subprocess.run([sys.executable, *run, *args],
                           capture_output=True, text=True, env=env,
                           timeout=300, preexec_fn=_limit_address_space)
 
@@ -151,6 +151,22 @@ def test_out_of_memory_is_a_one_line_error(tmp_path):
     assert re.fullmatch(r"error: out of memory in \w+: [^\n]*38313[^\n]*\n",
                         out.stderr), out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_out_of_memory_outside_the_package_names_its_caller(tmp_path):
+    """A MemoryError raised by json.load, outside the package, while the
+    CLI runs as __main__ (as under -m): the error names cmd_leonard, the
+    innermost function of the package, in one line."""
+    path = tmp_path / "params.json"
+    path.write_text("{}")
+    code = ("import json, runpy\n"
+            "def load(fh): raise MemoryError('no room')\n"
+            "json.load = load\n"
+            "runpy.run_module('dualpolar.cli', run_name='__main__', "
+            "alter_sys=True)\n")
+    out = _run_limited(["leonard", "--params", str(path)], run=("-c", code))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == "error: out of memory in cmd_leonard: no room\n"
 
 
 @pytest.fixture(scope="module")

@@ -1065,15 +1065,15 @@ def test_top_multiplicities_match_the_oracle_kernel(family, D, b,
 
 
 def test_top_certificate_refuses_a_count(ctx_c32, comps_c32):
-    """(1, 1, 2) given with one copy too many: its rungs lie on blocks 1,
-    2 and 3, and the count of block 1 fails first, naming each component
-    with a rung there."""
-    below = [replace(c, mult=c.mult + 1) if c.triple == (1, 1, 2) else c
-             for c in comps_c32 if c.r < ctx_c32.D]
+    """(1, 1, 1) left out: the rungs left on block 1 do not fill it, and
+    the count of block 1 fails first, naming each component with a rung
+    there.  (A mult that its rung 0 does not have is refused before the
+    counts.)"""
+    below = [c for c in comps_c32
+             if c.r < ctx_c32.D and c.triple != (1, 1, 1)]
     with pytest.raises(AssertionError, match=re.escape(
             "the components with a rung on block 1 have multiplicities "
-            "summing to 15, not |B_1| = 14: (0, 0, 3) x 1, (1, 1, 1) x 6, "
-            "(1, 1, 2) x 8")):
+            "summing to 8, not |B_1| = 14: (0, 0, 3) x 1, (1, 1, 2) x 7")):
         terwilliger._certify_decomposition(ctx_c32, below)
 
 
@@ -1102,23 +1102,60 @@ def test_top_certificate_refuses_a_nonzero_trace_sum(monkeypatch, family, D,
         decompose(ctx)
 
 
-def test_top_certificate_refuses_a_negative_multiplicity():
-    """C_2(2) has W(2, 1, 0) x 3 and W(2, 2, 0) x 1 on its top block.  Given
-    the oracle's rung of W(2, 2, 0) as a component of two copies, the
-    traces over the complement are those of 3 copies of nu_1 less one of
-    nu_2: tr p(F) is 0, and the Vandermonde solve gives nu_2 the
-    multiplicity -1."""
-    ctx = _context("C", 2, 2)
-    comps = decompose(ctx)
-    assert sorted((c.triple, c.mult) for c in comps if c.r == 2) == [
-        ((2, 1, 0), 3), ((2, 2, 0), 1)]
-    given = terwilliger.HomogeneousComponent(
-        2, 2, 0, 2, [dense_oracle.top_rung(ctx, 2)])
+def _given(comps, triple, **changes):
+    """comps with the component `triple` replaced as `changes` say."""
+    return [replace(c, **changes) if c.triple == triple else c
+            for c in comps]
+
+
+def _rungs_of(comps, triple):
+    return next(c for c in comps if c.triple == triple).rungs
+
+
+@pytest.mark.parametrize("case", ["two-copies-one-row", "no-rungs", "short",
+                                  "rows-swapped", "doubled"])
+def test_certificate_refuses_a_component_given_off_its_mult(case):
+    """The rank proofs take mult from the rows of rung 0, so each given
+    component must hold d + 1 rungs and a leading-1 RREF rung 0 of mult
+    rows: on C_2(2), whose top block holds W(2, 2, 0) x 1, the oracle's
+    rung of W(2, 2, 0) given as two copies (which the trace certificate
+    would solve as a multiplicity of -1); on C_3(2), (1, 1, 2) with no
+    rungs, without its top rung, with rows 0 and 1 of rung 0 swapped, or
+    with rung 0 doubled."""
+    if case == "two-copies-one-row":
+        ctx = _context("C", 2, 2)
+        rung = dense_oracle.top_rung(ctx, 2)
+        assert rung.shape[0] == 1
+        triple, mult, rungs = (2, 2, 0), 2, [rung]
+        given = [c for c in decompose(ctx) if c.r < 2] + [
+            terwilliger.HomogeneousComponent(*triple, mult, rungs)]
+    else:
+        ctx, triple, mult = _context("C", 3, 2), (1, 1, 2), 7
+        below = [c for c in decompose(ctx) if c.r < 3]
+        full = _rungs_of(below, triple)
+        rungs = {"no-rungs": [], "short": full[:2],
+                 "rows-swapped": [full[0].take_rows([1, 0, *range(2, mult)]),
+                                  *full[1:]],
+                 "doubled": [full[0].scale(2), *full[1:]]}[case]
+        given = _given(below, triple, rungs=rungs)
+    assert len(_rungs_of(given, triple)) == len(rungs)
+    shape = rungs[0].shape if rungs else None
+    d = triple[2]
     with pytest.raises(AssertionError, match=re.escape(
-            "the top block 2 gives W(2, 2, 0) the multiplicity -1, not a "
-            "non-negative integer")):
-        terwilliger._certify_decomposition(
-            ctx, [c for c in comps if c.r < 2] + [given])
+            f"component {triple} x {mult} is given as {len(rungs)} rungs "
+            f"with rung 0 of shape {shape}, not {d + 1} with rung 0 a "
+            f"leading-1 RREF of shape ({mult}, "
+            f"{len(ctx.blocks[triple[0]])})")):
+        terwilliger._certify_decomposition(ctx, given)
+
+
+def test_certificate_refuses_an_infeasible_triple(ctx_c32, comps_c32):
+    """(1, 1, 2) read as (3, 0, 1), whose ladder would leave the top block
+    B_3: refused by name before its rungs are looked at."""
+    with pytest.raises(AssertionError, match=re.escape(
+            "triple (3, 0, 1) violates feasibility bounds")):
+        terwilliger._certify_decomposition(ctx_c32, _given(
+            [c for c in comps_c32 if c.r < 3], (1, 1, 2), r=3, t=0, d=1))
 
 
 def test_top_certificate_refuses_coinciding_candidates(monkeypatch):
