@@ -145,15 +145,11 @@ def closed_form_intersection(spec: FormSpec) -> tuple[list[int], list[int], list
     b^(i+e)(b^(D-i)-1)/(b-1)."""
     b, D, e = spec.b, spec.D, spec.e
     c = [int((b ** i - 1) // (b - 1)) for i in range(D + 1)]
-    bb = []
-    aa = []
-    for i in range(D + 1):
-        bi = b_pow(b, i + e) * (b ** (D - i) - 1) / (b - 1)
-        ai = (b_pow(b, e) - 1) * (b ** i - 1) / (b - 1)
-        if bi.denominator != 1 or ai.denominator != 1:
-            raise AssertionError(f"b_{i} or a_{i} is not an integer")
-        bb.append(int(bi))
-        aa.append(int(ai))
+    # integers: b^e is one for a half-integer e too, as b is a square then
+    aa = [int((b_pow(b, e) - 1) * (b ** i - 1) / (b - 1))
+          for i in range(D + 1)]
+    bb = [int(b_pow(b, i + e) * (b ** (D - i) - 1) / (b - 1))
+          for i in range(D + 1)]
     return c, aa, bb
 
 
@@ -171,7 +167,8 @@ def verify_intersection(spec: FormSpec, data: IntersectionData):
 
 
 def closed_form_eigenvalues(spec: FormSpec) -> list[Fraction]:
-    """theta_i = (1 - b^e + b^(D+e-i) - b^i)/(b - 1), decreasing in i."""
+    """theta_i = (1 - b^e + b^(D+e-i) - b^i)/(b - 1), decreasing in i:
+    theta_i - theta_(i+1) = b^(D+e-i-1) + b^i > 0."""
     b, D, e = spec.b, spec.D, spec.e
     return [
         (1 - b_pow(b, e) + b_pow(b, D + e - i) - b ** i) / (b - 1)
@@ -269,9 +266,6 @@ def spectral_data(spec: FormSpec, n: int,
     intersection data, each closed form checked as a scalar identity."""
     D = data.D
     theta = closed_form_eigenvalues(spec)
-    for i in range(len(theta) - 1):
-        if not theta[i] > theta[i + 1]:
-            raise AssertionError("eigenvalues are not strictly decreasing")
     m = closed_form_multiplicities(spec)
     if theta[0] != data.k or m[0] != 1:
         raise AssertionError("principal idempotent is not J/|X|")
@@ -291,12 +285,11 @@ def spectral_data(spec: FormSpec, n: int,
     check_q_polynomial_pattern(q)
     zeta, xi = dual_eigenvalue_scalars(spec)
     theta_star = closed_form_dual_eigenvalues(spec)
+    # at h = 0 this is theta*_0 = Q_01 = m_1 v_0(theta_1) / k_0 = m_1
     for h in range(D + 1):
         if Q[h][1] != theta_star[h]:
             raise AssertionError(f"Q_{h}1 != theta*_{h}: the dual adjacency "
                                  "is not |X| times a row of E_1")
-    if theta_star[0] != m[1]:
-        raise AssertionError("theta*_0 != m_1")
     return BoseMesnerData(theta, m, P, Q, q, theta_star, zeta, xi)
 
 

@@ -4,13 +4,14 @@ Every spectral quantity in this package lives in Q or in Q(sqrt(b)) where b
 is the prime power attached to a form family (the deformation parameter is
 q = sqrt(b)).  A scalar is stored as four Python ints (p, r, den, rad)
 meaning (p + r*sqrt(rad)) / den, in one canonical form: den > 0,
-gcd(p, r, den) = 1, and rad = 0 exactly when r = 0.  Perfect-square
-radicands collapse eagerly to the rational form, so fields built over
-b = 4, 9, ... run in pure rational arithmetic.  Arithmetic runs on those
-ints with one gcd per result and builds no `Fraction`; equal scalars have
-equal parts.  Scalars never touch floating point; the one place the package
-does is `intarith.int_matmul`, and only where a bound proves the product
-exact.
+gcd(p, r, den) = 1, rad is square-free, and rad = 0 exactly when r = 0.
+The square part of a radicand moves into r (sqrt(8) is 2*sqrt(2)), and
+perfect-square radicands collapse eagerly to the rational form, so fields
+built over b = 4, 9, ... run in pure rational arithmetic.  Arithmetic runs
+on those ints with one gcd per result and builds no `Fraction`; equal
+scalars have equal parts.  Scalars never touch floating point; the one
+place the package does is `intarith.int_matmul`, and only where a bound
+proves the product exact.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ class ExactScalar:
     """An element (p + r*sqrt(rad)) / den of Q(sqrt(rad)), immutable and
     hashable.
 
-    The parts are ints in canonical form: den > 0, gcd(p, r, den) = 1, and
-    rad = 0 exactly when r = 0 (a perfect-square radicand is folded into
-    p), so two scalars are equal exactly when their parts are.  The
+    The parts are ints in canonical form: den > 0, gcd(p, r, den) = 1, rad
+    square-free, and rad = 0 exactly when r = 0 (the square part of a
+    radicand is folded into r, and a perfect-square radicand into p), so
+    two scalars are equal exactly when their parts are.  The
     constructor takes the rational parts a + c*sqrt(rad) as ints or
     Fractions; the properties `a` and `c` give them back as Fractions.
     """
@@ -66,7 +68,8 @@ class ExactScalar:
 
     @classmethod
     def sqrt(cls, b: int) -> "ExactScalar":
-        """The scalar sqrt(b); collapses to an integer when b is a square."""
+        """The scalar sqrt(b) = s*sqrt(f) with f square-free; an integer when
+        b is a square."""
         return cls(0, 1, b)
 
     @staticmethod
@@ -79,9 +82,11 @@ class ExactScalar:
         if r:
             if rad < 0:
                 raise ValueError("radicand must be nonnegative")
-            root = math.isqrt(rad)
-            if root * root == rad:
+            root, rad = _square_split(rad)
+            if rad == 1:
                 p, r = p + r * root, 0
+            else:
+                r *= root
         return _reduced(p, r, den, rad)
 
     @property
@@ -250,6 +255,30 @@ def _reduced(p: int, r: int, den: int, rad: int) -> ExactScalar:
     return _make(p, r, den, rad if r else 0)
 
 
+# radicand -> (s, f) with radicand = s^2 f and f square-free
+_SQUARE_SPLIT: dict[int, tuple[int, int]] = {}
+
+
+def _square_split(rad: int) -> tuple[int, int]:
+    """(s, f) with rad = s^2 f and f square-free, so f = 1 for a square.
+    Once the primes up to the cube root of what is left are divided out, at
+    most two prime factors remain: the rest is square-free or a square."""
+    if rad not in _SQUARE_SPLIT:
+        s, f, rest, p = 1, 1, rad, 2
+        while p ** 3 <= rest:
+            while rest % (p * p) == 0:
+                rest //= p * p
+                s *= p
+            if rest % p == 0:
+                rest //= p
+                f *= p
+            p += 1
+        root = math.isqrt(rest)
+        _SQUARE_SPLIT[rad] = (s * root, f) if root * root == rest \
+            else (s, f * rest)
+    return _SQUARE_SPLIT[rad]
+
+
 _RATIO = r"(-?\d+)(?:/(\d+))?"
 _SCALAR_RE = re.compile(
     rf"^\s*{_RATIO}(?:\s*\+\s*{_RATIO}\*sqrt\((\d+)\))?\s*$")
@@ -320,8 +349,9 @@ def parse_scalar_field(value, label: str) -> ExactScalar:
 def q_pow(q: ExactScalar, n: int) -> ExactScalar:
     """Exact q**n for a nonzero scalar q (n may be negative).
 
-    For q = sqrt(b) this is b**(n/2) when n is even and
-    b**((n-1)/2)*sqrt(b) when n is odd.
+    For q = c*sqrt(f), such as sqrt(b) = s*sqrt(f), this is (q^2)**(n/2)
+    when n is even and (q^2)**((n-1)/2)*q when n is odd, with q^2 = c^2 f
+    rational.
     """
     if q.is_zero:
         raise ZeroDivisionError("q must be nonzero")
@@ -330,9 +360,12 @@ def q_pow(q: ExactScalar, n: int) -> ExactScalar:
         if den < 0:
             p, den = -p, -den
         return _make(p ** abs(n), 0, den ** abs(n), 0)
-    if q.p == 0 and q.r == 1 and q.den == 1:
-        b = q.rad
+    if q.p == 0:
         half, odd = divmod(n, 2)
-        num, den = (b ** half, 1) if half >= 0 else (1, b ** -half)
-        return _make(0, num, den, b) if odd else _make(num, 0, den, 0)
+        num, den = q.r * q.r * q.rad, q.den * q.den
+        num, den = (num ** half, den ** half) if half >= 0 \
+            else (den ** -half, num ** -half)
+        if odd:
+            return _reduced(0, num * q.r, den * q.den, q.rad)
+        return _reduced(num, 0, den, 0)
     return q ** n

@@ -141,14 +141,15 @@ class TerwilligerContext:
 
 def build_context(g: PolarGraph, bm: BoseMesnerData,
                   x: int = 0) -> TerwilligerContext:
-    """The distance partition at x, with the checks of the dual adjacency
-    matrix and of the adjacency blocks:
+    """The distance partition at x, with the checks of the adjacency blocks:
     - adjacent vertices differ by at most 1 in distance from x, so
       A = L + F + R over the partition,
-    - theta*_i = zeta + xi b^-i, so A* = zeta I + xi K = sum theta*_i E*_i,
     - L^t = R and F^t = F, block by block.
-    That the diagonal of A* is |X| times row x of E_1 is `spectral_data`'s
-    Q_h1 = theta*_h, which holds at every base vertex."""
+    A* = zeta I + xi K = sum theta*_i E*_i holds by construction:
+    `spectral_data` takes theta*_i = zeta + xi b^-i from the same
+    `dual_eigenvalue_scalars` as its zeta and xi.  That the diagonal of A*
+    is |X| times row x of E_1 is `spectral_data`'s Q_h1 = theta*_h, which
+    holds at every base vertex."""
     D, b = g.spec.D, g.spec.b
     dist_x = g.dist[x].astype(np.int64)
     blocks = [np.nonzero(dist_x == i)[0] for i in range(D + 1)]
@@ -157,9 +158,6 @@ def build_context(g: PolarGraph, bm: BoseMesnerData,
         if g.adjacency[np.ix_(blocks[i], np.concatenate(blocks[i + 2:]))].any():
             raise AssertionError(
                 "A does not split as L + F + R over the partition")
-    if any(bm.theta_star[i] != bm.zeta + bm.xi * Fraction(1, b ** i)
-           for i in range(D + 1)):
-        raise AssertionError("theta*_i != zeta + xi b^-i")
     ctx = TerwilligerContext(g, bm, x, ExactScalar.sqrt(b), dist_x, blocks)
     for i in range(D + 1):
         for j in (i, i + 1):

@@ -108,7 +108,7 @@ class UqAction:
         """
         for name, resid in self.equitable_residuals():
             if not resid.is_zero():
-                raise AssertionError(f"relation {name} fails")
+                raise AssertionError(f"defining relation {name} fails")
 
     def casimir(self) -> ExactMatrix:
         """ef + (q^-1 k + q k^-1)/(q - q^-1)^2.  Not checked to be central
@@ -147,9 +147,9 @@ def build_Ld(d: int, eps: int, q: ExactScalar, basis: str = "kef") -> UqAction:
         y = ExactMatrix.combination(((1, kinv),
                                      (-q * (q - q.inverse()), kinv @ e)))
         act = UqAction(q, x, y, k, kinv)
+        # f and e solve back to fmat and emat: x - z^-1 = (q - q^-1) f, and
+        # 1 - z y = q (q - q^-1) e given k kinv = 1, which verify checks
         act.verify()
-        if act.e != e or act.f != f or act.k != k:
-            raise AssertionError("Chevalley round trip failed")
         return act
     if basis not in ("x-eigen", "y-eigen", "z-eigen"):
         raise ValueError(f"unknown basis {basis!r}")
@@ -299,11 +299,21 @@ def dpg_uq_params(ctx) -> dict:
 
 def uq_on_standard_module(ctx, center, variant: int = 1) -> StandardModuleAction:
     """x, y, z on the standard module, through K, L, R and the displacement
-    central elements; all defining relations and recoveries are verified.
+    central elements, with the equitable relations, the recovery of A and
+    Casimir = Lambda verified.
 
     They are checked on each homogeneous component W(r, t, d), where K, L, R
     act by the (d+1) x (d+1) ladder matrices and Upsilon, Psi, Lambda by
-    scalars; V is the direct sum of the components."""
+    scalars; V is the direct sum of the components.  The rest holds by the
+    definitions.  With s = Upsilon Psi q^D, z = s K and z^-1 = s^-1 K^-1,
+    which is the K^-1 term of x = z^-1 + cx R and of y = z^-1 + cy L; so
+    f = (x - z^-1)/(q - q^-1) = cx R/(q - q^-1) and e = q^-1 (1 - z y)/(q -
+    q^-1) = -s cy K L/(q^2 - 1), in variant 1 Upsilon Psi^-1 q^(1-2e-D) R
+    and Psi^2 K L.  And h* + Upsilon^-1 Psi^-1 kappa* z = zeta + xi K is the
+    ladder's A* = diag theta*_(r+j).  No eps = -1 module occurs: q > 1, so
+    every eps = 1 Casimir value is positive and every eps = -1 value
+    negative, and the Casimir acts on each component as Lambda = cas(d, 1).
+    """
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     q = ctx.q
@@ -334,30 +344,9 @@ def uq_on_standard_module(ctx, center, variant: int = 1) -> StandardModuleAction
             (ups * psii * params["upsilon"], second)))
         if recov != lad.A:
             raise AssertionError("A recovery on the standard module fails")
-        recov_star = ExactMatrix.combination((
-            (params["h_star"], ident),
-            (upsi * psii * params["kappa_star"], z)))
-        if recov_star != lad.Astar:
-            raise AssertionError("A* recovery on the standard module fails")
-        # Chevalley images in terms of K, L, R
-        if variant == 1:
-            e_want = (lad.K @ lad.L).scale(psi * psi)
-            f_want = lad.R.scale(ups * psii * ctx.qexp(1 - e2 - D))
-        else:
-            e_want = (lad.K @ lad.L).scale(-(ups * ups) * ctx.qexp(-e2))
-            f_want = lad.R.scale(-(upsi * psi) * ctx.qexp(1 - D))
-        if act.e != e_want or act.f != f_want or act.k != z:
-            raise AssertionError("Chevalley images in K, L, R fail")
-        # Casimir acts as the diameter weight
         if act.casimir() != ident.scale(center.Lam[triple]):
             raise AssertionError("Casimir does not equal the diameter weight")
         actions[triple] = act
-    # the Casimir is cas(d, 1) on rho_d V, and no eps = -1 scalar occurs
-    # among its eigenvalues, so V_(d,-1) = 0 and V_(d,1) = rho_d V
-    for d in range(D + 1):
-        neg = casimir_scalar(q, d, -1)
-        if any(neg == v for v in center.Lam.values()):
-            raise AssertionError("an eps = -1 Casimir value collides")
     return StandardModuleAction(variant, actions, params)
 
 

@@ -327,7 +327,7 @@ STAGE_FAILURES = {
         AssertionError("displacement weights are not defined"),
         ["modules:center-commute", "modules:center-identities", *UQ_IDS]),
     "uqsl2.uq_on_standard_module": (
-        AssertionError("Chevalley images in K, L, R fail"),
+        AssertionError("A recovery on the standard module fails"),
         ["uq:variant1", "uq:variant2", "uq:cross-variant"]),
 }
 
@@ -521,6 +521,118 @@ def test_drg_failures_carry_a_witness(d32_file, capsys, monkeypatch, check):
     assert [c for c in checks if checks[c]["status"] == "fail"] == [check]
 
 
+def _perturb_drg(monkeypatch, case):
+    """Perturb one input of `spectral_data` on D_3(2) (c = 0, 1, 3, 7,
+    a = 0, 0, 0, 0, b = 7, 6, 4, 0) as `case` names."""
+    from dataclasses import replace
+    from fractions import Fraction
+
+    from dualpolar import drg, polar
+
+    if case in ("k", "a_D"):
+        real_data = drg.verify_distance_regular
+
+        def moved(g):
+            data = real_data(g)
+            if case == "k":
+                return replace(data, b=(data.b[0] + 1, *data.b[1:]))
+            return replace(data, a=(*data.a[:-1], data.a[-1] + 1))
+
+        monkeypatch.setattr(drg, "verify_distance_regular", moved)
+    elif case == "e":
+        real_load = polar.load_graph
+
+        def relabelled(path):
+            g = real_load(path)
+            g.spec.e = Fraction(3)  # no form family has e = 3
+            return g
+
+        monkeypatch.setattr(polar, "load_graph", relabelled)
+    elif case == "n":
+        real_bm = drg.spectral_data
+        monkeypatch.setattr(drg, "spectral_data",
+                            lambda spec, n, data: real_bm(spec, n + 1, data))
+    else:
+        real_bm = drg.spectral_data
+        h, i, j, value = {"negative": (0, 0, 0, -1), "vanish": (0, 0, 1, 1),
+                          "not-vanish": (0, 0, 0, 0)}[case]
+
+        def moved_krein(*args):
+            bm = real_bm(*args)
+            krein = bm.krein.copy()
+            krein[h, i, j] = Fraction(value)
+            return replace(bm, krein=krein)
+
+        monkeypatch.setattr(drg, "spectral_data", moved_krein)
+
+
+@pytest.mark.parametrize("case,check,witness", [
+    ("k", "drg:multiplicities", "principal idempotent is not J/|X|"),
+    ("a_D", "drg:multiplicities", "theta_i are not the roots of "
+     "(x - a_D) v_D - b_(D-1) v_(D-1)"),
+    ("e", "drg:multiplicities", "m_1 = 952/5 is not an integer"),
+    ("n", "drg:multiplicities", "PQ != nI at (0, 0)"),
+    ("negative", "drg:krein", "negative Krein parameter at (0, 0, 0)"),
+    ("vanish", "drg:krein", "q^0_01 should vanish"),
+    ("not-vanish", "drg:krein", "q^0_00 should not vanish"),
+])
+def test_spectral_refusals_are_witnesses(d32_file, capsys, monkeypatch,
+                                         case, check, witness):
+    """Each refusal of `spectral_data` and of the Krein pattern, reached
+    from a perturbed intersection array, form parameter, vertex count or
+    Krein parameter, fails its check with the refusal as witness."""
+    _perturb_drg(monkeypatch, case)
+    capsys.readouterr()
+    assert main(["verify", "--graph", d32_file, "--suite", "drg"]) == 1
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)[
+        "checks"]}
+    assert checks[check]["status"] == "fail"
+    assert checks[check]["witness"] == witness
+
+
+def _shifted(module, name, moved):
+    """`module.name` with its result passed through `moved`."""
+    real = getattr(module, name)
+    return lambda *args: moved(real(*args))
+
+
+@pytest.mark.parametrize("target,witnesses", [
+    # phi_1 of the closed-form array moved by 1
+    ("leonard.dqk_array", {
+        cid: "module parameters disagree with the dual q-Krawtchouk closed "
+        "forms" for cid in module_ids((0, 0, 3), (1, 1, 1), (2, 1, 1))}),
+    # h of the standard-module parameters moved by 1
+    ("uqsl2.dpg_uq_params", dict.fromkeys(
+        UQ_IDS, "A recovery on the standard module fails")),
+    # the diameter weight Lambda moved by 1 on every component
+    ("terwilliger.casimir_scalar", {
+        "modules:center-identities": "C1 displacement expression fails",
+        **dict.fromkeys(UQ_IDS,
+                        "Casimir does not equal the diameter weight")}),
+])
+def test_module_refusals_are_witnesses(d32_file, capsys, monkeypatch,
+                                       target, witnesses):
+    """A closed form behind the module and U_q(sl2) checks, moved: each
+    check that reads it fails with its refusal as witness, and no other
+    check fails."""
+    from dataclasses import replace
+
+    mod, name = target.split(".")
+    module = importlib.import_module(f"dualpolar.{mod}")
+    moved = {
+        "dqk_array": lambda pa: replace(pa, phi=(pa.phi[0] + 1, *pa.phi[1:])),
+        "dpg_uq_params": lambda p: {**p, "h": p["h"] + 1},
+        "casimir_scalar": lambda lam: lam + 1,
+    }[name]
+    monkeypatch.setattr(module, name, _shifted(module, name, moved))
+    capsys.readouterr()
+    assert main(["verify", "--graph", d32_file, "--suite", "all"]) == 1
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)[
+        "checks"]}
+    assert {cid: c["witness"] for cid, c in checks.items()
+            if c["status"] == "fail"} == witnesses
+
+
 def test_base_vertex_failure_names_the_triples(d32_file, capsys,
                                                monkeypatch):
     """A sampled decomposition with one multiplicity raised: the check at
@@ -608,6 +720,20 @@ def test_verify_all_above_300_vertices(tmp_path, capsys):
     assert sorted(c["id"] for c in report["checks"]) == sorted(
         ALL_IDS + module_ids((0, 0, 2), (1, 1, 0), (1, 1, 1), (2, 1, 0),
                              (2, 2, 0)))
+
+
+def test_verify_all_on_a_field_order_with_a_square_factor(tmp_path, capsys):
+    """D_2(8): q = sqrt(8) = 2 sqrt(2), where b is not square-free, so every
+    scalar of the run lives in Q(sqrt 2); every check passes."""
+    path = str(tmp_path / "d28.json")
+    assert main(["build", "--family", "D", "--D", "2", "--b", "8",
+                 "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--graph", path, "--suite", "all"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["summary"] == {"pass": 29, "fail": 0, "skipped": 0}
+    assert sorted(c["id"] for c in report["checks"]) == sorted(
+        ALL_IDS + module_ids((0, 0, 2), (1, 1, 0), (2, 1, 0)))
 
 
 VERIFY_DATA = os.path.join(os.path.dirname(__file__), "data", "verify")
@@ -856,10 +982,44 @@ def test_td_scalars_fail_under_python_O(d32_file, mode, status):
     checks = {c["id"]: c for c in report["checks"]}
     assert checks["drg:td-scalars"]["status"] == status
     if status == "fail":
-        assert "gamma" in checks["drg:td-scalars"]["witness"]
+        assert checks["drg:td-scalars"]["witness"].startswith(
+            "gamma fails its recurrence at i = ")
     others = [c for c in checks.values() if c["id"] != "drg:td-scalars"]
     assert all(c["status"] == "pass" for c in others)
     assert out.returncode == (1 if status == "fail" else 0)
+
+
+def test_leonard_reads_sqrt8_as_2_sqrt2(tmp_path, capsys):
+    """q written as sqrt(8) next to a kappa in 2 sqrt(2): one field, and the
+    same report as with q written as 2 sqrt(2)."""
+    outs = []
+    for q in ("0 + 1*sqrt(8)", "0 + 2*sqrt(2)"):
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps({**LEONARD_ARRAY, "q": q,
+                                    "kappa": "0 + 2*sqrt(2)"}))
+        capsys.readouterr()
+        assert main(["leonard", "--params", str(path)]) == 0
+        outs.append(json.loads(capsys.readouterr().out))
+    assert outs[0]["checks"] == outs[1]["checks"]
+    assert outs[0]["summary"] == {"pass": 10, "fail": 0, "skipped": 0}
+
+
+def test_leonard_uq_refuses_a_moved_casimir_value(tmp_path, capsys,
+                                                 monkeypatch):
+    """The Casimir value of L(d, 1) moved by 1: leonard:uq fails with the
+    Casimir refusal as witness, and only it."""
+    from dualpolar import uqsl2
+
+    monkeypatch.setattr(uqsl2, "casimir_scalar", _shifted(
+        uqsl2, "casimir_scalar", lambda value: value + 1))
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps(LEONARD_ARRAY))
+    capsys.readouterr()
+    assert main(["leonard", "--params", str(path)]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {c["id"]: c.get("witness") for c in checks
+            if c["status"] == "fail"} == {
+        "leonard:uq": "Casimir scalar mismatch"}
 
 
 def test_leonard_realizes_each_basis_once(tmp_path, capsys, monkeypatch):

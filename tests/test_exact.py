@@ -95,6 +95,37 @@ def test_q_pow_additivity():
                 assert q_pow(q, m) * q_pow(q, n) == q_pow(q, m + n)
 
 
+def test_square_factors_fold_out_of_the_radicand():
+    """sqrt(8) is 2 sqrt(2): both spellings are one scalar, with equal
+    parts and hash, and they add as scalars of one field."""
+    eight, two = parse_scalar("0 + 1*sqrt(8)"), parse_scalar("0 + 2*sqrt(2)")
+    assert eight == two and hash(eight) == hash(two)
+    assert (eight.p, eight.r, eight.den, eight.rad) == (0, 2, 1, 2)
+    assert eight + two == ExactScalar(0, 4, 2)
+    assert ExactScalar(Fraction(1, 3), Fraction(1, 6), 72) == \
+        ExactScalar(Fraction(1, 3), 1, 2)
+    for b, s, f in ((27, 3, 3), (32, 4, 2), (12, 2, 3), (2 * 97 ** 2, 97, 2),
+                    (3 * 1000003 ** 2, 1000003, 3)):
+        x = ExactScalar.sqrt(b)
+        _canonical(x)
+        assert (x.r, x.rad) == (s, f)
+
+
+@pytest.mark.parametrize("b", [8, 27, 32, 72])
+def test_q_pow_of_a_folded_root(monkeypatch, b):
+    """q = sqrt(b) with a square factor in b is s sqrt(f); q_pow stays
+    exact on it and does not fall back to repeated multiplication."""
+    q = ExactScalar.sqrt(b)
+    powers = {n: q ** n for n in range(-9, 10)}
+    for n, value in powers.items():
+        assert value == Fraction(b) ** (n // 2) * (q if n % 2 else 1)
+    monkeypatch.setattr(ExactScalar, "__pow__", None)
+    for n, value in powers.items():
+        got = q_pow(q, n)
+        _canonical(got)
+        assert got == value
+
+
 def test_render_parse_roundtrip():
     samples = [
         ExactScalar(Fraction(3, 7)),
@@ -112,6 +143,7 @@ def _canonical(x: ExactScalar):
     assert x.den > 0
     assert math.gcd(x.p, x.r, x.den) == 1
     assert (x.rad == 0) == (x.r == 0)
+    assert all(x.rad % (k * k) for k in range(2, math.isqrt(x.rad) + 1))
 
 
 def _agrees(x: ExactScalar, ref: FractionPairScalar):

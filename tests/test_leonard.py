@@ -11,6 +11,7 @@ from dualpolar.leonard import (
     certify_leonard_system,
     d4_transform,
     dqk_array,
+    eigenbasis,
     extract_from_realization,
     extract_parameter_array,
     intersection_data,
@@ -386,7 +387,8 @@ def test_perturbed_split_pair_fails_axioms(ref_pa, i):
                                     (phi[r] if c == r + 1 else 0)
                                     for c in range(d + 1)]
                                    for r in range(d + 1)])
-    with pytest.raises(AssertionError, match="should vanish") as err:
+    with pytest.raises(AssertionError, match="should vanish in an "
+                       "irreducible tridiagonal pattern") as err:
         certify_leonard_system(A, Astar, ref_pa.theta, ref_pa.theta_star)
     a, b = map(int, re.match(r"E_(\d+) A\* E_(\d+)",
                              str(err.value)).groups())
@@ -405,6 +407,25 @@ def test_certificate_edge_cases():
                                    eig_star.V, [3], [5]) == \
         ParameterArray([3], [5], [], [])
     full = ExactMatrix.from_rows([[1, 0, 2], [0, 2, 0], [0, 0, 3]])
-    with pytest.raises(AssertionError, match="neither diagonal"):
+    with pytest.raises(AssertionError, match="matrix is neither diagonal nor "
+                       "tridiagonal with a nowhere-zero off-diagonal"):
         certify_leonard_system(full, ExactMatrix.diag([1, 2, 3]), [1, 2, 3],
                                [1, 2, 3])
+
+
+@pytest.mark.parametrize("rows,eigs,message", [
+    ([[1, 0], [0, 2]], [1, 2, 3],
+     "A is not 3 x 3, the size of its eigenvalue list"),
+    ([[1, 0], [0, 2]], [1, 3], "3 is not on the diagonal"),
+    ([[0, 1], [1, 0]], [1, 2], "eigenvalue list disagrees with A"),
+    # coinciding eigenvalues: equal columns of V and rows of W
+    ([[0, 1], [1, 0]], [1, 1], "not dual bases"),
+    ([[1, 0], [0, 1]], [1, 1],
+     "left and right eigenvectors of A are not dual bases"),
+    # nilpotent: its one eigenvector is orthogonal to its left eigenvector
+    ([[1, 1], [-1, -1]], [0, 0], "not dual bases"),
+])
+def test_eigenbasis_refusals(rows, eigs, message):
+    with pytest.raises(AssertionError, match=message):
+        eigenbasis(ExactMatrix.from_rows(rows),
+                   [ExactScalar(x) for x in eigs], "A")

@@ -426,3 +426,14 @@ def test_json_roundtrip_wide_fields(family, D, b, width):
     assert g2.vertices == g.vertices
     assert np.array_equal(g2.adjacency, g.adjacency)
     assert np.array_equal(g2.dist, g.dist)
+
+
+def test_enumeration_refuses_a_subspace_that_is_not_isotropic(monkeypatch):
+    """With every pair of singular points taken as perpendicular, the level
+    steps admit planes that are not totally isotropic, and the final check
+    of the enumerated rows refuses them."""
+    monkeypatch.setattr(polar._PointTable, "perp",
+                        lambda self: np.ones((len(self.vecs),) * 2, bool))
+    with pytest.raises(AssertionError,
+                       match="enumerated subspace is not totally isotropic"):
+        enumerate_maximal_isotropic(FormSpec("C", 2, 3))

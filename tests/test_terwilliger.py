@@ -562,8 +562,39 @@ def test_center_identities(ctx_c32, cents_c32, comps_c32, center_c32):
     # a displacement weight off by a factor q breaks the C0 expression
     bad = replace(center, Upsilon={**center.Upsilon,
                                    (1, 1, 1): ctx_c32.q})
-    with pytest.raises(AssertionError, match="C0 displacement"):
+    with pytest.raises(AssertionError,
+                       match="C0 displacement expression fails"):
         verify_center_identities(ctx_c32, bad)
+
+
+def _moved_closed_form(name):
+    """terwilliger.<name> with one value moved by 1: chi2, the a2 term of
+    Omega, G or G* in C0 and C1, or the closed Omega module scalar."""
+    if name in ("Omega", "G", "G*"):
+        real, k = terwilliger._central_by_c0_c1, ("Omega", "G", "G*").index(
+            name)
+        return "_central_by_c0_c1", lambda ctx: [
+            (a0, a1, a2 + (i == k)) for i, (a0, a1, a2) in enumerate(
+                real(ctx))]
+    real = getattr(terwilliger, name)
+    if name == "aw_module_scalars":
+        return name, lambda ctx, *t: (real(ctx, *t)[0] + 1, *real(ctx, *t)[1:])
+    return name, lambda ctx, *t: real(ctx, *t) + 1
+
+
+@pytest.mark.parametrize("name,message", [
+    ("chi2", "C2 displacement expression fails"),
+    ("Omega", "Omega displacement expression fails"),
+    ("G", "^G displacement expression fails"),
+    ("G*", re.escape("G* displacement expression fails")),
+    ("aw_module_scalars", "central action on \\(0, 0, 3\\) disagrees with "
+     "the closed module scalar"),
+])
+def test_center_identities_refuse_a_moved_closed_form(
+        ctx_c32, center_c32, monkeypatch, name, message):
+    monkeypatch.setattr(terwilliger, *_moved_closed_form(name))
+    with pytest.raises(AssertionError, match=message):
+        verify_center_identities(ctx_c32, center_c32)
 
 
 @pytest.mark.parametrize("weight", ["Upsilon", "Psi", "Lam"])
@@ -624,6 +655,32 @@ def test_extract_module_diameter_zero(ctx_c32, comps_c32):
         ctx_c32.bm.theta_star[r])
 
 
+def test_extract_module_refuses_a_moved_ladder(ctx_c32, comps_c32):
+    """A* moved by 1 on rung 0 of a W(r, t, 1): its dual standard
+    representation keeps the tridiagonal pattern, and its row sums leave
+    theta*_r."""
+    comp = next(c for c in comps_c32 if c.d == 1)
+    moved = replace(comp, action=replace(
+        comp.action, Astar=comp.action.Astar + ExactMatrix.diag([1, 0])))
+    with pytest.raises(AssertionError, match=re.escape(
+            f"row sums of A* on the dual standard basis of {comp.triple} "
+            "differ from ")):
+        extract_module(ctx_c32, moved)
+
+
+def test_extract_module_refuses_a_vanishing_basis_vector(ctx_d32):
+    """A ladder matrix with the eigenvalues 7, 2, -2 of W(0, 0, 2) on
+    D_3(2), but an eigenvector (1, 0, -1) for 7 (so with -46 b_0 c_1 < 0):
+    the standard basis vector E*_1 E_0 v_0 vanishes."""
+    assert [ctx_d32.bm.theta[i] for i in range(3)] == [7, 2, -2]
+    A = ExactMatrix.from_rows([[7, -46, 0], [1, -7, 1], [0, 1, 7]])
+    comp = SimpleNamespace(triple=(0, 0, 2), action=SimpleNamespace(
+        A=A, Astar=ExactMatrix.diag(ctx_d32.bm.theta_star[:3])))
+    with pytest.raises(AssertionError,
+                       match="a basis vector of \\(0, 0, 2\\) vanishes"):
+        extract_module(ctx_d32, comp)
+
+
 def test_all_modules_extract(ctx_d32, comps_d32):
     # extract_module verifies tridiagonal shape, row sums and all six
     # closed-form entry families internally, on (d+1) x (d+1) matrices
@@ -666,7 +723,9 @@ def test_spectral_data_refuses_a_perturbed_dual_eigenvalue(graph_d32,
     bumped = [t + (i == h) for i, t in enumerate(real)]
     monkeypatch.setattr(drg, "closed_form_dual_eigenvalues",
                         lambda spec: bumped)
-    with pytest.raises(AssertionError, match=f"Q_{h}1 != theta\\*_{h}"):
+    with pytest.raises(AssertionError, match=re.escape(
+            f"Q_{h}1 != theta*_{h}: the dual adjacency is not |X| times a row "
+            "of E_1")):
         spectral_data(g.spec, g.n_vertices, data)
 
 
@@ -677,7 +736,8 @@ def test_build_context_refuses_an_edge_across_two_classes(graph_d32,
     dist = g.dist.copy()
     dist[0, y] = dist[y, 0] = 2  # a neighbour of 0 put two classes away
     tampered = PolarGraph(g.spec, g.vertices, g.adjacency, dist)
-    with pytest.raises(AssertionError, match="L \\+ F \\+ R"):
+    with pytest.raises(AssertionError, match=re.escape(
+            "A does not split as L + F + R over the partition")):
         build_context(tampered, bm_d32, 0)
 
 
@@ -828,7 +888,8 @@ def test_certify_ladder_refuses_a_zero_b_c(ctx_c32, comps_c32, monkeypatch):
     comp = next(c for c in comps_c32 if c.triple == triple)
     _shift_intersection(monkeypatch, triple, 0, 1, lambda out: -out[0][1])
     with pytest.raises(AssertionError, match=re.escape(
-            f"component {triple} has b_(j-1) c_j = 0 on its ladder")):
+            f"component {triple} has b_(j-1) c_j = 0 on its ladder, so L "
+            "cannot certify its rank")):
         terwilliger._certify_ladder(ctx_c32, comp)
 
 

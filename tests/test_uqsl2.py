@@ -1,6 +1,8 @@
 """U_q(sl2) modules L(d, eps), the two structures on a dual q-Krawtchouk
 Leonard system, and the two on the standard module of C_3(2)."""
 
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,8 @@ from dualpolar.linexact import ExactMatrix, spectral_projectors
 from dualpolar.terwilliger import ladder_action
 from dualpolar.uqsl2 import (
     UqAction,
+    _check_sum_vector,
+    bracket,
     build_Ld,
     casimir_scalar,
     dpg_uq_params,
@@ -65,6 +69,16 @@ def test_build_Ld_is_L_d_eps(qname, eps, basis, d):
                == ExactScalar(1) for p in projs)
     assert act.casimir() == ExactMatrix.identity(d + 1).scale(
         casimir_scalar(q, d, eps))
+    if basis == "kef":
+        # x and y are built from this k, e, f, and solve back to them
+        n, zero = d + 1, ExactScalar(0)
+        assert act.k == ExactMatrix.diag(weights)
+        assert act.f == ExactMatrix.from_rows([
+            [bracket(q, i) if i == j + 1 else zero for j in range(n)]
+            for i in range(n)])
+        assert act.e == ExactMatrix.from_rows([
+            [ExactScalar(eps) * bracket(q, d - i) if j == i + 1 else zero
+             for j in range(n)] for i in range(n)])
 
 
 def test_build_Ld_rejects_bad_input():
@@ -114,6 +128,32 @@ def test_cross_variant_leonard_odd_d_sqrt2(d, eps):
             assert resid.is_zero(), name
     assert verify_cross_variant_leonard(a1, a2, p)
     assert not verify_cross_variant_leonard(a2, a1, p)
+
+
+def test_sum_vector_refuses_another_eigenbasis():
+    """The sum of the x-eigenbasis vectors is normalized for y and z, not
+    for the companions of the y-eigenbasis, nor for the other eps."""
+    act = build_Ld(3, 1, QS["sqrt2"], "x-eigen")
+    _check_sum_vector(act, 3, 1, "x-eigen")
+    for eps, basis in ((1, "y-eigen"), (-1, "x-eigen")):
+        with pytest.raises(AssertionError,
+                           match="sum vector normalization fails"):
+            _check_sum_vector(act, 3, eps, basis)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_uq_on_leonard_refuses_parameters_of_another_system(monkeypatch, d):
+    """Parameters that do not belong to the realization: q read as q^-1
+    reverses the weights of Z, and, with the equitable relations left
+    unchecked, h moved by 1 breaks the recovery of A."""
+    p = _params("2", d)
+    real = realize(dqk_array(p), "split")
+    with pytest.raises(AssertionError, match=re.escape(
+            "Z spectrum is not {eps q^(d-2i)}")):
+        uq_on_leonard(real, replace(p, q=p.q.inverse()))
+    monkeypatch.setattr(UqAction, "verify", lambda self: None)
+    with pytest.raises(AssertionError, match="^A recovery fails"):
+        uq_on_leonard(real, replace(p, h=p.h + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +240,6 @@ def test_perturbed_generator_fails_its_relations(which):
     mats[which] = mats[which] + ExactMatrix.diag([0, 0, 0, 1])
     bad = UqAction(q, mats["X"], mats["Y"], mats["Z"],
                    None if which == "Z" else good.Zinv)
-    with pytest.raises(AssertionError, match="relation .* fails"):
+    with pytest.raises(AssertionError, match="defining relation .* fails"):
         bad.verify()
     assert (bad.e, bad.f) != (good.e, good.f)
