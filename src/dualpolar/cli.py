@@ -7,7 +7,8 @@
 
 Reports are JSON on stdout: {"version", "input", "checks": [...],
 "summary": {...}}.  Each check carries a self-contained statement of the
-identity tested.  Exit codes: 0 all pass, 1 a check failed, 2 input error.
+identity tested.  Exit codes: 0 all pass, 1 a check failed, 2 input error
+or out of memory.
 `--suite lfrk` and `--suite central` run `decompose`: their identities are
 checked on the ladders of the homogeneous components it certifies.
 """
@@ -45,9 +46,12 @@ class Report:
 
     def run(self, check_id: str, statement: str, fn):
         """Run fn, which returns ok or (ok, witness); None counts as a pass.
-        An exception is a failure with its message as witness."""
+        An exception is a failure with its message as witness; a
+        MemoryError is raised on, to end the call (`main`)."""
         try:
             out = fn()
+        except MemoryError:
+            raise
         except Exception as exc:  # noqa: BLE001 - report, do not crash
             self.add(check_id, statement, False,
                      witness=str(exc) or type(exc).__name__)
@@ -56,11 +60,8 @@ class Report:
         self.add(check_id, statement, ok is None or bool(ok), witness)
 
     def finish(self) -> dict:
-        summary = {
-            "pass": sum(1 for c in self.checks if c["status"] == "pass"),
-            "fail": sum(1 for c in self.checks if c["status"] == "fail"),
-            "skipped": sum(1 for c in self.checks if c["status"] == "skipped"),
-        }
+        summary = {s: sum(c["status"] == s for c in self.checks)
+                   for s in ("pass", "fail", "skipped")}
         return {
             "version": __version__,
             "input": self.meta,
@@ -112,7 +113,7 @@ class _Stages:
     """The shared stages of one verify or leonard call.  Each is built at
     most once, on first use; one that raised raises the same error again
     for every check that depends on it, so that check fails with the
-    message as witness."""
+    message as witness.  A MemoryError is not kept."""
 
     def __init__(self, **builders):
         self._builders = builders
@@ -122,6 +123,8 @@ class _Stages:
         if name not in self._done:
             try:
                 self._done[name] = (self._builders[name](), None)
+            except MemoryError:
+                raise
             except Exception as exc:  # noqa: BLE001 - raised to each check
                 self._done[name] = (None, exc)
         value, exc = self._done[name]

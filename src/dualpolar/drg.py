@@ -27,8 +27,8 @@ from itertools import product, zip_longest
 import numpy as np
 
 from .intarith import int_matmul
-# perfbench/tracer.py resolves drg.spectral_projectors and
-# drg.krein_parameters by name, so removing either breaks the benchmark
+# imported for perfbench/tracer.py alone, which resolves
+# drg.spectral_projectors by name: removing it breaks the benchmark
 from .linexact import spectral_projectors  # noqa: F401
 from .polar import FormSpec
 

@@ -6,8 +6,9 @@ lexicographically smallest monic irreducible of degree m over GF(p), which
 makes every field deterministic.
 
 For orders up to 4096 the addition and multiplication tables (order x order)
-and the negation, inversion and conjugation tables are precomputed with
-numpy; multiplication by a is GF(p)-linear on the digits.  Their main reader is
+and the negation, inversion and conjugation tables are computed with numpy
+on first read, so a form refused before enumeration never builds them;
+multiplication by a is GF(p)-linear on the digits.  Their main reader is
 `polar`, which indexes them with whole arrays of codes to evaluate a form on
 every point of a polar space, or to span many subspaces, in a few numpy
 operations; the scalar methods below read them too.  Larger fields are
@@ -23,6 +24,8 @@ import numpy as np
 from .intarith import int_matmul, is_prime
 
 _TABLE_LIMIT = 4096
+_TABLES = ("times", "add_table", "mul_table", "neg_table", "inv_table",
+           "conj_table")
 
 
 def _poly_divides(d, f, p):
@@ -69,7 +72,8 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 
 
 class FieldSpec:
-    """GF(p^m), p^m <= _TABLE_LIMIT, with precomputed operation tables."""
+    """GF(p^m), p^m <= _TABLE_LIMIT, with operation tables built on first
+    read."""
 
     def __init__(self, p: int, m: int):
         if not is_prime(p):
@@ -83,7 +87,13 @@ class FieldSpec:
             raise ValueError(f"GF({self.order}) is above the field order "
                              f"{_TABLE_LIMIT} that the tables support")
         self.modulus = smallest_irreducible(p, m)
+
+    def __getattr__(self, name):
+        """Called for a missing attribute only: a table not yet built."""
+        if name not in _TABLES:
+            raise AttributeError(name)
         self._build_tables()
+        return getattr(self, name)
 
     def _build_tables(self):
         q, p, m = self.order, self.p, self.m

@@ -1,9 +1,10 @@
-"""The exact integer product and a deterministic primality test.
+"""The exact integer product and sum, and a deterministic primality test.
 
 int_matmul is the one exact integer product of the package, on float BLAS
-where a bound proves it exact and in int64 when it is tiny.  The graph
-layer (gf, polar, drg) needs only this product and is_prime, so a `build`
-call loads this module and not the eliminations of intlinalg.
+where a bound proves it exact and in int64 when it is tiny; int_lin is the
+one exact integer combination.  The graph layer (gf, polar, drg) needs
+only this product and is_prime, so a `build` call loads this module and
+not the eliminations of intlinalg.
 """
 
 from __future__ import annotations
@@ -48,16 +49,15 @@ def _matmul_dtype(bound: int):
     return object
 
 
-def int_matmul(a: np.ndarray, b: np.ndarray, *, ma: int | None = None,
-               mb: int | None = None) -> np.ndarray:
+def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of two 2-d integer (or bool) arrays of any dtype.
 
-    ma and mb, when given, bound max|a| and max|b| (0 only for a zero
-    operand) and spare the scans.  The result is int64 when B = k * ma * mb,
-    with k = a.shape[1], is below 2^62, and an object array of Python ints
-    otherwise.  The arithmetic is chosen from B: float32 BLAS below 2^24,
-    float64 BLAS below 2^53, int64 below 2^62, Python ints above; a product
-    of fewer than _TINY multiply-adds runs in int64 for any B below 2^62.
+    With ma = max|a| and mb = max|b|, scanned here, the result is int64
+    when B = k * ma * mb, with k = a.shape[1], is below 2^62, and an object
+    array of Python ints otherwise.  The arithmetic is chosen from B:
+    float32 BLAS below 2^24, float64 BLAS below 2^53, int64 below 2^62,
+    Python ints above; a product of fewer than _TINY multiply-adds runs in
+    int64 for any B below 2^62.
 
     Why the product is exact: every partial sum that any summation order
     forms for entry (i, l) adds some of the k terms a_ij * b_jl, each an
@@ -75,8 +75,7 @@ def int_matmul(a: np.ndarray, b: np.ndarray, *, ma: int | None = None,
     not wrap, and each float copy lives only as long as its product.
     """
     m, k, n = a.shape[0], a.shape[1], b.shape[1]
-    ma = _max_abs(a) if ma is None else ma
-    mb = _max_abs(b) if mb is None else mb
+    ma, mb = _max_abs(a), _max_abs(b)
     if ma == 0 or mb == 0:
         # a zero operand may face entries no float can hold (0 * inf is nan)
         return np.zeros((m, n), dtype=np.int64)
@@ -87,6 +86,30 @@ def int_matmul(a: np.ndarray, b: np.ndarray, *, ma: int | None = None,
         dtype = np.int64
     prod = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
     return prod.astype(np.int64, copy=False)
+
+
+def int_lin(*terms):
+    """Exact sum of the coeff * array terms, (int, integer array) pairs of
+    one shape; None for no live term (every array None or coeff 0).  int64
+    when a bound on every partial sum proves it fits, else Python ints."""
+    live = [(c, a) for c, a in terms if a is not None and c != 0]
+    if not live:
+        return None
+    # An all-zero array still meets its coefficient in c * a, so every live
+    # term counts at least |c|: an int64 array times a |c| >= 2^63 overflows.
+    if all(a.dtype != object for _, a in live) and sum(
+            abs(c) * max(_max_abs(a), 1) for c, a in live) < _INT64_SAFE:
+        # a unit coefficient costs no product; the first sum makes a copy
+        c, a = live[0]
+        out = a if c == 1 and len(live) > 1 else c * a
+        for c, a in live[1:]:
+            out = out + (a if c == 1 else c * a)
+        return out
+    out = None
+    for c, a in live:
+        t = c * _to_object(a)
+        out = t if out is None else out + t
+    return out
 
 
 # The first twelve primes: as Miller-Rabin bases they decide primality of

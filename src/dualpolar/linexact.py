@@ -10,15 +10,14 @@ exact.
 
 Every linear operation is one primitive, `ExactMatrix.combination`: a sum
 s_1 M_1 + ... + s_k M_k goes over one common denominator, each part is one
-integer combination (`_lin`) and the result is normalized once; a sum,
-difference or scaling is a combination of one or two terms.  Each matrix
-scans max|n0| and max|n1| once, on first use (`bounds`), and passes them to
-`_lin` and `_mm` as bounds.  A product is one integer product: n0 n0' for
-two rational matrices, else the stacked parts [n0; n1] @ [n0' | n1'],
-whose blocks are the cross terms (a rational side gives n0 alone).
-intarith.int_matmul runs it on float32 or float64 BLAS, in int64 (also
-for any product of fewer than _TINY multiply-adds that fits) or in Python
-ints, each chosen from a bound that proves it exact (see its docstring).
+integer combination (intarith.int_lin) and the result is normalized once;
+a sum, difference or scaling is a combination of one or two terms.  A
+product is one integer product: n0 n0' for two rational matrices, else the
+stacked parts [n0; n1] @ [n0' | n1'], whose blocks are the cross terms (a
+rational side gives n0 alone).  intarith.int_matmul runs it on float32 or
+float64 BLAS, in int64 (also for any product of fewer than _TINY
+multiply-adds that fits) or in Python ints, each chosen from a bound that
+proves it exact (see its docstring).
 
 Row reduction, kernels and inverses run over Q only, in the vectorized
 integer engine of intlinalg; a matrix with a live irrational part is refused
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import intarith, intlinalg
 from .exact import ExactScalar, MixedRadicandError
-from .intarith import _INT64_SAFE, _max_abs, _to_object
+from .intarith import _INT64_SAFE, _max_abs, _to_object, int_lin
 from .intlinalg import _downcast, _scale_rows
 
 
@@ -57,43 +56,9 @@ def _gcd_all(*arrays_and_ints) -> int:
     return g
 
 
-def _mm(a, b, *, ma=None, mb=None):
-    """Exact integer matmul, given bounds on max|a| and max|b|; see
-    intarith.int_matmul."""
-    return intarith.int_matmul(a, b, ma=ma, mb=mb)
-
-
-def _lin(*terms, tops=None):
-    """Exact sum of coeff*array terms (None arrays are zero).  tops, when
-    given, holds per term an upper bound on max|array|, or None to scan."""
-    live, bound = [], 0
-    for i, (c, a) in enumerate(terms):
-        if a is None or c == 0:
-            continue
-        live.append((c, a))
-        if bound is None or a.dtype == object:
-            bound = None  # Python ints: no bound is needed
-            continue
-        top = tops[i] if tops is not None and tops[i] is not None \
-            else _max_abs(a)
-        # An all-zero array still meets its coefficient in c * a, so every
-        # live term counts at least |c|: an int64 array times a |c| >= 2^63
-        # overflows.
-        bound += abs(c) * max(top, 1)
-    if not live:
-        return None
-    if bound is not None and bound < _INT64_SAFE:
-        # a unit coefficient costs no product; the first sum makes a copy
-        c, a = live[0]
-        out = a if c == 1 and len(live) > 1 else c * a
-        for c, a in live[1:]:
-            out = out + (a if c == 1 else c * a)
-        return out
-    out = None
-    for c, a in live:
-        t = c * _to_object(a)
-        out = t if out is None else out + t
-    return out
+def _mm(a, b):
+    """Exact integer matmul; see intarith.int_matmul."""
+    return intarith.int_matmul(a, b)
 
 
 def _one_denominator(scalars) -> tuple[int, int]:
@@ -112,10 +77,10 @@ _MINUS_ONE = ExactScalar(-1)
 class ExactMatrix:
     """Immutable dense matrix over Q(sqrt(rad))."""
 
-    __slots__ = ("rad", "den", "n0", "n1", "_bounds")
+    __slots__ = ("rad", "den", "n0", "n1")
 
     def __init__(self, n0, n1=None, den: int = 1, rad: int = 0,
-                 _normalize=True, _bounds=None):
+                 _normalize=True):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
@@ -143,18 +108,9 @@ class ExactMatrix:
         object.__setattr__(self, "n1", n1)
         object.__setattr__(self, "den", int(den))
         object.__setattr__(self, "rad", int(rad))
-        object.__setattr__(self, "_bounds", _bounds)
 
     def __setattr__(self, *_):
         raise AttributeError("ExactMatrix is immutable")
-
-    def bounds(self) -> tuple[int, int]:
-        """(max|n0|, max|n1|), 0 for a missing n1; scanned on first use
-        and kept, as the parts never change."""
-        if self._bounds is None:
-            object.__setattr__(self, "_bounds",
-                               (_max_abs(self.n0), _max_abs(self.n1)))
-        return self._bounds
 
     # -- constructors ---------------------------------------------------
 
@@ -175,7 +131,7 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls(np.zeros((nrows, ncols), dtype=np.int64), _bounds=(0, 0))
+        return cls(np.zeros((nrows, ncols), dtype=np.int64))
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -210,27 +166,25 @@ class ExactMatrix:
                 continue
             if isinstance(m, ExactMatrix):
                 n0, n1, den, mrad = m.n0, m.n1, m.den, m.rad
-                b0, b1 = m.bounds()
             else:
-                n0, n1, den, mrad, b0, b1 = m, None, 1, 0, None, None
+                n0, n1, den, mrad = m, None, 1, 0
             for r in (s.rad, mrad):
                 if r and r != rad:
                     if rad:
                         raise MixedRadicandError(
                             f"cannot mix sqrt({rad}) with sqrt({r})")
                     rad = r
-            live.append((s, den * s.den, n0, n1, b0, b1))
+            live.append((s, den * s.den, n0, n1))
         den = math.lcm(*(d for _, d, *_ in live))
-        terms0, terms1, tops = [], [], []
-        for s, d, n0, n1, b0, b1 in live:
+        terms0, terms1 = [], []
+        for s, d, n0, n1 in live:
             f = den // d
             # (p + r sqrt rad)(n0 + n1 sqrt rad)
             #     = (p n0 + r rad n1) + (r n0 + p n1) sqrt rad
             terms0 += [(f * s.p, n0), (f * s.r * rad, n1)]
             terms1 += [(f * s.r, n0), (f * s.p, n1)]
-            tops += [b0, b1]
-        n0 = _lin(*terms0, tops=tops)
-        n1 = _lin(*terms1, tops=tops)
+        n0 = int_lin(*terms0)
+        n1 = int_lin(*terms1)
         if n0 is None:
             n0 = np.zeros(shape, dtype=np.int64)
         return cls(n0, n1, den, rad)
@@ -274,16 +228,10 @@ class ExactMatrix:
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return ExactMatrix.combination(((_ONE, self), (_MINUS_ONE, other)))
 
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(-self.n0, None if self.n1 is None else -self.n1,
-                           self.den, self.rad, _normalize=False,
-                           _bounds=self._bounds)
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         rad = self._join_rad(other.rad if other.n1 is not None else 0)
-        (a0, a1), (b0, b1) = self.bounds(), other.bounds()
         if self.n1 is None and other.n1 is None:
-            return ExactMatrix(_mm(self.n0, other.n0, ma=a0, mb=b0), None,
+            return ExactMatrix(_mm(self.n0, other.n0), None,
                                self.den * other.den)
         # One product of the stacked parts: [n0; n1] @ [n0' | n1'] has the
         # blocks n0 n0', n0 n1' (top) and n1 n0', n1 n1' (bottom); a
@@ -292,46 +240,35 @@ class ExactMatrix:
         a = self.n0 if self.n1 is None else np.concatenate((self.n0, self.n1))
         b = other.n0 if other.n1 is None else np.concatenate(
             (other.n0, other.n1), axis=1)
-        ma, mb = max(a0, a1), max(b0, b1)
-        p = _mm(a, b, ma=ma, mb=mb)
+        p = _mm(a, b)
         if self.n1 is None:
             n0, n1 = p[:, :n], p[:, n:]
         elif other.n1 is None:
             n0, n1 = p[:m], p[m:]
         else:
-            # every entry of p is a sum of k terms of size at most ma * mb
-            top = self.shape[1] * ma * mb
-            n0 = _lin((1, p[:m, :n]), (rad, p[m:, n:]), tops=(top, top))
-            n1 = _lin((1, p[:m, n:]), (1, p[m:, :n]), tops=(top, top))
+            n0 = int_lin((1, p[:m, :n]), (rad, p[m:, n:]))
+            n1 = int_lin((1, p[:m, n:]), (1, p[m:, :n]))
         return ExactMatrix(n0, n1, self.den * other.den, rad)
 
     def scale(self, s) -> "ExactMatrix":
         return ExactMatrix.combination(((s, self),))
 
-    def __mul__(self, s):
-        return self.scale(s)
-
-    __rmul__ = __mul__
-
     def entrywise(self, other: "ExactMatrix") -> "ExactMatrix":
         """Hadamard (entrywise) product."""
         rad = self._join_rad(other.rad if other.n1 is not None else 0)
 
-        def prod(a, ta, b, tb):
+        def prod(a, b):
             if a is None or b is None:
                 return None
             if a.dtype != object and b.dtype != object \
-                    and ta * tb < _INT64_SAFE:
+                    and _max_abs(a) * _max_abs(b) < _INT64_SAFE:
                 return a * b
             return _to_object(a) * _to_object(b)
 
-        (a0, a1), (b0, b1) = self.bounds(), other.bounds()
-        n0 = _lin((1, prod(self.n0, a0, other.n0, b0)),
-                  (rad, prod(self.n1, a1, other.n1, b1)),
-                  tops=(a0 * b0, a1 * b1))
-        n1 = _lin((1, prod(self.n0, a0, other.n1, b1)),
-                  (1, prod(self.n1, a1, other.n0, b0)),
-                  tops=(a0 * b1, a1 * b0))
+        n0 = int_lin((1, prod(self.n0, other.n0)),
+                     (rad, prod(self.n1, other.n1)))
+        n1 = int_lin((1, prod(self.n0, other.n1)),
+                     (1, prod(self.n1, other.n0)))
         if n0 is None:
             n0 = np.zeros(self.shape, dtype=np.int64)
         return ExactMatrix(n0, n1, self.den * other.den, rad)
@@ -340,8 +277,7 @@ class ExactMatrix:
     def T(self) -> "ExactMatrix":
         return ExactMatrix(self.n0.T.copy(),
                            None if self.n1 is None else self.n1.T.copy(),
-                           self.den, self.rad, _normalize=False,
-                           _bounds=self._bounds)
+                           self.den, self.rad, _normalize=False)
 
     def submatrix(self, row_idx, col_idx) -> "ExactMatrix":
         n0 = self.n0[np.ix_(row_idx, col_idx)]
@@ -363,11 +299,11 @@ class ExactMatrix:
         parts0, parts1 = [], []
         for m in mats:
             s = den // m.den
-            parts0.append(_lin((s, m.n0)))
+            parts0.append(int_lin((s, m.n0)))
             if m.n1 is None:
                 parts1.append(np.zeros(m.shape, dtype=np.int64))
             else:
-                parts1.append(_lin((s, m.n1)))
+                parts1.append(int_lin((s, m.n1)))
         n0 = np.concatenate(parts0)
         n1 = np.concatenate(parts1) if any(np.any(p) for p in parts1) else None
         return cls(n0, n1, den, rad)

@@ -18,25 +18,27 @@ lowest rungs.  That costs one exact kernel per subconstituent 1, ..., D - 1
 and one RREF per component, however many candidate eigenvalues there are.
 The top subconstituent B_D is not constructed: its components W(D, t, 0)
 hold no vectors, and are certified by counts and by power traces of F on
-B_D.  The construction checks nothing: the certificate below is the one
-proof, and it holds for any components that pass it, however they were
-built.
+B_D.  A rung is held as an integer array whose rows span it, and every
+rung, image and ladder identity is formed in integers.  The construction
+checks nothing: the certificate below is the one proof, and it holds for
+any components that pass it, however they were built.
 
 Each component W(r, t, d) that holds rungs is certified on its raising
 ladder (rung j is the lowest rung raised j times): F acts on rung j as
 a_j(W), L maps it to b_(j-1)(W) c_j(W) != 0 times rung j - 1, so every rung
-keeps the rank of rung 0, an RREF; L kills rung 0, R rung d.  So L, F, R,
-K and A* act on W as the (d+1) x (d+1) matrices of `ladder_action`, once
-per copy; the component keeps them as its `action`.  C0, C1, C2 are words
-in K, L, F, R (`central_terms`), so on W they act as those words evaluated
-on the ladder matrices, and each must evaluate to chi_k I.  The triples
-have pairwise distinct (chi0, chi1, chi2), so the components lie in
-distinct joint eigenspaces and are independent.  When the rungs on every
-B_i, i < D, fill it, the orthogonal complement of their sum lies in E*_D V
-(A and A* are symmetric, so it is a T-module), where F alone acts; tr p(F)
-= 0 there for p with double roots at the candidates nu_t puts every
-eigenvalue among them, and the traces of F's powers give each multiplicity
-(`_certify_decomposition`).  So V is the direct sum of the components.
+keeps the rank of rung 0, integer rows in echelon form; L kills rung 0, R
+rung d.  So L, F, R, K and A* act on W as the (d+1) x (d+1) matrices of
+`ladder_action`, once per copy; the component keeps them as its `action`.
+C0, C1, C2 are words in K, L, F, R (`central_terms`), so on W they act as
+those words evaluated on the ladder matrices, and each must evaluate to
+chi_k I.  The triples have pairwise distinct (chi0, chi1, chi2), so the
+components lie in distinct joint eigenspaces and are independent.  When the
+rungs on every B_i, i < D, fill it, the orthogonal complement of their sum
+lies in E*_D V (A and A* are symmetric, so it is a T-module), where F alone
+acts; tr p(F) = 0 there for p with double roots at the candidates nu_t puts
+every eigenvalue among them, and the traces of F's powers give each
+multiplicity (`_certify_decomposition`).  So V is the direct sum of the
+components.
 
 A word combination in L, F, R, K, K^-1, A and A* is therefore zero on V
 exactly when it is zero on every ladder.  The LFRK relations, the
@@ -72,7 +74,7 @@ from .drg import (
     td_scalars,
 )
 from .exact import ExactScalar, q_pow
-from .intarith import int_matmul
+from .intarith import int_lin, int_matmul
 from .leonard import _check_axiom_pattern, eigenbasis
 from .linexact import ExactMatrix, kernel, rref
 from .polar import PolarGraph
@@ -613,9 +615,10 @@ class HomogeneousComponent:
     t: int
     d: int
     mult: int
-    # rung j: rung 0 raised j times, on block r+j; none for the W(D, t, 0)
-    # that `_certify_decomposition` certifies by traces
-    rungs: list[ExactMatrix]
+    # rung j: rung 0 raised j times, on block r+j, as an integer array whose
+    # rows span the rung; none for the W(D, t, 0) that
+    # `_certify_decomposition` certifies by traces
+    rungs: list[np.ndarray] = field(compare=False)
     # L, F, R, K, A* on every copy, as `decompose` certifies it
     action: LadderAction | None = field(default=None, compare=False,
                                         repr=False)
@@ -754,7 +757,11 @@ def decompose(ctx: TerwilligerContext) -> list[HomogeneousComponent]:
     O(size^2)), P_d is I.  If then also M_F = nu_t I, the block holds one
     component, (r, t, d), whose lowest rung is the kernel basis itself: no
     product and no RREF.  Rung j of a component, the lowest rung raised j
-    times, is a mult x |B_(r+j)| matrix.
+    times, is a mult x |B_(r+j)| integer array: the rows of the integer
+    kernel basis, and their products, span the rung, and a rung matters
+    only up to its row space.  So rung 0 is the integer RREF of P_d P_t
+    times the integer kernel basis, rows in echelon form, and no rung, rung
+    image or rung product carries a denominator.
 
     The top block B_D, the widest, is not constructed: no kernel, split or
     RREF runs there.  Its components W(D, t, 0), on which L and R vanish,
@@ -772,9 +779,10 @@ def decompose(ctx: TerwilligerContext) -> list[HomogeneousComponent]:
     comps: list[HomogeneousComponent] = []
     for r in range(D):
         if r == 0:  # the base vertex
-            low, pivots = ExactMatrix.identity(1), [0]
+            low, pivots, den = np.ones((1, 1), dtype=np.int64), [0], 1
         else:
-            low, pivots = kernel(ExactMatrix.from_int(ctx.adj(r - 1, r)))
+            basis, pivots = kernel(ExactMatrix.from_int(ctx.adj(r - 1, r)))
+            low, den = basis.n0, basis.den  # den times the RREF basis
         size = low.shape[0]
         if size == 0:
             continue
@@ -783,9 +791,10 @@ def decompose(ctx: TerwilligerContext) -> list[HomogeneousComponent]:
         # its eigenvalue separates the module diameter d.  C0 acts through
         # F, whose eigenvalue nu_t separates the dual endpoint t.  Both are
         # symmetric, so row y of low @ M is the image of row y.  A row of
-        # the row space of low is its pivot entries times low, so the pivot
-        # columns of low @ M are M in the coordinates of low.
-        m_lr, m_f = ((low @ ExactMatrix(op)).submatrix(range(size), pivots)
+        # the row space of the RREF basis low / den is its pivot entries
+        # times that basis, so the pivot columns of low @ M, over den, are M
+        # in its coordinates.
+        m_lr, m_f = (ExactMatrix(int_matmul(low, op)[:, pivots], None, den)
                      for op in (ctx.two_step(r, r + 1), ctx.adj(r, r)))
         mu = {d: b * (b + 1) * (c2_const - chi2(ctx, r, 0, d).as_fraction()
                                 * b ** (2 * r)) for d in range(D - r + 1)}
@@ -795,26 +804,29 @@ def decompose(ctx: TerwilligerContext) -> list[HomogeneousComponent]:
                   for t in range(max(0, D - r - d), D - d + 1)}
             for t, piece in _split(m_f, nu, p_d, "chi0", f"F on the diameter-"
                                    f"{d} lowest rungs of block {r}"):
-                # None: the lowest rungs are the component's, an RREF already
-                comps.append(_build_component(ctx, r, t, d, low if piece is None
-                                              else rref(piece)[0] @ low))
+                # None: the lowest rungs are the component's.  Rows in
+                # echelon form in the coordinates keep low's echelon form.
+                rung0 = low if piece is None \
+                    else int_matmul(rref(piece)[0].n0, low)
+                comps.append(_build_component(ctx, r, t, d, rung0))
                 del piece  # one Lagrange piece alive at a time
             del p_d
     return comps + _certify_decomposition(ctx, comps)
 
 
 def _build_component(ctx: TerwilligerContext, r: int, t: int, d: int,
-                     low_rows: ExactMatrix) -> HomogeneousComponent:
-    """The component raised from the lowest-rung rows `low_rows`, a
-    leading-1 RREF (the RREF coordinates times the RREF kernel basis), so
-    rung 0 has rank mult, its row count.  Rung j, on block r + j, is
-    rung j - 1 @ A[B_(r+j-1), B_(r+j)]: row y is R of row y of rung j - 1
-    (A is symmetric), so R v_j = v_(j+1) by construction.  No rank is
-    computed: `_certify_ladder` proves that every rung keeps rank mult, so
-    the dimension is mult * (d + 1), and fails on a rung that drops it."""
+                     low_rows: np.ndarray) -> HomogeneousComponent:
+    """The component raised from the lowest-rung rows `low_rows`, integer
+    rows in echelon form (the integer RREF coordinates times the integer
+    kernel basis), so rung 0 has rank mult, its row count.  Rung j, on
+    block r + j, is rung j - 1 @ A[B_(r+j-1), B_(r+j)]: row y is R of row y
+    of rung j - 1 (A is symmetric), so R v_j = v_(j+1) by construction.  No
+    rank is computed: `_certify_ladder` proves that every rung keeps rank
+    mult, so the dimension is mult * (d + 1), and fails on a rung that
+    drops it."""
     rungs = [low_rows]
     for s in range(r, r + d):
-        rungs.append(rungs[-1] @ ExactMatrix.from_int(ctx.adj(s, s + 1)))
+        rungs.append(int_matmul(rungs[-1], ctx.adj(s, s + 1)))
     return HomogeneousComponent(r, t, d, low_rows.shape[0], rungs)
 
 
@@ -828,13 +840,15 @@ def _certify_ladder(ctx: TerwilligerContext,
     each: L maps rung j to b_(j-1) c_j times rung j - 1 and rung 0 to 0, F
     maps rung j to a_j times itself, and R maps the top rung to 0.  A is
     symmetric, so row y of `rung @ A[B_s, B_i]` is the image of rung row y
-    on block i.
+    on block i.  The rungs are integer arrays, and an expected image c want
+    with c = p / q in lowest terms holds when q image - p want is zero: one
+    exact integer combination, with no denominator.
 
-    This proves the rung ranks too.  Rung 0 is a leading-1 RREF of mult
-    rows (`_certify_decomposition` checks it), so of rank mult.  If rung
-    j - 1 has rank mult and b_(j-1) c_j != 0, then L rung_j = b_(j-1) c_j
-    rung_(j-1) has rank mult, and so has rung j, of mult rows.  So a zero
-    b_(j-1) c_j is refused first.
+    This proves the rung ranks too.  Rung 0 is mult nonzero integer rows in
+    echelon form (`_certify_decomposition` checks it), so of rank mult.  If
+    rung j - 1 has rank mult and b_(j-1) c_j != 0, then L rung_j =
+    b_(j-1) c_j rung_(j-1) has rank mult, and so has rung j, of mult rows.
+    So a zero b_(j-1) c_j is refused first.
     """
     r, t, d = comp.triple
     act = ladder_action(ctx, r, t, d)
@@ -843,16 +857,19 @@ def _certify_ladder(ctx: TerwilligerContext,
                              "on its ladder, so L cannot certify its rank")
     for j, rung in enumerate(comp.rungs):
         s = r + j
-        # (block, expected image of the rung there); None: the image is 0
-        parts = [(s, rung.scale(act.F.entry(j, j)))]
-        if s > 0:
-            parts.append((s - 1, comp.rungs[j - 1].scale(
-                act.L.entry(j - 1, j)) if j else None))
+        # (block, c, want): the image of the rung there must be c want;
+        # want None: the image is 0
+        parts = [(s, act.F.entry(j, j).as_fraction(), rung)]
+        if j:
+            parts.append((s - 1, act.L.entry(j - 1, j).as_fraction(),
+                          comp.rungs[j - 1]))
+        elif s > 0:
+            parts.append((s - 1, Fraction(0), None))
         if j == d and s < ctx.D:
-            parts.append((s + 1, None))
-        for i, want in parts:
-            image = rung @ ExactMatrix.from_int(ctx.adj(s, i))
-            if not (image.is_zero() if want is None else image == want):
+            parts.append((s + 1, Fraction(0), None))
+        for i, c, want in parts:
+            if int_lin((c.denominator, int_matmul(rung, ctx.adj(s, i))),
+                       (-c.numerator, want)).any():
                 raise AssertionError(
                     f"L, F, R do not act on the raising ladder of component "
                     f"{comp.triple} by its intersection numbers")
@@ -869,17 +886,18 @@ def _poly(roots) -> list[Fraction]:
     return coeffs
 
 
-def _leading_one(m: ExactMatrix, rows: int, cols: int) -> bool:
-    """m is a rows x cols leading-1 RREF: the first nonzero columns of its
-    rows increase, and the submatrix at them is I (numerators den on the
-    diagonal and zeros off it), a minor that proves rank rows."""
-    if m.shape != (rows, cols) or not m.is_rational:
+def _echelon(m, rows: int, cols: int) -> bool:
+    """m is a rows x cols integer array of nonzero rows in echelon form: the
+    first nonzero columns of its rows strictly increase, so the submatrix
+    at them is triangular with a nonzero diagonal, a minor that proves rank
+    rows."""
+    if not isinstance(m, np.ndarray) or m.shape != (rows, cols) \
+            or m.dtype not in (np.int64, object):
         return False
-    lead = (m.n0 != 0).argmax(axis=1)
-    sub = m.n0[:, lead]
-    return bool((np.diff(lead) > 0).all()) \
-        and np.count_nonzero(sub) == rows \
-        and sub.diagonal().tolist() == [m.den] * rows
+    nonzero = m != 0
+    lead = nonzero.argmax(axis=1)
+    return bool(nonzero[np.arange(rows), lead].all()
+                and (np.diff(lead) > 0).all())
 
 
 def _certify_decomposition(ctx: TerwilligerContext,
@@ -889,8 +907,8 @@ def _certify_decomposition(ctx: TerwilligerContext,
     Returns the components W(D, t, 0) that fill the rest of V, with no
     rungs.  Checked:
     - each triple is feasible, and the component is given as d + 1 rungs
-      whose rung 0 is a leading-1 RREF of mult rows on B_r (`_leading_one`),
-      so of rank mult,
+      whose rung 0 is mult nonzero integer rows on B_r in echelon form
+      (`_echelon`), so of rank mult,
     - counts: for each i < D, the mults of the components with a rung on
       B_i sum to |B_i|,
     - the triples have pairwise distinct (chi0, chi1, chi2),
@@ -951,14 +969,14 @@ def _certify_decomposition(ctx: TerwilligerContext,
             raise AssertionError(
                 f"triple {c.triple} violates feasibility bounds")
         width = len(ctx.blocks[r])
-        if len(c.rungs) != c.d + 1 or not _leading_one(c.rungs[0], c.mult,
-                                                       width):
+        if len(c.rungs) != c.d + 1 or not _echelon(c.rungs[0], c.mult,
+                                                   width):
             shape = c.rungs[0].shape if c.rungs else None
             raise AssertionError(
                 f"component {c.triple} x {c.mult} is given as "
                 f"{len(c.rungs)} rungs with rung 0 of shape {shape}, not "
-                f"{c.d + 1} with rung 0 a leading-1 RREF of shape "
-                f"({c.mult}, {width})")
+                f"{c.d + 1} with rung 0 integer rows in echelon form of "
+                f"shape ({c.mult}, {width})")
     for i in range(D):
         on = sorted((c for c in comps if c.r <= i <= c.r + c.d),
                     key=lambda c: c.triple)

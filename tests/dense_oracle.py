@@ -511,11 +511,12 @@ def top_rung(ctx, t: int) -> ExactMatrix:
 
 
 def component_rungs(ctx, comp) -> list[ExactMatrix]:
-    """The rungs of a component.  A component W(D, t, 0), which `decompose`
-    certifies by traces and which holds none, gets the oracle's
-    `top_rung`, whose rank must be its multiplicity."""
+    """The rungs of a component, each the ExactMatrix of its integer rows.
+    A component W(D, t, 0), which `decompose` certifies by traces and which
+    holds none, gets the oracle's `top_rung`, whose rank must be its
+    multiplicity."""
     if comp.rungs:
-        return comp.rungs
+        return [ExactMatrix.from_int(rung) for rung in comp.rungs]
     rung = top_rung(ctx, comp.t)
     assert comp.d == 0 and rung.shape[0] == comp.mult, comp.triple
     return [rung]

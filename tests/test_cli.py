@@ -169,6 +169,36 @@ def test_out_of_memory_outside_the_package_names_its_caller(tmp_path):
     assert out.stderr == "error: out of memory in cmd_leonard: no room\n"
 
 
+def _raise_out_of_memory(*_):
+    raise MemoryError("Unable to allocate 5.47 GiB")
+
+
+@pytest.mark.parametrize("command", ["verify", "leonard"])
+def test_out_of_memory_in_a_check_ends_the_call(d32_file, capsys,
+                                                monkeypatch, command):
+    """A MemoryError inside a check, in the kernel of `decompose` (verify
+    on D_3(2)) or in `eigenbasis` (leonard on dqk-2-16), is no failed
+    identity: no report is written, and the one-line error names the
+    innermost dualpolar function, exit 2."""
+    from dualpolar import leonard, terwilliger
+
+    if command == "verify":
+        monkeypatch.setattr(terwilliger, "kernel", _raise_out_of_memory)
+        argv, where = ["verify", "--graph", d32_file, "--suite", "all"], \
+            "decompose"
+    else:
+        monkeypatch.setattr(leonard, "eigenbasis", _raise_out_of_memory)
+        argv = ["leonard", "--params", os.path.join(
+            os.path.dirname(__file__), "data", "leonard", "dqk-2-16.json")]
+        where = "certify_leonard_system"
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: out of memory in {where}: Unable to allocate " \
+        "5.47 GiB\n"
+
+
 @pytest.fixture(scope="module")
 def c23_data(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("cli") / "c23.json")

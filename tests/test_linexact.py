@@ -447,33 +447,11 @@ def test_stacked_product_with_parts_beyond_int64():
         assert a @ b == _four_product_oracle(a, b)
 
 
-def _bounds_hold(m: ExactMatrix) -> bool:
-    return m.bounds() == (intlinalg._max_abs(m.n0), intlinalg._max_abs(m.n1))
-
-
-def test_cached_bounds_follow_every_operation():
-    rng = random.Random(11)
-    r2 = ExactScalar.sqrt(2)
-    x = _seeded_matrix(rng, (3, 3), 2)
-    y = _seeded_matrix(rng, (3, 3), 2)
-    q = _seeded_matrix(rng, (3, 3), 0)
+def test_int64_downcast_after_a_big_entry_cancels():
     big = 2 ** 70
     huge = ExactMatrix(np.array([[big, 1, 0], [0, 1, 0], [0, 0, 1]],
                                 dtype=object), None, 3)
     assert huge.n0.dtype == object
-    # back to int64 once the big entry cancels
     small = huge - ExactMatrix.from_int([[big, 0, 0], [0, 0, 0], [0, 0, 0]],
                                         den=3)
     assert small.n0.dtype == np.int64
-    results = [x, y, q, huge, small, x @ y, x @ q, q @ x, q @ q, huge @ x,
-               x + y, x - y, -x, x.T, x.scale(r2), x.scale(0),
-               x.entrywise(y), huge.entrywise(q), x.submatrix([0, 2], [1]),
-               x.take_rows([1]), ExactMatrix.stack_rows([x, q, huge]),
-               ExactMatrix.combination([(r2, x), (Fraction(1, big), q),
-                                        (3, huge)]),
-               ExactMatrix.zeros(2, 3), ExactMatrix.identity(3),
-               inverse(ExactMatrix.from_rows([[2, 1], [0, r2]]))]
-    for m in results:
-        assert _bounds_hold(m)
-        # negation and transposition keep the bounds they inherit
-        assert _bounds_hold(-m) and _bounds_hold(m.T)

@@ -252,6 +252,23 @@ def test_budget():
         enumerate_maximal_isotropic(FormSpec("C", 3, 2), budget=10)
 
 
+def test_budget_refusal_builds_no_field_table(monkeypatch):
+    """C_2(4096) is over the default budget before enumeration, so GF(4096)
+    is refused without its 4096 x 4096 tables.  On GF(4) a first read
+    builds them all."""
+    from dualpolar import gf
+
+    monkeypatch.setattr(gf, "_CACHE", {})
+    spec = FormSpec("C", 2, 4096)
+    with pytest.raises(BudgetExceededError):
+        build_polar_graph(spec)
+    assert not set(gf._TABLES) & set(vars(spec.field))
+    small = gf.FieldSpec(2, 2)
+    assert not set(gf._TABLES) & set(vars(small))
+    assert small.mul(2, 3) == 1  # x (x + 1) = x^2 + x = 1 mod x^2 + x + 1
+    assert set(gf._TABLES) <= set(vars(small))
+
+
 def test_budget_boundary():
     """C_3(2) has 63 points, 315 isotropic lines and 135 planes: the budget
     bounds the largest level, so 315 passes and 314 does not."""

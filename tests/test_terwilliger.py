@@ -12,6 +12,7 @@ import pytest
 
 from dualpolar.drg import b_pow, closed_form_intersection, td_scalars
 from dualpolar.exact import ExactScalar
+from dualpolar.intarith import int_matmul
 from dualpolar.drg import spectral_data, verify_distance_regular
 from dualpolar.linexact import ExactMatrix, kernel
 from dualpolar import intlinalg, terwilliger
@@ -873,12 +874,37 @@ def test_certify_ladder_refuses_a_rung_that_drops_rank(ctx_c32, comps_c32):
     certificate refuses the component."""
     comp = next(c for c in comps_c32 if c.triple == (1, 1, 2))
     rows = [0, 0, *range(2, comp.mult)]
-    rung1 = comp.rungs[1].take_rows(rows)
-    rungs = [comp.rungs[0], rung1,
-             rung1 @ ExactMatrix.from_int(ctx_c32.adj(2, 3))]
-    assert intlinalg.int_rank(rung1.n0) == comp.mult - 1
+    rung1 = comp.rungs[1][rows]
+    rungs = [comp.rungs[0], rung1, int_matmul(rung1, ctx_c32.adj(2, 3))]
+    assert intlinalg.int_rank(rung1) == comp.mult - 1
     with _refuses_ladder(ctx_c32, comp.triple):
         terwilliger._certify_ladder(ctx_c32, replace(comp, rungs=rungs))
+
+
+def test_integer_ladder_certificate_is_exact_past_int64(ctx_c32, comps_c32):
+    """Every rung `decompose` returns is an int64 or Python-int array.
+    (1, 1, 2) given with every rung times 2^70, as Python ints: the ladder
+    identities q image - p want = 0 hold exactly at that size, so both
+    certificates accept it, and find the same top components; one entry
+    of rung 1 moved by 1 is refused."""
+    assert all(isinstance(rung, np.ndarray)
+               and rung.dtype in (np.int64, object)
+               for c in comps_c32 for rung in c.rungs)
+    triple = (1, 1, 2)
+    comp = next(c for c in comps_c32 if c.triple == triple)
+    big = [rung.astype(object) * 2 ** 70 for rung in comp.rungs]
+    assert terwilliger._certify_ladder(ctx_c32, replace(comp, rungs=big)) \
+        is not None
+    below = [c for c in comps_c32 if c.r < ctx_c32.D]
+    top = terwilliger._certify_decomposition(
+        ctx_c32, _given(below, triple, rungs=big))
+    assert [(c.triple, c.mult) for c in top] == \
+        [(c.triple, c.mult) for c in comps_c32 if c.r == ctx_c32.D]
+    moved = big[1].copy()
+    moved[0, 0] += 1
+    with _refuses_ladder(ctx_c32, triple):
+        terwilliger._certify_ladder(
+            ctx_c32, replace(comp, rungs=[big[0], moved, big[2]]))
 
 
 def test_certify_ladder_refuses_a_zero_b_c(ctx_c32, comps_c32, monkeypatch):
@@ -898,8 +924,8 @@ def test_each_rung_is_raised_once(ctx_c32, monkeypatch):
     that of rung j (`_build_component`), and `_certify_ladder` forms only
     that of the top rung, which must vanish."""
     products = []
-    real = ExactMatrix.__matmul__
-    monkeypatch.setattr(ExactMatrix, "__matmul__",
+    real = terwilliger.int_matmul
+    monkeypatch.setattr(terwilliger, "int_matmul",
                         lambda a, b: products.append((a, b)) or real(a, b))
     comps = decompose(ctx_c32)
     raised = Counter()
@@ -908,9 +934,8 @@ def test_each_rung_is_raised_once(ctx_c32, monkeypatch):
             s = c.r + j
             if s < ctx_c32.D:
                 R = ctx_c32.adj(s, s + 1)
-                raised[c.triple, j] = sum(
-                    a is rung and np.array_equal(b.n0, R)
-                    for a, b in products if b.shape == R.shape)
+                raised[c.triple, j] = sum(a is rung and b is R
+                                          for a, b in products)
     assert raised and set(raised.values()) == {1}
 
 
@@ -988,7 +1013,7 @@ def test_decompose_refuses_a_shifted_chi0(ctx_d32, monkeypatch):
     with pytest.raises(AssertionError, match=re.escape(
             "component (0, 0, 3) is not in the joint kernel")):
         decompose(ctx_d32)
-    assert built[0] == ((0, 0, 3), ExactMatrix.identity(1))
+    assert built[0][0] == (0, 0, 3) and built[0][1].tolist() == [[1]]
 
 
 @pytest.mark.parametrize("m", [[[1, 2], [0, 3]], [[4, 0], [0, 4]]],
@@ -1177,15 +1202,17 @@ def _rungs_of(comps, triple):
                                   "rows-swapped", "doubled"])
 def test_certificate_refuses_a_component_given_off_its_mult(case):
     """The rank proofs take mult from the rows of rung 0, so each given
-    component must hold d + 1 rungs and a leading-1 RREF rung 0 of mult
-    rows: on C_2(2), whose top block holds W(2, 2, 0) x 1, the oracle's
-    rung of W(2, 2, 0) given as two copies (which the trace certificate
-    would solve as a multiplicity of -1); on C_3(2), (1, 1, 2) with no
-    rungs, without its top rung, with rows 0 and 1 of rung 0 swapped, or
-    with rung 0 doubled."""
+    component must hold d + 1 rungs and a rung 0 of mult integer rows in
+    echelon form: on C_2(2), whose top block holds W(2, 2, 0) x 1, the
+    oracle's rung of W(2, 2, 0) given as two copies (which the trace
+    certificate would solve as a multiplicity of -1); on C_3(2), (1, 1, 2)
+    with no rungs, without its top rung, or with rows 0 and 1 of rung 0
+    swapped.  Rung 0 doubled is still in echelon form, so it passes this
+    check; the ladder certificate refuses it, as rung 1 was not raised
+    from it."""
     if case == "two-copies-one-row":
         ctx = _context("C", 2, 2)
-        rung = dense_oracle.top_rung(ctx, 2)
+        rung = dense_oracle.top_rung(ctx, 2).n0
         assert rung.shape[0] == 1
         triple, mult, rungs = (2, 2, 0), 2, [rung]
         given = [c for c in decompose(ctx) if c.r < 2] + [
@@ -1195,18 +1222,20 @@ def test_certificate_refuses_a_component_given_off_its_mult(case):
         below = [c for c in decompose(ctx) if c.r < 3]
         full = _rungs_of(below, triple)
         rungs = {"no-rungs": [], "short": full[:2],
-                 "rows-swapped": [full[0].take_rows([1, 0, *range(2, mult)]),
+                 "rows-swapped": [full[0][[1, 0, *range(2, mult)]],
                                   *full[1:]],
-                 "doubled": [full[0].scale(2), *full[1:]]}[case]
+                 "doubled": [2 * full[0], *full[1:]]}[case]
         given = _given(below, triple, rungs=rungs)
     assert len(_rungs_of(given, triple)) == len(rungs)
     shape = rungs[0].shape if rungs else None
     d = triple[2]
-    with pytest.raises(AssertionError, match=re.escape(
+    refusal = _refuses_ladder(ctx, triple) if case == "doubled" else \
+        pytest.raises(AssertionError, match=re.escape(
             f"component {triple} x {mult} is given as {len(rungs)} rungs "
-            f"with rung 0 of shape {shape}, not {d + 1} with rung 0 a "
-            f"leading-1 RREF of shape ({mult}, "
-            f"{len(ctx.blocks[triple[0]])})")):
+            f"with rung 0 of shape {shape}, not {d + 1} with rung 0 integer "
+            f"rows in echelon form of shape ({mult}, "
+            f"{len(ctx.blocks[triple[0]])})"))
+    with refusal:
         terwilliger._certify_decomposition(ctx, given)
 
 
