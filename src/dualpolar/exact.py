@@ -27,6 +27,21 @@ class MixedRadicandError(ArithmeticError):
     """Raised when combining scalars from distinct quadratic extensions."""
 
 
+def join_rads(*rads: int) -> int:
+    """The nonzero radicand that rads share, or 0 when there is none; a
+    second, different one raises, the first one seen named first.  In
+    canonical form (for scalars and matrices alike) rad is 0 exactly when
+    the irrational part is, so a rational operand joins any field."""
+    out = 0
+    for r in rads:
+        if r and r != out:
+            if out:
+                raise MixedRadicandError(
+                    f"cannot mix sqrt({out}) with sqrt({r})")
+            out = r
+    return out
+
+
 def _ratio(x) -> tuple[int, int]:
     """(numerator, denominator) of an int or a Fraction."""
     if isinstance(x, int):
@@ -121,22 +136,11 @@ class ExactScalar:
         n, d = _ratio(x)
         return _make(n, 0, d, 0)
 
-    def _join_rad(self, other: "ExactScalar") -> int:
-        if self.r == 0:
-            return other.rad
-        if other.r == 0:
-            return self.rad
-        if self.rad != other.rad:
-            raise MixedRadicandError(
-                f"cannot mix sqrt({self.rad}) with sqrt({other.rad})"
-            )
-        return self.rad
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         o = self._coerce(other)
-        rad = self._join_rad(o)
+        rad = join_rads(self.rad, o.rad)
         d1, d2 = self.den, o.den
         if d1 == d2:
             return _reduced(self.p + o.p, self.r + o.r, d1, rad)
@@ -160,7 +164,7 @@ class ExactScalar:
             p, den = self.p * o.p, self.den * o.den
             g = _gcd(p, den)
             return _make(p // g, 0, den // g, 0)
-        rad = self._join_rad(o)
+        rad = join_rads(self.rad, o.rad)
         return _reduced(self.p * o.p + self.r * o.r * rad,
                         self.p * o.r + self.r * o.p, self.den * o.den, rad)
 

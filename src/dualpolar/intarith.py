@@ -1,10 +1,12 @@
-"""The exact integer product and sum, and a deterministic primality test.
+"""The integer representation of the package, and a primality test.
 
-int_matmul is the one exact integer product of the package, on float BLAS
-where a bound proves it exact and in int64 when it is tiny; int_lin is the
-one exact integer combination.  The graph layer (gf, polar, drg) needs
-only this product and is_prime, so a `build` call loads this module and
-not the eliminations of intlinalg.
+An integer array is int64 while a bound proves that its entries and
+partial sums stay below 2^62, else Python ints; that rule lives here only.
+`as_int_array`, `_downcast` and `int_dtype` apply it, int_matmul is the
+one exact integer product (on float BLAS where a bound proves it exact),
+int_mul the one entrywise product and int_lin the one combination.  The
+graph layer (gf, polar, drg) needs only int_matmul and is_prime, so a
+`build` call loads this module and not the eliminations of intlinalg.
 """
 
 from __future__ import annotations
@@ -29,6 +31,34 @@ def _max_abs(a) -> int:
     return max(int(a.max()), -int(a.min()))
 
 
+def int_dtype(bound: int):
+    """int64 when `bound` is below 2^62, else object (Python ints)."""
+    return np.int64 if bound < _INT64_SAFE else object
+
+
+def as_int_array(rows) -> np.ndarray:
+    """rows (nested sequences or an array of integers) as a 2-d int64 array,
+    or as Python ints where some entry does not fit in int64."""
+    if isinstance(rows, np.ndarray) and np.can_cast(rows.dtype, np.int64):
+        a = rows.astype(np.int64)  # a copy; every entry fits
+    else:
+        a = np.array(rows, dtype=object)
+        try:
+            a = a.astype(np.int64)
+        except OverflowError:
+            pass
+    return a.reshape(1, -1) if a.ndim == 1 else a
+
+
+def _downcast(a):
+    """a as int64 when every entry fits below 2^62 (None stays None)."""
+    if a is None or a.dtype != object:
+        return a
+    if a.size == 0 or _max_abs(a) < _INT64_SAFE:
+        return a.astype(np.int64)
+    return a
+
+
 # Every integer of absolute value at most 2^24 is a float32 and every one up
 # to 2^53 a float64; int64 is used up to 2^62, which leaves a bit to spare.
 _F32_EXACT = 2 ** 24
@@ -44,9 +74,7 @@ def _matmul_dtype(bound: int):
         return np.float32
     if bound < _F64_EXACT:
         return np.float64
-    if bound < _INT64_SAFE:
-        return np.int64
-    return object
+    return int_dtype(bound)
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -88,10 +116,19 @@ def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod.astype(np.int64, copy=False)
 
 
+def int_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact broadcast entrywise product of two integer (or bool) arrays:
+    int64 when max|a| * max|b| < 2^62, else Python ints.  Both operands
+    are widened first, so a uint8 or bool product does not wrap."""
+    dtype = int_dtype(_max_abs(a) * _max_abs(b))
+    return a.astype(dtype, copy=False) * b.astype(dtype, copy=False)
+
+
 def int_lin(*terms):
-    """Exact sum of the coeff * array terms, (int, integer array) pairs of
-    one shape; None for no live term (every array None or coeff 0).  int64
-    when a bound on every partial sum proves it fits, else Python ints."""
+    """Exact sum of the coeff * array terms, (int, int64 or object array)
+    pairs of one shape; None for no live term (every array None or coeff
+    0).  int64 when a bound on every partial sum proves it fits, else
+    Python ints."""
     live = [(c, a) for c, a in terms if a is not None and c != 0]
     if not live:
         return None

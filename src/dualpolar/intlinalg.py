@@ -1,7 +1,7 @@
-"""Vectorized exact integer Gaussian elimination.
+"""Vectorized exact integer Gaussian elimination: the eliminations only.
 
-Row reduction over Q is done on integer matrices (numpy int64, upgraded to
-Python-int object arrays when entries threaten to overflow).  The result is
+Row reduction over Q is done on integer matrices, int64 or Python ints by
+the one rule of `intarith`, which owns the representation.  The result is
 canonical: its rows are primitive (gcd 1) with a positive pivot, and
 dividing each row by its pivot yields the unique leading-1 RREF of the row
 space.
@@ -39,10 +39,10 @@ entries have millions of bits.)
 
 int_kernel reads the canonical null-space basis off a single int_rref of
 the column-reversed matrix.  int_rank proves a full rank with one
-elimination mod p.  The products run through `intarith.int_matmul`, exact
-by its bound.  The primes are found on first use, one at a time, so an
-import searches for none and a reduction that one prime certifies
-searches for one.
+elimination mod p.  The products run through `intarith.int_matmul` and
+`int_mul`, exact by their bounds.  The primes are found on first use, one
+at a time, so an import searches for none and a reduction that one prime
+certifies searches for one.
 """
 
 from __future__ import annotations
@@ -52,39 +52,8 @@ import math
 
 import numpy as np
 
-from .intarith import (_INT64_SAFE, _max_abs, _to_object, int_matmul,
-                       is_prime)
-
-
-def as_int_array(rows) -> np.ndarray:
-    """rows (nested sequences or an array of integers) as a 2-d int64 array,
-    or as Python ints where some entry does not fit in int64."""
-    if isinstance(rows, np.ndarray) and np.can_cast(rows.dtype, np.int64):
-        a = rows.astype(np.int64)  # a copy; every entry fits
-    else:
-        a = np.array(rows, dtype=object)
-        try:
-            a = a.astype(np.int64)
-        except OverflowError:
-            pass
-    return a.reshape(1, -1) if a.ndim == 1 else a
-
-
-def _downcast(a):
-    """a as int64 when every entry fits below 2^62 (None stays None)."""
-    if a is None or a.dtype != object:
-        return a
-    if a.size == 0 or _max_abs(a) < _INT64_SAFE:
-        return a.astype(np.int64)
-    return a
-
-
-def _scale_rows(a: np.ndarray, scale) -> np.ndarray:
-    """a with row i multiplied by the int scale[i]: int64 when max|scale| *
-    max|a| is below 2^62, Python ints otherwise."""
-    top = max(map(abs, scale), default=0) * max(_max_abs(a), 1)
-    dtype = np.int64 if top < _INT64_SAFE else object
-    return a.astype(dtype, copy=False) * np.array(scale, dtype=dtype)[:, None]
+from .intarith import (_downcast, _to_object, as_int_array, int_matmul,
+                       int_mul, is_prime)
 
 
 def _gcd_rows(a: np.ndarray) -> np.ndarray:
@@ -132,11 +101,11 @@ def int_kernel(mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         return np.zeros((0, ncols), dtype=np.int64), ()
     piv = [int(red[i, c]) for i, c in enumerate(rpivots)]
     big = math.lcm(*piv)
-    dtype = np.int64 if big * _max_abs(red) < _INT64_SAFE else object
-    basis = np.zeros((free.size, ncols), dtype=dtype)
+    # whole rows, so the bound of int_mul covers big at each pivot
+    red = int_mul(red, as_int_array([big // p for p in piv]).T)
+    basis = np.zeros((free.size, ncols), dtype=red.dtype)
     basis[np.arange(free.size), free] = big
-    scale = np.array([big // p for p in piv], dtype=dtype)
-    basis[:, list(rpivots)] = -(red[:, free].astype(dtype) * scale[:, None]).T
+    basis[:, list(rpivots)] = -red[:, free].T
     basis = basis[:, ::-1]
     basis = _downcast(basis // _gcd_rows(basis)[:, None])
     return basis, tuple(int(c) for c in ncols - 1 - free)
@@ -187,9 +156,8 @@ def int_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # must: the residues are int64, a residue within the reconstruction bound
 # of 0 or of the modulus is its own small signed numerator over 1 (no
 # Euclidean loop), and the candidate rows and their scaled copies in the
-# certificate are int64 while max lcm * max|numerator| (max scale *
-# max|row|) stays below 2^62.  A second prime combines the residues by CRT
-# on Python ints.
+# certificate are whole rows scaled by `int_mul`, int64 while its bound
+# allows.  A second prime combines the residues by CRT on Python ints.
 #
 # The first bullet alone certifies a full rank: if the elimination mod p
 # finds min(rows, cols) pivots, so does the one over Q (int_rank).
@@ -372,20 +340,17 @@ def _wang(x: np.ndarray, modulus: int, bound: int):
 
 def _candidate_rows(num, den, pivots, free, ncols) -> np.ndarray:
     """Row i of the RREF is num[i] / den[i] on the free columns and 1 at its
-    pivot; clear the denominators with one lcm per row.  Every entry is at
-    most that lcm times max|num|, so the rows are int64 when this is below
-    2^62 and Python ints otherwise."""
+    pivot; clear the denominators with one lcm per row.  The whole rows,
+    pivots included, go through int_mul, so its bound covers each lcm."""
     k = len(pivots)
     lcm = [1] * k
     for i in np.flatnonzero((den != 1).any(axis=1)):
         lcm[i] = math.lcm(*den[i].tolist())
-    top = max(lcm, default=1) * max(_max_abs(num), 1)
-    dtype = np.int64 if top < _INT64_SAFE else object
-    lcm = np.array(lcm, dtype=dtype)
-    rows = np.zeros((k, ncols), dtype=dtype)
-    rows[np.arange(k), list(pivots)] = lcm
-    rows[:, free] = num.astype(dtype) * (lcm[:, None] // den.astype(dtype))
-    return rows
+    nums = np.zeros((k, ncols), dtype=num.dtype)
+    dens = np.ones((k, ncols), dtype=den.dtype)
+    nums[np.arange(k), list(pivots)] = 1
+    nums[:, free], dens[:, free] = num, den
+    return int_mul(nums, as_int_array(lcm).T // dens)
 
 
 def _verify_rref_candidate(mat, rows, pivots) -> bool:
@@ -396,12 +361,8 @@ def _verify_rref_candidate(mat, rows, pivots) -> bool:
     dens = rows[np.arange(k), list(pivots)].tolist()
     big = math.lcm(*dens)
     rhs = int_matmul(mat[:, list(pivots)],
-                     _scale_rows(rows, [big // d for d in dens]))
-    if _max_abs(mat) * big < _INT64_SAFE:
-        lhs = mat.astype(np.int64, copy=False) * big
-    else:
-        lhs = _to_object(mat) * big
-    return bool((lhs == rhs).all())
+                     int_mul(rows, as_int_array([big // d for d in dens]).T))
+    return bool((int_mul(mat, as_int_array([big])) == rhs).all())
 
 
 def int_rref(mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:

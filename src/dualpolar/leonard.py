@@ -12,7 +12,8 @@ Every primitive idempotent of a Leonard system is rank one,
 E_i = v_i w_i / (w_i v_i) with v_i, w_i the right and left theta_i
 eigenvectors, and every matrix realized here is tridiagonal (split and
 normalized-split are bidiagonal, standard is tridiagonal plus a diagonal
-matrix, a module's A* on its dual standard basis is tridiagonal).  So no
+matrix, a module's A* on its dual standard basis is tridiagonal), built by
+`ExactMatrix.tridiagonal` from its three bands.  So no
 idempotent is ever formed: `eigenbasis` solves for V and W by the
 three-term recurrence and certifies them with three exact identities,
 `certify_leonard_system` reads both Leonard axioms off the zero patterns of
@@ -345,34 +346,21 @@ def realize(pa: ParameterArray, basis: str = "split") -> LeonardRealization:
         raise ValueError(f"invalid parameter array: {v.failure}")
     d = pa.d
     th, ths, phi = pa.theta, pa.theta_star, pa.phi
-    zero = ExactScalar(0)
+    zeros = [0] * d
     if basis == "split":
-        a = [[th[i] if i == j else (ExactScalar(1) if i == j + 1 else zero)
-              for j in range(d + 1)] for i in range(d + 1)]
-        astar = [[ths[i] if i == j else (phi[i] if j == i + 1 else zero)
-                  for j in range(d + 1)] for i in range(d + 1)]
+        A = ExactMatrix.tridiagonal([1] * d, th, zeros)
+        Astar = ExactMatrix.tridiagonal(zeros, ths, phi)
     elif basis == "normalized-split":
-        a = [[th[i] if i == j
-              else (phi[j] / (ths[d] - ths[j]) if i == j + 1 else zero)
-              for j in range(d + 1)] for i in range(d + 1)]
-        astar = [[ths[i] if i == j
-                  else (ths[d] - ths[i] if j == i + 1 else zero)
-                  for j in range(d + 1)] for i in range(d + 1)]
+        A = ExactMatrix.tridiagonal(
+            [phi[i] / (ths[d] - ths[i]) for i in range(d)], th, zeros)
+        Astar = ExactMatrix.tridiagonal(
+            zeros, ths, [ths[d] - ths[i] for i in range(d)])
     elif basis == "standard":
         cc, aa, bb, *_ = pa.intersection_numbers
-        a = [[zero] * (d + 1) for _ in range(d + 1)]
-        for i in range(d + 1):
-            a[i][i] = aa[i]
-            if i >= 1:
-                a[i][i - 1] = cc[i]
-            if i < d:
-                a[i][i + 1] = bb[i]
-        astar = [[ths[i] if i == j else zero for j in range(d + 1)]
-                 for i in range(d + 1)]
+        A = ExactMatrix.tridiagonal(cc[1:], aa, bb[:d])
+        Astar = ExactMatrix.diag(ths)
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    A = ExactMatrix.from_rows(a)
-    Astar = ExactMatrix.from_rows(astar)
     eig, eig_star = certify_leonard_system(A, Astar, th, ths)
     return LeonardRealization(pa, basis, A, Astar, eig, eig_star)
 

@@ -20,9 +20,10 @@ multiply-adds that fits) or in Python ints, each chosen from a bound that
 proves it exact (see its docstring).
 
 Row reduction, kernels and inverses run over Q only, in the vectorized
-integer engine of intlinalg; a matrix with a live irrational part is refused
-with ValueError.  A triangular matrix is inverted by back substitution over
-either field.
+integer engine of intlinalg, which is loaded on the first elimination: a
+call that eliminates nothing (any `leonard` call) never compiles it.  A
+matrix with a live irrational part is refused with ValueError.  A
+triangular matrix is inverted by back substitution over either field.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ import math
 
 import numpy as np
 
-from . import intarith, intlinalg
-from .exact import ExactScalar, MixedRadicandError
-from .intarith import _INT64_SAFE, _max_abs, _to_object, int_lin
-from .intlinalg import _downcast, _scale_rows
+from . import intarith
+from .exact import ExactScalar, join_rads
+from .intarith import (_INT64_SAFE, _downcast, _to_object, as_int_array,
+                       int_lin, int_mul)
 
 
 def _gcd_all(*arrays_and_ints) -> int:
@@ -61,13 +62,8 @@ def _mm(a, b):
     return intarith.int_matmul(a, b)
 
 
-def _one_denominator(scalars) -> tuple[int, int]:
-    """The lcm of the scalars' denominators and their common radicand (0
-    when all are rational); distinct radicands raise."""
-    rads = {s.rad for s in scalars if s.r}
-    if len(rads) > 1:
-        raise MixedRadicandError("mixed radicands in matrix")
-    return math.lcm(*(s.den for s in scalars)), (rads.pop() if rads else 0)
+def _scalar(x) -> ExactScalar:
+    return x if isinstance(x, ExactScalar) else ExactScalar(x)
 
 
 _ONE = ExactScalar(1)
@@ -116,18 +112,18 @@ class ExactMatrix:
 
     @classmethod
     def from_int(cls, arr, den: int = 1, rad: int = 0) -> "ExactMatrix":
-        return cls(intlinalg.as_int_array(arr), None, den, rad)
+        return cls(as_int_array(arr), None, den, rad)
 
     @classmethod
     def from_rows(cls, rows) -> "ExactMatrix":
         """Build from nested sequences of ExactScalar / Fraction / int."""
-        scal = [[x if isinstance(x, ExactScalar) else ExactScalar(x) for x in row]
-                for row in rows]
-        den, rad = _one_denominator([x for row in scal for x in row])
+        scal = [[_scalar(x) for x in row] for row in rows]
+        flat = [x for row in scal for x in row]
+        den = math.lcm(*(x.den for x in flat))
         n0 = [[x.p * (den // x.den) for x in row] for row in scal]
         n1 = [[x.r * (den // x.den) for x in row] for row in scal]
-        return cls(intlinalg.as_int_array(n0), intlinalg.as_int_array(n1),
-                   den, rad)
+        return cls(as_int_array(n0), as_int_array(n1), den,
+                   join_rads(*(x.rad for x in flat)))
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
@@ -138,11 +134,27 @@ class ExactMatrix:
         return cls.from_int(np.eye(n, dtype=np.int64))
 
     @classmethod
+    def tridiagonal(cls, sub, diag, sup) -> "ExactMatrix":
+        """The (d+1) x (d+1) matrix with diagonal `diag` (d + 1 scalars),
+        entry (i+1, i) sub[i] and entry (i, i+1) sup[i] (d each), every
+        other entry 0: the shape of every small matrix of the paper.  The
+        3d + 1 scalars (ExactScalar, Fraction or int) go over one
+        denominator."""
+        d = len(sub)
+        flat = [_scalar(x) for band in (sub, diag, sup) for x in band]
+        den = math.lcm(*(x.den for x in flat))
+        parts = []
+        for v in ([x.p * (den // x.den) for x in flat],
+                  [x.r * (den // x.den) for x in flat]):
+            v = as_int_array(v)[0]
+            parts.append(np.diag(v[:d], -1) + np.diag(v[d:2 * d + 1])
+                         + np.diag(v[2 * d + 1:], 1))
+        return cls(*parts, den, join_rads(*(x.rad for x in flat)))
+
+    @classmethod
     def diag(cls, values) -> "ExactMatrix":
-        row = cls.from_rows([values])  # one row over one denominator
-        return cls(np.diag(row.n0[0]),
-                   None if row.n1 is None else np.diag(row.n1[0]),
-                   row.den, row.rad)
+        zeros = [0] * (len(values) - 1)
+        return cls.tridiagonal(zeros, values, zeros)
 
     @classmethod
     def column(cls, values) -> "ExactMatrix":
@@ -158,23 +170,16 @@ class ExactMatrix:
         irrational scalar and matrix must have the same radicand."""
         terms = list(terms)
         shape = terms[0][1].shape
-        live, rad = [], 0
+        live, rads = [], []
         for s, m in terms:
-            if not isinstance(s, ExactScalar):
-                s = ExactScalar(s)
+            s = _scalar(s)
             if s.is_zero:
                 continue
-            if isinstance(m, ExactMatrix):
-                n0, n1, den, mrad = m.n0, m.n1, m.den, m.rad
-            else:
-                n0, n1, den, mrad = m, None, 1, 0
-            for r in (s.rad, mrad):
-                if r and r != rad:
-                    if rad:
-                        raise MixedRadicandError(
-                            f"cannot mix sqrt({rad}) with sqrt({r})")
-                    rad = r
-            live.append((s, den * s.den, n0, n1))
+            if not isinstance(m, ExactMatrix):
+                m = cls.from_int(m)  # widened: a uint8 or bool sum could wrap
+            rads += (s.rad, m.rad)
+            live.append((s, m.den * s.den, m.n0, m.n1))
+        rad = join_rads(*rads)
         den = math.lcm(*(d for _, d, *_ in live))
         terms0, terms1 = [], []
         for s, d, n0, n1 in live:
@@ -207,19 +212,6 @@ class ExactMatrix:
         return ExactScalar.from_parts(int(self.n0[i, j]), r, self.den,
                                       self.rad)
 
-    # -- radicand bookkeeping ---------------------------------------------
-
-    def _join_rad(self, other_rad: int) -> int:
-        if self.n1 is None or self.rad == 0:
-            return other_rad
-        if other_rad == 0:
-            return self.rad
-        if self.rad != other_rad:
-            raise MixedRadicandError(
-                f"cannot mix sqrt({self.rad}) with sqrt({other_rad})"
-            )
-        return self.rad
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -229,7 +221,7 @@ class ExactMatrix:
         return ExactMatrix.combination(((_ONE, self), (_MINUS_ONE, other)))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        rad = self._join_rad(other.rad if other.n1 is not None else 0)
+        rad = join_rads(self.rad, other.rad)
         if self.n1 is None and other.n1 is None:
             return ExactMatrix(_mm(self.n0, other.n0), None,
                                self.den * other.den)
@@ -255,15 +247,10 @@ class ExactMatrix:
 
     def entrywise(self, other: "ExactMatrix") -> "ExactMatrix":
         """Hadamard (entrywise) product."""
-        rad = self._join_rad(other.rad if other.n1 is not None else 0)
+        rad = join_rads(self.rad, other.rad)
 
         def prod(a, b):
-            if a is None or b is None:
-                return None
-            if a.dtype != object and b.dtype != object \
-                    and _max_abs(a) * _max_abs(b) < _INT64_SAFE:
-                return a * b
-            return _to_object(a) * _to_object(b)
+            return None if a is None or b is None else int_mul(a, b)
 
         n0 = int_lin((1, prod(self.n0, other.n0)),
                      (rad, prod(self.n1, other.n1)))
@@ -292,9 +279,7 @@ class ExactMatrix:
     @classmethod
     def stack_rows(cls, mats) -> "ExactMatrix":
         mats = list(mats)
-        rad = 0
-        for m in mats:
-            rad = m._join_rad(rad)
+        rad = join_rads(*(m.rad for m in mats))
         den = math.lcm(*(m.den for m in mats))
         parts0, parts1 = [], []
         for m in mats:
@@ -313,8 +298,7 @@ class ExactMatrix:
         entries, n1 None when zero), so equal matrices have equal parts."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if self.n1 is not None and other.n1 is not None:
-            self._join_rad(other.rad)  # mixed radicands raise
+        join_rads(self.rad, other.rad)  # mixed radicands raise
         return self.shape == other.shape and self.den == other.den \
             and np.array_equal(self.n0, other.n0) \
             and (self.n1 is None) == (other.n1 is None) \
@@ -339,7 +323,8 @@ def _leading_one(red: np.ndarray, pivots, ncols: int) -> ExactMatrix:
         return ExactMatrix.zeros(0, ncols)
     piv = red[np.arange(len(pivots)), list(pivots)].tolist()
     den = math.lcm(*piv)
-    return ExactMatrix(_scale_rows(red, [den // p for p in piv]), None, den)
+    return ExactMatrix(int_mul(red, as_int_array([den // p for p in piv]).T),
+                       None, den)
 
 
 def _rational(m: ExactMatrix, what: str):
@@ -352,6 +337,7 @@ def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Leading-1 reduced row echelon form of the row space of a rational
     matrix m."""
     _rational(m, "rref")
+    from . import intlinalg
     red, pivots = intlinalg.int_rref(m.n0)
     return _leading_one(red, pivots, m.shape[1]), pivots
 
@@ -361,6 +347,7 @@ def kernel(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     leading-1 RREF basis rows and their pivots, as `rref` returns a row
     space."""
     _rational(m, "kernel")
+    from . import intlinalg
     basis, pivots = intlinalg.int_kernel(m.n0)
     return _leading_one(basis, pivots, m.shape[1]), pivots
 
@@ -401,6 +388,7 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     if _is_upper_triangular(m.T):
         return _upper_triangular_inverse(m.T).T
     _rational(m, "inverse of a non-triangular matrix")
+    from . import intlinalg
     num, den = intlinalg.int_inverse(m.n0)
     dlcm = math.lcm(*map(int, den))
     scale = np.array([dlcm // int(d) for d in den], dtype=object)

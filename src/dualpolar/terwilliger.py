@@ -74,7 +74,7 @@ from .drg import (
     td_scalars,
 )
 from .exact import ExactScalar, q_pow
-from .intarith import int_lin, int_matmul
+from .intarith import int_dtype, int_lin, int_matmul
 from .leonard import _check_axiom_pattern, eigenbasis
 from .linexact import ExactMatrix, kernel, rref
 from .polar import PolarGraph
@@ -121,13 +121,13 @@ class TerwilligerContext:
         return int(2 * self.g.spec.e)
 
     def adj(self, i: int, j: int) -> np.ndarray | None:
-        """A[B_i, B_j] as int64: the block of L (j = i + 1), F (j = i) or
-        R (j = i - 1) on column block j; None where E*_i A E*_j = 0."""
+        """A[B_i, B_j], the graph's uint8 block of L (j = i + 1), F (j = i)
+        or R (j = i - 1), widened by each use; None where E*_i A E*_j = 0."""
         if abs(i - j) > 1 or not (0 <= i <= self.D and 0 <= j <= self.D):
             return None
         if (i, j) not in self._adj:
-            self._adj[i, j] = self.g.adjacency[np.ix_(
-                self.blocks[i], self.blocks[j])].astype(np.int64)
+            self._adj[i, j] = self.g.adjacency[np.ix_(self.blocks[i],
+                                                      self.blocks[j])]
         return self._adj[i, j]
 
     def two_step(self, s: int, h: int) -> np.ndarray | None:
@@ -468,11 +468,14 @@ def _entry_table(ctx: TerwilligerContext, words: list, tables: list):
     first four classes of PAIR_CLASSES: the diagonal, the adjacent pairs
     (the ones of F_s), the pairs at distance 2 with a common neighbour in
     B_(s+1) (LR_s > 0), and those without one, where the value is a
-    multiple of RL_s; it is 0 on the other pairs.  Both sides are taken
+    multiple of RL_s; it is 0 on the other pairs.  Distinct, non-adjacent
+    y, z with a common neighbour in B_(s+1) or B_(s-1) are at distance 2,
+    so the counts give the classes; a distance-2 pair with RL_s = 0 has
+    value 0 in either class and is classed "other".  Both sides are taken
     over one common denominator and their difference is formed on the
     integer blocks, one row panel at a time: in int64 where a bound from
     the coefficients and the valency k, which no count exceeds, proves that
-    exact, else in Python ints."""
+    exact (`int_dtype`), else in Python ints."""
     k = len(ctx.blocks[1])
     for s, (word, table) in enumerate(zip(words, tables, strict=True)):
         vals = [word.get(w, 0) for w in ("", "F", "RL", "LR")]
@@ -481,7 +484,7 @@ def _entry_table(ctx: TerwilligerContext, words: list, tables: list):
             int(v * den) for v in (*vals, *table))
         bound = sum(map(abs, (w_i, w_f, t_i, t_f, t_up))) \
             + k * sum(map(abs, (w_rl, w_lr, t_rl)))
-        dtype = np.int64 if bound < 2 ** 62 else object
+        dtype = int_dtype(bound)
         block, f = ctx.blocks[s], ctx.adj(s, s)
         # a two-step product is read only where a coefficient needs it
         up = ctx.two_step(s, s + 1) if w_lr or t_up or t_rl else None
@@ -494,21 +497,22 @@ def _entry_table(ctx: TerwilligerContext, words: list, tables: list):
                             for m in (up, down))
             diff = (w_f - t_f) * f[rows].astype(dtype) + w_rl * down_p \
                 + w_lr * up_p
-            diff[np.arange(len(diff)), np.arange(lo, lo + len(diff))] \
-                += w_i - t_i
+            diag = np.arange(len(diff)), np.arange(lo, lo + len(diff))
+            diff[diag] += w_i - t_i
             if t_up or t_rl:
-                two = ctx.g.dist[np.ix_(block[rows], block)] == 2
-                near = two & (up_p > 0)
+                apart = f[rows] == 0  # distinct and not adjacent
+                apart[diag] = False
+                near = apart & (up_p > 0)
                 diff -= t_up * near.astype(dtype) \
-                    + t_rl * (two & ~near).astype(dtype) * down_p
+                    + t_rl * (apart & ~near).astype(dtype) * down_p
             if diff.any():
                 i, j = (int(v) for v in np.argwhere(diff)[0])
                 y, z = int(block[lo + i]), int(block[j])
                 c_up, c_down = (0 if m is None else int(m[lo + i, j]) for m
                                 in (ctx.two_step(s, s + 1),
                                     ctx.two_step(s, s - 1)))
-                cls = 0 if y == z else 1 if f[lo + i, j] else 4 \
-                    if ctx.g.dist[y, z] != 2 else 2 if c_up else 3
+                cls = 0 if y == z else 1 if f[lo + i, j] else 2 if c_up \
+                    else 3 if c_down else 4
                 want = (t_i, t_f, t_up, t_rl * c_down, 0)[cls]
                 got = want + int(diff[i, j])
                 return False, {"block": s, "pair": [y, z],
@@ -678,16 +682,16 @@ def ladder_action(ctx: TerwilligerContext, r: int, t: int,
     three on every rung), and K, A* the scalars of subconstituent r + j on
     rung j."""
     c, a, bb = module_intersection(ctx, r, t, d)
-    size = d + 1
-    lower = [[0] * size for _ in range(size)]
-    for j in range(1, size):
-        lower[j - 1][j] = bb[j - 1] * c[j]
-    powers = [ctx.b ** (r + j) for j in range(size)]
+    zeros = [0] * d
+    powers = [ctx.b ** (r + j) for j in range(d + 1)]
     return LadderAction(
-        ExactMatrix.from_rows(lower), ExactMatrix.diag(a),
-        ExactMatrix.from_int(np.eye(size, k=-1, dtype=np.int64)),
+        ExactMatrix.tridiagonal(zeros, [0] * (d + 1),
+                                [bb[j] * c[j + 1] for j in range(d)]),
+        ExactMatrix.diag(a),
+        ExactMatrix.tridiagonal([1] * d, [0] * (d + 1), zeros),
         ExactMatrix.diag([Fraction(1, p) for p in powers]),
-        ExactMatrix.diag(powers), ExactMatrix.diag(ctx.bm.theta_star[r:r + size]))
+        ExactMatrix.diag(powers),
+        ExactMatrix.diag(ctx.bm.theta_star[r:r + d + 1]))
 
 
 def _scalar_value(m: ExactMatrix) -> Fraction | None:

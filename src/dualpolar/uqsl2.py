@@ -130,55 +130,39 @@ def build_Ld(d: int, eps: int, q: ExactScalar, basis: str = "kef") -> UqAction:
         if q_pow(q, 2 * i) == one:
             raise ValueError(f"q^(2i) = 1 at i = {i}; module is reducible")
     n = d + 1
-    zero = ExactScalar(0)
     es = ExactScalar(eps)
+    zeros = [0] * d
+    # es q^(2i - d), i = 0..d: the diagonal of k^-1, and reversed, of k
+    inv_weights = [es * q_pow(q, 2 * i - d) for i in range(n)]
+    weights = ExactMatrix.diag(inv_weights[::-1])
     if basis == "kef":
-        k = ExactMatrix.diag([es * q_pow(q, d - 2 * i) for i in range(n)])
-        fmat = [[zero] * n for _ in range(n)]
-        emat = [[zero] * n for _ in range(n)]
-        for i in range(d):
-            fmat[i + 1][i] = bracket(q, i + 1)
-        for i in range(1, n):
-            emat[i - 1][i] = es * bracket(q, d - i + 1)
-        f = ExactMatrix.from_rows(fmat)
-        e = ExactMatrix.from_rows(emat)
-        kinv = ExactMatrix.diag([es * q_pow(q, 2 * i - d) for i in range(n)])
+        f = ExactMatrix.tridiagonal([bracket(q, i + 1) for i in range(d)],
+                                    [0] * n, zeros)
+        e = ExactMatrix.tridiagonal(zeros, [0] * n,
+                                    [es * bracket(q, d - i) for i in range(d)])
+        kinv = ExactMatrix.diag(inv_weights)
         x = ExactMatrix.combination(((1, kinv), (q - q.inverse(), f)))
         y = ExactMatrix.combination(((1, kinv),
                                      (-q * (q - q.inverse()), kinv @ e)))
-        act = UqAction(q, x, y, k, kinv)
-        # f and e solve back to fmat and emat: x - z^-1 = (q - q^-1) f, and
+        act = UqAction(q, x, y, weights, kinv)
+        # x and y solve back to f and e: x - z^-1 = (q - q^-1) f, and
         # 1 - z y = q (q - q^-1) e given k kinv = 1, which verify checks
         act.verify()
         return act
     if basis not in ("x-eigen", "y-eigen", "z-eigen"):
         raise ValueError(f"unknown basis {basis!r}")
-
-    def diag_weights():
-        return ExactMatrix.diag([es * q_pow(q, d - 2 * i) for i in range(n)])
-
-    def raising():
-        m = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            m[i][i] = es * q_pow(q, 2 * i - d)
-            if i < d:
-                m[i + 1][i] = es * (q_pow(q, -d) - q_pow(q, 2 * i + 2 - d))
-        return ExactMatrix.from_rows(m)
-
-    def lowering():
-        m = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            m[i][i] = es * q_pow(q, 2 * i - d)
-            if i >= 1:
-                m[i - 1][i] = es * (q_pow(q, d) - q_pow(q, 2 * i - 2 - d))
-        return ExactMatrix.from_rows(m)
-
+    raising = ExactMatrix.tridiagonal(
+        [es * (q_pow(q, -d) - q_pow(q, 2 * i + 2 - d)) for i in range(d)],
+        inv_weights, zeros)
+    lowering = ExactMatrix.tridiagonal(
+        zeros, inv_weights,
+        [es * (q_pow(q, d) - q_pow(q, 2 * i - d)) for i in range(d)])
     if basis == "x-eigen":
-        x, y, z = diag_weights(), raising(), lowering()
+        x, y, z = weights, raising, lowering
     elif basis == "y-eigen":
-        y, z, x = diag_weights(), raising(), lowering()
+        y, z, x = weights, raising, lowering
     else:
-        z, x, y = diag_weights(), raising(), lowering()
+        z, x, y = weights, raising, lowering
     act = UqAction(q, x, y, z)
     act.verify()
     _check_sum_vector(act, d, eps, basis)

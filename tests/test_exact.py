@@ -10,6 +10,7 @@ import pytest
 from dualpolar.exact import (
     ExactScalar,
     MixedRadicandError,
+    join_rads,
     parse_scalar,
     q_pow,
 )
@@ -67,6 +68,21 @@ def test_mixed_radicands_rejected():
         ExactScalar(0, 1, 2) + ExactScalar(0, 1, 3)
     # rationals are compatible with any radicand
     assert ExactScalar(5) + ExactScalar(0, 1, 3) == ExactScalar(5, 1, 3)
+
+
+def test_join_rads_names_the_first_radicand_first():
+    assert join_rads() == 0 and join_rads(0, 0) == 0
+    assert join_rads(0, 5, 0, 5) == 5
+    with pytest.raises(MixedRadicandError,
+                       match=r"^cannot mix sqrt\(3\) with sqrt\(2\)$"):
+        join_rads(0, 3, 3, 2)
+    with pytest.raises(MixedRadicandError,
+                       match=r"^cannot mix sqrt\(2\) with sqrt\(3\)$"):
+        ExactScalar(0, 1, 2) * ExactScalar(0, 1, 3)
+    with pytest.raises(MixedRadicandError,
+                       match=r"^cannot mix sqrt\(3\) with sqrt\(2\)$"):
+        ExactMatrix.from_rows([[1, ExactScalar.sqrt(3)],
+                               [ExactScalar.sqrt(2), 0]])
 
 
 def test_division_by_zero():

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from dualpolar import intarith, intlinalg
-from dualpolar.intarith import _matmul_dtype, _max_abs, int_matmul, is_prime
+from dualpolar.intarith import (_matmul_dtype, _max_abs, int_matmul, int_mul,
+                                is_prime)
 from dualpolar.intlinalg import (
     _PANEL,
     _PRIMES,
@@ -644,6 +645,40 @@ def test_tiny_branch_widens_bool_and_uint8():
     q = np.array([[True], [True], [False]])
     assert int_matmul(p, q).tolist() == [[1], [2]]
     assert int_matmul(p.astype(np.uint8) * 200, q).tolist() == [[200], [400]]
+
+
+def test_int_mul_moves_to_python_ints_at_2_62():
+    """int64 while max|a| * max|b| < 2^62, Python ints from 2^62 on, and
+    exact on both sides."""
+    b = np.array([[2 ** 31], [-(2 ** 31)]], dtype=np.int64)
+    for top, dtype in ((2 ** 31 - 1, np.int64), (2 ** 31, object)):
+        a = np.array([[top, -1]], dtype=np.int64)
+        got = int_mul(a, b)
+        assert got.dtype == dtype and got.shape == (2, 2)
+        want = [[x * y for x in (top, -1)] for y in (2 ** 31, -(2 ** 31))]
+        assert got.tolist() == want
+
+
+def test_int_mul_widens_narrow_operands():
+    full = np.full((2, 3), 255, dtype=np.uint8)
+    got = int_mul(full, full)
+    assert got.dtype == np.int64 and (got == 255 * 255).all()
+    t = np.array([[True, False]])
+    got = int_mul(t, t)
+    assert got.dtype == np.int64 and got.tolist() == [[1, 0]]
+
+
+def test_int_mul_broadcasts_a_column_and_takes_object_operands():
+    rows = np.arange(6, dtype=np.int64).reshape(2, 3)
+    got = int_mul(rows, np.array([[2], [-3]]))
+    assert got.dtype == np.int64
+    assert got.tolist() == [[0, 2, 4], [-9, -12, -15]]
+    big = np.array([[2 ** 70, 1]], dtype=object)
+    got = int_mul(big, np.array([[3]], dtype=np.int64))
+    assert got.dtype == object and got.tolist() == [[3 * 2 ** 70, 3]]
+    # an object operand whose entries fit gives int64
+    small = np.array([[5, -7]], dtype=object)
+    assert int_mul(small, small).dtype == np.int64
 
 
 def test_zero_operand_product():

@@ -181,6 +181,45 @@ def test_diag_matches_the_dense_matrix(values):
     assert got.n1 is None or (got.n1 == want.n1).all()
 
 
+def _same_parts(got: ExactMatrix, want: ExactMatrix) -> bool:
+    return (got.den, got.rad, got.n0.dtype) == (want.den, want.rad,
+                                                want.n0.dtype) \
+        and (got.n0 == want.n0).all() and (got.n1 is None) == (
+            want.n1 is None) and (got.n1 is None or (got.n1 == want.n1).all())
+
+
+def test_tridiagonal_of_one_entry():
+    got = ExactMatrix.tridiagonal([], [Fraction(-3, 4)], [])
+    assert _same_parts(got, ExactMatrix.from_rows([[Fraction(-3, 4)]]))
+
+
+def test_tridiagonal_puts_irrational_bands_over_one_denominator():
+    r2 = ExactScalar.sqrt(2)
+    got = ExactMatrix.tridiagonal([Fraction(1, 3), 1], [r2, 2, 0],
+                                  [5, r2 / 7])
+    assert (got.den, got.rad) == (21, 2)
+    assert got.n0.tolist() == [[0, 105, 0], [7, 42, 0], [0, 21, 0]]
+    assert got.n1.tolist() == [[21, 0, 0], [0, 0, 3], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tridiagonal_matches_from_rows(seed):
+    rng = random.Random(seed)
+    d = rng.randint(1, 6)
+    rad = rng.choice([0, 3])
+
+    def scalar():
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return ExactScalar(a, rng.randint(-2, 2) if rad else 0, rad)
+
+    sub, diag, sup = ([scalar() for _ in range(k)] for k in (d, d + 1, d))
+    rows = [[diag[i] if i == j else sub[j] if i == j + 1 else
+             sup[i] if j == i + 1 else 0 for j in range(d + 1)]
+            for i in range(d + 1)]
+    assert _same_parts(ExactMatrix.tridiagonal(sub, diag, sup),
+                       ExactMatrix.from_rows(rows))
+
+
 def _int_inverse_oracle(m: ExactMatrix) -> ExactMatrix:
     """m^-1 from int_inverse's row reduction of [m.n0 | I]."""
     num, den = intlinalg.int_inverse(m.n0)
@@ -399,6 +438,15 @@ def test_combination_of_integer_arrays_and_matrices():
     m = ExactMatrix.from_rows([[Fraction(1, 2), 0], [0, ExactScalar.sqrt(3)]])
     got = ExactMatrix.combination([(Fraction(1, 3), arr), (2, m)])
     assert got == ExactMatrix.from_int(arr).scale(Fraction(1, 3)) + m.scale(2)
+
+
+def test_combination_widens_narrow_integer_arrays():
+    """uint8 and bool terms are summed as int64, not in their own dtype."""
+    for a, b, want in ((np.array([[255]], np.uint8),
+                        np.array([[1]], np.uint8), 256),
+                       (np.array([[True]]), np.array([[True]]), 2)):
+        got = ExactMatrix.combination([(1, a), (1, b)])
+        assert got.n0.dtype == np.int64 and got.n0.tolist() == [[want]]
 
 
 def test_combination_refuses_mixed_radicands():

@@ -82,6 +82,14 @@ def test_context_invariants(ctx_c32, comps_c32):
         Fraction(25, 2))
 
 
+def test_adjacency_blocks_are_the_graphs_uint8(ctx_c32):
+    """The context keeps the graph's own uint8 blocks, with no int64 copy."""
+    blocks = [ctx_c32.adj(i, j) for i in range(ctx_c32.D + 1)
+              for j in (i - 1, i, i + 1)]
+    assert {b.dtype for b in blocks if b is not None} == {np.dtype(np.uint8)}
+    assert ctx_c32.g.adjacency.dtype == np.uint8
+
+
 def test_estar_a_estar_vanishing(ctx_c32):
     # E*_i A E*_j = 0 whenever |i - j| > 1, so there is no such block
     for i in range(4):

@@ -83,7 +83,7 @@ _NOT_LOADED = {
                "leonard", "linexact", "polar", "terwilliger", "uqsl2"],
     "build": ["drg", "exact", "intlinalg", "leonard", "linexact",
               "terwilliger", "uqsl2"],
-    "leonard": ["drg", "gf", "polar", "terwilliger"],
+    "leonard": ["drg", "gf", "intlinalg", "polar", "terwilliger"],
 }
 
 
@@ -92,7 +92,7 @@ def test_cli_call_imports_only_what_it_runs(tmp_path, command):
     """Each call runs in a fresh interpreter and, without cached bytecode,
     compiles every module it imports: `build` must not pay for the
     T-algebra, the eliminations or the exact scalars, nor `leonard` for
-    the graph layer."""
+    the graph layer or the eliminations."""
     argv = []
     if command == "build":
         argv = ["build", "--family", "D", "--D", "3", "--b", "2",
@@ -221,9 +221,11 @@ def test_intlinalg_finds_its_primes_on_first_use():
 # of `decompose` certified by counts and traces, verify made 829 and 366,
 # and without the standard-module A* recovery and Chevalley images, which
 # hold by the definitions of x, y and z, 805 and 360, and with the rungs of
-# `decompose` held and checked as integer arrays, 737 and 360.
+# `decompose` held and checked as integer arrays, 737 and 360, and with
+# each small tridiagonal matrix built as one `ExactMatrix.tridiagonal`,
+# leonard 428 and 136 and verify 689 and 360.
 # A rise means a temporary crept back in.
-_KERNEL_CEILINGS = {"leonard": (436, 136), "verify": (737, 360)}
+_KERNEL_CEILINGS = {"leonard": (428, 136), "verify": (689, 360)}
 
 
 def _kernel_counts(monkeypatch, argv) -> tuple[int, int]:
