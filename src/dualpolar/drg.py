@@ -19,13 +19,13 @@ diagonal of A* is |X| times row x of E_1, at every x).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, zip_longest
 
 import numpy as np
 
+from .exact import ExactScalar
 from .intarith import int_matmul
 # imported for perfbench/tracer.py alone, which resolves
 # drg.spectral_projectors by name: removing it breaks the benchmark
@@ -128,16 +128,13 @@ def verify_distance_regular(g) -> IntersectionData:
 
 
 def b_pow(b: int, expo: Fraction) -> Fraction:
-    """Exact b**expo for expo with denominator 1 or 2 (b a square then)."""
-    expo = Fraction(expo)
-    if expo.denominator == 1:
-        return Fraction(b) ** expo.numerator
-    if expo.denominator == 2:
-        s = math.isqrt(b)
-        if s * s != b:
-            raise ValueError(f"{b}**{expo} is irrational")
-        return Fraction(s) ** expo.numerator
-    raise ValueError(f"unsupported exponent {expo}")
+    """Exact b**expo for a half-integer expo, read as sqrt(b)**(2 expo): an
+    exponent that is no half-integer, or a power of sqrt(b) that is
+    irrational (b not a square, expo not an integer), raises ValueError."""
+    twice = 2 * Fraction(expo)
+    if twice.denominator != 1:
+        raise ValueError(f"unsupported exponent {expo}")
+    return (ExactScalar.sqrt(b) ** twice.numerator).as_fraction()
 
 
 def closed_form_intersection(spec: FormSpec) -> tuple[list[int], list[int], list[int]]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import cache
 
 _gcd = math.gcd
 
@@ -191,8 +192,21 @@ class ExactScalar:
         return self._coerce(other) * self.inverse()
 
     def __pow__(self, n: int) -> "ExactScalar":
+        """self**n for an int n, n < 0 for a nonzero self only.  This is the
+        package's one power rule.  A rational self, or one c*sqrt(f) such as
+        q = sqrt(b), is raised in closed form: (c*sqrt(f))^n is
+        (c^2 f)^(n // 2), times c*sqrt(f) when n is odd, with one gcd.  Any
+        other scalar is raised by repeated squaring."""
         if n < 0:
-            return self.inverse() ** (-n)
+            return self.inverse() ** -n
+        p, r, den = self.p, self.r, self.den
+        if not r:
+            return _make(p ** n, 0, den ** n, 0)
+        if not p:
+            s = (r * r * self.rad) ** (n >> 1)
+            if n & 1:
+                return _reduced(0, s * r, den ** n, self.rad)
+            return _reduced(s, 0, den ** n, 0)
         out = _make(1, 0, 1, 0)
         base = self
         while n:
@@ -259,28 +273,22 @@ def _reduced(p: int, r: int, den: int, rad: int) -> ExactScalar:
     return _make(p, r, den, rad if r else 0)
 
 
-# radicand -> (s, f) with radicand = s^2 f and f square-free
-_SQUARE_SPLIT: dict[int, tuple[int, int]] = {}
-
-
+@cache
 def _square_split(rad: int) -> tuple[int, int]:
     """(s, f) with rad = s^2 f and f square-free, so f = 1 for a square.
     Once the primes up to the cube root of what is left are divided out, at
     most two prime factors remain: the rest is square-free or a square."""
-    if rad not in _SQUARE_SPLIT:
-        s, f, rest, p = 1, 1, rad, 2
-        while p ** 3 <= rest:
-            while rest % (p * p) == 0:
-                rest //= p * p
-                s *= p
-            if rest % p == 0:
-                rest //= p
-                f *= p
-            p += 1
-        root = math.isqrt(rest)
-        _SQUARE_SPLIT[rad] = (s * root, f) if root * root == rest \
-            else (s, f * rest)
-    return _SQUARE_SPLIT[rad]
+    s, f, rest, p = 1, 1, rad, 2
+    while p ** 3 <= rest:
+        while rest % (p * p) == 0:
+            rest //= p * p
+            s *= p
+        if rest % p == 0:
+            rest //= p
+            f *= p
+        p += 1
+    root = math.isqrt(rest)
+    return (s * root, f) if root * root == rest else (s, f * rest)
 
 
 _RATIO = r"(-?\d+)(?:/(\d+))?"
@@ -351,25 +359,8 @@ def parse_scalar_field(value, label: str) -> ExactScalar:
 
 
 def q_pow(q: ExactScalar, n: int) -> ExactScalar:
-    """Exact q**n for a nonzero scalar q (n may be negative).
-
-    For q = c*sqrt(f), such as sqrt(b) = s*sqrt(f), this is (q^2)**(n/2)
-    when n is even and (q^2)**((n-1)/2)*q when n is odd, with q^2 = c^2 f
-    rational.
-    """
+    """q**n for a nonzero scalar q and any int n; `ExactScalar.__pow__`
+    holds the closed form."""
     if q.is_zero:
         raise ZeroDivisionError("q must be nonzero")
-    if q.r == 0:
-        p, den = (q.p, q.den) if n >= 0 else (q.den, q.p)
-        if den < 0:
-            p, den = -p, -den
-        return _make(p ** abs(n), 0, den ** abs(n), 0)
-    if q.p == 0:
-        half, odd = divmod(n, 2)
-        num, den = q.r * q.r * q.rad, q.den * q.den
-        num, den = (num ** half, den ** half) if half >= 0 \
-            else (den ** -half, num ** -half)
-        if odd:
-            return _reduced(0, num * q.r, den * q.den, q.rad)
-        return _reduced(num, 0, den, 0)
     return q ** n

@@ -18,6 +18,7 @@ refused: their tables would take more than 2 x 32 MB.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
 import numpy as np
 
@@ -145,21 +146,13 @@ class FieldSpec:
             raise ValueError("frobenius conjugation needs even degree")
         return int(self.conj_table[x])
 
-    def elements(self):
-        return range(self.order)
-
     def __repr__(self):
         return f"FieldSpec(GF({self.p}^{self.m}), modulus={self.modulus})"
 
 
-_CACHE: dict[tuple[int, int], FieldSpec] = {}
-
-
+@cache
 def build_field(p: int, m: int) -> FieldSpec:
-    key = (p, m)
-    if key not in _CACHE:
-        _CACHE[key] = FieldSpec(p, m)
-    return _CACHE[key]
+    return FieldSpec(p, m)
 
 
 def field_of_order(n: int) -> FieldSpec:

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import ExactScalar, q_pow
+from .exact import ExactScalar
 from .linexact import ExactMatrix
 
 
@@ -148,7 +148,7 @@ class DqkParams:
         """Raise ValueError unless the parameters give a Leonard system.
 
         The conditions for dual q-Krawtchouk type are
-          * kappa, kappa*, upsilon nonzero;
+          * q, kappa, kappa*, upsilon nonzero;
           * q^(2i) != 1 for 1 <= i <= d;
           * kappa != upsilon q^(2i-2d) for 1 <= i <= 2d-1.
         The first two keep the theta*_i distinct and phi_i, phi2_i nonzero.
@@ -159,14 +159,16 @@ class DqkParams:
         kappa = sqrt2, upsilon = 2 sqrt2 gives kappa = upsilon q^-2 and
         theta_0 = theta_2, so it is rejected.
         """
+        if self.q.is_zero:
+            raise ValueError("q must be nonzero")
         if self.kappa.is_zero or self.kappa_star.is_zero or self.upsilon.is_zero:
             raise ValueError("kappa, kappa*, upsilon must be nonzero")
         one = ExactScalar(1)
         for i in range(1, self.d + 1):
-            if q_pow(self.q, 2 * i) == one:
+            if self.q ** (2 * i) == one:
                 raise ValueError(f"q^{2 * i} = 1 is not allowed")
         for i in range(1, 2 * self.d):
-            if self.kappa == self.upsilon * q_pow(self.q, 2 * i - 2 * self.d):
+            if self.kappa == self.upsilon * self.q ** (2 * i - 2 * self.d):
                 raise ValueError(f"kappa = upsilon q^{2 * i - 2 * self.d}")
 
 
@@ -177,12 +179,12 @@ def dqk_array(p: DqkParams) -> ParameterArray:
     phi2_i = kappa* upsilon q^(d+1-2i)(q^i - q^-i)(q^(i-d-1) - q^(d+1-i))."""
     p.check()
     q, d = p.q, p.d
-    th = [p.h + p.kappa * q_pow(q, d - 2 * i) + p.upsilon * q_pow(q, 2 * i - d)
+    th = [p.h + p.kappa * q ** (d - 2 * i) + p.upsilon * q ** (2 * i - d)
           for i in range(d + 1)]
-    ths = [p.h_star + p.kappa_star * q_pow(q, d - 2 * i) for i in range(d + 1)]
+    ths = [p.h_star + p.kappa_star * q ** (d - 2 * i) for i in range(d + 1)]
     core = [
-        q_pow(q, d + 1 - 2 * i) * (q_pow(q, i) - q_pow(q, -i))
-        * (q_pow(q, i - d - 1) - q_pow(q, d + 1 - i))
+        q ** (d + 1 - 2 * i) * (q ** i - q ** -i)
+        * (q ** (i - d - 1) - q ** (d + 1 - i))
         for i in range(1, d + 1)
     ]
     phi = [p.kappa * p.kappa_star * c for c in core]
@@ -623,11 +625,11 @@ def leonard_from_tmodule(ctx, rec) -> tuple[ParameterArray, DqkParams]:
     q2 = ExactScalar(ctx.b)
     params = DqkParams(
         q, d,
-        (ExactScalar(1) - ctx.qexp(e2)) / (q2 - 1),
+        (ExactScalar(1) - ctx.q ** e2) / (q2 - 1),
         ExactScalar(ctx.bm.zeta),
-        ctx.qexp(e2 + 2 * ctx.D - 2 * t - d) / (q2 - 1),
-        ExactScalar(ctx.bm.xi) * ctx.qexp(-2 * r - d),
-        -ctx.qexp(2 * t + d) / (q2 - 1),
+        ctx.q ** (e2 + 2 * ctx.D - 2 * t - d) / (q2 - 1),
+        ExactScalar(ctx.bm.xi) * ctx.q ** (-2 * r - d),
+        -ctx.q ** (2 * t + d) / (q2 - 1),
     )
     if dqk_array(params) != pa:
         raise AssertionError("module parameters disagree with the dual "

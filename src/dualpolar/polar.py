@@ -96,20 +96,19 @@ class FormSpec:
             "2A_even": 2 * D + 1,
             "2A_odd": 2 * D,
         }[family]
-        if family == "2D":
-            self._anis = self._anisotropic_binary_quadratic()
 
-    def _anisotropic_binary_quadratic(self):
-        """Lex-smallest (a, c) with t^2 + a t + c irreducible over GF(b)."""
-        f = self.field
-        for a in f.elements():
-            for c in f.elements():
-                if all(
-                    f.add(f.mul(t, t), f.add(f.mul(a, t), c)) != 0
-                    for t in f.elements()
-                ):
-                    return (a, c)
-        raise RuntimeError("no anisotropic binary quadratic found")
+    @cached_property
+    def _anis(self) -> tuple[int, int]:
+        """Lex-smallest (a, c) with t^2 + a t + c irreducible over GF(b).
+        It has a root iff c = -(t^2 + a t) for some t, so the first a whose
+        values miss some c gives the pair, with the smallest c missed."""
+        f, t = self.field, np.arange(self.b)
+        for a in range(self.b):
+            hit = np.zeros(self.b, dtype=bool)
+            hit[f.neg_table[f.add_table[f.mul_table[t, t],
+                                        f.mul_table[a, t]]]] = True
+            if not hit.all():
+                return a, int(hit.argmin())
 
     # -- form evaluation ------------------------------------------------
 
@@ -374,9 +373,9 @@ def _codim_matrix(spec: FormSpec, verts) -> np.ndarray:
     codim_of = np.full(len(coef) + 1, -1, dtype=np.int16)
     for d in range(D + 1):
         codim_of[(b ** d - 1) // (b - 1)] = D - d
+    # each vertex is a D-space by the refusal above, and two subspaces meet
+    # in a subspace, so every entry of meet is (b^d - 1)/(b - 1) for some d
     codim = codim_of[meet]
-    if codim.min() < 0:
-        raise ValueError("two vertices meet in a point set that is no subspace")
     # codim is 0 on the diagonal; a zero off it is a pair of twins, which
     # is located only when the count of zeros says there is one
     if codim.size - np.count_nonzero(codim) != len(verts):

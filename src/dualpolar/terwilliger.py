@@ -73,7 +73,7 @@ from .drg import (
     closed_form_intersection,
     td_scalars,
 )
-from .exact import ExactScalar, q_pow
+from .exact import ExactScalar
 from .intarith import int_dtype, int_lin, int_matmul
 from .leonard import _check_axiom_pattern, eigenbasis
 from .linexact import ExactMatrix, kernel, rref
@@ -109,13 +109,6 @@ class TerwilligerContext:
     @property
     def b(self) -> int:
         return self.g.spec.b
-
-    def qexp(self, n) -> ExactScalar:
-        """Exact q**n with q = sqrt(b), for an integer n."""
-        n = Fraction(n)
-        if n.denominator == 1:
-            return q_pow(self.q, n.numerator)
-        raise ValueError("q exponent must be an integer")
 
     def two_e(self) -> int:
         return int(2 * self.g.spec.e)
@@ -215,8 +208,8 @@ def identities(ctx: TerwilligerContext) -> dict[str, list[list]]:
         return ctx._identities
     q, q2 = ctx.q, ExactScalar(ctx.b)
     qi = q.inverse()
-    q2e = ctx.qexp(ctx.two_e())
-    qpow = ctx.qexp(ctx.two_e() + 2 * ctx.D - 2)
+    q2e = ctx.q ** ctx.two_e()
+    qpow = ctx.q ** (ctx.two_e() + 2 * ctx.D - 2)
     c_hi = q2 * q2 / (q2 + 1)
     c_lo = q2.inverse() / (q2 + 1)
     dd = (q - qi) * (q - qi)
@@ -318,14 +311,15 @@ class CentralElements:
 def chi0(ctx: TerwilligerContext, r: int, t: int, d: int) -> ExactScalar:
     e2 = ctx.two_e()
     q2 = ExactScalar(ctx.b)
-    num = ctx.qexp(e2 + 2 * ctx.D - 2 * d - 2 * r - 2 * t) - ctx.qexp(2 * t - 2 * r)
+    num = ctx.q ** (e2 + 2 * ctx.D - 2 * d - 2 * r - 2 * t) \
+        - ctx.q ** (2 * t - 2 * r)
     return num / (q2 - 1)
 
 
 def chi1(ctx: TerwilligerContext, r: int, t: int, d: int) -> ExactScalar:
     e2 = ctx.two_e()
-    pref = ctx.qexp(e2 + 2 * ctx.D - 1 - d - 2 * r)
-    mid = ctx.qexp(d + 1) + ctx.qexp(-d - 1)
+    pref = ctx.q ** (e2 + 2 * ctx.D - 1 - d - 2 * r)
+    mid = ctx.q ** (d + 1) + ctx.q ** (-d - 1)
     q4 = ExactScalar(ctx.b) * ExactScalar(ctx.b)
     return pref * mid / (q4 - 1)
 
@@ -333,7 +327,7 @@ def chi1(ctx: TerwilligerContext, r: int, t: int, d: int) -> ExactScalar:
 def chi2(ctx: TerwilligerContext, r: int, t: int, d: int) -> ExactScalar:
     e2 = ctx.two_e()
     q4 = ExactScalar(ctx.b) * ExactScalar(ctx.b)
-    return ctx.qexp(e2 + 2 * ctx.D - 2 - 2 * d - 4 * r) / (q4 - 1)
+    return ctx.q ** (e2 + 2 * ctx.D - 2 - 2 * d - 4 * r) / (q4 - 1)
 
 
 def aw_module_scalars(ctx: TerwilligerContext, r: int, t: int, d: int):
@@ -377,9 +371,9 @@ def central_terms(ctx: TerwilligerContext) -> tuple[list, ...]:
     letters L, F, R, K (acting right to left)."""
     q2 = ExactScalar(ctx.b)
     q4 = q2 * q2
-    q2e = ctx.qexp(ctx.two_e())
+    q2e = ctx.q ** ctx.two_e()
     one = ExactScalar(1)
-    top = ctx.qexp(ctx.two_e() + 2 * ctx.D - 2)
+    top = ctx.q ** (ctx.two_e() + 2 * ctx.D - 2)
     zeta, xi = ctx.bm.zeta, ctx.bm.xi
     _, gamma, _, rho, _ = td_scalars(ctx.g.spec)
     return ([(1, "KF"), ((q2e - one) / (q2 - one), "K")],
@@ -448,7 +442,7 @@ def verify_central_construction(ctx: TerwilligerContext, comps):
 def _central_by_c0_c1(ctx: TerwilligerContext):
     """Omega, G and G* as a0 C0 + a1 C1 + a2 I: their (a0, a1, a2)."""
     q2 = ExactScalar(ctx.b)
-    q2e = ctx.qexp(ctx.two_e())
+    q2e = ctx.q ** ctx.two_e()
     zeta, xi = ctx.bm.zeta, ctx.bm.xi
     _, gamma, _, rho, _ = td_scalars(ctx.g.spec)
     return ((-xi * (q2 - 1) * (q2 - 1) / q2, 0, -2 * gamma * zeta),
@@ -695,9 +689,7 @@ def ladder_action(ctx: TerwilligerContext, r: int, t: int,
 
 
 def _scalar_value(m: ExactMatrix) -> Fraction | None:
-    """c with m = c I, or None; O(size^2)."""
-    if not m.is_rational:
-        return None
+    """c with m = c I for a rational m, or None; O(size^2)."""
     diag = np.diagonal(m.n0)
     if (diag != diag[0]).any() or np.count_nonzero(m.n0) != \
             np.count_nonzero(diag):
@@ -1102,8 +1094,8 @@ def upsilon_psi_lambda(ctx: TerwilligerContext,
     """Upsilon, Psi and Lambda on the components of the decomposition,
     which certifies V as their direct sum."""
     return CenterData(
-        {c.triple: ctx.qexp(c.r + c.t + c.d - ctx.D) for c in comps},
-        {c.triple: ctx.qexp(c.r - c.t) for c in comps},
+        {c.triple: ctx.q ** (c.r + c.t + c.d - ctx.D) for c in comps},
+        {c.triple: ctx.q ** (c.r - c.t) for c in comps},
         {c.triple: casimir_scalar(ctx.q, c.d, 1) for c in comps},
         {c.triple: c.action for c in comps})
 
@@ -1117,7 +1109,7 @@ def verify_center_identities(ctx: TerwilligerContext,
     expressions (`verify_central_construction`)."""
     q2 = ExactScalar(ctx.b)
     q4 = q2 * q2
-    q2e = ctx.qexp(ctx.two_e())
+    q2e = ctx.q ** ctx.two_e()
     one = ExactScalar(1)
     zeta, xi = ctx.bm.zeta, ctx.bm.xi
     _, gamma, _, rho_s, _ = td_scalars(ctx.g.spec)
@@ -1129,10 +1121,10 @@ def verify_center_identities(ctx: TerwilligerContext,
         if c0 != core / (q2 - 1):
             raise AssertionError("C0 displacement expression fails")
         ups_psi_lam = center.Lam[triple] / (ups * psi)
-        pref = ctx.qexp(ctx.two_e() + ctx.D - 3) * (q2 - 1) / (q2 + 1)
+        pref = ctx.q ** (ctx.two_e() + ctx.D - 3) * (q2 - 1) / (q2 + 1)
         if c1 != pref * ups_psi_lam:
             raise AssertionError("C1 displacement expression fails")
-        if c2 != ctx.qexp(ctx.two_e() - 2) / (q4 - 1) \
+        if c2 != ctx.q ** (ctx.two_e() - 2) / (q4 - 1) \
                 / (ups * ups * psi * psi):
             raise AssertionError("C2 displacement expression fails")
         om, eta, eta_star = (a0 * c0 + a1 * c1 + a2
@@ -1142,7 +1134,7 @@ def verify_center_identities(ctx: TerwilligerContext,
             raise AssertionError("Omega displacement expression fails")
         if eta != core * ExactScalar(xi) * q2.inverse() * (one - q2e) \
                 - ups_psi_lam * ExactScalar(xi) \
-                * ctx.qexp(ctx.D + ctx.two_e() - 5) \
+                * ctx.q ** (ctx.D + ctx.two_e() - 5) \
                 * (q2 - 1) * (q2 - 1) * (q2 + 1) - rho_s * zeta:
             raise AssertionError("G displacement expression fails")
         if eta_star != core * ExactScalar(zeta * xi) * (1 - q2.inverse()) \

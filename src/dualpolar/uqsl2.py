@@ -27,20 +27,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exact import ExactScalar, q_pow
+from .exact import ExactScalar
 from .leonard import DqkParams, LeonardRealization
 from .linexact import ExactMatrix, inverse
 
 
 def bracket(q: ExactScalar, n: int) -> ExactScalar:
     """[n]_q = (q^n - q^-n)/(q - q^-1)."""
-    return (q_pow(q, n) - q_pow(q, -n)) / (q - q.inverse())
+    return (q ** n - q ** -n) / (q - q.inverse())
 
 
 def casimir_scalar(q: ExactScalar, d: int, eps: int) -> ExactScalar:
     """eps (q^(d+1) + q^(-d-1)) / (q - q^-1)^2, the Casimir value on
     L(d, eps)."""
-    return ExactScalar(eps) * (q_pow(q, d + 1) + q_pow(q, -d - 1)) \
+    return ExactScalar(eps) * (q ** (d + 1) + q ** (-d - 1)) \
         / (q - q.inverse()) ** 2
 
 
@@ -127,13 +127,13 @@ def build_Ld(d: int, eps: int, q: ExactScalar, basis: str = "kef") -> UqAction:
         raise ValueError("eps must be +1 or -1")
     one = ExactScalar(1)
     for i in range(1, d + 1):
-        if q_pow(q, 2 * i) == one:
+        if q ** (2 * i) == one:
             raise ValueError(f"q^(2i) = 1 at i = {i}; module is reducible")
     n = d + 1
     es = ExactScalar(eps)
     zeros = [0] * d
     # es q^(2i - d), i = 0..d: the diagonal of k^-1, and reversed, of k
-    inv_weights = [es * q_pow(q, 2 * i - d) for i in range(n)]
+    inv_weights = [es * q ** (2 * i - d) for i in range(n)]
     weights = ExactMatrix.diag(inv_weights[::-1])
     if basis == "kef":
         f = ExactMatrix.tridiagonal([bracket(q, i + 1) for i in range(d)],
@@ -152,11 +152,11 @@ def build_Ld(d: int, eps: int, q: ExactScalar, basis: str = "kef") -> UqAction:
     if basis not in ("x-eigen", "y-eigen", "z-eigen"):
         raise ValueError(f"unknown basis {basis!r}")
     raising = ExactMatrix.tridiagonal(
-        [es * (q_pow(q, -d) - q_pow(q, 2 * i + 2 - d)) for i in range(d)],
+        [es * (q ** -d - q ** (2 * i + 2 - d)) for i in range(d)],
         inv_weights, zeros)
     lowering = ExactMatrix.tridiagonal(
         zeros, inv_weights,
-        [es * (q_pow(q, d) - q_pow(q, 2 * i - d)) for i in range(d)])
+        [es * (q ** d - q ** (2 * i - d)) for i in range(d)])
     if basis == "x-eigen":
         x, y, z = weights, raising, lowering
     elif basis == "y-eigen":
@@ -176,8 +176,8 @@ def _check_sum_vector(act: UqAction, d: int, eps: int, basis: str):
     n = d + 1
     u = ExactMatrix.from_rows([[1] for _ in range(n)])
     es = ExactScalar(eps)
-    lo = q_pow(act.q, -d)
-    hi = q_pow(act.q, d)
+    lo = act.q ** -d
+    hi = act.q ** d
     pairs = {
         "x-eigen": ((act.Y, lo), (act.Z, hi)),
         "y-eigen": ((act.Z, lo), (act.X, hi)),
@@ -236,7 +236,7 @@ def uq_on_leonard(real: LeonardRealization, p: DqkParams, eps: int = 1,
     # of V* are an eigenbasis of A*, so Z V* = V* diag(eps q^(d-2i)) says
     # Z = sum_i eps q^(d-2i) E*_i.
     Vs = real.eig_star.V
-    weights = ExactMatrix.diag([es * q_pow(q, p.d - 2 * i) for i in range(n)])
+    weights = ExactMatrix.diag([es * q ** (p.d - 2 * i) for i in range(n)])
     if Z @ Vs != Vs @ weights:
         raise AssertionError("Z spectrum is not {eps q^(d-2i)}")
     delta = act.casimir()
@@ -273,11 +273,11 @@ def dpg_uq_params(ctx) -> dict:
     q2 = ExactScalar(ctx.b)
     e2 = ctx.two_e()
     return {
-        "h": (ExactScalar(1) - ctx.qexp(e2)) / (q2 - 1),
+        "h": (ExactScalar(1) - ctx.q ** e2) / (q2 - 1),
         "h_star": ExactScalar(ctx.bm.zeta),
-        "kappa": ctx.qexp(e2 + ctx.D) / (q2 - 1),
-        "kappa_star": ExactScalar(ctx.bm.xi) * ctx.qexp(-ctx.D),
-        "upsilon": -ctx.qexp(ctx.D) / (q2 - 1),
+        "kappa": ctx.q ** (e2 + ctx.D) / (q2 - 1),
+        "kappa_star": ExactScalar(ctx.bm.xi) * ctx.q ** -ctx.D,
+        "upsilon": -ctx.q ** ctx.D / (q2 - 1),
     }
 
 
@@ -311,15 +311,15 @@ def uq_on_standard_module(ctx, center, variant: int = 1) -> StandardModuleAction
         ident = ExactMatrix.identity(triple[2] + 1)
         ups, psi = center.Upsilon[triple], center.Psi[triple]
         upsi, psii = ups.inverse(), psi.inverse()
-        w = upsi * psii * ctx.qexp(-D)
+        w = upsi * psii * ctx.q ** -D
         base = lad.Kinv.scale(w)
         # x = base + cx R and y = base + cy L
-        c_plus = ups * psii * ctx.qexp(-e2 - D) * (q2 - 1)
-        c_minus = -upsi * psi * ctx.qexp(-D) * (q2 - 1)
+        c_plus = ups * psii * ctx.q ** (-e2 - D) * (q2 - 1)
+        c_minus = -upsi * psi * ctx.q ** -D * (q2 - 1)
         cx, cy = (c_plus, c_minus) if variant == 1 else (c_minus, c_plus)
         x = ExactMatrix.combination(((w, lad.Kinv), (cx, lad.R)))
         y = ExactMatrix.combination(((w, lad.Kinv), (cy, lad.L)))
-        z = lad.K.scale(ups * psi * ctx.qexp(D))
+        z = lad.K.scale(ups * psi * ctx.q ** D)
         act = UqAction(q, x, y, z, base)
         act.verify()
         first, second = (x, y) if variant == 1 else (y, x)
@@ -344,8 +344,8 @@ def verify_cross_variant_standard(ctx, center, sm1: StandardModuleAction,
         ratio = center.Upsilon[triple] / center.Psi[triple]
         if a1.k != a2.k:
             return False
-        if a2.e != a1.e.scale(-ctx.qexp(-e2) * ratio * ratio):
+        if a2.e != a1.e.scale(-ctx.q ** -e2 * ratio * ratio):
             return False
-        if a2.f != a1.f.scale(-ctx.qexp(e2) / (ratio * ratio)):
+        if a2.f != a1.f.scale(-ctx.q ** e2 / (ratio * ratio)):
             return False
     return True

@@ -242,8 +242,8 @@ def dense_context(g, bm, x: int = 0) -> DenseContext:
 def lfrk_relations(ctx: DenseContext) -> list[tuple[str, ExactMatrix]]:
     L, F, R, K = ctx.L, ctx.F, ctx.R, ctx.K
     q2 = ExactScalar(ctx.b)
-    q2e = ctx.qexp(ctx.two_e())
-    qpow = ctx.qexp(ctx.two_e() + 2 * ctx.D - 2)
+    q2e = ctx.q ** ctx.two_e()
+    qpow = ctx.q ** (ctx.two_e() + 2 * ctx.D - 2)
     one = ExactScalar(1)
     c_hi = q2 * q2 / (q2 + 1)
     c_lo = q2.inverse() / (q2 + 1)
@@ -342,7 +342,7 @@ def central_elements(ctx: DenseContext) -> DenseCentralElements:
     L, F, R, K = ctx.L, ctx.F, ctx.R, ctx.K
     n, D = ctx.n, ctx.D
     q2 = ExactScalar(ctx.b)
-    q2e = ctx.qexp(ctx.two_e())
+    q2e = ctx.q ** ctx.two_e()
     one = ExactScalar(1)
     RL = R @ L
     LR = L @ R
@@ -350,7 +350,7 @@ def central_elements(ctx: DenseContext) -> DenseCentralElements:
     k2vals = [v * v for v in kvals]
     KK = row_scale(K, kvals)
     C0 = row_scale(F, kvals) + K.scale((q2e - one) / (q2 - one))
-    top = ctx.qexp(ctx.two_e() + 2 * D - 2)
+    top = ctx.q ** (ctx.two_e() + 2 * D - 2)
     C1 = row_scale(RL, kvals).scale(q2 / (q2 + 1)) \
         - row_scale(LR, kvals).scale(q2.inverse() / (q2 + 1)) \
         + K.scale(top / (q2 - 1))
@@ -383,7 +383,7 @@ def central_elements(ctx: DenseContext) -> DenseCentralElements:
 
 def verify_central(ctx: DenseContext, c: DenseCentralElements):
     q2 = ExactScalar(ctx.b)
-    q2e = ctx.qexp(ctx.two_e())
+    q2e = ctx.q ** ctx.two_e()
     one = ExactScalar(1)
     zeta, xi = ctx.bm.zeta, ctx.bm.xi
     _, gamma, _, rho, _ = td_scalars(ctx.g.spec)

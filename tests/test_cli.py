@@ -276,6 +276,31 @@ def test_malformed_graph_is_input_error(c23_data, d32_file, tmp_path, capsys,
         assert "vertices 0 and 1 are the same subspace" in err
 
 
+@pytest.mark.parametrize("defect,message", [
+    ("e", "e value in file disagrees with the family table"),
+    ("row-missing", "adjacency in file needs one row per vertex"),
+    ("repeated-row", "vertex 0 is not a totally isotropic 3-space")])
+def test_graph_file_refusal_is_named(d32_file, tmp_path, capsys, defect,
+                                     message):
+    """D_3(2) with e = 1 (the table gives 0), one adjacency row short, or
+    vertex 0 written with its second row equal to its first, which keeps it
+    totally isotropic but spans a plane, not a 3-space."""
+    with open(d32_file) as fh:
+        data = json.load(fh)
+    if defect == "e":
+        data["e"] = "1"
+    elif defect == "row-missing":
+        data["adjacency"].pop()
+    else:
+        text, w = data["vertices"][0], len(data["vertices"][0]) // 3
+        data["vertices"][0] = text[:w] * 2 + text[2 * w:]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--graph", str(path), "--suite", "drg"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot load graph: {message}\n"
+
+
 @pytest.mark.parametrize("field", ["family", "D", "b", "e", "vertices",
                                    "adjacency"])
 def test_graph_missing_field_is_named(c23_data, tmp_path, capsys, field):
@@ -864,7 +889,7 @@ LEONARD_EXPLICIT = {
     ('{"theta": 5, "theta_star": 5, "phi": 5, "phi2": 5}', None),
     ('{"theta": ["0 + 1*sqrt(2)", "0 + 1*sqrt(3)"], "theta_star": ["0", "1"],'
      ' "phi": ["1"], "phi2": ["1"]}', None),
-    (json.dumps({**LEONARD_ARRAY, "q": "0"}), None),
+    (json.dumps({**LEONARD_ARRAY, "q": "0"}), "q must be nonzero"),
     (json.dumps({**LEONARD_ARRAY, "d": 2.5}), "'d' must be an integer"),
     (json.dumps({**LEONARD_ARRAY, "d": True}), "'d' must be an integer"),
     (json.dumps({**LEONARD_ARRAY, "d": "3"}), "'d' must be an integer"),

@@ -11,6 +11,7 @@ import dense_oracle
 from dualpolar.drg import (
     NotDistanceRegularError,
     NotPathMetricError,
+    b_pow,
     closed_form_dual_eigenvalues,
     closed_form_eigenvalues,
     closed_form_intersection,
@@ -53,6 +54,16 @@ def test_non_drg_rejected():
     adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.uint8)
     with pytest.raises(NotDistanceRegularError):
         verify_distance_regular(_Plain(adj))
+
+
+def test_b_pow_is_a_rational_power_of_sqrt_b():
+    assert b_pow(4, Fraction(3, 2)) == 8
+    assert b_pow(2, Fraction(-3)) == Fraction(1, 8)
+    assert b_pow(9, Fraction(-1, 2)) == Fraction(1, 3)
+    with pytest.raises(ValueError, match="is irrational"):
+        b_pow(2, Fraction(1, 2))
+    with pytest.raises(ValueError, match="unsupported exponent 1/3"):
+        b_pow(4, Fraction(1, 3))
 
 
 def test_c32_intersection_array(graph_c32):

@@ -127,19 +127,33 @@ def test_square_factors_fold_out_of_the_radicand():
         assert (x.r, x.rad) == (s, f)
 
 
-@pytest.mark.parametrize("b", [8, 27, 32, 72])
+@pytest.mark.parametrize("b", [8, 27, 32, 72, 36])
 def test_q_pow_of_a_folded_root(monkeypatch, b):
-    """q = sqrt(b) with a square factor in b is s sqrt(f); q_pow stays
-    exact on it and does not fall back to repeated multiplication."""
+    """q = sqrt(b) with a square factor in b is s sqrt(f), and a rational s
+    when b is a square; q ** n is exact on it and canonical, and it
+    multiplies no scalars: the closed form of `__pow__` is the one that
+    q_pow uses."""
     q = ExactScalar.sqrt(b)
-    powers = {n: q ** n for n in range(-9, 10)}
-    for n, value in powers.items():
-        assert value == Fraction(b) ** (n // 2) * (q if n % 2 else 1)
-    monkeypatch.setattr(ExactScalar, "__pow__", None)
-    for n, value in powers.items():
-        got = q_pow(q, n)
+    want = {n: Fraction(b) ** (n // 2) * (q if n % 2 else 1)
+            for n in range(-9, 10)}
+    monkeypatch.setattr(ExactScalar, "__mul__", None)
+    for n, value in want.items():
+        got = q ** n
         _canonical(got)
-        assert got == value
+        assert got == value == q_pow(q, n)
+
+
+@pytest.mark.parametrize("text", ["0 + 1/2*sqrt(2)", "0 + -3/4*sqrt(6)",
+                                  "-2/3", "1/2 + 1*sqrt(3)", "0"])
+def test_power_is_repeated_multiplication(text):
+    """Each branch of `__pow__` (rational, c*sqrt(f) with den and f sharing
+    a factor, and the general scalar) agrees with a product of factors."""
+    x, prod = parse_scalar(text), ExactScalar(1)
+    for n in range(10):
+        assert x ** n == prod
+        if not x.is_zero:
+            assert x ** -n == prod.inverse()
+        prod = prod * x
 
 
 def test_render_parse_roundtrip():

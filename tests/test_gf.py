@@ -45,7 +45,7 @@ def test_multiplicative_group_exhaustive():
 
 def test_field_axioms_gf9():
     f = build_field(3, 2)
-    els = list(f.elements())
+    els = list(range(f.order))
     for a in els:
         for b in els:
             assert f.add(a, b) == f.add(b, a)
@@ -86,7 +86,7 @@ def test_frobenius_gf4():
 def test_frobenius_involution():
     for p, m in [(2, 2), (2, 4), (3, 2), (17, 2)]:
         f = build_field(p, m)
-        for x in f.elements():
+        for x in range(f.order):
             assert f.frobenius(f.frobenius(x)) == x
 
 

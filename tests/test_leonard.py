@@ -77,6 +77,41 @@ def test_pa2_failure_reported_with_index(ref_pa):
     assert v.failure == ("PA2", 2)
 
 
+def test_pa4_failure_reported_with_index():
+    pa = dqk_array(DqkParams(ExactScalar(2), 4, 1, -2, 1, 2, 5))
+    phi2 = list(pa.phi2)
+    phi2[2] = phi2[2] + 1
+    v = validate(ParameterArray(pa.theta, pa.theta_star, pa.phi, phi2))
+    assert not v.valid and v.failure == ("PA4", 3)
+
+
+def _pa3_pa4_array(theta, theta_star, phi2_1) -> ParameterArray:
+    """The array on theta and theta* whose phi and phi2 solve conditions
+    PA3 and PA4, given phi2_1."""
+    th, ths = list(map(ExactScalar, theta)), list(map(ExactScalar, theta_star))
+    d = len(th) - 1
+    accs, acc = [], ExactScalar(0)
+    for i in range(1, d + 1):
+        acc = acc + (th[i - 1] - th[d - i + 1]) / (th[0] - th[d])
+        accs.append(acc)
+    phi = [ExactScalar(phi2_1) * a + (ths[i] - ths[0]) * (th[i - 1] - th[d])
+           for i, a in enumerate(accs, 1)]
+    phi2 = [phi[0] * a + (ths[i] - ths[0]) * (th[d - i + 1] - th[0])
+            for i, a in enumerate(accs, 1)]
+    return ParameterArray(th, ths, phi, phi2)
+
+
+@pytest.mark.parametrize("theta_star,index", [
+    ((0, 2, 5, 9, 30), 2), ((0, 1, 3, 7, 20), 3)],
+    ids=["ratios-differ", "ratio-moves"])
+def test_pa5_failure_reported_with_index(theta_star, index):
+    """PA1 to PA4 hold.  With theta* apart from theta, the ratios of theta
+    and theta* differ at i = 2; with theta* = theta they agree, but their
+    common value moves at i = 3."""
+    v = validate(_pa3_pa4_array((0, 1, 3, 7, 20), theta_star, 7))
+    assert not v.valid and v.failure == ("PA5", index)
+
+
 def test_d0_trivially_valid():
     pa = ParameterArray([5], [7], [], [])
     v = validate(pa)

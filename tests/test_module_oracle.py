@@ -61,8 +61,8 @@ def dense_center(ctx, comps):
         assert proj @ proj == proj and proj.T == proj
         total = total + proj
         mu, nu = c.r + c.t + c.d - ctx.D, c.r - c.t
-        for key, val in (("ups", ctx.qexp(mu)), ("ups_inv", ctx.qexp(-mu)),
-                         ("psi", ctx.qexp(nu)), ("psi_inv", ctx.qexp(-nu)),
+        for key, val in (("ups", ctx.q ** mu), ("ups_inv", ctx.q ** -mu),
+                         ("psi", ctx.q ** nu), ("psi_inv", ctx.q ** -nu),
                          ("lam", casimir_scalar(ctx.q, c.d, 1))):
             out[key] = out[key] + proj.scale(val)
     assert total == ExactMatrix.identity(n)
@@ -73,18 +73,18 @@ def dense_xyz(ctx, m, variant):
     """x, y, z of the given variant from the n x n K, L, R."""
     q2 = ctx.q * ctx.q
     D, e2 = ctx.D, ctx.two_e()
-    base = (m["ups_inv"] @ m["psi_inv"] @ ctx.Kinv).scale(ctx.qexp(-D))
+    base = (m["ups_inv"] @ m["psi_inv"] @ ctx.Kinv).scale(ctx.q ** -D)
     if variant == 1:
         x = base + (m["ups"] @ m["psi_inv"] @ ctx.R).scale(
-            ctx.qexp(-e2 - D) * (q2 - 1))
+            ctx.q ** (-e2 - D) * (q2 - 1))
         y = base - (m["ups_inv"] @ m["psi"] @ ctx.L).scale(
-            ctx.qexp(-D) * (q2 - 1))
+            ctx.q ** -D * (q2 - 1))
     else:
         x = base - (m["ups_inv"] @ m["psi"] @ ctx.R).scale(
-            ctx.qexp(-D) * (q2 - 1))
+            ctx.q ** -D * (q2 - 1))
         y = base + (m["ups"] @ m["psi_inv"] @ ctx.L).scale(
-            ctx.qexp(-e2 - D) * (q2 - 1))
-    z = (m["ups"] @ m["psi"] @ ctx.K).scale(ctx.qexp(D))
+            ctx.q ** (-e2 - D) * (q2 - 1))
+    z = (m["ups"] @ m["psi"] @ ctx.K).scale(ctx.q ** D)
     return x, y, z
 
 

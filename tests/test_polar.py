@@ -252,14 +252,16 @@ def test_budget():
         enumerate_maximal_isotropic(FormSpec("C", 3, 2), budget=10)
 
 
-def test_budget_refusal_builds_no_field_table(monkeypatch):
-    """C_2(4096) is over the default budget before enumeration, so GF(4096)
-    is refused without its 4096 x 4096 tables.  On GF(4) a first read
-    builds them all."""
+@pytest.mark.parametrize("family", ["C", "2D"])
+def test_budget_refusal_builds_no_field_table(family):
+    """C_2(4096) and 2D_2(4096) are over the default budget before
+    enumeration, so GF(4096) is refused without its 4096 x 4096 tables: the
+    2D form searches for its anisotropic quadratic only when its form is
+    read.  On GF(4) a first read builds them all."""
     from dualpolar import gf
 
-    monkeypatch.setattr(gf, "_CACHE", {})
-    spec = FormSpec("C", 2, 4096)
+    gf.build_field.cache_clear()
+    spec = FormSpec(family, 2, 4096)
     with pytest.raises(BudgetExceededError):
         build_polar_graph(spec)
     assert not set(gf._TABLES) & set(vars(spec.field))
@@ -267,6 +269,17 @@ def test_budget_refusal_builds_no_field_table(monkeypatch):
     assert not set(gf._TABLES) & set(vars(small))
     assert small.mul(2, 3) == 1  # x (x + 1) = x^2 + x = 1 mod x^2 + x + 1
     assert set(gf._TABLES) <= set(vars(small))
+
+
+@pytest.mark.parametrize("b", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_anisotropic_quadratic_is_the_lex_smallest(b):
+    """The table search of the 2D form finds the pair that a scalar search
+    over (a, c) in lexicographic order finds first."""
+    f = FormSpec("2D", 1, b).field
+    want = next((a, c) for a in range(b) for c in range(b)
+                if all(f.add(f.mul(t, t), f.add(f.mul(a, t), c)) != 0
+                       for t in range(b)))
+    assert FormSpec("2D", 1, b)._anis == want
 
 
 def test_budget_boundary():

@@ -291,3 +291,13 @@ def test_build_constructs_one_point_table(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "c23.json")]) == 0
     capsys.readouterr()
     assert len(built) == 1
+
+
+def test_benchmark_self_test_passes():
+    """perfbench/smoke.py runs the benchmark on its small workload and
+    checks its output, so a package change that breaks the harness or its
+    output checks fails here."""
+    out = subprocess.run([sys.executable, str(ROOT / "perfbench" / "smoke.py")],
+                         cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.splitlines()[-1] == "smoke: ok"

@@ -4,6 +4,7 @@ Leonard system, and the two on the standard module of C_3(2)."""
 import re
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -217,6 +218,20 @@ def test_cross_variant_standard_c32(ctx_c32, center_c32, sm_c32):
     assert verify_cross_variant_standard(ctx_c32, center_c32, sm1, sm2)
     assert not verify_cross_variant_standard(ctx_c32, center_c32, sm2, sm1)
     assert not verify_cross_variant_standard(ctx_c32, center_c32, sm1, sm1)
+
+
+@pytest.mark.parametrize("moved", ["k", "f"])
+def test_cross_variant_standard_refuses_a_moved_generator(
+        ctx_c32, center_c32, sm_c32, moved):
+    """Variant 2 with k, or with f alone (e left as it is), scaled on one
+    component no longer matches variant 1."""
+    sm1, sm2 = sm_c32[1], sm_c32[2]
+    triple = (0, 0, 3)
+    a2 = sm2.actions[triple]
+    gens = {"k": a2.k, "e": a2.e, "f": a2.f}
+    gens[moved] = gens[moved].scale(2)
+    sm = replace(sm2, actions={**sm2.actions, triple: SimpleNamespace(**gens)})
+    assert not verify_cross_variant_standard(ctx_c32, center_c32, sm1, sm)
 
 
 def test_chevalley_generators_built_once():
