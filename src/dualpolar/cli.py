@@ -5,6 +5,9 @@
                       [--all-vertices-sample N]
     dualpolar leonard --params array.json --actions validate,realize,d4,scalars,uq
 
+`build` writes the graph file, whose fields are family, D, b and the vertex
+list, and prints the vertex count, valency and diameter; it forms no n x n
+array.  `verify` computes the codim matrix from the vertices on load.
 Reports are JSON on stdout: {"version", "input", "checks": [...],
 "summary": {...}}.  Each check carries a self-contained statement of the
 identity tested.  Exit codes: 0 all pass, 1 a check failed, 2 input error
@@ -83,7 +86,8 @@ def _emit(report: Report) -> int:
 
 
 def cmd_build(args) -> int:
-    from .polar import (BudgetExceededError, FormSpec, build_polar_graph,
+    from .polar import (BudgetExceededError, FormSpec,
+                        enumerate_maximal_isotropic, first_codim_row,
                         save_graph)
 
     if args.budget < 1:
@@ -93,15 +97,16 @@ def cmd_build(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     try:
-        g = build_polar_graph(spec, budget=args.budget)
+        verts = enumerate_maximal_isotropic(spec, budget=args.budget)
     except BudgetExceededError as exc:
         raise InputError(str(exc)) from exc
+    row = first_codim_row(spec, verts)
     try:
-        save_graph(g, args.out)
+        save_graph(spec, verts, args.out)
     except OSError as exc:
         raise InputError(f"cannot write graph: {exc}") from exc
-    print(f"wrote {args.out}: {g.n_vertices} vertices, "
-          f"valency {g.degree(0)}, diameter {g.diameter}")
+    print(f"wrote {args.out}: {len(verts)} vertices, "
+          f"valency {int((row == 1).sum())}, diameter {int(row.max())}")
     return 0
 
 

@@ -273,11 +273,19 @@ def _reduced(p: int, r: int, den: int, rad: int) -> ExactScalar:
     return _make(p, r, den, rad if r else 0)
 
 
+_RADICAND_LIMIT = 10 ** 15
+
+
 @cache
 def _square_split(rad: int) -> tuple[int, int]:
     """(s, f) with rad = s^2 f and f square-free, so f = 1 for a square.
     Once the primes up to the cube root of what is left are divided out, at
-    most two prime factors remain: the rest is square-free or a square."""
+    most two prime factors remain: the rest is square-free or a square.  A
+    radicand above _RADICAND_LIMIT = 10^15 raises ValueError, so a split
+    takes at most 10^5 trial divisions (about 0.03 s)."""
+    if rad > _RADICAND_LIMIT:
+        raise ValueError(f"radicand {rad} is above {_RADICAND_LIMIT}, the "
+                         "largest whose square part is split off")
     s, f, rest, p = 1, 1, rad, 2
     while p ** 3 <= rest:
         while rest % (p * p) == 0:
@@ -317,20 +325,6 @@ def parse_int(data: dict, name: str) -> int:
     return value
 
 
-def parse_fraction(data: dict, name: str) -> Fraction:
-    """data[name], which must be a JSON string holding a rational number
-    such as "1" or "3/2": a number, a bool or any other string raises
-    ValueError naming the field."""
-    value = data[name]
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except ValueError:
-            pass
-    raise ValueError(f"{name!r} must be a string holding a fraction, "
-                     f"got {value!r}")
-
-
 def parse_strings(data: dict, name: str) -> list[str]:
     """data[name], which must be a JSON array of strings: any other value,
     or an array with an item that is no string, raises ValueError naming
@@ -352,8 +346,10 @@ def parse_scalar_field(value, label: str) -> ExactScalar:
     if isinstance(value, str):
         try:
             return parse_scalar(value)
-        except ValueError:
-            pass
+        except ValueError as exc:
+            # text of the a + c*sqrt(f) form fails only on its radicand
+            if _SCALAR_RE.match(value):
+                raise ValueError(f"{label}: {exc}") from exc
     raise ValueError(f"{label} must be a string holding a scalar, "
                      f"got {value!r}")
 

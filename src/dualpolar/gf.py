@@ -72,6 +72,12 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
+def _refuse_above_table_limit(order: int):
+    if order > _TABLE_LIMIT:
+        raise ValueError(f"GF({order}) is above the field order "
+                         f"{_TABLE_LIMIT} that the tables support")
+
+
 class FieldSpec:
     """GF(p^m), p^m <= _TABLE_LIMIT, with operation tables built on first
     read."""
@@ -84,9 +90,7 @@ class FieldSpec:
         self.p = p
         self.m = m
         self.order = p ** m
-        if self.order > _TABLE_LIMIT:
-            raise ValueError(f"GF({self.order}) is above the field order "
-                             f"{_TABLE_LIMIT} that the tables support")
+        _refuse_above_table_limit(self.order)
         self.modulus = smallest_irreducible(p, m)
 
     def __getattr__(self, name):
@@ -156,7 +160,9 @@ def build_field(p: int, m: int) -> FieldSpec:
 
 
 def field_of_order(n: int) -> FieldSpec:
-    """GF(n) for a prime power n."""
+    """GF(n) for a prime power n up to _TABLE_LIMIT; a larger n is refused
+    before any search for its prime."""
+    _refuse_above_table_limit(n)
     for p in range(2, n + 1):
         if is_prime(p) and n % p == 0:
             m = 0

@@ -16,11 +16,14 @@ isomorphic graph) are:
 The vertex set of the dual polar graph consists of the maximal totally
 isotropic (for quadratic forms: totally singular) subspaces, which all have
 dimension D; vertices are adjacent when they meet in dimension D - 1, and
-the graph distance of y, z equals D - dim(y intersect z).  The graph stores
-that codim matrix as its distances; `drg.verify_distance_regular` proves it
-is the path metric, from the same products that certify
-distance-regularity.  A graph file holds no distances: every load computes
-codim again from the vertices.
+the graph distance of y, z equals D - dim(y intersect z).  A graph file
+holds the vertices alone: its fields are family, D, b and the vertex list.
+Every load computes the codim matrix from them and keeps it as the graph's
+distances, with codim == 1 as its adjacency; `drg.verify_distance_regular`
+proves it is the path metric, from the same products that certify
+distance-regularity.  `build` forms no n x n array: it writes the vertex
+list and reads the valency and diameter it reports from the codim row of
+vertex 0.
 
 Both steps work on the point table: the singular points of GF(b)^n, one
 monic vector each, as a numpy array ordered by leading position.  The
@@ -36,11 +39,13 @@ pivot of S and every row of S zero at column lead(p).  A level is an
 (L, k) array of row points; one level step is the AND of k bit-packed perp
 rows and the lead-column condition, and `np.nonzero` of it lists every
 (k+1)-space exactly once.  The same pairings, on all rows at once, check
-that each vertex is totally isotropic.  The codim matrix
-comes from the vertex x point incidence I: (I I^T)_yz = |y intersect z| is
-(b^d - 1)/(b - 1) with d = dim(y intersect z).  That product runs on float32
+that each vertex is totally isotropic.  A vertex is the set of its
+(b^D - 1)/(b - 1) points, and |y intersect z| = (b^d - 1)/(b - 1) with
+d = dim(y intersect z).  The codim matrix comes from the vertex x point
+incidence I, as (I I^T)_yz = |y intersect z|.  That product runs on float32
 BLAS and is exact, because every entry and every partial sum is a count of
-at most P points, and P < 2^24 (see `intarith.int_matmul`).
+at most P points, and P < 2^24 (see `intarith.int_matmul`).  One codim row
+counts the points of each vertex that lie in one vertex, with no product.
 """
 
 from __future__ import annotations
@@ -341,41 +346,56 @@ class PolarGraph:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    @property
-    def diameter(self) -> int:
-        return int(self.dist.max())
-
-    def degree(self, i: int) -> int:
-        return int(self.adjacency[i].sum())
-
     def __repr__(self):
         return (f"PolarGraph({self.spec.family}_{self.spec.D}({self.spec.b}), "
                 f"|X|={self.n_vertices})")
+
+
+def _vertex_points(spec: FormSpec, verts) -> np.ndarray:
+    """The points of each vertex, one row of (b^D - 1)/(b - 1) point
+    indices per vertex: the spans of its D rows by the monic coefficient
+    vectors of GF(b)^D.  ValueError names the first vertex with a span that
+    is zero or no singular point, which is no totally isotropic D-space."""
+    D = spec.D
+    rows = np.array(verts, dtype=np.int16).reshape(len(verts), D, spec.n)
+    coef = _monic_vectors(spec.b, D)
+    pts = spec.points.lookup(_pairing(spec.field, coef[None, :, None],
+                                      rows.swapaxes(1, 2)[:, None]))
+    bad = np.flatnonzero((pts < 0).any(1))
+    if len(bad):
+        raise ValueError(f"vertex {bad[0]} is not a totally isotropic {D}-space")
+    return pts
+
+
+def _codim_of_meets(spec: FormSpec, meet: np.ndarray) -> np.ndarray:
+    """D - d for each count meet = (b^d - 1)/(b - 1) of the points that two
+    D-spaces share; two subspaces meet in a subspace, so every count is one
+    of these."""
+    b, D = spec.b, spec.D
+    codim_of = np.full((b ** D - 1) // (b - 1) + 1, -1, dtype=np.int16)
+    for d in range(D + 1):
+        codim_of[(b ** d - 1) // (b - 1)] = D - d
+    return codim_of[meet]
+
+
+def first_codim_row(spec: FormSpec, verts) -> np.ndarray:
+    """D - dim(y intersect v_0) for every vertex y, from the point sets:
+    the count of the points of y that lie in v_0, with no n x n array."""
+    pts = _vertex_points(spec, verts)
+    in_first = np.zeros(len(spec.points.vecs), dtype=bool)
+    in_first[pts[0]] = True
+    return _codim_of_meets(spec, in_first[pts].sum(1))
 
 
 def _codim_matrix(spec: FormSpec, verts) -> np.ndarray:
     """D - dim(y intersect z) for all vertex pairs, from one exact product:
     with I the vertex x point incidence, (I I^T)_yz = |y intersect z| is
     (b^d - 1)/(b - 1), d = dim(y intersect z)."""
-    table = spec.points
-    field, b, D = spec.field, spec.b, spec.D
-    rows = np.array(verts, dtype=np.int16).reshape(len(verts), D, spec.n)
-    coef = _monic_vectors(b, D)
-    pts = table.lookup(_pairing(field, coef[None, :, None],
-                                rows.swapaxes(1, 2)[:, None]))
-    bad = np.flatnonzero((pts < 0).any(1))
-    if len(bad):
-        raise ValueError(f"vertex {bad[0]} is not a totally isotropic {D}-space")
-    inc = np.zeros((len(verts), len(table.vecs)), dtype=np.uint8)
+    pts = _vertex_points(spec, verts)
+    inc = np.zeros((len(verts), len(spec.points.vecs)), dtype=np.uint8)
     inc[np.arange(len(verts))[:, None], pts] = 1
     # every entry counts points, at most P < 2^24: the float32 tier is exact
-    meet = int_matmul(inc, inc.T)
-    codim_of = np.full(len(coef) + 1, -1, dtype=np.int16)
-    for d in range(D + 1):
-        codim_of[(b ** d - 1) // (b - 1)] = D - d
-    # each vertex is a D-space by the refusal above, and two subspaces meet
-    # in a subspace, so every entry of meet is (b^d - 1)/(b - 1) for some d
-    codim = codim_of[meet]
+    codim = _codim_of_meets(spec, int_matmul(inc, inc.T))
     # codim is 0 on the diagonal; a zero off it is a pair of twins, which
     # is located only when the count of zeros says there is one
     if codim.size - np.count_nonzero(codim) != len(verts):
@@ -384,16 +404,12 @@ def _codim_matrix(spec: FormSpec, verts) -> np.ndarray:
     return codim
 
 
-def _certified_graph(spec: FormSpec, verts, adj=None) -> PolarGraph:
-    """The graph on verts with the codim matrix as its distances; a given
-    adjacency must equal codim == 1.  `drg.verify_distance_regular` proves
+def _certified_graph(spec: FormSpec, verts) -> PolarGraph:
+    """The graph on verts with the codim matrix as its distances and
+    codim == 1 as its adjacency.  `drg.verify_distance_regular` proves
     that codim is the path metric."""
     codim = _codim_matrix(spec, verts)
-    if adj is None:
-        adj = (codim == 1).astype(np.uint8)
-    elif not np.array_equal(adj, (codim == 1).astype(np.uint8)):
-        raise ValueError("adjacency disagrees with the vertices")
-    return PolarGraph(spec, verts, adj, codim)
+    return PolarGraph(spec, verts, (codim == 1).astype(np.uint8), codim)
 
 
 def build_polar_graph(spec: FormSpec, budget: int = 100_000) -> PolarGraph:
@@ -428,33 +444,26 @@ def _vertices_hex(spec: FormSpec, verts) -> list[str]:
     return [text[i:i + size] for i in range(0, len(text), size)]
 
 
-def _unhex(texts, size: int, what: str) -> np.ndarray:
-    """The digit values, shape (len(texts), size), of strings that must
-    each be `size` hex digits; ValueError names the first `what` that is
-    not."""
-    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+def _vertices_unhex(spec: FormSpec, texts) -> np.ndarray:
+    """The (m, D, n) coordinates of m vertex strings, each of which must be
+    D n w hex digits, w per coordinate, every coordinate in GF(b);
+    ValueError names the first vertex that is not."""
+    w, m = _hex_width(spec), len(texts)
+    size = spec.D * spec.n * w
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=m)
     bad = np.flatnonzero(lengths != size)
     if len(bad):
         i = bad[0]
-        raise ValueError(f"{what} {i} has {lengths[i]} characters, "
+        raise ValueError(f"vertex {i} has {lengths[i]} characters, "
                          f"expected {size} hex digits")
     # a non-ASCII character becomes "?", so every string stays `size` bytes
     raw = "".join(texts).encode("ascii", "replace")
-    digits = _HEX_VALUES[np.frombuffer(raw, dtype=np.uint8)]
-    digits = digits.reshape(len(texts), size)
+    digits = _HEX_VALUES[np.frombuffer(raw, dtype=np.uint8)].reshape(m, size)
     bad = np.argwhere(digits == 255)
     if len(bad):
         i, j = bad[0]
-        raise ValueError(f"{what} {i} has {texts[i][j]!r} at position {j}, "
+        raise ValueError(f"vertex {i} has {texts[i][j]!r} at position {j}, "
                          "which is no hex digit")
-    return digits
-
-
-def _vertices_unhex(spec: FormSpec, texts) -> np.ndarray:
-    """The (m, D, n) coordinates of m fixed-width hex vertex strings, each
-    coordinate checked to lie in GF(b)."""
-    w, m = _hex_width(spec), len(texts)
-    digits = _unhex(texts, spec.D * spec.n * w, "vertex")
     shifts = 4 * np.arange(w - 1, -1, -1)
     cells = (digits.reshape(m, -1, w).astype(np.int64) << shifts).sum(-1)
     bad = np.flatnonzero((cells >= spec.b).any(1))
@@ -464,28 +473,22 @@ def _vertices_unhex(spec: FormSpec, texts) -> np.ndarray:
     return cells.astype(np.int16).reshape(m, spec.D, spec.n)
 
 
-def graph_to_json(g: PolarGraph) -> dict:
-    rows = [r.tobytes().hex() for r in np.packbits(g.adjacency, axis=1)]
-    return {
-        "family": g.spec.family,
-        "D": g.spec.D,
-        "b": g.spec.b,
-        "e": str(g.spec.e),
-        "vertices": _vertices_hex(g.spec, g.vertices),
-        "adjacency": rows,
-    }
+def graph_to_json(spec: FormSpec, verts) -> dict:
+    return {"family": spec.family, "D": spec.D, "b": spec.b,
+            "vertices": _vertices_hex(spec, verts)}
 
 
 def graph_from_json(data: dict) -> PolarGraph:
     # here, not at the top: `build` writes graphs and never loads `exact`
-    from .exact import parse_fraction, parse_int, parse_strings
+    from .exact import parse_int, parse_strings
 
     if not isinstance(data, dict):
         raise TypeError("expected a JSON object")
+    for key in data:
+        if key not in ("family", "D", "b", "vertices"):
+            raise ValueError(f"unknown field {key!r}")
     spec = FormSpec(data["family"], parse_int(data, "D"),
                     parse_int(data, "b"))
-    if parse_fraction(data, "e") != spec.e:
-        raise ValueError("e value in file disagrees with the family table")
     texts = parse_strings(data, "vertices")
     m = len(texts)
     count = _vertex_count(spec, m)
@@ -493,28 +496,14 @@ def graph_from_json(data: dict) -> PolarGraph:
         raise ValueError(f"file has {m} vertices, the dual polar graph "
                          + (f"{count}" if count <= m else f"more than {m}"))
     rows = _vertices_unhex(spec, texts)
-    adjacency = parse_strings(data, "adjacency")
-    if len(adjacency) != m:
-        raise ValueError("adjacency in file needs one row per vertex")
-    width = -(-m // 8)
-    digits = _unhex(adjacency, 2 * width, "adjacency row")
-    bits = np.unpackbits(digits[:, 0::2] << 4 | digits[:, 1::2], axis=1)
-    padded = np.flatnonzero(bits[:, m:].any(1))
-    if len(padded):
-        raise ValueError(f"adjacency row {padded[0]} has bits set past "
-                         f"column {m - 1}")
-    adj = np.ascontiguousarray(bits[:, :m])
-    if not np.array_equal(adj, adj.T):
-        raise ValueError("adjacency in file is not symmetric")
     if not _totally_isotropic(spec, rows).all():
         raise ValueError("vertex in file is not totally isotropic")
-    return _certified_graph(spec, [tuple(map(tuple, v)) for v in rows.tolist()],
-                            adj)
+    return _certified_graph(spec, [tuple(map(tuple, v)) for v in rows.tolist()])
 
 
-def save_graph(g: PolarGraph, path: str):
+def save_graph(spec: FormSpec, verts, path: str):
     with open(path, "w") as fh:
-        json.dump(graph_to_json(g), fh)
+        json.dump(graph_to_json(spec, verts), fh)
 
 
 def load_graph(path: str) -> PolarGraph:

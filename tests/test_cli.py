@@ -118,8 +118,8 @@ def test_huge_diameter_is_input_error(tmp_path, command, message):
     the vertex count is bounded before any n x n form matrix (n = 40000)
     exists, so the command exits 2 with a message, not a MemoryError."""
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"family": "C", "D": 20000, "b": 2, "e": "1",
-                                "vertices": [], "adjacency": []}))
+    path.write_text(json.dumps({"family": "C", "D": 20000, "b": 2,
+                                "vertices": []}))
     args = (["build", "--family", "C", "--D", "20000", "--b", "2", "--out",
              str(tmp_path / "out.json")] if command == "build"
             else ["verify", "--graph", str(path)])
@@ -128,25 +128,64 @@ def test_huge_diameter_is_input_error(tmp_path, command, message):
     assert out.stderr == f"error: {message}\n"
 
 
-def _run_limited(args, run=("-m", "dualpolar.cli")):
+def _run_limited(args, run=("-m", "dualpolar.cli"), timeout=300):
     """`python *run *args`, by default `python -m dualpolar.cli *args`, in
-    a fresh interpreter limited to 2 GB of address space."""
+    a fresh interpreter limited to 2 GB of address space and to `timeout`
+    seconds."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(dualpolar.__file__))]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, *run, *args],
                           capture_output=True, text=True, env=env,
-                          timeout=300, preexec_fn=_limit_address_space)
+                          timeout=timeout, preexec_fn=_limit_address_space)
+
+
+_HUGE_PRIME = 2 ** 61 - 1
+_HUGE_RADICAND = 2 ** 89 - 1
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "leonard"])
+def test_huge_field_order_or_radicand_is_refused_at_once(tmp_path, command):
+    """b = 2^61 - 1 on the command line or in a graph file is refused before
+    any search for its prime, and q = sqrt(2^89 - 1) before any trial
+    division: each call exits 2 within seconds."""
+    field = (f"GF({_HUGE_PRIME}) is above the field order 4096 that the "
+             "tables support")
+    path = tmp_path / "input.json"
+    if command == "build":
+        args = ["build", "--family", "C", "--D", "2", "--b", str(_HUGE_PRIME),
+                "--out", str(path)]
+        message = field
+    elif command == "verify":
+        path.write_text(json.dumps({"family": "C", "D": 2, "b": _HUGE_PRIME,
+                                    "vertices": []}))
+        args = ["verify", "--graph", str(path)]
+        message = f"cannot load graph: {field}"
+    else:
+        path.write_text(json.dumps(
+            {**LEONARD_ARRAY, "q": f"0 + 1*sqrt({_HUGE_RADICAND})"}))
+        args = ["leonard", "--params", str(path)]
+        message = (f"cannot load parameter array: 'q': radicand "
+                   f"{_HUGE_RADICAND} is above {10 ** 15}, the largest whose "
+                   "square part is split off")
+    out = _run_limited(args, timeout=30)
+    assert (out.returncode, out.stderr) == (2, f"error: {message}\n")
 
 
 def test_out_of_memory_is_a_one_line_error(tmp_path):
-    """2A_even_3(4) has n = 38313, inside the default --budget, and its
-    n x n codim product does not fit in 2 GB: the command exits 2 with one
-    line naming the innermost dualpolar function that ran out of memory,
-    and numpy's message with the shape, not a traceback."""
+    """2A_even_3(4) has n = 38313, inside the default --budget.  `build`
+    writes its vertex list within 2 GB, but the n x n codim product of the
+    load in `verify` does not fit: the command exits 2 with one line naming
+    the innermost dualpolar function that ran out of memory, and numpy's
+    message with the shape, not a traceback."""
+    path = str(tmp_path / "out.json")
     out = _run_limited(["build", "--family", "2A_even", "--D", "3", "--b",
-                        "4", "--out", str(tmp_path / "out.json")])
+                        "4", "--out", path])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (f"wrote {path}: 38313 vertices, valency 168, "
+                          "diameter 3\n")
+    out = _run_limited(["verify", "--graph", path, "--suite", "drg"])
     assert out.returncode == 2, out.stderr
     assert re.fullmatch(r"error: out of memory in \w+: [^\n]*38313[^\n]*\n",
                         out.stderr), out.stderr
@@ -209,46 +248,26 @@ def c23_data(tmp_path_factory):
 
 
 # a JSON value of the wrong kind in a field of the file: D and b are
-# integers, e a fraction written as a string ("1", "1/2"), vertices and
-# adjacency lists of strings
+# integers, vertices a list of strings
 FIELD_DEFECTS = {"D-float": ("D", 2.9), "D-integral-float": ("D", 2.0),
                  "D-bool": ("D", True), "D-string": ("D", "2"),
-                 "b-float": ("b", 3.5), "e-bool": ("e", True),
-                 "e-float": ("e", 1.0), "e-integer": ("e", 1),
-                 "e-text": ("e", "one"), "vertices-integer": ("vertices", 5),
+                 "b-float": ("b", 3.5), "vertices-integer": ("vertices", 5),
                  "vertices-null": ("vertices", None),
                  "vertices-string": ("vertices", "00"),
-                 "vertices-integer-items": ("vertices", [5] * 40),
-                 "adjacency-null": ("adjacency", None),
-                 "adjacency-object": ("adjacency", {}),
-                 "adjacency-integer-rows": ("adjacency", [0] * 40),
-                 "adjacency-list-rows": ("adjacency", [[0, 1]] * 40)}
-_KINDS = {"D": "an integer", "b": "an integer", "e": "a string",
-          "vertices": "a list of strings", "adjacency": "a list of strings"}
+                 "vertices-integer-items": ("vertices", [5] * 40)}
+_KINDS = {"D": "an integer", "b": "an integer",
+          "vertices": "a list of strings"}
 
 
 @pytest.mark.parametrize("defect", ["coordinate", "truncated", "duplicate",
-                                    "missing", "not-an-object", "long-row",
-                                    "padded-row", "short-row",
-                                    "spaced-row", *FIELD_DEFECTS])
-def test_malformed_graph_is_input_error(c23_data, d32_file, tmp_path, capsys,
-                                        defect):
+                                    "missing", "not-an-object",
+                                    *FIELD_DEFECTS])
+def test_malformed_graph_is_input_error(c23_data, tmp_path, capsys, defect):
     data = json.loads(json.dumps(c23_data))
-    verts, rows = data["vertices"], data["adjacency"]
+    verts = data["vertices"]
     if defect in FIELD_DEFECTS:
         field, value = FIELD_DEFECTS[defect]
         data[field] = value
-    elif defect == "long-row":
-        rows[0] += "ff"
-    elif defect == "padded-row":  # 30 vertices: 4 bytes, the last 2 bits pad
-        with open(d32_file) as fh:
-            data = json.load(fh)
-        rows = data["adjacency"]
-        rows[0] = rows[0][:-2] + f"{int(rows[0][-2:], 16) | 1:02x}"
-    elif defect == "short-row":
-        rows[0] = rows[0][:-2]
-    elif defect == "spaced-row":  # bytes.fromhex skips the spaces
-        rows[0] = " ".join(rows[0][i:i + 2] for i in range(0, len(rows[0]), 2))
     elif defect == "not-an-object":
         data = [1, 2]
     elif defect == "coordinate":
@@ -259,41 +278,30 @@ def test_malformed_graph_is_input_error(c23_data, d32_file, tmp_path, capsys,
         verts[1] = verts[0]
     else:  # still connected, with distance = codim, but not all of C_2(3)
         verts.pop()
-        data["adjacency"].pop()
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     assert main(["verify", "--graph", str(path), "--suite", "drg"]) == 2
     err = capsys.readouterr().err
     assert "cannot load graph" in err
-    if defect.endswith("-row"):
-        assert "adjacency row 0 " in err
     if defect in FIELD_DEFECTS:
         field = FIELD_DEFECTS[defect][0]
         assert f"{field!r} must be {_KINDS[field]}" in err
-        if defect.endswith("-items") or defect.endswith("-rows"):
+        if defect.endswith("-items"):
             assert "item 0 is" in err
     if defect == "duplicate":
         assert "vertices 0 and 1 are the same subspace" in err
 
 
 @pytest.mark.parametrize("defect,message", [
-    ("e", "e value in file disagrees with the family table"),
-    ("row-missing", "adjacency in file needs one row per vertex"),
     ("repeated-row", "vertex 0 is not a totally isotropic 3-space")])
 def test_graph_file_refusal_is_named(d32_file, tmp_path, capsys, defect,
                                      message):
-    """D_3(2) with e = 1 (the table gives 0), one adjacency row short, or
-    vertex 0 written with its second row equal to its first, which keeps it
-    totally isotropic but spans a plane, not a 3-space."""
+    """D_3(2) with vertex 0 written with its second row equal to its first,
+    which keeps it totally isotropic but spans a plane, not a 3-space."""
     with open(d32_file) as fh:
         data = json.load(fh)
-    if defect == "e":
-        data["e"] = "1"
-    elif defect == "row-missing":
-        data["adjacency"].pop()
-    else:
-        text, w = data["vertices"][0], len(data["vertices"][0]) // 3
-        data["vertices"][0] = text[:w] * 2 + text[2 * w:]
+    text, w = data["vertices"][0], len(data["vertices"][0]) // 3
+    data["vertices"][0] = text[:w] * 2 + text[2 * w:]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     assert main(["verify", "--graph", str(path), "--suite", "drg"]) == 2
@@ -301,8 +309,37 @@ def test_graph_file_refusal_is_named(d32_file, tmp_path, capsys, defect,
         f"error: cannot load graph: {message}\n"
 
 
-@pytest.mark.parametrize("field", ["family", "D", "b", "e", "vertices",
-                                   "adjacency"])
+def test_graph_file_holds_four_fields(c23_data):
+    assert list(c23_data) == ["family", "D", "b", "vertices"]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("e", "1"), ("adjacency", ["ff"] * 40), ("vertex", [])],
+    ids=["e", "adjacency", "misspelt"])
+def test_unknown_graph_field_is_named(c23_data, tmp_path, capsys, field,
+                                      value):
+    """The fields e and adjacency, which graph files once held, and a
+    misspelt field are each refused by name."""
+    data = dict(c23_data, **{field: value})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--graph", str(path), "--suite", "drg"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot load graph: unknown field {field!r}\n"
+
+
+def test_built_file_loads_as_the_built_graph(d32_file):
+    """The vertex list that `build` writes loads as the graph that
+    `build_polar_graph` forms: the same distances and adjacency."""
+    from dualpolar.polar import FormSpec, build_polar_graph, load_graph
+
+    g, h = load_graph(d32_file), build_polar_graph(FormSpec("D", 3, 2))
+    assert g.vertices == h.vertices
+    assert np.array_equal(g.dist, h.dist)
+    assert np.array_equal(g.adjacency, h.adjacency)
+
+
+@pytest.mark.parametrize("field", ["family", "D", "b", "vertices"])
 def test_graph_missing_field_is_named(c23_data, tmp_path, capsys, field):
     data = json.loads(json.dumps(c23_data))
     del data[field]
@@ -968,38 +1005,6 @@ def test_negative_vertex_sample_is_input_error(d32_file, capsys, monkeypatch):
                  "--all-vertices-sample", "-1"]) == 2
     assert "--all-vertices-sample" in capsys.readouterr().err
     assert calls == []
-
-
-def _flip(hexrow: str, j: int) -> str:
-    """The packed adjacency row with bit j flipped."""
-    bits = np.unpackbits(np.frombuffer(bytes.fromhex(hexrow), dtype=np.uint8))
-    bits[j] ^= 1
-    return np.packbits(bits).tobytes().hex()
-
-
-@pytest.mark.parametrize("pair", [False, True], ids=["one-bit", "pair"])
-def test_tampered_adjacency_is_input_error(c23_data, tmp_path, capsys, pair):
-    """One flipped bit breaks symmetry; a flipped symmetric pair between two
-    non-adjacent vertices keeps it, and only the distance = codim
-    certificate can refuse the file."""
-    data = json.loads(json.dumps(c23_data))
-    rows = data["adjacency"]
-    n = len(rows)
-    adj = np.array([np.unpackbits(np.frombuffer(bytes.fromhex(r),
-                                                dtype=np.uint8))[:n]
-                    for r in rows])
-    i, j = 0, int(np.flatnonzero(adj[0] == 0)[1])  # [0] is vertex 0 itself
-    assert i != j and adj[i, j] == 0 == adj[j, i]
-    rows[i] = _flip(rows[i], j)
-    if pair:
-        rows[j] = _flip(rows[j], i)
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
-    assert main(["verify", "--graph", str(path), "--suite", "drg"]) == 2
-    err = capsys.readouterr().err
-    assert "cannot load graph" in err
-    assert ("adjacency disagrees with the vertices" if pair
-            else "not symmetric") in err
 
 
 # Run the CLI in a fresh `python -O` interpreter, where `assert` statements

@@ -127,6 +127,19 @@ def test_square_factors_fold_out_of_the_radicand():
         assert (x.r, x.rad) == (s, f)
 
 
+def test_radicand_above_the_limit_is_refused():
+    """A radicand is split by trial division up to its cube root, so one
+    above 10^15 is refused by name rather than factored for minutes."""
+    x = ExactScalar.sqrt(10 ** 15)  # 10^15 = (10^7)^2 * 10
+    assert (x.r, x.rad) == (10 ** 7, 10)
+    for rad in (10 ** 15 + 1, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=f"radicand {rad} is above "
+                                             f"{10 ** 15}"):
+            ExactScalar.sqrt(rad)
+    with pytest.raises(ValueError, match="radicand"):
+        parse_scalar(f"1 + 1*sqrt({2 ** 89 - 1})")
+
+
 @pytest.mark.parametrize("b", [8, 27, 32, 72, 36])
 def test_q_pow_of_a_folded_root(monkeypatch, b):
     """q = sqrt(b) with a square factor in b is s sqrt(f), and a rational s

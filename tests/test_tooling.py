@@ -224,11 +224,16 @@ def test_intlinalg_finds_its_primes_on_first_use():
 # `decompose` held and checked as integer arrays, 737 and 360, and with
 # each small tridiagonal matrix built as one `ExactMatrix.tridiagonal`,
 # leonard 428 and 136 and verify 689 and 360.
-# A rise means a temporary crept back in.
-_KERNEL_CEILINGS = {"leonard": (428, 136), "verify": (689, 360)}
+# A rise means a temporary crept back in.  `build` on D_3(2) makes three
+# products: the two rows of the GF(2) multiplication table and the perp
+# matrix of its 35 points, and no n x n one.
+_KERNEL_CEILINGS = {"build": (0, 3), "leonard": (428, 136),
+                    "verify": (689, 360)}
 
 
-def _kernel_counts(monkeypatch, argv) -> tuple[int, int]:
+def _kernel_counts(monkeypatch, argv, shapes) -> tuple[int, int]:
+    """ExactMatrix constructions and int_matmul calls of one CLI call; the
+    shape of each product is appended to shapes."""
     from dualpolar import intarith, linexact
     from dualpolar.cli import main
 
@@ -243,7 +248,9 @@ def _kernel_counts(monkeypatch, argv) -> tuple[int, int]:
 
     def counted_mm(*args, **kwargs):
         counts[1] += 1
-        return mm(*args, **kwargs)
+        out = mm(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
 
     monkeypatch.setattr(linexact.ExactMatrix, "__init__", counted_init)
     for name in _NOT_LOADED["import"]:
@@ -267,14 +274,20 @@ def test_exact_kernel_call_counts(tmp_path, capsys, monkeypatch, command):
         argv = ["leonard", "--params", str(path)]
     else:
         path = str(tmp_path / "d32.json")
-        assert main(["build", "--family", "D", "--D", "3", "--b", "2",
-                     "--out", path]) == 0
-        argv = ["verify", "--graph", path, "--suite", "all"]
-    constructions, products = _kernel_counts(monkeypatch, argv)
+        build = ["build", "--family", "D", "--D", "3", "--b", "2",
+                 "--out", path]
+        if command == "verify":
+            assert main(build) == 0
+        argv = build if command == "build" else ["verify", "--graph", path,
+                                                 "--suite", "all"]
+    shapes = []
+    constructions, products = _kernel_counts(monkeypatch, argv, shapes)
     capsys.readouterr()
     ceiling = _KERNEL_CEILINGS[command]
     assert constructions <= ceiling[0] and products <= ceiling[1], \
         (constructions, products)
+    if command == "build":  # D_3(2) has 30 vertices
+        assert (30, 30) not in shapes, shapes
 
 
 def test_build_constructs_one_point_table(tmp_path, capsys, monkeypatch):
