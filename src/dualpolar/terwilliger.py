@@ -7,38 +7,32 @@ E*_i act on B_i as scalars, and L, F, R on B_i are the adjacency blocks
 A[B_(i-1), B_i], A[B_i, B_i], A[B_(i+1), B_i].  So the context is the
 partition with these blocks, and `build_context` certifies L^t = R, F^t = F.
 
-The homogeneous decomposition is computed below the top by a lowering-ladder
-construction: for r < D the joint lowest-rung spaces ker(L) ^ E*_r V are
-split by diameter (length of the raising ladder, read off the action of C2
-through LR) and by dual endpoint (the action of C0 through F), and each
-component is rebuilt by raising.  Both central elements act there as
-scalars, so the split is made by Lagrange projectors: polynomials in the
-small matrices of LR and F in the coordinates of an RREF basis of the
-lowest rungs.  That costs one exact kernel per subconstituent 1, ..., D - 1
-and one RREF per component, however many candidate eigenvalues there are.
-The top subconstituent B_D is not constructed: its components W(D, t, 0)
-hold no vectors, and are certified by counts and by power traces of F on
-B_D.  A rung is held as an integer array whose rows span it, and every
-rung, image and ladder identity is formed in integers.  The construction
-checks nothing: the certificate below is the one proof, and it holds for
-any components that pass it, however they were built.
+The homogeneous decomposition is built below the top by lowering ladders
+(`decompose`): for r < D the lowest rungs ker(L) ^ E*_r V are split by
+Lagrange projectors, by diameter through LR (C2) and by dual endpoint
+through F (C0), and each component is raised from its lowest rung.  The top
+block B_D is not constructed: its components W(D, t, 0) are certified by
+counts and power traces of F.  Every rung, image and ladder identity is
+formed in integers.  The construction checks nothing: the certificate
+below is the one proof, for any components that pass it.
 
-Each component W(r, t, d) that holds rungs is certified on its raising
-ladder (rung j is the lowest rung raised j times): F acts on rung j as
-a_j(W), L maps it to b_(j-1)(W) c_j(W) != 0 times rung j - 1, so every rung
-keeps the rank of rung 0, integer rows in echelon form; L kills rung 0, R
-rung d.  So L, F, R, K and A* act on W as the (d+1) x (d+1) matrices of
-`ladder_action`, once per copy; the component keeps them as its `action`.
-C0, C1, C2 are words in K, L, F, R (`central_terms`), so on W they act as
-those words evaluated on the ladder matrices, and each must evaluate to
-chi_k I.  The triples have pairwise distinct (chi0, chi1, chi2), so the
-components lie in distinct joint eigenspaces and are independent.  When the
-rungs on every B_i, i < D, fill it, the orthogonal complement of their sum
-lies in E*_D V (A and A* are symmetric, so it is a T-module), where F alone
-acts; tr p(F) = 0 there for p with double roots at the candidates nu_t puts
-every eigenvalue among them, and the traces of F's powers give each
-multiplicity (`_certify_decomposition`).  So V is the direct sum of the
-components.
+Each component W(r, t, d) with rungs is certified on its raising ladder:
+F acts on rung j as a_j(W), L maps it to b_(j-1)(W) c_j(W) != 0 times rung
+j - 1, so every rung keeps the rank of rung 0; L kills rung 0, R rung d.
+So L, F, R, K and A* act on each copy of W as the (d+1) x (d+1) matrices
+of `ladder_action`, kept as its `action`, and C0, C1, C2, words in K, L,
+F, R (`central_terms`), as those words evaluated on them, which must be
+chi_k I.  The matrices and chi_k depend on (family, D, b) and the triple,
+never on x: they and the checks on them alone run once per verify call,
+for all contexts that share them (`TerwilligerContext.at`); each vertex
+checks, in integers, that its rungs realize the matrices.  The triples
+have pairwise distinct (chi0, chi1, chi2), so the components lie in
+distinct joint eigenspaces and are independent.  When the rungs on every
+B_i, i < D, fill it, the orthogonal complement of their sum lies in E*_D V
+(A and A* are symmetric, so it is a T-module), where F alone acts; tr p(F)
+= 0 there for p with double roots at the candidates nu_t puts every
+eigenvalue among them, and the traces of F's powers give each multiplicity
+(`_certify_decomposition`).  So V is the direct sum of the components.
 
 A word combination in L, F, R, K, K^-1, A and A* is therefore zero on V
 exactly when it is zero on every ladder.  The LFRK relations, the
@@ -63,7 +57,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from operator import matmul
+from operator import itemgetter, matmul
 
 import numpy as np
 
@@ -80,10 +74,18 @@ from .linexact import ExactMatrix, kernel, rref
 from .polar import PolarGraph
 from .uqsl2 import casimir_scalar
 
+# the module's bindings of the closed forms and of the functions they read
+_FORMS = itemgetter("chi0", "chi1", "chi2", "_mu", "_nu", "_intersection",
+                    "module_intersection", "module_dual_intersection",
+                    "aw_module_scalars", "ladder_action", "_joint_kernel",
+                    "central_terms", "_central_by_c0_c1", "identities")
+
+
 @dataclass
 class TerwilligerContext:
     """The subconstituents of the graph at a base vertex x, and the
-    adjacency blocks between them: all that T is evaluated on."""
+    adjacency blocks between them: all that T is evaluated on; and the
+    graph's closed forms (`form`), shared with its other contexts (`at`)."""
 
     g: PolarGraph
     bm: BoseMesnerData
@@ -95,8 +97,22 @@ class TerwilligerContext:
                        compare=False)
     _two: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
-    _identities: dict | None = field(default=None, init=False, repr=False,
-                                     compare=False)
+    forms: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def form(self, fn, *args):
+        """fn(self, *args), once for all contexts sharing `forms`, kept under
+        the bindings `_FORMS`: a rebound form (patched chi0) is recomputed."""
+        key = (_FORMS(globals()), fn, *args)
+        if key not in self.forms:
+            self.forms[key] = fn(self, *args)
+        return self.forms[key]
+
+    def at(self, x: int) -> TerwilligerContext:
+        """`build_context` at vertex x of the same graph, sharing `forms`."""
+        ctx = build_context(self.g, self.bm, x)
+        ctx.forms = self.forms
+        return ctx
 
     @property
     def n(self) -> int:
@@ -203,9 +219,7 @@ def identities(ctx: TerwilligerContext) -> dict[str, list[list]]:
       A A*) - rho* A;
     - Omega, G and G* equal a0 C0 + a1 C1 + a2 I (`_central_by_c0_c1`), and
       G* = -gamma zeta^2 I - zeta Omega.
-    Built once per context, for every check that reads them."""
-    if ctx._identities is not None:
-        return ctx._identities
+    Built once per graph (`TerwilligerContext.form`)."""
     q, q2 = ctx.q, ExactScalar(ctx.b)
     qi = q.inverse()
     q2e = ctx.q ** ctx.two_e()
@@ -220,7 +234,7 @@ def identities(ctx: TerwilligerContext) -> dict[str, list[list]]:
               (-gamma, "SA"), (-rho, "S")]
     inner2 = [(1, "SSA"), (-beta, "SAS"), (1, "ASS"), (-gamma_s, "SA"),
               (-gamma_s, "AS"), (-rho_s, "A")]
-    c0, c1, _, omega, g, gstar = central_terms(ctx)
+    c0, c1, _, omega, g, gstar = ctx.form(central_terms)
     zeta = ctx.bm.zeta
     central = [m + _times(-a0, c0) + _times(-a1, c1) + [(-a2, "")]
                for m, (a0, a1, a2) in zip((omega, g, gstar),
@@ -235,7 +249,7 @@ def identities(ctx: TerwilligerContext) -> dict[str, list[list]]:
         [(c_hi, "RLL"), (-1, "LRL"), (c_lo, "LLR"), (qpow, "L")],
         [(c_hi, "RRL"), (-1, "RLR"), (c_lo, "LRR"), (qpow, "R")],
     ]
-    ctx._identities = {
+    return {
         **{f"lfrk:{st}": [terms] for st, terms in zip(LFRK_STATEMENTS, lfrk)},
         "lfrk:recovery": [
             [(qi / (dd * s), "kAK"), (q / (dd * s), "KAk"), (-1 / dd, "A"),
@@ -249,7 +263,6 @@ def identities(ctx: TerwilligerContext) -> dict[str, list[list]]:
         "lfrk:tridiagonal": [_bracket("A", inner1), _bracket("S", inner2)],
         "central:construction": central,
     }
-    return ctx._identities
 
 
 def _ladder_witness(comp, m: ExactMatrix) -> dict | None:
@@ -277,20 +290,20 @@ def _on_ladders(comps, term_lists) -> tuple[bool, dict | None]:
 def verify_lfrk(ctx: TerwilligerContext, comps) -> dict:
     """(ok, witness) of each generator relation by statement, on the
     ladders of the components of the decomposition."""
-    ids = identities(ctx)
+    ids = ctx.form(identities)
     return {st: _on_ladders(comps, ids[f"lfrk:{st}"]) for st in LFRK_STATEMENTS}
 
 
 def verify_lfrk_recovery(ctx: TerwilligerContext, comps):
-    return _on_ladders(comps, identities(ctx)["lfrk:recovery"])
+    return _on_ladders(comps, ctx.form(identities)["lfrk:recovery"])
 
 
 def verify_lrf_commutations(ctx: TerwilligerContext, comps):
-    return _on_ladders(comps, identities(ctx)["lfrk:commuting"])
+    return _on_ladders(comps, ctx.form(identities)["lfrk:commuting"])
 
 
 def verify_tridiagonal_relations(ctx: TerwilligerContext, comps):
-    return _on_ladders(comps, identities(ctx)["lfrk:tridiagonal"])
+    return _on_ladders(comps, ctx.form(identities)["lfrk:tridiagonal"])
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +430,7 @@ def central_elements(ctx: TerwilligerContext) -> CentralElements:
     their entries, and are checked from these coefficients and the integer
     blocks of the context; no matrix is built.  That the words are central
     is `verify_central_construction`'s certificate."""
-    terms = central_terms(ctx)
+    terms = ctx.form(central_terms)
     return CentralElements(*([_on_block(ctx, terms[k], s)
                               for s in range(ctx.D + 1)] for k in (3, 4)))
 
@@ -436,7 +449,7 @@ def verify_central_construction(ctx: TerwilligerContext, comps):
     a0 C0 + a1 C1 + a2 I, that is they act there as a0 chi0 + a1 chi1 + a2,
     which makes them symmetric and central too, and G* = -gamma zeta^2 I -
     zeta Omega."""
-    return _on_ladders(comps, identities(ctx)["central:construction"])
+    return _on_ladders(comps, ctx.form(identities)["central:construction"])
 
 
 def _central_by_c0_c1(ctx: TerwilligerContext):
@@ -516,6 +529,11 @@ def _entry_table(ctx: TerwilligerContext, words: list, tables: list):
     return True, None
 
 
+def _intersection(ctx: TerwilligerContext):
+    """c_i, a_i, b_i of the graph (`closed_form_intersection`)."""
+    return closed_form_intersection(ctx.g.spec)
+
+
 def verify_g_entry_table(ctx: TerwilligerContext, G: list):
     """The paper's entry table of G at one distance s from x, against G's
     word coefficients (`central_elements`) on each block: one value on the
@@ -524,7 +542,7 @@ def verify_g_entry_table(ctx: TerwilligerContext, G: list):
     s - 1 on the other pairs at distance 2, and 0 elsewhere."""
     spec = ctx.g.spec
     b, xi, rho = spec.b, ctx.bm.xi, td_scalars(spec)[3]
-    cvals, _, bvals = closed_form_intersection(spec)
+    cvals, _, bvals = ctx.form(_intersection)
     tables = []
     for s in range(ctx.D + 1):
         x = xi * Fraction(1, b ** (s + 1))
@@ -565,8 +583,7 @@ def central_characterization_matrix(ctx: TerwilligerContext, comp,
     projection on rung j, so E*_(r+j) A E*_(r+j) acts there as F, which is
     diagonal."""
     b = ctx.b
-    _, avals, _ = closed_form_intersection(ctx.g.spec)
-    a1 = avals[1]
+    a1 = ctx.form(_intersection)[1][1]
     alpha1 = Fraction(alpha1)
     beta0 = Fraction(beta0)
     alphas = {i: Fraction(b) ** (1 - i) * alpha1 for i in range(1, ctx.D + 1)}
@@ -674,13 +691,16 @@ def ladder_action(ctx: TerwilligerContext, r: int, t: int,
     """R v_j = v_(j+1), F v_j = a_j(W) v_j, L v_j = b_(j-1)(W) c_j(W) v_(j-1)
     with `module_intersection`'s closed forms (decompose certifies these
     three on every rung), and K, A* the scalars of subconstituent r + j on
-    rung j."""
-    c, a, bb = module_intersection(ctx, r, t, d)
+    rung j.  A zero b_(j-1) c_j is refused: it proves no rung rank."""
+    c, a, bb = ctx.form(module_intersection, r, t, d)
+    lam = [bb[j] * c[j + 1] for j in range(d)]
+    if 0 in lam:
+        raise AssertionError(f"component {(r, t, d)} has b_(j-1) c_j = 0 "
+                             "on its ladder, so L cannot certify its rank")
     zeros = [0] * d
     powers = [ctx.b ** (r + j) for j in range(d + 1)]
     return LadderAction(
-        ExactMatrix.tridiagonal(zeros, [0] * (d + 1),
-                                [bb[j] * c[j + 1] for j in range(d)]),
+        ExactMatrix.tridiagonal(zeros, [0] * (d + 1), lam),
         ExactMatrix.diag(a),
         ExactMatrix.tridiagonal([1] * d, [0] * (d + 1), zeros),
         ExactMatrix.diag([Fraction(1, p) for p in powers]),
@@ -737,6 +757,14 @@ def _nu(ctx: TerwilligerContext, r: int, t: int, d: int) -> Fraction:
         - (b_pow(b, ctx.g.spec.e) - 1) / (b - 1)
 
 
+def _mu(ctx: TerwilligerContext, r: int, d: int) -> Fraction:
+    """The eigenvalue of LR on the lowest rungs of W(r, t, d): C2 = K^2 (RL -
+    b^-1 LR)/(b + 1) + chi2(0, 0, 0) K^2 acts there as chi2, with L = 0."""
+    b = ctx.b
+    return b * (b + 1) * (chi2(ctx, 0, 0, 0).as_fraction()
+                          - chi2(ctx, r, 0, d).as_fraction() * b ** (2 * r))
+
+
 def decompose(ctx: TerwilligerContext) -> list[HomogeneousComponent]:
     """Homogeneous components of the standard module, certified.
 
@@ -770,8 +798,7 @@ def decompose(ctx: TerwilligerContext) -> list[HomogeneousComponent]:
     components, however they were built; a wrong split raises components
     that it refuses.
     """
-    D, b = ctx.D, ctx.b
-    c2_const = chi2(ctx, 0, 0, 0).as_fraction()  # q^(2e+2D-2)/(q^4-1)
+    D = ctx.D
     comps: list[HomogeneousComponent] = []
     for r in range(D):
         if r == 0:  # the base vertex
@@ -792,11 +819,10 @@ def decompose(ctx: TerwilligerContext) -> list[HomogeneousComponent]:
         # in its coordinates.
         m_lr, m_f = (ExactMatrix(int_matmul(low, op)[:, pivots], None, den)
                      for op in (ctx.two_step(r, r + 1), ctx.adj(r, r)))
-        mu = {d: b * (b + 1) * (c2_const - chi2(ctx, r, 0, d).as_fraction()
-                                * b ** (2 * r)) for d in range(D - r + 1)}
+        mu = {d: ctx.form(_mu, r, d) for d in range(D - r + 1)}
         for d, p_d in _split(m_lr, mu, None, "chi2",
                              f"LR on the lowest rungs of block {r}"):
-            nu = {t: _nu(ctx, r, t, d)
+            nu = {t: ctx.form(_nu, r, t, d)
                   for t in range(max(0, D - r - d), D - d + 1)}
             for t, piece in _split(m_f, nu, p_d, "chi0", f"F on the diameter-"
                                    f"{d} lowest rungs of block {r}"):
@@ -828,8 +854,8 @@ def _build_component(ctx: TerwilligerContext, r: int, t: int, d: int,
 
 def _certify_ladder(ctx: TerwilligerContext,
                     comp: HomogeneousComponent) -> LadderAction:
-    """L, F, R act on the rungs of comp as `ladder_action` says; returns
-    that action.
+    """L, F, R act on the rungs of comp as `ladder_action`, read once per
+    graph, says; returns that action.
 
     R maps rung j to rung j + 1 by construction (`_build_component`).  The
     rest is checked part by part, with one block-local adjacency product
@@ -847,10 +873,7 @@ def _certify_ladder(ctx: TerwilligerContext,
     So a zero b_(j-1) c_j is refused first.
     """
     r, t, d = comp.triple
-    act = ladder_action(ctx, r, t, d)
-    if any(act.L.entry(j - 1, j) == 0 for j in range(1, d + 1)):
-        raise AssertionError(f"component {comp.triple} has b_(j-1) c_j = 0 "
-                             "on its ladder, so L cannot certify its rank")
+    act = ctx.form(ladder_action, r, t, d)
     for j, rung in enumerate(comp.rungs):
         s = r + j
         # (block, c, want): the image of the rung there must be c want;
@@ -917,6 +940,11 @@ def _certify_decomposition(ctx: TerwilligerContext,
       `central_terms` evaluated on the ladder matrices, which must be
       chi_k I,
     - the top block, by traces (below).
+
+    x enters neither chi_k nor the ladder matrices nor the words of C_k:
+    b_(j-1) c_j != 0 and C_k = chi_k I on them hold at every vertex or at
+    none, so they are checked once per triple for all contexts sharing the
+    closed forms.  All else runs at every vertex, so the proof holds at each.
 
     Joint eigenvectors for distinct eigenvalue triples are independent, so
     the sum U of the components is direct, and E*_i U is the direct sum of
@@ -1020,7 +1048,7 @@ def _top_components(ctx: TerwilligerContext,
         return whole - sum(m * a ** j for m, a in top)
 
     dim, tr1 = tau(0), tau(1)
-    nu = {t: _nu(ctx, D, t, 0) for t in range(1, D + 1)}
+    nu = {t: ctx.form(_nu, D, t, 0) for t in range(1, D + 1)}
     S = [] if dim == 0 else [t for t in nu if nu[t] * dim == tr1][:1] \
         or list(nu)
     if len({nu[t] for t in S}) != len(S):
@@ -1046,31 +1074,33 @@ def _top_components(ctx: TerwilligerContext,
     return found
 
 
+def _joint_kernel(ctx: TerwilligerContext, r: int, t: int, d: int) -> None:
+    """C0, C1, C2, words in K, L, F, R (`central_terms`), evaluated on the
+    ladder matrices of W(r, t, d) are chi_k I."""
+    act, ident = ctx.form(ladder_action, r, t, d), ExactMatrix.identity(d + 1)
+    for ck, chif in zip(ctx.form(central_terms), (chi0, chi1, chi2)):
+        if act.evaluate(ck) != ident.scale(ctx.form(chif, r, t, d)):
+            raise AssertionError(
+                f"component {(r, t, d)} is not in the joint kernel")
+
+
 def _certify_components(ctx: TerwilligerContext,
                         comps: list[HomogeneousComponent], by_chi: dict):
     """The (chi0, chi1, chi2) of each triple is not yet in `by_chi` (then
     it is entered), and the component lies in the joint kernel of (C_k -
     chi_k I) on its action, the one `_certify_ladder` proves on its rungs:
     for a rung-less W(D, t, 0), whose action the trace certificate
-    proves, that is its `ladder_action`."""
-    chis = []
+    proves, that is its `ladder_action`.  The chi_k and the joint kernel
+    are read once per call, the rest is checked at every vertex."""
     for c in comps:
-        chi = tuple(chif(ctx, *c.triple) for chif in (chi0, chi1, chi2))
+        chi = tuple(ctx.form(chif, *c.triple) for chif in (chi0, chi1, chi2))
         if chi in by_chi:
             raise AssertionError(f"components {by_chi[chi].triple} and "
                                  f"{c.triple} share chi0, chi1, chi2")
         by_chi[chi] = c
-        chis.append(chi)
-    terms = central_terms(ctx)[:3]
-    for c, chi in zip(comps, chis):
+    for c in comps:
         c.action = _certify_ladder(ctx, c)
-        # K, L, F, R act on every copy of the component as the ladder
-        # matrices, so C_k acts there as its terms evaluated on them
-        ident = ExactMatrix.identity(c.d + 1)
-        for ck, value in zip(terms, chi):
-            if c.action.evaluate(ck) != ident.scale(value):
-                raise AssertionError(
-                    f"component {c.triple} is not in the joint kernel")
+        ctx.form(_joint_kernel, *c.triple)
 
 
 # ---------------------------------------------------------------------------
@@ -1116,7 +1146,7 @@ def verify_center_identities(ctx: TerwilligerContext,
     by_c0_c1 = _central_by_c0_c1(ctx)
     for triple in sorted(center.Upsilon):
         ups, psi = center.Upsilon[triple], center.Psi[triple]
-        c0, c1, c2 = (chif(ctx, *triple) for chif in (chi0, chi1, chi2))
+        c0, c1, c2 = (ctx.form(chif, *triple) for chif in (chi0, chi1, chi2))
         core = q2e / (ups * ups) - one / (psi * psi)
         if c0 != core / (q2 - 1):
             raise AssertionError("C0 displacement expression fails")
@@ -1141,7 +1171,7 @@ def verify_center_identities(ctx: TerwilligerContext,
                 + gamma * zeta ** 2:
             raise AssertionError("G* displacement expression fails")
         # the action of Omega, G, G* equals the closed module scalars
-        if (om, eta, eta_star) != aw_module_scalars(ctx, *triple):
+        if (om, eta, eta_star) != ctx.form(aw_module_scalars, *triple):
             raise AssertionError(
                 f"central action on {triple} disagrees with the closed "
                 "module scalar")
@@ -1267,11 +1297,11 @@ def extract_module(ctx: TerwilligerContext,
         @ eig.W @ act.Astar @ dual
     a_rep = ExactMatrix.diag([x.inverse() for x in u]) @ act.A \
         @ ExactMatrix.diag(u)
-    dual_forms = module_dual_intersection(ctx, r, t, d)
+    dual_forms = ctx.form(module_dual_intersection, r, t, d)
     _check_module_matrix(astar_rep, ctx.bm.theta_star[r], dual_forms,
                          ("c*", "a*", "b*"),
                          f"A* on the dual standard basis of {comp.triple}")
-    forms = module_intersection(ctx, r, t, d)
+    forms = ctx.form(module_intersection, r, t, d)
     _check_module_matrix(a_rep, ctx.bm.theta[t], forms, ("c", "a", "b"),
                          f"A on the standard basis of {comp.triple}")
     return TModuleRecord(r, t, d, astar_rep, a_rep, *forms, *dual_forms)

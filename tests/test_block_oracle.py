@@ -259,8 +259,9 @@ def test_block_certificate_fails_under_python_O(tmp_path, mode, status):
 def test_one_ladder_action_per_component(monkeypatch, capsys):
     """`decompose` keeps the ladder action it certifies on each component,
     and every later check reads it there: in a D_4(2) run of every suite
-    with three sampled base vertices, each of the four decompositions
-    builds one `ladder_action` per triple, and nothing else builds one."""
+    with three sampled base vertices, the four decompositions share the
+    closed forms of the graph, so the call builds one `ladder_action` per
+    triple, and nothing else builds one."""
     g, _ = graph("D", 4, 2)
     calls = []
     real = terwilliger.ladder_action
@@ -275,7 +276,56 @@ def test_one_ladder_action_per_component(monkeypatch, capsys):
         "triples"]]
     sampled = [c for c in checks if c.startswith("modules:base-vertex:")]
     assert len(triples) == 6 and len(sampled) == 3
-    assert sorted(calls) == sorted(triples * 4)
+    assert sorted(calls) == sorted(triples)
+
+
+def test_closed_forms_once_per_call_rungs_at_every_vertex(monkeypatch,
+                                                          capsys):
+    """A D_4(2) run of every suite with three sampled base vertices (0 is
+    the base; 90, 180 and 1 are sampled): the closed-form half of the
+    ladder certificate, `ladder_action` with b_(j-1) c_j != 0 and C_k =
+    chi_k I on its matrices (`_joint_kernel`), runs once per triple for
+    the four contexts; the integer half,
+    `_certify_ladder`, runs for each of the six components at each vertex.
+    The forms live for one call: a second call reads chi0 as often as the
+    first, and a third, with chi0 of (0, 0, 4) moved, fails."""
+    g, _ = graph("D", 4, 2)
+    monkeypatch.setattr(polar, "load_graph", lambda _: g)
+    calls = {"ladder_action": [], "_joint_kernel": [], "_certify_ladder": [],
+             "chi0": []}
+    for name, seen in calls.items():
+        real = getattr(terwilliger, name)
+
+        def counted(ctx, *args, real=real, seen=seen):
+            seen.append((ctx.x, getattr(args[0], "triple", args)))
+            return real(ctx, *args)
+        monkeypatch.setattr(terwilliger, name, counted)
+    argv = ["verify", "--graph", "g.json", "--suite", "all",
+            "--all-vertices-sample", "3"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)[
+        "checks"]}
+    triples = sorted(tuple(t[:3]) for t in checks["modules:dimension"][
+        "witness"]["triples"])
+    assert len(triples) == 6
+    for name in ("ladder_action", "_joint_kernel"):
+        assert sorted(t for _, t in calls[name]) == triples
+    assert sorted(calls["_certify_ladder"]) == sorted(
+        (x, t) for x in (0, 1, 90, 180) for t in triples)
+    first = len(calls["chi0"])
+    calls["chi0"].clear()
+    assert main(argv) == 0
+    assert first > 0 and len(calls["chi0"]) == first
+    real = terwilliger.chi0
+    monkeypatch.setattr(terwilliger, "chi0", lambda ctx, r, t, d: real(
+        ctx, r, t, d) + ((r, t, d) == (0, 0, 4)))
+    capsys.readouterr()
+    assert main(argv) == 1
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)[
+        "checks"]}
+    assert checks["modules:dimension"]["witness"] == \
+        "component (0, 0, 4) is not in the joint kernel"
 
 
 @pytest.mark.parametrize("suite", ["lfrk", "central"])

@@ -545,6 +545,23 @@ def test_sampled_vertices_build_their_context(d32_file, capsys,
     assert calls == [4, 0, 6, 12, 18, 24]
 
 
+def test_report_timing_survives_a_clock_step(d32_file, capsys, monkeypatch):
+    """The wall clock set back an hour while `verify` runs, as NTP or a
+    manual set can: the report's seconds come from a monotonic clock, so
+    they stay non-negative."""
+    from dualpolar import cli, terwilliger
+
+    step = []
+    wall, decompose = cli.time.time, terwilliger.decompose
+    monkeypatch.setattr(cli.time, "time", lambda: wall() - sum(step))
+    monkeypatch.setattr(terwilliger, "decompose",
+                        lambda ctx: step.append(3600) or decompose(ctx))
+    capsys.readouterr()
+    assert main(["verify", "--graph", d32_file, "--suite", "modules"]) == 0
+    assert step == [3600]
+    assert 0 <= json.loads(capsys.readouterr().out)["timing"]["seconds"] < 60
+
+
 @pytest.mark.parametrize("k,sampled", [(1, [1]), (2, [15, 1])])
 def test_sample_on_the_grid_keeps_k_vertices(d32_file, capsys, k, sampled):
     """D_3(2) has 30 vertices, so base vertex 0 lies on the sample grid of
@@ -759,19 +776,22 @@ def test_base_vertex_failure_names_the_triples(d32_file, capsys,
 
 def test_base_vertex_certificate_failure_is_its_witness(d32_file, capsys,
                                                         monkeypatch):
-    """b_0 c_1 of (2, 1, 1) moved at vertex 0 alone: the certified
-    decomposition there fails, and only modules:base-vertex:0 reports it,
-    with the ladder certificate's message as its witness."""
+    """One entry of rung 1 of (2, 1, 1) moved at vertex 0 alone: L no
+    longer maps it to b_0 c_1 times rung 0, so the certified decomposition
+    there fails, and only modules:base-vertex:0 reports it, with the
+    ladder certificate's message as its witness.  The closed forms are
+    read once per graph, so only the rungs can differ between vertices."""
     from dualpolar import terwilliger
 
-    real = terwilliger.module_intersection
+    real = terwilliger._build_component
 
-    def moved(ctx, *t):
-        c, a, b = real(ctx, *t)
-        return (c, a, [b[0] + 1, *b[1:]]) if (ctx.x, t) == (0, (2, 1, 1)) \
-            else (c, a, b)
+    def moved(ctx, r, t, d, low_rows):
+        comp = real(ctx, r, t, d, low_rows)
+        if (ctx.x, comp.triple) == (0, (2, 1, 1)):
+            comp.rungs[1][0, 0] += 1
+        return comp
 
-    monkeypatch.setattr(terwilliger, "module_intersection", moved)
+    monkeypatch.setattr(terwilliger, "_build_component", moved)
     capsys.readouterr()
     assert main(["verify", "--graph", d32_file, "--suite", "modules",
                  "--all-vertices-sample", "1", "--base-vertex", "15"]) == 1

@@ -5,6 +5,7 @@ import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -161,13 +162,15 @@ def test_central_commutation_certified_on_c0_c1_c2_only(ctx_c32, comps_c32,
                                                          monkeypatch):
     """`decompose` certifies C0, C1 and C2 alone against their scalars
     chi_k, on every ladder; the construction check compares Omega, G and
-    G* with their C0, C1 expressions and evaluates no C_k by itself."""
+    G* with their C0, C1 expressions and evaluates no C_k by itself.  A
+    fresh context: the closed forms of ctx_c32 keep each triple's
+    certificate from the decomposition of the fixture."""
     calls = []
     real = terwilliger.LadderAction.evaluate
     monkeypatch.setattr(terwilliger.LadderAction, "evaluate",
                         lambda self, terms: calls.append(terms)
                         or real(self, terms))
-    comps = decompose(ctx_c32)
+    comps = decompose(build_context(ctx_c32.g, ctx_c32.bm, 0))
     c_terms = list(central_terms(ctx_c32)[:3])
     assert calls == c_terms * len(comps)
     calls.clear()
@@ -1301,6 +1304,19 @@ def test_split_forms_each_piece_when_it_is_taken(monkeypatch):
     assert (key, len(products)) == (0, 1)
     assert piece == ExactMatrix.diag([4, 0, 0])  # (m - 2)(m - 5)
     assert [k for k, _ in pieces] == [1] and len(products) == 3
+
+
+def test_every_shared_form_keys_its_values():
+    """Each function read through `TerwilligerContext.form` is one of the
+    bindings `_FORMS` that key the kept values, so a patched form is never
+    served a value of the function it replaced."""
+    source = Path(terwilliger.__file__).read_text()
+    read = {name for name in re.findall(r"\.form\((\w+)", source)
+            if hasattr(terwilliger, name)}
+    bound = terwilliger._FORMS(vars(terwilliger))
+    assert len(read) >= 10
+    assert [name for name in sorted(read)
+            if getattr(terwilliger, name) not in bound] == []
 
 
 def test_td_scalars_checked_once_per_form(graph_d32, bm_d32, monkeypatch):

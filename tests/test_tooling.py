@@ -226,9 +226,14 @@ def test_intlinalg_finds_its_primes_on_first_use():
 # leonard 428 and 136 and verify 689 and 360.
 # A rise means a temporary crept back in.  `build` on D_3(2) makes three
 # products: the two rows of the GF(2) multiplication table and the perp
-# matrix of its 35 points, and no n x n one.
+# matrix of its 35 points, and no n x n one.  `verify` with two sampled
+# base vertices made 853 and 472 while each vertex built its own closed
+# forms and ladder matrices, and 709 and 424 with them shared by the three
+# contexts: a sampled vertex builds no ladder matrix and evaluates no word.
+# (Fewer products where an earlier call in the process has filled the
+# per-field caches, such as the GF multiplication table.)
 _KERNEL_CEILINGS = {"build": (0, 3), "leonard": (428, 136),
-                    "verify": (689, 360)}
+                    "verify": (689, 360), "verify-sampled": (709, 424)}
 
 
 def _kernel_counts(monkeypatch, argv, shapes) -> tuple[int, int]:
@@ -276,10 +281,12 @@ def test_exact_kernel_call_counts(tmp_path, capsys, monkeypatch, command):
         path = str(tmp_path / "d32.json")
         build = ["build", "--family", "D", "--D", "3", "--b", "2",
                  "--out", path]
-        if command == "verify":
+        if command != "build":
             assert main(build) == 0
         argv = build if command == "build" else ["verify", "--graph", path,
                                                  "--suite", "all"]
+        if command == "verify-sampled":
+            argv += ["--all-vertices-sample", "2"]
     shapes = []
     constructions, products = _kernel_counts(monkeypatch, argv, shapes)
     capsys.readouterr()
