@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 # the public names of each submodule
 _EXPORTS = {
-    "exact": ("ExactScalar", "parse_scalar", "q_pow"),
+    "exact": ("ExactScalar", "parse_scalar"),
     "gf": ("FieldSpec", "build_field"),
     "linexact": ("ExactMatrix", "kernel", "spectral_projectors"),
     "polar": ("FormSpec", "PolarGraph", "build_polar_graph", "load_graph",
@@ -32,7 +32,7 @@ _EXPORTS = {
     "leonard": ("DqkParams", "ParameterArray", "d4_transform", "dqk_array",
                 "intersection_data", "leonard_from_tmodule", "realize",
                 "td_aw_scalars", "validate"),
-    "uqsl2": ("UqAction", "build_Ld", "casimir_scalar", "uq_on_leonard",
+    "uqsl2": ("UqAction", "casimir_scalar", "uq_on_leonard",
               "uq_on_standard_module"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

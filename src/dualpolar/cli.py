@@ -224,7 +224,7 @@ def _suite_modules(report, stage, sample_vertices):
         comps = []
     for c in sorted(comps, key=lambda c: c.triple):
         def one(c=c):
-            leonard_from_tmodule(stage["ctx"],
+            leonard_from_tmodule(stage["ctx"], c.triple,
                                  tw.extract_module(stage["ctx"], c))
         report.run(f"modules:leonard:{c.triple}",
                    f"module {c.triple} carries a dual q-Krawtchouk "

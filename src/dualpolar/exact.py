@@ -353,10 +353,3 @@ def parse_scalar_field(value, label: str) -> ExactScalar:
     raise ValueError(f"{label} must be a string holding a scalar, "
                      f"got {value!r}")
 
-
-def q_pow(q: ExactScalar, n: int) -> ExactScalar:
-    """q**n for a nonzero scalar q and any int n; `ExactScalar.__pow__`
-    holds the closed form."""
-    if q.is_zero:
-        raise ZeroDivisionError("q must be nonzero")
-    return q ** n

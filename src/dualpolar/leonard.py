@@ -5,14 +5,17 @@ against the five classification conditions, acted on by the dihedral
 transforms (*, down-arrow, double-down-arrow), realized as matrices in the
 split / normalized-split / standard bases, and converted to intersection
 data and tridiagonal / Askey-Wilson scalars.  The dual q-Krawtchouk family
-is generated from its closed forms, and parameter arrays are extracted from
-irreducible modules of a dual polar graph via the split decomposition.
+is generated from its closed forms.  The irreducible modules of a dual
+polar graph take the same path: `terwilliger.extract_module` certifies each
+module's ladder matrices A and A* with `certify_leonard_system` and reads
+their parameter array with `extract_parameter_array`, and
+`leonard_from_tmodule` matches it with the dual q-Krawtchouk closed forms.
 
 Every primitive idempotent of a Leonard system is rank one,
 E_i = v_i w_i / (w_i v_i) with v_i, w_i the right and left theta_i
 eigenvectors, and every matrix realized here is tridiagonal (split and
 normalized-split are bidiagonal, standard is tridiagonal plus a diagonal
-matrix, a module's A* on its dual standard basis is tridiagonal), built by
+matrix, a module's ladder A is tridiagonal and its A* diagonal), built by
 `ExactMatrix.tridiagonal` from its three bands.  So no
 idempotent is ever formed: `eigenbasis` solves for V and W by the
 three-term recurrence and certifies them with three exact identities,
@@ -388,8 +391,9 @@ def _eta(th, i, x: ExactScalar) -> ExactScalar:
 
 def intersection_data(pa: ParameterArray):
     """(c_i, a_i, b_i, c*_i, a*_i, b*_i) of the realized system, for a valid
-    parameter array (both callers, the standard realization and
-    `td_aw_scalars`, refuse any other first).
+    parameter array: the standard realization and `td_aw_scalars` refuse any
+    other first, and `terwilliger.extract_module` passes the array of a
+    system that `certify_leonard_system` certified.
 
     b_i and c_i are read off phi and phi2, and a_i = theta_0 - b_i - c_i.
     The diagonal form a_i = theta_i + phi_i / (theta*_i - theta*_(i-1)) +
@@ -435,17 +439,14 @@ class TdAwScalars:
     omega: ExactScalar
     eta: ExactScalar
     eta_star: ExactScalar
-    unique: bool  # False in the d <= 2 regime
 
 
-def td_aw_scalars(pa: ParameterArray,
-                  beta: ExactScalar | None = None) -> TdAwScalars:
+def td_aw_scalars(pa: ParameterArray) -> TdAwScalars:
     """The eight scalar parameters of the tridiagonal and Askey-Wilson
     relations, computed from the defining recurrences.
 
-    For d >= 3 beta is forced; for d = 2 it must be supplied (the sequence
-    exists but is not unique in that regime).  d < 2 is refused: the
-    recurrence of gamma and gamma* has no index there.
+    beta + 1 is the common ratio of condition (v), which has an index only
+    for d >= 3, so d < 3 is refused: there beta is not unique.
 
     Each scalar is read at one index.  For a valid array (any other is
     refused) the recurrences give the same value at every index: gamma and
@@ -456,23 +457,13 @@ def td_aw_scalars(pa: ParameterArray,
     relations (Terwilliger and Vidunas, J. Algebra Appl. 3, 2004).
     `verify_td_aw_matrix` checks the relations with these scalars.
     """
-    d = pa.d
-    if d < 2:
-        raise ValueError("the recurrences fix gamma and gamma* only for "
-                         "d >= 2")
+    if pa.d < 3:
+        raise ValueError("the recurrences fix the scalars only for d >= 3")
     th, ths = pa.theta, pa.theta_star
     v = pa.verdict
     if not v.valid:
         raise ValueError(f"invalid parameter array: {v.failure}")
-    unique = d >= 3
-    if v.beta_plus_one is not None:
-        forced = v.beta_plus_one - 1
-        if beta is not None and beta != forced:
-            raise ValueError("supplied beta contradicts the eigenvalues")
-        beta = forced
-    if beta is None:
-        raise ValueError("beta must be supplied when d <= 2")
-    beta = _sc(beta)
+    beta = v.beta_plus_one - 1
     gamma = th[0] - beta * th[1] + th[2]
     gamma_star = ths[0] - beta * ths[1] + ths[2]
     rho = th[0] ** 2 - beta * th[0] * th[1] + th[1] ** 2 \
@@ -490,7 +481,7 @@ def td_aw_scalars(pa: ParameterArray,
     eta_star = a[0] * (ths[0] - ths_m1) * (ths[0] - ths[1]) \
         - gamma * ths[0] ** 2 - omega * ths[0]
     return TdAwScalars(beta, gamma, gamma_star, rho, rho_star,
-                       omega, eta, eta_star, unique)
+                       omega, eta, eta_star)
 
 
 def tridiagonal_residuals(A: ExactMatrix, As: ExactMatrix, beta, gamma,
@@ -537,9 +528,8 @@ def first_split_sequence(A: ExactMatrix, Astar: ExactMatrix,
                          theta_star) -> list[ExactScalar]:
     """phi_i as the eigenvalue of (A - theta_(i-1))(A* - theta*_i) on the
     i-th summand U_i = (E*_0 V + ... + E*_i V) cap (E_i V + ... + E_d V) of
-    the split decomposition, for a system that `certify_leonard_system` or
-    `terwilliger.extract_module` certified and u0 = v*_0, the theta*_0
-    eigenvector of A*.
+    the split decomposition, for a system that `certify_leonard_system`
+    certified and u0 = v*_0, the theta*_0 eigenvector of A*.
 
     Set u_0 = u0 and u_i = (A - theta_(i-1)) u_(i-1).  Checked here:
     (A* - theta*_i) u_i = phi_i u_(i-1) and (A - theta_d) u_d = 0.  Why u_i
@@ -598,33 +588,22 @@ def extract_from_realization(real: LeonardRealization) -> ParameterArray:
 # From irreducible modules of a dual polar graph
 
 
-def leonard_from_tmodule(ctx, rec) -> tuple[ParameterArray, DqkParams]:
-    """Leonard system carried by an irreducible module, its parameter array
-    via the split decomposition, and the matching dual q-Krawtchouk
-    parameters
+def leonard_from_tmodule(ctx, triple, pa: ParameterArray) -> DqkParams:
+    """The dual q-Krawtchouk parameters of the Leonard system on an
+    irreducible module W(r, t, d),
 
         h = (1 - q^2e)/(q^2 - 1),   h* = zeta,
         kappa = q^(2e+2D-2t-d)/(q^2 - 1),   kappa* = xi q^(-2r-d),
         upsilon = -q^(2t+d)/(q^2 - 1),
 
-    verified exactly by regenerating the array from the closed forms.
-
-    The array is read on the standard basis, where `extract_module` certified
-    the Leonard system and A* = diag theta*_(r+i), so v*_0 = e_0.  As the
-    parameter array of a Leonard system it satisfies the five conditions
-    (Terwilliger, LAA 330, 2001), so its verdict is not computed.
+    verified exactly: they must regenerate pa, the parameter array that
+    `terwilliger.extract_module` read off the module's ladder.
     """
-    r, t, d = rec.r, rec.t, rec.d
-    theta = [ExactScalar(ctx.bm.theta[t + i]) for i in range(d + 1)]
-    theta_star = [ExactScalar(ctx.bm.theta_star[r + i]) for i in range(d + 1)]
-    pa = extract_parameter_array(rec.a_std_rep, ExactMatrix.diag(theta_star),
-                                 ExactMatrix.column([1] + [0] * d), theta,
-                                 theta_star)
-    q = ctx.q
+    r, t, d = triple
     e2 = ctx.two_e()
     q2 = ExactScalar(ctx.b)
     params = DqkParams(
-        q, d,
+        ctx.q, d,
         (ExactScalar(1) - ctx.q ** e2) / (q2 - 1),
         ExactScalar(ctx.bm.zeta),
         ctx.q ** (e2 + 2 * ctx.D - 2 * t - d) / (q2 - 1),
@@ -634,41 +613,37 @@ def leonard_from_tmodule(ctx, rec) -> tuple[ParameterArray, DqkParams]:
     if dqk_array(params) != pa:
         raise AssertionError("module parameters disagree with the dual "
                              "q-Krawtchouk closed forms")
-    return pa, params
+    return params
 
 
 # ---------------------------------------------------------------------------
 # JSON interchange
 
 
-def pa_to_json(pa: ParameterArray, scalars: TdAwScalars | None = None) -> dict:
-    out = {
+def pa_to_json(pa: ParameterArray) -> dict:
+    return {
         "d": pa.d,
         "theta": [x.render() for x in pa.theta],
         "theta_star": [x.render() for x in pa.theta_star],
         "phi": [x.render() for x in pa.phi],
         "phi2": [x.render() for x in pa.phi2],
     }
-    if scalars is not None:
-        out["scalars"] = {
-            "beta": scalars.beta.render(),
-            "gamma": scalars.gamma.render(),
-            "gamma_star": scalars.gamma_star.render(),
-            "rho": scalars.rho.render(),
-            "rho_star": scalars.rho_star.render(),
-            "omega": scalars.omega.render(),
-            "eta": scalars.eta.render(),
-            "eta_star": scalars.eta_star.render(),
-        }
-    return out
 
 
 DQK_FIELDS = ("q", "h", "h_star", "kappa", "kappa_star", "upsilon")
 
 
 def pa_from_json(data: dict) -> ParameterArray:
-    from .exact import parse_scalar_field
+    """An explicit array (theta, theta_star, phi, phi2, and d if given) or
+    the dual q-Krawtchouk parameters (d and DQK_FIELDS).  Any other field,
+    and a d that is not len(theta) - 1, raise ValueError naming the
+    field."""
+    from .exact import parse_int, parse_scalar_field
 
+    known = ("d", "theta", "theta_star", "phi", "phi2", *DQK_FIELDS)
+    unknown = [k for k in data if k not in known]
+    if unknown:
+        raise ValueError(f"unknown field {unknown[0]!r}")
     mixed = [k for k in DQK_FIELDS if k in data]
     if "theta" in data and mixed:
         raise ValueError(f"{mixed[0]!r} next to 'theta': give an explicit "
@@ -684,6 +659,9 @@ def pa_from_json(data: dict) -> ParameterArray:
         theta = seq("theta")
         if not theta:
             raise ValueError("'theta' must have at least one entry")
+        if "d" in data and parse_int(data, "d") != len(theta) - 1:
+            raise ValueError(f"'d' is {data['d']}, but 'theta' has "
+                             f"{len(theta)} entries")
         return ParameterArray(theta, seq("theta_star"), seq("phi"),
                               seq("phi2"))
     p = dqk_params_from_json(data)

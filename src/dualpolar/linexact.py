@@ -111,8 +111,8 @@ class ExactMatrix:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_int(cls, arr, den: int = 1, rad: int = 0) -> "ExactMatrix":
-        return cls(as_int_array(arr), None, den, rad)
+    def from_int(cls, arr) -> "ExactMatrix":
+        return cls(as_int_array(arr))
 
     @classmethod
     def from_rows(cls, rows) -> "ExactMatrix":

@@ -46,9 +46,11 @@ A[B_s, B_s] and the two-step products RL_s, LR_s (`two_step`, formed once
 per context for the entry tables and `decompose`) on block s.  Both tables
 are then checked by one integer comparison per class of vertex pairs: no
 rational matrix is built.  The Leonard system of each module is read off
-the same ladder: E_(t+i) acts on W as a primitive idempotent of the (d+1)
-x (d+1) ladder A, and E*_(r+i) as the projection on rung i, so
-`extract_module` touches no n-wide vector.
+the same ladder: A and A* act on every copy of W as the (d+1) x (d+1)
+ladder A and diag theta*_(r+j), so `extract_module` certifies it with
+`leonard.certify_leonard_system`, reads its parameter array, and compares
+the intersection numbers of that array with the paper's closed forms.  It
+touches no n-wide vector.
 """
 
 from __future__ import annotations
@@ -69,7 +71,12 @@ from .drg import (
 )
 from .exact import ExactScalar
 from .intarith import int_dtype, int_lin, int_matmul
-from .leonard import _check_axiom_pattern, eigenbasis
+from .leonard import (
+    ParameterArray,
+    certify_leonard_system,
+    extract_parameter_array,
+    intersection_data,
+)
 from .linexact import ExactMatrix, kernel, rref
 from .polar import PolarGraph
 from .uqsl2 import casimir_scalar
@@ -1194,21 +1201,6 @@ def verify_center_commutation(ctx: TerwilligerContext,
 # Irreducible module extraction
 
 
-@dataclass
-class TModuleRecord:
-    r: int
-    t: int
-    d: int
-    astar_dual_rep: ExactMatrix   # A* on the dual standard basis
-    a_std_rep: ExactMatrix        # A on the standard basis
-    c: list[Fraction]
-    a: list[Fraction]
-    b: list[Fraction]
-    cstar: list[Fraction]
-    astar: list[Fraction]
-    bstar: list[Fraction]
-
-
 def module_intersection(ctx: TerwilligerContext, r: int, t: int, d: int):
     """Closed forms for c_i(W), a_i(W), b_i(W)."""
     spec = ctx.g.spec
@@ -1245,63 +1237,37 @@ def module_dual_intersection(ctx: TerwilligerContext, r: int, t: int, d: int):
     return cs, as_, bs
 
 
-def _check_module_matrix(m: ExactMatrix, row_sum, closed_forms, families,
-                         where: str):
-    """m is irreducible tridiagonal with every row sum row_sum, and m[i, i-1],
-    m[i, i], m[i, i+1] are the closed forms of the named families."""
-    _check_axiom_pattern(m, f"entry ({{i}}, {{j}}) of {where}")
-    size = m.shape[0]
-    if m @ ExactMatrix.column([1] * size) \
-            != ExactMatrix.column([row_sum] * size):
-        raise AssertionError(f"row sums of {where} differ from "
-                             f"{ExactScalar(row_sum).render()}")
-    for i in range(size):
-        for j, forms, name in zip((i - 1, i, i + 1), closed_forms, families):
-            if 0 <= j < size and m.entry(i, j) != ExactScalar(forms[i]):
-                raise AssertionError(f"{name}_{i}(W) disagrees with the "
-                                     f"closed form, in {where}")
-
-
 def extract_module(ctx: TerwilligerContext,
-                   comp: HomogeneousComponent) -> TModuleRecord:
-    """A* on the dual standard basis E_(t+i) v_0 and A on the standard basis
-    E*_(r+i) E_t v_0 of one copy of W(r, t, d), read off its raising ladder
-    v_j = R^j v_0.
+                   comp: HomogeneousComponent) -> ParameterArray:
+    """The parameter array of the Leonard system on one copy of W(r, t, d),
+    read off its raising ladder v_j = R^j v_0.
 
     `decompose` certifies that A acts on every copy as the ladder matrix of
-    `ladder_action` and A* as diag theta*_(r+j); so E_(t+i) acts on W as the
-    primitive idempotent v_i w_i / (w_i v_i) of that small A, and E*_(r+i)
-    as the projection on rung i.  In ladder coordinates v_0 is e_0, and the
-    dual standard basis is the columns of V diag(w_i e_0 / w_i v_i), which
-    A turns into diag theta_(t+i) by `eigenbasis`' certificate; the
-    standard basis is diag(u) with u = E_t e_0, on which A* is diagonal.
-
-    That is the Leonard-system certificate (Terwilliger, LAA 330, 2001),
-    which `leonard.leonard_from_tmodule` does not repeat: A is diagonalizable
-    with the simple eigenvalues theta_(t+i) (`eigenbasis`), A* = diag
-    theta*_(r+i), and A is irreducible tridiagonal on the standard basis, an
-    A*-eigenbasis, and A* on the dual standard basis, an A-eigenbasis: the
-    zero patterns of E*_i A E*_j and of E_i A* E_j."""
+    `ladder_action` and A* as diag theta*_(r+j), so in ladder coordinates
+    the restrictions of A and A* to W are `comp.action`'s A and A*.
+    `certify_leonard_system` proves that they form a Leonard system with the
+    eigenvalue sequences theta_(t+i) and theta*_(r+i), and v_0 = e_0 is the
+    theta*_r eigenvector of A*, from which `extract_parameter_array` reads
+    its parameter array.  As the array of a Leonard system it satisfies the
+    five conditions (Terwilliger, LAA 330, 2001), so its verdict is not
+    computed.  The intersection numbers of W (A on the standard basis
+    E*_(r+i) E_t v_0, A* on the dual standard basis E_(t+i) v_0) are
+    functions of that array (`intersection_data`), and each is compared with
+    the paper's closed form."""
     r, t, d = comp.triple
     act = comp.action
-    eig = eigenbasis(act.A, [ExactScalar(ctx.bm.theta[t + i])
-                             for i in range(d + 1)], f"A on {comp.triple}")
-    w0 = [eig.W.entry(i, 0) for i in range(d + 1)]
-    wv = eig.W @ eig.V  # diagonal, so diag(1 / w_i e_0) W inverts `dual`
-    dual = eig.V @ ExactMatrix.diag([w / wv.entry(i, i)
-                                     for i, w in enumerate(w0)])
-    u = [dual.entry(i, 0) for i in range(d + 1)]
-    if any(x.is_zero for x in w0 + u):
-        raise AssertionError(f"a basis vector of {comp.triple} vanishes")
-    astar_rep = ExactMatrix.diag([x.inverse() for x in w0]) \
-        @ eig.W @ act.Astar @ dual
-    a_rep = ExactMatrix.diag([x.inverse() for x in u]) @ act.A \
-        @ ExactMatrix.diag(u)
-    dual_forms = ctx.form(module_dual_intersection, r, t, d)
-    _check_module_matrix(astar_rep, ctx.bm.theta_star[r], dual_forms,
-                         ("c*", "a*", "b*"),
-                         f"A* on the dual standard basis of {comp.triple}")
-    forms = ctx.form(module_intersection, r, t, d)
-    _check_module_matrix(a_rep, ctx.bm.theta[t], forms, ("c", "a", "b"),
-                         f"A on the standard basis of {comp.triple}")
-    return TModuleRecord(r, t, d, astar_rep, a_rep, *forms, *dual_forms)
+    theta = [ExactScalar(ctx.bm.theta[t + i]) for i in range(d + 1)]
+    theta_star = [ExactScalar(ctx.bm.theta_star[r + i]) for i in range(d + 1)]
+    certify_leonard_system(act.A, act.Astar, theta, theta_star)
+    pa = extract_parameter_array(act.A, act.Astar,
+                                 ExactMatrix.column([1] + [0] * d), theta,
+                                 theta_star)
+    forms = (*ctx.form(module_intersection, r, t, d),
+             *ctx.form(module_dual_intersection, r, t, d))
+    for name, got, want in zip(("c", "a", "b", "c*", "a*", "b*"),
+                               intersection_data(pa), forms):
+        for i, (x, y) in enumerate(zip(got, want)):
+            if x != y:
+                raise AssertionError(f"{name}_{i}(W) of {comp.triple} "
+                                     "disagrees with the closed form")
+    return pa

@@ -5,10 +5,9 @@ An action is a triple X, Y, Z of matrices satisfying the equitable relations
     (q x y - q^-1 y x)/(q - q^-1) = 1    (and cyclic in x, y, z),
 
 equivalently the Chevalley relations for k = z, f = (q - q^-1)^(-1)(x -
-z^-1), e = q^-1 (q - q^-1)^(-1)(1 - z y).  The (d+1)-dimensional irreducible
-L(d, eps) is built in the k/e/f basis or in a normalized x-, y- or
-z-eigenbasis; the Casimir element ef + (q^-1 k + q k^-1)/(q - q^-1)^2 acts
-on it as eps (q^(d+1) + q^(-d-1))/(q - q^-1)^2.
+z^-1), e = q^-1 (q - q^-1)^(-1)(1 - z y).  The Casimir element
+ef + (q^-1 k + q k^-1)/(q - q^-1)^2 acts on the (d+1)-dimensional
+irreducible L(d, eps) as eps (q^(d+1) + q^(-d-1))/(q - q^-1)^2.
 
 Two module structures are attached to a dual q-Krawtchouk Leonard system by
 rational expressions in A - h and A* - h*, and two to the standard module of
@@ -32,11 +31,6 @@ from .leonard import DqkParams, LeonardRealization
 from .linexact import ExactMatrix, inverse
 
 
-def bracket(q: ExactScalar, n: int) -> ExactScalar:
-    """[n]_q = (q^n - q^-n)/(q - q^-1)."""
-    return (q ** n - q ** -n) / (q - q.inverse())
-
-
 def casimir_scalar(q: ExactScalar, d: int, eps: int) -> ExactScalar:
     """eps (q^(d+1) + q^(-d-1)) / (q - q^-1)^2, the Casimir value on
     L(d, eps)."""
@@ -46,15 +40,16 @@ def casimir_scalar(q: ExactScalar, d: int, eps: int) -> ExactScalar:
 
 class UqAction:
     """Matrices for the equitable generators, with derived Chevalley ones,
-    each built once per action."""
+    each built once per action.  Every caller knows z^-1 in closed form;
+    `verify` checks z z^-1 = 1."""
 
     def __init__(self, q: ExactScalar, X: ExactMatrix, Y: ExactMatrix,
-                 Z: ExactMatrix, Zinv: ExactMatrix | None = None):
+                 Z: ExactMatrix, Zinv: ExactMatrix):
         self.q = q
         self.X = X
         self.Y = Y
         self.Z = Z
-        self.Zinv = Zinv if Zinv is not None else inverse(Z)
+        self.Zinv = Zinv
         n = X.shape[0]
         self.dim = n
         self._ident = ExactMatrix.identity(n)
@@ -119,73 +114,6 @@ class UqAction:
         c = ((q - qi) ** 2).inverse()
         return ExactMatrix.combination(((1, self.e @ self.f),
                                         (qi * c, self.k), (q * c, self.kinv)))
-
-
-def build_Ld(d: int, eps: int, q: ExactScalar, basis: str = "kef") -> UqAction:
-    """The (d+1)-dimensional module L(d, eps) in a chosen basis."""
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    one = ExactScalar(1)
-    for i in range(1, d + 1):
-        if q ** (2 * i) == one:
-            raise ValueError(f"q^(2i) = 1 at i = {i}; module is reducible")
-    n = d + 1
-    es = ExactScalar(eps)
-    zeros = [0] * d
-    # es q^(2i - d), i = 0..d: the diagonal of k^-1, and reversed, of k
-    inv_weights = [es * q ** (2 * i - d) for i in range(n)]
-    weights = ExactMatrix.diag(inv_weights[::-1])
-    if basis == "kef":
-        f = ExactMatrix.tridiagonal([bracket(q, i + 1) for i in range(d)],
-                                    [0] * n, zeros)
-        e = ExactMatrix.tridiagonal(zeros, [0] * n,
-                                    [es * bracket(q, d - i) for i in range(d)])
-        kinv = ExactMatrix.diag(inv_weights)
-        x = ExactMatrix.combination(((1, kinv), (q - q.inverse(), f)))
-        y = ExactMatrix.combination(((1, kinv),
-                                     (-q * (q - q.inverse()), kinv @ e)))
-        act = UqAction(q, x, y, weights, kinv)
-        # x and y solve back to f and e: x - z^-1 = (q - q^-1) f, and
-        # 1 - z y = q (q - q^-1) e given k kinv = 1, which verify checks
-        act.verify()
-        return act
-    if basis not in ("x-eigen", "y-eigen", "z-eigen"):
-        raise ValueError(f"unknown basis {basis!r}")
-    raising = ExactMatrix.tridiagonal(
-        [es * (q ** -d - q ** (2 * i + 2 - d)) for i in range(d)],
-        inv_weights, zeros)
-    lowering = ExactMatrix.tridiagonal(
-        zeros, inv_weights,
-        [es * (q ** d - q ** (2 * i - d)) for i in range(d)])
-    if basis == "x-eigen":
-        x, y, z = weights, raising, lowering
-    elif basis == "y-eigen":
-        y, z, x = weights, raising, lowering
-    else:
-        z, x, y = weights, raising, lowering
-    act = UqAction(q, x, y, z)
-    act.verify()
-    _check_sum_vector(act, d, eps, basis)
-    return act
-
-
-def _check_sum_vector(act: UqAction, d: int, eps: int, basis: str):
-    """u = sum of the eigenbasis vectors satisfies the two companion
-    normalizations (e.g. eps y u = q^-d u and eps z u = q^d u for the
-    x-eigenbasis)."""
-    n = d + 1
-    u = ExactMatrix.from_rows([[1] for _ in range(n)])
-    es = ExactScalar(eps)
-    lo = act.q ** -d
-    hi = act.q ** d
-    pairs = {
-        "x-eigen": ((act.Y, lo), (act.Z, hi)),
-        "y-eigen": ((act.Z, lo), (act.X, hi)),
-        "z-eigen": ((act.X, lo), (act.Y, hi)),
-    }[basis]
-    for mat, val in pairs:
-        if (mat @ u).scale(es) != u.scale(val):
-            raise AssertionError("sum vector normalization fails")
 
 
 # ---------------------------------------------------------------------------

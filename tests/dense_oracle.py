@@ -27,11 +27,15 @@ held as two Fractions, which `exact.ExactScalar` replaced by integer parts.
 And the integer oracle: Bareiss' fraction-free elimination, the
 reference for the rows and pivots of `intlinalg.int_rref`'s modular loop.
 
-Last, closed forms from the paper that `verify` and `leonard` do not
+Then closed forms from the paper that `verify` and `leonard` do not
 compute but the tests compare with: the graph's dual intersection numbers,
 the dual q-Krawtchouk intersection numbers, tridiagonal and Askey-Wilson
 scalars and double-down relative, and the normalized-split basis as a
 y-eigenbasis of the variant-1 U_q(sl2) structure.
+
+Last, the U_q(sl2) module L(d, eps) in the k/e/f basis or in a normalized
+x-, y- or z-eigenbasis, the reference for `uqsl2.UqAction` and
+`uqsl2.casimir_scalar`.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from dualpolar.drg import (
     dual_eigenvalue_scalars,
     td_scalars,
 )
-from dualpolar.exact import ExactScalar, MixedRadicandError, q_pow
+from dualpolar.exact import ExactScalar, MixedRadicandError
 from dualpolar.intarith import _INT64_SAFE, _max_abs, _to_object, int_matmul
 from dualpolar.intlinalg import _downcast, _gcd_rows
 from dualpolar.leonard import (
@@ -58,7 +62,13 @@ from dualpolar.leonard import (
     TdAwScalars,
     tridiagonal_residuals,
 )
-from dualpolar.linexact import ExactMatrix, kernel, rref, spectral_projectors
+from dualpolar.linexact import (
+    ExactMatrix,
+    inverse,
+    kernel,
+    rref,
+    spectral_projectors,
+)
 from dualpolar.polar import FormSpec, _pairing, _sigma
 from dualpolar.terwilliger import (
     LFRK_STATEMENTS,
@@ -902,27 +912,27 @@ def dqk_intersection_closed_forms(p: DqkParams):
     q, d = p.q, p.d
     h, k, ks, u = p.h, p.kappa, p.kappa_star, p.upsilon
     zero = ExactScalar(0)
-    b = [k * q_pow(q, i) * (q_pow(q, d - i) - q_pow(q, i - d))
+    b = [k * q ** i * (q ** (d - i) - q ** (i - d))
          if i < d else zero for i in range(d + 1)]
-    c = [u * q_pow(q, i - d) * (q_pow(q, -i) - q_pow(q, i))
+    c = [u * q ** (i - d) * (q ** -i - q ** i)
          if i >= 1 else zero for i in range(d + 1)]
-    a = [h + (k + u) * q_pow(q, 2 * i - d) for i in range(d + 1)]
-    theta_star0 = p.h_star + ks * q_pow(q, d)
+    a = [h + (k + u) * q ** (2 * i - d) for i in range(d + 1)]
+    theta_star0 = p.h_star + ks * q ** d
     bs, cs = [zero] * (d + 1), [zero] * (d + 1)
     if d >= 1:
-        bs[0] = k * ks * (q_pow(q, d) - q_pow(q, -d)) \
-            / (k - u * q_pow(q, 2 - 2 * d))
-        cs[d] = u * ks * q_pow(q, 2 * d - 2) * (q_pow(q, -d) - q_pow(q, d)) \
-            / (k - u * q_pow(q, 2 * d - 2))
+        bs[0] = k * ks * (q ** d - q ** -d) \
+            / (k - u * q ** (2 - 2 * d))
+        cs[d] = u * ks * q ** (2 * d - 2) * (q ** -d - q ** d) \
+            / (k - u * q ** (2 * d - 2))
     for i in range(1, d):
-        bs[i] = (k * ks * q_pow(q, i) * (q_pow(q, d - i) - q_pow(q, i - d))
-                 * (k - u * q_pow(q, 2 * i - 2 * d))) \
-            / ((k - u * q_pow(q, 4 * i - 2 * d))
-               * (k - u * q_pow(q, 4 * i - 2 * d + 2)))
-        cs[i] = (u * ks * q_pow(q, 5 * i - 3 * d - 2)
-                 * (q_pow(q, -i) - q_pow(q, i)) * (k - u * q_pow(q, 2 * i))) \
-            / ((k - u * q_pow(q, 4 * i - 2 * d))
-               * (k - u * q_pow(q, 4 * i - 2 * d - 2)))
+        bs[i] = (k * ks * q ** i * (q ** (d - i) - q ** (i - d))
+                 * (k - u * q ** (2 * i - 2 * d))) \
+            / ((k - u * q ** (4 * i - 2 * d))
+               * (k - u * q ** (4 * i - 2 * d + 2)))
+        cs[i] = (u * ks * q ** (5 * i - 3 * d - 2)
+                 * (q ** -i - q ** i) * (k - u * q ** (2 * i))) \
+            / ((k - u * q ** (4 * i - 2 * d))
+               * (k - u * q ** (4 * i - 2 * d - 2)))
     astar = [theta_star0 - bs[i] - cs[i] for i in range(d + 1)]
     return c, a, b, cs, astar, bs
 
@@ -930,7 +940,7 @@ def dqk_intersection_closed_forms(p: DqkParams):
 def dqk_td_aw_closed_forms(p: DqkParams) -> TdAwScalars:
     """beta = q^2 + q^-2 and companions for the dual q-Krawtchouk family."""
     q = p.q
-    beta = q_pow(q, 2) + q_pow(q, -2)
+    beta = q ** 2 + q ** -2
     two = ExactScalar(2)
     gamma = p.h * (two - beta)
     gamma_star = p.h_star * (two - beta)
@@ -940,13 +950,13 @@ def dqk_td_aw_closed_forms(p: DqkParams) -> TdAwScalars:
         two * p.h * p.h_star - (p.kappa + p.upsilon) * p.kappa_star)
     eta = p.kappa * p.upsilon * p.h_star * (beta * beta - 4) \
         + p.kappa * p.upsilon * p.kappa_star * (q + q.inverse()) \
-        * (q - q.inverse()) ** 2 * (q_pow(q, p.d + 1) + q_pow(q, -p.d - 1)) \
+        * (q - q.inverse()) ** 2 * (q ** (p.d + 1) + q ** (-p.d - 1)) \
         - p.h * (beta - two) * (p.h * p.h_star
                                 - (p.kappa + p.upsilon) * p.kappa_star)
     eta_star = p.h_star * (beta - two) * (
         (p.kappa + p.upsilon) * p.kappa_star - p.h * p.h_star)
     return TdAwScalars(beta, gamma, gamma_star, rho, rho_star,
-                       omega, eta, eta_star, p.d >= 3)
+                       omega, eta, eta_star)
 
 
 def verify_split_basis_is_y_eigenbasis(real: LeonardRealization,
@@ -962,16 +972,92 @@ def verify_split_basis_is_y_eigenbasis(real: LeonardRealization,
     cols = [ExactMatrix.from_rows([[1 if i == d - j else 0]
                                    for i in range(n)]) for j in range(n)]
     for j, u in enumerate(cols):
-        if (act.Y @ u).scale(es) != u.scale(q_pow(q, d - 2 * j)):
+        if (act.Y @ u).scale(es) != u.scale(q ** (d - 2 * j)):
             return False
-        zu = (act.Z @ u).scale(es) - u.scale(q_pow(q, 2 * j - d))
-        want = (cols[j + 1].scale(q_pow(q, -d) - q_pow(q, 2 * j + 2 - d))
+        zu = (act.Z @ u).scale(es) - u.scale(q ** (2 * j - d))
+        want = (cols[j + 1].scale(q ** -d - q ** (2 * j + 2 - d))
                 if j < d else ExactMatrix.zeros(n, 1))
         if zu != want:
             return False
-        xu = (act.X @ u).scale(es) - u.scale(q_pow(q, 2 * j - d))
-        want = (cols[j - 1].scale(q_pow(q, d) - q_pow(q, 2 * j - 2 - d))
+        xu = (act.X @ u).scale(es) - u.scale(q ** (2 * j - d))
+        want = (cols[j - 1].scale(q ** d - q ** (2 * j - 2 - d))
                 if j > 0 else ExactMatrix.zeros(n, 1))
         if xu != want:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The U_q(sl2) module L(d, eps)
+
+
+def bracket(q: ExactScalar, n: int) -> ExactScalar:
+    """[n]_q = (q^n - q^-n)/(q - q^-1)."""
+    return (q ** n - q ** -n) / (q - q.inverse())
+
+
+def build_Ld(d: int, eps: int, q: ExactScalar, basis: str = "kef") -> UqAction:
+    """The (d+1)-dimensional module L(d, eps) in a chosen basis."""
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1")
+    one = ExactScalar(1)
+    for i in range(1, d + 1):
+        if q ** (2 * i) == one:
+            raise ValueError(f"q^(2i) = 1 at i = {i}; module is reducible")
+    n = d + 1
+    es = ExactScalar(eps)
+    zeros = [0] * d
+    # es q^(2i - d), i = 0..d: the diagonal of k^-1, and reversed, of k
+    inv_weights = [es * q ** (2 * i - d) for i in range(n)]
+    weights = ExactMatrix.diag(inv_weights[::-1])
+    if basis == "kef":
+        f = ExactMatrix.tridiagonal([bracket(q, i + 1) for i in range(d)],
+                                    [0] * n, zeros)
+        e = ExactMatrix.tridiagonal(zeros, [0] * n,
+                                    [es * bracket(q, d - i) for i in range(d)])
+        kinv = ExactMatrix.diag(inv_weights)
+        x = ExactMatrix.combination(((1, kinv), (q - q.inverse(), f)))
+        y = ExactMatrix.combination(((1, kinv),
+                                     (-q * (q - q.inverse()), kinv @ e)))
+        act = UqAction(q, x, y, weights, kinv)
+        # x and y solve back to f and e: x - z^-1 = (q - q^-1) f, and
+        # 1 - z y = q (q - q^-1) e given k kinv = 1, which verify checks
+        act.verify()
+        return act
+    if basis not in ("x-eigen", "y-eigen", "z-eigen"):
+        raise ValueError(f"unknown basis {basis!r}")
+    raising = ExactMatrix.tridiagonal(
+        [es * (q ** -d - q ** (2 * i + 2 - d)) for i in range(d)],
+        inv_weights, zeros)
+    lowering = ExactMatrix.tridiagonal(
+        zeros, inv_weights,
+        [es * (q ** d - q ** (2 * i - d)) for i in range(d)])
+    if basis == "x-eigen":
+        x, y, z = weights, raising, lowering
+    elif basis == "y-eigen":
+        y, z, x = weights, raising, lowering
+    else:
+        z, x, y = weights, raising, lowering
+    act = UqAction(q, x, y, z, inverse(z))
+    act.verify()
+    check_sum_vector(act, d, eps, basis)
+    return act
+
+
+def check_sum_vector(act: UqAction, d: int, eps: int, basis: str):
+    """u = sum of the eigenbasis vectors satisfies the two companion
+    normalizations (e.g. eps y u = q^-d u and eps z u = q^d u for the
+    x-eigenbasis)."""
+    n = d + 1
+    u = ExactMatrix.from_rows([[1] for _ in range(n)])
+    es = ExactScalar(eps)
+    lo = act.q ** -d
+    hi = act.q ** d
+    pairs = {
+        "x-eigen": ((act.Y, lo), (act.Z, hi)),
+        "y-eigen": ((act.Z, lo), (act.X, hi)),
+        "z-eigen": ((act.X, lo), (act.Y, hi)),
+    }[basis]
+    for mat, val in pairs:
+        if (mat @ u).scale(es) != u.scale(val):
+            raise AssertionError("sum vector normalization fails")

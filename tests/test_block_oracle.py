@@ -344,10 +344,10 @@ def test_block_products_only_for_the_entry_tables(monkeypatch, capsys,
 
 
 def test_one_leonard_certificate_per_module(monkeypatch, capsys):
-    """`extract_module` certifies the Leonard system of each module, and
-    `leonard_from_tmodule` does not certify it again: one `verify --suite
-    modules` on D_4(2) calls `eigenbasis` once per component and
-    `certify_leonard_system` never."""
+    """Each module's Leonard system is certified by the certificate every
+    abstract array runs, once: one `verify --suite modules` on D_4(2)
+    calls `certify_leonard_system` once per component, which finds the two
+    eigenbases, and `terwilliger` finds none of its own."""
     from dualpolar import leonard
 
     g, _ = graph("D", 4, 2)
@@ -360,15 +360,15 @@ def test_one_leonard_certificate_per_module(monkeypatch, capsys):
             calls[name] += 1
             return real(*args)
         monkeypatch.setattr(module, name, counted)
-    for module in (terwilliger, leonard):
-        spy(module, "eigenbasis")
-    spy(leonard, "certify_leonard_system")
+    spy(leonard, "eigenbasis")
+    spy(terwilliger, "certify_leonard_system")
     report = verify(monkeypatch, capsys, g, 0, "ladder", "modules")
     assert report["summary"]["fail"] == 0
     modules = [c for c in report["checks"]
                if c["id"].startswith("modules:leonard:")]
     assert len(modules) == 6
-    assert calls == {"eigenbasis": 6, "certify_leonard_system": 0}
+    assert calls == {"eigenbasis": 12, "certify_leonard_system": 6}
+    assert "eigenbasis" not in vars(terwilliger)
 
 
 def test_two_step_products_formed_once(monkeypatch, capsys):

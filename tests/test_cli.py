@@ -524,6 +524,40 @@ def test_shifted_chi0_fails_modules_dimension(d32_file, capsys,
     assert err == ""
 
 
+@pytest.mark.parametrize("form,family,i", [
+    ("module_intersection", 0, 0),       # c_0, which the ladder never reads
+    ("module_intersection", 2, 3),       # b_3
+    ("module_dual_intersection", 0, 1),  # c*_1
+    ("module_dual_intersection", 2, 0),  # b*_0
+], ids=["c0", "b3", "cstar1", "bstar0"])
+def test_shifted_module_closed_form_fails_its_module(d32_file, capsys,
+                                                     monkeypatch, form,
+                                                     family, i):
+    """An entry of the paper's module intersection numbers moved by 1 on
+    W(0, 0, 3) fails modules:leonard:(0, 0, 3) alone, and the witness names
+    the family and the index; the entries moved here are not read by the
+    ladder matrices, so `decompose` still passes."""
+    from dualpolar import terwilliger
+
+    real = getattr(terwilliger, form)
+
+    def shifted(ctx, r, t, d):
+        out = [list(v) for v in real(ctx, r, t, d)]
+        if (r, t, d) == (0, 0, 3):
+            out[family][i] += 1
+        return tuple(out)
+
+    monkeypatch.setattr(terwilliger, form, shifted)
+    capsys.readouterr()
+    assert main(["verify", "--graph", d32_file, "--suite", "modules"]) == 1
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    failed = [cid for cid, c in checks.items() if c["status"] == "fail"]
+    assert failed == ["modules:leonard:(0, 0, 3)"]
+    name = ("c", "a", "b")[family] + ("*" if "dual" in form else "")
+    assert checks[failed[0]]["witness"] == \
+        f"{name}_{i}(W) of (0, 0, 3) disagrees with the closed form"
+
+
 def test_sampled_vertices_build_their_context(d32_file, capsys,
                                               monkeypatch):
     """Each sampled vertex is decomposed on its own context, checked by
@@ -973,11 +1007,16 @@ LEONARD_EXPLICIT = {
     (json.dumps({**LEONARD_ARRAY, **LEONARD_EXPLICIT, "h": "3"}),
      "'q' next to 'theta': give an explicit array or dual q-Krawtchouk "
      "parameters, not both"),
+    (json.dumps({**LEONARD_ARRAY, "kapa": "5"}), "unknown field 'kapa'"),
+    (json.dumps({"d": 7, "theta": ["1", "2", "4"],
+                 "theta_star": ["0", "1", "3"], "phi": ["1", "1"],
+                 "phi2": ["1", "1"]}),
+     "'d' is 7, but 'theta' has 3 entries"),
 ], ids=["list", "scalar-theta", "mixed-radicands", "q-zero", "d-float",
         "d-bool", "d-string", "d-negative", "theta-empty", "h-float",
         "kappa-float", "upsilon-bool", "q-integer", "h_star-word",
         "theta-integer-entry", "phi-float-entry", "explicit-with-q",
-        "both-forms-disagreeing"])
+        "both-forms-disagreeing", "unknown-field", "explicit-d-contradicts"])
 def test_malformed_parameter_array_is_input_error(tmp_path, capsys, content,
                                                   message):
     path = tmp_path / "array.json"

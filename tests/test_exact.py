@@ -12,7 +12,6 @@ from dualpolar.exact import (
     MixedRadicandError,
     join_rads,
     parse_scalar,
-    q_pow,
 )
 from dualpolar.leonard import pa_from_json, realize
 from dualpolar.linexact import ExactMatrix
@@ -94,21 +93,21 @@ def test_division_by_zero():
 
 def test_q_pow_sqrt2():
     q = ExactScalar.sqrt(2)
-    assert q_pow(q, 5) == ExactScalar(0, 4, 2)
-    assert q_pow(q, 0) == ExactScalar(1)
-    assert q_pow(q, -2) == ExactScalar(Fraction(1, 2))
+    assert q ** 5 == ExactScalar(0, 4, 2)
+    assert q ** 0 == ExactScalar(1)
+    assert q ** -2 == ExactScalar(Fraction(1, 2))
 
 
 def test_q_pow_rational():
     q = ExactScalar(2)
-    assert q_pow(q, -3) == ExactScalar(Fraction(1, 8))
+    assert q ** -3 == ExactScalar(Fraction(1, 8))
 
 
 def test_q_pow_additivity():
     for q in (ExactScalar.sqrt(2), ExactScalar(2), ExactScalar.sqrt(5)):
         for m in range(-30, 31, 7):
             for n in range(-30, 31, 11):
-                assert q_pow(q, m) * q_pow(q, n) == q_pow(q, m + n)
+                assert q ** m * q ** n == q ** (m + n)
 
 
 def test_square_factors_fold_out_of_the_radicand():
@@ -144,8 +143,8 @@ def test_radicand_above_the_limit_is_refused():
 def test_q_pow_of_a_folded_root(monkeypatch, b):
     """q = sqrt(b) with a square factor in b is s sqrt(f), and a rational s
     when b is a square; q ** n is exact on it and canonical, and it
-    multiplies no scalars: the closed form of `__pow__` is the one that
-    q_pow uses."""
+    multiplies no scalars: `__pow__` is the closed form, the one power
+    rule."""
     q = ExactScalar.sqrt(b)
     want = {n: Fraction(b) ** (n // 2) * (q if n % 2 else 1)
             for n in range(-9, 10)}
@@ -153,7 +152,7 @@ def test_q_pow_of_a_folded_root(monkeypatch, b):
     for n, value in want.items():
         got = q ** n
         _canonical(got)
-        assert got == value == q_pow(q, n)
+        assert got == value
 
 
 @pytest.mark.parametrize("text", ["0 + 1/2*sqrt(2)", "0 + -3/4*sqrt(6)",
@@ -327,8 +326,8 @@ def test_arithmetic_and_matrix_paths_build_no_fraction(fraction_calls):
     for s, t in ((x, y), (u, v), (x, u), (u, 2), (3, v)):
         s + t, s - t, s * t, s / t
     u.inverse(), x.inverse(), u ** -3, x ** 5, -u
-    u == v, x == k, x == 2, u == u, q_pow(u, -3), q_pow(x, 4)
-    q_pow(ExactScalar.sqrt(3), -5)
+    u == v, x == k, x == 2, u == u, u ** -3, x ** 4
+    ExactScalar.sqrt(3) ** -5
     m.scale(u), m.scale(x), m.entry(0, 0), m.entry(1, 0)
     ExactMatrix.from_rows([[u, v], [x, 0]]), ExactMatrix.diag([u, x, 1])
     ExactMatrix.combination([(u, arr), (x, arr), (2, arr)])

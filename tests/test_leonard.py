@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dualpolar.exact import ExactScalar, q_pow
+from dualpolar.exact import ExactScalar
 from dualpolar.leonard import (
     DqkParams,
     ParameterArray,
@@ -118,14 +118,14 @@ def test_d0_trivially_valid():
     assert v.valid and v.beta_plus_one is None
 
 
-@pytest.mark.parametrize("d", [0, 1])
-def test_td_aw_scalars_refuses_d_below_2(d):
-    """gamma and gamma* are read from the recurrence at 1 <= i < d, which
-    has no index for d < 2, even with beta supplied."""
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_td_aw_scalars_refuses_d_below_3(d):
+    """beta + 1 is the ratio of condition (v), which has no index for
+    d < 3: there beta is not unique, and no scalars are computed."""
     pa = dqk_array(DqkParams(ExactScalar(2), d, 0, 0, 1, 1, 3))
     with pytest.raises(ValueError, match=re.escape(
-            "the recurrences fix gamma and gamma* only for d >= 2")):
-        td_aw_scalars(pa, ExactScalar(Fraction(5, 2)))
+            "the recurrences fix the scalars only for d >= 3")):
+        td_aw_scalars(pa)
 
 
 def test_dual_eigenvalue_difference_identity(ref, ref_pa):
@@ -134,9 +134,9 @@ def test_dual_eigenvalue_difference_identity(ref, ref_pa):
     for i in range(d + 1):
         for j in range(d + 1):
             lhs = ref_pa.theta_star[i] - ref_pa.theta_star[j]
-            rhs = ref.kappa_star * q_pow(q, d) \
-                * (q_pow(q, -i) - q_pow(q, -j)) \
-                * (q_pow(q, -i) + q_pow(q, -j))
+            rhs = ref.kappa_star * q ** d \
+                * (q ** -i - q ** -j) \
+                * (q ** -i + q ** -j)
             assert lhs == rhs
 
 
@@ -223,7 +223,6 @@ def test_td_aw_scalars_reference(ref, ref_pa):
     for attr in ("beta", "gamma", "gamma_star", "rho", "rho_star", "omega",
                  "eta", "eta_star"):
         assert getattr(s, attr) == getattr(closed, attr), attr
-    assert s.unique
 
 
 def test_td_aw_matrix_identities(ref_pa):
@@ -290,15 +289,32 @@ def test_round_trip_all_d4_relatives(ref_pa):
 
 
 def test_json_round_trip(ref, ref_pa):
-    s = td_aw_scalars(ref_pa)
-    data = pa_to_json(ref_pa, s)
+    data = pa_to_json(ref_pa)
     assert data["d"] == 3
-    assert data["scalars"]["beta"] == "17/4"
+    assert list(data) == ["d", "theta", "theta_star", "phi", "phi2"]
     back = pa_from_json(data)
     assert back == ref_pa
     dqk_form = {"q": "2", "d": 3, "h": "0", "h_star": "0", "kappa": "1",
                 "kappa_star": "1", "upsilon": "3"}
     assert pa_from_json(dqk_form) == ref_pa
+
+
+@pytest.mark.parametrize("i,j,message", [
+    (1, 0, "split action is not scalar"),
+    (2, 2, "split action is not scalar"),
+    (3, 3, "the last split vector is not in E_d V"),
+])
+def test_split_sequence_refuses_an_uncertified_pair(ref_pa, i, j, message):
+    """`extract_parameter_array` checks each step of its recurrence: with
+    entry (i, j) of the split A moved by 1, a pair that
+    `certify_leonard_system` would refuse, a step fails."""
+    real = realize(ref_pa, "split")
+    moved = ExactMatrix.from_rows([[int((a, b) == (i, j)) for b in range(4)]
+                                   for a in range(4)])
+    u0 = real.eig_star.V.submatrix(range(4), [0])
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        extract_parameter_array(real.A + moved, real.Astar, u0,
+                                ref_pa.theta, ref_pa.theta_star)
 
 
 def test_graph_module_leonard_bridge(ctx_c32, comps_c32):
@@ -307,8 +323,8 @@ def test_graph_module_leonard_bridge(ctx_c32, comps_c32):
 
     ctx = ctx_c32
     primary = [c for c in comps_c32 if c.triple == (0, 0, 3)][0]
-    rec = extract_module(ctx, primary)
-    pa, params = leonard_from_tmodule(ctx, rec)
+    pa = extract_module(ctx, primary)
+    params = leonard_from_tmodule(ctx, primary.triple, pa)
     assert params.h == ExactScalar(-1)
     assert params.h_star == ExactScalar(-10)
     assert params.kappa == ExactScalar(0, 4, 2)  # 4 sqrt(2) = q^5
@@ -317,8 +333,8 @@ def test_graph_module_leonard_bridge(ctx_c32, comps_c32):
     assert pa.phi[0] == ExactScalar(-315)
     # sanity: h + kappa q^d + upsilon q^-d = theta_0 = 14
     q = ctx.q
-    assert params.h + params.kappa * q_pow(q, 3) \
-        + params.upsilon * q_pow(q, -3) == ExactScalar(14)
+    assert params.h + params.kappa * q ** 3 \
+        + params.upsilon * q ** -3 == ExactScalar(14)
     # the graph intersection numbers coincide with the system's for the
     # primary module
     c, a, b, *_ = intersection_data(pa)

@@ -240,7 +240,7 @@ def test_triangular_inverse_matches_int_inverse(seed, monkeypatch):
     if seed % 3 == 0:  # bidiagonal
         a = np.triu(np.tril(a, 1), -1)
     np.fill_diagonal(a, np.where(np.diag(a) == 0, 1, np.diag(a)))
-    m = ExactMatrix.from_int(a, den=int(rng.integers(1, 50)))
+    m = ExactMatrix(a, None, int(rng.integers(1, 50)))
     want = _int_inverse_oracle(m)
     calls = []
     real = intlinalg.int_rref
@@ -312,7 +312,7 @@ def test_rref_canonical_under_row_scaling():
 
 def test_zero_product_with_den_above_int64():
     # The gcd of an all-zero numerator and its denominator 3^82 > 2^63.
-    a = ExactMatrix.from_int([[0, 1], [0, 0]], den=3 ** 41)
+    a = ExactMatrix(np.array([[0, 1], [0, 0]]), None, 3 ** 41)
     assert a @ a == ExactMatrix.zeros(2, 2)
 
 
@@ -500,6 +500,6 @@ def test_int64_downcast_after_a_big_entry_cancels():
     huge = ExactMatrix(np.array([[big, 1, 0], [0, 1, 0], [0, 0, 1]],
                                 dtype=object), None, 3)
     assert huge.n0.dtype == object
-    small = huge - ExactMatrix.from_int([[big, 0, 0], [0, 0, 0], [0, 0, 0]],
-                                        den=3)
+    small = huge - ExactMatrix(np.array([[big, 0, 0], [0, 0, 0], [0, 0, 0]],
+                                        dtype=object), None, 3)
     assert small.n0.dtype == np.int64

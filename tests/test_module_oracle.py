@@ -11,7 +11,9 @@ vectors; theirs are the oracle's kernel on the top block
 (`dense_oracle.component_rungs`).
 
 `extract_module` reads each module's Leonard system off the ladder too; its
-oracle is the dense extraction from E_i, E*_i, A and A* on n-wide vectors."""
+oracle is the dense extraction from E_i, E*_i, A and A* on n-wide vectors,
+whose entries must be the intersection numbers of the array read off the
+ladder."""
 
 import functools
 import re
@@ -22,7 +24,7 @@ import pytest
 
 from dualpolar.drg import spectral_data, verify_distance_regular
 from dualpolar.exact import ExactScalar
-from dualpolar.leonard import leonard_from_tmodule
+from dualpolar.leonard import intersection_data, leonard_from_tmodule
 from dualpolar.linexact import ExactMatrix, inverse, rref
 from dualpolar.polar import FormSpec, PolarGraph, build_polar_graph
 from dualpolar import terwilliger
@@ -224,19 +226,18 @@ def test_flipped_adjacency_bit_in_a_block_is_refused(ctx_d32_base0):
 
 @pytest.mark.parametrize("family,D,b,bases", ORACLE_CASES)
 def test_ladder_module_matches_dense_extraction(family, D, b, bases):
+    """A on the dense standard basis and A* on the dense dual standard
+    basis have the intersection numbers of the array read off the ladder:
+    (c_i, a_i, b_i) and (c*_i, a*_i, b*_i) as entries (i, i-1), (i, i),
+    (i, i+1)."""
     for x in bases:
         ctx, comps = decomposed(family, D, b, x)
         E = idempotents(ctx.g, ctx.bm.theta)
         for c in comps:
-            rec = extract_module(ctx, c)
+            data = tuple(intersection_data(extract_module(ctx, c)))
             astar_rep, a_rep = dense_extract(ctx, E, c)
-            assert rec.astar_dual_rep == astar_rep, c.triple
-            assert rec.a_std_rep == a_rep, c.triple
-            for families, dense in (((rec.cstar, rec.astar, rec.bstar),
-                                     astar_rep),
-                                    ((rec.c, rec.a, rec.b), a_rep)):
-                assert tuple([ExactScalar(v) for v in f] for f in families) \
-                    == tridiagonal_families(dense), c.triple
+            assert tridiagonal_families(a_rep) == data[:3], c.triple
+            assert tridiagonal_families(astar_rep) == data[3:], c.triple
 
 
 @pytest.mark.parametrize("triple,i", [((0, 0, 3), 1), ((2, 1, 1), 0)])
@@ -252,27 +253,27 @@ def test_perturbed_dual_intersection_is_refused(monkeypatch, triple, i):
         return cs, as_, bs
     monkeypatch.setattr(terwilliger, "module_dual_intersection", patched)
     with pytest.raises(AssertionError,
-                       match=re.escape(f"a*_{i}(W) disagrees with the "
-                                       "closed form, in A* on the dual "
-                                       f"standard basis of {triple}")):
+                       match=re.escape(f"a*_{i}(W) of {triple} disagrees "
+                                       "with the closed form")):
         extract_module(ctx, comp)
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
 def test_moved_standard_subdiagonal_is_refused(i):
-    """The split sequences are read on `a_std_rep`: a record whose entry
-    (i, i - 1) of A on the standard basis is moved by 1 has no split
-    decomposition for the module's eigenvalues."""
+    """The split sequences are read on the ladder A, which is A on the
+    standard basis up to a diagonal change of basis: with its entry
+    (i, i - 1) moved by 1, A loses the module's eigenvalues."""
     ctx, comps = decomposed("D", 3, 2, 0)
     comp = next(c for c in comps if c.triple == (0, 0, 3))
-    rec = extract_module(ctx, comp)
-    leonard_from_tmodule(ctx, rec)  # passes unperturbed
-    rows = [[rec.a_std_rep.entry(a, b) for b in range(4)] for a in range(4)]
-    rows[i][i - 1] += 1
-    with pytest.raises(AssertionError, match="split action is not scalar|"
-                       "the last split vector is not in E_d V"):
-        leonard_from_tmodule(ctx, replace(
-            rec, a_std_rep=ExactMatrix.from_rows(rows)))
+    leonard_from_tmodule(ctx, comp.triple,
+                         extract_module(ctx, comp))  # passes unperturbed
+    moved = ExactMatrix.from_rows([[1 if (a, b) == (i, i - 1) else 0
+                                    for b in range(4)] for a in range(4)])
+    comp = replace(comp, action=replace(comp.action,
+                                        R=comp.action.R + moved))
+    with pytest.raises(AssertionError,
+                       match=re.escape("eigenvalue list disagrees with A")):
+        extract_module(ctx, comp)
 
 
 class Untouchable:
@@ -297,10 +298,7 @@ def test_module_extraction_reads_no_n_by_n_matrix():
         assert not any(isinstance(v, ExactMatrix) for v in vars(held).values())
     for c in comps:
         want = extract_module(ctx, c)
-        rec = extract_module(blind, c)
-        assert (rec.astar_dual_rep, rec.a_std_rep) \
-            == (want.astar_dual_rep, want.a_std_rep)
-        assert replace(rec, astar_dual_rep=None, a_std_rep=None) \
-            == replace(want, astar_dual_rep=None, a_std_rep=None)
-        assert leonard_from_tmodule(blind, rec) \
-            == leonard_from_tmodule(ctx, want)
+        pa = extract_module(blind, c)
+        assert pa == want
+        assert leonard_from_tmodule(blind, c.triple, pa) \
+            == leonard_from_tmodule(ctx, c.triple, want)

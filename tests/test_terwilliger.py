@@ -14,6 +14,7 @@ import pytest
 from dualpolar.drg import b_pow, closed_form_intersection, td_scalars
 from dualpolar.exact import ExactScalar
 from dualpolar.intarith import int_matmul
+from dualpolar.leonard import intersection_data
 from dualpolar.drg import spectral_data, verify_distance_regular
 from dualpolar.linexact import ExactMatrix, kernel
 from dualpolar import intlinalg, terwilliger
@@ -649,57 +650,64 @@ def test_aw_scalar_action(ctx_c32, comps_c32, tables_c32):
 
 def test_extract_module_primary(ctx_c32, comps_c32):
     primary = [c for c in comps_c32 if c.triple == (0, 0, 3)][0]
-    rec = extract_module(ctx_c32, primary)
-    assert rec.c == [0, 1, 3, 7]
-    assert rec.b == [14, 12, 8, 0]
-    assert rec.a == [0, 1, 3, 7]
-    assert all(ci + ai + bi == 14 for ci, ai, bi in zip(rec.c, rec.a, rec.b))
+    c, a, b, cs, as_, bs = (
+        [x.as_fraction() for x in f]
+        for f in intersection_data(extract_module(ctx_c32, primary)))
+    assert c == [0, 1, 3, 7]
+    assert b == [14, 12, 8, 0]
+    assert a == [0, 1, 3, 7]
+    assert all(ci + ai + bi == 14 for ci, ai, bi in zip(c, a, b))
     # a*_0(W) = theta*_0 - b*_0(W)
-    assert rec.astar[0] == ctx_c32.bm.theta_star[0] - rec.bstar[0]
+    assert as_[0] == ctx_c32.bm.theta_star[0] - bs[0]
 
 
 def test_extract_module_diameter_zero(ctx_c32, comps_c32):
     comp = [c for c in comps_c32 if c.d == 0][0]
-    rec = extract_module(ctx_c32, comp)
+    pa = extract_module(ctx_c32, comp)
     r, t = comp.r, comp.t
-    assert rec.a_std_rep.entry(0, 0) == ExactScalar(ctx_c32.bm.theta[t])
-    assert rec.astar_dual_rep.entry(0, 0) == ExactScalar(
-        ctx_c32.bm.theta_star[r])
+    assert pa.theta == (ExactScalar(ctx_c32.bm.theta[t]),)
+    assert pa.theta_star == (ExactScalar(ctx_c32.bm.theta_star[r]),)
+    _, a, _, _, as_, _ = intersection_data(pa)
+    assert (a, as_) == (list(pa.theta), list(pa.theta_star))
 
 
 def test_extract_module_refuses_a_moved_ladder(ctx_c32, comps_c32):
-    """A* moved by 1 on rung 0 of a W(r, t, 1): its dual standard
-    representation keeps the tridiagonal pattern, and its row sums leave
-    theta*_r."""
+    """A* moved by 1 on rung 0 of a W(r, t, 1) no longer has the
+    eigenvalue theta*_r on its diagonal."""
     comp = next(c for c in comps_c32 if c.d == 1)
     moved = replace(comp, action=replace(
         comp.action, Astar=comp.action.Astar + ExactMatrix.diag([1, 0])))
+    theta_star_r = ExactScalar(ctx_c32.bm.theta_star[comp.r])
     with pytest.raises(AssertionError, match=re.escape(
-            f"row sums of A* on the dual standard basis of {comp.triple} "
-            "differ from ")):
+            f"{theta_star_r.render()} is not on the diagonal")):
         extract_module(ctx_c32, moved)
 
 
 def test_extract_module_refuses_a_vanishing_basis_vector(ctx_d32):
     """A ladder matrix with the eigenvalues 7, 2, -2 of W(0, 0, 2) on
     D_3(2), but an eigenvector (1, 0, -1) for 7 (so with -46 b_0 c_1 < 0):
-    the standard basis vector E*_1 E_0 v_0 vanishes."""
+    the standard basis vector E*_1 E_0 v_0 vanishes.  In a Leonard system
+    no E*_i E_0 is zero, and the certificate refuses this one by its
+    pattern: E_0 A* E_2 is not zero."""
     assert [ctx_d32.bm.theta[i] for i in range(3)] == [7, 2, -2]
     A = ExactMatrix.from_rows([[7, -46, 0], [1, -7, 1], [0, 1, 7]])
     comp = SimpleNamespace(triple=(0, 0, 2), action=SimpleNamespace(
         A=A, Astar=ExactMatrix.diag(ctx_d32.bm.theta_star[:3])))
-    with pytest.raises(AssertionError,
-                       match="a basis vector of \\(0, 0, 2\\) vanishes"):
+    with pytest.raises(AssertionError, match=re.escape(
+            "E_0 A* E_2 should vanish in an irreducible tridiagonal "
+            "pattern")):
         extract_module(ctx_d32, comp)
 
 
 def test_all_modules_extract(ctx_d32, comps_d32):
-    # extract_module verifies tridiagonal shape, row sums and all six
-    # closed-form entry families internally, on (d+1) x (d+1) matrices
+    # extract_module certifies the Leonard system and compares all six
+    # intersection number families with their closed forms, on (d+1) x
+    # (d+1) matrices
     for c in sorted(comps_d32, key=lambda c: c.triple):
-        rec = extract_module(ctx_d32, c)
-        assert rec.astar_dual_rep.shape == (c.d + 1, c.d + 1)
-        assert rec.a_std_rep.shape == (c.d + 1, c.d + 1)
+        pa = extract_module(ctx_d32, c)
+        assert pa.d == c.d
+        assert pa.theta == tuple(ExactScalar(ctx_d32.bm.theta[c.t + i])
+                                 for i in range(c.d + 1))
 
 
 def test_base_vertex_independence_small(graph_d32, bm_d32, comps_d32):

@@ -8,15 +8,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from dualpolar.exact import ExactScalar, q_pow
+from dualpolar.exact import ExactScalar
 from dualpolar.leonard import DqkParams, dqk_array, realize
-from dualpolar.linexact import ExactMatrix, spectral_projectors
+from dualpolar.linexact import ExactMatrix, inverse, spectral_projectors
 from dualpolar.terwilliger import ladder_action
 from dualpolar.uqsl2 import (
     UqAction,
-    _check_sum_vector,
-    bracket,
-    build_Ld,
     casimir_scalar,
     dpg_uq_params,
     uq_on_leonard,
@@ -25,7 +22,12 @@ from dualpolar.uqsl2 import (
     verify_cross_variant_standard,
 )
 
-from dense_oracle import verify_split_basis_is_y_eigenbasis
+from dense_oracle import (
+    bracket,
+    build_Ld,
+    check_sum_vector,
+    verify_split_basis_is_y_eigenbasis,
+)
 
 QS = {"2": ExactScalar(2), "sqrt2": ExactScalar.sqrt(2),
       "sqrt3": ExactScalar.sqrt(3)}
@@ -64,7 +66,7 @@ def test_build_Ld_is_L_d_eps(qname, eps, basis, d):
     assert act.dim == d + 1
     for name, resid in chevalley_residuals(act):
         assert resid.is_zero(), name
-    weights = [ExactScalar(eps) * q_pow(q, d - 2 * i) for i in range(d + 1)]
+    weights = [ExactScalar(eps) * q ** (d - 2 * i) for i in range(d + 1)]
     projs = spectral_projectors(act.k, weights)
     assert all(sum((p.entry(i, i) for i in range(d + 1)), ExactScalar(0))
                == ExactScalar(1) for p in projs)
@@ -135,11 +137,11 @@ def test_sum_vector_refuses_another_eigenbasis():
     """The sum of the x-eigenbasis vectors is normalized for y and z, not
     for the companions of the y-eigenbasis, nor for the other eps."""
     act = build_Ld(3, 1, QS["sqrt2"], "x-eigen")
-    _check_sum_vector(act, 3, 1, "x-eigen")
+    check_sum_vector(act, 3, 1, "x-eigen")
     for eps, basis in ((1, "y-eigen"), (-1, "x-eigen")):
         with pytest.raises(AssertionError,
                            match="sum vector normalization fails"):
-            _check_sum_vector(act, 3, eps, basis)
+            check_sum_vector(act, 3, eps, basis)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -254,7 +256,7 @@ def test_perturbed_generator_fails_its_relations(which):
     mats = {"X": good.X, "Y": good.Y, "Z": good.Z}
     mats[which] = mats[which] + ExactMatrix.diag([0, 0, 0, 1])
     bad = UqAction(q, mats["X"], mats["Y"], mats["Z"],
-                   None if which == "Z" else good.Zinv)
+                   inverse(mats["Z"]) if which == "Z" else good.Zinv)
     with pytest.raises(AssertionError, match="defining relation .* fails"):
         bad.verify()
     assert (bad.e, bad.f) != (good.e, good.f)
