@@ -7,7 +7,7 @@
 
 `build` writes the graph file, whose fields are family, D, b and the vertex
 list, and prints the vertex count, valency and diameter; it forms no n x n
-array.  `verify` computes the codim matrix from the vertices on load.
+array.  `verify` computes the adjacency from the vertices on load.
 Reports are JSON on stdout: {"version", "input", "checks": [...],
 "summary": {...}}.  Each check carries a self-contained statement of the
 identity tested.  Exit codes: 0 all pass, 1 a check failed, 2 input error
@@ -275,7 +275,7 @@ def cmd_verify(args) -> int:
         g = load_graph(args.graph)
     except KeyError as exc:
         raise InputError(f"cannot load graph: missing field {exc}") from exc
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
         raise InputError(f"cannot load graph: {exc}") from exc
     if not 0 <= args.base_vertex < g.n_vertices:
         raise InputError(f"--base-vertex {args.base_vertex} is not a vertex; "
@@ -343,7 +343,8 @@ def cmd_leonard(args) -> int:
     except KeyError as exc:
         raise InputError(f"cannot load parameter array: missing field {exc}"
                          ) from exc
-    except (OSError, ValueError, TypeError, ArithmeticError) as exc:
+    except (OSError, ValueError, TypeError, ArithmeticError,
+            RecursionError) as exc:
         raise InputError(f"cannot load parameter array: {exc}") from exc
     meta = {"params": args.params, "d": pa.d, "actions": actions}
     report = Report(meta)

@@ -3,9 +3,9 @@
 verify_distance_regular certifies distance-regularity by its definition:
 for every pair (y, z) at distance l, the numbers c_l, a_l, b_l of
 neighbours of z at distance l - 1, l, l + 1 from y are constant.  They are
-M_(l-1), M_l, M_(l+1) on those pairs, for the D + 1 products M_h = A_h A.
-The same numbers prove that g.dist (for a dual polar graph, the codim
-matrix D - dim(y intersect z)) is the path metric; no other check does.
+M_(l-1), M_l, M_(l+1) on those pairs, for the D + 1 products M_h = A_h A,
+and the same products grow the distances by breadth-first search: the
+graph stores its adjacency only.
 
 The Bose-Mesner algebra is then held by scalars (Brouwer, Cohen, Neumaier,
 Distance-Regular Graphs, 1989, sections 4.1 and 9.4): A_h = v_h(A) with
@@ -42,12 +42,12 @@ class NotDistanceRegularError(ValueError):
         )
 
 
-class NotPathMetricError(ValueError):
-    """g.dist is not the path metric of g.adjacency, at the witness pair."""
+class NotConnectedError(ValueError):
+    """No path joins the witness pair."""
 
-    def __init__(self, y, z, message):
+    def __init__(self, y, z):
         self.witness = (y, z)
-        super().__init__(message)
+        super().__init__(f"no path joins vertices {y} and {z}")
 
 
 @dataclass(frozen=True)
@@ -62,64 +62,60 @@ class IntersectionData:
         return self.b[0]
 
 
+def distance_layers(adj: np.ndarray, x: int, steps: int):
+    """The vertices at distance 0, 1, ..., steps from x, each layer sorted,
+    by breadth-first search on the rows of the 0/1 adjacency adj, and the
+    mask of the vertices in them."""
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[x] = True
+    layers = [np.array([x])]
+    for _ in range(steps):
+        grown = adj[layers[-1]].any(0) & ~seen
+        seen |= grown
+        layers.append(np.flatnonzero(grown))
+    return layers, seen
+
+
 def verify_distance_regular(g) -> IntersectionData:
-    """The intersection numbers of the graph on g.adjacency, once g.dist is
-    proven to be its path metric; else NotPathMetricError or
-    NotDistanceRegularError with a witness pair.
+    """The intersection numbers of the graph on g.adjacency; else
+    NotDistanceRegularError or NotConnectedError with a witness pair.
 
-    With f = g.dist, D = max f and M_h[y, z] = |{w ~ z : f(y, w) = h}|:
-    (1) f is 0 exactly on the diagonal and never negative;
-    (2) every value 0, ..., D occurs;
-    (3) M_(l-1), M_l, M_(l+1) are constant, c_l, a_l, b_l, on the pairs
-        at each f = l;
-    (4) c_l + a_l + b_l is the degree of z there: every neighbour w of z
-        has |f(y, w) - f(y, z)| <= 1;
-    (5) c_l >= 1 for 1 <= l <= D.
-    Then f is the path metric d (Brouwer, Cohen, Neumaier, Distance-Regular
-    Graphs, 1989, section 4.1): by (5) a walk from z that lowers f(y, .)
-    by one at each step reaches y, the one zero of f(y, .) by (1), in
-    f(y, z) steps, so the graph is connected and d <= f; by (4) f(y, .)
-    grows by at most one per step of a shortest path from y, so f <= d.
-    (3) is then distance-regularity; (2) leaves no class empty.
-    """
-    dist, adj = g.dist, g.adjacency
-    n, D, deg = len(dist), int(dist.max()), adj.sum(0)
-    classes = [dist == h for h in range(D + 1)]
-
-    def refuse(mask, why):
-        """NotPathMetricError at the first pair of mask, if it has one."""
-        if mask.any():
-            y, z = divmod(int(mask.argmax()), n)
-            raise NotPathMetricError(y, z, f"pair ({y},{z}) at distance "
-                                     f"{dist[y, z]}: {why(y, z)}")
-
-    refuse((classes[0] != np.eye(n, dtype=bool)) | (dist < 0),
-           lambda y, z: "a metric is 0 on the diagonal only, never negative")
-    for l in range(1, D):
-        if not classes[l].any():
-            refuse(dist > l, lambda y, z: f"no pair is at distance {l}")
+    With A_h the pairs at distance h, M_h = A_h A counts the neighbours of
+    z at distance h from y.  A neighbour of a vertex at distance h lies at
+    h - 1, h or h + 1, so class h + 1 is where M_h > 0, less classes h - 1
+    and h, and M_h read on classes h - 1, h, h + 1 is b_(h-1), a_h,
+    c_(h+1), each of which must be constant.  The search ends at the first
+    empty class, D + 1, after D + 1 products.  The adjacency is symmetric,
+    so the graph is connected when the search from vertex 0 reaches every
+    vertex; else 0 and a vertex it misses are a pair no path joins."""
+    adj = g.adjacency
+    n = len(adj)
+    near = [np.eye(n, dtype=bool)]  # classes h - 1 (once h > 0) and h
     counts = {}  # (l, h): |G_h(y) ^ G_1(z)| for the pairs at distance l
-    for h in range(D + 1):
-        prod = int_matmul(classes[h], adj)
-        for l in range(max(h - 1, 0), min(h + 1, D) + 1):
-            vals = prod[classes[l]]
-            v0 = int(vals[0])
-            if (vals != v0).any():
-                ys, zs = np.nonzero(classes[l] & (prod != v0))
-                y, z = int(ys[0]), int(zs[0])
-                raise NotDistanceRegularError(l, h, 1, y, z, v0,
-                                              int(prod[y, z]))
-            counts[l, h] = v0
-        del prod, vals  # one product alive at a time: they set the peak
+    for h in range(n):
+        prod = int_matmul(near[-1], adj)
+        grown = prod > 0
+        for mask in near:
+            grown &= ~mask
+        for l, mask in enumerate((*near, grown), h + 1 - len(near)):
+            if mask.any():
+                v0 = int(prod.flat[mask.argmax()])
+                off = mask & (prod != v0)
+                if off.any():
+                    y, z = divmod(int(off.argmax()), n)
+                    raise NotDistanceRegularError(l, h, 1, y, z, v0,
+                                                  int(prod[y, z]))
+                counts[l, h] = v0
+        del prod, off  # one product alive at a time: they set the peak
+        if not grown.any():
+            break
+        near = [near[-1], grown]
+    D = h
+    _, seen = distance_layers(adj, 0, D)
+    if not seen.all():
+        raise NotConnectedError(0, int(seen.argmin()))
     c, a, b = (tuple(counts.get((i, i + s), 0) for i in range(D + 1))
                for s in (-1, 0, 1))
-    for l in range(D + 1):
-        near = c[l] + a[l] + b[l]
-        refuse(classes[l] & (deg != near), lambda y, z: f"only {near} of "
-               f"the {deg[z]} neighbours of {z} are within one step")
-        if l and not c[l]:
-            refuse(classes[l], lambda y, z: f"no neighbour of {z} is at "
-                   f"distance {l - 1} from {y}")
     return IntersectionData(D, c, a, b)
 
 

@@ -381,12 +381,17 @@ def _tau(th, i, x: ExactScalar) -> ExactScalar:
     return out
 
 
-def _eta(th, i, x: ExactScalar) -> ExactScalar:
-    d = len(th) - 1
-    out = ExactScalar(1)
-    for h in range(i):
-        out = out * (x - th[d - h])
-    return out
+def _intersection_numbers(seq, phi, phi2, top):
+    """(c, a, b) read off phi and phi2 along the eigenvalue sequence seq:
+    b_i = phi_(i+1) tau_i(s_i) / tau_(i+1)(s_(i+1)), c_i = phi2_i
+    eta_(d-i)(s_i) / eta_(d-i+1)(s_(i-1)), where eta is the tau of the
+    reversed sequence, and a_i = top - b_i - c_i."""
+    d, rev, zero = len(seq) - 1, seq[::-1], ExactScalar(0)
+    b = [phi[i] * _tau(seq, i, seq[i]) / _tau(seq, i + 1, seq[i + 1])
+         for i in range(d)] + [zero]
+    c = [zero] + [phi2[i - 1] * _tau(rev, d - i, seq[i])
+                  / _tau(rev, d - i + 1, seq[i - 1]) for i in range(1, d + 1)]
+    return c, [top - bi - ci for bi, ci in zip(b, c)], b
 
 
 def intersection_data(pa: ParameterArray):
@@ -402,27 +407,12 @@ def intersection_data(pa: ParameterArray):
     parameter array of a Leonard system (Terwilliger, LAA 330, 2001), where
     both are theorems (Terwilliger, *Leonard pairs from 24 points of
     view*, 2002).  At i = 0 the two are even the same expression, as
-    c_0 = 0 and b_0 = phi_1 / (theta*_1 - theta*_0)."""
-    d = pa.d
+    c_0 = 0 and b_0 = phi_1 / (theta*_1 - theta*_0).  The starred numbers
+    are the same reading of the dual system, whose array swaps theta and
+    theta* and reverses phi2."""
     th, ths, phi, phi2 = pa.theta, pa.theta_star, pa.phi, pa.phi2
-    zero = ExactScalar(0)
-    b = [zero] * (d + 1)
-    c = [zero] * (d + 1)
-    for i in range(d):
-        b[i] = phi[i] * _tau(ths, i, ths[i]) / _tau(ths, i + 1, ths[i + 1])
-    for i in range(1, d + 1):
-        c[i] = phi2[i - 1] * _eta(ths, d - i, ths[i]) / _eta(ths, d - i + 1,
-                                                            ths[i - 1])
-    a = [th[0] - b[i] - c[i] for i in range(d + 1)]
-    bs = [zero] * (d + 1)
-    cs = [zero] * (d + 1)
-    for i in range(d):
-        bs[i] = phi[i] * _tau(th, i, th[i]) / _tau(th, i + 1, th[i + 1])
-    for i in range(1, d + 1):
-        cs[i] = phi2[d - i] * _eta(th, d - i, th[i]) / _eta(th, d - i + 1,
-                                                            th[i - 1])
-    astar = [ths[0] - bs[i] - cs[i] for i in range(d + 1)]
-    return c, a, b, cs, astar, bs
+    return (*_intersection_numbers(ths, phi, phi2, th[0]),
+            *_intersection_numbers(th, phi, phi2[::-1], ths[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ isotropic (for quadratic forms: totally singular) subspaces, which all have
 dimension D; vertices are adjacent when they meet in dimension D - 1, and
 the graph distance of y, z equals D - dim(y intersect z).  A graph file
 holds the vertices alone: its fields are family, D, b and the vertex list.
-Every load computes the codim matrix from them and keeps it as the graph's
-distances, with codim == 1 as its adjacency; `drg.verify_distance_regular`
-proves it is the path metric, from the same products that certify
+Every load computes the adjacency from them, and it is the one n x n array
+of the graph: `drg.verify_distance_regular` grows the distance classes from
+it by breadth-first search, in the same products that certify
 distance-regularity.  `build` forms no n x n array: it writes the vertex
 list and reads the valency and diameter it reports from the codim row of
 vertex 0.
@@ -41,11 +41,12 @@ rows and the lead-column condition, and `np.nonzero` of it lists every
 (k+1)-space exactly once.  The same pairings, on all rows at once, check
 that each vertex is totally isotropic.  A vertex is the set of its
 (b^D - 1)/(b - 1) points, and |y intersect z| = (b^d - 1)/(b - 1) with
-d = dim(y intersect z).  The codim matrix comes from the vertex x point
-incidence I, as (I I^T)_yz = |y intersect z|.  That product runs on float32
-BLAS and is exact, because every entry and every partial sum is a count of
-at most P points, and P < 2^24 (see `intarith.int_matmul`).  One codim row
-counts the points of each vertex that lie in one vertex, with no product.
+d = dim(y intersect z).  The adjacency comes from the vertex x point
+incidence I, as (I I^T)_yz = |y intersect z|: y ~ z when the count is
+(b^(D-1) - 1)/(b - 1).  That product runs on float32 BLAS and is exact,
+because every entry and every partial sum is a count of at most P points,
+and P < 2^24 (see `intarith.int_matmul`).  One codim row counts the points
+of each vertex that lie in one vertex, with no product.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ class FormSpec:
     _forms = cached_property(_form_matrices)
     gram = property(lambda self: self._forms[0])
     quad = property(lambda self: self._forms[1])
-    # one point table per form, for enumeration and the codim matrix alike
+    # one point table per form, for enumeration and the adjacency alike
     points = cached_property(lambda self: _PointTable(self))
 
     def __repr__(self):
@@ -331,16 +332,14 @@ def enumerate_maximal_isotropic(spec: FormSpec, budget: int = 100_000):
 
 
 class PolarGraph:
-    """Dual polar graph: vertices, adjacency (codim == 1) and the codim
-    matrix D - dim(y intersect z) as distances, which
-    `drg.verify_distance_regular` proves to be the path metric."""
+    """Dual polar graph: its vertices and its adjacency, y ~ z when they
+    meet in dimension D - 1.  No distances are stored; they are grown from
+    the adjacency where they are needed."""
 
-    def __init__(self, spec: FormSpec, vertices, adjacency: np.ndarray,
-                 dist: np.ndarray):
+    def __init__(self, spec: FormSpec, vertices, adjacency: np.ndarray):
         self.spec = spec
         self.vertices = vertices
         self.adjacency = adjacency
-        self.dist = dist
 
     @property
     def n_vertices(self) -> int:
@@ -387,29 +386,24 @@ def first_codim_row(spec: FormSpec, verts) -> np.ndarray:
     return _codim_of_meets(spec, in_first[pts].sum(1))
 
 
-def _codim_matrix(spec: FormSpec, verts) -> np.ndarray:
-    """D - dim(y intersect z) for all vertex pairs, from one exact product:
-    with I the vertex x point incidence, (I I^T)_yz = |y intersect z| is
-    (b^d - 1)/(b - 1), d = dim(y intersect z)."""
+def _certified_graph(spec: FormSpec, verts) -> PolarGraph:
+    """The graph on verts, from one exact product: with I the vertex x
+    point incidence, (I I^T)_yz = |y intersect z| is (b^d - 1)/(b - 1),
+    d = dim(y intersect z), and y ~ z when d = D - 1.  A count of
+    (b^D - 1)/(b - 1) off the diagonal is a pair of twins, refused."""
+    b, D = spec.b, spec.D
     pts = _vertex_points(spec, verts)
     inc = np.zeros((len(verts), len(spec.points.vecs)), dtype=np.uint8)
     inc[np.arange(len(verts))[:, None], pts] = 1
     # every entry counts points, at most P < 2^24: the float32 tier is exact
-    codim = _codim_of_meets(spec, int_matmul(inc, inc.T))
-    # codim is 0 on the diagonal; a zero off it is a pair of twins, which
-    # is located only when the count of zeros says there is one
-    if codim.size - np.count_nonzero(codim) != len(verts):
-        i, j = np.argwhere(np.triu(codim == 0, 1))[0]
+    meet = int_matmul(inc, inc.T)
+    full = (b ** D - 1) // (b - 1)  # the count of a vertex with itself
+    # twins are located only when the count of full meets says there are any
+    if np.count_nonzero(meet == full) != len(verts):
+        i, j = np.argwhere(np.triu(meet == full, 1))[0]
         raise ValueError(f"vertices {i} and {j} are the same subspace")
-    return codim
-
-
-def _certified_graph(spec: FormSpec, verts) -> PolarGraph:
-    """The graph on verts with the codim matrix as its distances and
-    codim == 1 as its adjacency.  `drg.verify_distance_regular` proves
-    that codim is the path metric."""
-    codim = _codim_matrix(spec, verts)
-    return PolarGraph(spec, verts, (codim == 1).astype(np.uint8), codim)
+    adjacency = (meet == (b ** (D - 1) - 1) // (b - 1)).astype(np.uint8)
+    return PolarGraph(spec, verts, adjacency)
 
 
 def build_polar_graph(spec: FormSpec, budget: int = 100_000) -> PolarGraph:

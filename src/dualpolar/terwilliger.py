@@ -67,6 +67,7 @@ from .drg import (
     BoseMesnerData,
     b_pow,
     closed_form_intersection,
+    distance_layers,
     td_scalars,
 )
 from .exact import ExactScalar
@@ -98,7 +99,6 @@ class TerwilligerContext:
     bm: BoseMesnerData
     x: int
     q: ExactScalar
-    dist_x: np.ndarray
     blocks: list[np.ndarray]  # vertex indices at distance i from x, sorted
     _adj: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
@@ -159,24 +159,21 @@ class TerwilligerContext:
 
 def build_context(g: PolarGraph, bm: BoseMesnerData,
                   x: int = 0) -> TerwilligerContext:
-    """The distance partition at x, with the checks of the adjacency blocks:
-    - adjacent vertices differ by at most 1 in distance from x, so
-      A = L + F + R over the partition,
-    - L^t = R and F^t = F, block by block.
-    A* = zeta I + xi K = sum theta*_i E*_i holds by construction:
-    `spectral_data` takes theta*_i = zeta + xi b^-i from the same
-    `dual_eigenvalue_scalars` as its zeta and xi.  That the diagonal of A*
-    is |X| times row x of E_1 is `spectral_data`'s Q_h1 = theta*_h, which
-    holds at every base vertex."""
-    D, b = g.spec.D, g.spec.b
-    dist_x = g.dist[x].astype(np.int64)
-    blocks = [np.nonzero(dist_x == i)[0] for i in range(D + 1)]
-    for i in range(D - 1):
-        # no edge from class i to a class two or more steps further out
-        if g.adjacency[np.ix_(blocks[i], np.concatenate(blocks[i + 2:]))].any():
-            raise AssertionError(
-                "A does not split as L + F + R over the partition")
-    ctx = TerwilligerContext(g, bm, x, ExactScalar.sqrt(b), dist_x, blocks)
+    """The distance partition at x, by breadth-first search on the rows of
+    the adjacency (`distance_layers`): B_(i+1) is the neighbours of B_i
+    outside B_(i-1) and B_i, so A = L + F + R over the partition.  A vertex
+    the search does not reach within D steps is refused.  Then L^t = R and
+    F^t = F are checked block by block.  A* = zeta I + xi K = sum theta*_i
+    E*_i holds by construction: `spectral_data` takes theta*_i = zeta + xi
+    b^-i from the same `dual_eigenvalue_scalars` as its zeta and xi.  That
+    the diagonal of A* is |X| times row x of E_1 is `spectral_data`'s Q_h1
+    = theta*_h, which holds at every base vertex."""
+    D = g.spec.D
+    blocks, seen = distance_layers(g.adjacency, x, D)
+    if not seen.all():
+        raise AssertionError(f"vertex {int(seen.argmin())} is not reached "
+                             f"within D = {D} steps of the base vertex {x}")
+    ctx = TerwilligerContext(g, bm, x, ExactScalar.sqrt(g.spec.b), blocks)
     for i in range(D + 1):
         for j in (i, i + 1):
             if j <= D and not np.array_equal(ctx.adj(j, i), ctx.adj(i, j).T):
@@ -564,10 +561,9 @@ def verify_g_entry_table(ctx: TerwilligerContext, G: list):
 def verify_omega_entry_table(ctx: TerwilligerContext, omega: list):
     """The paper's same-distance entry table of Omega: beta_s on the
     diagonal of block s, alpha_s on its adjacent pairs, 0 elsewhere.  Its
-    words are KF, K and 1, so on block s it is u_s F_s + v_s I.  F_s has a
-    zero diagonal and its ones are the adjacent pairs of B_s, as the build
-    certifies adjacency == (codim == 1) and `drg.verify_distance_regular`
-    proves codim the path metric."""
+    words are KF, K and 1, so on block s it is u_s F_s + v_s I.  F_s =
+    A[B_s, B_s] holds the adjacent pairs of B_s, and its diagonal is zero:
+    a vertex meets itself in dimension D, not D - 1."""
     alpha, beta = _omega_coeffs(ctx)
     return _entry_table(ctx, omega, [(beta[s], alpha.get(s, 0), 0, 0)
                                      for s in range(ctx.D + 1)])

@@ -12,9 +12,10 @@ It also keeps what `drg` did before it held the Bose-Mesner algebra by
 scalars: every p^h_ij from the (D+1)(D+2)/2 products A_i A_j, the primitive
 idempotents by the projector product formula, and the Krein parameters
 solved from the Hadamard products E_i o E_j and verified by reconstruction.
-And it keeps a breadth-first search, one dense n x n product per step:
-`polar` runs none, and the tests compare the codim matrix it stores as the
-distance with this one.
+And it keeps a breadth-first search, one dense n x n product per step, and
+the codim matrix D - dim(y intersect z) from one product of the vertex x
+point incidence: `polar` stores neither, and the tests compare the two, the
+paper's "path distance = codim", on every family.
 
 Then the scalar form oracle: the form of a `polar.FormSpec` evaluated one
 vector pair at a time, the reference for `polar._totally_isotropic`, and
@@ -69,7 +70,13 @@ from dualpolar.linexact import (
     rref,
     spectral_projectors,
 )
-from dualpolar.polar import FormSpec, _pairing, _sigma
+from dualpolar.polar import (
+    FormSpec,
+    _codim_of_meets,
+    _pairing,
+    _sigma,
+    _vertex_points,
+)
 from dualpolar.terwilliger import (
     LFRK_STATEMENTS,
     TerwilligerContext,
@@ -104,6 +111,24 @@ def bfs_distances(adj: np.ndarray, sources=None) -> np.ndarray:
     return dist
 
 
+def codim_matrix(spec: FormSpec, verts) -> np.ndarray:
+    """D - dim(y intersect z) for all vertex pairs, from one exact product:
+    with I the vertex x point incidence, (I I^T)_yz = |y intersect z| is
+    (b^d - 1)/(b - 1), d = dim(y intersect z)."""
+    pts = _vertex_points(spec, verts)
+    inc = np.zeros((len(verts), len(spec.points.vecs)), dtype=np.uint8)
+    inc[np.arange(len(verts))[:, None], pts] = 1
+    return _codim_of_meets(spec, int_matmul(inc, inc.T))
+
+
+def base_distances(ctx) -> np.ndarray:
+    """d(x, y) for every vertex y, read off the blocks of a context."""
+    dist_x = np.empty(ctx.n, dtype=np.int64)
+    for i, block in enumerate(ctx.blocks):
+        dist_x[block] = i
+    return dist_x
+
+
 def distance_matrices(dist: np.ndarray, D: int) -> list[np.ndarray]:
     return [(dist == i).astype(np.uint8) for i in range(D + 1)]
 
@@ -112,7 +137,7 @@ def intersection_numbers(g) -> np.ndarray:
     """p[h, i, j] = |G_i(y) ^ G_j(z)| for every pair (y, z) at distance h,
     each product A_i A_j checked constant on the pairs at each distance;
     raises NotDistanceRegularError with a witness."""
-    dist = g.dist
+    dist = bfs_distances(g.adjacency)
     D = int(dist.max())
     mats = distance_matrices(dist, D)
     n = dist.shape[0]
@@ -179,6 +204,7 @@ class DenseContext(TerwilligerContext):
     """The partition with the n x n dual idempotents, A, A*, K, K^-1 and the
     decomposition A = L + F + R."""
 
+    dist_x: np.ndarray
     Estar: list
     A: ExactMatrix
     Astar: ExactMatrix
@@ -218,7 +244,7 @@ def commutes(a: ExactMatrix, b: ExactMatrix) -> bool:
 
 def dense_context(g, bm, x: int = 0) -> DenseContext:
     part = build_context(g, bm, x)
-    n, D, dist_x = part.n, part.D, part.dist_x
+    n, D, dist_x = part.n, part.D, base_distances(part)
     estar = [ExactMatrix.from_int(np.diag((dist_x == i).astype(np.int64)))
              for i in range(D + 1)]
     adj = g.adjacency.astype(np.int64)
@@ -229,7 +255,7 @@ def dense_context(g, bm, x: int = 0) -> DenseContext:
     up = (dist_x[:, None] - dist_x[None, :] == 1).astype(np.int64) * adj
     flat = (dist_x[:, None] == dist_x[None, :]).astype(np.int64) * adj
     down = (dist_x[:, None] - dist_x[None, :] == -1).astype(np.int64) * adj
-    ctx = DenseContext(g, bm, x, part.q, dist_x, part.blocks, estar,
+    ctx = DenseContext(g, bm, x, part.q, part.blocks, dist_x, estar,
                        ExactMatrix.from_int(adj), Astar, K, Kinv,
                        ExactMatrix.from_int(down), ExactMatrix.from_int(flat),
                        ExactMatrix.from_int(up))
@@ -443,7 +469,7 @@ def verify_g_entry_table(ctx: DenseContext, G: ExactMatrix) -> bool:
     _, _, _, rho, _ = td_scalars(spec)
     cvals, _, bvals = closed_form_intersection(spec)
     theta_star = ctx.bm.theta_star
-    dist = ctx.g.dist
+    dist = bfs_distances(ctx.g.adjacency)
     same = ctx.dist_x[:, None] == ctx.dist_x[None, :]
     two = same & (dist == 2)
     up, down = two_step_counts(ctx)
@@ -467,7 +493,7 @@ def verify_omega_entry_table(ctx: DenseContext, omega: ExactMatrix) -> bool:
     alpha, beta = _omega_coeffs(ctx)
     same = ctx.dist_x[:, None] == ctx.dist_x[None, :]
     want = ExactMatrix.diag([beta[int(s)] for s in ctx.dist_x]) + _by_distance(
-        ctx, same & (ctx.g.dist == 1), lambda s: alpha.get(s, 0))
+        ctx, same & (ctx.g.adjacency == 1), lambda s: alpha.get(s, 0))
     return omega == want
 
 

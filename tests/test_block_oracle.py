@@ -122,8 +122,8 @@ def test_block_path_matches_dense_oracle(monkeypatch, capsys, family, D, b,
 def _tampered(g, x, classes, pair):
     """g with one entry A[y, z] (and A[z, y] too when pair) set to 1, for
     the first non-adjacent y < z with y in class classes[0] and z in
-    classes[1] at x, y, z != x; the distances are kept."""
-    dist_x = g.dist[x]
+    classes[1] at x, y, z != x."""
+    dist_x = dense_oracle.bfs_distances(g.adjacency, [x])[0]
     adj = g.adjacency.copy()
     y, z = next((int(y), int(z))
                 for y in np.flatnonzero(dist_x == classes[0])
@@ -132,7 +132,7 @@ def _tampered(g, x, classes, pair):
     adj[y, z] = 1
     if pair:
         adj[z, y] = 1
-    return PolarGraph(g.spec, g.vertices, adj, g.dist)
+    return PolarGraph(g.spec, g.vertices, adj)
 
 
 @pytest.mark.parametrize("family,D,b", [("D", 3, 2), ("C", 3, 2)])
@@ -141,19 +141,20 @@ def _tampered(g, x, classes, pair):
     ((2, 2), True, None),
     ((1, 2), False, "transpose relations"),
     ((1, 2), True, None),
-    ((1, 3), True, "A does not split as L + F + R"),
+    ((1, 3), True, None),
 ], ids=["diagonal-entry", "diagonal-pair", "off-diagonal-entry",
         "off-diagonal-pair", "across-two-classes"])
 def test_perturbed_adjacency_fails_alike(monkeypatch, capsys, family, D, b,
                                          classes, pair, message):
     """One adjacency entry (or symmetric pair) added in a diagonal block,
     in an off-diagonal block, or across two classes.  A single entry breaks
-    L^t = R or F^t = F, and an edge two classes apart is refused by
-    `build_context`: there the ladder path and the oracle fail the same
-    checks with the same witnesses.  A symmetric pair inside the grading
-    breaks the ladder certificate of `decompose`, which both paths run
-    before their LFRK and central checks: every LFRK check and the
-    construction fail on both, with the witness of `modules:dimension`.
+    L^t = R or F^t = F: there the ladder path and the oracle fail the same
+    checks with the same witnesses.  An edge from class 1 to class 3 puts
+    its far end in class 2 of the search of `build_context`, so it is a
+    symmetric pair inside the grading too.  Such a pair breaks the ladder
+    certificate of `decompose`, which both paths run before their LFRK and
+    central checks: every LFRK check and the construction fail on both,
+    with the witness of `modules:dimension`.
     Only the entry tables differ there: the oracle certifies its central
     elements before it reads Omega and G, the ladder path reads their word
     coefficients only."""

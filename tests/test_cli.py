@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import dense_oracle
 import dualpolar
 from dualpolar import intlinalg
 from dualpolar.cli import main
@@ -292,6 +293,22 @@ def test_malformed_graph_is_input_error(c23_data, tmp_path, capsys, defect):
         assert "vertices 0 and 1 are the same subspace" in err
 
 
+@pytest.mark.parametrize("command,message", [
+    ("verify", "cannot load graph: "),
+    ("leonard", "cannot load parameter array: ")])
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, command,
+                                           message):
+    """A file nested 10^5 deep passes the JSON decoder's recursion limit:
+    an input error with exit 2, not a traceback with the exit code of a
+    failed check."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    flag = "--graph" if command == "verify" else "--params"
+    assert main([command, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "recursion" in err
+
+
 @pytest.mark.parametrize("defect,message", [
     ("repeated-row", "vertex 0 is not a totally isotropic 3-space")])
 def test_graph_file_refusal_is_named(d32_file, tmp_path, capsys, defect,
@@ -330,12 +347,11 @@ def test_unknown_graph_field_is_named(c23_data, tmp_path, capsys, field,
 
 def test_built_file_loads_as_the_built_graph(d32_file):
     """The vertex list that `build` writes loads as the graph that
-    `build_polar_graph` forms: the same distances and adjacency."""
+    `build_polar_graph` forms: the same vertices and adjacency."""
     from dualpolar.polar import FormSpec, build_polar_graph, load_graph
 
     g, h = load_graph(d32_file), build_polar_graph(FormSpec("D", 3, 2))
     assert g.vertices == h.vertices
-    assert np.array_equal(g.dist, h.dist)
     assert np.array_equal(g.adjacency, h.adjacency)
 
 
@@ -473,19 +489,20 @@ def test_modules_and_uq_need_no_central_elements(d32_file, capsys,
 
 def test_non_distance_regular_graph_fails_every_dependent_check(
         capsys, monkeypatch):
-    """D_3(2) with one extra edge inside a distance class (distances kept):
-    every check that needs the intersection data fails with the
-    NotDistanceRegularError text as witness, and verify exits 1."""
+    """D_3(2) with one extra edge inside a distance class: every check that
+    needs the intersection data fails with the NotDistanceRegularError text
+    as witness, and verify exits 1."""
     from dualpolar import polar
     from dualpolar.polar import FormSpec, PolarGraph, build_polar_graph
 
     g = build_polar_graph(FormSpec("D", 3, 2))
-    y, z = (int(v) for v in np.flatnonzero(g.dist[0] == 2)[:2])
+    dist_0 = dense_oracle.bfs_distances(g.adjacency, [0])[0]
+    y, z = (int(v) for v in np.flatnonzero(dist_0 == 2)[:2])
     assert not g.adjacency[y, z]
     adj = g.adjacency.copy()
     adj[y, z] = adj[z, y] = 1
     monkeypatch.setattr(polar, "load_graph",
-                        lambda _: PolarGraph(g.spec, g.vertices, adj, g.dist))
+                        lambda _: PolarGraph(g.spec, g.vertices, adj))
     capsys.readouterr()
     assert main(["verify", "--graph", "g.json", "--suite", "all"]) == 1
     out, err = capsys.readouterr()

@@ -9,8 +9,8 @@ import pytest
 import dense_oracle
 
 from dualpolar.drg import (
+    NotConnectedError,
     NotDistanceRegularError,
-    NotPathMetricError,
     b_pow,
     closed_form_dual_eigenvalues,
     closed_form_eigenvalues,
@@ -26,19 +26,16 @@ from dualpolar.polar import FormSpec, build_polar_graph
 
 
 class _Plain:
-    """Adapter giving any adjacency matrix the graph interface, with the
-    breadth-first distances, or the given ones."""
+    """Adapter giving any adjacency matrix the graph interface."""
 
-    def __init__(self, adj, dist=None):
+    def __init__(self, adj):
         self.adjacency = np.asarray(adj, dtype=np.uint8)
-        self.dist = (dense_oracle.bfs_distances(self.adjacency) if dist is None
-                     else np.asarray(dist, dtype=np.int16))
         self.n_vertices = self.adjacency.shape[0]
 
 
-def direct_count_oracle(g, x, y, i, j):
+def direct_count_oracle(dist, x, y, i, j):
     """|G_i(x) ^ G_j(y)| counted vertex by vertex."""
-    return int(((g.dist[x] == i) & (g.dist[y] == j)).sum())
+    return int(((dist[x] == i) & (dist[y] == j)).sum())
 
 
 def test_complete_graph_k4():
@@ -76,11 +73,12 @@ def test_c32_intersection_array(graph_c32):
     # spot-check the counting against the direct per-pair oracle
     p = dense_oracle.intersection_numbers(graph_c32)
     assert dense_oracle.intersection_array(p) == (data.c, data.a, data.b)
+    dist = dense_oracle.bfs_distances(graph_c32.adjacency)
     for x, y in [(0, 1), (0, 5), (3, 77)]:
-        h = graph_c32.dist[x, y]
+        h = dist[x, y]
         for i in range(4):
             for j in range(4):
-                assert direct_count_oracle(graph_c32, x, y, i, j) == p[h, i, j]
+                assert direct_count_oracle(dist, x, y, i, j) == p[h, i, j]
 
 
 def test_d32_intersection_array(graph_d32):
@@ -146,11 +144,12 @@ def test_triple_products_vanishing(graph_c32, bm_c32):
     E = dense_oracle.idempotents(g, bm_c32.theta)
     x = 0
     n = g.n_vertices
-    dist_x = g.dist[x]
+    dist = dense_oracle.bfs_distances(g.adjacency)
+    dist_x = dist[x]
     estar = [ExactMatrix.from_int(np.diag((dist_x == i).astype(np.int64)))
              for i in range(4)]
     amats = [ExactMatrix.from_int(m.astype(np.int64))
-             for m in dense_oracle.distance_matrices(g.dist, 3)]
+             for m in dense_oracle.distance_matrices(dist, 3)]
     astar_i = []
     for i in range(4):
         col = E[i].take_rows([x])
@@ -206,7 +205,8 @@ def test_coefficient_form_matches_dense_oracle(family, D, b):
     bm = spectral_data(g.spec, n, data)
     E = dense_oracle.idempotents(g, bm.theta)
     amats = [ExactMatrix.from_int(m.astype(np.int64))
-             for m in dense_oracle.distance_matrices(g.dist, D)]
+             for m in dense_oracle.distance_matrices(
+                 dense_oracle.bfs_distances(g.adjacency), D)]
     for i in range(D + 1):
         total = amats[0].scale(Fraction(bm.Q[0][i], n))
         for h in range(1, D + 1):
@@ -244,7 +244,7 @@ def _chorded_hexagon():
 def _d32_plus_edge():
     g = build_polar_graph(FormSpec("D", 3, 2))
     adj = g.adjacency.copy()
-    z = int(np.flatnonzero(g.dist[0] == 2)[0])
+    z = int(np.flatnonzero(dense_oracle.bfs_distances(adj, [0])[0] == 2)[0])
     adj[0, z] = adj[z, 0] = 1
     return adj
 
@@ -281,7 +281,8 @@ def test_distance_regularity_matches_dense_oracle(adj, regular):
 
 
 # ---------------------------------------------------------------------------
-# The distances: the breadth-first oracle, and the path-metric certificate
+# The distances: the breadth-first oracle, and the refusal of a graph that
+# is not connected
 
 
 def _queue_bfs(adj):
@@ -314,71 +315,57 @@ def _two_triangles():
     return np.kron(np.eye(2, dtype=np.uint8), 1 - np.eye(3, dtype=np.uint8))
 
 
-def _with(dist, *entries):
-    """dist with each symmetric pair (y, z) set to the given value."""
-    dist = np.array(dist, dtype=np.int16)
-    for y, z, value in entries:
-        dist[y, z] = dist[z, y] = value
-    return dist
-
-
-def _refused(g, witness, message):
-    with pytest.raises(NotPathMetricError, match=message) as err:
+def _refused(g, error, witness, message):
+    with pytest.raises(error, match=message) as err:
         verify_distance_regular(g)
     assert err.value.witness == witness
 
 
-@pytest.mark.parametrize("adj,cut", [
-    ([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]], 3),
-    ([[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]], 1),
-    (_two_triangles(), 3),
+@pytest.mark.parametrize("adj,cut,error,witness,message", [
+    ([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]], 3,
+     NotDistanceRegularError, (0, 1, 1, 1, 1),
+     r"pair \(1,1\) gives 2, expected 1"),
+    ([[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]], 1,
+     NotDistanceRegularError, (0, 1, 1, 1, 1),
+     r"pair \(1,1\) gives 1, expected 0"),
+    (_two_triangles(), 3, NotConnectedError, (0, 3),
+     "no path joins vertices 0 and 3"),
 ], ids=["isolated-last", "isolated-first", "two-triangles"])
-def test_bfs_unreached_is_minus_one(adj, cut):
+def test_bfs_unreached_is_minus_one(adj, cut, error, witness, message):
     """Vertices on different sides of `cut` are not connected: the search
-    leaves them at -1, and the metric check refuses the negative entry."""
+    leaves them at -1.  `verify_distance_regular` refuses the two
+    triangles as a pair that no path joins, and a graph with an isolated
+    vertex already at b_0, the valency, which is not constant."""
     adj = np.asarray(adj, dtype=np.uint8)
     dist = dense_oracle.bfs_distances(adj)
     assert np.array_equal(dist, _queue_bfs(adj))
     assert (dist[:cut, cut:] == -1).all() and (dist[cut:, :cut] == -1).all()
     assert (np.diag(dist) == 0).all()
-    _refused(_Plain(adj), (0, cut), rf"pair \(0,{cut}\) at distance -1: a "
-                                    r"metric is 0 on the diagonal only")
+    _refused(_Plain(adj), error, witness, message)
 
 
-def test_off_diagonal_zero_is_refused():
-    g = _Plain(_petersen())
-    g.dist = _with(g.dist, (1, 4, 0))
-    _refused(g, (1, 4), r"pair \(1,4\) at distance 0: a metric is 0 on "
-                        r"the diagonal only, never negative")
-
-
-def test_skipped_value_is_refused():
-    """Distances 0, 1 and 3 on a path: no pair is at distance 2, which
-    would leave an empty class (an IndexError once)."""
-    path = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
-    g = _Plain(path, _with(dense_oracle.bfs_distances(np.array(path)),
-                           (0, 2, 3)))
-    _refused(g, (0, 2), r"pair \(0,2\) at distance 3: no pair is at "
-                        r"distance 2")
+@pytest.mark.parametrize("adj,witness", [
+    (np.zeros((2, 2), dtype=np.uint8), (0, 1)),
+    (np.kron(np.eye(3, dtype=np.uint8), 1 - np.eye(2, dtype=np.uint8)),
+     (0, 2)),
+    (np.kron(np.eye(2, dtype=np.uint8), _cycle(5)), (0, 5)),
+], ids=["isolated-vertices", "three-edges", "two-pentagons"])
+def test_a_pair_no_path_joins_is_refused(adj, witness):
+    """Regular graphs whose components are distance-regular with equal
+    arrays: every count is constant, and the one refusal is the pair that
+    no path joins, with a witness in two components."""
+    y, z = witness
+    _refused(_Plain(adj), NotConnectedError, witness,
+             f"no path joins vertices {y} and {z}")
+    assert dense_oracle.bfs_distances(np.asarray(adj), [y])[0, z] == -1
 
 
 def test_missing_descent_is_refused():
-    """Two triangles at distance 2 from each other: every count is constant
-    and within one step, but c_2 = 0, and the graph is not connected."""
-    g = _Plain(_two_triangles(), _with(1 - np.eye(6), *[
-        (y, z, 2) for y in range(3) for z in range(3, 6)]))
-    _refused(g, (0, 3), r"pair \(0,3\) at distance 2: no neighbour of 3 is "
-                        r"at distance 1 from 0")
-
-
-def test_neighbour_beyond_one_step_is_refused():
-    """The 4-cycle 0-2-1-3 with f(0, 3) = 3 on its edge 0-3: every count is
-    constant, but vertex 0 has a neighbour three steps from itself."""
-    cycle = [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]]
-    f = [[0, 2, 1, 3], [2, 0, 3, 1], [1, 3, 0, 2], [3, 1, 2, 0]]
-    _refused(_Plain(cycle, f), (0, 0),
-             r"pair \(0,0\) at distance 0: only 1 of the 2 neighbours of 0 "
-             r"are within one step")
+    """Two triangles: every count is constant within each, but no
+    neighbour of 3 lies nearer to 0, as no path joins them; the search
+    never puts the pair in a class."""
+    _refused(_Plain(_two_triangles()), NotConnectedError, (0, 3),
+             "no path joins vertices 0 and 3")
 
 
 _POLAR_SEARCHES = [
@@ -391,9 +378,9 @@ _POLAR_SEARCHES = [
 
 @pytest.mark.parametrize("family,D,b,block", _POLAR_SEARCHES)
 def test_bfs_matches_dense_oracle_on_polar_graphs(family, D, b, block):
-    """The codim matrix the graph stores as its distance is the path
-    metric, on every family.  With `block`, the search runs from blocks of
-    that many sources and the last block is partial."""
+    """The path metric of the adjacency is the codim matrix D - dim(y
+    intersect z), on every family.  With `block`, the search runs from
+    blocks of that many sources and the last block is partial."""
     g = build_polar_graph(FormSpec(family, D, b))
     n = g.adjacency.shape[0]
     if block is None:
@@ -403,7 +390,7 @@ def test_bfs_matches_dense_oracle_on_polar_graphs(family, D, b, block):
         dist = np.concatenate([
             dense_oracle.bfs_distances(g.adjacency, range(s, min(s + block, n)))
             for s in range(0, n, block)])
-    assert np.array_equal(g.dist, dist)
+    assert np.array_equal(dense_oracle.codim_matrix(g.spec, g.vertices), dist)
 
 
 def test_verify_intersection_names_the_first_row(graph_d32):

@@ -219,7 +219,7 @@ def test_flipped_adjacency_bit_in_a_block_is_refused(ctx_d32_base0):
     assert not adj[np.ix_(block, block)].any()
     adj[block[0], block[1]] = 1
     g = ctx.g
-    tampered = replace(ctx, g=PolarGraph(g.spec, g.vertices, adj, g.dist))
+    tampered = replace(ctx, g=PolarGraph(g.spec, g.vertices, adj))
     with pytest.raises(AssertionError, match=re.escape("(0, 0, 3)")):
         decompose(tampered)
 

@@ -6,18 +6,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dense_oracle import bilinear, table_perp, totally_isotropic
-from dualpolar import polar
-from dualpolar.drg import (
-    NotDistanceRegularError,
-    NotPathMetricError,
-    verify_distance_regular,
+from dense_oracle import (
+    bfs_distances,
+    bilinear,
+    codim_matrix,
+    table_perp,
+    totally_isotropic,
 )
+from dualpolar import polar
+from dualpolar.drg import NotDistanceRegularError, verify_distance_regular
 from dualpolar.gf import build_field
 from dualpolar.polar import (
     BudgetExceededError,
     FormSpec,
-    _codim_matrix,
     _totally_isotropic,
     _vertices_hex,
     build_polar_graph,
@@ -183,28 +184,32 @@ def test_enumeration_against_oracle(family, D, b):
                                         ("2A_odd", 2, 4)])
 def test_codim_against_oracle(family, D, b):
     g = build_polar_graph(FormSpec(family, D, b))
-    assert np.array_equal(_codim_matrix(g.spec, g.vertices),
+    assert np.array_equal(codim_matrix(g.spec, g.vertices),
                           codim_oracle(g.spec, g.vertices))
 
 
 @pytest.mark.parametrize("value,error,witness", [
-    (3, NotDistanceRegularError, r"pair \(0,2\) gives 9, expected 8"),
-    (0, NotPathMetricError, r"pair \(0,5\) at distance 0: a metric"),
-], ids=["3", "0"])
+    (1, NotDistanceRegularError, r"pair \(1,1\) gives 12, expected 13"),
+    (0, ValueError, "vertices 0 and 5 are the same subspace"),
+], ids=["1", "0"])
 def test_perturbed_codim_is_refused(monkeypatch, value, error, witness):
-    """One entry of the codim matrix off (2 -> 3, or 2 -> 0, which keeps
-    the adjacency codim == 1) becomes the graph's distance, and the
-    distance-regularity check refuses it with a witness pair."""
+    """One meet count of the load's product off: the pair (0, 5) at codim
+    2 counted as meeting in codim 1, an edge that the distance-regularity
+    check refuses (vertex 0 then has valency 13, vertex 1 has 12), or in
+    codim 0, a pair of twins that the load refuses."""
     g = build_polar_graph(FormSpec("C", 2, 3))
-    codim = _codim_matrix(g.spec, g.vertices)
-    z = int(np.flatnonzero(codim[0] == 2)[0])
+    z = int(np.flatnonzero(codim_matrix(g.spec, g.vertices)[0] == 2)[0])
     assert z == 5
-    codim[0, z] = value
-    monkeypatch.setattr(polar, "_codim_matrix", lambda spec, verts: codim)
-    bad = polar._certified_graph(g.spec, g.vertices)
-    assert bad.dist[0, z] == value
+    real = polar.int_matmul
+
+    def perturbed(a, b):
+        meet = real(a, b)
+        meet[0, z] = meet[z, 0] = (3 ** (2 - value) - 1) // 2
+        return meet
+
+    monkeypatch.setattr(polar, "int_matmul", perturbed)
     with pytest.raises(error, match=witness):
-        verify_distance_regular(bad)
+        verify_distance_regular(polar._certified_graph(g.spec, g.vertices))
 
 
 ISOTROPY_CASES = [("C", 2, 3), ("B", 2, 3), ("D", 3, 2), ("2D", 2, 2),
@@ -353,7 +358,7 @@ def test_c3_2_graph_basics():
     assert g.n_vertices == 135
     degrees = g.adjacency.sum(axis=1)
     assert (degrees == 14).all()  # k = b^e (b^D - 1)/(b - 1)
-    assert g.dist.max() == 3
+    assert bfs_distances(g.adjacency).max() == 3
 
 
 def test_d3_2_graph_bipartite_valency():
@@ -362,18 +367,20 @@ def test_d3_2_graph_bipartite_valency():
     assert (g.adjacency.sum(axis=1) == 7).all()
     # a_i = 0 for all i: neighbors of y at distance i from x never stay at i
     a = g.adjacency.astype(np.int32)
+    dist = bfs_distances(g.adjacency, range(5))
     for x in range(5):
         for i in range(4):
-            mask = g.dist[x] == i
+            mask = dist[x] == i
             same = a[np.ix_(mask, mask)]
             assert not same.any()
 
 
 def test_distance_equals_codim_formula_exhaustive():
-    # the graph's distance is the codim matrix, checked here against
-    # spans counted one vertex pair at a time
+    # the path metric of the graph is the codim matrix, checked here
+    # against spans counted one vertex pair at a time
     g = build_polar_graph(FormSpec("C", 2, 3))
-    assert np.array_equal(g.dist, codim_oracle(g.spec, g.vertices))
+    assert np.array_equal(bfs_distances(g.adjacency),
+                          codim_oracle(g.spec, g.vertices))
 
 
 def test_near_polygon_counts_c32():
@@ -381,15 +388,16 @@ def test_near_polygon_counts_c32():
     #   |G_i(x) ^ G(y) ^ G(z)| = 0 and |G_{i+1}(x) ^ G(y) ^ G(z)| = a_1
     g = build_polar_graph(FormSpec("C", 3, 2))
     a = g.adjacency.astype(np.int64)
+    dist = bfs_distances(g.adjacency)
     x = 0
     a1 = 1  # (b^e - 1)(b - 1)/(b - 1) with b = 2, e = 1
     for j in range(4):
-        mask = (g.dist[x] == j).astype(np.int64)
+        mask = (dist[x] == j).astype(np.int64)
         cnt_j = a @ np.diag(mask) @ a
         for y in range(g.n_vertices):
             for z in range(g.n_vertices):
-                if g.adjacency[y, z] and g.dist[x, y] == g.dist[x, z] - 1:
-                    i = g.dist[x, y]
+                if g.adjacency[y, z] and dist[x, y] == dist[x, z] - 1:
+                    i = dist[x, y]
                     if j == i:
                         assert cnt_j[y, z] == 0
                     elif j == i + 1:
@@ -401,13 +409,14 @@ def test_quad_counts_c32():
     #   |G_i ^ G(y) ^ G(z)| = 1 and |G_{i+1} ^ G(y) ^ G(z)| = b
     g = build_polar_graph(FormSpec("C", 3, 2))
     a = g.adjacency.astype(np.int64)
+    dist = bfs_distances(g.adjacency)
     x = 0
-    cnt = {j: a @ np.diag((g.dist[x] == j).astype(np.int64)) @ a for j in range(4)}
+    cnt = {j: a @ np.diag((dist[x] == j).astype(np.int64)) @ a for j in range(4)}
     found = 0
     for y in range(g.n_vertices):
         for z in range(g.n_vertices):
-            if g.dist[y, z] == 2 and g.dist[x, y] == g.dist[x, z] - 1:
-                i = g.dist[x, y]
+            if dist[y, z] == 2 and dist[x, y] == dist[x, z] - 1:
+                i = dist[x, y]
                 assert cnt[i][y, z] == 1
                 assert cnt[i + 1][y, z] == 2
                 found += 1
@@ -435,7 +444,6 @@ def test_json_roundtrip():
     g2 = graph_from_json(graph_to_json(g.spec, g.vertices))
     assert g2.vertices == g.vertices
     assert np.array_equal(g2.adjacency, g.adjacency)
-    assert np.array_equal(g2.dist, g.dist)
     assert g2.spec.e == 0
 
 
@@ -457,7 +465,6 @@ def test_json_roundtrip_wide_fields(family, D, b, width):
     g2 = graph_from_json(data)
     assert g2.vertices == g.vertices
     assert np.array_equal(g2.adjacency, g.adjacency)
-    assert np.array_equal(g2.dist, g.dist)
 
 
 def test_enumeration_refuses_a_subspace_that_is_not_isotropic(monkeypatch):

@@ -215,7 +215,8 @@ def _g_table_by_entry(ctx, G):
     rho = td_scalars(spec)[3]
     cvals, _, bvals = closed_form_intersection(spec)
     adj = ctx.g.adjacency.astype(np.int64)
-    dist, dist_x = ctx.g.dist, ctx.dist_x
+    dist = dense_oracle.bfs_distances(ctx.g.adjacency)
+    dist_x = dense_oracle.base_distances(ctx)
     cnt = {j: adj @ np.diag((dist_x == j).astype(np.int64)) @ adj
            for j in range(ctx.D + 2)}
     for y in range(ctx.n):
@@ -248,14 +249,15 @@ def _g_table_by_entry(ctx, G):
 def _omega_table_by_entry(ctx, omega):
     """Reference: the Omega entry table checked pair by pair."""
     alpha, beta = _omega_coeffs(ctx)
+    dist_x = dense_oracle.base_distances(ctx)
     for y in range(ctx.n):
         for z in range(ctx.n):
-            s = int(ctx.dist_x[y])
-            if s != int(ctx.dist_x[z]):
+            s = int(dist_x[y])
+            if s != int(dist_x[z]):
                 want = 0
             elif y == z:
                 want = beta[s]
-            elif ctx.g.dist[y, z] == 1:
+            elif ctx.g.adjacency[y, z]:
                 want = alpha.get(s, 0)
             else:
                 want = 0
@@ -296,7 +298,8 @@ def _bumped(m, y, z):
 
 def _pair_kinds(ctx):
     """One vertex pair of each kind the entry tables tell apart."""
-    dx, dist = ctx.dist_x, ctx.g.dist
+    dx = dense_oracle.base_distances(ctx)
+    dist = dense_oracle.bfs_distances(ctx.g.adjacency)
     same = dx[:, None] == dx[None, :]
     kinds = [same & (dist == 0), same & (dist == 1), same & (dist == 2),
              ~same]
@@ -335,7 +338,7 @@ def test_entry_tables_d32(tables_d32):
 
 
 def _witness(ctx, y, z, cls, value, table):
-    return {"block": int(ctx.dist_x[y]), "pair": [int(y), int(z)],
+    return {"block": int(dense_oracle.base_distances(ctx)[y]), "pair": [int(y), int(z)],
             "class": cls, "value": str(value), "table": str(table)}
 
 
@@ -552,10 +555,8 @@ def test_kernel_of_c0_shift_c32(graph_c32, bm_c32, ctx_c32, comps_c32):
 def test_primary_module_is_span_of_distance_vectors(ctx_c32, comps_c32):
     # oracle: span{A_i e_x} is T-invariant of dimension 4 and equals the
     # primary component
-    n = ctx_c32.n
-    rows = []
-    for i in range(4):
-        rows.append([1 if ctx_c32.dist_x[y] == i else 0 for y in range(n)])
+    dist_x = dense_oracle.base_distances(ctx_c32)
+    rows = [(dist_x == i).astype(int).tolist() for i in range(4)]
     m = ExactMatrix.from_rows(rows)
     primary = [c for c in comps_c32 if c.triple == (0, 0, 3)][0]
     assert _contains_rows(*dense_oracle.component_basis(ctx_c32, primary), m)
@@ -749,16 +750,16 @@ def test_spectral_data_refuses_a_perturbed_dual_eigenvalue(graph_d32,
         spectral_data(g.spec, g.n_vertices, data)
 
 
-def test_build_context_refuses_an_edge_across_two_classes(graph_d32,
-                                                          bm_d32):
+def test_build_context_refuses_an_unreached_vertex(graph_d32, bm_d32):
+    """D_3(2) with the edges of one vertex removed: the search from x = 0
+    does not reach it within D = 3 steps."""
     g = graph_d32
-    y = int(np.nonzero(g.adjacency[0])[0][0])
-    dist = g.dist.copy()
-    dist[0, y] = dist[y, 0] = 2  # a neighbour of 0 put two classes away
-    tampered = PolarGraph(g.spec, g.vertices, g.adjacency, dist)
+    adj = g.adjacency.copy()
+    adj[7] = adj[:, 7] = 0
     with pytest.raises(AssertionError, match=re.escape(
-            "A does not split as L + F + R over the partition")):
-        build_context(tampered, bm_d32, 0)
+            "vertex 7 is not reached within D = 3 steps of the base "
+            "vertex 0")):
+        build_context(PolarGraph(g.spec, g.vertices, adj), bm_d32, 0)
 
 
 @pytest.fixture(scope="module")

@@ -230,74 +230,80 @@ def test_intlinalg_finds_its_primes_on_first_use():
 # base vertices made 853 and 472 while each vertex built its own closed
 # forms and ladder matrices, and 709 and 424 with them shared by the three
 # contexts: a sampled vertex builds no ladder matrix and evaluates no word.
-# (Fewer products where an earlier call in the process has filled the
-# per-field caches, such as the GF multiplication table.)  With each
-# module's Leonard system certified on its ladder matrices by
+# With each module's Leonard system certified on its ladder matrices by
 # `certify_leonard_system`, with no standard or dual standard basis built,
-# verify made 677 and 360, and verify-sampled 697 and 424.
+# verify made 677 and 360, and verify-sampled 697 and 424.  Each count runs
+# in a fresh interpreter, after the same calls: counted in the test process,
+# verify-sampled made 418 or 424 products by test order, as an earlier call
+# fills caches such as the GF multiplication table.  `verify` is counted
+# after the `build` that writes its graph, which fills that table (two
+# products of a cold `verify`).
 _KERNEL_CEILINGS = {"build": (0, 3), "leonard": (428, 136),
                     "verify": (677, 360), "verify-sampled": (697, 424)}
 
-
-def _kernel_counts(monkeypatch, argv, shapes) -> tuple[int, int]:
-    """ExactMatrix constructions and int_matmul calls of one CLI call; the
-    shape of each product is appended to shapes."""
-    from dualpolar import intarith, linexact
-    from dualpolar.cli import main
-
-    counts = [0, 0]
-    init = linexact.ExactMatrix.__init__
-
-    def counted_init(self, *args, **kwargs):
-        counts[0] += 1
-        init(self, *args, **kwargs)
-
-    mm = intarith.int_matmul
-
-    def counted_mm(*args, **kwargs):
-        counts[1] += 1
-        out = mm(*args, **kwargs)
-        shapes.append(out.shape)
-        return out
-
-    monkeypatch.setattr(linexact.ExactMatrix, "__init__", counted_init)
-    for name in _NOT_LOADED["import"]:
-        module = importlib.import_module(f"dualpolar.{name}")
-        for key, val in list(vars(module).items()):
-            if val is mm:
-                monkeypatch.setattr(module, key, counted_mm)
-    assert main(argv) == 0
-    return tuple(counts)
+# Run the CLI calls of the JSON list argv[2], their output discarded, and
+# print the ExactMatrix constructions, the int_matmul calls and the shape of
+# each product of the last one; argv[1] names the modules whose int_matmul
+# bindings are counted.
+_KERNEL_COUNTS = """
+import contextlib, importlib, io, json, sys
+from dualpolar import intarith, linexact
+from dualpolar.cli import main
+*before, argv = json.loads(sys.argv[2])
+with contextlib.redirect_stdout(io.StringIO()):
+    if any(main(call) for call in before):
+        sys.exit("a call before the counted one failed")
+counts, shapes = [0, 0], []
+init, mm = linexact.ExactMatrix.__init__, intarith.int_matmul
+def counted_init(self, *args, **kwargs):
+    counts[0] += 1
+    init(self, *args, **kwargs)
+def counted_mm(*args, **kwargs):
+    counts[1] += 1
+    out = mm(*args, **kwargs)
+    shapes.append(out.shape)
+    return out
+linexact.ExactMatrix.__init__ = counted_init
+for name in sys.argv[1].split(","):
+    module = importlib.import_module("dualpolar." + name)
+    for key, val in list(vars(module).items()):
+        if val is mm:
+            setattr(module, key, counted_mm)
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(argv)
+if rc:
+    sys.exit(f"exit code {rc}")
+print(json.dumps([*counts, shapes]))
+"""
 
 
 @pytest.mark.parametrize("command", sorted(_KERNEL_CEILINGS))
-def test_exact_kernel_call_counts(tmp_path, capsys, monkeypatch, command):
-    from dualpolar.cli import main
-
+def test_exact_kernel_call_counts(tmp_path, command):
     if command == "leonard":
         path = tmp_path / "array.json"
         path.write_text(json.dumps({"q": "2", "d": 4, "h": "1",
                                     "h_star": "-2", "kappa": "1",
                                     "kappa_star": "2", "upsilon": "5"}))
-        argv = ["leonard", "--params", str(path)]
+        calls = [["leonard", "--params", str(path)]]
     else:
         path = str(tmp_path / "d32.json")
-        build = ["build", "--family", "D", "--D", "3", "--b", "2",
-                 "--out", path]
+        calls = [["build", "--family", "D", "--D", "3", "--b", "2",
+                  "--out", path]]
         if command != "build":
-            assert main(build) == 0
-        argv = build if command == "build" else ["verify", "--graph", path,
-                                                 "--suite", "all"]
+            calls.append(["verify", "--graph", path, "--suite", "all"])
         if command == "verify-sampled":
-            argv += ["--all-vertices-sample", "2"]
-    shapes = []
-    constructions, products = _kernel_counts(monkeypatch, argv, shapes)
-    capsys.readouterr()
+            calls[-1] += ["--all-vertices-sample", "2"]
+    out = subprocess.run(
+        [sys.executable, "-c", _KERNEL_COUNTS,
+         ",".join(_NOT_LOADED["import"]), json.dumps(calls)],
+        capture_output=True, text=True, env=_fresh_env(), timeout=300)
+    assert out.returncode == 0, out.stderr
+    constructions, products, shapes = json.loads(out.stdout)
     ceiling = _KERNEL_CEILINGS[command]
     assert constructions <= ceiling[0] and products <= ceiling[1], \
         (constructions, products)
     if command == "build":  # D_3(2) has 30 vertices
-        assert (30, 30) not in shapes, shapes
+        assert [30, 30] not in shapes, shapes
 
 
 def test_build_constructs_one_point_table(tmp_path, capsys, monkeypatch):
