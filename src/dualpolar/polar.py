@@ -16,37 +16,23 @@ isomorphic graph) are:
 The vertex set of the dual polar graph consists of the maximal totally
 isotropic (for quadratic forms: totally singular) subspaces, which all have
 dimension D; vertices are adjacent when they meet in dimension D - 1, and
-the graph distance of y, z equals D - dim(y intersect z).  A graph file
-holds the vertices alone: its fields are family, D, b and the vertex list.
-Every load computes the adjacency from them, and it is the one n x n array
-of the graph: `drg.verify_distance_regular` grows the distance classes from
-it by breadth-first search, in the same products that certify
-distance-regularity.  `build` forms no n x n array: it writes the vertex
-list and reads the valency and diameter it reports from the codim row of
-vertex 0.
+the graph distance of y, z equals D - dim(y intersect z).  The vertices are
+one sorted int16 (m, D, n) array of RREF rows, from enumeration to the
+graph file, whose fields are family, D, b and the vertices.  Every load
+computes the adjacency from them, the one n x n array of the graph, from
+which `drg.verify_distance_regular` grows the distance classes.  `build`
+forms no n x n array: it reads the valency and diameter it reports from
+the codim row of vertex 0.
 
 Both steps work on the point table: the singular points of GF(b)^n, one
-monic vector each, as a numpy array ordered by leading position.  The
-field's tables evaluate the form on all of them at once, from its Gram
-matrix (and, for the quadratic families, the coefficients of Q), giving the
-singular points.  The P x P perpendicularity matrix comes from exact
-integer products over GF(p) on the base-p digits of the points, as
-multiplication by a field element is GF(p)-linear.  Enumeration grows
-subspaces by their RREF: the first k rows of a totally isotropic
-(k+1)-space in RREF are a totally isotropic k-space S in RREF, and its last
-row is a singular point p perpendicular to S, with lead(p) past the last
-pivot of S and every row of S zero at column lead(p).  A level is an
-(L, k) array of row points; one level step is the AND of k bit-packed perp
-rows and the lead-column condition, and `np.nonzero` of it lists every
-(k+1)-space exactly once.  The same pairings, on all rows at once, check
-that each vertex is totally isotropic.  A vertex is the set of its
-(b^D - 1)/(b - 1) points, and |y intersect z| = (b^d - 1)/(b - 1) with
-d = dim(y intersect z).  The adjacency comes from the vertex x point
-incidence I, as (I I^T)_yz = |y intersect z|: y ~ z when the count is
-(b^(D-1) - 1)/(b - 1).  That product runs on float32 BLAS and is exact,
-because every entry and every partial sum is a count of at most P points,
-and P < 2^24 (see `intarith.int_matmul`).  One codim row counts the points
-of each vertex that lie in one vertex, with no product.
+monic vector each, ordered by leading position, and their P x P
+perpendicularity table from exact integer products over GF(p).
+Enumeration grows subspaces by their RREF, one AND of bit-packed perp rows
+per level.  A vertex is the set of its (b^D - 1)/(b - 1) points, and
+|y intersect z| = (b^d - 1)/(b - 1) with d = dim(y intersect z): a load
+counts them all in one float32 product of the vertex x point incidence,
+exact as every partial sum is at most P < 2^24 (`intarith.int_matmul`),
+and `build` counts its codim row by pairing each point with vertex 0.
 """
 
 from __future__ import annotations
@@ -276,30 +262,31 @@ def _packed_nonzero(bits: np.ndarray):
 
 
 def enumerate_maximal_isotropic(spec: FormSpec, budget: int = 100_000):
-    """All maximal (dimension D) totally isotropic subspaces, in canonical
-    RREF order, grown one RREF row at a time on the point table.
+    """All maximal (dimension D) totally isotropic subspaces: one C-contiguous
+    int16 (m, D, n) array of RREF rows in lexicographic order, grown one RREF
+    row at a time on the point table.
 
     Level k is an (L, k) array: the row points of every totally isotropic
-    k-space S in RREF.  The extensions of S are its rows followed by a
-    singular point p with p perpendicular to every row of S, lead(p) past
-    the last pivot of S (so p is zero at the pivots of S), and every row
-    of S zero at column lead(p).  Those are exactly the RREFs of the
-    totally isotropic (k+1)-spaces, each met once.  The lead-column
-    condition depends on S only through the set of columns it allows, so
-    it is evaluated once per distinct set.  Raises BudgetExceededError when
-    there are more than `budget` points or subspaces on some level.
-    """
-    if _vertex_count(spec, budget) > budget:
+    k-space S in RREF.  Its extensions are its rows and a singular point p
+    perpendicular to every row of S, lead(p) past the last pivot of S, and
+    every row of S zero at column lead(p): exactly the RREFs of the totally
+    isotropic (k+1)-spaces, each met once.  The lead-column condition is
+    evaluated once per distinct set of columns it allows.  S run in groups
+    of one last pivot, each scanning the packed bytes from the first point
+    past it.  Raises BudgetExceededError when there are more than `budget`
+    points or subspaces on some level."""
+    if (_vertex_count(spec, budget) > budget
+            or len(spec.points.vecs) > budget):
         raise BudgetExceededError("enumeration budget exceeded")
     table = spec.points
     npts, n = table.vecs.shape
-    if npts > budget:
-        raise BudgetExceededError("enumeration budget exceeded")
     lead = (table.vecs != 0).argmax(1)
     support = (table.vecs != 0) @ (1 << np.arange(n, dtype=np.int64))
     level = np.arange(npts)[:, None]
+    # made first: after the level arrays, 2A_odd_3(4) builds peak 0.4 MB higher
     perp = np.packbits(table.perp(), axis=1) if spec.D > 1 else None
     for _ in range(1, spec.D):
+        level = level[np.argsort(level[:, -1])]
         # columns past the last pivot where every row of S is zero
         last = lead[level[:, -1]]
         free = ((1 << n) - (2 << last)) & ~np.bitwise_or.reduce(support[level], 1)
@@ -307,24 +294,24 @@ def enumerate_maximal_isotropic(spec: FormSpec, budget: int = 100_000):
         allowed = np.packbits((codes[:, None] >> lead) & 1 == 1, axis=1)
         parts, total = [], 0
         step = max(1, 2 ** 20 // perp.shape[1])
-        for lo in range(0, len(level), step):
-            chunk = level[lo:lo + step]
-            ok = allowed[which[lo:lo + step]]
+        # np.union1d would import numpy.ma, 40 ms per cold call
+        cuts = sorted({*np.flatnonzero(np.diff(last, prepend=-1)).tolist(),
+                       *range(0, len(level), step)})
+        for lo, hi in zip(cuts, [*cuts[1:], len(level)]):
+            chunk, skip = level[lo:hi], np.searchsorted(lead, last[lo], "right") // 8
+            ok = allowed[which[lo:hi], skip:]
             for j in range(chunk.shape[1]):
-                ok &= perp[chunk[:, j]]
+                ok &= perp[chunk[:, j], skip:]
             s, p = _packed_nonzero(ok)
             total += len(s)
             if total > budget:
                 raise BudgetExceededError("enumeration budget exceeded")
-            parts.append(np.column_stack((chunk[s], p)))
+            parts.append(np.column_stack((chunk[s], 8 * skip + p)))
         level = np.concatenate(parts)
     rows = table.vecs[level]
     if not _totally_isotropic(spec, rows).all():
         raise AssertionError("enumerated subspace is not totally isotropic")
-    flat = rows.reshape(len(rows), -1)
-    flat = flat[np.lexsort(flat.T[::-1])]
-    return [tuple(map(tuple, v)) for v in
-            flat.reshape(len(rows), spec.D, n).tolist()]
+    return rows[np.lexsort(rows.reshape(len(rows), -1).T[::-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +319,9 @@ def enumerate_maximal_isotropic(spec: FormSpec, budget: int = 100_000):
 
 
 class PolarGraph:
-    """Dual polar graph: its vertices and its adjacency, y ~ z when they
-    meet in dimension D - 1.  No distances are stored; they are grown from
-    the adjacency where they are needed."""
+    """Dual polar graph: its vertices, one int16 (m, D, n) array of RREF
+    rows, and its adjacency, y ~ z when they meet in dimension D - 1.  No
+    distances are stored; they are grown from the adjacency where needed."""
 
     def __init__(self, spec: FormSpec, vertices, adjacency: np.ndarray):
         self.spec = spec
@@ -355,8 +342,7 @@ def _vertex_points(spec: FormSpec, verts) -> np.ndarray:
     indices per vertex: the spans of its D rows by the monic coefficient
     vectors of GF(b)^D.  ValueError names the first vertex with a span that
     is zero or no singular point, which is no totally isotropic D-space."""
-    D = spec.D
-    rows = np.array(verts, dtype=np.int16).reshape(len(verts), D, spec.n)
+    D, rows = spec.D, np.asarray(verts)
     coef = _monic_vectors(spec.b, D)
     pts = spec.points.lookup(_pairing(spec.field, coef[None, :, None],
                                       rows.swapaxes(1, 2)[:, None]))
@@ -378,12 +364,25 @@ def _codim_of_meets(spec: FormSpec, meet: np.ndarray) -> np.ndarray:
 
 
 def first_codim_row(spec: FormSpec, verts) -> np.ndarray:
-    """D - dim(y intersect v_0) for every vertex y, from the point sets:
-    the count of the points of y that lie in v_0, with no n x n array."""
-    pts = _vertex_points(spec, verts)
-    in_first = np.zeros(len(spec.points.vecs), dtype=bool)
-    in_first[pts[0]] = True
-    return _codim_of_meets(spec, in_first[pts].sum(1))
+    """D - dim(y intersect v_0) for every maximal totally isotropic y: the
+    count of the points of v_0 perpendicular to all D rows of y, which are
+    the points of y intersect v_0.  For if a singular point p is
+    perpendicular to y, then <y, p> is totally isotropic, and for the
+    quadratic families totally singular, as Q(u + l p) = Q(u) + l^2 Q(p) +
+    l B(u, p) = 0 for u in y; y is maximal, so p lies in y.  The count is
+    (b^d - 1)/(b - 1), d = dim(y intersect v_0).  ValueError names the
+    first vertex with a row that is no singular point."""
+    pts = spec.points
+    rows = pts.lookup(np.asarray(verts))
+    bad = np.flatnonzero((rows < 0).any(1))
+    if len(bad):
+        raise ValueError(f"vertex {bad[0]} has a row that is no singular point")
+    # B(q, p) for the points q of v_0 and every point p (B is reflexive):
+    # P x K pairings, where the P x P table is new work for D = 1
+    qg = _pairing(spec.field, pts.vecs[_vertex_points(spec, verts[:1])[0], None],
+                  spec.gram.T)
+    hits = _pairing(spec.field, qg, _sigma(spec, pts.vecs)[:, None]) == 0
+    return _codim_of_meets(spec, hits[rows].all(1).sum(1))
 
 
 def _certified_graph(spec: FormSpec, verts) -> PolarGraph:
@@ -431,7 +430,7 @@ def _vertices_hex(spec: FormSpec, verts) -> list[str]:
     """One fixed-width lowercase hex string per vertex, its D rows of n
     coordinates in order."""
     w = _hex_width(spec)
-    cells = np.array(verts, dtype=np.int64).reshape(len(verts), -1)
+    cells = np.asarray(verts).reshape(len(verts), -1)
     shifts = 4 * np.arange(w - 1, -1, -1)
     text = _HEX_DIGITS[cells[..., None] >> shifts & 15].tobytes().decode()
     size = cells.shape[1] * w
@@ -492,12 +491,12 @@ def graph_from_json(data: dict) -> PolarGraph:
     rows = _vertices_unhex(spec, texts)
     if not _totally_isotropic(spec, rows).all():
         raise ValueError("vertex in file is not totally isotropic")
-    return _certified_graph(spec, [tuple(map(tuple, v)) for v in rows.tolist()])
+    return _certified_graph(spec, rows)
 
 
 def save_graph(spec: FormSpec, verts, path: str):
-    with open(path, "w") as fh:
-        json.dump(graph_to_json(spec, verts), fh)
+    with open(path, "w") as fh:  # one dumps runs the C encoder
+        fh.write(json.dumps(graph_to_json(spec, verts)))
 
 
 def load_graph(path: str) -> PolarGraph:

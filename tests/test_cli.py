@@ -351,7 +351,7 @@ def test_built_file_loads_as_the_built_graph(d32_file):
     from dualpolar.polar import FormSpec, build_polar_graph, load_graph
 
     g, h = load_graph(d32_file), build_polar_graph(FormSpec("D", 3, 2))
-    assert g.vertices == h.vertices
+    assert np.array_equal(g.vertices, h.vertices)
     assert np.array_equal(g.adjacency, h.adjacency)
 
 

@@ -23,8 +23,11 @@ from dualpolar.polar import (
     _vertices_hex,
     build_polar_graph,
     enumerate_maximal_isotropic,
+    first_codim_row,
     graph_from_json,
     graph_to_json,
+    load_graph,
+    save_graph,
 )
 
 
@@ -139,33 +142,33 @@ def test_c1_2_three_lines():
     spec = FormSpec("C", 1, 2)
     subs = enumerate_maximal_isotropic(spec)
     assert len(subs) == 3
-    assert subs == all_subspaces_oracle(spec)
+    assert np.array_equal(subs, all_subspaces_oracle(spec))
 
 
 def test_c3_2_count_against_oracle():
     spec = FormSpec("C", 3, 2)
     subs = enumerate_maximal_isotropic(spec)
     assert len(subs) == 135
-    assert subs == all_subspaces_oracle(spec)
+    assert np.array_equal(subs, all_subspaces_oracle(spec))
 
 
 def test_d3_2_count_against_oracle():
     spec = FormSpec("D", 3, 2)
     subs = enumerate_maximal_isotropic(spec)
     assert len(subs) == 30
-    assert subs == all_subspaces_oracle(spec)
+    assert np.array_equal(subs, all_subspaces_oracle(spec))
 
 
 def test_b2_2_against_oracle():
     spec = FormSpec("B", 2, 2)
     subs = enumerate_maximal_isotropic(spec)
-    assert subs == all_subspaces_oracle(spec)
+    assert np.array_equal(subs, all_subspaces_oracle(spec))
 
 
 def test_2a_even_d1_against_oracle():
     spec = FormSpec("2A_even", 1, 4)
     subs = enumerate_maximal_isotropic(spec)
-    assert subs == all_subspaces_oracle(spec)
+    assert np.array_equal(subs, all_subspaces_oracle(spec))
 
 
 @pytest.mark.parametrize("family,D,b", [
@@ -177,7 +180,8 @@ def test_2a_even_d1_against_oracle():
 ])
 def test_enumeration_against_oracle(family, D, b):
     spec = FormSpec(family, D, b)
-    assert enumerate_maximal_isotropic(spec) == all_subspaces_oracle(spec)
+    assert np.array_equal(enumerate_maximal_isotropic(spec),
+                          all_subspaces_oracle(spec))
 
 
 @pytest.mark.parametrize("family,D,b", [("C", 2, 3), ("2D", 2, 2),
@@ -186,6 +190,49 @@ def test_codim_against_oracle(family, D, b):
     g = build_polar_graph(FormSpec(family, D, b))
     assert np.array_equal(codim_matrix(g.spec, g.vertices),
                           codim_oracle(g.spec, g.vertices))
+
+
+# every family, and D = 1 graphs, where each vertex is one point
+FIRST_ROW_CASES = [("C", 2, 3), ("B", 2, 3), ("D", 3, 2), ("2D", 2, 2),
+                   ("2A_even", 2, 4), ("2A_odd", 3, 4), ("C", 1, 5),
+                   ("2A_even", 1, 4)]
+
+
+@pytest.mark.parametrize("key", FIRST_ROW_CASES, ids=lambda k: "%s_%d(%d)" % k)
+def test_first_codim_row_against_codim_matrix(key):
+    """The meets counted from the pairings with v_0 are row 0 of the codim
+    matrix from the spans, and row k when the vertex list starts at k."""
+    spec = FormSpec(*key)
+    verts = enumerate_maximal_isotropic(spec)
+    codim = codim_matrix(spec, verts)
+    assert np.array_equal(first_codim_row(spec, verts), codim[0])
+    for k in (1, len(verts) // 2, len(verts) - 1):
+        assert np.array_equal(first_codim_row(spec, np.roll(verts, -k, 0)),
+                              np.roll(codim[k], -k))
+
+
+def test_d1_codim_row_makes_no_perp_table(monkeypatch):
+    """D = 1 enumeration needs no P x P perpendicularity table, and the
+    codim row makes none either (on 2D_1(64) it would be 4097 x 4097)."""
+    def refuse(self):
+        raise AssertionError("perp table built")
+
+    monkeypatch.setattr(polar._PointTable, "perp", refuse)
+    spec = FormSpec("2D", 1, 4)
+    row = first_codim_row(spec, enumerate_maximal_isotropic(spec))
+    assert row.tolist() == [0] + [1] * 16
+
+
+@pytest.mark.parametrize("row", ["zero", "non-singular"])
+def test_first_codim_row_refuses_a_row_that_is_no_point(row):
+    """D_3(2): vertex 7 with its second row replaced by zero or by a
+    vector v with Q(v) = v_0 v_3 + v_1 v_4 + v_2 v_5 = 1."""
+    spec = FormSpec("D", 3, 2)
+    verts = enumerate_maximal_isotropic(spec).copy()
+    verts[7, 1] = 0 if row == "zero" else (0, 1, 0, 0, 1, 0)
+    with pytest.raises(ValueError, match="vertex 7 has a row that is no "
+                                         "singular point"):
+        first_codim_row(spec, verts)
 
 
 @pytest.mark.parametrize("value,error,witness", [
@@ -214,6 +261,17 @@ def test_perturbed_codim_is_refused(monkeypatch, value, error, witness):
 
 ISOTROPY_CASES = [("C", 2, 3), ("B", 2, 3), ("D", 3, 2), ("2D", 2, 2),
                   ("2A_even", 2, 4), ("2A_odd", 2, 4)]
+
+
+@pytest.mark.parametrize("key", ISOTROPY_CASES, ids=lambda k: "%s_%d(%d)" % k)
+def test_enumeration_is_one_sorted_int16_array(key):
+    spec = FormSpec(*key)
+    verts = enumerate_maximal_isotropic(spec)
+    assert isinstance(verts, np.ndarray) and verts.dtype == np.int16
+    assert verts.flags.c_contiguous
+    assert verts.shape == (len(verts), spec.D, spec.n)
+    flat = [tuple(v) for v in verts.reshape(len(verts), -1).tolist()]
+    assert flat == sorted(set(flat))
 
 
 def _one_coordinate_changed(spec, vert):
@@ -442,15 +500,28 @@ def test_no_induced_k121_d32():
 def test_json_roundtrip():
     g = build_polar_graph(FormSpec("D", 3, 2))
     g2 = graph_from_json(graph_to_json(g.spec, g.vertices))
-    assert g2.vertices == g.vertices
+    assert np.array_equal(g2.vertices, g.vertices)
     assert np.array_equal(g2.adjacency, g.adjacency)
     assert g2.spec.e == 0
+
+
+def test_saved_graph_loads_the_same_vertices(tmp_path):
+    """save_graph writes the JSON text of graph_to_json, and load_graph
+    reads back the same int16 vertex array."""
+    spec = FormSpec("2A_odd", 2, 4)
+    verts = enumerate_maximal_isotropic(spec)
+    path = tmp_path / "g.json"
+    save_graph(spec, verts, str(path))
+    assert path.read_text() == json.dumps(graph_to_json(spec, verts))
+    g = load_graph(str(path))
+    assert g.vertices.dtype == np.int16
+    assert np.array_equal(g.vertices, verts)
 
 
 def test_json_roundtrip_hermitean():
     g = build_polar_graph(FormSpec("2A_even", 1, 4))
     g2 = graph_from_json(graph_to_json(g.spec, g.vertices))
-    assert g2.vertices == g.vertices
+    assert np.array_equal(g2.vertices, g.vertices)
     assert g2.spec.e == Fraction(3, 2)
 
 
@@ -463,7 +534,7 @@ def test_json_roundtrip_wide_fields(family, D, b, width):
     data = graph_to_json(g.spec, g.vertices)
     assert all(len(s) == D * g.spec.n * width for s in data["vertices"])
     g2 = graph_from_json(data)
-    assert g2.vertices == g.vertices
+    assert np.array_equal(g2.vertices, g.vertices)
     assert np.array_equal(g2.adjacency, g.adjacency)
 
 
