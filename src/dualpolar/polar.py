@@ -372,16 +372,16 @@ def first_codim_row(spec: FormSpec, verts) -> np.ndarray:
     l B(u, p) = 0 for u in y; y is maximal, so p lies in y.  The count is
     (b^d - 1)/(b - 1), d = dim(y intersect v_0).  ValueError names the
     first vertex with a row that is no singular point."""
-    pts = spec.points
-    rows = pts.lookup(np.asarray(verts))
+    table = spec.points
+    rows = table.lookup(np.asarray(verts))
     bad = np.flatnonzero((rows < 0).any(1))
     if len(bad):
         raise ValueError(f"vertex {bad[0]} has a row that is no singular point")
     # B(q, p) for the points q of v_0 and every point p (B is reflexive):
     # P x K pairings, where the P x P table is new work for D = 1
-    qg = _pairing(spec.field, pts.vecs[_vertex_points(spec, verts[:1])[0], None],
+    qg = _pairing(spec.field, table.vecs[_vertex_points(spec, verts[:1])[0], None],
                   spec.gram.T)
-    hits = _pairing(spec.field, qg, _sigma(spec, pts.vecs)[:, None]) == 0
+    hits = _pairing(spec.field, qg, _sigma(spec, table.vecs)[:, None]) == 0
     return _codim_of_meets(spec, hits[rows].all(1).sum(1))
 
 
